@@ -205,8 +205,8 @@ def enumerate_null_classes(r: int) -> tuple[NullClassRecord, ...]:
 
     At rank r only representatives with at most r nonzero coordinates
     exist (the vector has length r).  Records carry every decomposition
-    into two exceptional classes; a = 1 (the pencil classes l - e_i) is
-    the one solution family admitting none.
+    into two exceptional classes.  The a = 1 pencil class l - e_i admits
+    none at rank 1, but splits as (l - e_i - e_j) + e_j once r >= 2.
     """
     _check_rank(r)
     ctx = surface_context(r)

@@ -8,22 +8,27 @@ intersection form is ``diag(1, -1, ..., -1)`` and the canonical class is
 point ``e_i`` is ``(0; ..., -1, ...)``.
 
 Everything here is plain Python integer arithmetic, hence exact at any
-magnitude.  The numpy-backed bulk routines elsewhere in the package use
-int64 and are safe for ``|a|, |b_i| <= 10**6`` (products stay below 2**42,
-sums of at most nine of them far below 2**63).
+magnitude.  The numpy pairing routines run in int64 only while every
+coefficient satisfies ``|a|, |b_i| <= SAFE_COEFF_BOUND`` (products stay
+below 2**42, sums of at most nine of them far below 2**63); above that
+they switch to object arrays of Python integers, so no result ever wraps.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 MIN_RANK = 1
 MAX_RANK = 8
 
-#: Coefficient magnitude for which the int64 bulk routines are guaranteed
-#: overflow-free.  The pure-Python operations in this module have no limit.
+#: Coefficient magnitude up to which the numpy pairing routines use int64;
+#: larger inputs are computed exactly on Python integers instead.  The
+#: pure-Python operations in this module have no limit.
 SAFE_COEFF_BOUND = 10**6
 
 #: Number of classes with self-intersection -1 and anticanonical degree 1,
@@ -53,9 +58,20 @@ class PicardClass:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        # operator.index accepts Python and numpy integers and refuses
+        # floats, so 1.5 raises TypeError instead of truncating to 1.
+        object.__setattr__(self, "a", operator.index(self.a))
+        object.__setattr__(self, "b", tuple(map(operator.index, self.b)))
         _check_rank(len(self.b))
+
+    @classmethod
+    def _trusted(cls, a: int, b: tuple[int, ...]) -> "PicardClass":
+        """Internal constructor for a Python int and a tuple of Python ints
+        of valid length: skips the coercion and rank check."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "a", a)
+        object.__setattr__(obj, "b", b)
+        return obj
 
     @property
     def r(self) -> int:
@@ -117,6 +133,12 @@ def point_class(r: int, i: int) -> PicardClass:
     return PicardClass(0, tuple(-1 if j == i else 0 for j in range(1, r + 1)))
 
 
+def fiber_class(r: int = 1) -> PicardClass:
+    """``l - e_1``; at rank 1 it joins the exceptional class as a test curve."""
+    _check_rank(r)
+    return PicardClass(1, (1,) + (0,) * (r - 1))
+
+
 def canonical_class(r: int) -> PicardClass:
     """The canonical class ``-(3l - sum e_i)`` = ``(-3; -1, ..., -1)``."""
     _check_rank(r)
@@ -141,7 +163,12 @@ def sectional_genus(L: PicardClass) -> int:
     the division is exact; a parity failure would mean the lattice model
     itself is broken.
     """
-    s = degree(L) + intersect(canonical_class(L.r), L)
+    return _genus(L, degree(L))
+
+
+def _genus(L: PicardClass, square: int) -> int:
+    """Sectional genus of L given its self-intersection ``square``."""
+    s = square - 3 * L.a + sum(L.b)  # L.L + K.L
     assert s % 2 == 0, f"adjunction parity violated for {L}"
     return s // 2 + 1
 
@@ -242,3 +269,66 @@ class SurfaceContext:
     @property
     def anticanonical(self) -> PicardClass:
         return -self.canonical
+
+    # The pairing core.  Every positivity decision pairs a class against
+    # the test curves; the arrays below are built once per context, on
+    # first use, and are read-only.
+
+    @cached_property
+    def test_curves(self) -> tuple[PicardClass, ...]:
+        """The exceptional classes, in their (a, b) order, followed at rank 1
+        by the fiber ``l - e_1``: L is nef iff it pairs >= 0 with each."""
+        if self.r == 1:
+            return self.exceptional_set + (fiber_class(1),)
+        return self.exceptional_set
+
+    @cached_property
+    def curve_matrix(self) -> np.ndarray:
+        """Signed int64 matrix S with rows ``(x_a, -x_b1, ..., -x_br)``, one
+        per test curve x, so that ``S @ (a, b_1..b_r)`` is the pairing vector."""
+        return _read_only(np.array([[x.a, *(-y for y in x.b)] for x in self.test_curves], dtype=np.int64))
+
+    @cached_property
+    def curve_gram(self) -> np.ndarray:
+        """Gram matrix of the test curves: ``G[i, j] = x_i . x_j``.  Subtracting
+        x_i from a class changes its pairing vector by ``-G[i]``."""
+        X = np.array([[x.a, *x.b] for x in self.test_curves], dtype=np.int64)
+        return _read_only(self.curve_matrix @ X.T)
+
+    @cached_property
+    def curve_matrix_exact(self) -> np.ndarray:
+        """``curve_matrix`` on Python integers, for coefficients beyond
+        SAFE_COEFF_BOUND."""
+        return _read_only(self.curve_matrix.astype(object))
+
+    @cached_property
+    def curve_gram_exact(self) -> np.ndarray:
+        """``curve_gram`` on Python integers, for coefficients beyond
+        SAFE_COEFF_BOUND."""
+        return _read_only(self.curve_gram.astype(object))
+
+    @cached_property
+    def curve_orbits(self) -> tuple[tuple[CurveTypePattern, np.ndarray], ...]:
+        """The test curves grouped by type pattern (one permutation orbit
+        each), sorted by pattern: (pattern, indices into ``test_curves``)."""
+        groups: dict[CurveTypePattern, list[int]] = {}
+        for i, x in enumerate(self.test_curves):
+            groups.setdefault(type_pattern(x), []).append(i)
+        return tuple(
+            (pat, _read_only(np.array(groups[pat], dtype=np.intp)))
+            for pat in sorted(groups, key=CurveTypePattern.sort_key)
+        )
+
+    @cached_property
+    def orbit_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, starts)`` such that ``np.minimum.reduceat(P[order], starts)``
+        is the per-orbit minimum of a pairing vector P, in ``curve_orbits`` order."""
+        order = np.concatenate([idx for _, idx in self.curve_orbits])
+        sizes = [len(idx) for _, idx in self.curve_orbits]
+        starts = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        return _read_only(order), _read_only(starts)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr

@@ -2,7 +2,8 @@
 ampleness of divisor classes.
 
 The single primitive underneath everything is the pairing of a class
-against the exceptional set (plus the fiber class ``l - e_1`` at rank 1):
+against the test curves: the exceptional set, plus the fiber class
+``l - e_1`` at rank 1.
 
 * nef  <=>  every pairing >= 0           (and nef <=> spanned);
 * k-very ample  <=>  every pairing >= k, excluding three explicitly
@@ -11,11 +12,18 @@ against the exceptional set (plus the fiber class ``l - e_1`` at rank 1):
   that pairs negatively, which terminates because the anticanonical
   degree drops by exactly 1 per step.
 
+All of it is read off one pairing vector ``P = S @ (a, b)``, where S is
+the signed test-curve matrix cached on the :class:`SurfaceContext`; a
+reduction step subtracts a row of the cached Gram matrix from P.  The
+scalar and bulk routines share those arrays.  Arithmetic is exact: int64
+while every coefficient is within ``SAFE_COEFF_BOUND``, Python integers
+(object arrays) beyond it.
+
 Each per-type inequality family is the same pairing test folded over a
 permutation orbit; ``generate_inequality_families`` derives them
-mechanically and the bulk helpers at the bottom evaluate both
-formulations over numpy arrays of classes (int64, exact for
-coefficients up to 10**6).
+mechanically.  Their closed form :meth:`InequalityFamily.evaluate` and
+:func:`minimum_family_value_bulk` are kept as an independent formulation
+that the tests check the pairing core against.
 """
 
 from __future__ import annotations
@@ -27,14 +35,16 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (
+    SAFE_COEFF_BOUND,
     CurveTypePattern,
+    LatticeMismatchError,
     PicardClass,
     RankError,
     SurfaceContext,
+    _genus,
+    _same_rank,
     degree,
-    intersect,
-    point_class,
-    sectional_genus,
+    fiber_class,
     type_pattern,
     adjoint as adjoint_class,
 )
@@ -46,20 +56,42 @@ EXCEPTION_MINUS_K1K_S8 = "minus_k1K_S8"
 EXCEPTION_MINUS_K_S7_K1 = "minus_K_S7_k1"
 
 
-def fiber_class(r: int = 1) -> PicardClass:
-    """``l - e_1``; its pairing joins the exceptional tests at rank 1."""
-    return PicardClass(1, (1,) + (0,) * (r - 1))
+def int64_safe(L: PicardClass) -> bool:
+    """Whether every coefficient of L is within SAFE_COEFF_BOUND, so that
+    int64 pairing arithmetic on L is exact."""
+    bound = SAFE_COEFF_BOUND
+    return -bound <= L.a <= bound and -bound <= min(L.b) and max(L.b) <= bound
 
 
-def _pairing_classes(ctx: SurfaceContext) -> tuple[PicardClass, ...]:
-    if ctx.r == 1:
-        return ctx.exceptional_set + (fiber_class(),)
-    return ctx.exceptional_set
+def exact_rows(coeffs) -> np.ndarray:
+    """Class rows as int64 when every entry is within SAFE_COEFF_BOUND,
+    otherwise as an object array of Python integers (exact at any size)."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.dtype.kind not in "iuO":
+        raise TypeError(f"class coefficients must be integers, got dtype {coeffs.dtype}")
+    if coeffs.size == 0 or (coeffs.max() <= SAFE_COEFF_BOUND and coeffs.min() >= -SAFE_COEFF_BOUND):
+        return coeffs.astype(np.int64, copy=False)
+    return coeffs.astype(object)
+
+
+def pairing_vector(L: PicardClass, ctx: SurfaceContext) -> np.ndarray:
+    """Intersection numbers of L with ``ctx.test_curves``, exact."""
+    if L.r != ctx.r:
+        raise LatticeMismatchError(f"class of rank {L.r} paired in rank-{ctx.r} context")
+    if int64_safe(L):
+        return ctx.curve_matrix @ np.array((L.a, *L.b), dtype=np.int64)
+    return ctx.curve_matrix_exact @ np.array((L.a, *L.b), dtype=object)
+
+
+def _minimum(P: np.ndarray) -> int:
+    # indexing by argmin skips the ufunc reduction that P.min() sets up,
+    # which dominates on vectors this short
+    return int(P[P.argmin()])
 
 
 def minimum_pairing(L: PicardClass, ctx: SurfaceContext) -> int:
     """Smallest intersection of L with the test curves at this rank."""
-    return min(intersect(L, c) for c in _pairing_classes(ctx))
+    return _minimum(pairing_vector(L, ctx))
 
 
 def is_nef(L: PicardClass, ctx: SurfaceContext) -> bool:
@@ -87,10 +119,21 @@ class EffectivityCertificate:
     terminal: PicardClass
 
     def replay(self) -> PicardClass:
-        total = self.terminal
+        terminal = self.terminal
+        a, b = terminal.a, list(terminal.b)
         for cls, mult in self.subtracted:
-            total = total + mult * cls
-        return total
+            if len(cls.b) != len(b):
+                _same_rank(cls, terminal)  # raises
+            a += mult * cls.a
+            for j, x in enumerate(cls.b):
+                if x:
+                    b[j] += mult * x
+        return PicardClass._trusted(a, tuple(b))
+
+
+def _check_context(L: PicardClass, ctx: SurfaceContext) -> None:
+    if ctx.r != L.r:
+        raise RankError(f"class of rank {L.r} checked in rank-{ctx.r} context")
 
 
 def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, EffectivityCertificate | None]:
@@ -102,49 +145,60 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
     Rank 1 is the monoid generated by ``e_1`` and ``l - e_1``:
     ``(a; b1)`` is effective iff ``a >= 0`` and ``a >= b1``.
     """
-    if ctx.r != L.r:
-        raise RankError(f"class of rank {L.r} checked in rank-{ctx.r} context")
+    _check_context(L, ctx)
+    return _effectivity(L, ctx, None)
+
+
+def _effectivity(
+    L: PicardClass, ctx: SurfaceContext, P: np.ndarray | None
+) -> tuple[bool, EffectivityCertificate | None]:
+    """:func:`is_effective` for a checked rank, reusing the pairing vector
+    P of L when the caller already has it."""
     if ctx.r == 1:
         a, b1 = L.a, L.b[0]
         if a < 0 or a < b1:
             return False, None
         if b1 < 0:
             # -b1 copies of e_1, then the nef remainder (a; 0)
-            cert = EffectivityCertificate(((point_class(1, 1), -b1),), PicardClass(a, (0,)))
+            cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(a, (0,)))
         else:
             cert = EffectivityCertificate((), L)
         assert cert.replay() == L
         return True, cert
 
-    # The exceptional set is sorted by (a, b), so taking the first class
-    # attaining the minimum pairing is the canonical tie-break.
-    data = [(xi, xi.a, xi.b) for xi in ctx.exceptional_set]
-    a = L.a
-    b = list(L.b)
-    chain: list[list] = []  # [class, multiplicity] runs, coalesced
-    while True:
-        if a == 0 and not any(b):
-            break
-        if 3 * a - sum(b) <= 0:  # anticanonical degree; ample classes see everything
-            return False, None
-        worst_val = 0
-        worst = None
-        for xi, xa, xb in data:
-            v = xa * a - sum(p * q for p, q in zip(xb, b))
-            if v < worst_val:
-                worst_val = v
-                worst = xi
-        if worst is None:
-            break  # pairs >= 0 with everything: nef, hence effective
-        a -= worst.a
-        for i, x in enumerate(worst.b):
-            b[i] -= x
-        if chain and chain[-1][0] == worst:
-            chain[-1][1] += 1
-        else:
-            chain.append([worst, 1])
-    cur = PicardClass(a, tuple(b))
-    cert = EffectivityCertificate(tuple((c, m) for c, m in chain), cur)
+    degree_left = 3 * L.a - sum(L.b)  # anticanonical degree; drops by 1 per step
+    chain: list[list[int]] = []  # [curve index, multiplicity] runs, coalesced
+    if degree_left > 0:
+        # Rank >= 2: the test curves are exactly the exceptional set, sorted
+        # by (a, b), so argmin's first-index tie-break is the canonical one.
+        P = pairing_vector(L, ctx) if P is None else P.copy()
+        # int64 stays exact: each step moves P by a row of G (entries of a
+        # few units) and there are at most 3a - sum(b) <= 11 * SAFE_COEFF_BOUND steps
+        G = ctx.curve_gram_exact if P.dtype == object else ctx.curve_gram
+        while degree_left > 0:
+            i = int(P.argmin())
+            if P[i] >= 0:
+                break  # pairs >= 0 with everything: nef, hence effective
+            P -= G[i]
+            degree_left -= 1
+            if chain and chain[-1][0] == i:
+                chain[-1][1] += 1
+            else:
+                chain.append([i, 1])
+    exc = ctx.exceptional_set
+    a, b = L.a, list(L.b)
+    for i, mult in chain:
+        a -= mult * exc[i].a
+        for j, x in enumerate(exc[i].b):
+            if x:
+                b[j] -= mult * x
+    terminal = PicardClass._trusted(a, tuple(b))
+    if degree_left <= 0 and not terminal.is_zero():
+        return False, None  # ample classes see every effective class positively
+    # built from a list, not a generator: tuple() then allocates the exact
+    # size instead of shrinking a 10-slot tuple, whose leftover blocks
+    # accumulate in the per-size tuple free lists of a long-running process
+    cert = EffectivityCertificate(tuple([(exc[i], mult) for i, mult in chain]), terminal)
     assert cert.replay() == L
     return True, cert
 
@@ -157,13 +211,16 @@ def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
     though all three satisfy the intersection inequalities.  k = 0 is
     handled uniformly (so the zero class and ``-K`` are flagged at rank 8).
     """
-    K = ctx.canonical
+    # -mK = (3m; m, ..., m); find m, if L is a multiple of -K at all
+    m, rem = divmod(L.a, 3)
+    if rem or L.r != ctx.r or any(x != m for x in L.b):
+        return EXCEPTION_NONE
     if ctx.r == 8:
-        if L == -k * K:
+        if m == k:
             return EXCEPTION_MINUS_KK_S8
-        if L == -(k + 1) * K:
+        if m == k + 1:
             return EXCEPTION_MINUS_K1K_S8
-    if ctx.r == 7 and k == 1 and L == -K:
+    if ctx.r == 7 and k == 1 and m == 1:
         return EXCEPTION_MINUS_K_S7_K1
     return EXCEPTION_NONE
 
@@ -244,29 +301,33 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
     at level k minus the enumerated exceptions."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if ctx.r != L.r:
-        raise RankError(f"class of rank {L.r} checked in rank-{ctx.r} context")
-    mp = minimum_pairing(L, ctx)
+    _check_context(L, ctx)
+    P = pairing_vector(L, ctx)
+    mp = _minimum(P)
     flag = exception_flag(L, k, ctx)
     nef = mp >= 0
-    effective, cert = is_effective(L, ctx)
+    effective, cert = _effectivity(L, ctx, P)
     violations = []
-    for fam in generate_inequality_families(ctx.r, ctx):
-        val = fam.evaluate(L)
-        if val < 0:
-            violations.append(Violation("nef", fam.label(with_k=False), val, 0))
-        if val < k:
-            violations.append(Violation("k_very_ample", fam.label(with_k=True), val, k))
+    if mp < k:
+        # each family's value is the minimum pairing over its orbit
+        order, starts = ctx.orbit_layout
+        values = np.minimum.reduceat(P[order], starts).tolist()
+        for fam, val in zip(generate_inequality_families(ctx.r), values, strict=True):
+            if val < 0:
+                violations.append(Violation("nef", fam.label(with_k=False), val, 0))
+            if val < k:
+                violations.append(Violation("k_very_ample", fam.label(with_k=True), val, k))
+    square = degree(L)
     return PositivityReport(
         subject=L,
         k=k,
         effective=effective,
         nef=nef,
-        big=nef and degree(L) > 0,
+        big=nef and square > 0,
         spanned=nef,
         k_very_ample=(mp >= k and flag == EXCEPTION_NONE),
-        degree=degree(L),
-        genus=sectional_genus(L),
+        degree=square,
+        genus=_genus(L, square),
         violations=tuple(violations),
         exception_flag=flag,
         certificate=cert,
@@ -324,11 +385,18 @@ class InequalityFamily:
         return f"{lhs} >= {' + '.join(terms)}{suffix}"
 
 
-@lru_cache(maxsize=None)
 def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> tuple[InequalityFamily, ...]:
     """One family per exceptional type present at rank r, plus the
     ``a >= b_1 + k`` fiber family at rank 1.  Evaluating every family at
-    (L, k) is equivalent to pairing L against the full exceptional set."""
+    (L, k) is equivalent to pairing L against the full exceptional set.
+
+    The families depend on r alone: ``ctx`` is accepted for existing
+    callers and ignored, and the cache is keyed on r only."""
+    return _inequality_families(r)
+
+
+@lru_cache(maxsize=None)
+def _inequality_families(r: int) -> tuple[InequalityFamily, ...]:
     census = exceptional_type_census(r)
     fams = [
         InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
@@ -393,18 +461,14 @@ def f1_is_k_very_ample(a0: int, b: int, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bulk (numpy) evaluation.  Rows are class vectors (a, b_1..b_r) in int64;
-# exact for |a|, |b_i| <= 10**6.  These back the exhaustive sweeps; the
-# scalar routines above stay the reference implementation.
-
-def classes_to_array(classes) -> np.ndarray:
-    return np.array([[c.a, *c.b] for c in classes], dtype=np.int64)
-
+# Bulk (numpy) evaluation.  Rows are class vectors (a, b_1..b_r), int64
+# within SAFE_COEFF_BOUND and Python integers beyond it (see exact_rows).
 
 def pairing_matrix(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
     """(N, m) intersection numbers of N class rows against the test curves."""
-    X = classes_to_array(_pairing_classes(ctx))
-    return coeffs[:, :1] * X[:, 0][None, :] - coeffs[:, 1:] @ X[:, 1:].T
+    coeffs = exact_rows(coeffs)
+    S = ctx.curve_matrix_exact if coeffs.dtype == object else ctx.curve_matrix
+    return coeffs @ S.T
 
 
 def minimum_pairing_bulk(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
@@ -414,13 +478,15 @@ def minimum_pairing_bulk(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
 
 def minimum_family_value_bulk(coeffs: np.ndarray, r: int) -> np.ndarray:
     """Row-wise minimum over the inequality families (the folded form)."""
+    coeffs = exact_rows(coeffs)
+    dtype = coeffs.dtype
     fams = generate_inequality_families(r)
     desc = -np.sort(-coeffs[:, 1:], axis=1)
     asc = desc[:, ::-1]
-    vals = np.empty((len(fams), coeffs.shape[0]), dtype=np.int64)
+    vals = np.empty((len(fams), coeffs.shape[0]), dtype=dtype)
     for i, fam in enumerate(fams):
-        pos = np.array([m for m in fam.b_coeffs if m > 0], dtype=np.int64)
-        neg = np.array(sorted(m for m in fam.b_coeffs if m < 0), dtype=np.int64)
+        pos = np.array([m for m in fam.b_coeffs if m > 0], dtype=dtype)
+        neg = np.array(sorted(m for m in fam.b_coeffs if m < 0), dtype=dtype)
         best = 0
         if pos.size:
             best = desc[:, : pos.size] @ pos

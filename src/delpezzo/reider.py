@@ -45,9 +45,10 @@ from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
     exception_flag,
+    int64_safe,
     is_effective,
     is_nef,
-    minimum_pairing,
+    pairing_vector,
 )
 
 #: The scan box grows like (6*(2k+1)) * (2k+2+6*(2k+1))**r before pruning;
@@ -227,10 +228,16 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
 
 
 def _window_mask(table: _CandidateTable, M: PicardClass, k: int) -> np.ndarray:
-    m_row = np.array([M.a, *M.b], dtype=np.int64)
-    md = table.coeffs[:, 0] * m_row[0] - table.coeffs[:, 1:] @ m_row[1:]
+    # The candidates' coefficients are at most 6(2k+1); M is the caller's.
+    coeffs = table.coeffs
+    if int64_safe(M):
+        m_row = np.array([M.a, *M.b], dtype=np.int64)
+    else:
+        m_row = np.array([M.a, *M.b], dtype=object)
+        coeffs = coeffs.astype(object)
+    md = coeffs[:, 0] * m_row[0] - coeffs[:, 1:] @ m_row[1:]
     d2 = table.squares
-    return (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)
+    return ((md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)).astype(bool)
 
 
 def _bounds_record(r: int, k: int, table: _CandidateTable) -> dict:
@@ -474,7 +481,8 @@ def consistency_sweep(
         applicable_n += 1
         outcome = search_obstructions(L, k, ctx)
         witness_total += len(outcome.witnesses)
-        if minimum_pairing(L, ctx) >= k:
+        P = pairing_vector(L, ctx)
+        if P.min() >= k:
             if exception_flag(L, k, ctx) != EXCEPTION_NONE:
                 # An exception class satisfies the inequalities without
                 # being k-very ample; the window may or may not show an
@@ -504,8 +512,10 @@ def consistency_sweep(
                 )
             else:
                 found = {w.D for w in outcome.witnesses}
-                for xi in ctx.exceptional_set:
-                    if intersect(L, xi) < k and xi not in found:
+                n_exc = len(ctx.exceptional_set)  # the test curves start with them
+                for i in np.flatnonzero(P[:n_exc] < k):
+                    xi = ctx.exceptional_set[i]
+                    if xi not in found:
                         violations.append(
                             SweepViolation(L, "missing_exceptional_witness",
                                            f"violating class {xi} absent from the witness list")

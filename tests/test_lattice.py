@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +147,17 @@ class TestPicardClassBasics:
             PicardClass(1, ())
         with pytest.raises(RankError):
             PicardClass(1, (0,) * 9)
+
+    def test_non_integral_coefficients_are_refused(self):
+        with pytest.raises(TypeError):
+            PicardClass(1.5, (2.7,))
+        with pytest.raises(TypeError):
+            PicardClass(1, (2.0, 0))
+
+    def test_numpy_integers_become_python_ints(self):
+        L = PicardClass(np.int64(3), (np.int32(1), np.uint8(2)))
+        assert L == PicardClass(3, (1, 2))
+        assert type(L.a) is int and all(type(x) is int for x in L.b)
 
     def test_render_form(self):
         assert PicardClass(3, (1, 1, 1)).render() == "3;1,1,1"

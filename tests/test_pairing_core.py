@@ -1,0 +1,268 @@
+"""The cached pairing core against pure-Python reference algorithms.
+
+``ref_minimum_pairing``, ``ref_is_effective`` and ``ref_report`` copy the
+package's original pure-Python algorithms as an oracle: one ``intersect``
+per test curve, a greedy reduction that rescans the exceptional set at
+every step, and every inequality family evaluated by its closed form.
+The package must agree with them exactly, including on coefficients far
+beyond ``SAFE_COEFF_BOUND`` where int64 would wrap.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from delpezzo.lattice import (
+    SAFE_COEFF_BOUND,
+    PicardClass,
+    canonical_class,
+    degree,
+    fiber_class,
+    intersect,
+    point_class,
+    sectional_genus,
+)
+from delpezzo.enumeration import surface_context
+from delpezzo.positivity import (
+    EXCEPTION_NONE,
+    EffectivityCertificate,
+    exception_flag,
+    generate_inequality_families,
+    is_effective,
+    is_k_very_ample,
+    minimum_family_value_bulk,
+    minimum_pairing,
+    minimum_pairing_bulk,
+    pairing_matrix,
+)
+from delpezzo.reider import search_obstructions
+
+# ---------------------------------------------------------------------------
+# Reference algorithms.
+
+
+def ref_test_curves(ctx):
+    return ctx.exceptional_set + ((fiber_class(1),) if ctx.r == 1 else ())
+
+
+def ref_minimum_pairing(L, ctx):
+    return min(intersect(L, c) for c in ref_test_curves(ctx))
+
+
+def ref_is_effective(L, ctx):
+    if ctx.r == 1:
+        a, b1 = L.a, L.b[0]
+        if a < 0 or a < b1:
+            return False, None
+        if b1 < 0:
+            return True, EffectivityCertificate(((point_class(1, 1), -b1),), PicardClass(a, (0,)))
+        return True, EffectivityCertificate((), L)
+    a, b = L.a, list(L.b)
+    chain = []
+    while True:
+        if a == 0 and not any(b):
+            break
+        if 3 * a - sum(b) <= 0:
+            return False, None
+        worst_val, worst = 0, None
+        for xi in ctx.exceptional_set:
+            v = xi.a * a - sum(p * q for p, q in zip(xi.b, b))
+            if v < worst_val:
+                worst_val, worst = v, xi
+        if worst is None:
+            break
+        a -= worst.a
+        b = [x - y for x, y in zip(b, worst.b)]
+        if chain and chain[-1][0] == worst:
+            chain[-1][1] += 1
+        else:
+            chain.append([worst, 1])
+    return True, EffectivityCertificate(tuple((c, m) for c, m in chain), PicardClass(a, tuple(b)))
+
+
+def ref_exception_flag(L, k, ctx):
+    K = ctx.canonical
+    if ctx.r == 8:
+        if L == -k * K:
+            return "minus_kK_S8"
+        if L == -(k + 1) * K:
+            return "minus_k1K_S8"
+    if ctx.r == 7 and k == 1 and L == -K:
+        return "minus_K_S7_k1"
+    return EXCEPTION_NONE
+
+
+def ref_report(L, k, ctx):
+    """``is_k_very_ample(L, k, ctx).as_dict()``, computed the reference way."""
+    mp = ref_minimum_pairing(L, ctx)
+    flag = ref_exception_flag(L, k, ctx)
+    effective, cert = ref_is_effective(L, ctx)
+    violations = []
+    for fam in generate_inequality_families(ctx.r):
+        val = fam.evaluate(L)
+        if val < 0:
+            violations.append({"check": "nef", "family": fam.label(with_k=False), "value": val, "bound": 0})
+        if val < k:
+            violations.append({"check": "k_very_ample", "family": fam.label(with_k=True), "value": val, "bound": k})
+    nef = mp >= 0
+    return {
+        "subject": L.render(),
+        "r": L.r,
+        "k": k,
+        "degree": degree(L),
+        "genus": sectional_genus(L),
+        "verdicts": {
+            "effective": effective,
+            "nef": nef,
+            "big": nef and degree(L) > 0,
+            "spanned": nef,
+            "k_very_ample": mp >= k and flag == EXCEPTION_NONE,
+        },
+        "violations": violations,
+        "exception_flag": flag,
+        "certificate": None if cert is None else {
+            "subtracted": [[c.render(), m] for c, m in cert.subtracted],
+            "terminal": cert.terminal.render(),
+        },
+    }
+
+
+# ---------------------------------------------------------------------------
+# Strategies.  Huge classes are m*(-K) + c*xi + D with m beyond the int64
+# bound: -K pairs 1 with every exceptional class, so with c = m + t the
+# reduction has a handful of steps instead of ~m of them.
+
+small = st.integers(-12, 12)
+
+
+def small_classes(r):
+    return st.builds(PicardClass, small, st.tuples(*[small] * r))
+
+
+@st.composite
+def huge_classes(draw, r):
+    m = draw(st.integers(SAFE_COEFF_BOUND + 1, 10**30) | st.sampled_from([10**7, 2**62, 10**19, 10**30]))
+    sign = draw(st.sampled_from([1, -1]))
+    xi = draw(st.sampled_from(surface_context(r).exceptional_set))
+    c = draw(st.sampled_from([0, m + draw(st.integers(-3, 8))]))
+    D = draw(small_classes(r))
+    return (sign * m) * (-canonical_class(r)) + c * xi + D
+
+
+def ranked(strategy):
+    return st.integers(1, 8).flatmap(strategy)
+
+
+any_class = ranked(small_classes) | ranked(huge_classes)
+
+
+def exceptional_multiples(r):
+    """Small classes pushed by an exceptional class: long reductions."""
+    ctx = surface_context(r)
+    return st.builds(lambda D, xi, n: D + n * xi, small_classes(r),
+                     st.sampled_from(ctx.exceptional_set), st.integers(1, 12))
+
+
+class TestAgainstReference:
+    @given(any_class | ranked(exceptional_multiples))
+    @settings(max_examples=400, deadline=None)
+    def test_minimum_pairing_and_effectivity(self, L):
+        ctx = surface_context(L.r)
+        assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
+        got, expected = is_effective(L, ctx), ref_is_effective(L, ctx)
+        assert got == expected
+        if got[0]:
+            assert type(got[1].terminal.a) is int  # plain ints, never numpy scalars
+
+    @given(any_class | ranked(exceptional_multiples), st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_report(self, L, k):
+        ctx = surface_context(L.r)
+        got = json.dumps(is_k_very_ample(L, k, ctx).as_dict())
+        assert got == json.dumps(ref_report(L, k, ctx))
+
+    def test_exception_classes_and_neighbours(self):
+        for r in (6, 7, 8):
+            ctx = surface_context(r)
+            K = canonical_class(r)
+            for m in range(-2, 6):
+                for k in range(-1, 5):
+                    for L in (-m * K, -m * K + point_class(r, 1)):
+                        assert exception_flag(L, k, ctx) == ref_exception_flag(L, k, ctx)
+
+
+class TestPairingCore:
+    def test_matrices_match_intersect(self, ctx):
+        curves = ctx.test_curves
+        assert curves == ref_test_curves(ctx)
+        for i, x in enumerate(curves):
+            for j, y in enumerate(curves):
+                assert ctx.curve_gram[i, j] == intersect(x, y)
+        L = PicardClass(7, tuple(range(ctx.r)))
+        assert (ctx.curve_matrix @ np.array([L.a, *L.b])).tolist() == [intersect(L, x) for x in curves]
+
+    def test_cached_arrays_are_read_only(self, ctx):
+        for arr in (ctx.curve_matrix, ctx.curve_gram, ctx.curve_matrix_exact, *ctx.orbit_layout):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_orbits_follow_the_families(self, ctx):
+        fams = generate_inequality_families(ctx.r)
+        assert [fam.source_type for fam in fams] == [pat for pat, _ in ctx.curve_orbits]
+        covered = np.sort(np.concatenate([idx for _, idx in ctx.curve_orbits]))
+        np.testing.assert_array_equal(covered, np.arange(len(ctx.test_curves)))
+
+    @given(any_class)
+    @settings(max_examples=200, deadline=None)
+    def test_orbit_minimum_is_the_family_value(self, L):
+        ctx = surface_context(L.r)
+        P = [intersect(L, x) for x in ctx.test_curves]
+        for fam, (pat, idx) in zip(generate_inequality_families(L.r), ctx.curve_orbits):
+            assert min(P[i] for i in idx) == fam.evaluate(L)
+
+    def test_families_cached_on_rank_alone(self, ctx):
+        assert generate_inequality_families(ctx.r, ctx) is generate_inequality_families(ctx.r)
+
+
+class TestExactBeyondInt64Bound:
+    def test_bulk_minimum_does_not_wrap(self):
+        ctx8 = surface_context(8)
+        row = np.array([[2 * 10**18, 10**18] + [0] * 7], dtype=np.int64)
+        assert minimum_pairing_bulk(row, ctx8).tolist() == [0]
+        assert minimum_family_value_bulk(row, 8).tolist() == [0]
+
+    @pytest.mark.parametrize("scale", [10**6, 10**6 + 1, 2**40, 10**18, 10**30])
+    def test_bulk_rows_match_plain_integers(self, scale):
+        rng = np.random.default_rng(scale % 1000)
+        for r in (1, 3, 8):
+            ctx = surface_context(r)
+            rows = [[int(x) * scale + int(y) for x, y in zip(rng.integers(-3, 4, r + 1), rng.integers(-9, 10, r + 1))]
+                    for _ in range(20)]
+            classes = [PicardClass(row[0], tuple(row[1:])) for row in rows]
+            coeffs = np.array(rows, dtype=object)
+            expected = [[intersect(L, x) for x in ctx.test_curves] for L in classes]
+            assert pairing_matrix(coeffs, ctx).tolist() == expected
+            assert minimum_pairing_bulk(coeffs, ctx).tolist() == [min(p) for p in expected]
+            assert minimum_family_value_bulk(coeffs, r).tolist() == [min(p) for p in expected]
+
+    def test_scalar_paths_at_scale_1e30(self):
+        for r in (1, 2, 7, 8):
+            ctx = surface_context(r)
+            L = PicardClass(3 * 10**30 + 5, (10**30 + 1,) + (10**30 - 2,) * (r - 1))
+            assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
+            assert is_k_very_ample(L, 1, ctx).as_dict() == ref_report(L, 1, ctx)
+
+    def test_bulk_refuses_non_integer_rows(self):
+        with pytest.raises(TypeError):
+            minimum_pairing_bulk(np.array([[1.5, 0.0]]), surface_context(1))
+
+    def test_window_mask_does_not_wrap(self):
+        # M = L - K = (2^62 + 3; 1^8): an (4; 2^3, 1^5) candidate D has
+        # M.D = 2^64 + 1, which int64 wraps to 1 and would put D in the window
+        ctx8 = surface_context(8)
+        L = PicardClass(2**62, (0,) * 8)
+        outcome = search_obstructions(L, 1, ctx8)
+        assert outcome.applicable
+        assert {w.D for w in outcome.witnesses} == {point_class(8, i) for i in range(1, 9)}
