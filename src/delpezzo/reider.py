@@ -39,15 +39,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import PicardClass, SurfaceContext, degree, intersect, line, point_class
+from .lattice import PicardClass, SurfaceContext, degree, line, point_class
 from .enumeration import surface_context
 from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
+    exact_rows,
     exception_flag,
-    int64_safe,
     is_effective,
     is_nef,
+    minimum_pairing_bulk,
     pairing_vector,
 )
 
@@ -145,15 +146,14 @@ class SearchOutcome:
 @dataclass(frozen=True)
 class _CandidateTable:
     """Every effective class in the (r, k) box that could sit in a window:
-    (-K).D in [1, 2k+1] and -k <= D.D <= k."""
+    (-K).D in [1, 2k+1] and -k <= D.D <= k, as int64 rows in sort_key order."""
 
-    classes: tuple[PicardClass, ...]
     coeffs: np.ndarray  # (N, r+1) rows (alpha, beta_1..beta_r)
     squares: np.ndarray  # (N,) self-intersections
     dfs_nodes: int
 
 
-def _scan_box_sorted(r: int, k: int):
+def _scan_box_sorted(r: int, k: int) -> tuple[list[tuple[PicardClass, int]], int]:
     """Depth-first scan over alpha, then non-increasing beta vectors.
 
     The constraint system is symmetric in the beta coordinates, so one
@@ -162,6 +162,7 @@ def _scan_box_sorted(r: int, k: int):
     sums: the final (-K).D = 3*alpha - sum(beta) must land in [1, 2k+1],
     sum(beta^2) may not exceed alpha^2 + k, and Cauchy-Schwarz must keep
     the residual sum reachable within the residual square budget.
+    Returns the (representative, D.D) hits and the DFS node count.
     """
     alpha_max = 6 * (2 * k + 1)
     beta_min = -(2 * k + 1)
@@ -200,44 +201,33 @@ def _scan_box_sorted(r: int, k: int):
                 vec.pop()
 
         rec(r, alpha, lo_total, hi_total, sq_cap)
-    return hits, nodes, {"alpha_max": alpha_max, "beta_min": beta_min}
+    return hits, nodes
 
 
 @lru_cache(maxsize=None)
 def _candidate_table(r: int, k: int) -> _CandidateTable:
     ctx = surface_context(r)
     _assert_box_premises(r)
-    hits, nodes, _ = _scan_box_sorted(r, k)
-    classes, rows, squares = [], [], []
+    hits, nodes = _scan_box_sorted(r, k)
+    rows = []
     for rep, d2 in hits:
         # Effectivity is invariant under coordinate permutations (the
         # exceptional set is permutation-closed), so test the orbit once.
-        if not is_effective(rep, ctx)[0]:
-            continue
-        for b in set(itertools.permutations(rep.b)):
-            classes.append(PicardClass(rep.a, b))
-            rows.append([rep.a, *b])
-            squares.append(d2)
-    order = sorted(range(len(classes)), key=lambda i: classes[i].sort_key())
-    return _CandidateTable(
-        classes=tuple(classes[i] for i in order),
-        coeffs=np.array([rows[i] for i in order], dtype=np.int64).reshape(len(order), r + 1),
-        squares=np.array([squares[i] for i in order], dtype=np.int64),
-        dfs_nodes=nodes,
-    )
+        if is_effective(rep, ctx)[0]:
+            rows.extend((rep.a, *b, d2) for b in set(itertools.permutations(rep.b)))
+    rows.sort()  # D.D follows from (a, b), so this is the (a, b) order
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), r + 2)
+    # Copies, not views: with the build buffer kept alive, glibc served the
+    # window test's temporaries from fresh mmap pages on every call.
+    return _CandidateTable(table[:, :-1].copy(), table[:, -1].copy(), nodes)
 
 
-def _window_mask(table: _CandidateTable, M: PicardClass, k: int) -> np.ndarray:
-    # The candidates' coefficients are at most 6(2k+1); M is the caller's.
-    coeffs = table.coeffs
-    if int64_safe(M):
-        m_row = np.array([M.a, *M.b], dtype=np.int64)
-    else:
-        m_row = np.array([M.a, *M.b], dtype=object)
-        coeffs = coeffs.astype(object)
-    md = coeffs[:, 0] * m_row[0] - coeffs[:, 1:] @ m_row[1:]
+def _window_mask(table: _CandidateTable, M: PicardClass, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window test on every candidate, and the candidates' M.D."""
+    # an object row stops np.array widening (2**63, -1, ...) to float
+    md = table.coeffs @ exact_rows(np.array([M.a, *(-x for x in M.b)], dtype=object))
     d2 = table.squares
-    return ((md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)).astype(bool)
+    return (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2), md
 
 
 def _bounds_record(r: int, k: int, table: _CandidateTable) -> dict:
@@ -247,7 +237,7 @@ def _bounds_record(r: int, k: int, table: _CandidateTable) -> dict:
         "beta_max": "alpha",
         "anticanonical_degree_range": [1, 2 * k + 1],
         "d_squared_range": [-k, k],
-        "effective_candidates": len(table.classes),
+        "effective_candidates": len(table.coeffs),
         "derivation": [
             "(i) nef L: M.D = L.D + (-K).D >= (-K).D >= 1 and M.D <= 2k+1",
             "(ii) 6*(-K) - l nef: alpha = D.l <= 6*(-K).D <= 6*(2k+1)",
@@ -281,11 +271,12 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
             witnesses=(), search_bounds={}, nodes_visited=0,
         )
     table = _candidate_table(ctx.r, k)
-    mask = _window_mask(table, M, k)
+    mask, mds = _window_mask(table, M, k)
     witnesses = []
     for i in np.flatnonzero(mask):
-        D = table.classes[i]
-        md = intersect(M, D)
+        a, *b = table.coeffs[i].tolist()
+        D = PicardClass(a, tuple(b))
+        md = int(mds[i])
         d2 = int(table.squares[i])
         effective, cert = is_effective(D, ctx)
         assert effective, f"candidate table let a non-effective class through: {D}"
@@ -302,7 +293,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
         subject=L, k=k, applicable=True, reason=None, M=M, M_squared=m2,
         witnesses=tuple(witnesses),
         search_bounds=_bounds_record(ctx.r, k, table),
-        nodes_visited=len(table.classes),
+        nodes_visited=len(table.coeffs),
     )
 
 
@@ -378,24 +369,16 @@ def _nef_box_rows(r: int, a_max: int) -> tuple[np.ndarray, np.ndarray]:
     permutation-closed and the exception classes are symmetric), so one
     representative per orbit decides the whole orbit; the returned orbit
     sizes say how many classes each row covers.
+    One bulk pairing keeps the nef leaves, as in the sampled sweep; orbit
+    sizes are computed for those survivors only.
     """
-    from .positivity import minimum_pairing
-
-    ctx = surface_context(r)
-    fact_r = _math.factorial(r)
-    rows, weights = [], []
+    leaves = []
     for a in range(0, a_max + 1):
         vec: list[int] = []
 
         def rec(slots, hi):
             if slots == 0:
-                L = PicardClass(a, tuple(vec))
-                if minimum_pairing(L, ctx) >= 0:
-                    rows.append([a, *vec])
-                    orbit = fact_r
-                    for _, grp in itertools.groupby(vec):
-                        orbit //= _math.factorial(len(list(grp)))
-                    weights.append(orbit)
+                leaves.append((a, *vec))
                 return
             for v in range(hi, -1, -1):
                 vec.append(v)
@@ -403,14 +386,20 @@ def _nef_box_rows(r: int, a_max: int) -> tuple[np.ndarray, np.ndarray]:
                 vec.pop()
 
         rec(r, a)
-    coeffs = np.array(rows, dtype=np.int64).reshape(len(rows), r + 1)
+    coeffs = np.array(leaves, dtype=np.int64).reshape(len(leaves), r + 1)
+    coeffs = coeffs[minimum_pairing_bulk(coeffs, surface_context(r)) >= 0]
+    fact_r = _math.factorial(r)
+    weights = []
+    for row in coeffs.tolist():
+        orbit = fact_r
+        for _, grp in itertools.groupby(row[1:]):
+            orbit //= _math.factorial(len(list(grp)))
+        weights.append(orbit)
     return coeffs, np.array(weights, dtype=np.int64)
 
 
 def _nef_sample_rows(r: int, a_max: int, count: int, seed: int) -> np.ndarray:
     """Seeded rejection sample of `count` nef rows with 0 <= a <= a_max."""
-    from .positivity import minimum_pairing_bulk
-
     ctx = surface_context(r)
     rng = np.random.default_rng(seed)
     kept = []
@@ -443,10 +432,13 @@ def consistency_sweep(
     exceptional class it fails against must be among them.  Any breach is
     returned as a violation (and means a genuine bug).
 
-    The exhaustive mode runs on one representative per coordinate-
-    permutation orbit: all checks are permutation-equivariant, so the
-    representative decides its whole orbit (counted in ``covered``).
-    Desk-scale only: k <= 2.
+    Each row runs one ``search_obstructions`` call, whose outcome says
+    whether the window applies.  The exhaustive mode runs on one
+    representative per coordinate-permutation orbit: all checks are
+    permutation-equivariant, so the representative decides its whole
+    orbit (counted in ``covered``).  Desk-scale only: k <= 2.  A negative
+    ``a_max``, a ``sample`` below 1, a negative ``seed`` and a sampled box
+    past the int64 sampler (``a_max`` above 2**63 - 1) raise ValueError.
     """
     if ctx is None:
         ctx = surface_context(r)
@@ -457,6 +449,8 @@ def consistency_sweep(
             f"consistency_sweep is desk-scale only (k <= {DESK_SCALE_K}); "
             f"the scan box grows like (6*(2k+1))*(2k+2+6*(2k+1))**r"
         )
+    if a_max < 0:
+        raise ValueError(f"box bound a_max must be >= 0, got {a_max}")
     if sample is None:
         rep_bound = _math.comb(a_max + 1 + r, r + 1)  # descending tuples in the box
         if rep_bound > MAX_EXHAUSTIVE_REPRESENTATIVES:
@@ -466,6 +460,12 @@ def consistency_sweep(
             )
         coeffs, weights = _nef_box_rows(r, a_max)
     else:
+        if sample < 1:
+            raise ValueError(f"sample must be >= 1, got {sample}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if a_max > np.iinfo(np.int64).max:
+            raise ValueError(f"sampled box a_max = {a_max} is past the int64 sampler's 2**63 - 1")
         coeffs = _nef_sample_rows(r, a_max, sample, seed)
         weights = np.ones(len(coeffs), dtype=np.int64)
     scanned = len(coeffs)
@@ -475,11 +475,10 @@ def consistency_sweep(
     applicable_n = passing = failing = exceptions = witness_total = 0
     for row in coeffs:
         L = PicardClass(int(row[0]), tuple(int(x) for x in row[1:]))
-        applicable, M, m2 = window_applicable(L, k, ctx)
-        if not applicable:
+        outcome = search_obstructions(L, k, ctx)
+        if not outcome.applicable:
             continue
         applicable_n += 1
-        outcome = search_obstructions(L, k, ctx)
         witness_total += len(outcome.witnesses)
         P = pairing_vector(L, ctx)
         if P.min() >= k:

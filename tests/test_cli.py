@@ -144,6 +144,21 @@ class TestSubcommands:
         assert code == 2
         assert "sample" in err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (("--box", "-3"), "a_max must be >= 0, got -3"),
+            (("--box", "-3", "--sample", "5"), "a_max must be >= 0, got -3"),
+            (("--sample", "0"), "sample must be >= 1, got 0"),
+            (("--sample", "5", "--seed", "-1"), "seed must be >= 0, got -1"),
+            (("--box", "10000000000000000000", "--sample", "3"), "past the int64 sampler"),
+        ],
+    )
+    def test_verify_refuses_bad_box_and_sampling(self, capsys, extra, message):
+        code, out, err = run_cli(capsys, "verify", "--r", "3", "--k", "1", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("refusing: ") and message in err
+
     def test_verify_rank8_seeded_sample(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--r", "8", "--k", "1",
                                "--sample", "1000", "--seed", "7", "--box", "12")
@@ -184,6 +199,10 @@ class TestGoldenFiles:
             (("check", "--r", "1", "--k", "2", "4;2", "--json"), "check_r1_k2.json"),
             (("check", "--r", "2", "--k", "1", "3;2,2", "--json"), "check_r2_k1_violating.json"),
             (("adjoint", "--r", "1", "--k", "1", "3;2", "--json"), "adjoint_r1_k1.json"),
+            (("verify", "--r", "3", "--k", "1", "--box", "8", "--json"), "verify_r3_k1_box8.json"),
+            (("verify", "--r", "8", "--k", "1", "--box", "4", "--json"), "verify_r8_k1_box4.json"),
+            (("verify", "--r", "8", "--k", "1", "--box", "12", "--sample", "20", "--seed", "3",
+              "--json"), "verify_r8_k1_box12_sample20_seed3.json"),
         ],
     )
     def test_machine_reports_byte_match(self, capsys, argv, golden):

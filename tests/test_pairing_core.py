@@ -260,9 +260,12 @@ class TestExactBeyondInt64Bound:
 
     def test_window_mask_does_not_wrap(self):
         # M = L - K = (2^62 + 3; 1^8): an (4; 2^3, 1^5) candidate D has
-        # M.D = 2^64 + 1, which int64 wraps to 1 and would put D in the window
+        # M.D = 2^64 + 1, which int64 wraps to 1 and would put D in the window.
+        # At M = (2^63; 1^8) the row (2^63, -1, ...) fits neither int64 nor
+        # uint64, and a plain np.array would widen it to float.
         ctx8 = surface_context(8)
-        L = PicardClass(2**62, (0,) * 8)
-        outcome = search_obstructions(L, 1, ctx8)
-        assert outcome.applicable
-        assert {w.D for w in outcome.witnesses} == {point_class(8, i) for i in range(1, 9)}
+        for a in (2**62, 2**63 - 3):
+            outcome = search_obstructions(PicardClass(a, (0,) * 8), 1, ctx8)
+            assert outcome.applicable
+            assert {w.D for w in outcome.witnesses} == {point_class(8, i) for i in range(1, 9)}
+            assert all(w.MD == 1 for w in outcome.witnesses)

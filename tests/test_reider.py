@@ -1,4 +1,7 @@
 import itertools
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from delpezzo.reider import (
     search_obstructions,
     window_applicable,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestWindowApplicability:
@@ -108,6 +113,24 @@ class TestSearch:
         assert first.as_dict() == second.as_dict()
         ordered = [w.D.sort_key() for w in first.witnesses]
         assert ordered == sorted(ordered)
+
+    def test_witness_records_match_golden(self):
+        # Full witness records, certificates included.  nodes_visited is
+        # left out: it counts candidates, not the DFS nodes its name says.
+        subjects = [
+            (-2 * canonical_class(8), 1),
+            (PicardClass(3, (2, 2)), 1),
+            (PicardClass(7, (3, 3, 2, 2, 2, 1, 1)), 2),
+        ]
+        records = []
+        for L, k in subjects:
+            outcome = search_obstructions(L, k, surface_context(L.r))
+            records.append({
+                "subject": L.render(), "r": L.r, "k": k,
+                "witnesses": [w.as_dict() for w in outcome.witnesses],
+                "search_bounds": outcome.search_bounds,
+            })
+        assert json.dumps(records, indent=2) + "\n" == (GOLDEN / "witness_records.json").read_text()
 
     def test_desk_scale_warning(self):
         ctx1 = surface_context(1)
@@ -210,6 +233,25 @@ class TestConsistencySweep:
     def test_oversized_exhaustive_box_refusal(self):
         with pytest.raises(ValueError, match="sample"):
             consistency_sweep(8, 1, 200)
+
+    @pytest.mark.parametrize(
+        "a_max,sample,seed,message",
+        [
+            (-3, None, 0, "a_max must be >= 0, got -3"),
+            (-3, 5, 0, "a_max must be >= 0, got -3"),
+            (8, 0, 0, "sample must be >= 1, got 0"),
+            (8, -4, 0, "sample must be >= 1, got -4"),
+            (8, 5, -1, "seed must be >= 0, got -1"),
+            (10**19, 3, 0, "a_max = 10000000000000000000 is past the int64 sampler"),
+        ],
+    )
+    def test_bad_box_and_sampling_arguments_refused(self, a_max, sample, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            consistency_sweep(3, 1, a_max, sample=sample, seed=seed)
+
+    def test_largest_sampled_box_is_accepted(self):
+        summary = consistency_sweep(2, 1, 2**63 - 1, sample=3, seed=0)
+        assert summary.scanned == 3 and summary.ok, summary.render()
 
     def test_exhaustive_sweep_covers_orbit_closure(self):
         summary = consistency_sweep(2, 1, 6)
