@@ -1,7 +1,11 @@
 """Complete enumeration of the distinguished curve classes.
 
-Two integer systems are solved exhaustively, both by depth-first search
-with partial-sum pruning:
+Three finite integer systems in (a; b) are solved exhaustively, and all
+three are symmetric in the b coordinates.  So one search serves them:
+:func:`descending_vectors` finds the non-increasing b with a prescribed
+range of sum and of sum of squares, by depth-first search with
+partial-sum and Cauchy-Schwarz pruning, and :func:`distinct_permutations`
+expands a representative to its full orbit where a caller needs it.
 
 * exceptional classes: ``xi.xi = -1`` and ``K.xi = -1``, i.e.
   ``sum(b) = 3a - 1`` and ``sum(b^2) = a^2 + 1``.  Cauchy-Schwarz,
@@ -16,6 +20,10 @@ with partial-sum pruning:
   ``sum(b^2) = a^2``, with b non-negative and sorted ascending.  Here
   Cauchy-Schwarz gives ``a <= 11``; the search runs through a = 12 and
   asserts emptiness there.
+
+* window candidates for :mod:`delpezzo.reider`: ``(-K).D`` in
+  ``[1, 2k+1]`` and ``|D.D| <= k``, i.e. ``sum(b)`` in
+  ``[3a - 2k - 1, 3a - 1]`` and ``sum(b^2)`` in ``[a^2 - k, a^2 + k]``.
 
 Results are returned in a canonical sort order, so any internal
 parallel partitioning of the search space could not change the output.
@@ -42,63 +50,63 @@ EXCEPTIONAL_A_BOUND = 7  # from (3a-1)^2 <= 8(a^2+1)
 NULL_CLASS_A_BOUND = 11  # from (3a-2)^2 <= 8*a^2
 
 
-def _vectors_with_sums(length, lo, hi, total, total_sq):
-    """All tuples of `length` integers in [lo, hi] with the prescribed sum
-    and sum of squares, in lexicographic order."""
+def descending_vectors(length, lo, hi, s_lo, s_hi, q_lo, q_hi) -> list[tuple[int, ...]]:
+    """Every non-increasing tuple of `length` integers in [lo, hi] whose sum
+    lies in [s_lo, s_hi] and whose sum of squares lies in [q_lo, q_hi], in
+    descending lexicographic order.
+
+    Depth-first over the coordinates with residual-bound pruning: the
+    residual sum must stay reachable by the remaining slots (each in
+    [lo, previous entry]), the residual square budget may not go negative,
+    and Cauchy-Schwarz, ``residual_sum^2 <= slots * residual_squares``,
+    must keep the residual sum within the square budget.
+    """
     out = []
     vec = []
+    slack = q_hi - q_lo
 
-    def rec(slots, s, q):
+    def rec(slots, top, s_lo, s_hi, q_left):
         if slots == 0:
-            if s == 0 and q == 0:
+            if s_lo <= 0 <= s_hi and q_left <= slack:
                 out.append(tuple(vec))
             return
         rest = slots - 1
-        for v in range(lo, hi + 1):
-            s2 = s - v
-            q2 = q - v * v
-            if q2 < 0:
-                continue  # v^2 is not monotone over [lo, hi] when lo < 0
-            if s2 < rest * lo or s2 > rest * hi:
+        for v in range(top, lo - 1, -1):
+            q2 = q_left - v * v
+            lo2, hi2 = s_lo - v, s_hi - v
+            if lo2 > rest * v:
+                break  # later entries are <= v; shrinking v only hurts
+            if q2 < 0 or hi2 < rest * lo:
+                continue  # v^2 is not monotone in v when lo < 0
+            if lo2 > 0 and lo2 * lo2 > rest * q2:
                 continue
-            if s2 * s2 > rest * q2:  # Cauchy-Schwarz on the remaining slots
+            if hi2 < 0 and hi2 * hi2 > rest * q2:
                 continue
             vec.append(v)
-            rec(rest, s2, q2)
+            rec(rest, v, lo2, hi2, q2)
             vec.pop()
 
-    rec(length, total, total_sq)
+    rec(length, hi, s_lo, s_hi, q_hi)
     return out
 
 
-def _ascending_vectors(length, hi, total, total_sq):
-    """Like _vectors_with_sums but entries are >= 0 and non-decreasing."""
-    out = []
-    vec = []
-
-    def rec(slots, start, s, q):
-        if slots == 0:
-            if s == 0 and q == 0:
-                out.append(tuple(vec))
+def distinct_permutations(t):
+    """Each distinct ordering of the tuple `t` exactly once, in
+    lexicographic order (Narayana's next-permutation step)."""
+    p = sorted(t)
+    n = len(p)
+    while True:
+        yield tuple(p)
+        i = n - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        rest = slots - 1
-        for v in range(start, hi + 1):
-            s2 = s - v
-            q2 = q - v * v
-            if q2 < 0:
-                break  # entries are non-negative here, squares only grow
-            if s2 < rest * v:
-                break  # later entries are >= v
-            if s2 > rest * hi:
-                continue
-            if s2 * s2 > rest * q2:
-                continue
-            vec.append(v)
-            rec(rest, v, s2, q2)
-            vec.pop()
-
-    rec(length, 0, total, total_sq)
-    return out
+        j = n - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
 
 
 @lru_cache(maxsize=None)
@@ -111,10 +119,10 @@ def enumerate_exceptional(r: int) -> tuple[PicardClass, ...]:
     _check_rank(r)
     found = []
     for a in range(0, EXCEPTIONAL_A_BOUND + 1):
-        sols = _vectors_with_sums(r, -1, a, 3 * a - 1, a * a + 1)
+        sols = descending_vectors(r, -1, a, 3 * a - 1, 3 * a - 1, a * a + 1, a * a + 1)
         if a == EXCEPTIONAL_A_BOUND:
             assert not sols, "Cauchy-Schwarz bound a <= 7 attained; enumeration is unsound"
-        found.extend(PicardClass(a, b) for b in sols)
+        found.extend(PicardClass(a, b) for rep in sols for b in distinct_permutations(rep))
     return tuple(sorted(found, key=PicardClass.sort_key))
 
 
@@ -212,11 +220,11 @@ def enumerate_null_classes(r: int) -> tuple[NullClassRecord, ...]:
     ctx = surface_context(r)
     records = []
     for a in range(1, NULL_CLASS_A_BOUND + 2):
-        sols = _ascending_vectors(r, a, 3 * a - 2, a * a)
+        sols = descending_vectors(r, 0, a, 3 * a - 2, 3 * a - 2, a * a, a * a)
         if a == NULL_CLASS_A_BOUND + 1:
             assert not sols, "Cauchy-Schwarz bound a <= 11 attained; enumeration is unsound"
             break
-        for b in sols:
+        for b in sorted(sol[::-1] for sol in sols):
             rep = PicardClass(a, b)
             records.append(NullClassRecord(rep, decompose_null_class(rep, ctx)))
     return tuple(records)

@@ -29,6 +29,7 @@ that the tests check the pairing core against.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,12 +67,18 @@ def int64_safe(L: PicardClass) -> bool:
 def exact_rows(coeffs) -> np.ndarray:
     """Class rows as int64 when every entry is within SAFE_COEFF_BOUND,
     otherwise as an object array of Python integers (exact at any size)."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.dtype.kind not in "iuO":
-        raise TypeError(f"class coefficients must be integers, got dtype {coeffs.dtype}")
-    if coeffs.size == 0 or (coeffs.max() <= SAFE_COEFF_BOUND and coeffs.min() >= -SAFE_COEFF_BOUND):
-        return coeffs.astype(np.int64, copy=False)
-    return coeffs.astype(object)
+    rows = np.asarray(coeffs)
+    if rows.dtype.kind == "f" and not isinstance(coeffs, np.ndarray):
+        # np.asarray widens a list mixing integers past int64 with negative
+        # ones to float64; keep the integers themselves when that is all it is
+        exact = np.array(coeffs, dtype=object)
+        if all(isinstance(x, numbers.Integral) for x in exact.flat):
+            rows = exact
+    if rows.dtype.kind not in "iuO":
+        raise TypeError(f"class coefficients must be integers, got dtype {rows.dtype}")
+    if rows.size == 0 or (rows.max() <= SAFE_COEFF_BOUND and rows.min() >= -SAFE_COEFF_BOUND):
+        return rows.astype(np.int64, copy=False)
+    return rows.astype(object)
 
 
 def pairing_vector(L: PicardClass, ctx: SurfaceContext) -> np.ndarray:

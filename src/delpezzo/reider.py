@@ -23,7 +23,10 @@ Box derivation, recorded in each outcome (valid for nef L):
         D.D >= M.D - k - 1 >= -k, i.e. -k <= D.D <= k.
 
 The (alpha; beta) scan with these prunes depends only on (r, k), so it
-runs once per pair and is cached; each call then filters the cached
+runs once per pair and is cached: per alpha, the shared sorted-vector
+search of :mod:`delpezzo.enumeration` finds the non-increasing beta in
+the box, each representative is tested for effectivity once, and its
+permutation orbit is expanded.  Each call then filters the cached
 candidates through the exact window for its own M.  For non-nef L the
 bounds in (i) and (v) that use L.D >= 0 are not theorems, so the scan is
 best-effort outside the nef cone (the outcome says which box was used).
@@ -40,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import PicardClass, SurfaceContext, degree, line, point_class
-from .enumeration import surface_context
+from .enumeration import descending_vectors, distinct_permutations, surface_context
 from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
@@ -75,13 +78,24 @@ def _assert_box_premises(r: int) -> bool:
     return True
 
 
-def window_applicable(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[bool, PicardClass, int]:
-    """M = L - K; the window argument applies iff M is nef and M.M >= 4k+5."""
+def _window_premise(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[PicardClass, int, str | None]:
+    """M = L - K, M.M, and why the window argument does not apply: it
+    applies iff M is nef and M.M >= 4k+5 (reason None)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     M = L - ctx.canonical
     m2 = degree(M)
-    return (is_nef(M, ctx) and m2 >= 4 * k + 5), M, m2
+    if not is_nef(M, ctx):
+        return M, m2, f"M = {M} is not nef"
+    if m2 < 4 * k + 5:
+        return M, m2, f"M.M = {m2} < {4 * k + 5}"
+    return M, m2, None
+
+
+def window_applicable(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[bool, PicardClass, int]:
+    """M = L - K; the window argument applies iff M is nef and M.M >= 4k+5."""
+    M, m2, reason = _window_premise(L, k, ctx)
+    return reason is None, M, m2
 
 
 @dataclass(frozen=True)
@@ -146,86 +160,43 @@ class SearchOutcome:
 @dataclass(frozen=True)
 class _CandidateTable:
     """Every effective class in the (r, k) box that could sit in a window:
-    (-K).D in [1, 2k+1] and -k <= D.D <= k, as int64 rows in sort_key order."""
+    (-K).D in [1, 2k+1] and -k <= D.D <= k, as int64 rows in sort_key order.
+
+    Built from one sorted-vector search per alpha (the beta coordinates
+    non-increasing), one effectivity test per representative, and the
+    representative's full permutation orbit."""
 
     coeffs: np.ndarray  # (N, r+1) rows (alpha, beta_1..beta_r)
     squares: np.ndarray  # (N,) self-intersections
-    dfs_nodes: int
-
-
-def _scan_box_sorted(r: int, k: int) -> tuple[list[tuple[PicardClass, int]], int]:
-    """Depth-first scan over alpha, then non-increasing beta vectors.
-
-    The constraint system is symmetric in the beta coordinates, so one
-    representative per permutation orbit suffices here; orbits are
-    expanded after the per-orbit effectivity filter.  Prunes on partial
-    sums: the final (-K).D = 3*alpha - sum(beta) must land in [1, 2k+1],
-    sum(beta^2) may not exceed alpha^2 + k, and Cauchy-Schwarz must keep
-    the residual sum reachable within the residual square budget.
-    Returns the (representative, D.D) hits and the DFS node count.
-    """
-    alpha_max = 6 * (2 * k + 1)
-    beta_min = -(2 * k + 1)
-    nodes = 0
-    hits = []
-    for alpha in range(0, alpha_max + 1):
-        sq_cap = alpha * alpha + k
-        # sum(beta) must land in [3*alpha - (2k+1), 3*alpha - 1]
-        lo_total = 3 * alpha - (2 * k + 1)
-        hi_total = 3 * alpha - 1
-        vec = []
-
-        def rec(slots, hi, s_lo, s_hi, q_left):
-            nonlocal nodes
-            nodes += 1
-            if slots == 0:
-                if s_lo <= 0 <= s_hi:
-                    d2 = alpha * alpha - sum(v * v for v in vec)
-                    if -k <= d2 <= k:
-                        hits.append((PicardClass(alpha, tuple(vec)), d2))
-                return
-            rest = slots - 1
-            for v in range(hi, beta_min - 1, -1):  # non-increasing tail
-                q2 = q_left - v * v
-                lo2, hi2 = s_lo - v, s_hi - v
-                if lo2 > rest * v:
-                    break  # later entries are <= v; shrinking v only hurts
-                if q2 < 0 or hi2 < rest * beta_min:
-                    continue
-                if lo2 > 0 and lo2 * lo2 > rest * q2:
-                    continue
-                if hi2 < 0 and hi2 * hi2 > rest * q2:
-                    continue
-                vec.append(v)
-                rec(rest, v, lo2, hi2, q2)
-                vec.pop()
-
-        rec(r, alpha, lo_total, hi_total, sq_cap)
-    return hits, nodes
 
 
 @lru_cache(maxsize=None)
 def _candidate_table(r: int, k: int) -> _CandidateTable:
     ctx = surface_context(r)
     _assert_box_premises(r)
-    hits, nodes = _scan_box_sorted(r, k)
     rows = []
-    for rep, d2 in hits:
-        # Effectivity is invariant under coordinate permutations (the
-        # exceptional set is permutation-closed), so test the orbit once.
-        if is_effective(rep, ctx)[0]:
-            rows.extend((rep.a, *b, d2) for b in set(itertools.permutations(rep.b)))
+    for alpha in range(0, 6 * (2 * k + 1) + 1):
+        # (-K).D = 3*alpha - sum(beta) in [1, 2k+1] and |D.D| <= k
+        reps = descending_vectors(
+            r, -(2 * k + 1), alpha, 3 * alpha - (2 * k + 1), 3 * alpha - 1,
+            alpha * alpha - k, alpha * alpha + k,
+        )
+        for b in reps:
+            # Effectivity is invariant under coordinate permutations (the
+            # exceptional set is permutation-closed), so test the orbit once.
+            if is_effective(PicardClass(alpha, b), ctx)[0]:
+                d2 = alpha * alpha - sum(v * v for v in b)
+                rows.extend((alpha, *perm, d2) for perm in distinct_permutations(b))
     rows.sort()  # D.D follows from (a, b), so this is the (a, b) order
     table = np.array(rows, dtype=np.int64).reshape(len(rows), r + 2)
     # Copies, not views: with the build buffer kept alive, glibc served the
     # window test's temporaries from fresh mmap pages on every call.
-    return _CandidateTable(table[:, :-1].copy(), table[:, -1].copy(), nodes)
+    return _CandidateTable(table[:, :-1].copy(), table[:, -1].copy())
 
 
 def _window_mask(table: _CandidateTable, M: PicardClass, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The window test on every candidate, and the candidates' M.D."""
-    # an object row stops np.array widening (2**63, -1, ...) to float
-    md = table.coeffs @ exact_rows(np.array([M.a, *(-x for x in M.b)], dtype=object))
+    md = table.coeffs @ exact_rows([M.a, *(-x for x in M.b)])
     d2 = table.squares
     return (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2), md
 
@@ -256,7 +227,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
     with the reason recorded.  Identical inputs always produce identical
     witness lists in identical (a, b) order.
     """
-    applicable, M, m2 = window_applicable(L, k, ctx)
+    M, m2, reason = _window_premise(L, k, ctx)
     if k > DESK_SCALE_K:
         warnings.warn(
             f"k = {k} is beyond the desk-scale envelope (k <= {DESK_SCALE_K}); "
@@ -264,8 +235,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
             RuntimeWarning,
             stacklevel=2,
         )
-    if not applicable:
-        reason = f"M.M = {m2} < {4 * k + 5}" if is_nef(M, ctx) else f"M = {M} is not nef"
+    if reason is not None:
         return SearchOutcome(
             subject=L, k=k, applicable=False, reason=reason, M=M, M_squared=m2,
             witnesses=(), search_bounds={}, nodes_visited=0,

@@ -8,12 +8,17 @@ expands permutation orbits.  The production search must agree with both.
 """
 
 import itertools
+import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from delpezzo.lattice import PicardClass, RankError, canonical_class, degree, intersect, point_class, type_pattern
 from delpezzo.enumeration import (
     decompose_null_class,
+    descending_vectors,
+    distinct_permutations,
     enumerate_exceptional,
     enumerate_null_classes,
     exceptional_type_census,
@@ -278,3 +283,33 @@ class TestSurfaceContext:
         assert ctx.canonical == canonical_class(every_rank)
         assert ctx.exceptional_set == enumerate_exceptional(every_rank)
         assert point_class(every_rank, 1) in ctx.exceptional_index
+
+
+class TestSharedSearch:
+    def test_matches_brute_force(self):
+        # combinations_with_replacement over a descending range yields the
+        # non-increasing tuples in descending lexicographic order
+        windows = [(-4, -4), (-3, 0), (0, 2), (3, 3), (2, 7), (6, 12)]
+        squares = [(0, 0), (1, 4), (2, 9), (5, 20), (0, 60)]
+        checked = 0
+        for n, lo, hi in itertools.product(range(5), (-3, -1, 0, 1), (1, 3)):
+            if hi < lo:
+                continue
+            pool = list(itertools.combinations_with_replacement(range(hi, lo - 1, -1), n))
+            for (s_lo, s_hi), (q_lo, q_hi) in itertools.product(windows, squares):
+                brute = [c for c in pool
+                         if s_lo <= sum(c) <= s_hi and q_lo <= sum(x * x for x in c) <= q_hi]
+                assert descending_vectors(n, lo, hi, s_lo, s_hi, q_lo, q_hi) == brute, \
+                    (n, lo, hi, s_lo, s_hi, q_lo, q_hi)
+                checked += bool(brute)
+        assert checked > 100
+
+    @given(st.lists(st.integers(-3, 3), max_size=8).map(tuple))
+    def test_orbit_expander_matches_permutations(self, t):
+        orbit = list(distinct_permutations(t))
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == set(itertools.permutations(t))
+        multinomial = math.factorial(len(t))
+        for count in Counter(t).values():
+            multinomial //= math.factorial(count)
+        assert len(orbit) == multinomial

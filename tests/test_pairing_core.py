@@ -257,6 +257,16 @@ class TestExactBeyondInt64Bound:
     def test_bulk_refuses_non_integer_rows(self):
         with pytest.raises(TypeError):
             minimum_pairing_bulk(np.array([[1.5, 0.0]]), surface_context(1))
+        with pytest.raises(TypeError, match="must be integers"):
+            minimum_pairing_bulk([[1.5, 0]], surface_context(1))
+        with pytest.raises(TypeError, match="must be integers"):
+            minimum_pairing_bulk([[2**63, -1.0]], surface_context(1))
+
+    def test_bulk_list_past_int64_stays_exact(self):
+        # np.asarray widens [2**63, -1] to float64
+        ctx1 = surface_context(1)
+        assert minimum_pairing_bulk([[2**63, -1]], ctx1).tolist() == [-1]
+        assert pairing_matrix([[2**63, -1]], ctx1).tolist() == [[-1, 2**63 + 1]]
 
     def test_window_mask_does_not_wrap(self):
         # M = L - K = (2^62 + 3; 1^8): an (4; 2^3, 1^5) candidate D has

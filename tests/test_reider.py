@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -64,6 +65,22 @@ class TestSearch:
         out = search_obstructions(-canonical_class(8), 1, ctx8)
         assert not out.applicable and out.witnesses == ()
         assert "M.M = 4" in out.reason
+
+    def test_not_nef_outcome_records_reason_after_one_nef_test(self, monkeypatch):
+        import delpezzo.reider as reider
+
+        calls = []
+
+        def counting_is_nef(L, ctx):
+            calls.append(L)
+            return is_nef(L, ctx)
+
+        monkeypatch.setattr(reider, "is_nef", counting_is_nef)
+        # M = L - K = (2; 3, 3) pairs to -4 with l - e_1 - e_2
+        out = search_obstructions(PicardClass(-1, (2, 2)), 1, surface_context(2))
+        assert not out.applicable and out.witnesses == ()
+        assert out.reason == "M = 2;3,3 is not nef"
+        assert len(calls) == 1
 
     def test_known_witness(self):
         # L = (3;2,2) at k = 1: M = (6;3,3) and D = l - e_1 - e_2 sits in
@@ -205,6 +222,31 @@ class TestBoxSoundness:
             assert (np.abs(table.squares) <= k).all()
             anti_deg = 3 * table.coeffs[:, 0] - table.coeffs[:, 1:].sum(axis=1)
             assert ((1 <= anti_deg) & (anti_deg <= 2 * k + 1)).all()
+
+
+# SHA-256 of the int64 coeffs and squares arrays, frozen from the search
+# that expanded each representative with set(itertools.permutations(b)).
+CANDIDATE_TABLE_DIGESTS = {
+    (2, 1): ((10, 3), "f4d6b180f1bcdca4955182ec4de7676eb3d84ce84eefbc5039ba8231042ad3f9",
+             "466f9035deb21a9eeafe555e1d1c00e399dc1cf3eec9befc98ba3a76aac891a1"),
+    (5, 2): ((972, 6), "d6839ac66f6bd4ac8cf092a8ef2174f864c1421e4e5c0829f52f31b42b8e891d",
+             "bdf537888c9579048b1386d5d9aca73a6ae930e307df33a808a73c2e0146450b"),
+    (7, 1): ((2270, 8), "8871f11a16d5f01cc69dfa7299e00514ce078d5d4ad2a88902b10ad81114dccd",
+             "f3ab6f2c4d906018c3588b5800a968d50464fc5bc68f567a0867bad01347c728"),
+    (7, 2): ((42577, 8), "fd45218c29139210a72c5c21613bc9c953ee0303576f30215311f76a1c44a059",
+             "677fe0f16b48e6f5c882f8a6f39b33c7edfed2061ab5ce89189b83842677dfbd"),
+    (8, 1): ((50161, 9), "95e34633d62b5b208037cf9a53c6f833e65cf217386d3ca8cd4762ac19d4e947",
+             "8693836c0c3fd83aaaddfa44852aeba76376a4610034ce3b343e17ca60f0979a"),
+}
+
+
+@pytest.mark.parametrize("r,k", sorted(CANDIDATE_TABLE_DIGESTS))
+def test_candidate_table_is_pinned(r, k):
+    shape, coeffs_digest, squares_digest = CANDIDATE_TABLE_DIGESTS[r, k]
+    table = _candidate_table(r, k)
+    assert table.coeffs.shape == shape
+    assert hashlib.sha256(table.coeffs.astype("<i8").tobytes()).hexdigest() == coeffs_digest
+    assert hashlib.sha256(table.squares.astype("<i8").tobytes()).hexdigest() == squares_digest
 
 
 class TestConsistencySweep:
