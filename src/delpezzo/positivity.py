@@ -319,11 +319,11 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
         # each family's value is the minimum pairing over its orbit
         order, starts = ctx.orbit_layout
         values = np.minimum.reduceat(P[order], starts).tolist()
-        for fam, val in zip(generate_inequality_families(ctx.r), values, strict=True):
+        for (nef_label, kva_label), val in zip(_family_labels(ctx.r), values, strict=True):
             if val < 0:
-                violations.append(Violation("nef", fam.label(with_k=False), val, 0))
+                violations.append(Violation("nef", nef_label, val, 0))
             if val < k:
-                violations.append(Violation("k_very_ample", fam.label(with_k=True), val, k))
+                violations.append(Violation("k_very_ample", kva_label, val, k))
     square = degree(L)
     return PositivityReport(
         subject=L,
@@ -415,6 +415,12 @@ def _inequality_families(r: int) -> tuple[InequalityFamily, ...]:
             InequalityFamily(r=1, a_coeff=1, b_coeffs=(1,), source_type=type_pattern(fib))
         )
     return tuple(sorted(fams, key=lambda f: f.source_type.sort_key()))
+
+
+@lru_cache(maxsize=None)
+def _family_labels(r: int) -> tuple[tuple[str, str], ...]:
+    """Each family's label without and with k, in family order."""
+    return tuple((fam.label(with_k=False), fam.label(with_k=True)) for fam in _inequality_families(r))
 
 
 def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:

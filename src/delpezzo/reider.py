@@ -26,10 +26,15 @@ The (alpha; beta) scan with these prunes depends only on (r, k), so it
 runs once per pair and is cached: per alpha, the shared sorted-vector
 search of :mod:`delpezzo.enumeration` finds the non-increasing beta in
 the box, each representative is tested for effectivity once, and its
-permutation orbit is expanded.  Each call then filters the cached
-candidates through the exact window for its own M.  For non-nef L the
-bounds in (i) and (v) that use L.D >= 0 are not theorems, so the scan is
-best-effort outside the nef cone (the outcome says which box was used).
+permutation orbit is expanded.  Each call then tests the cached
+candidates for its own M in two stages.  First, the smallest M.D over
+each orbit (one dot product with the representative, by the
+rearrangement inequality) drops every orbit that cannot satisfy
+M.D < 2k + 2.  Second, the exact window runs on the rows of the orbits
+that remain, in (a, b) order.  A row emitted as a witness is certified
+effective once per table.  For non-nef L the bounds in (i) and (v) that
+use L.D >= 0 are not theorems, so the scan is best-effort outside the
+nef cone (the outcome says which box was used).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math as _math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -164,47 +169,98 @@ class _CandidateTable:
 
     Built from one sorted-vector search per alpha (the beta coordinates
     non-increasing), one effectivity test per representative, and the
-    representative's full permutation orbit."""
+    representative's full permutation orbit.  The table keeps the orbits:
+    ``reps[j]`` is orbit j's representative (beta non-increasing) and
+    ``orbits[j]`` the ascending indices of its rows.  The window test
+    runs in two stages: the smallest M.D over each orbit drops the orbits
+    that cannot reach the window, and the exact window then runs on the
+    rows of the orbits that remain.  ``certified`` holds each row's class
+    and effectivity certificate once a search has emitted it as a witness.
+    """
 
     coeffs: np.ndarray  # (N, r+1) rows (alpha, beta_1..beta_r)
     squares: np.ndarray  # (N,) self-intersections
+    reps: np.ndarray  # (n, r+1) orbit representatives, beta non-increasing
+    orbits: tuple[np.ndarray, ...]  # n ascending row-index arrays, a partition of the rows
+    certified: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def witness_class(self, i: int) -> tuple[PicardClass, EffectivityCertificate]:
+        """Row i as a class with its effectivity certificate, built on the
+        first request.  The certificate is computed against the rank's
+        shared context, the one whose effectivity test admitted the row."""
+        hit = self.certified.get(i)
+        if hit is None:
+            a, *b = self.coeffs[i].tolist()
+            D = PicardClass(a, tuple(b))
+            effective, cert = is_effective(D, surface_context(D.r))
+            assert effective, f"candidate table let a non-effective class through: {D}"
+            hit = self.certified[i] = (D, cert)
+        return hit
+
+
+def _box_bounds(k: int) -> tuple[int, int]:
+    """alpha_max and beta_min of the (r, k) scan box, from (ii) and (iv)."""
+    return 6 * (2 * k + 1), -(2 * k + 1)
 
 
 @lru_cache(maxsize=None)
 def _candidate_table(r: int, k: int) -> _CandidateTable:
     ctx = surface_context(r)
     _assert_box_premises(r)
-    rows = []
-    for alpha in range(0, 6 * (2 * k + 1) + 1):
+    alpha_max, beta_min = _box_bounds(k)
+    reps, rows = [], []
+    for alpha in range(0, alpha_max + 1):
         # (-K).D = 3*alpha - sum(beta) in [1, 2k+1] and |D.D| <= k
-        reps = descending_vectors(
-            r, -(2 * k + 1), alpha, 3 * alpha - (2 * k + 1), 3 * alpha - 1,
+        found = descending_vectors(
+            r, beta_min, alpha, 3 * alpha - (2 * k + 1), 3 * alpha - 1,
             alpha * alpha - k, alpha * alpha + k,
         )
-        for b in reps:
+        for b in found:
             # Effectivity is invariant under coordinate permutations (the
             # exceptional set is permutation-closed), so test the orbit once.
             if is_effective(PicardClass(alpha, b), ctx)[0]:
                 d2 = alpha * alpha - sum(v * v for v in b)
-                rows.extend((alpha, *perm, d2) for perm in distinct_permutations(b))
-    rows.sort()  # D.D follows from (a, b), so this is the (a, b) order
-    table = np.array(rows, dtype=np.int64).reshape(len(rows), r + 2)
-    # Copies, not views: with the build buffer kept alive, glibc served the
-    # window test's temporaries from fresh mmap pages on every call.
-    return _CandidateTable(table[:, :-1].copy(), table[:, -1].copy())
+                orbit = len(reps)
+                reps.append((alpha, *b))
+                rows.extend((alpha, *perm, d2, orbit) for perm in distinct_permutations(b))
+    rows.sort()  # D.D and the orbit follow from (a, b), so this is the (a, b) order
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), r + 3)
+    owner = table[:, -1]
+    by_orbit = np.argsort(owner, kind="stable")  # ascending rows within each orbit
+    ends = np.cumsum(np.bincount(owner, minlength=len(reps)))
+    # Copies, not views, so the build buffer and its orbit column are freed.
+    return _CandidateTable(
+        coeffs=table[:, : r + 1].copy(),
+        squares=table[:, r + 1].copy(),
+        reps=np.array(reps, dtype=np.int64).reshape(len(reps), r + 1),
+        orbits=tuple(np.split(by_orbit, ends[:-1])) if reps else (),
+    )
 
 
-def _window_mask(table: _CandidateTable, M: PicardClass, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The window test on every candidate, and the candidates' M.D."""
-    md = table.coeffs @ exact_rows([M.a, *(-x for x in M.b)])
-    d2 = table.squares
-    return (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2), md
+def _window_rows(table: _CandidateTable, M: PicardClass, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows inside the window for (M, k), ascending, and their M.D.
+
+    By the rearrangement inequality the smallest M.D over the orbit of
+    (alpha; beta) is ``m0*alpha - <sort_desc(mu), sort_desc(beta)>`` for
+    M = (m0; mu), exact for any M.  An orbit whose smallest M.D is already
+    >= 2k+2 has no row with M.D < 2k+2, so only the other orbits' rows
+    meet the three window comparisons."""
+    floor = table.reps @ exact_rows([M.a, *(-x for x in sorted(M.b, reverse=True))])
+    reach = np.flatnonzero(floor < 2 * k + 2)
+    if not len(reach):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    rows = np.sort(np.concatenate([table.orbits[j] for j in reach]))
+    md = table.coeffs[rows] @ exact_rows([M.a, *(-x for x in M.b)])
+    d2 = table.squares[rows]
+    hit = (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)
+    return rows[hit], md[hit]
 
 
 def _bounds_record(r: int, k: int, table: _CandidateTable) -> dict:
+    alpha_max, beta_min = _box_bounds(k)
     return {
-        "alpha_max": 6 * (2 * k + 1),
-        "beta_min": -(2 * k + 1),
+        "alpha_max": alpha_max,
+        "beta_min": beta_min,
         "beta_max": "alpha",
         "anticanonical_degree_range": [1, 2 * k + 1],
         "d_squared_range": [-k, k],
@@ -231,7 +287,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
     if k > DESK_SCALE_K:
         warnings.warn(
             f"k = {k} is beyond the desk-scale envelope (k <= {DESK_SCALE_K}); "
-            f"the scan box has alpha <= {6 * (2 * k + 1)} and may be slow",
+            f"the scan box has alpha <= {_box_bounds(k)[0]} and may be slow",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -241,15 +297,11 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
             witnesses=(), search_bounds={}, nodes_visited=0,
         )
     table = _candidate_table(ctx.r, k)
-    mask, mds = _window_mask(table, M, k)
     witnesses = []
-    for i in np.flatnonzero(mask):
-        a, *b = table.coeffs[i].tolist()
-        D = PicardClass(a, tuple(b))
-        md = int(mds[i])
+    rows, mds = _window_rows(table, M, k)
+    for i, md in zip(rows.tolist(), mds.tolist()):
+        D, cert = table.witness_class(i)
         d2 = int(table.squares[i])
-        effective, cert = is_effective(D, ctx)
-        assert effective, f"candidate table let a non-effective class through: {D}"
         witnesses.append(
             ObstructionWitness(
                 D=D,

@@ -6,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from delpezzo.lattice import PicardClass, canonical_class, degree, intersect, line
-from delpezzo.enumeration import surface_context
-from delpezzo.positivity import is_effective, is_k_very_ample, is_nef, minimum_pairing
+from delpezzo.lattice import PicardClass, canonical_class, degree, intersect, line, point_class
+from delpezzo.enumeration import distinct_permutations, surface_context
+from delpezzo.positivity import exact_rows, is_effective, is_k_very_ample, is_nef, minimum_pairing
 from delpezzo.reider import (
     _assert_box_premises,
     _candidate_table,
+    _nef_box_rows,
+    _window_rows,
     consistency_sweep,
     search_obstructions,
     window_applicable,
@@ -247,6 +250,98 @@ def test_candidate_table_is_pinned(r, k):
     assert table.coeffs.shape == shape
     assert hashlib.sha256(table.coeffs.astype("<i8").tobytes()).hexdigest() == coeffs_digest
     assert hashlib.sha256(table.squares.astype("<i8").tobytes()).hexdigest() == squares_digest
+
+
+def _full_table_window(table, M, k):
+    """The window test on every row of the table: the unfolded reference."""
+    md = table.coeffs @ exact_rows([M.a, *(-x for x in M.b)])
+    d2 = table.squares
+    rows = np.flatnonzero((md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2))
+    return rows.tolist(), md[rows].tolist()
+
+
+# (r, k) tables the folded window is checked on; k = 0 has an empty table
+WINDOW_TABLES = [(2, 1), (5, 2), (7, 1), (8, 1), (3, 0), (8, 0)]
+
+
+@st.composite
+def window_subjects(draw):
+    r, k = draw(st.sampled_from(WINDOW_TABLES))
+    small = st.integers(-8, 40)
+    huge = st.integers(-(2**70), 2**70)
+    if draw(st.booleans()):
+        # nef: a non-negative combination of -K, l and the pencils l - e_i
+        weight = st.integers(0, 6) | st.integers(0, 2**66)
+        M = draw(weight) * -canonical_class(r) + draw(weight) * line(r)
+        for i in range(1, r + 1):
+            M = M + draw(weight) * (line(r) - point_class(r, i))
+    else:
+        coefficient = small | huge
+        M = PicardClass(draw(coefficient), tuple(draw(coefficient) for _ in range(r)))
+    return r, k, M
+
+
+class TestFoldedWindow:
+    """The orbit-folded window test against the full-table expression."""
+
+    @given(window_subjects())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_table(self, subject):
+        r, k, M = subject
+        table = _candidate_table(r, k)
+        rows, md = _window_rows(table, M, k)
+        assert (rows.tolist(), md.tolist()) == _full_table_window(table, M, k)
+
+    @pytest.mark.parametrize("r,k,a_max", [(2, 1, 8), (5, 2, 6), (7, 1, 5), (8, 1, 4)])
+    def test_matches_the_full_table_on_a_nef_box(self, r, k, a_max):
+        ctx = surface_context(r)
+        table = _candidate_table(r, k)
+        hits = 0
+        for row in _nef_box_rows(r, a_max)[0].tolist():
+            M = PicardClass(row[0], tuple(row[1:])) - ctx.canonical
+            rows, md = _window_rows(table, M, k)
+            assert (rows.tolist(), md.tolist()) == _full_table_window(table, M, k), M
+            hits += len(rows)
+        assert hits > 0
+
+    @pytest.mark.parametrize("r,k", WINDOW_TABLES)
+    def test_orbits_partition_the_table(self, r, k):
+        table = _candidate_table(r, k)
+        assert len(table.orbits) == len(table.reps)
+        flat = sorted(i for rows in table.orbits for i in rows.tolist())
+        assert flat == list(range(len(table.coeffs)))
+        for rep, rows in zip(table.reps.tolist(), table.orbits):
+            alpha, *beta = rep
+            assert beta == sorted(beta, reverse=True)
+            got = [tuple(row) for row in table.coeffs[rows].tolist()]
+            assert got == sorted((alpha, *perm) for perm in distinct_permutations(tuple(beta)))
+        if k == 0:
+            assert len(table.coeffs) == 0
+
+    def test_cached_certificates_equal_fresh_ones(self):
+        consistency_sweep(8, 1, 4)
+        search_obstructions(PicardClass(7, (3, 3, 2, 2, 2, 1, 1)), 2, surface_context(7))
+        for r, k in ((8, 1), (7, 2)):
+            table = _candidate_table(r, k)
+            assert table.certified
+            for i, (D, cert) in table.certified.items():
+                a, *b = table.coeffs[i].tolist()
+                assert D == PicardClass(a, tuple(b))
+                assert is_effective(D, surface_context(r)) == (True, cert)
+
+    def test_repeated_search_certifies_no_row_again(self, monkeypatch):
+        import delpezzo.reider as reider
+
+        ctx8 = surface_context(8)
+        first = search_obstructions(-2 * canonical_class(8), 1, ctx8)
+        assert first.witnesses
+
+        def refuse(L, ctx):
+            raise AssertionError(f"{L} certified twice")
+
+        monkeypatch.setattr(reider, "is_effective", refuse)
+        again = search_obstructions(-2 * canonical_class(8), 1, ctx8)
+        assert again.as_dict() == first.as_dict()
 
 
 class TestConsistencySweep:
