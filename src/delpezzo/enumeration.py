@@ -4,8 +4,9 @@ Three finite integer systems in (a; b) are solved exhaustively, and all
 three are symmetric in the b coordinates.  So one search serves them:
 :func:`descending_vectors` finds the non-increasing b with a prescribed
 range of sum and of sum of squares, by depth-first search with
-partial-sum and Cauchy-Schwarz pruning, and :func:`distinct_permutations`
-expands a representative to its full orbit where a caller needs it.
+partial-sum and Cauchy-Schwarz pruning, :func:`distinct_permutations`
+expands a representative to its full orbit where a caller needs it, and
+:func:`orbit_size` counts that orbit without expanding it.
 
 * exceptional classes: ``xi.xi = -1`` and ``K.xi = -1``, i.e.
   ``sum(b) = 3a - 1`` and ``sum(b^2) = a^2 + 1``.  Cauchy-Schwarz,
@@ -34,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
 from .lattice import (
     CurveTypePattern,
@@ -107,6 +109,12 @@ def distinct_permutations(t):
             j -= 1
         p[i], p[j] = p[j], p[i]
         p[i + 1:] = p[:i:-1]
+
+
+def orbit_size(t) -> int:
+    """How many distinct orderings the tuple `t` has: the multinomial
+    ``len(t)! / prod(m!)`` over the multiplicities m of its entries."""
+    return factorial(len(t)) // prod(factorial(m) for m in Counter(t).values())
 
 
 @lru_cache(maxsize=None)

@@ -25,30 +25,30 @@ Box derivation, recorded in each outcome (valid for nef L):
 The (alpha; beta) scan with these prunes depends only on (r, k), so it
 runs once per pair and is cached: per alpha, the shared sorted-vector
 search of :mod:`delpezzo.enumeration` finds the non-increasing beta in
-the box, each representative is tested for effectivity once, and its
-permutation orbit is expanded.  Each call then tests the cached
+the box, each representative is tested for effectivity once, and the
+table keeps one row per permutation orbit.  Each call then tests the
 candidates for its own M in two stages.  First, the smallest M.D over
 each orbit (one dot product with the representative, by the
 rearrangement inequality) drops every orbit that cannot satisfy
-M.D < 2k + 2.  Second, the exact window runs on the rows of the orbits
-that remain, in (a, b) order.  A row emitted as a witness is certified
-effective once per table.  For non-nef L the bounds in (i) and (v) that
-use L.D >= 0 are not theorems, so the scan is best-effort outside the
-nef cone (the outcome says which box was used).
+M.D < 2k + 2.  Second, only orbits that reach the window are expanded,
+and the exact window runs on their classes, in (a, b) order.  A class
+emitted as a witness is certified effective once per table.  For non-nef
+L the bounds in (i) and (v) that use L.D >= 0 are not theorems, so the
+scan is best-effort outside the nef cone (the outcome says which box was
+used).
 """
 
 from __future__ import annotations
 
-import itertools
 import math as _math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .lattice import PicardClass, SurfaceContext, degree, line, point_class
-from .enumeration import descending_vectors, distinct_permutations, surface_context
+from .enumeration import descending_vectors, distinct_permutations, orbit_size, surface_context
 from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
@@ -165,36 +165,44 @@ class SearchOutcome:
 @dataclass(frozen=True)
 class _CandidateTable:
     """Every effective class in the (r, k) box that could sit in a window:
-    (-K).D in [1, 2k+1] and -k <= D.D <= k, as int64 rows in sort_key order.
+    (-K).D in [1, 2k+1] and -k <= D.D <= k, held as one row per S_r orbit.
 
-    Built from one sorted-vector search per alpha (the beta coordinates
-    non-increasing), one effectivity test per representative, and the
-    representative's full permutation orbit.  The table keeps the orbits:
-    ``reps[j]`` is orbit j's representative (beta non-increasing) and
-    ``orbits[j]`` the ascending indices of its rows.  The window test
-    runs in two stages: the smallest M.D over each orbit drops the orbits
-    that cannot reach the window, and the exact window then runs on the
-    rows of the orbits that remain.  ``certified`` holds each row's class
-    and effectivity certificate once a search has emitted it as a witness.
+    Built from one sorted-vector search per alpha and one effectivity test
+    per representative.  Only orbits that reach the window are expanded,
+    each once (``expanded``, keyed by representative); ``certified`` keeps
+    each witness class with its certificate, keyed by its coefficients.
     """
 
-    coeffs: np.ndarray  # (N, r+1) rows (alpha, beta_1..beta_r)
-    squares: np.ndarray  # (N,) self-intersections
-    reps: np.ndarray  # (n, r+1) orbit representatives, beta non-increasing
-    orbits: tuple[np.ndarray, ...]  # n ascending row-index arrays, a partition of the rows
+    reps: np.ndarray  # (n, r+1) orbit representatives (alpha, beta), beta non-increasing
+    squares: np.ndarray  # (n,) self-intersection of each orbit's classes
+    sizes: np.ndarray  # (n,) number of classes in each orbit
+    expanded: dict = field(default_factory=dict, compare=False, repr=False)
     certified: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def witness_class(self, i: int) -> tuple[PicardClass, EffectivityCertificate]:
-        """Row i as a class with its effectivity certificate, built on the
-        first request.  The certificate is computed against the rank's
-        shared context, the one whose effectivity test admitted the row."""
-        hit = self.certified.get(i)
+    @cached_property
+    def size(self) -> int:  # classes in the table: the sum of the orbit sizes
+        return int(self.sizes.sum())
+
+    def orbit_rows(self, rep: tuple[int, ...]) -> np.ndarray:
+        """The orbit of ``rep`` = (alpha, *beta) as int64 rows."""
+        rows = self.expanded.get(rep)
+        if rows is None:
+            alpha, *beta = rep
+            orbit = [(alpha, *perm) for perm in distinct_permutations(beta)]
+            rows = self.expanded[rep] = np.array(orbit, dtype=np.int64)
+        return rows
+
+    def witness(self, coeffs: tuple[int, ...]) -> tuple[PicardClass, EffectivityCertificate]:
+        """The class (a, *b) = ``coeffs`` and its own certificate (the greedy
+        reduction breaks ties by first index, so a permuted representative's
+        certificate would differ), against the context that admitted it."""
+        hit = self.certified.get(coeffs)
         if hit is None:
-            a, *b = self.coeffs[i].tolist()
+            a, *b = coeffs
             D = PicardClass(a, tuple(b))
             effective, cert = is_effective(D, surface_context(D.r))
             assert effective, f"candidate table let a non-effective class through: {D}"
-            hit = self.certified[i] = (D, cert)
+            hit = self.certified[coeffs] = (D, cert)
         return hit
 
 
@@ -208,55 +216,46 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
     ctx = surface_context(r)
     _assert_box_premises(r)
     alpha_max, beta_min = _box_bounds(k)
-    reps, rows = [], []
+    reps = []
     for alpha in range(0, alpha_max + 1):
         # (-K).D = 3*alpha - sum(beta) in [1, 2k+1] and |D.D| <= k
         found = descending_vectors(
             r, beta_min, alpha, 3 * alpha - (2 * k + 1), 3 * alpha - 1,
             alpha * alpha - k, alpha * alpha + k,
         )
-        for b in found:
-            # Effectivity is invariant under coordinate permutations (the
-            # exceptional set is permutation-closed), so test the orbit once.
-            if is_effective(PicardClass(alpha, b), ctx)[0]:
-                d2 = alpha * alpha - sum(v * v for v in b)
-                orbit = len(reps)
-                reps.append((alpha, *b))
-                rows.extend((alpha, *perm, d2, orbit) for perm in distinct_permutations(b))
-    rows.sort()  # D.D and the orbit follow from (a, b), so this is the (a, b) order
-    table = np.array(rows, dtype=np.int64).reshape(len(rows), r + 3)
-    owner = table[:, -1]
-    by_orbit = np.argsort(owner, kind="stable")  # ascending rows within each orbit
-    ends = np.cumsum(np.bincount(owner, minlength=len(reps)))
-    # Copies, not views, so the build buffer and its orbit column are freed.
+        # Effectivity is invariant under coordinate permutations (the
+        # exceptional set is permutation-closed), so test the orbit once.
+        reps.extend((alpha, *b) for b in found if is_effective(PicardClass(alpha, b), ctx)[0])
+    rows = np.array(reps, dtype=np.int64).reshape(len(reps), r + 1)
     return _CandidateTable(
-        coeffs=table[:, : r + 1].copy(),
-        squares=table[:, r + 1].copy(),
-        reps=np.array(reps, dtype=np.int64).reshape(len(reps), r + 1),
-        orbits=tuple(np.split(by_orbit, ends[:-1])) if reps else (),
+        reps=rows,
+        squares=rows[:, 0] ** 2 - (rows[:, 1:] ** 2).sum(axis=1),
+        sizes=np.array([orbit_size(rep[1:]) for rep in reps], dtype=np.int64),
     )
 
 
-def _window_rows(table: _CandidateTable, M: PicardClass, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The table rows inside the window for (M, k), ascending, and their M.D.
+def _window_rows(table: _CandidateTable, M: PicardClass, k: int) -> list[tuple[list[int], int, int]]:
+    """The classes inside the window for (M, k) as (row, M.D, D.D) triples,
+    rows in (a, b) order.
 
     By the rearrangement inequality the smallest M.D over the orbit of
     (alpha; beta) is ``m0*alpha - <sort_desc(mu), sort_desc(beta)>`` for
     M = (m0; mu), exact for any M.  An orbit whose smallest M.D is already
-    >= 2k+2 has no row with M.D < 2k+2, so only the other orbits' rows
-    meet the three window comparisons."""
+    >= 2k+2 has no class with M.D < 2k+2, so only the other orbits are
+    expanded and meet the three window comparisons."""
     floor = table.reps @ exact_rows([M.a, *(-x for x in sorted(M.b, reverse=True))])
     reach = np.flatnonzero(floor < 2 * k + 2)
     if not len(reach):
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
-    rows = np.sort(np.concatenate([table.orbits[j] for j in reach]))
-    md = table.coeffs[rows] @ exact_rows([M.a, *(-x for x in M.b)])
-    d2 = table.squares[rows]
+        return []
+    rows = np.concatenate([table.orbit_rows(tuple(rep)) for rep in table.reps[reach].tolist()])
+    md = rows @ exact_rows([M.a, *(-x for x in M.b)])
+    d2 = np.repeat(table.squares[reach], table.sizes[reach])
     hit = (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)
-    return rows[hit], md[hit]
+    # distinct rows, so this sorts by (a, b); cheaper than np.lexsort on few hits
+    return sorted(zip(rows[hit].tolist(), md[hit].tolist(), d2[hit].tolist()))
 
 
-def _bounds_record(r: int, k: int, table: _CandidateTable) -> dict:
+def _bounds_record(k: int, table: _CandidateTable) -> dict:
     alpha_max, beta_min = _box_bounds(k)
     return {
         "alpha_max": alpha_max,
@@ -264,7 +263,7 @@ def _bounds_record(r: int, k: int, table: _CandidateTable) -> dict:
         "beta_max": "alpha",
         "anticanonical_degree_range": [1, 2 * k + 1],
         "d_squared_range": [-k, k],
-        "effective_candidates": len(table.coeffs),
+        "effective_candidates": table.size,
         "derivation": [
             "(i) nef L: M.D = L.D + (-K).D >= (-K).D >= 1 and M.D <= 2k+1",
             "(ii) 6*(-K) - l nef: alpha = D.l <= 6*(-K).D <= 6*(2k+1)",
@@ -298,10 +297,8 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
         )
     table = _candidate_table(ctx.r, k)
     witnesses = []
-    rows, mds = _window_rows(table, M, k)
-    for i, md in zip(rows.tolist(), mds.tolist()):
-        D, cert = table.witness_class(i)
-        d2 = int(table.squares[i])
+    for row, md, d2 in _window_rows(table, M, k):
+        D, cert = table.witness(tuple(row))
         witnesses.append(
             ObstructionWitness(
                 D=D,
@@ -314,8 +311,8 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
     return SearchOutcome(
         subject=L, k=k, applicable=True, reason=None, M=M, M_squared=m2,
         witnesses=tuple(witnesses),
-        search_bounds=_bounds_record(ctx.r, k, table),
-        nodes_visited=len(table.coeffs),
+        search_bounds=_bounds_record(k, table),
+        nodes_visited=table.size,
     )
 
 
@@ -410,14 +407,7 @@ def _nef_box_rows(r: int, a_max: int) -> tuple[np.ndarray, np.ndarray]:
         rec(r, a)
     coeffs = np.array(leaves, dtype=np.int64).reshape(len(leaves), r + 1)
     coeffs = coeffs[minimum_pairing_bulk(coeffs, surface_context(r)) >= 0]
-    fact_r = _math.factorial(r)
-    weights = []
-    for row in coeffs.tolist():
-        orbit = fact_r
-        for _, grp in itertools.groupby(row[1:]):
-            orbit //= _math.factorial(len(list(grp)))
-        weights.append(orbit)
-    return coeffs, np.array(weights, dtype=np.int64)
+    return coeffs, np.array([orbit_size(row[1:]) for row in coeffs.tolist()], dtype=np.int64)
 
 
 def _nef_sample_rows(r: int, a_max: int, count: int, seed: int) -> np.ndarray:

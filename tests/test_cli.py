@@ -203,6 +203,7 @@ class TestGoldenFiles:
             (("verify", "--r", "8", "--k", "1", "--box", "4", "--json"), "verify_r8_k1_box4.json"),
             (("verify", "--r", "8", "--k", "1", "--box", "12", "--sample", "20", "--seed", "3",
               "--json"), "verify_r8_k1_box12_sample20_seed3.json"),
+            (("verify", "--r", "8", "--k", "2", "--box", "6", "--json"), "verify_r8_k2_box6.json"),
         ],
     )
     def test_machine_reports_byte_match(self, capsys, argv, golden):

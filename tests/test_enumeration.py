@@ -19,6 +19,7 @@ from delpezzo.enumeration import (
     decompose_null_class,
     descending_vectors,
     distinct_permutations,
+    orbit_size,
     enumerate_exceptional,
     enumerate_null_classes,
     exceptional_type_census,
@@ -313,3 +314,4 @@ class TestSharedSearch:
         for count in Counter(t).values():
             multinomial //= math.factorial(count)
         assert len(orbit) == multinomial
+        assert orbit_size(t) == len(orbit)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ from delpezzo.reider import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@lru_cache(maxsize=None)
+def _full_table(r, k):
+    """Every class of the (r, k) candidate table in (a, b) order, rebuilt
+    from the orbit representatives: int64 coefficient rows and D.D."""
+    rows = sorted((alpha, *perm) for alpha, *beta in _candidate_table(r, k).reps.tolist()
+                  for perm in distinct_permutations(beta))
+    coeffs = np.array(rows, dtype=np.int64).reshape(len(rows), r + 1)
+    return coeffs, coeffs[:, 0] ** 2 - (coeffs[:, 1:] ** 2).sum(axis=1)
 
 
 class TestWindowApplicability:
@@ -217,18 +228,19 @@ class TestBoxSoundness:
 
     def test_candidates_respect_the_stated_bounds(self):
         for r, k in ((2, 1), (8, 1), (5, 2)):
-            table = _candidate_table(r, k)
-            assert (table.coeffs[:, 0] >= 0).all()
-            assert (table.coeffs[:, 0] <= 6 * (2 * k + 1)).all()
-            assert (table.coeffs[:, 1:] >= -(2 * k + 1)).all()
-            assert (table.coeffs[:, 1:] <= table.coeffs[:, :1]).all()
-            assert (np.abs(table.squares) <= k).all()
-            anti_deg = 3 * table.coeffs[:, 0] - table.coeffs[:, 1:].sum(axis=1)
+            coeffs, squares = _full_table(r, k)
+            assert (coeffs[:, 0] >= 0).all()
+            assert (coeffs[:, 0] <= 6 * (2 * k + 1)).all()
+            assert (coeffs[:, 1:] >= -(2 * k + 1)).all()
+            assert (coeffs[:, 1:] <= coeffs[:, :1]).all()
+            assert (np.abs(squares) <= k).all()
+            anti_deg = 3 * coeffs[:, 0] - coeffs[:, 1:].sum(axis=1)
             assert ((1 <= anti_deg) & (anti_deg <= 2 * k + 1)).all()
 
 
-# SHA-256 of the int64 coeffs and squares arrays, frozen from the search
-# that expanded each representative with set(itertools.permutations(b)).
+# SHA-256 of the int64 coeffs and squares arrays of the whole table, frozen
+# from the search that expanded each representative with
+# set(itertools.permutations(b)); the test rebuilds them with _full_table.
 CANDIDATE_TABLE_DIGESTS = {
     (2, 1): ((10, 3), "f4d6b180f1bcdca4955182ec4de7676eb3d84ce84eefbc5039ba8231042ad3f9",
              "466f9035deb21a9eeafe555e1d1c00e399dc1cf3eec9befc98ba3a76aac891a1"),
@@ -243,21 +255,40 @@ CANDIDATE_TABLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("r,k", sorted(CANDIDATE_TABLE_DIGESTS))
+# Orbit count, class count and SHA-256 of the int64 representatives, frozen
+# from the table that expanded every orbit.  (8, 2) is pinned by these
+# alone: expanding its 1,479,841 classes in the test would take seconds.
+REPRESENTATIVE_DIGESTS = {
+    (2, 1): (6, 10, "ec0dd0e9298c4877fe85898904171100df212cc6d6dd74d26769ac910c7ed270"),
+    (5, 2): (50, 972, "e1255923d08b0506f13f05da28b65f4b02360213581185dc28808de23f2891ca"),
+    (7, 1): (33, 2270, "14fe86de4bdc57a03750fbbf4e379a0f0fcb487f37bb6cb1822d3242f356057c"),
+    (7, 2): (194, 42577, "b8a3d211f75bb4caa1bb16337ecb22e837ccaaba8f752fdefb225acddba2febd"),
+    (8, 1): (118, 50161, "1701ede66ba957aed0179915b6e9b7db94c7fceb934bd1ee3a4f464afe41cea0"),
+    (8, 2): (974, 1479841, "4ee830e7d64a10a1ce8c33ea0fc2c1c063f01ea6a12098436f659d1f738164b0"),
+}
+
+
+@pytest.mark.parametrize("r,k", sorted(REPRESENTATIVE_DIGESTS))
 def test_candidate_table_is_pinned(r, k):
-    shape, coeffs_digest, squares_digest = CANDIDATE_TABLE_DIGESTS[r, k]
+    n_orbits, n_classes, reps_digest = REPRESENTATIVE_DIGESTS[r, k]
     table = _candidate_table(r, k)
-    assert table.coeffs.shape == shape
-    assert hashlib.sha256(table.coeffs.astype("<i8").tobytes()).hexdigest() == coeffs_digest
-    assert hashlib.sha256(table.squares.astype("<i8").tobytes()).hexdigest() == squares_digest
+    assert table.reps.shape == (n_orbits, r + 1)
+    assert table.size == int(table.sizes.sum()) == n_classes
+    assert hashlib.sha256(table.reps.astype("<i8").tobytes()).hexdigest() == reps_digest
+    if (r, k) in CANDIDATE_TABLE_DIGESTS:
+        shape, coeffs_digest, squares_digest = CANDIDATE_TABLE_DIGESTS[r, k]
+        coeffs, squares = _full_table(r, k)
+        assert coeffs.shape == shape
+        assert hashlib.sha256(coeffs.astype("<i8").tobytes()).hexdigest() == coeffs_digest
+        assert hashlib.sha256(squares.astype("<i8").tobytes()).hexdigest() == squares_digest
 
 
-def _full_table_window(table, M, k):
-    """The window test on every row of the table: the unfolded reference."""
-    md = table.coeffs @ exact_rows([M.a, *(-x for x in M.b)])
-    d2 = table.squares
-    rows = np.flatnonzero((md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2))
-    return rows.tolist(), md[rows].tolist()
+def _full_table_window(r, k, M):
+    """The window test on every class of the table: the unfolded reference."""
+    coeffs, d2 = _full_table(r, k)
+    md = coeffs @ exact_rows([M.a, *(-x for x in M.b)])
+    hit = (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)
+    return list(zip(coeffs[hit].tolist(), md[hit].tolist(), d2[hit].tolist()))
 
 
 # (r, k) tables the folded window is checked on; k = 0 has an empty table
@@ -288,9 +319,7 @@ class TestFoldedWindow:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_full_table(self, subject):
         r, k, M = subject
-        table = _candidate_table(r, k)
-        rows, md = _window_rows(table, M, k)
-        assert (rows.tolist(), md.tolist()) == _full_table_window(table, M, k)
+        assert _window_rows(_candidate_table(r, k), M, k) == _full_table_window(r, k, M)
 
     @pytest.mark.parametrize("r,k,a_max", [(2, 1, 8), (5, 2, 6), (7, 1, 5), (8, 1, 4)])
     def test_matches_the_full_table_on_a_nef_box(self, r, k, a_max):
@@ -299,24 +328,29 @@ class TestFoldedWindow:
         hits = 0
         for row in _nef_box_rows(r, a_max)[0].tolist():
             M = PicardClass(row[0], tuple(row[1:])) - ctx.canonical
-            rows, md = _window_rows(table, M, k)
-            assert (rows.tolist(), md.tolist()) == _full_table_window(table, M, k), M
-            hits += len(rows)
+            found = _window_rows(table, M, k)
+            assert found == _full_table_window(r, k, M), M
+            hits += len(found)
         assert hits > 0
 
     @pytest.mark.parametrize("r,k", WINDOW_TABLES)
     def test_orbits_partition_the_table(self, r, k):
+        # each representative expands to exactly its distinct permutations,
+        # the orbits are disjoint, and their sizes sum to the table size
         table = _candidate_table(r, k)
-        assert len(table.orbits) == len(table.reps)
-        flat = sorted(i for rows in table.orbits for i in rows.tolist())
-        assert flat == list(range(len(table.coeffs)))
-        for rep, rows in zip(table.reps.tolist(), table.orbits):
+        assert len(table.sizes) == len(table.reps) == len(table.squares)
+        seen = set()
+        for rep, size, d2 in zip(table.reps.tolist(), table.sizes.tolist(), table.squares.tolist()):
             alpha, *beta = rep
             assert beta == sorted(beta, reverse=True)
-            got = [tuple(row) for row in table.coeffs[rows].tolist()]
-            assert got == sorted((alpha, *perm) for perm in distinct_permutations(tuple(beta)))
+            got = [tuple(row) for row in table.orbit_rows(tuple(rep)).tolist()]
+            assert got == [(alpha, *perm) for perm in distinct_permutations(tuple(beta))]
+            assert len(got) == size
+            assert d2 == alpha * alpha - sum(x * x for x in beta)
+            seen.update(got)
+        assert len(seen) == int(table.sizes.sum()) == len(_full_table(r, k)[0])
         if k == 0:
-            assert len(table.coeffs) == 0
+            assert len(table.reps) == 0
 
     def test_cached_certificates_equal_fresh_ones(self):
         consistency_sweep(8, 1, 4)
@@ -324,8 +358,7 @@ class TestFoldedWindow:
         for r, k in ((8, 1), (7, 2)):
             table = _candidate_table(r, k)
             assert table.certified
-            for i, (D, cert) in table.certified.items():
-                a, *b = table.coeffs[i].tolist()
+            for (a, *b), (D, cert) in table.certified.items():
                 assert D == PicardClass(a, tuple(b))
                 assert is_effective(D, surface_context(r)) == (True, cert)
 
