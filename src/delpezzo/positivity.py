@@ -161,10 +161,12 @@ def _effectivity(
 ) -> tuple[bool, EffectivityCertificate | None]:
     """:func:`is_effective` for a checked rank, reusing the pairing vector
     P of L when the caller already has it."""
+    if L.a < 0 or L.a < max(L.b):
+        # pairs negatively with the nef class l or some l - e_i; at rank 1
+        # this is the whole closed form
+        return False, None
     if ctx.r == 1:
         a, b1 = L.a, L.b[0]
-        if a < 0 or a < b1:
-            return False, None
         if b1 < 0:
             # -b1 copies of e_1, then the nef remainder (a; 0)
             cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(a, (0,)))

@@ -26,22 +26,30 @@ The (alpha; beta) scan with these prunes depends only on (r, k), so it
 runs once per pair and is cached: per alpha, the shared sorted-vector
 search of :mod:`delpezzo.enumeration` finds the non-increasing beta in
 the box, each representative is tested for effectivity once, and the
-table keeps one row per permutation orbit.  Each call then tests the
-candidates for its own M in two stages.  First, the smallest M.D over
-each orbit (one dot product with the representative, by the
-rearrangement inequality) drops every orbit that cannot satisfy
-M.D < 2k + 2.  Second, only orbits that reach the window are expanded,
-and the exact window runs on their classes, in (a, b) order.  A class
-emitted as a witness is certified effective once per table.  For non-nef
-L the bounds in (i) and (v) that use L.D >= 0 are not theorems, so the
-scan is best-effort outside the nef cone (the outcome says which box was
-used).
+table keeps one row per permutation orbit.  One window kernel then tests
+the candidates against N rows of M at once, in two stages.  First, the
+smallest M.D over each orbit (one product of the representatives with
+each row's sorted M, by the rearrangement inequality) drops every orbit
+that no row can meet with M.D < 2k + 2.  Second, only orbits that some
+row reaches are expanded, and the exact window runs on their classes
+against those rows.  A class that is a witness is certified effective
+once per table.
+
+``search_obstructions`` runs the kernel on its one M and lists the
+witnesses in (a, b) order.  ``consistency_sweep`` runs it on blocks of
+box rows and decides each block with array operations: one pairing
+matrix per block gives the nef filter, the premise and the pairing
+verdict, and the sweep counts witnesses instead of listing them.  For
+non-nef L the bounds in (i) and (v) that use L.D >= 0 are not theorems,
+so the scan is best-effort outside the nef cone (the outcome says which
+box was used).
 """
 
 from __future__ import annotations
 
 import math as _math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -56,8 +64,7 @@ from .positivity import (
     exception_flag,
     is_effective,
     is_nef,
-    minimum_pairing_bulk,
-    pairing_vector,
+    pairing_matrix,
 )
 
 #: The scan box grows like (6*(2k+1)) * (2k+2+6*(2k+1))**r before pruning;
@@ -169,7 +176,7 @@ class _CandidateTable:
 
     Built from one sorted-vector search per alpha and one effectivity test
     per representative.  Only orbits that reach the window are expanded,
-    each once (``expanded``, keyed by representative); ``certified`` keeps
+    each once (``expanded``, keyed by orbit index); ``certified`` keeps
     each witness class with its certificate, keyed by its coefficients.
     """
 
@@ -180,16 +187,20 @@ class _CandidateTable:
     certified: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
+    def exceptional(self) -> np.ndarray:  # orbits of exceptional classes: D.D = -1 = K.D
+        return (self.squares == -1) & (3 * self.reps[:, 0] - self.reps[:, 1:].sum(axis=1) == 1)
+
+    @cached_property
     def size(self) -> int:  # classes in the table: the sum of the orbit sizes
         return int(self.sizes.sum())
 
-    def orbit_rows(self, rep: tuple[int, ...]) -> np.ndarray:
-        """The orbit of ``rep`` = (alpha, *beta) as int64 rows."""
-        rows = self.expanded.get(rep)
+    def orbit_rows(self, o: int) -> np.ndarray:
+        """The classes of orbit o as int64 rows, in (a, b) order."""
+        rows = self.expanded.get(o)
         if rows is None:
-            alpha, *beta = rep
+            alpha, *beta = self.reps[o].tolist()
             orbit = [(alpha, *perm) for perm in distinct_permutations(beta)]
-            rows = self.expanded[rep] = np.array(orbit, dtype=np.int64)
+            rows = self.expanded[o] = np.array(orbit, dtype=np.int64)
         return rows
 
     def witness(self, coeffs: tuple[int, ...]) -> tuple[PicardClass, EffectivityCertificate]:
@@ -234,25 +245,50 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
     )
 
 
-def _window_rows(table: _CandidateTable, M: PicardClass, k: int) -> list[tuple[list[int], int, int]]:
-    """The classes inside the window for (M, k) as (row, M.D, D.D) triples,
-    rows in (a, b) order.
+def _window_hits(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple]:
+    """Every (class, row) pair inside the window at level k for the N exact
+    rows M (see ``exact_rows``), grouped by orbit: one tuple
+    ``(o, C, ci, ri, md)`` per orbit o that has a hit, where C holds the
+    orbit's class rows and hit j is class ``C[ci[j]]`` against row
+    ``M[ri[j]]``, with M.D = ``md[j]``.
 
     By the rearrangement inequality the smallest M.D over the orbit of
     (alpha; beta) is ``m0*alpha - <sort_desc(mu), sort_desc(beta)>`` for
-    M = (m0; mu), exact for any M.  An orbit whose smallest M.D is already
-    >= 2k+2 has no class with M.D < 2k+2, so only the other orbits are
-    expanded and meet the three window comparisons."""
-    floor = table.reps @ exact_rows([M.a, *(-x for x in sorted(M.b, reverse=True))])
-    reach = np.flatnonzero(floor < 2 * k + 2)
-    if not len(reach):
+    M = (m0; mu), exact for any M.  One (orbits x N) product of that floor
+    gives the (orbit, row) pairs that can meet M.D < 2k+2.  Each orbit in
+    such a pair is expanded and meets the window in one
+    (orbit size x reaching rows) M.D product."""
+    floor = table.reps @ np.column_stack([M[:, 0], np.sort(-M[:, 1:], axis=1)]).T
+    orbit, row = np.nonzero(floor < 2 * k + 2)  # grouped by orbit
+    if not len(orbit):
         return []
-    rows = np.concatenate([table.orbit_rows(tuple(rep)) for rep in table.reps[reach].tolist()])
-    md = rows @ exact_rows([M.a, *(-x for x in M.b)])
-    d2 = np.repeat(table.squares[reach], table.sizes[reach])
-    hit = (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)
-    # distinct rows, so this sorts by (a, b); cheaper than np.lexsort on few hits
-    return sorted(zip(rows[hit].tolist(), md[hit].tolist(), d2[hit].tolist()))
+    dual = M[row]  # (m0; -mu) per pair, so that C @ dual.T is M.D
+    dual[:, 1:] *= -1
+    edges = (np.flatnonzero(np.diff(orbit)) + 1).tolist()
+    starts, ends = [0, *edges], [*edges, len(orbit)]
+    squares = table.squares.tolist()
+    hits = []
+    for o, start, end in zip(orbit[starts].tolist(), starts, ends):
+        C = table.orbit_rows(o)
+        md = C @ dual[start:end].T
+        # D.D = d2 on the whole orbit, so the window md - k - 1 <= d2,
+        # 2*d2 < md, md < 2k+2 is the integer range below
+        d2 = squares[o]
+        ci, pi = np.nonzero((2 * d2 < md) & (md <= min(d2 + k + 1, 2 * k + 1)))
+        if len(ci):
+            hits.append((o, C, ci, row[start + pi], md[ci, pi]))
+    return hits
+
+
+def _witness_rows(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple[list[int], int, int]]:
+    """The window classes of the one exact row M (shape (1, r+1)) as
+    (class row, M.D, D.D) triples, in (a, b) order."""
+    found = [
+        (row, md, int(table.squares[o]))
+        for o, C, ci, _, mds in _window_hits(table, M, k)
+        for row, md in zip(C[ci].tolist(), mds.tolist())
+    ]
+    return sorted(found)  # distinct rows, so this sorts by (a, b)
 
 
 def _bounds_record(k: int, table: _CandidateTable) -> dict:
@@ -297,7 +333,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
         )
     table = _candidate_table(ctx.r, k)
     witnesses = []
-    for row, md, d2 in _window_rows(table, M, k):
+    for row, md, d2 in _witness_rows(table, exact_rows([[M.a, *M.b]]), k):
         D, cert = table.witness(tuple(row))
         witnesses.append(
             ObstructionWitness(
@@ -379,52 +415,163 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-def _nef_box_rows(r: int, a_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted representatives of all nef classes with 0 <= a <= a_max.
-
-    A nef class has 0 <= b_i <= a and (for r >= 2) b_i + b_j <= a, which
-    prunes the descending-coordinate scan hard.  Every sweep assertion is
-    equivariant under coordinate permutations (the exceptional set is
-    permutation-closed and the exception classes are symmetric), so one
-    representative per orbit decides the whole orbit; the returned orbit
-    sizes say how many classes each row covers.
-    One bulk pairing keeps the nef leaves, as in the sampled sweep; orbit
-    sizes are computed for those survivors only.
-    """
-    leaves = []
-    for a in range(0, a_max + 1):
-        vec: list[int] = []
-
-        def rec(slots, hi):
-            if slots == 0:
-                leaves.append((a, *vec))
-                return
-            for v in range(hi, -1, -1):
-                vec.append(v)
-                rec(slots - 1, min(v, a - vec[0]))  # pair bound b_1 + b_i <= a
-                vec.pop()
-
-        rec(r, a)
-    coeffs = np.array(leaves, dtype=np.int64).reshape(len(leaves), r + 1)
-    coeffs = coeffs[minimum_pairing_bulk(coeffs, surface_context(r)) >= 0]
-    return coeffs, np.array([orbit_size(row[1:]) for row in coeffs.tolist()], dtype=np.int64)
+#: Box rows decided together.  It bounds the pairing matrices and M.D
+#: products of one pass, so a sweep's peak memory does not grow with its box.
+_BLOCK_ROWS = 1024
 
 
-def _nef_sample_rows(r: int, a_max: int, count: int, seed: int) -> np.ndarray:
-    """Seeded rejection sample of `count` nef rows with 0 <= a <= a_max."""
-    ctx = surface_context(r)
+def _box_leaves(r: int, a_max: int) -> np.ndarray:
+    """Every (a; b) with 0 <= a <= a_max, b non-increasing and non-negative
+    and b_1 + b_2 <= a, in (a ascending, b descending) order.
+
+    A nef class has 0 <= b_i <= a and (for r >= 2) b_i + b_j <= a, so these
+    descending-coordinate rows hold every nef orbit of the box.  Built one
+    coordinate at a time: each row is repeated once per admissible value of
+    its next coordinate, from min(b_j, a - b_1) down to 0."""
+    rows = np.arange(a_max + 1, dtype=np.int64)[:, None]
+    top = rows[:, 0]
+    for _ in range(r):
+        count = top + 1
+        offset = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+        value = np.repeat(top, count) - offset
+        rows = np.column_stack([np.repeat(rows, count, axis=0), value])
+        top = np.minimum(value, rows[:, 0] - rows[:, 1])
+    return rows
+
+
+def _orbit_sizes(b: np.ndarray) -> np.ndarray:
+    """``orbit_size`` of each row of b, whose rows are sorted: the running
+    counts of equal neighbours multiply to prod(m!) over the multiplicities m."""
+    run = np.ones(len(b), dtype=np.int64)
+    denominator = np.ones(len(b), dtype=np.int64)
+    for j in range(1, b.shape[1]):
+        run = np.where(b[:, j] == b[:, j - 1], run + 1, 1)
+        denominator *= run
+    return _math.factorial(b.shape[1]) // denominator
+
+
+def _nef_box_blocks(r: int, a_max: int, ctx: SurfaceContext) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Sorted representatives of all nef classes with 0 <= a <= a_max, in
+    blocks: (rows, their pairing matrix, the classes their orbits cover).
+
+    Every sweep assertion is equivariant under coordinate permutations
+    (the exceptional set is permutation-closed and the exception classes
+    are symmetric), so one representative per orbit decides the whole
+    orbit.  The pairing matrix that keeps the nef leaves is the one the
+    sweep decides them with."""
+    leaves = _box_leaves(r, a_max)
+    for start in range(0, len(leaves), _BLOCK_ROWS):
+        block = leaves[start:start + _BLOCK_ROWS]
+        P = pairing_matrix(block, ctx)
+        nef = P.min(axis=1) >= 0
+        yield block[nef], P[nef], int(_orbit_sizes(block[nef, 1:]).sum())
+
+
+def _nef_sample_blocks(
+    r: int, a_max: int, count: int, seed: int, ctx: SurfaceContext
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Seeded rejection sample of `count` nef rows with 0 <= a <= a_max,
+    one block per draw of 4096 candidates: (rows, their pairing matrix,
+    the number of rows)."""
     rng = np.random.default_rng(seed)
-    kept = []
-    total = 0
-    while total < count:
+    while count > 0:
         a = rng.integers(0, a_max + 1, size=4096)
         b = rng.integers(0, a_max + 1, size=(4096, r))
         coeffs = np.column_stack([a, b]).astype(np.int64)
         coeffs = coeffs[(b <= a[:, None]).all(axis=1)]
-        coeffs = coeffs[minimum_pairing_bulk(coeffs, ctx) >= 0]
-        kept.append(coeffs)
-        total += len(coeffs)
-    return np.concatenate(kept, axis=0)[:count]
+        P = pairing_matrix(coeffs, ctx)
+        nef = np.flatnonzero(P.min(axis=1) >= 0)[:count]
+        count -= len(nef)
+        yield coeffs[nef], P[nef], len(nef)
+
+
+def _as_class(row: list[int]) -> PicardClass:
+    a, *b = row
+    return PicardClass(a, tuple(b))
+
+
+def _row_counts(parts: list[np.ndarray], n: int) -> np.ndarray:
+    """How often each of the row indices 0..n-1 occurs in `parts`."""
+    return np.bincount(np.concatenate([np.empty(0, dtype=np.intp), *parts]), minlength=n)
+
+
+def _decide_block(
+    rows: np.ndarray, P: np.ndarray, k: int, ctx: SurfaceContext, table: _CandidateTable
+) -> tuple[tuple[int, ...], list[SweepViolation]]:
+    """The sweep over one block of nef rows L with pairing matrix P = P(L):
+    the counts (applicable, passing, failing, exceptions, witnesses) and
+    the violations, in row order.
+
+    Every verdict is an array comparison.  Python runs once per orbit that
+    some row reaches, once per distinct witness class (certified once per
+    table), and once per row that is a multiple of -K or breaks a rule.
+    """
+    K = ctx.canonical
+    L = exact_rows(rows)
+    M = L - np.array([K.a, *K.b], dtype=np.int64)
+    PM = P + ctx.curve_matrix @ np.array([-K.a, *(-x for x in K.b)], dtype=np.int64)  # P(M) = P(L) + P(-K)
+    m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
+    applicable = np.flatnonzero((PM.min(axis=1) >= 0) & (m2 >= 4 * k + 5))
+    L, M, P = L[applicable], M[applicable], P[applicable]
+    n = len(applicable)
+
+    hit_rows, exceptional_hits = [], []
+    for o, C, ci, ri, md in _window_hits(table, M, k):
+        hit_rows.append(ri)
+        if table.exceptional[o]:
+            exceptional_hits.append(ri[md - 1 < k])  # L.x = M.x - (-K).x = M.x - 1
+        for c in np.flatnonzero(np.bincount(ci, minlength=len(C))).tolist():
+            table.witness(tuple(C[c].tolist()))
+    witnesses = _row_counts(hit_rows, n)
+    # Each exceptional class x with L.x < k sits in the window (M.x <= k,
+    # x.x = -1), and those hits are the exceptional ones with L.x < k; so a
+    # row misses one of them exactly when it has fewer such hits than
+    # violating exceptional classes.
+    n_exc = len(ctx.exceptional_set)  # the test curves start with them
+    missing_exc = _row_counts(exceptional_hits, n) < (P[:, :n_exc] < k).sum(axis=1)
+
+    passes = P.min(axis=1) >= k
+    # An exception class is a multiple (3m; m, ..., m) of -K.  It satisfies
+    # the inequalities without being k-very ample, and the window may or may
+    # not show an obstruction for it (it does for -(k+1)K at rank 8, it
+    # cannot for -kK), so neither outcome is a violation.
+    exception = np.zeros(n, dtype=bool)
+    multiple = passes & (L[:, 0] == 3 * L[:, 1]) & (L[:, 1:] == L[:, 1:2]).all(axis=1)
+    for i in np.flatnonzero(multiple).tolist():
+        exception[i] = exception_flag(_as_class(L[i].tolist()), k, ctx) != EXCEPTION_NONE
+    passing = passes & ~exception
+    # A k-very-ample class may have no witness at all, so none with D.D <= 0
+    # either; a failing one needs a witness and each violating exceptional class.
+    flagged = (passing & (witnesses > 0)) | (~passes & ((witnesses == 0) | missing_exc))
+    violations = []
+    for i in np.flatnonzero(flagged).tolist():
+        L_i = _as_class(L[i].tolist())
+        violations += _row_violations(L_i, P[i], M[i:i + 1], bool(passing[i]), k, ctx, table)
+    counts = (n, int(passing.sum()), int((~passes).sum()), int(exception.sum()), int(witnesses.sum()))
+    return counts, violations
+
+
+def _row_violations(
+    L: PicardClass, P: np.ndarray, M: np.ndarray, passing: bool, k: int,
+    ctx: SurfaceContext, table: _CandidateTable,
+) -> list[SweepViolation]:
+    """The violations of one flagged row (pairing vector P, M as one exact
+    row), worded from its witness list in (a, b) order."""
+    witnesses = _witness_rows(table, M, k)
+    if passing:
+        unexpected = SweepViolation(L, "unexpected_witness", f"k-very ample but has {len(witnesses)} witnesses")
+        return [unexpected] + [
+            SweepViolation(L, "nonpositive_square_witness", f"witness {_as_class(row)} with D.D = {d2}")
+            for row, _, d2 in witnesses if d2 <= 0
+        ]
+    if not witnesses:
+        return [SweepViolation(L, "missing_witness", "fails the pairing test but has no witnesses")]
+    found = {tuple(row) for row, _, _ in witnesses}
+    exc = ctx.exceptional_set
+    return [
+        SweepViolation(L, "missing_exceptional_witness", f"violating class {exc[i]} absent from the witness list")
+        for i in np.flatnonzero(P[:len(exc)] < k).tolist() if (exc[i].a, *exc[i].b) not in found
+    ]
 
 
 def consistency_sweep(
@@ -444,8 +591,12 @@ def consistency_sweep(
     exceptional class it fails against must be among them.  Any breach is
     returned as a violation (and means a genuine bug).
 
-    Each row runs one ``search_obstructions`` call, whose outcome says
-    whether the window applies.  The exhaustive mode runs on one
+    The rows are decided in blocks of array operations: one pairing matrix
+    P(L) per block serves the nef filter, the premise (through
+    P(M) = P(L) + P(-K)) and the pairing verdict, and one orbit-floor
+    product finds the candidate orbits that reach each row's window.
+    Witnesses are counted, not listed; a row's witness list is built only
+    to word its violations.  The exhaustive mode runs on one
     representative per coordinate-permutation orbit: all checks are
     permutation-equivariant, so the representative decides its whole
     orbit (counted in ``covered``).  Desk-scale only: k <= 2.  A negative
@@ -470,7 +621,7 @@ def consistency_sweep(
                 f"exhaustive box has up to {rep_bound} orbit representatives "
                 f"(> {MAX_EXHAUSTIVE_REPRESENTATIVES}); pass sample= instead"
             )
-        coeffs, weights = _nef_box_rows(r, a_max)
+        blocks = _nef_box_blocks(r, a_max, ctx)
     else:
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
@@ -478,62 +629,24 @@ def consistency_sweep(
             raise ValueError(f"seed must be >= 0, got {seed}")
         if a_max > np.iinfo(np.int64).max:
             raise ValueError(f"sampled box a_max = {a_max} is past the int64 sampler's 2**63 - 1")
-        coeffs = _nef_sample_rows(r, a_max, sample, seed)
-        weights = np.ones(len(coeffs), dtype=np.int64)
-    scanned = len(coeffs)
-    covered = int(weights.sum())
+        blocks = _nef_sample_blocks(r, a_max, sample, seed, ctx)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    table = _candidate_table(r, k)
 
+    scanned = covered = 0
+    totals = [0] * 5
     violations = []
-    applicable_n = passing = failing = exceptions = witness_total = 0
-    for row in coeffs:
-        L = PicardClass(int(row[0]), tuple(int(x) for x in row[1:]))
-        outcome = search_obstructions(L, k, ctx)
-        if not outcome.applicable:
-            continue
-        applicable_n += 1
-        witness_total += len(outcome.witnesses)
-        P = pairing_vector(L, ctx)
-        if P.min() >= k:
-            if exception_flag(L, k, ctx) != EXCEPTION_NONE:
-                # An exception class satisfies the inequalities without
-                # being k-very ample; the window may or may not show an
-                # obstruction for it (it does for -(k+1)K at rank 8, it
-                # cannot for -kK), so neither outcome is a violation.
-                exceptions += 1
-                continue
-            passing += 1
-            if outcome.witnesses:
-                violations.append(
-                    SweepViolation(L, "unexpected_witness",
-                                   f"k-very ample but has {len(outcome.witnesses)} witnesses")
-                )
-            # A k-very-ample class may not even have a witness with
-            # D.D <= 0; vacuous when the list is empty.
-            for w in outcome.witnesses:
-                if w.D_squared <= 0:
-                    violations.append(
-                        SweepViolation(L, "nonpositive_square_witness",
-                                       f"witness {w.D} with D.D = {w.D_squared}")
-                    )
-        else:
-            failing += 1
-            if not outcome.witnesses:
-                violations.append(
-                    SweepViolation(L, "missing_witness", "fails the pairing test but has no witnesses")
-                )
-            else:
-                found = {w.D for w in outcome.witnesses}
-                n_exc = len(ctx.exceptional_set)  # the test curves start with them
-                for i in np.flatnonzero(P[:n_exc] < k):
-                    xi = ctx.exceptional_set[i]
-                    if xi not in found:
-                        violations.append(
-                            SweepViolation(L, "missing_exceptional_witness",
-                                           f"violating class {xi} absent from the witness list")
-                        )
+    for rows, P, block_covered in blocks:
+        counts, found = _decide_block(rows, P, k, ctx, table)
+        scanned += len(rows)
+        covered += block_covered
+        totals = [t + c for t, c in zip(totals, counts)]
+        violations += found
+    applicable, passing, failing, exceptions, witness_total = totals
     return SweepSummary(
         r=r, k=k, a_max=a_max, sample=sample, seed=seed if sample else None,
-        scanned=scanned, covered=covered, applicable=applicable_n,
+        scanned=scanned, covered=covered, applicable=applicable,
         passing=passing, failing=failing, exceptions=exceptions,
         witness_total=witness_total, violations=tuple(violations),
     )

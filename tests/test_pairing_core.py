@@ -193,6 +193,23 @@ class TestAgainstReference:
                         assert exception_flag(L, k, ctx) == ref_exception_flag(L, k, ctx)
 
 
+@st.composite
+def near_the_nef_bound(draw, r):
+    """Small classes with a < max(b) or a < 0, or a just at or above
+    max(b): both sides of the early reject."""
+    b = draw(st.tuples(*[small] * r))
+    a = draw(st.integers(-15, max(b) + 2) | st.integers(-15, -1))
+    return PicardClass(a, b)
+
+
+class TestEarlyReject:
+    @given(ranked(near_the_nef_bound))
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_the_greedy_reduction(self, L):
+        ctx = surface_context(L.r)
+        assert is_effective(L, ctx) == ref_is_effective(L, ctx)
+
+
 class TestPairingCore:
     def test_matrices_match_intersect(self, ctx):
         curves = ctx.test_curves

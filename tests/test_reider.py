@@ -10,13 +10,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delpezzo.lattice import PicardClass, canonical_class, degree, intersect, line, point_class
-from delpezzo.enumeration import distinct_permutations, surface_context
-from delpezzo.positivity import exact_rows, is_effective, is_k_very_ample, is_nef, minimum_pairing
+from delpezzo.enumeration import distinct_permutations, orbit_size, surface_context
+from delpezzo.positivity import (
+    EXCEPTION_NONE,
+    exact_rows,
+    exception_flag,
+    is_effective,
+    is_k_very_ample,
+    is_nef,
+    minimum_pairing,
+    minimum_pairing_bulk,
+    pairing_matrix,
+    pairing_vector,
+)
 from delpezzo.reider import (
+    SweepSummary,
+    SweepViolation,
     _assert_box_premises,
+    _box_leaves,
     _candidate_table,
-    _nef_box_rows,
-    _window_rows,
+    _decide_block,
+    _orbit_sizes,
+    _window_hits,
+    _witness_rows,
     consistency_sweep,
     search_obstructions,
     window_applicable,
@@ -295,9 +311,7 @@ def _full_table_window(r, k, M):
 WINDOW_TABLES = [(2, 1), (5, 2), (7, 1), (8, 1), (3, 0), (8, 0)]
 
 
-@st.composite
-def window_subjects(draw):
-    r, k = draw(st.sampled_from(WINDOW_TABLES))
+def _draw_M(draw, r):
     small = st.integers(-8, 40)
     huge = st.integers(-(2**70), 2**70)
     if draw(st.booleans()):
@@ -309,7 +323,19 @@ def window_subjects(draw):
     else:
         coefficient = small | huge
         M = PicardClass(draw(coefficient), tuple(draw(coefficient) for _ in range(r)))
-    return r, k, M
+    return M
+
+
+@st.composite
+def window_subjects(draw):
+    r, k = draw(st.sampled_from(WINDOW_TABLES))
+    return r, k, _draw_M(draw, r)
+
+
+@st.composite
+def window_blocks(draw):
+    r, k = draw(st.sampled_from(WINDOW_TABLES))
+    return r, k, [_draw_M(draw, r) for _ in range(draw(st.integers(1, 6)))]
 
 
 class TestFoldedWindow:
@@ -319,16 +345,29 @@ class TestFoldedWindow:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_full_table(self, subject):
         r, k, M = subject
-        assert _window_rows(_candidate_table(r, k), M, k) == _full_table_window(r, k, M)
+        found = _witness_rows(_candidate_table(r, k), exact_rows([[M.a, *M.b]]), k)
+        assert found == _full_table_window(r, k, M)
+
+    @given(window_blocks())
+    @settings(max_examples=50, deadline=None)
+    def test_many_rows_at_once_match_the_full_table(self, block):
+        # int64 and exact rows share one block once any row needs exactness
+        r, k, Ms = block
+        table = _candidate_table(r, k)
+        found = [[] for _ in Ms]
+        for o, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms]), k):
+            for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()):
+                found[j].append((C[c].tolist(), x, int(table.squares[o])))
+        assert [sorted(f) for f in found] == [_full_table_window(r, k, M) for M in Ms]
 
     @pytest.mark.parametrize("r,k,a_max", [(2, 1, 8), (5, 2, 6), (7, 1, 5), (8, 1, 4)])
     def test_matches_the_full_table_on_a_nef_box(self, r, k, a_max):
         ctx = surface_context(r)
         table = _candidate_table(r, k)
         hits = 0
-        for row in _nef_box_rows(r, a_max)[0].tolist():
+        for row in ref_box_rows(r, a_max)[0].tolist():
             M = PicardClass(row[0], tuple(row[1:])) - ctx.canonical
-            found = _window_rows(table, M, k)
+            found = _witness_rows(table, exact_rows([[M.a, *M.b]]), k)
             assert found == _full_table_window(r, k, M), M
             hits += len(found)
         assert hits > 0
@@ -340,10 +379,11 @@ class TestFoldedWindow:
         table = _candidate_table(r, k)
         assert len(table.sizes) == len(table.reps) == len(table.squares)
         seen = set()
-        for rep, size, d2 in zip(table.reps.tolist(), table.sizes.tolist(), table.squares.tolist()):
+        columns = zip(table.reps.tolist(), table.sizes.tolist(), table.squares.tolist())
+        for o, (rep, size, d2) in enumerate(columns):
             alpha, *beta = rep
             assert beta == sorted(beta, reverse=True)
-            got = [tuple(row) for row in table.orbit_rows(tuple(rep)).tolist()]
+            got = [tuple(row) for row in table.orbit_rows(o).tolist()]
             assert got == [(alpha, *perm) for perm in distinct_permutations(tuple(beta))]
             assert len(got) == size
             assert d2 == alpha * alpha - sum(x * x for x in beta)
@@ -375,6 +415,222 @@ class TestFoldedWindow:
         monkeypatch.setattr(reider, "is_effective", refuse)
         again = search_obstructions(-2 * canonical_class(8), 1, ctx8)
         assert again.as_dict() == first.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# The per-row sweep, kept as an oracle for the batched one: the nef rows
+# come from a depth-first scan (or the same seeded sampler), and each row
+# runs one search_obstructions call and one pairing vector.
+
+
+def ref_box_rows(r, a_max):
+    """Sorted nef representatives with 0 <= a <= a_max and their orbit
+    sizes, by a depth-first scan of the descending tuples with b_1 + b_i <= a."""
+    leaves = []
+    for a in range(0, a_max + 1):
+        vec = []
+
+        def rec(slots, hi):
+            if slots == 0:
+                leaves.append((a, *vec))
+                return
+            for v in range(hi, -1, -1):
+                vec.append(v)
+                rec(slots - 1, min(v, a - vec[0]))
+                vec.pop()
+
+        rec(r, a)
+    coeffs = np.array(leaves, dtype=np.int64).reshape(len(leaves), r + 1)
+    coeffs = coeffs[minimum_pairing_bulk(coeffs, surface_context(r)) >= 0]
+    return coeffs, np.array([orbit_size(row[1:]) for row in coeffs.tolist()], dtype=np.int64)
+
+
+def ref_sample_rows(r, a_max, count, seed):
+    ctx = surface_context(r)
+    rng = np.random.default_rng(seed)
+    kept = []
+    total = 0
+    while total < count:
+        a = rng.integers(0, a_max + 1, size=4096)
+        b = rng.integers(0, a_max + 1, size=(4096, r))
+        coeffs = np.column_stack([a, b]).astype(np.int64)
+        coeffs = coeffs[(b <= a[:, None]).all(axis=1)]
+        coeffs = coeffs[minimum_pairing_bulk(coeffs, ctx) >= 0]
+        kept.append(coeffs)
+        total += len(coeffs)
+    return np.concatenate(kept, axis=0)[:count]
+
+
+def ref_decide(coeffs, k, ctx):
+    """(applicable, passing, failing, exceptions, witnesses) and the
+    violations of the nef rows `coeffs`, one window search per row."""
+    violations = []
+    applicable_n = passing = failing = exceptions = witness_total = 0
+    for row in coeffs.tolist():
+        L = PicardClass(row[0], tuple(row[1:]))
+        outcome = search_obstructions(L, k, ctx)
+        if not outcome.applicable:
+            continue
+        applicable_n += 1
+        witness_total += len(outcome.witnesses)
+        P = pairing_vector(L, ctx)
+        if P.min() >= k:
+            if exception_flag(L, k, ctx) != EXCEPTION_NONE:
+                exceptions += 1
+                continue
+            passing += 1
+            if outcome.witnesses:
+                violations.append(
+                    SweepViolation(L, "unexpected_witness",
+                                   f"k-very ample but has {len(outcome.witnesses)} witnesses")
+                )
+            for w in outcome.witnesses:
+                if w.D_squared <= 0:
+                    violations.append(
+                        SweepViolation(L, "nonpositive_square_witness",
+                                       f"witness {w.D} with D.D = {w.D_squared}")
+                    )
+        else:
+            failing += 1
+            if not outcome.witnesses:
+                violations.append(
+                    SweepViolation(L, "missing_witness", "fails the pairing test but has no witnesses")
+                )
+            else:
+                found = {w.D for w in outcome.witnesses}
+                n_exc = len(ctx.exceptional_set)
+                for i in np.flatnonzero(P[:n_exc] < k):
+                    xi = ctx.exceptional_set[i]
+                    if xi not in found:
+                        violations.append(
+                            SweepViolation(L, "missing_exceptional_witness",
+                                           f"violating class {xi} absent from the witness list")
+                        )
+    return (applicable_n, passing, failing, exceptions, witness_total), violations
+
+
+def ref_sweep(r, k, a_max, ctx=None, *, sample=None, seed=0):
+    ctx = surface_context(r) if ctx is None else ctx
+    if sample is None:
+        coeffs, weights = ref_box_rows(r, a_max)
+    else:
+        coeffs = ref_sample_rows(r, a_max, sample, seed)
+        weights = np.ones(len(coeffs), dtype=np.int64)
+    (applicable_n, passing, failing, exceptions, witness_total), violations = ref_decide(coeffs, k, ctx)
+    return SweepSummary(
+        r=r, k=k, a_max=a_max, sample=sample, seed=seed if sample else None,
+        scanned=len(coeffs), covered=int(weights.sum()), applicable=applicable_n,
+        passing=passing, failing=failing, exceptions=exceptions,
+        witness_total=witness_total, violations=tuple(violations),
+    )
+
+
+ORACLE_PLANS = [
+    # the criterion-5 plans
+    (2, 1, 10, None, 7), (3, 1, 10, None, 7), (7, 1, 12, 1000, 7),
+    (8, 1, 12, 1000, 7), (2, 2, 10, None, 7), (5, 2, 12, 1000, 7),
+    # exhaustive boxes
+    (7, 2, 12, None, 0), (8, 1, 4, None, 0), (8, 2, 6, None, 0), (2, 1, 6, None, 0),
+    (3, 1, 8, None, 0), (5, 2, 6, None, 0), (1, 1, 12, None, 0), (1, 2, 12, None, 0),
+    # the sampled CLI runs
+    (8, 1, 12, 60, 42), (8, 1, 12, 20, 3),
+    # k = 0: the candidate table is empty
+    (8, 0, 4, None, 0), (3, 0, 8, None, 0), (1, 0, 10, None, 0), (8, 0, 12, 50, 1),
+    # exactness: the int64 sampler's largest box, and rows near SAFE_COEFF_BOUND
+    (8, 1, 2**63 - 1, 3, 0), (2, 1, 2**63 - 1, 3, 0), (8, 1, 10**6 + 5, 20, 0),
+]
+
+
+class TestBatchedSweepAgainstPerRow:
+    @pytest.mark.parametrize("r,k,a_max,sample,seed", ORACLE_PLANS)
+    def test_summaries_are_equal(self, r, k, a_max, sample, seed):
+        got = consistency_sweep(r, k, a_max, sample=sample, seed=seed)
+        assert got.as_dict() == ref_sweep(r, k, a_max, sample=sample, seed=seed).as_dict()
+        assert got.ok
+
+    @pytest.mark.parametrize("r,a_max", [(1, 30), (2, 12), (5, 6), (8, 4), (8, 12)])
+    def test_box_rows_match_the_depth_first_scan(self, r, a_max):
+        leaves = _box_leaves(r, a_max)
+        nef = leaves[minimum_pairing_bulk(leaves, surface_context(r)) >= 0]
+        coeffs, weights = ref_box_rows(r, a_max)
+        np.testing.assert_array_equal(nef, coeffs)
+        np.testing.assert_array_equal(_orbit_sizes(nef[:, 1:]), weights)
+
+    def test_blocks_straddling_the_int64_bounds(self):
+        # nef rows whose M = L - K crosses SAFE_COEFF_BOUND, or leaves int64
+        # altogether: (2^63 - 1; 2^63 - 1, 0^7) - K has a = 2^63 + 2.  The
+        # pencil rows (a; a, 0, ...) have witnesses of type l - e_1 - e_j.
+        ctx8 = surface_context(8)
+        m = 333_333
+        rows = [[3 * m + t] + [m] * 8 for t in range(6)]
+        for a in (10**6 - 3, 10**6 - 1, 10**6, 10**6 + 2, 2**62, 2**63 - 4, 2**63 - 1):
+            rows += [[a, a] + [0] * 7, [a, a - 1, 1] + [0] * 6]
+        witnesses = 0
+        for lo, hi in ((0, 6), (6, 12), (12, 20), (0, len(rows))):
+            block = np.array(rows[lo:hi], dtype=np.int64)
+            assert (minimum_pairing_bulk(block, ctx8) >= 0).all()
+            for k in (1, 2):
+                P = pairing_matrix(block, ctx8)
+                counts, violations = _decide_block(block, P, k, ctx8, _candidate_table(8, k))
+                expected, expected_violations = ref_decide(block, k, ctx8)
+                assert counts == expected
+                assert violations == expected_violations
+                witnesses += counts[-1]
+        assert witnesses > 0
+
+
+class TestSweepViolations:
+    """Injected faults make both sweeps report violations; the batched
+    report must equal the per-row one, text and order included."""
+
+    @staticmethod
+    def _compare(r, k, a_max, ctx=None):
+        got = consistency_sweep(r, k, a_max, ctx)
+        expected = ref_sweep(r, k, a_max, ctx)
+        assert got.as_dict() == expected.as_dict()
+        return [v.kind for v in got.violations]
+
+    def test_dropped_orbit(self, monkeypatch):
+        import delpezzo.reider as reider
+
+        # without the orbit of the e_i, rows with some b_i = 0 (L.e_i < 1)
+        # lose those witnesses, and some rows lose every witness
+        table = _candidate_table(8, 1)
+        keep = np.array([rep != [0] * 8 + [-1] for rep in table.reps.tolist()])
+        assert not keep.all()
+        faulty = reider._CandidateTable(
+            reps=table.reps[keep], squares=table.squares[keep], sizes=table.sizes[keep])
+        monkeypatch.setattr(reider, "_candidate_table", lambda r, k: faulty)
+        kinds = self._compare(8, 1, 4)
+        assert {"missing_witness", "missing_exceptional_witness"} <= set(kinds)
+
+    def test_exception_flag_forced_to_none(self, monkeypatch):
+        import sys
+
+        import delpezzo.reider as reider
+
+        # -2K at rank 8 then counts as 1-very ample, with the witness -K
+        def none(L, k, ctx):
+            return EXCEPTION_NONE
+
+        monkeypatch.setattr(reider, "exception_flag", none)
+        monkeypatch.setattr(sys.modules[__name__], "exception_flag", none)
+        kinds = self._compare(8, 1, 6)
+        assert kinds == ["unexpected_witness"]
+
+    def test_context_blind_to_an_orbit(self):
+        import dataclasses
+
+        # a context whose pairing rows of the e_i are those of -K: rows
+        # failing only against some e_i pass, with that e_i (D.D = -1)
+        # among their witnesses
+        ctx8 = surface_context(8)
+        blind = dataclasses.replace(ctx8)
+        S = ctx8.curve_matrix.copy()
+        S[[x.a == 0 for x in ctx8.exceptional_set]] = [3] + [-1] * 8
+        blind.__dict__["curve_matrix"] = S
+        kinds = self._compare(8, 1, 4, blind)
+        assert {"unexpected_witness", "nonpositive_square_witness"} <= set(kinds)
 
 
 class TestConsistencySweep:
