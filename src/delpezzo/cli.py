@@ -35,7 +35,7 @@ from .enumeration import (
     exceptional_type_census,
     surface_context,
 )
-from .positivity import adjoint_kva_check, is_k_very_ample
+from .positivity import is_k_very_ample
 from .reider import DESK_SCALE_K, consistency_sweep
 from . import tables as table_views
 
@@ -275,8 +275,9 @@ def _cmd_adjoint(parser, args) -> int:
               file=sys.stderr)
         return USAGE_ERROR
     adj = adjoint_class(L)
-    verdict = adjoint_kva_check(L, args.k, ctx)
     adj_report = is_k_very_ample(adj, args.k - 1, ctx)
+    # adjoint_kva_check's verdict, read off the two reports built here
+    verdict = adj_report.k_very_ample
     if args.json:
         payload = {
             "subject": L.render(),

@@ -8,10 +8,13 @@ intersection form is ``diag(1, -1, ..., -1)`` and the canonical class is
 point ``e_i`` is ``(0; ..., -1, ...)``.
 
 Everything here is plain Python integer arithmetic, hence exact at any
-magnitude.  The numpy pairing routines run in int64 only while every
-coefficient satisfies ``|a|, |b_i| <= SAFE_COEFF_BOUND`` (products stay
-below 2**42, sums of at most nine of them far below 2**63); above that
-they switch to object arrays of Python integers, so no result ever wraps.
+magnitude.  The numpy pairing routines hold a class in int64 only while
+every coefficient satisfies ``|a|, |b_i| <= SAFE_COEFF_BOUND`` (products
+stay below 2**42, sums of at most nine of them far below 2**63); above
+that they switch to object arrays of Python integers, so no result ever
+wraps.  Their matrix products run through float64 BLAS only where
+:func:`float_operand` has shown that every partial sum is an integer
+below 2**53, which float64 holds exactly; the results are integers.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ MAX_RANK = 8
 #: larger inputs are computed exactly on Python integers instead.  The
 #: pure-Python operations in this module have no limit.
 SAFE_COEFF_BOUND = 10**6
+
+#: Integers of magnitude up to this are float64 numbers, so a float64
+#: product whose partial sums all stay below it is exact in any order.
+FLOAT_EXACT_BOUND = 2**53
 
 #: Number of classes with self-intersection -1 and anticanonical degree 1,
 #: per rank.  Used as a construction-time sanity check on SurfaceContext;
@@ -289,6 +296,19 @@ class SurfaceContext:
         return _read_only(np.array([[x.a, *(-y for y in x.b)] for x in self.test_curves], dtype=np.int64))
 
     @cached_property
+    def curve_operand(self) -> np.ndarray:
+        """``curve_matrix.T`` as the right operand of exact matrix products
+        (see :func:`float_operand`): ``rows @ curve_operand`` pairs class
+        rows against the test curves."""
+        return float_operand(self.curve_matrix.T)
+
+    @cached_property
+    def anticanonical_pairing(self) -> np.ndarray:
+        """The pairing vector of ``-K``: ``curve_matrix @ (3, 1, ..., 1)``."""
+        A = self.anticanonical
+        return _read_only(self.curve_matrix @ np.array([A.a, *A.b], dtype=np.int64))
+
+    @cached_property
     def curve_gram(self) -> np.ndarray:
         """Gram matrix of the test curves: ``G[i, j] = x_i . x_j``.  Subtracting
         x_i from a class changes its pairing vector by ``-G[i]``."""
@@ -327,6 +347,24 @@ class SurfaceContext:
         sizes = [len(idx) for _, idx in self.curve_orbits]
         starts = np.cumsum([0] + sizes[:-1]).astype(np.intp)
         return _read_only(order), _read_only(starts)
+
+
+def float_operand(B: np.ndarray) -> np.ndarray:
+    """The int64 matrix B as the right operand of exact products ``A @ B``
+    (``positivity.exact_product``): float64 when every such product with an
+    int64 A is exact in float64, B itself otherwise.
+
+    An int64 A holds class rows within SAFE_COEFF_BOUND (see
+    ``positivity.exact_rows``), at most shifted by a class of small
+    coefficients such as K, so its entries stay below 2 * SAFE_COEFF_BOUND.
+    Every partial sum of a row of A against a column of B is then an
+    integer below ``B.shape[0] * 2 * SAFE_COEFF_BOUND * max|B|``; when that
+    is below FLOAT_EXACT_BOUND, float64 BLAS returns it exactly, however it
+    splits and orders the sums.  The test runs once per operand."""
+    largest = int(np.abs(B).max(initial=0))
+    if B.shape[0] * 2 * SAFE_COEFF_BOUND * largest >= FLOAT_EXACT_BOUND:
+        return B
+    return _read_only(B.astype(np.float64))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ the signed test-curve matrix cached on the :class:`SurfaceContext`; a
 reduction step subtracts a row of the cached Gram matrix from P.  The
 scalar and bulk routines share those arrays.  Arithmetic is exact: int64
 while every coefficient is within ``SAFE_COEFF_BOUND``, Python integers
-(object arrays) beyond it.
+(object arrays) beyond it.  Bulk products of int64 rows run through
+float64 BLAS (:func:`exact_product`), and only where every partial sum is
+an integer below 2**53, so their results are exact integers too.
 
 Each per-type inequality family is the same pairing test folded over a
 permutation orbit; ``generate_inequality_families`` derives them
@@ -79,6 +81,34 @@ def exact_rows(coeffs) -> np.ndarray:
     if rows.size == 0 or (rows.max() <= SAFE_COEFF_BOUND and rows.min() >= -SAFE_COEFF_BOUND):
         return rows.astype(np.int64, copy=False)
     return rows.astype(object)
+
+
+#: Result entries per float64 BLAS call in exact_product.  The products
+#: are thin (r + 1 <= 9 terms per entry), so a large one gains nothing
+#: from BLAS threads, and on a shared 2 vCPU host a dgemm split across
+#: them was measured to wait milliseconds per call; chunks this small run
+#: on the calling thread and keep each float64 temporary at 128 KiB.
+_PRODUCT_CHUNK = 2**14
+
+
+def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B``, exact, for rows A from :func:`exact_rows` (int64 or object,
+    at most shifted by a class of small coefficients) and an operand B from
+    ``lattice.float_operand``.
+
+    An int64 A against a float64 B runs through float64 BLAS, in row chunks
+    of about _PRODUCT_CHUNK result entries, exact by the bound float_operand
+    checked, and returns int64.  Any other pair runs on Python integers and
+    returns an object array."""
+    if B.dtype.kind == "f":
+        if A.dtype != object:
+            out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+            step = max(1, _PRODUCT_CHUNK // max(1, B.shape[1]))
+            for i in range(0, A.shape[0], step):
+                out[i:i + step] = A[i:i + step] @ B  # matmul casts A to float64
+            return out
+        B = B.astype(np.int64)
+    return A.astype(object, copy=False) @ B
 
 
 def pairing_vector(L: PicardClass, ctx: SurfaceContext) -> np.ndarray:
@@ -481,9 +511,7 @@ def f1_is_k_very_ample(a0: int, b: int, k: int) -> bool:
 
 def pairing_matrix(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
     """(N, m) intersection numbers of N class rows against the test curves."""
-    coeffs = exact_rows(coeffs)
-    S = ctx.curve_matrix_exact if coeffs.dtype == object else ctx.curve_matrix
-    return coeffs @ S.T
+    return exact_product(exact_rows(coeffs), ctx.curve_operand)
 
 
 def minimum_pairing_bulk(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:

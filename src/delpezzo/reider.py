@@ -30,9 +30,10 @@ table keeps one row per permutation orbit.  One window kernel then tests
 the candidates against N rows of M at once, in two stages.  First, the
 smallest M.D over each orbit (one product of the representatives with
 each row's sorted M, by the rearrangement inequality) drops every orbit
-that no row can meet with M.D < 2k + 2.  Second, only orbits that some
-row reaches are expanded, and the exact window runs on their classes
-against those rows.  A class that is a witness is certified effective
+that no row can meet with M.D <= min(D.D + k + 1, 2k + 1), the top of
+the window for the orbit's D.D.  Second, only orbits that some row
+reaches are expanded, and the exact window runs on their classes against
+those rows.  A class that is a witness is certified effective
 once per table.
 
 ``search_obstructions`` runs the kernel on its one M and lists the
@@ -47,6 +48,7 @@ box was used).
 
 from __future__ import annotations
 
+import itertools
 import math as _math
 import warnings
 from collections.abc import Iterator
@@ -55,11 +57,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import PicardClass, SurfaceContext, degree, line, point_class
-from .enumeration import descending_vectors, distinct_permutations, orbit_size, surface_context
+from .lattice import PicardClass, SurfaceContext, degree, float_operand, line, point_class
+from .enumeration import descending_vectors, orbit_size, surface_context
 from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
+    exact_product,
     exact_rows,
     exception_flag,
     is_effective,
@@ -176,8 +179,9 @@ class _CandidateTable:
 
     Built from one sorted-vector search per alpha and one effectivity test
     per representative.  Only orbits that reach the window are expanded,
-    each once (``expanded``, keyed by orbit index); ``certified`` keeps
-    each witness class with its certificate, keyed by its coefficients.
+    each once (``expanded``, keyed by orbit index), as rows of the table's
+    product operand; ``certified`` keeps each witness class with its
+    certificate, keyed by its coefficients.
     """
 
     reps: np.ndarray  # (n, r+1) orbit representatives (alpha, beta), beta non-increasing
@@ -194,13 +198,22 @@ class _CandidateTable:
     def size(self) -> int:  # classes in the table: the sum of the orbit sizes
         return int(self.sizes.sum())
 
+    @cached_property
+    def operand(self) -> np.ndarray:
+        """``reps.T`` as the right operand of exact products (float64 when
+        every product with an M row is exact in float64, see float_operand);
+        the bound holds for every orbit, whose classes share the entries of
+        their representative."""
+        return float_operand(self.reps.T)
+
     def orbit_rows(self, o: int) -> np.ndarray:
-        """The classes of orbit o as int64 rows, in (a, b) order."""
+        """The classes of orbit o in (a, b) order, in the dtype of
+        ``operand``: float64 (integer-valued) or int64."""
         rows = self.expanded.get(o)
         if rows is None:
-            alpha, *beta = self.reps[o].tolist()
-            orbit = [(alpha, *perm) for perm in distinct_permutations(beta)]
-            rows = self.expanded[o] = np.array(orbit, dtype=np.int64)
+            beta = self.reps[o, 1:].tolist()
+            runs = tuple(len(list(run)) for _, run in itertools.groupby(beta))
+            rows = self.expanded[o] = self.operand.T[o][_orbit_index(runs)]
         return rows
 
     def witness(self, coeffs: tuple[int, ...]) -> tuple[PicardClass, EffectivityCertificate]:
@@ -215,6 +228,30 @@ class _CandidateTable:
             assert effective, f"candidate table let a non-effective class through: {D}"
             hit = self.certified[coeffs] = (D, cert)
         return hit
+
+
+@lru_cache(maxsize=None)
+def _orbit_index(runs: tuple[int, ...]) -> np.ndarray:
+    """Column indices that expand a representative (alpha; beta), with beta
+    non-increasing in runs of equal entries of these lengths, into its
+    orbit: ``rep[index]`` lists each distinct ordering of beta once, in
+    ascending (a, b) order.
+
+    Built one coordinate at a time, like _box_leaves: each partial row is
+    continued once per value it has left, smallest value first."""
+    left = np.array([runs[::-1]])  # copies left of each value, smallest first
+    value = np.empty((1, 0), dtype=np.intp)
+    for _ in range(sum(runs)):
+        parent, v = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(len(parent)), v] -= 1
+        value = np.column_stack([value[parent], v])
+    # the representative holds its largest value first, from column 1
+    column = 1 + np.cumsum((0, *runs[:-1]))[::-1]
+    index = np.column_stack([np.zeros(len(value), dtype=np.intp), column[value]])
+    index = index.astype(np.int8)  # cached per shape for the whole process
+    index.flags.writeable = False
+    return index
 
 
 def _box_bounds(k: int) -> tuple[int, int]:
@@ -252,29 +289,31 @@ def _window_hits(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple]:
     orbit's class rows and hit j is class ``C[ci[j]]`` against row
     ``M[ri[j]]``, with M.D = ``md[j]``.
 
-    By the rearrangement inequality the smallest M.D over the orbit of
-    (alpha; beta) is ``m0*alpha - <sort_desc(mu), sort_desc(beta)>`` for
-    M = (m0; mu), exact for any M.  One (orbits x N) product of that floor
-    gives the (orbit, row) pairs that can meet M.D < 2k+2.  Each orbit in
-    such a pair is expanded and meets the window in one
-    (orbit size x reaching rows) M.D product."""
-    floor = table.reps @ np.column_stack([M[:, 0], np.sort(-M[:, 1:], axis=1)]).T
-    orbit, row = np.nonzero(floor < 2 * k + 2)  # grouped by orbit
+    D.D = d2 is constant on an orbit, so the window md - k - 1 <= d2,
+    2*d2 < md, md < 2k+2 is the integer range 2*d2 < md <= top, with
+    top = min(d2 + k + 1, 2k + 1) per orbit.  By the rearrangement
+    inequality the smallest M.D over the orbit of (alpha; beta) is
+    ``m0*alpha - <sort_desc(mu), sort_desc(beta)>`` for M = (m0; mu), exact
+    for any M.  One (orbits x N) product of that floor gives the (orbit,
+    row) pairs whose floor is at most top.  Each orbit in such a pair is
+    expanded and meets the window in one (orbit size x reaching rows) M.D
+    product.  C is in the dtype of the table's operand (integer-valued
+    float64 or int64); md is exact."""
+    top = np.minimum(table.squares + k + 1, 2 * k + 1)
+    floor = exact_product(np.column_stack([M[:, 0], np.sort(-M[:, 1:], axis=1)]), table.operand)
+    orbit, row = (floor.T <= top[:, None]).nonzero()  # grouped by orbit
     if not len(orbit):
         return []
-    dual = M[row]  # (m0; -mu) per pair, so that C @ dual.T is M.D
+    dual = M[row]  # (m0; -mu) per pair, so that dual @ C.T is M.D
     dual[:, 1:] *= -1
     edges = (np.flatnonzero(np.diff(orbit)) + 1).tolist()
     starts, ends = [0, *edges], [*edges, len(orbit)]
-    squares = table.squares.tolist()
+    squares, top = table.squares.tolist(), top.tolist()
     hits = []
     for o, start, end in zip(orbit[starts].tolist(), starts, ends):
         C = table.orbit_rows(o)
-        md = C @ dual[start:end].T
-        # D.D = d2 on the whole orbit, so the window md - k - 1 <= d2,
-        # 2*d2 < md, md < 2k+2 is the integer range below
-        d2 = squares[o]
-        ci, pi = np.nonzero((2 * d2 < md) & (md <= min(d2 + k + 1, 2 * k + 1)))
+        md = exact_product(dual[start:end], C.T).T
+        ci, pi = ((2 * squares[o] < md) & (md <= top[o])).nonzero()
         if len(ci):
             hits.append((o, C, ci, row[start + pi], md[ci, pi]))
     return hits
@@ -286,7 +325,7 @@ def _witness_rows(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple[l
     found = [
         (row, md, int(table.squares[o]))
         for o, C, ci, _, mds in _window_hits(table, M, k)
-        for row, md in zip(C[ci].tolist(), mds.tolist())
+        for row, md in zip(C[ci].astype(np.int64).tolist(), mds.tolist())
     ]
     return sorted(found)  # distinct rows, so this sorts by (a, b)
 
@@ -450,29 +489,33 @@ def _orbit_sizes(b: np.ndarray) -> np.ndarray:
     return _math.factorial(b.shape[1]) // denominator
 
 
-def _nef_box_blocks(r: int, a_max: int, ctx: SurfaceContext) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+def _nef_box_blocks(
+    r: int, a_max: int, ctx: SurfaceContext
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """Sorted representatives of all nef classes with 0 <= a <= a_max, in
-    blocks: (rows, their pairing matrix, the classes their orbits cover).
+    blocks: (rows, their pairing matrix, its row minima, the classes their
+    orbits cover).
 
     Every sweep assertion is equivariant under coordinate permutations
     (the exceptional set is permutation-closed and the exception classes
     are symmetric), so one representative per orbit decides the whole
-    orbit.  The pairing matrix that keeps the nef leaves is the one the
-    sweep decides them with."""
+    orbit.  The pairing matrix and row minima that keep the nef leaves are
+    the ones the sweep decides them with."""
     leaves = _box_leaves(r, a_max)
     for start in range(0, len(leaves), _BLOCK_ROWS):
         block = leaves[start:start + _BLOCK_ROWS]
         P = pairing_matrix(block, ctx)
-        nef = P.min(axis=1) >= 0
-        yield block[nef], P[nef], int(_orbit_sizes(block[nef, 1:]).sum())
+        lowest = P.min(axis=1)
+        nef = lowest >= 0
+        yield block[nef], P[nef], lowest[nef], int(_orbit_sizes(block[nef, 1:]).sum())
 
 
 def _nef_sample_blocks(
     r: int, a_max: int, count: int, seed: int, ctx: SurfaceContext
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """Seeded rejection sample of `count` nef rows with 0 <= a <= a_max,
     one block per draw of 4096 candidates: (rows, their pairing matrix,
-    the number of rows)."""
+    its row minima, the number of rows)."""
     rng = np.random.default_rng(seed)
     while count > 0:
         a = rng.integers(0, a_max + 1, size=4096)
@@ -480,9 +523,10 @@ def _nef_sample_blocks(
         coeffs = np.column_stack([a, b]).astype(np.int64)
         coeffs = coeffs[(b <= a[:, None]).all(axis=1)]
         P = pairing_matrix(coeffs, ctx)
-        nef = np.flatnonzero(P.min(axis=1) >= 0)[:count]
+        lowest = P.min(axis=1)
+        nef = np.flatnonzero(lowest >= 0)[:count]
         count -= len(nef)
-        yield coeffs[nef], P[nef], len(nef)
+        yield coeffs[nef], P[nef], lowest[nef], len(nef)
 
 
 def _as_class(row: list[int]) -> PicardClass:
@@ -496,11 +540,12 @@ def _row_counts(parts: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _decide_block(
-    rows: np.ndarray, P: np.ndarray, k: int, ctx: SurfaceContext, table: _CandidateTable
+    rows: np.ndarray, P: np.ndarray, lowest: np.ndarray, k: int, ctx: SurfaceContext,
+    table: _CandidateTable,
 ) -> tuple[tuple[int, ...], list[SweepViolation]]:
-    """The sweep over one block of nef rows L with pairing matrix P = P(L):
-    the counts (applicable, passing, failing, exceptions, witnesses) and
-    the violations, in row order.
+    """The sweep over one block of nef rows L with pairing matrix P = P(L)
+    and its row minima ``lowest``: the counts (applicable, passing,
+    failing, exceptions, witnesses) and the violations, in row order.
 
     Every verdict is an array comparison.  Python runs once per orbit that
     some row reaches, once per distinct witness class (certified once per
@@ -509,10 +554,10 @@ def _decide_block(
     K = ctx.canonical
     L = exact_rows(rows)
     M = L - np.array([K.a, *K.b], dtype=np.int64)
-    PM = P + ctx.curve_matrix @ np.array([-K.a, *(-x for x in K.b)], dtype=np.int64)  # P(M) = P(L) + P(-K)
+    PM = P + ctx.anticanonical_pairing  # P(M) = P(L) + P(-K)
     m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
     applicable = np.flatnonzero((PM.min(axis=1) >= 0) & (m2 >= 4 * k + 5))
-    L, M, P = L[applicable], M[applicable], P[applicable]
+    L, M, P, lowest = L[applicable], M[applicable], P[applicable], lowest[applicable]
     n = len(applicable)
 
     hit_rows, exceptional_hits = [], []
@@ -520,8 +565,8 @@ def _decide_block(
         hit_rows.append(ri)
         if table.exceptional[o]:
             exceptional_hits.append(ri[md - 1 < k])  # L.x = M.x - (-K).x = M.x - 1
-        for c in np.flatnonzero(np.bincount(ci, minlength=len(C))).tolist():
-            table.witness(tuple(C[c].tolist()))
+        for row in C[np.bincount(ci).nonzero()[0]].astype(np.int64).tolist():
+            table.witness(tuple(row))
     witnesses = _row_counts(hit_rows, n)
     # Each exceptional class x with L.x < k sits in the window (M.x <= k,
     # x.x = -1), and those hits are the exceptional ones with L.x < k; so a
@@ -530,7 +575,7 @@ def _decide_block(
     n_exc = len(ctx.exceptional_set)  # the test curves start with them
     missing_exc = _row_counts(exceptional_hits, n) < (P[:, :n_exc] < k).sum(axis=1)
 
-    passes = P.min(axis=1) >= k
+    passes = lowest >= k
     # An exception class is a multiple (3m; m, ..., m) of -K.  It satisfies
     # the inequalities without being k-very ample, and the window may or may
     # not show an obstruction for it (it does for -(k+1)K at rank 8, it
@@ -637,8 +682,8 @@ def consistency_sweep(
     scanned = covered = 0
     totals = [0] * 5
     violations = []
-    for rows, P, block_covered in blocks:
-        counts, found = _decide_block(rows, P, k, ctx, table)
+    for rows, P, lowest, block_covered in blocks:
+        counts, found = _decide_block(rows, P, lowest, k, ctx, table)
         scanned += len(rows)
         covered += block_covered
         totals = [t + c for t, c in zip(totals, counts)]

@@ -179,6 +179,32 @@ class TestSubcommands:
         assert code == 0
         assert "0-very ample: yes" in out
 
+    @pytest.mark.parametrize("r,k,literal", [(1, 1, "3;2"), (1, 1, "4;2"), (2, 2, "6;2,2"),
+                                             (7, 2, "6;2,2,2,2,2,2,2")])
+    def test_adjoint_builds_each_report_once(self, capsys, monkeypatch, r, k, literal):
+        import delpezzo.cli as cli
+        import delpezzo.positivity as positivity
+        from delpezzo.enumeration import surface_context
+        from delpezzo.lattice import adjoint
+        from delpezzo.positivity import adjoint_kva_check, is_k_very_ample
+
+        calls = []
+
+        def counting_report(L, k, ctx):
+            calls.append((L, k))
+            return is_k_very_ample(L, k, ctx)
+
+        # count reports built by the CLI and by any library helper it calls
+        monkeypatch.setattr(cli, "is_k_very_ample", counting_report)
+        monkeypatch.setattr(positivity, "is_k_very_ample", counting_report)
+        code, out, _ = run_cli(capsys, "adjoint", "--r", str(r), "--k", str(k), literal, "--json")
+        monkeypatch.undo()
+        assert code == 0
+        L = parse_class_literal(literal, r)
+        assert calls == [(L, k), (adjoint(L), k - 1)]
+        # the verdict read off the reports is the library's
+        assert json.loads(out)["adjoint_k_very_ample"] == adjoint_kva_check(L, k, surface_context(r))
+
     def test_adjoint_rejects_non_ample_input(self, capsys):
         code, _, err = run_cli(capsys, "adjoint", "--r", "2", "--k", "1", "3;2,2")
         assert code == 2

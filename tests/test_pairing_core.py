@@ -8,6 +8,7 @@ The package must agree with them exactly, including on coefficients far
 beyond ``SAFE_COEFF_BOUND`` where int64 would wrap.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delpezzo.lattice import (
+    FLOAT_EXACT_BOUND,
     SAFE_COEFF_BOUND,
     PicardClass,
     canonical_class,
     degree,
     fiber_class,
+    float_operand,
     intersect,
     point_class,
     sectional_genus,
@@ -28,6 +31,7 @@ from delpezzo.enumeration import surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
+    exact_product,
     exception_flag,
     generate_inequality_families,
     is_effective,
@@ -219,9 +223,13 @@ class TestPairingCore:
                 assert ctx.curve_gram[i, j] == intersect(x, y)
         L = PicardClass(7, tuple(range(ctx.r)))
         assert (ctx.curve_matrix @ np.array([L.a, *L.b])).tolist() == [intersect(L, x) for x in curves]
+        anticanonical = -canonical_class(ctx.r)
+        assert ctx.anticanonical_pairing.tolist() == [intersect(anticanonical, x) for x in curves]
 
     def test_cached_arrays_are_read_only(self, ctx):
-        for arr in (ctx.curve_matrix, ctx.curve_gram, ctx.curve_matrix_exact, *ctx.orbit_layout):
+        arrays = (ctx.curve_matrix, ctx.curve_gram, ctx.curve_matrix_exact, ctx.curve_operand,
+                  ctx.anticanonical_pairing, *ctx.orbit_layout)
+        for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -241,6 +249,77 @@ class TestPairingCore:
 
     def test_families_cached_on_rank_alone(self, ctx):
         assert generate_inequality_families(ctx.r, ctx) is generate_inequality_families(ctx.r)
+
+
+@st.composite
+def int64_blocks(draw):
+    """(r, rows): up to six class rows with every entry within
+    SAFE_COEFF_BOUND, the bounds themselves drawn often."""
+    r = draw(st.integers(1, 8))
+    corner = st.sampled_from([-SAFE_COEFF_BOUND, SAFE_COEFF_BOUND, 1 - SAFE_COEFF_BOUND, SAFE_COEFF_BOUND - 1])
+    entry = corner | st.integers(-SAFE_COEFF_BOUND, SAFE_COEFF_BOUND) | st.integers(-3, 3)
+    return r, draw(st.lists(st.lists(entry, min_size=r + 1, max_size=r + 1), min_size=1, max_size=6))
+
+
+class TestFloatRoute:
+    """int64 rows are paired through float64 BLAS; every result must equal
+    the product on Python integers."""
+
+    @given(int64_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_pairing_matrix_equals_the_exact_product(self, block):
+        r, rows = block
+        ctx = surface_context(r)
+        got = pairing_matrix(np.array(rows, dtype=np.int64), ctx)
+        assert ctx.curve_operand.dtype == np.float64  # the float route runs
+        assert got.dtype == np.int64
+        assert got.tolist() == (np.array(rows, dtype=object) @ ctx.curve_matrix_exact.T).tolist()
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_pairing_matrix_at_every_corner(self, r):
+        # all 2**(r+1) sign patterns of (a; b) at +-SAFE_COEFF_BOUND
+        ctx = surface_context(r)
+        rows = [list(signs) for signs in itertools.product((-SAFE_COEFF_BOUND, SAFE_COEFF_BOUND), repeat=r + 1)]
+        got = pairing_matrix(rows, ctx)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[intersect(PicardClass(a, tuple(b)), x) for x in ctx.test_curves]
+                                for a, *b in rows]
+
+    @pytest.mark.parametrize("rows,cols", [(1000, 240), (5, 20_000), (0, 7)])
+    def test_products_in_row_chunks_cover_every_entry(self, rows, cols):
+        # tall products and products wider than one chunk are split by rows
+        rng = np.random.default_rng(rows + cols)
+        A = rng.integers(-SAFE_COEFF_BOUND, SAFE_COEFF_BOUND + 1, size=(rows, 9))
+        B = rng.integers(-6, 7, size=(9, cols))
+        got = exact_product(A, float_operand(B))
+        assert got.dtype == np.int64
+        assert got.tolist() == (A.astype(object) @ B).tolist()
+
+    def test_operand_past_the_bound_takes_the_exact_path(self):
+        # 2**53 + 1 is no float64: a float product would return 2**53
+        B = np.array([[2**53 + 1], [1]], dtype=np.int64)
+        assert float_operand(B) is B
+        A = np.array([[1, 0], [SAFE_COEFF_BOUND, -3]], dtype=np.int64)
+        got = exact_product(A, float_operand(B))
+        assert got.dtype == object
+        assert got.tolist() == [[2**53 + 1], [SAFE_COEFF_BOUND * (2**53 + 1) - 3]]
+
+    def test_bound_is_checked_on_the_largest_partial_sum(self):
+        # n rows of B against entries below 2 * SAFE_COEFF_BOUND
+        for n in (1, 9):
+            largest = (FLOAT_EXACT_BOUND - 1) // (n * 2 * SAFE_COEFF_BOUND)
+            B = np.full((n, 3), -largest, dtype=np.int64)
+            assert float_operand(B).dtype == np.float64
+            B[-1, 0] = -(largest + 1)
+            assert float_operand(B).dtype == np.int64
+
+    def test_object_rows_against_a_float_operand(self):
+        ctx = surface_context(8)
+        row = np.array([[2**70 + 3] + [2**70] * 8], dtype=object)
+        got = exact_product(row, ctx.curve_operand)
+        assert got.dtype == object
+        L = PicardClass(2**70 + 3, (2**70,) * 8)
+        assert got.tolist() == [[intersect(L, x) for x in ctx.test_curves]]
 
 
 class TestExactBeyondInt64Bound:

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from delpezzo.lattice import PicardClass, canonical_class, degree, intersect, line, point_class
+from delpezzo.lattice import SAFE_COEFF_BOUND, PicardClass, canonical_class, degree, intersect, line, point_class
 from delpezzo.enumeration import distinct_permutations, orbit_size, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
@@ -338,6 +338,25 @@ def window_blocks(draw):
     return r, k, [_draw_M(draw, r) for _ in range(draw(st.integers(1, 6)))]
 
 
+EDGE = SAFE_COEFF_BOUND + 3  # largest |entry| of an int64 M = L - K
+
+
+@st.composite
+def edge_blocks(draw):
+    """(r, k, rows): up to six M rows with entries within EDGE, the edge
+    itself drawn often, some of them pencils (a + 3; a + 1, 1, ...)."""
+    r, k = draw(st.sampled_from([(2, 1), (5, 2), (7, 1), (8, 1)]))
+    entry = st.sampled_from([-EDGE, EDGE, 1 - EDGE, EDGE - 1]) | st.integers(-EDGE, EDGE)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            a = draw(st.integers(EDGE - 13, EDGE - 3))
+            rows.append([a + 3, a + 1] + [1] * (r - 1))
+        else:
+            rows.append([draw(entry) for _ in range(r + 1)])
+    return r, k, rows
+
+
 class TestFoldedWindow:
     """The orbit-folded window test against the full-table expression."""
 
@@ -357,8 +376,29 @@ class TestFoldedWindow:
         found = [[] for _ in Ms]
         for o, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms]), k):
             for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()):
-                found[j].append((C[c].tolist(), x, int(table.squares[o])))
+                found[j].append((C[c].astype(np.int64).tolist(), x, int(table.squares[o])))
         assert [sorted(f) for f in found] == [_full_table_window(r, k, M) for M in Ms]
+
+    @given(edge_blocks())
+    @example((8, 1, [[EDGE, EDGE - 2] + [1] * 7, [EDGE - 1, 1 - EDGE] + [-EDGE] * 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_int64_rows_at_the_edge_match_exact_rows(self, block):
+        # M = L - K for L within SAFE_COEFF_BOUND reaches SAFE_COEFF_BOUND + 3;
+        # the float route must give the hits of the same rows on Python integers
+        r, k, rows = block
+        table = _candidate_table(r, k)
+
+        def hits(M):
+            return sorted((o, c, j, x) for o, _, ci, ri, md in _window_hits(table, M, k)
+                          for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()))
+
+        found = hits(np.array(rows, dtype=np.int64))
+        assert table.operand.dtype == np.float64  # the float route runs
+        assert found == hits(np.array(rows, dtype=object))
+        if (r, k) == (8, 1) and rows[0] == [EDGE, EDGE - 2] + [1] * 7:
+            # the pencil (a; a, 0^7) - K: the seven e_j and l - e_1 - e_j
+            # (M.D = 1, D.D = -1) and l - e_1 (M.D = 2, D.D = 0)
+            assert sum(j == 0 for _, _, j, _ in found) == 15
 
     @pytest.mark.parametrize("r,k,a_max", [(2, 1, 8), (5, 2, 6), (7, 1, 5), (8, 1, 4)])
     def test_matches_the_full_table_on_a_nef_box(self, r, k, a_max):
@@ -383,7 +423,7 @@ class TestFoldedWindow:
         for o, (rep, size, d2) in enumerate(columns):
             alpha, *beta = rep
             assert beta == sorted(beta, reverse=True)
-            got = [tuple(row) for row in table.orbit_rows(o).tolist()]
+            got = [tuple(row) for row in table.orbit_rows(o).astype(np.int64).tolist()]
             assert got == [(alpha, *perm) for perm in distinct_permutations(tuple(beta))]
             assert len(got) == size
             assert d2 == alpha * alpha - sum(x * x for x in beta)
@@ -571,7 +611,7 @@ class TestBatchedSweepAgainstPerRow:
             assert (minimum_pairing_bulk(block, ctx8) >= 0).all()
             for k in (1, 2):
                 P = pairing_matrix(block, ctx8)
-                counts, violations = _decide_block(block, P, k, ctx8, _candidate_table(8, k))
+                counts, violations = _decide_block(block, P, P.min(axis=1), k, ctx8, _candidate_table(8, k))
                 expected, expected_violations = ref_decide(block, k, ctx8)
                 assert counts == expected
                 assert violations == expected_violations
