@@ -187,10 +187,18 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
 
 
 def _effectivity(
-    L: PicardClass, ctx: SurfaceContext, P: np.ndarray | None
+    L: PicardClass, ctx: SurfaceContext, P: np.ndarray | None, nef: bool = False
 ) -> tuple[bool, EffectivityCertificate | None]:
     """:func:`is_effective` for a checked rank, reusing the pairing vector
-    P of L when the caller already has it."""
+    P of L when the caller already has it, and its verdict that L is nef
+    (min P >= 0)."""
+    if nef:
+        # A nef class is effective with an empty chain: the reduction stops
+        # at once when L.(-K) > 0, and a nef L with L.(-K) = 0 is 0 (Hodge
+        # index, -K ample), which the reduction accepts as its terminal.
+        cert = EffectivityCertificate((), L)
+        assert cert.replay() == L
+        return True, cert
     if L.a < 0 or L.a < max(L.b):
         # pairs negatively with the nef class l or some l - e_i; at rank 1
         # this is the whole closed form
@@ -345,7 +353,7 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
     mp = _minimum(P)
     flag = exception_flag(L, k, ctx)
     nef = mp >= 0
-    effective, cert = _effectivity(L, ctx, P)
+    effective, cert = _effectivity(L, ctx, P, nef)
     violations = []
     if mp < k:
         # each family's value is the minimum pairing over its orbit

@@ -74,9 +74,9 @@ from .positivity import (
 #: sweeps refuse above this k and single searches emit a warning.
 DESK_SCALE_K = 2
 
-#: Largest exhaustive sweep, measured in descending-coordinate orbit
-#: representatives before pruning; bigger requests must sample instead.
-MAX_EXHAUSTIVE_REPRESENTATIVES = 2 * 10**6
+#: Largest exhaustive sweep, measured in box leaves (the descending rows of
+#: ``_box_leaves``, before the nef filter); bigger requests must sample instead.
+MAX_EXHAUSTIVE_LEAVES = 250_000
 
 
 @lru_cache(maxsize=None)
@@ -237,8 +237,8 @@ def _orbit_index(runs: tuple[int, ...]) -> np.ndarray:
     orbit: ``rep[index]`` lists each distinct ordering of beta once, in
     ascending (a, b) order.
 
-    Built one coordinate at a time, like _box_leaves: each partial row is
-    continued once per value it has left, smallest value first."""
+    Built one coordinate at a time: each partial row is continued once per
+    value it has left, smallest value first."""
     left = np.array([runs[::-1]])  # copies left of each value, smallest first
     value = np.empty((1, 0), dtype=np.intp)
     for _ in range(sum(runs)):
@@ -464,18 +464,42 @@ def _box_leaves(r: int, a_max: int) -> np.ndarray:
     and b_1 + b_2 <= a, in (a ascending, b descending) order.
 
     A nef class has 0 <= b_i <= a and (for r >= 2) b_i + b_j <= a, so these
-    descending-coordinate rows hold every nef orbit of the box.  Built one
-    coordinate at a time: each row is repeated once per admissible value of
-    its next coordinate, from min(b_j, a - b_1) down to 0."""
-    rows = np.arange(a_max + 1, dtype=np.int64)[:, None]
-    top = rows[:, 0]
-    for _ in range(r):
-        count = top + 1
-        offset = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
-        value = np.repeat(top, count) - offset
-        rows = np.column_stack([np.repeat(rows, count, axis=0), value])
-        top = np.minimum(value, rows[:, 0] - rows[:, 1])
+    descending-coordinate rows hold every nef orbit of the box.  The tail
+    (b_2, ..., b_r) of a leaf is any non-increasing tuple bounded by
+    c = min(b_1, a - b_1).  In descending-lex order the tuples bounded by
+    a_max // 2 end with exactly those bounded by c, comb(c + r - 1, r - 1)
+    of them, so one enumeration of the tuples serves every (a, b_1): each
+    pair is repeated once per tuple of its suffix, which is gathered."""
+    tails = itertools.combinations_with_replacement(range(a_max // 2, -1, -1), r - 1)
+    n_tails = _math.comb(a_max // 2 + r - 1, r - 1)
+    tails = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64, count=n_tails * (r - 1))
+    tails = tails.reshape(n_tails, r - 1)  # r = 1: one empty tail
+    a = np.repeat(np.arange(a_max + 1, dtype=np.int64), np.arange(1, a_max + 2))
+    b1 = a - (np.arange(len(a)) - a * (a + 1) // 2)  # b_1 from a down to 0
+    suffix = np.array([_math.comb(c + r - 1, r - 1) for c in range(a_max // 2 + 1)], dtype=np.int64)
+    count = suffix[np.minimum(b1, a - b1)]
+    rows = np.empty((int(count.sum()), r + 1), dtype=np.int64)
+    rows[:, 0] = np.repeat(a, count)
+    rows[:, 1] = np.repeat(b1, count)
+    rows[:, 2:] = tails[np.arange(len(rows)) + np.repeat(n_tails - np.cumsum(count), count)]
     return rows
+
+
+def _box_leaf_count(r: int, a_max: int, cap: float = _math.inf) -> int:
+    """``len(_box_leaves(r, a_max))`` without building the leaves, or the
+    first partial sum over a that exceeds ``cap``.
+
+    For one a, the c = min(b_1, a - b_1) below a/2 each come from two b_1
+    and add comb(c + r - 1, r - 1) leaves each, c = a/2 comes from one;
+    by the hockey-stick identity that is
+    2*comb(ceil(a/2) + r - 1, r) + [a even]*comb(a/2 + r - 1, r - 1)."""
+    total = 0
+    for a in range(a_max + 1):
+        half = (a + 1) // 2
+        total += 2 * _math.comb(half + r - 1, r) + (a % 2 == 0) * _math.comb(a // 2 + r - 1, r - 1)
+        if total > cap:
+            break
+    return total
 
 
 def _orbit_sizes(b: np.ndarray) -> np.ndarray:
@@ -642,11 +666,14 @@ def consistency_sweep(
     product finds the candidate orbits that reach each row's window.
     Witnesses are counted, not listed; a row's witness list is built only
     to word its violations.  The exhaustive mode runs on one
-    representative per coordinate-permutation orbit: all checks are
+    representative per coordinate-permutation orbit, the nef rows among
+    the box leaves of ``_box_leaves``: all checks are
     permutation-equivariant, so the representative decides its whole
-    orbit (counted in ``covered``).  Desk-scale only: k <= 2.  A negative
-    ``a_max``, a ``sample`` below 1, a negative ``seed`` and a sampled box
-    past the int64 sampler (``a_max`` above 2**63 - 1) raise ValueError.
+    orbit (counted in ``covered``).  Desk-scale only: k <= 2.  An
+    exhaustive box of more than ``MAX_EXHAUSTIVE_LEAVES`` leaves (counted
+    in closed form, before any leaf is built), a negative ``a_max``, a
+    ``sample`` below 1, a negative ``seed`` and a sampled box past the
+    int64 sampler (``a_max`` above 2**63 - 1) raise ValueError.
     """
     if ctx is None:
         ctx = surface_context(r)
@@ -660,11 +687,10 @@ def consistency_sweep(
     if a_max < 0:
         raise ValueError(f"box bound a_max must be >= 0, got {a_max}")
     if sample is None:
-        rep_bound = _math.comb(a_max + 1 + r, r + 1)  # descending tuples in the box
-        if rep_bound > MAX_EXHAUSTIVE_REPRESENTATIVES:
+        if _box_leaf_count(r, a_max, MAX_EXHAUSTIVE_LEAVES) > MAX_EXHAUSTIVE_LEAVES:
             raise ValueError(
-                f"exhaustive box has up to {rep_bound} orbit representatives "
-                f"(> {MAX_EXHAUSTIVE_REPRESENTATIVES}); pass sample= instead"
+                f"exhaustive box a <= {a_max} at rank {r} has more than "
+                f"{MAX_EXHAUSTIVE_LEAVES} descending leaves; pass sample= instead"
             )
         blocks = _nef_box_blocks(r, a_max, ctx)
     else:

@@ -31,6 +31,7 @@ from delpezzo.enumeration import surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
+    _effectivity,
     exact_product,
     exception_flag,
     generate_inequality_families,
@@ -40,8 +41,9 @@ from delpezzo.positivity import (
     minimum_pairing,
     minimum_pairing_bulk,
     pairing_matrix,
+    pairing_vector,
 )
-from delpezzo.reider import search_obstructions
+from delpezzo.reider import _box_leaves, search_obstructions
 
 # ---------------------------------------------------------------------------
 # Reference algorithms.
@@ -212,6 +214,34 @@ class TestEarlyReject:
     def test_agrees_with_the_greedy_reduction(self, L):
         ctx = surface_context(L.r)
         assert is_effective(L, ctx) == ref_is_effective(L, ctx)
+
+
+@st.composite
+def nef_classes(draw, r):
+    """Sums of nef classes are nef: up to three permuted nef box leaves plus
+    a multiple of -K, sometimes past SAFE_COEFF_BOUND.  The zero class is
+    drawn too (no leaves, no -K), the one nef class with L.(-K) = 0."""
+    leaves = _box_leaves(r, 6)
+    nef = leaves[minimum_pairing_bulk(leaves, surface_context(r)) >= 0].tolist()
+    L = draw(st.sampled_from([0, 1, 3, 10**7, 10**19])) * (-canonical_class(r))
+    for a, *b in draw(st.lists(st.sampled_from(nef), max_size=3)):
+        L = L + PicardClass(a, tuple(draw(st.permutations(b))))
+    return L
+
+
+class TestNefShortCircuit:
+    @given(ranked(nef_classes), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_report_certificate_is_the_reduction_certificate(self, L, k):
+        ctx = surface_context(L.r)
+        report = is_k_very_ample(L, k, ctx)
+        assert report.nef
+        assert report.certificate == is_effective(L, ctx)[1] == EffectivityCertificate((), L)
+        P = pairing_vector(L, ctx)
+        before = P.copy()
+        assert _effectivity(L, ctx, P, nef=True) == _effectivity(L, ctx, P) == (True, report.certificate)
+        assert P.dtype == before.dtype
+        np.testing.assert_array_equal(P, before)  # the caller's P is not mutated
 
 
 class TestPairingCore:

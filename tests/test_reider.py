@@ -24,9 +24,11 @@ from delpezzo.positivity import (
     pairing_vector,
 )
 from delpezzo.reider import (
+    MAX_EXHAUSTIVE_LEAVES,
     SweepSummary,
     SweepViolation,
     _assert_box_premises,
+    _box_leaf_count,
     _box_leaves,
     _candidate_table,
     _decide_block,
@@ -485,6 +487,21 @@ def ref_box_rows(r, a_max):
     return coeffs, np.array([orbit_size(row[1:]) for row in coeffs.tolist()], dtype=np.int64)
 
 
+def ref_box_leaves(r, a_max):
+    """The box leaves built one coordinate at a time: each row is repeated
+    once per admissible value of its next coordinate, from
+    min(b_j, a - b_1) down to 0."""
+    rows = np.arange(a_max + 1, dtype=np.int64)[:, None]
+    top = rows[:, 0]
+    for _ in range(r):
+        count = top + 1
+        offset = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+        value = np.repeat(top, count) - offset
+        rows = np.column_stack([np.repeat(rows, count, axis=0), value])
+        top = np.minimum(value, rows[:, 0] - rows[:, 1])
+    return rows
+
+
 def ref_sample_rows(r, a_max, count, seed):
     ctx = surface_context(r)
     rng = np.random.default_rng(seed)
@@ -596,6 +613,15 @@ class TestBatchedSweepAgainstPerRow:
         np.testing.assert_array_equal(nef, coeffs)
         np.testing.assert_array_equal(_orbit_sizes(nef[:, 1:]), weights)
 
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_box_leaves_match_the_column_by_column_build(self, r):
+        for a_max in (0, 1, 2, 3, 4, 7, 12, 16):
+            leaves = _box_leaves(r, a_max)
+            expected = ref_box_leaves(r, a_max)
+            assert leaves.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(leaves, expected)
+            assert _box_leaf_count(r, a_max) == len(leaves)
+
     def test_blocks_straddling_the_int64_bounds(self):
         # nef rows whose M = L - K crosses SAFE_COEFF_BOUND, or leaves int64
         # altogether: (2^63 - 1; 2^63 - 1, 0^7) - K has a = 2^63 + 2.  The
@@ -699,6 +725,30 @@ class TestConsistencySweep:
     def test_oversized_exhaustive_box_refusal(self):
         with pytest.raises(ValueError, match="sample"):
             consistency_sweep(8, 1, 200)
+
+    def test_rank8_box16_is_exhaustive(self):
+        summary = consistency_sweep(8, 1, 16)
+        assert summary.scanned == 47_132
+        assert summary.ok, summary.render()
+
+    def test_exhaustive_cap_threshold(self, monkeypatch):
+        import delpezzo.reider as reider
+
+        assert _box_leaf_count(8, 20) == 238_238 <= MAX_EXHAUSTIVE_LEAVES
+        assert _box_leaf_count(8, 21) == 325_754 > MAX_EXHAUSTIVE_LEAVES
+
+        # box 20 passes the cap: with no leaves built, its sweep scans nothing
+        monkeypatch.setattr(reider, "_box_leaves", lambda r, a_max: np.empty((0, r + 1), dtype=np.int64))
+        assert consistency_sweep(8, 1, 20).scanned == 0
+
+        # bigger boxes are refused before any leaf is built, however large
+        def unbuilt(r, a_max):
+            raise AssertionError(f"built the leaves of box {a_max}")
+
+        monkeypatch.setattr(reider, "_box_leaves", unbuilt)
+        for a_max in (21, 200, 10**18):
+            with pytest.raises(ValueError, match=f"a <= {a_max} at rank 8 has more than 250000 .*sample"):
+                consistency_sweep(8, 1, a_max)
 
     @pytest.mark.parametrize(
         "a_max,sample,seed,message",
