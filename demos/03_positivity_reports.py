@@ -27,7 +27,7 @@ print(f"report for {L} at k = 1:")
 print(json.dumps(report.as_dict(), indent=2))
 print()
 
-# the reduction certificate says which exceptional classes were peeled off
+# the effectivity certificate says which exceptional classes were peeled off
 ok, cert = is_effective(L, ctx)
 print(f"effective: {ok}")
 print(f"  subtracted: {[(str(c), m) for c, m in cert.subtracted]}")

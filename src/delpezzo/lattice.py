@@ -310,8 +310,8 @@ class SurfaceContext:
 
     @cached_property
     def curve_gram(self) -> np.ndarray:
-        """Gram matrix of the test curves: ``G[i, j] = x_i . x_j``.  Subtracting
-        x_i from a class changes its pairing vector by ``-G[i]``."""
+        """Gram matrix of the test curves: ``G[i, j] = x_i . x_j``.  Adding
+        n * x_i to a class changes its pairing vector by ``n * G[i]``."""
         X = np.array([[x.a, *x.b] for x in self.test_curves], dtype=np.int64)
         return _read_only(self.curve_matrix @ X.T)
 
@@ -320,12 +320,6 @@ class SurfaceContext:
         """``curve_matrix`` on Python integers, for coefficients beyond
         SAFE_COEFF_BOUND."""
         return _read_only(self.curve_matrix.astype(object))
-
-    @cached_property
-    def curve_gram_exact(self) -> np.ndarray:
-        """``curve_gram`` on Python integers, for coefficients beyond
-        SAFE_COEFF_BOUND."""
-        return _read_only(self.curve_gram.astype(object))
 
     @cached_property
     def curve_orbits(self) -> tuple[tuple[CurveTypePattern, np.ndarray], ...]:

@@ -8,18 +8,24 @@ against the test curves: the exceptional set, plus the fiber class
 * nef  <=>  every pairing >= 0           (and nef <=> spanned);
 * k-very ample  <=>  every pairing >= k, excluding three explicitly
   enumerated exception classes on the degree-1 and degree-2 surfaces;
-* effective is decided by repeatedly subtracting an exceptional class
-  that pairs negatively, which terminates because the anticanonical
-  degree drops by exactly 1 per step.
+* effective  <=>  the exceptional classes that pair negatively are
+  pairwise disjoint and the positive part of the Zariski decomposition
+  is nef (Zariski, Ann. of Math. 76, 1962; on del Pezzo surfaces every
+  negative curve is a (-1)-curve).  That is a closed form: the
+  certificate subtracts each negatively pairing class E exactly -L.E
+  times, in the order of a greedy reduction that subtracts one unit of
+  the most negative class at a time (ties by first index), and its cost
+  does not grow with those multiplicities.
 
 All of it is read off one pairing vector ``P = S @ (a, b)``, where S is
-the signed test-curve matrix cached on the :class:`SurfaceContext`; a
-reduction step subtracts a row of the cached Gram matrix from P.  The
-scalar and bulk routines share those arrays.  Arithmetic is exact: int64
-while every coefficient is within ``SAFE_COEFF_BOUND``, Python integers
-(object arrays) beyond it.  Bulk products of int64 rows run through
-float64 BLAS (:func:`exact_product`), and only where every partial sum is
-an integer below 2**53, so their results are exact integers too.
+the signed test-curve matrix cached on the :class:`SurfaceContext`; the
+positive part pairs as P plus multiples of rows of the cached Gram
+matrix.  The scalar and bulk routines share those arrays.  Arithmetic is
+exact: int64 while every coefficient is within ``SAFE_COEFF_BOUND``,
+Python integers (object arrays) beyond it.  Bulk products of int64 rows
+run through float64 BLAS (:func:`exact_product`), and only where every
+partial sum is an integer below 2**53, so their results are exact
+integers too.
 
 Each per-type inequality family is the same pairing test folded over a
 permutation orbit; ``generate_inequality_families`` derives them
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,8 +164,20 @@ class EffectivityCertificate:
 
     def replay(self) -> PicardClass:
         terminal = self.terminal
+        runs = self.subtracted
+        if len(runs) > 1:
+            # tied curves alternate over many runs of a few classes: total
+            # each class object's multiplicity, then add each class once
+            totals: dict[int, list] = {}
+            for cls, mult in runs:
+                entry = totals.get(id(cls))
+                if entry is None:
+                    totals[id(cls)] = [cls, mult]
+                else:
+                    entry[1] += mult
+            runs = totals.values()
         a, b = terminal.a, list(terminal.b)
-        for cls, mult in self.subtracted:
+        for cls, mult in runs:
             if len(cls.b) != len(b):
                 _same_rank(cls, terminal)  # raises
             a += mult * cls.a
@@ -174,13 +193,27 @@ def _check_context(L: PicardClass, ctx: SurfaceContext) -> None:
 
 
 def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, EffectivityCertificate | None]:
-    """Decide effectivity by reduction against the exceptional set.
+    """Decide effectivity in closed form, by the Zariski decomposition of L
+    along the (-1)-curves.
 
-    For rank >= 2: subtract the exceptional class with the most negative
-    pairing (ties broken by (a, b) order) until the remainder is zero,
-    nef, or visibly non-effective (non-positive anticanonical degree).
-    Rank 1 is the monoid generated by ``e_1`` and ``l - e_1``:
-    ``(a; b1)`` is effective iff ``a >= 0`` and ``a >= b1``.
+    Let C be the exceptional classes E with ``L.E < 0``.  If L is effective,
+    C is pairwise disjoint (two meeting curves E, E' of C would give
+    ``L.E + L.E' >= 0``), each E of C is a fixed component of multiplicity
+    at least ``-L.E``, and the positive part ``T = L + sum (L.E) * E`` over
+    C is nef.  Conversely a nef T makes ``L = T + sum (-L.E) * E``
+    effective.  So L is effective iff C is pairwise disjoint and T is nef;
+    the certificate subtracts each E of C ``-L.E`` times and ends at T.
+
+    Its runs are those of the greedy reduction, which subtracts the most
+    negatively pairing exceptional class one unit at a time, ties still
+    broken by first index in (a, b) order.  Subtracting E of C raises L.E
+    by one and leaves the rest of C alone, so the greedy fills levels:
+    between consecutive values lo < hi of L.E over C (the last hi is 0) it
+    takes every E with ``L.E <= lo`` once per level, in index order.  The
+    work grows with the number of runs, not with the multiplicities.
+
+    Rank 1 is the monoid generated by ``e_1`` and ``l - e_1``: ``(a; b1)``
+    is effective iff ``a >= 0`` and ``a >= b1``.
     """
     _check_context(L, ctx)
     return _effectivity(L, ctx, None)
@@ -190,12 +223,10 @@ def _effectivity(
     L: PicardClass, ctx: SurfaceContext, P: np.ndarray | None, nef: bool = False
 ) -> tuple[bool, EffectivityCertificate | None]:
     """:func:`is_effective` for a checked rank, reusing the pairing vector
-    P of L when the caller already has it, and its verdict that L is nef
-    (min P >= 0)."""
+    P of L when the caller already has it (P is never mutated), and its
+    verdict that L is nef (min P >= 0)."""
     if nef:
-        # A nef class is effective with an empty chain: the reduction stops
-        # at once when L.(-K) > 0, and a nef L with L.(-K) = 0 is 0 (Hodge
-        # index, -K ample), which the reduction accepts as its terminal.
+        # a nef class is its own positive part: C is empty
         cert = EffectivityCertificate((), L)
         assert cert.replay() == L
         return True, cert
@@ -204,48 +235,61 @@ def _effectivity(
         # this is the whole closed form
         return False, None
     if ctx.r == 1:
+        # C is e_1 when b1 < 0, read off L without a pairing vector, and
+        # T = (a; max(b1, 0)) is nef by the early reject
         a, b1 = L.a, L.b[0]
         if b1 < 0:
-            # -b1 copies of e_1, then the nef remainder (a; 0)
             cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(a, (0,)))
         else:
             cert = EffectivityCertificate((), L)
         assert cert.replay() == L
         return True, cert
-
-    degree_left = 3 * L.a - sum(L.b)  # anticanonical degree; drops by 1 per step
-    chain: list[list[int]] = []  # [curve index, multiplicity] runs, coalesced
-    if degree_left > 0:
-        # Rank >= 2: the test curves are exactly the exceptional set, sorted
-        # by (a, b), so argmin's first-index tie-break is the canonical one.
-        P = pairing_vector(L, ctx) if P is None else P.copy()
-        # int64 stays exact: each step moves P by a row of G (entries of a
-        # few units) and there are at most 3a - sum(b) <= 11 * SAFE_COEFF_BOUND steps
-        G = ctx.curve_gram_exact if P.dtype == object else ctx.curve_gram
-        while degree_left > 0:
-            i = int(P.argmin())
-            if P[i] >= 0:
-                break  # pairs >= 0 with everything: nef, hence effective
-            P -= G[i]
-            degree_left -= 1
-            if chain and chain[-1][0] == i:
-                chain[-1][1] += 1
-            else:
-                chain.append([i, 1])
-    exc = ctx.exceptional_set
+    if P is None:
+        P = pairing_vector(L, ctx)
+    exc, G = ctx.exceptional_set, ctx.curve_gram
+    # At rank >= 2 the test curves are the exceptional set.  Each round
+    # takes the most negative entry of Q (first index on ties): Q pairs
+    # L + sum (L.E) * E over the curves E of C taken so far.  While those
+    # are pairwise disjoint, each pairs 0 with that class and a curve of C
+    # not yet taken pairs with it as with L, so a negative entry that
+    # differs from P, or repeats a taken curve, means that C meets itself
+    # or that T is not nef.  Taken curves are pairwise disjoint, hence at
+    # most r + 1 rounds.  np.multiply in P's dtype keeps an object P exact.
+    Q = P
+    idx: list[int] = []  # C in the order found
+    vals: list[int] = []  # L.E along idx
     a, b = L.a, list(L.b)
-    for i, mult in chain:
-        a -= mult * exc[i].a
-        for j, x in enumerate(exc[i].b):
+    while True:
+        i = int(Q.argmin())
+        v = Q.item(i)
+        if v >= 0:
+            break  # Q is the pairing vector of T
+        if v != P.item(i) or i in idx:
+            return False, None
+        idx.append(i)
+        vals.append(v)
+        Q = Q + np.multiply(G[i], v, dtype=P.dtype)
+        E = exc[i]
+        a += v * E.a
+        for j, x in enumerate(E.b):
             if x:
-                b[j] -= mult * x
+                b[j] += v * x
     terminal = PicardClass._trusted(a, tuple(b))
-    if degree_left <= 0 and not terminal.is_zero():
-        return False, None  # ample classes see every effective class positively
-    # built from a list, not a generator: tuple() then allocates the exact
-    # size instead of shrinking a 10-slot tuple, whose leftover blocks
-    # accumulate in the per-size tuple free lists of a long-running process
-    cert = EffectivityCertificate(tuple([(exc[i], mult) for i, mult in chain]), terminal)
+    # the greedy's runs by level: `active` holds the curves with L.E <= lo,
+    # by index; only a range with one active curve (the first) gives a run
+    # longer than 1, and it merges with the next range when that range
+    # starts with the same curve
+    chain: list[tuple[PicardClass, int]] = []
+    active: list[int] = []
+    for i, lo, hi in zip(idx, vals, vals[1:] + [0]):
+        insort(active, i)
+        if hi == lo:
+            continue
+        runs = [(exc[i], hi - lo)] if len(active) == 1 else [(exc[j], 1) for j in active] * (hi - lo)
+        if chain and chain[-1][0] is runs[0][0]:
+            runs[0] = (runs[0][0], chain.pop()[1] + runs[0][1])
+        chain += runs
+    cert = EffectivityCertificate(tuple(chain), terminal)
     assert cert.replay() == L
     return True, cert
 

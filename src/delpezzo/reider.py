@@ -217,9 +217,10 @@ class _CandidateTable:
         return rows
 
     def witness(self, coeffs: tuple[int, ...]) -> tuple[PicardClass, EffectivityCertificate]:
-        """The class (a, *b) = ``coeffs`` and its own certificate (the greedy
-        reduction breaks ties by first index, so a permuted representative's
-        certificate would differ), against the context that admitted it."""
+        """The class (a, *b) = ``coeffs`` and its own certificate (the
+        certificate orders tied negative curves by first index, so a
+        permuted representative's certificate would differ), against the
+        context that admitted it."""
         hit = self.certified.get(coeffs)
         if hit is None:
             a, *b = coeffs

@@ -113,6 +113,15 @@ class TestSubcommands:
         assert "nef: no" in out
         assert "a >= b_i + b_j" in out
 
+    def test_check_huge_multiplicity_certificate(self, capsys):
+        # one exceptional class of multiplicity 10**8: a single run, read off
+        # in closed form rather than one step per unit
+        code, out, _ = run_cli(capsys, "check", "--r", "2", "0;-100000000,0", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdicts"]["effective"] is True
+        assert payload["certificate"] == {"subtracted": [["0;-1,0", 100000000]], "terminal": "0;0,0"}
+
     def test_check_parse_error_diagnostic(self, capsys):
         code, _, err = run_cli(capsys, "check", "--r", "2", "--k", "1", "3;2,x")
         assert code == 2

@@ -2,14 +2,21 @@
 
 ``ref_minimum_pairing``, ``ref_is_effective`` and ``ref_report`` copy the
 package's original pure-Python algorithms as an oracle: one ``intersect``
-per test curve, a greedy reduction that rescans the exceptional set at
-every step, and every inequality family evaluated by its closed form.
-The package must agree with them exactly, including on coefficients far
-beyond ``SAFE_COEFF_BOUND`` where int64 would wrap.
+per test curve, a greedy reduction that rescans the exceptional set and
+subtracts one exceptional class per step, and every inequality family
+evaluated by its closed form.  The package decides effectivity in closed
+form (the Zariski decomposition) and must agree with the greedy exactly,
+certificates included, also on coefficients far beyond
+``SAFE_COEFF_BOUND`` where int64 would wrap.  Multiplicities too large
+for the greedy to replay are checked against the decomposition itself
+(``assert_zariski_certificate``).
 """
 
 import itertools
 import json
+import operator
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -74,7 +81,7 @@ def ref_is_effective(L, ctx):
             return False, None
         worst_val, worst = 0, None
         for xi in ctx.exceptional_set:
-            v = xi.a * a - sum(p * q for p, q in zip(xi.b, b))
+            v = xi.a * a - sum(map(operator.mul, xi.b, b))
             if v < worst_val:
                 worst_val, worst = v, xi
         if worst is None:
@@ -138,7 +145,9 @@ def ref_report(L, k, ctx):
 # ---------------------------------------------------------------------------
 # Strategies.  Huge classes are m*(-K) + c*xi + D with m beyond the int64
 # bound: -K pairs 1 with every exceptional class, so with c = m + t the
-# reduction has a handful of steps instead of ~m of them.
+# greedy reference has a handful of steps instead of ~m of them.  The
+# package's closed form takes the same time either way; huge
+# multiplicities themselves are in TestHugeMultiplicity.
 
 small = st.integers(-12, 12)
 
@@ -216,15 +225,20 @@ class TestEarlyReject:
         assert is_effective(L, ctx) == ref_is_effective(L, ctx)
 
 
+@lru_cache(maxsize=None)
+def nef_leaves(r):
+    """The nef leaves of the box-6 sweep at rank r, as (a, *b) tuples."""
+    leaves = _box_leaves(r, 6)
+    return tuple(map(tuple, leaves[minimum_pairing_bulk(leaves, surface_context(r)) >= 0].tolist()))
+
+
 @st.composite
 def nef_classes(draw, r):
     """Sums of nef classes are nef: up to three permuted nef box leaves plus
     a multiple of -K, sometimes past SAFE_COEFF_BOUND.  The zero class is
     drawn too (no leaves, no -K), the one nef class with L.(-K) = 0."""
-    leaves = _box_leaves(r, 6)
-    nef = leaves[minimum_pairing_bulk(leaves, surface_context(r)) >= 0].tolist()
     L = draw(st.sampled_from([0, 1, 3, 10**7, 10**19])) * (-canonical_class(r))
-    for a, *b in draw(st.lists(st.sampled_from(nef), max_size=3)):
+    for a, *b in draw(st.lists(st.sampled_from(nef_leaves(r)), max_size=3)):
         L = L + PicardClass(a, tuple(draw(st.permutations(b))))
     return L
 
@@ -405,3 +419,112 @@ class TestExactBeyondInt64Bound:
             assert outcome.applicable
             assert {w.D for w in outcome.witnesses} == {point_class(8, i) for i in range(1, 9)}
             assert all(w.MD == 1 for w in outcome.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# The closed form: exhaustively and on Zariski-shaped sums against the
+# greedy, and against the decomposition itself where the greedy cannot go.
+
+
+def assert_zariski_certificate(L, ctx, result):
+    """The certificate of an effective L checked from the mathematics, not
+    from the greedy: it replays to L, every subtracted class is exceptional
+    (E.E = K.E = -1), the subtracted classes are pairwise disjoint, each
+    E with L.E < 0 is subtracted exactly -L.E times in total and no other
+    class is, and the terminal is nef."""
+    effective, cert = result
+    assert effective
+    replayed = cert.terminal
+    for E, mult in cert.subtracted:
+        replayed = replayed + mult * E
+    assert cert.replay() == replayed == L
+    K = canonical_class(ctx.r)
+    totals = {}
+    for E, mult in cert.subtracted:
+        assert intersect(E, E) == -1 and intersect(K, E) == -1
+        assert mult >= 1
+        totals[E] = totals.get(E, 0) + mult
+    for E, F in itertools.combinations(totals, 2):
+        assert intersect(E, F) == 0
+    negative = {E: -intersect(L, E) for E in ctx.exceptional_set if intersect(L, E) < 0}
+    assert totals == negative
+    assert ref_minimum_pairing(cert.terminal, ctx) >= 0
+
+
+@st.composite
+def zariski_sums(draw, r, meeting=False, huge=False):
+    """T + sum of n_E * E: T a permuted nef box leaf, the E a pairwise
+    disjoint set of exceptional classes, n_E in 1..12 and often equal, so
+    that the greedy's tie-break by first index is exercised.  With
+    ``meeting``, one more exceptional class that meets one of the E is
+    subtracted, which usually leaves no effective class.  With ``huge``,
+    the first E gets up to 10**30 more."""
+    ctx = surface_context(r)
+    a, *b = draw(st.sampled_from(nef_leaves(r)))
+    L = PicardClass(a, tuple(draw(st.permutations(b))))
+    disjoint = []
+    for E in draw(st.lists(st.sampled_from(ctx.exceptional_set), min_size=1, max_size=r)):
+        if all(intersect(E, F) == 0 for F in disjoint):  # E.E = -1 keeps out repeats
+            disjoint.append(E)
+    shared = draw(st.integers(1, 12))
+    for E in disjoint:
+        L = L + draw(st.just(shared) | st.integers(1, 12)) * E
+    if huge:
+        L = L + draw(st.integers(1, 10**30) | st.sampled_from([10**7, 2**63, 10**30])) * disjoint[0]
+    if meeting:
+        F = draw(st.sampled_from([F for F in ctx.exceptional_set if any(intersect(E, F) > 0 for E in disjoint)]))
+        L = L - draw(st.integers(1, 12)) * F
+    return L
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_equals_the_greedy_on_a_whole_box(self, r):
+        ctx = surface_context(r)
+        for a in range(0, 9):
+            for b in itertools.product(range(-8, 9), repeat=r):
+                L = PicardClass(a, b)
+                assert is_effective(L, ctx) == ref_is_effective(L, ctx), L
+
+    @given(st.integers(2, 8).flatmap(zariski_sums))
+    @settings(max_examples=100, deadline=None)
+    def test_zariski_sums_equal_the_greedy(self, L):
+        ctx = surface_context(L.r)
+        got = is_effective(L, ctx)
+        assert got == ref_is_effective(L, ctx)
+        assert_zariski_certificate(L, ctx, got)
+
+    @given(st.integers(2, 8).flatmap(lambda r: zariski_sums(r, meeting=True)))
+    @settings(max_examples=100, deadline=None)
+    def test_sums_less_a_meeting_class_equal_the_greedy(self, L):
+        ctx = surface_context(L.r)
+        got = is_effective(L, ctx)
+        assert got == ref_is_effective(L, ctx)
+        if got[0]:
+            assert_zariski_certificate(L, ctx, got)
+
+
+class TestHugeMultiplicity:
+    """The closed form's work does not grow with the multiplicities; the
+    greedy reference takes one step per unit, so it is not run here."""
+
+    @staticmethod
+    def timed_is_effective(L):
+        ctx = surface_context(L.r)  # built outside the timed call
+        start = time.perf_counter()
+        result = is_effective(L, ctx)
+        assert time.perf_counter() - start < 0.25
+        return result
+
+    def test_point_of_multiplicity_1e20(self):
+        got = self.timed_is_effective(PicardClass(0, (-10**20, 0)))
+        assert got == (True, EffectivityCertificate(((point_class(2, 1), 10**20),), PicardClass(0, (0, 0))))
+
+    def test_line_plus_1e7_points_at_rank_8(self):
+        got = self.timed_is_effective(PicardClass(1, (-10**7,) + (0,) * 7))
+        assert got == (True, EffectivityCertificate(((point_class(8, 1), 10**7),), PicardClass(1, (0,) * 8)))
+
+    @given(st.integers(2, 8).flatmap(lambda r: zariski_sums(r, huge=True)))
+    @settings(max_examples=60, deadline=None)
+    def test_zariski_oracle(self, L):
+        assert_zariski_certificate(L, surface_context(L.r), self.timed_is_effective(L))

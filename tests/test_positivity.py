@@ -150,7 +150,7 @@ class TestEffectivity:
     def test_negative_verdicts_have_separating_nef_class(self, r):
         # a nef class pairs >= 0 with every effective class, so finding a
         # nef N with L.N < 0 certifies non-effectivity independently of
-        # the reduction; every negative verdict in the box must admit one
+        # the closed form; every negative verdict in the box must admit one
         ctx = surface_context(r)
         nef_box = []
         for a in range(0, 13):
