@@ -19,6 +19,7 @@ from .lattice import (
     adjoint,
     canonical_class,
     degree,
+    fiber_class,
     intersect,
     line,
     point_class,
@@ -45,7 +46,6 @@ from .positivity import (
     f1_class,
     f1_coords,
     f1_is_k_very_ample,
-    fiber_class,
     generate_inequality_families,
     is_big,
     is_effective,

@@ -36,7 +36,7 @@ from .enumeration import (
     surface_context,
 )
 from .positivity import is_k_very_ample
-from .reider import DESK_SCALE_K, consistency_sweep
+from .reider import consistency_sweep
 from . import tables as table_views
 
 USAGE_ERROR = 2
@@ -241,13 +241,6 @@ def _cmd_verify(parser, args) -> int:
     _check_rank_arg(parser, args.r)
     if args.k < 0:
         parser.error(f"--k must be >= 0, got {args.k}")
-    if args.k > DESK_SCALE_K:
-        print(
-            f"refusing: verify is desk-scale only (k <= {DESK_SCALE_K}); the scan box "
-            f"grows like (6*(2k+1))*(2k+2+6*(2k+1))**r and k={args.k} is past the envelope",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
     seed = 0 if args.seed is None else args.seed
     try:
         summary = consistency_sweep(args.r, args.k, args.box, sample=args.sample, seed=seed)

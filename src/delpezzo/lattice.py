@@ -303,23 +303,11 @@ class SurfaceContext:
         return float_operand(self.curve_matrix.T)
 
     @cached_property
-    def anticanonical_pairing(self) -> np.ndarray:
-        """The pairing vector of ``-K``: ``curve_matrix @ (3, 1, ..., 1)``."""
-        A = self.anticanonical
-        return _read_only(self.curve_matrix @ np.array([A.a, *A.b], dtype=np.int64))
-
-    @cached_property
     def curve_gram(self) -> np.ndarray:
         """Gram matrix of the test curves: ``G[i, j] = x_i . x_j``.  Adding
         n * x_i to a class changes its pairing vector by ``n * G[i]``."""
         X = np.array([[x.a, *x.b] for x in self.test_curves], dtype=np.int64)
         return _read_only(self.curve_matrix @ X.T)
-
-    @cached_property
-    def curve_matrix_exact(self) -> np.ndarray:
-        """``curve_matrix`` on Python integers, for coefficients beyond
-        SAFE_COEFF_BOUND."""
-        return _read_only(self.curve_matrix.astype(object))
 
     @cached_property
     def curve_orbits(self) -> tuple[tuple[CurveTypePattern, np.ndarray], ...]:

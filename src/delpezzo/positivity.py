@@ -28,10 +28,12 @@ partial sum is an integer below 2**53, so their results are exact
 integers too.
 
 Each per-type inequality family is the same pairing test folded over a
-permutation orbit; ``generate_inequality_families`` derives them
-mechanically.  Their closed form :meth:`InequalityFamily.evaluate` and
-:func:`minimum_family_value_bulk` are kept as an independent formulation
-that the tests check the pairing core against.
+permutation orbit: ``generate_inequality_families`` makes one family per
+orbit of ``SurfaceContext.curve_orbits``, the grouping that also gives a
+report its per-family values.  The families' closed form
+:meth:`InequalityFamily.evaluate` and :func:`minimum_family_value_bulk`
+are kept as an independent formulation that the tests check the pairing
+core against.
 """
 
 from __future__ import annotations
@@ -54,11 +56,9 @@ from .lattice import (
     _genus,
     _same_rank,
     degree,
-    fiber_class,
-    type_pattern,
     adjoint as adjoint_class,
 )
-from .enumeration import exceptional_type_census
+from .enumeration import surface_context
 
 EXCEPTION_NONE = "none"
 EXCEPTION_MINUS_KK_S8 = "minus_kK_S8"
@@ -120,11 +120,16 @@ def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def pairing_vector(L: PicardClass, ctx: SurfaceContext) -> np.ndarray:
     """Intersection numbers of L with ``ctx.test_curves``, exact."""
-    if L.r != ctx.r:
-        raise LatticeMismatchError(f"class of rank {L.r} paired in rank-{ctx.r} context")
+    _check_context(L, ctx)
     if int64_safe(L):
         return ctx.curve_matrix @ np.array((L.a, *L.b), dtype=np.int64)
-    return ctx.curve_matrix_exact @ np.array((L.a, *L.b), dtype=object)
+    # an int64 matrix times an object vector is computed on Python integers
+    return ctx.curve_matrix @ np.array((L.a, *L.b), dtype=object)
+
+
+def _check_context(L: PicardClass, ctx: SurfaceContext) -> None:
+    if ctx.r != L.r:
+        raise LatticeMismatchError(f"class of rank {L.r} checked in rank-{ctx.r} context")
 
 
 def _minimum(P: np.ndarray) -> int:
@@ -186,10 +191,12 @@ class EffectivityCertificate:
                     b[j] += mult * x
         return PicardClass._trusted(a, tuple(b))
 
-
-def _check_context(L: PicardClass, ctx: SurfaceContext) -> None:
-    if ctx.r != L.r:
-        raise RankError(f"class of rank {L.r} checked in rank-{ctx.r} context")
+    def as_dict(self) -> dict:
+        """Machine-readable form; field names and order are stable."""
+        return {
+            "subtracted": [[c.render(), m] for c, m in self.subtracted],
+            "terminal": self.terminal.render(),
+        }
 
 
 def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, EffectivityCertificate | None]:
@@ -362,12 +369,6 @@ class PositivityReport:
 
     def as_dict(self) -> dict:
         """Machine-readable form; field names and order are stable."""
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "subtracted": [[c.render(), m] for c, m in self.certificate.subtracted],
-                "terminal": self.certificate.terminal.render(),
-            }
         return {
             "subject": self.subject.render(),
             "r": self.r,
@@ -383,7 +384,7 @@ class PositivityReport:
             },
             "violations": [v.as_dict() for v in self.violations],
             "exception_flag": self.exception_flag,
-            "certificate": cert,
+            "certificate": None if self.certificate is None else self.certificate.as_dict(),
         }
 
 
@@ -392,7 +393,6 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
     at level k minus the enumerated exceptions."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    _check_context(L, ctx)
     P = pairing_vector(L, ctx)
     mp = _minimum(P)
     flag = exception_flag(L, k, ctx)
@@ -435,7 +435,6 @@ class InequalityFamily:
     a_coeff: int
     b_coeffs: tuple[int, ...]  # descending multiplicities; one slot each
     source_type: CurveTypePattern
-    k_coeff: int = 1
 
     def evaluate(self, L: PicardClass) -> int:
         """min over the orbit of the pairing with L (exact, no orbit scan):
@@ -449,7 +448,7 @@ class InequalityFamily:
         return self.a_coeff * L.a - best
 
     def satisfied(self, L: PicardClass, k: int) -> bool:
-        return self.evaluate(L) >= self.k_coeff * k
+        return self.evaluate(L) >= k
 
     def label(self, with_k: bool = True) -> str:
         """Symbolic form, e.g. ``a >= b_i + b_j + k`` or ``b_i >= k``."""
@@ -477,9 +476,11 @@ class InequalityFamily:
 
 
 def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> tuple[InequalityFamily, ...]:
-    """One family per exceptional type present at rank r, plus the
-    ``a >= b_1 + k`` fiber family at rank 1.  Evaluating every family at
-    (L, k) is equivalent to pairing L against the full exceptional set.
+    """One family per permutation orbit of the test curves, in the order of
+    ``surface_context(r).curve_orbits``: one per exceptional type present
+    at rank r, plus the ``a >= b_1 + k`` fiber family at rank 1.
+    Evaluating every family at (L, k) is equivalent to pairing L against
+    every test curve.
 
     The families depend on r alone: ``ctx`` is accepted for existing
     callers and ignored, and the cache is keyed on r only."""
@@ -488,17 +489,10 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
 
 @lru_cache(maxsize=None)
 def _inequality_families(r: int) -> tuple[InequalityFamily, ...]:
-    census = exceptional_type_census(r)
-    fams = [
+    return tuple(
         InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
-        for pat, _ in census.counts
-    ]
-    if r == 1:
-        fib = fiber_class()
-        fams.append(
-            InequalityFamily(r=1, a_coeff=1, b_coeffs=(1,), source_type=type_pattern(fib))
-        )
-    return tuple(sorted(fams, key=lambda f: f.source_type.sort_key()))
+        for pat, _ in surface_context(r).curve_orbits
+    )
 
 
 @lru_cache(maxsize=None)

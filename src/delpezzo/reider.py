@@ -39,11 +39,12 @@ once per table.
 ``search_obstructions`` runs the kernel on its one M and lists the
 witnesses in (a, b) order.  ``consistency_sweep`` runs it on blocks of
 box rows and decides each block with array operations: one pairing
-matrix per block gives the nef filter, the premise and the pairing
-verdict, and the sweep counts witnesses instead of listing them.  For
-non-nef L the bounds in (i) and (v) that use L.D >= 0 are not theorems,
-so the scan is best-effort outside the nef cone (the outcome says which
-box was used).
+matrix per block gives the nef filter and the pairing verdict, and the
+premise of a nef row is M.M >= 4k + 5 alone (-K pairs >= 1 with every
+test curve, so M = L + (-K) is nef with L); the sweep counts witnesses
+instead of listing them.  For non-nef L the bounds in (i) and (v) that
+use L.D >= 0 are not theorems, so the scan is best-effort outside the
+nef cone (the outcome says which box was used).
 """
 
 from __future__ import annotations
@@ -134,10 +135,7 @@ class ObstructionWitness:
             "MD": self.MD,
             "D_squared": self.D_squared,
             "window": [[lhs, op, rhs] for lhs, op, rhs in self.window],
-            "certificate": {
-                "subtracted": [[c.render(), m] for c, m in self.effectivity_certificate.subtracted],
-                "terminal": self.effectivity_certificate.terminal.render(),
-            },
+            "certificate": self.effectivity_certificate.as_dict(),
         }
 
 
@@ -571,6 +569,8 @@ def _decide_block(
     """The sweep over one block of nef rows L with pairing matrix P = P(L)
     and its row minima ``lowest``: the counts (applicable, passing,
     failing, exceptions, witnesses) and the violations, in row order.
+    M = L + (-K) of a nef row is nef (-K pairs >= 1 with every test
+    curve), so its premise is M.M >= 4k + 5 alone.
 
     Every verdict is an array comparison.  Python runs once per orbit that
     some row reaches, once per distinct witness class (certified once per
@@ -579,9 +579,8 @@ def _decide_block(
     K = ctx.canonical
     L = exact_rows(rows)
     M = L - np.array([K.a, *K.b], dtype=np.int64)
-    PM = P + ctx.anticanonical_pairing  # P(M) = P(L) + P(-K)
     m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
-    applicable = np.flatnonzero((PM.min(axis=1) >= 0) & (m2 >= 4 * k + 5))
+    applicable = np.flatnonzero(m2 >= 4 * k + 5)
     L, M, P, lowest = L[applicable], M[applicable], P[applicable], lowest[applicable]
     n = len(applicable)
 
@@ -662,9 +661,10 @@ def consistency_sweep(
     returned as a violation (and means a genuine bug).
 
     The rows are decided in blocks of array operations: one pairing matrix
-    P(L) per block serves the nef filter, the premise (through
-    P(M) = P(L) + P(-K)) and the pairing verdict, and one orbit-floor
-    product finds the candidate orbits that reach each row's window.
+    P(L) per block serves the nef filter and the pairing verdict, the
+    premise is M.M >= 4k + 5 alone (-K pairs >= 1 with every test curve,
+    so M = L + (-K) is nef with L), and one orbit-floor product finds the
+    candidate orbits that reach each row's window.
     Witnesses are counted, not listed; a row's witness list is built only
     to word its violations.  The exhaustive mode runs on one
     representative per coordinate-permutation orbit, the nef rows among
@@ -682,7 +682,7 @@ def consistency_sweep(
         raise ValueError(f"context rank {ctx.r} does not match r={r}")
     if k > DESK_SCALE_K:
         raise ValueError(
-            f"consistency_sweep is desk-scale only (k <= {DESK_SCALE_K}); "
+            f"consistency_sweep is desk-scale only (k <= {DESK_SCALE_K}, got k = {k}); "
             f"the scan box grows like (6*(2k+1))*(2k+2+6*(2k+1))**r"
         )
     if a_max < 0:

@@ -146,7 +146,7 @@ class TestSubcommands:
     def test_verify_refuses_past_envelope(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--r", "8", "--k", "5")
         assert code == 2
-        assert "desk-scale" in err
+        assert err.startswith("refusing: ") and "desk-scale" in err
 
     def test_verify_refuses_oversized_exhaustive_box(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--r", "8", "--k", "1", "--box", "200")

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from delpezzo.lattice import (
     FLOAT_EXACT_BOUND,
     SAFE_COEFF_BOUND,
+    LatticeMismatchError,
     PicardClass,
     canonical_class,
     degree,
@@ -33,8 +34,9 @@ from delpezzo.lattice import (
     intersect,
     point_class,
     sectional_genus,
+    type_pattern,
 )
-from delpezzo.enumeration import surface_context
+from delpezzo.enumeration import exceptional_type_census, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
@@ -42,15 +44,18 @@ from delpezzo.positivity import (
     exact_product,
     exception_flag,
     generate_inequality_families,
+    is_big,
     is_effective,
     is_k_very_ample,
+    is_nef,
+    is_spanned,
     minimum_family_value_bulk,
     minimum_pairing,
     minimum_pairing_bulk,
     pairing_matrix,
     pairing_vector,
 )
-from delpezzo.reider import _box_leaves, search_obstructions
+from delpezzo.reider import _box_leaves, search_obstructions, window_applicable
 
 # ---------------------------------------------------------------------------
 # Reference algorithms.
@@ -267,12 +272,12 @@ class TestPairingCore:
                 assert ctx.curve_gram[i, j] == intersect(x, y)
         L = PicardClass(7, tuple(range(ctx.r)))
         assert (ctx.curve_matrix @ np.array([L.a, *L.b])).tolist() == [intersect(L, x) for x in curves]
+        # the sweep's premise: M = L + (-K) is nef whenever L is
         anticanonical = -canonical_class(ctx.r)
-        assert ctx.anticanonical_pairing.tolist() == [intersect(anticanonical, x) for x in curves]
+        assert min(intersect(anticanonical, x) for x in curves) >= 1
 
     def test_cached_arrays_are_read_only(self, ctx):
-        arrays = (ctx.curve_matrix, ctx.curve_gram, ctx.curve_matrix_exact, ctx.curve_operand,
-                  ctx.anticanonical_pairing, *ctx.orbit_layout)
+        arrays = (ctx.curve_matrix, ctx.curve_gram, ctx.curve_operand, *ctx.orbit_layout)
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -280,6 +285,11 @@ class TestPairingCore:
     def test_orbits_follow_the_families(self, ctx):
         fams = generate_inequality_families(ctx.r)
         assert [fam.source_type for fam in fams] == [pat for pat, _ in ctx.curve_orbits]
+        # independently of the orbits: the exceptional types, and the fiber at rank 1
+        expected = [pat for pat, _ in exceptional_type_census(ctx.r).counts]
+        if ctx.r == 1:
+            expected.append(type_pattern(fiber_class(1)))
+        assert [fam.source_type for fam in fams] == sorted(expected, key=lambda pat: pat.sort_key())
         covered = np.sort(np.concatenate([idx for _, idx in ctx.curve_orbits]))
         np.testing.assert_array_equal(covered, np.arange(len(ctx.test_curves)))
 
@@ -293,6 +303,22 @@ class TestPairingCore:
 
     def test_families_cached_on_rank_alone(self, ctx):
         assert generate_inequality_families(ctx.r, ctx) is generate_inequality_families(ctx.r)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        minimum_pairing, is_nef, is_big, is_spanned, is_effective,
+        lambda L, ctx: is_k_very_ample(L, 1, ctx),
+        lambda L, ctx: search_obstructions(L, 1, ctx),
+        lambda L, ctx: window_applicable(L, 1, ctx),
+    ],
+    ids=["minimum_pairing", "is_nef", "is_big", "is_spanned", "is_effective",
+         "is_k_very_ample", "search_obstructions", "window_applicable"],
+)
+def test_foreign_rank_class_is_a_lattice_mismatch(check):
+    with pytest.raises(LatticeMismatchError):
+        check(PicardClass(3, (1, 1)), surface_context(3))
 
 
 @st.composite
@@ -317,7 +343,7 @@ class TestFloatRoute:
         got = pairing_matrix(np.array(rows, dtype=np.int64), ctx)
         assert ctx.curve_operand.dtype == np.float64  # the float route runs
         assert got.dtype == np.int64
-        assert got.tolist() == (np.array(rows, dtype=object) @ ctx.curve_matrix_exact.T).tolist()
+        assert got.tolist() == (np.array(rows, dtype=object) @ ctx.curve_matrix.astype(object).T).tolist()
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_pairing_matrix_at_every_corner(self, r):

@@ -11,6 +11,7 @@ from delpezzo.lattice import (
     adjoint,
     canonical_class,
     degree,
+    fiber_class,
     intersect,
     line,
     point_class,
@@ -28,7 +29,6 @@ from delpezzo.positivity import (
     f1_class,
     f1_coords,
     f1_is_k_very_ample,
-    fiber_class,
     generate_inequality_families,
     is_big,
     is_effective,
