@@ -210,10 +210,6 @@ class CurveTypePattern:
     def has_negative(self) -> bool:
         return any(m < 0 for m, _ in self.entries)
 
-    @property
-    def total_count(self) -> int:
-        return sum(n for _, n in self.entries)
-
     def multiplicities(self) -> tuple[int, ...]:
         """The multiset of nonzero b-values, descending, one slot each."""
         return tuple(m for m, n in self.entries for _ in range(n))

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import operator
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,6 +65,15 @@ EXCEPTION_NONE = "none"
 EXCEPTION_MINUS_KK_S8 = "minus_kK_S8"
 EXCEPTION_MINUS_K1K_S8 = "minus_k1K_S8"
 EXCEPTION_MINUS_K_S7_K1 = "minus_K_S7_k1"
+
+
+def ampleness_level(k, least: int = 0) -> int:
+    """k as a plain int (``operator.index`` admits Python and numpy integers
+    and refuses floats), refused below ``least``."""
+    k = operator.index(k)
+    if k < least:
+        raise ValueError(f"k must be >= {least}, got {k}")
+    return k
 
 
 def int64_safe(L: PicardClass) -> bool:
@@ -391,8 +401,7 @@ class PositivityReport:
 def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:
     """Full positivity report; the k-very-ample verdict is the pairing test
     at level k minus the enumerated exceptions."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = ampleness_level(k)
     P = pairing_vector(L, ctx)
     mp = _minimum(P)
     flag = exception_flag(L, k, ctx)
@@ -509,8 +518,7 @@ def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:
     exception class, which happens exactly for L = -2K at rank 7, k = 2.
     For rank 1 the verdict is True iff ``a >= b_1 + k + 1``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = ampleness_level(k, 1)
     report = is_k_very_ample(L, k, ctx)
     if not report.k_very_ample:
         raise ValueError(f"{L} is not {k}-very ample; adjoint check needs that")
@@ -520,8 +528,7 @@ def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:
 def degree_bound_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:
     """Assert-style check ``degree(L) >= k^2 + 3k + 2`` for k-very ample L
     with k >= 2 and L != -kK.  Expected to hold always."""
-    if k < 2:
-        raise ValueError(f"degree bound applies for k >= 2, got {k}")
+    k = ampleness_level(k, 2)
     if L == -k * ctx.canonical:
         raise ValueError(f"{L} = -{k}K is excluded from the degree bound")
     if not is_k_very_ample(L, k, ctx).k_very_ample:
@@ -546,8 +553,7 @@ def f1_class(a0: int, b: int) -> PicardClass:
 
 def f1_is_k_very_ample(a0: int, b: int, k: int) -> bool:
     """k-very ampleness in (a0, b) coordinates: a0 >= k and b >= a0 + k."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = ampleness_level(k)
     return a0 >= k and b >= a0 + k
 
 

@@ -38,19 +38,21 @@ once per table.
 
 ``search_obstructions`` runs the kernel on its one M and lists the
 witnesses in (a, b) order.  ``consistency_sweep`` runs it on blocks of
-box rows and decides each block with array operations: one pairing
-matrix per block gives the nef filter and the pairing verdict, and the
-premise of a nef row is M.M >= 4k + 5 alone (-K pairs >= 1 with every
-test curve, so M = L + (-K) is nef with L); the sweep counts witnesses
-instead of listing them.  For non-nef L the bounds in (i) and (v) that
-use L.D >= 0 are not theorems, so the scan is best-effort outside the
-nef cone (the outcome says which box was used).
+box rows and decides each block with array operations: it pairs each
+block once and keeps two numbers per row, the minimum pairing (the nef
+filter and the pairing verdict) and how many exceptional classes pair
+below k; the premise of a nef row is M.M >= 4k + 5 alone (-K pairs >= 1
+with every test curve, so M = L + (-K) is nef with L); the sweep counts
+witnesses instead of listing them.  For non-nef L the bounds in (i) and
+(v) that use L.D >= 0 are not theorems, so the scan is best-effort
+outside the nef cone (the outcome says which box was used).
 """
 
 from __future__ import annotations
 
 import itertools
 import math as _math
+import operator
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -59,16 +61,18 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .lattice import PicardClass, SurfaceContext, degree, float_operand, line, point_class
-from .enumeration import descending_vectors, orbit_size, surface_context
+from .enumeration import descending_vectors, surface_context
 from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
+    ampleness_level,
     exact_product,
     exact_rows,
     exception_flag,
     is_effective,
     is_nef,
     pairing_matrix,
+    pairing_vector,
 )
 
 #: The scan box grows like (6*(2k+1)) * (2k+2+6*(2k+1))**r before pruning;
@@ -96,9 +100,7 @@ def _assert_box_premises(r: int) -> bool:
 
 def _window_premise(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[PicardClass, int, str | None]:
     """M = L - K, M.M, and why the window argument does not apply: it
-    applies iff M is nef and M.M >= 4k+5 (reason None)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    applies iff M is nef and M.M >= 4k+5 (reason None), for a checked k."""
     M = L - ctx.canonical
     m2 = degree(M)
     if not is_nef(M, ctx):
@@ -110,7 +112,7 @@ def _window_premise(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[Picard
 
 def window_applicable(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[bool, PicardClass, int]:
     """M = L - K; the window argument applies iff M is nef and M.M >= 4k+5."""
-    M, m2, reason = _window_premise(L, k, ctx)
+    M, m2, reason = _window_premise(L, ampleness_level(k), ctx)
     return reason is None, M, m2
 
 
@@ -277,8 +279,19 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
     return _CandidateTable(
         reps=rows,
         squares=rows[:, 0] ** 2 - (rows[:, 1:] ** 2).sum(axis=1),
-        sizes=np.array([orbit_size(rep[1:]) for rep in reps], dtype=np.int64),
+        sizes=_orbit_sizes(rows[:, 1:]),  # each beta is non-increasing
     )
+
+
+def _orbit_sizes(b: np.ndarray) -> np.ndarray:
+    """``orbit_size`` of each row of b, whose rows are sorted: the running
+    counts of equal neighbours multiply to prod(m!) over the multiplicities m."""
+    run = np.ones(len(b), dtype=np.int64)
+    denominator = np.ones(len(b), dtype=np.int64)
+    for j in range(1, b.shape[1]):
+        run = np.where(b[:, j] == b[:, j - 1], run + 1, 1)
+        denominator *= run
+    return _math.factorial(b.shape[1]) // denominator
 
 
 def _window_hits(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple]:
@@ -356,6 +369,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
     with the reason recorded.  Identical inputs always produce identical
     witness lists in identical (a, b) order.
     """
+    k = ampleness_level(k)
     M, m2, reason = _window_premise(L, k, ctx)
     if k > DESK_SCALE_K:
         warnings.warn(
@@ -501,55 +515,14 @@ def _box_leaf_count(r: int, a_max: int, cap: float = _math.inf) -> int:
     return total
 
 
-def _orbit_sizes(b: np.ndarray) -> np.ndarray:
-    """``orbit_size`` of each row of b, whose rows are sorted: the running
-    counts of equal neighbours multiply to prod(m!) over the multiplicities m."""
-    run = np.ones(len(b), dtype=np.int64)
-    denominator = np.ones(len(b), dtype=np.int64)
-    for j in range(1, b.shape[1]):
-        run = np.where(b[:, j] == b[:, j - 1], run + 1, 1)
-        denominator *= run
-    return _math.factorial(b.shape[1]) // denominator
-
-
-def _nef_box_blocks(
-    r: int, a_max: int, ctx: SurfaceContext
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """Sorted representatives of all nef classes with 0 <= a <= a_max, in
-    blocks: (rows, their pairing matrix, its row minima, the classes their
-    orbits cover).
-
-    Every sweep assertion is equivariant under coordinate permutations
-    (the exceptional set is permutation-closed and the exception classes
-    are symmetric), so one representative per orbit decides the whole
-    orbit.  The pairing matrix and row minima that keep the nef leaves are
-    the ones the sweep decides them with."""
-    leaves = _box_leaves(r, a_max)
-    for start in range(0, len(leaves), _BLOCK_ROWS):
-        block = leaves[start:start + _BLOCK_ROWS]
-        P = pairing_matrix(block, ctx)
-        lowest = P.min(axis=1)
-        nef = lowest >= 0
-        yield block[nef], P[nef], lowest[nef], int(_orbit_sizes(block[nef, 1:]).sum())
-
-
-def _nef_sample_blocks(
-    r: int, a_max: int, count: int, seed: int, ctx: SurfaceContext
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """Seeded rejection sample of `count` nef rows with 0 <= a <= a_max,
-    one block per draw of 4096 candidates: (rows, their pairing matrix,
-    its row minima, the number of rows)."""
+def _sample_blocks(r: int, a_max: int, seed: int) -> Iterator[np.ndarray]:
+    """Seeded candidate rows with 0 <= a <= a_max and every b_i <= a, one
+    block per draw of 4096 (a; b), without end."""
     rng = np.random.default_rng(seed)
-    while count > 0:
+    while True:
         a = rng.integers(0, a_max + 1, size=4096)
         b = rng.integers(0, a_max + 1, size=(4096, r))
-        coeffs = np.column_stack([a, b]).astype(np.int64)
-        coeffs = coeffs[(b <= a[:, None]).all(axis=1)]
-        P = pairing_matrix(coeffs, ctx)
-        lowest = P.min(axis=1)
-        nef = np.flatnonzero(lowest >= 0)[:count]
-        count -= len(nef)
-        yield coeffs[nef], P[nef], lowest[nef], len(nef)
+        yield np.column_stack([a, b]).astype(np.int64)[(b <= a[:, None]).all(axis=1)]
 
 
 def _as_class(row: list[int]) -> PicardClass:
@@ -563,12 +536,13 @@ def _row_counts(parts: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _decide_block(
-    rows: np.ndarray, P: np.ndarray, lowest: np.ndarray, k: int, ctx: SurfaceContext,
+    rows: np.ndarray, lowest: np.ndarray, below: np.ndarray, k: int, ctx: SurfaceContext,
     table: _CandidateTable,
 ) -> tuple[tuple[int, ...], list[SweepViolation]]:
-    """The sweep over one block of nef rows L with pairing matrix P = P(L)
-    and its row minima ``lowest``: the counts (applicable, passing,
-    failing, exceptions, witnesses) and the violations, in row order.
+    """The sweep over one block of nef rows L, given each row's minimum
+    pairing ``lowest`` and the number ``below`` of exceptional classes it
+    pairs below k with: the counts (applicable, passing, failing,
+    exceptions, witnesses) and the violations, in row order.
     M = L + (-K) of a nef row is nef (-K pairs >= 1 with every test
     curve), so its premise is M.M >= 4k + 5 alone.
 
@@ -581,7 +555,7 @@ def _decide_block(
     M = L - np.array([K.a, *K.b], dtype=np.int64)
     m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
     applicable = np.flatnonzero(m2 >= 4 * k + 5)
-    L, M, P, lowest = L[applicable], M[applicable], P[applicable], lowest[applicable]
+    L, M, lowest, below = L[applicable], M[applicable], lowest[applicable], below[applicable]
     n = len(applicable)
 
     hit_rows, exceptional_hits = [], []
@@ -596,8 +570,7 @@ def _decide_block(
     # x.x = -1), and those hits are the exceptional ones with L.x < k; so a
     # row misses one of them exactly when it has fewer such hits than
     # violating exceptional classes.
-    n_exc = len(ctx.exceptional_set)  # the test curves start with them
-    missing_exc = _row_counts(exceptional_hits, n) < (P[:, :n_exc] < k).sum(axis=1)
+    missing_exc = _row_counts(exceptional_hits, n) < below
 
     passes = lowest >= k
     # An exception class is a multiple (3m; m, ..., m) of -K.  It satisfies
@@ -615,17 +588,17 @@ def _decide_block(
     violations = []
     for i in np.flatnonzero(flagged).tolist():
         L_i = _as_class(L[i].tolist())
-        violations += _row_violations(L_i, P[i], M[i:i + 1], bool(passing[i]), k, ctx, table)
+        violations += _row_violations(L_i, M[i:i + 1], bool(passing[i]), k, ctx, table)
     counts = (n, int(passing.sum()), int((~passes).sum()), int(exception.sum()), int(witnesses.sum()))
     return counts, violations
 
 
 def _row_violations(
-    L: PicardClass, P: np.ndarray, M: np.ndarray, passing: bool, k: int,
-    ctx: SurfaceContext, table: _CandidateTable,
+    L: PicardClass, M: np.ndarray, passing: bool, k: int, ctx: SurfaceContext, table: _CandidateTable,
 ) -> list[SweepViolation]:
-    """The violations of one flagged row (pairing vector P, M as one exact
-    row), worded from its witness list in (a, b) order."""
+    """The violations of one flagged row (M as one exact row), worded from
+    its witness list in (a, b) order and, for a failing row, its own
+    pairing vector."""
     witnesses = _witness_rows(table, M, k)
     if passing:
         unexpected = SweepViolation(L, "unexpected_witness", f"k-very ample but has {len(witnesses)} witnesses")
@@ -637,6 +610,7 @@ def _row_violations(
         return [SweepViolation(L, "missing_witness", "fails the pairing test but has no witnesses")]
     found = {tuple(row) for row, _, _ in witnesses}
     exc = ctx.exceptional_set
+    P = pairing_vector(L, ctx)
     return [
         SweepViolation(L, "missing_exceptional_witness", f"violating class {exc[i]} absent from the witness list")
         for i in np.flatnonzero(P[:len(exc)] < k).tolist() if (exc[i].a, *exc[i].b) not in found
@@ -660,11 +634,13 @@ def consistency_sweep(
     exceptional class it fails against must be among them.  Any breach is
     returned as a violation (and means a genuine bug).
 
-    The rows are decided in blocks of array operations: one pairing matrix
-    P(L) per block serves the nef filter and the pairing verdict, the
-    premise is M.M >= 4k + 5 alone (-K pairs >= 1 with every test curve,
-    so M = L + (-K) is nef with L), and one orbit-floor product finds the
-    candidate orbits that reach each row's window.
+    The rows are decided in blocks of array operations.  Each block of
+    candidate rows is paired once, and two numbers per row are read off
+    its pairing matrix: the minimum pairing, which keeps the nef rows and
+    gives the pairing verdict, and how many exceptional classes pair
+    below k.  The premise is M.M >= 4k + 5 alone (-K pairs >= 1 with every
+    test curve, so M = L + (-K) is nef with L), and one orbit-floor
+    product finds the candidate orbits that reach each row's window.
     Witnesses are counted, not listed; a row's witness list is built only
     to word its violations.  The exhaustive mode runs on one
     representative per coordinate-permutation orbit, the nef rows among
@@ -674,12 +650,15 @@ def consistency_sweep(
     exhaustive box of more than ``MAX_EXHAUSTIVE_LEAVES`` leaves (counted
     in closed form, before any leaf is built), a negative ``a_max``, a
     ``sample`` below 1, a negative ``seed`` and a sampled box past the
-    int64 sampler (``a_max`` above 2**63 - 1) raise ValueError.
+    int64 sampler (``a_max`` above 2**63 - 1) raise ValueError; a k,
+    ``a_max``, ``sample`` or ``seed`` that is not an integer raises
+    TypeError.
     """
     if ctx is None:
         ctx = surface_context(r)
     if ctx.r != r:
         raise ValueError(f"context rank {ctx.r} does not match r={r}")
+    k, a_max, seed = ampleness_level(k), operator.index(a_max), operator.index(seed)
     if k > DESK_SCALE_K:
         raise ValueError(
             f"consistency_sweep is desk-scale only (k <= {DESK_SCALE_K}, got k = {k}); "
@@ -693,28 +672,39 @@ def consistency_sweep(
                 f"exhaustive box a <= {a_max} at rank {r} has more than "
                 f"{MAX_EXHAUSTIVE_LEAVES} descending leaves; pass sample= instead"
             )
-        blocks = _nef_box_blocks(r, a_max, ctx)
+        leaves = _box_leaves(r, a_max)
+        blocks = (leaves[start:start + _BLOCK_ROWS] for start in range(0, len(leaves), _BLOCK_ROWS))
     else:
+        sample = operator.index(sample)
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         if a_max > np.iinfo(np.int64).max:
             raise ValueError(f"sampled box a_max = {a_max} is past the int64 sampler's 2**63 - 1")
-        blocks = _nef_sample_blocks(r, a_max, sample, seed, ctx)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        blocks = _sample_blocks(r, a_max, seed)
     table = _candidate_table(r, k)
+    n_exc = len(ctx.exceptional_set)  # the test curves start with them
 
     scanned = covered = 0
     totals = [0] * 5
     violations = []
-    for rows, P, lowest, block_covered in blocks:
-        counts, found = _decide_block(rows, P, lowest, k, ctx, table)
+    for block in blocks:
+        P = pairing_matrix(block, ctx)
+        lowest = P.min(axis=1)
+        nef = np.flatnonzero(lowest >= 0)
+        if sample is not None:
+            nef = nef[:sample - scanned]
+        rows = block[nef]
+        below = (P[:, :n_exc] < k).sum(axis=1)[nef]
+        counts, found = _decide_block(rows, lowest[nef], below, k, ctx, table)
         scanned += len(rows)
-        covered += block_covered
+        # a box leaf decides its whole permutation orbit
+        covered += len(rows) if sample is not None else int(_orbit_sizes(rows[:, 1:]).sum())
         totals = [t + c for t, c in zip(totals, counts)]
         violations += found
+        if scanned == sample:
+            break
     applicable, passing, failing, exceptions, witness_total = totals
     return SweepSummary(
         r=r, k=k, a_max=a_max, sample=sample, seed=seed if sample else None,

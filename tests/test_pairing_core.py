@@ -41,8 +41,11 @@ from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
     _effectivity,
+    adjoint_kva_check,
+    degree_bound_check,
     exact_product,
     exception_flag,
+    f1_is_k_very_ample,
     generate_inequality_families,
     is_big,
     is_effective,
@@ -55,7 +58,7 @@ from delpezzo.positivity import (
     pairing_matrix,
     pairing_vector,
 )
-from delpezzo.reider import _box_leaves, search_obstructions, window_applicable
+from delpezzo.reider import _box_leaves, consistency_sweep, search_obstructions, window_applicable
 
 # ---------------------------------------------------------------------------
 # Reference algorithms.
@@ -319,6 +322,35 @@ class TestPairingCore:
 def test_foreign_rank_class_is_a_lattice_mismatch(check):
     with pytest.raises(LatticeMismatchError):
         check(PicardClass(3, (1, 1)), surface_context(3))
+
+
+MINUS_3K_R3 = PicardClass(9, (3, 3, 3))  # pairs 3 with every test curve
+
+
+@pytest.mark.parametrize(
+    "call,least",
+    [
+        (lambda k: is_k_very_ample(MINUS_3K_R3, k, surface_context(3)), 0),
+        (lambda k: search_obstructions(MINUS_3K_R3, k, surface_context(3)), 0),
+        (lambda k: window_applicable(MINUS_3K_R3, k, surface_context(3))[::2], 0),
+        (lambda k: consistency_sweep(3, k, 6), 0),
+        (lambda k: f1_is_k_very_ample(3, 6, k), 0),
+        (lambda k: adjoint_kva_check(MINUS_3K_R3, k, surface_context(3)), 1),
+        (lambda k: degree_bound_check(MINUS_3K_R3, k, surface_context(3)), 2),
+    ],
+    ids=["is_k_very_ample", "search_obstructions", "window_applicable", "consistency_sweep",
+         "f1_is_k_very_ample", "adjoint_kva_check", "degree_bound_check"],
+)
+def test_level_k_is_a_checked_plain_int(call, least):
+    # a numpy integer k is the int itself, down to the JSON; a float is no level
+    def payload(out):
+        return json.dumps(out.as_dict() if hasattr(out, "as_dict") else out)
+
+    assert payload(call(np.int64(2))) == payload(call(2))
+    with pytest.raises(TypeError):
+        call(2.0)
+    with pytest.raises(ValueError, match=f"k must be >= {least}, got {least - 1}$"):
+        call(np.int64(least - 1))
 
 
 @st.composite

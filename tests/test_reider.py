@@ -20,7 +20,6 @@ from delpezzo.positivity import (
     is_nef,
     minimum_pairing,
     minimum_pairing_bulk,
-    pairing_matrix,
     pairing_vector,
 )
 from delpezzo.reider import (
@@ -636,8 +635,11 @@ class TestBatchedSweepAgainstPerRow:
             block = np.array(rows[lo:hi], dtype=np.int64)
             assert (minimum_pairing_bulk(block, ctx8) >= 0).all()
             for k in (1, 2):
-                P = pairing_matrix(block, ctx8)
-                counts, violations = _decide_block(block, P, P.min(axis=1), k, ctx8, _candidate_table(8, k))
+                # each row's pairing vector, independent of the sweep's matrix
+                P = [pairing_vector(PicardClass(row[0], tuple(row[1:])), ctx8) for row in rows[lo:hi]]
+                lowest = np.array([p.min() for p in P], dtype=object)
+                below = np.array([(p[:len(ctx8.exceptional_set)] < k).sum() for p in P])
+                counts, violations = _decide_block(block, lowest, below, k, ctx8, _candidate_table(8, k))
                 expected, expected_violations = ref_decide(block, k, ctx8)
                 assert counts == expected
                 assert violations == expected_violations
@@ -764,6 +766,15 @@ class TestConsistencySweep:
     def test_bad_box_and_sampling_arguments_refused(self, a_max, sample, seed, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             consistency_sweep(3, 1, a_max, sample=sample, seed=seed)
+
+    def test_box_and_sampling_arguments_are_plain_ints(self):
+        want = consistency_sweep(3, 1, 6, sample=5, seed=2).as_dict()
+        got = consistency_sweep(3, np.int64(1), np.int64(6), sample=np.int64(5), seed=np.int64(2)).as_dict()
+        assert json.dumps(got) == json.dumps(want)
+        assert json.dumps(consistency_sweep(3, 1, np.int64(6)).as_dict()) == json.dumps(consistency_sweep(3, 1, 6).as_dict())
+        for bad in ({"a_max": 6.0}, {"a_max": 6.0, "sample": 5}, {"sample": 5.0}, {"sample": 5, "seed": 2.0}):
+            with pytest.raises(TypeError):
+                consistency_sweep(3, 1, **{"a_max": 6, **bad})
 
     def test_largest_sampled_box_is_accepted(self):
         summary = consistency_sweep(2, 1, 2**63 - 1, sample=3, seed=0)
