@@ -124,7 +124,7 @@ def enumerate_exceptional(r: int) -> tuple[PicardClass, ...]:
     Returns the full set (all coordinate permutations, not one per type),
     sorted by (a, b).
     """
-    _check_rank(r)
+    r = _check_rank(r)
     found = []
     for a in range(0, EXCEPTIONAL_A_BOUND + 1):
         sols = descending_vectors(r, -1, a, 3 * a - 1, 3 * a - 1, a * a + 1, a * a + 1)
@@ -134,9 +134,13 @@ def enumerate_exceptional(r: int) -> tuple[PicardClass, ...]:
     return tuple(sorted(found, key=PicardClass.sort_key))
 
 
-@lru_cache(maxsize=None)
 def surface_context(r: int) -> SurfaceContext:
     """Context for rank r: the cached exceptional set plus the canonical class."""
+    return _surface_context(_check_rank(r))
+
+
+@lru_cache(maxsize=None)
+def _surface_context(r: int) -> SurfaceContext:
     return SurfaceContext(
         r=r, exceptional_set=enumerate_exceptional(r), canonical=canonical_class(r)
     )
@@ -224,7 +228,7 @@ def enumerate_null_classes(r: int) -> tuple[NullClassRecord, ...]:
     into two exceptional classes.  The a = 1 pencil class l - e_i admits
     none at rank 1, but splits as (l - e_i - e_j) + e_j once r >= 2.
     """
-    _check_rank(r)
+    r = _check_rank(r)
     ctx = surface_context(r)
     records = []
     for a in range(1, NULL_CLASS_A_BOUND + 2):

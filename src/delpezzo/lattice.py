@@ -52,9 +52,16 @@ class LatticeMismatchError(ValueError):
     """Classes living on lattices of different rank were combined."""
 
 
-def _check_rank(r: int) -> None:
-    if not isinstance(r, int) or not MIN_RANK <= r <= MAX_RANK:
+def _check_rank(r: int) -> int:
+    """r as a plain int (``operator.index`` admits Python and numpy integers
+    and refuses floats), refused outside MIN_RANK..MAX_RANK."""
+    try:
+        rank = operator.index(r)
+    except TypeError:
+        rank = None
+    if rank is None or not MIN_RANK <= rank <= MAX_RANK:
         raise RankError(f"rank must be an integer in {MIN_RANK}..{MAX_RANK}, got {r!r}")
+    return rank
 
 
 @dataclass(frozen=True)
@@ -122,19 +129,19 @@ def _same_rank(L1: PicardClass, L2: PicardClass) -> None:
 
 
 def zero_class(r: int) -> PicardClass:
-    _check_rank(r)
+    r = _check_rank(r)
     return PicardClass(0, (0,) * r)
 
 
 def line(r: int) -> PicardClass:
     """The pullback ``l`` of a general line in the plane."""
-    _check_rank(r)
+    r = _check_rank(r)
     return PicardClass(1, (0,) * r)
 
 
 def point_class(r: int, i: int) -> PicardClass:
     """The class of the blown-up point ``e_i`` (1-based), i.e. b_i = -1."""
-    _check_rank(r)
+    r = _check_rank(r)
     if not 1 <= i <= r:
         raise RankError(f"index {i} outside 1..{r}")
     return PicardClass(0, tuple(-1 if j == i else 0 for j in range(1, r + 1)))
@@ -142,13 +149,13 @@ def point_class(r: int, i: int) -> PicardClass:
 
 def fiber_class(r: int = 1) -> PicardClass:
     """``l - e_1``; at rank 1 it joins the exceptional class as a test curve."""
-    _check_rank(r)
+    r = _check_rank(r)
     return PicardClass(1, (1,) + (0,) * (r - 1))
 
 
 def canonical_class(r: int) -> PicardClass:
     """The canonical class ``-(3l - sum e_i)`` = ``(-3; -1, ..., -1)``."""
-    _check_rank(r)
+    r = _check_rank(r)
     return PicardClass(-3, (-1,) * r)
 
 
@@ -216,7 +223,7 @@ class CurveTypePattern:
 
     def to_class(self, r: int) -> PicardClass:
         """Canonical representative at rank r: b descending, zero-padded."""
-        _check_rank(r)
+        r = _check_rank(r)
         mults = self.multiplicities()
         if len(mults) > r:
             raise RankError(f"pattern {self} needs {len(mults)} coordinates, rank is {r}")
@@ -253,7 +260,7 @@ class SurfaceContext:
     canonical: PicardClass
 
     def __post_init__(self):
-        _check_rank(self.r)
+        object.__setattr__(self, "r", _check_rank(self.r))
         if self.canonical != canonical_class(self.r):
             raise ValueError(f"wrong canonical class for rank {self.r}: {self.canonical}")
         expected = EXCEPTIONAL_CLASS_COUNTS[self.r]
@@ -273,9 +280,9 @@ class SurfaceContext:
     def anticanonical(self) -> PicardClass:
         return -self.canonical
 
-    # The pairing core.  Every positivity decision pairs a class against
-    # the test curves; the arrays below are built once per context, on
-    # first use, and are read-only.
+    # The pairing core.  Effectivity and the bulk routines pair classes
+    # against the test curves; the arrays below are built once per
+    # context, on first use, and are read-only.
 
     @cached_property
     def test_curves(self) -> tuple[PicardClass, ...]:
@@ -316,15 +323,6 @@ class SurfaceContext:
             (pat, _read_only(np.array(groups[pat], dtype=np.intp)))
             for pat in sorted(groups, key=CurveTypePattern.sort_key)
         )
-
-    @cached_property
-    def orbit_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, starts)`` such that ``np.minimum.reduceat(P[order], starts)``
-        is the per-orbit minimum of a pairing vector P, in ``curve_orbits`` order."""
-        order = np.concatenate([idx for _, idx in self.curve_orbits])
-        sizes = [len(idx) for _, idx in self.curve_orbits]
-        starts = np.cumsum([0] + sizes[:-1]).astype(np.intp)
-        return _read_only(order), _read_only(starts)
 
 
 def float_operand(B: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ ampleness of divisor classes.
 
 The single primitive underneath everything is the pairing of a class
 against the test curves: the exceptional set, plus the fiber class
-``l - e_1`` at rank 1.
+``l - e_1`` at rank 1.  It is computed in two forms.
 
 * nef  <=>  every pairing >= 0           (and nef <=> spanned);
 * k-very ample  <=>  every pairing >= k, excluding three explicitly
@@ -17,23 +17,30 @@ against the test curves: the exceptional set, plus the fiber class
   the most negative class at a time (ties by first index), and its cost
   does not grow with those multiplicities.
 
-All of it is read off one pairing vector ``P = S @ (a, b)``, where S is
-the signed test-curve matrix cached on the :class:`SurfaceContext`; the
-positive part pairs as P plus multiples of rows of the cached Gram
-matrix.  The scalar and bulk routines share those arrays.  Arithmetic is
-exact: int64 while every coefficient is within ``SAFE_COEFF_BOUND``,
-Python integers (object arrays) beyond it.  Bulk products of int64 rows
-run through float64 BLAS (:func:`exact_product`), and only where every
+The verdicts (nef, big, spanned, k-very ample, and a report's
+violations) come from the paper's inequalities: one family per
+permutation orbit of test curves (``SurfaceContext.curve_orbits``), the
+pairing test folded over that orbit, ``a0*a >= <multiplicities, b> + k``
+with both sides sorted.  Each family's value is read off the prefix sums
+of b sorted descending (:func:`_family_folds`), at most two of them per
+family at rank <= 8, in plain Python integers, so a verdict is exact at
+any size and builds no array.  :func:`minimum_family_value_bulk` folds
+rows the same way.
+
+Effectivity needs the curves themselves, so it alone is read off the
+pairing vector ``P = S @ (a, b)``, where S is the signed test-curve
+matrix cached on the :class:`SurfaceContext`; the positive part pairs as
+P plus multiples of rows of the cached Gram matrix.  The bulk
+:func:`pairing_matrix` uses the same matrix.  Array arithmetic is exact:
+int64 while every coefficient is within ``SAFE_COEFF_BOUND``, Python
+integers (object arrays) beyond it.  Bulk products of int64 rows run
+through float64 BLAS (:func:`exact_product`), and only where every
 partial sum is an integer below 2**53, so their results are exact
 integers too.
 
-Each per-type inequality family is the same pairing test folded over a
-permutation orbit: ``generate_inequality_families`` makes one family per
-orbit of ``SurfaceContext.curve_orbits``, the grouping that also gives a
-report its per-family values.  The families' closed form
-:meth:`InequalityFamily.evaluate` and :func:`minimum_family_value_bulk`
-are kept as an independent formulation that the tests check the pairing
-core against.
+Each family's closed form :meth:`InequalityFamily.evaluate`, which sorts
+positive and negative multiplicities separately, is kept as an
+independent formulation that the tests check the folds against.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import operator
+import warnings
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
@@ -142,15 +150,11 @@ def _check_context(L: PicardClass, ctx: SurfaceContext) -> None:
         raise LatticeMismatchError(f"class of rank {L.r} checked in rank-{ctx.r} context")
 
 
-def _minimum(P: np.ndarray) -> int:
-    # indexing by argmin skips the ufunc reduction that P.min() sets up,
-    # which dominates on vectors this short
-    return int(P[P.argmin()])
-
-
 def minimum_pairing(L: PicardClass, ctx: SurfaceContext) -> int:
-    """Smallest intersection of L with the test curves at this rank."""
-    return _minimum(pairing_vector(L, ctx))
+    """Smallest intersection of L with the test curves at this rank: the
+    smallest family value, read off the sorted coefficients of L."""
+    _check_context(L, ctx)
+    return min(_family_values(L))
 
 
 def is_nef(L: PicardClass, ctx: SurfaceContext) -> bool:
@@ -233,15 +237,15 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
     is effective iff ``a >= 0`` and ``a >= b1``.
     """
     _check_context(L, ctx)
-    return _effectivity(L, ctx, None)
+    return _effectivity(L, ctx)
 
 
 def _effectivity(
-    L: PicardClass, ctx: SurfaceContext, P: np.ndarray | None, nef: bool = False
+    L: PicardClass, ctx: SurfaceContext, nef: bool = False
 ) -> tuple[bool, EffectivityCertificate | None]:
-    """:func:`is_effective` for a checked rank, reusing the pairing vector
-    P of L when the caller already has it (P is never mutated), and its
-    verdict that L is nef (min P >= 0)."""
+    """:func:`is_effective` for a checked rank, given the caller's verdict
+    that L is nef.  Only a class that is not nef and passes the early
+    reject below builds its pairing vector."""
     if nef:
         # a nef class is its own positive part: C is empty
         cert = EffectivityCertificate((), L)
@@ -261,8 +265,7 @@ def _effectivity(
             cert = EffectivityCertificate((), L)
         assert cert.replay() == L
         return True, cert
-    if P is None:
-        P = pairing_vector(L, ctx)
+    P = pairing_vector(L, ctx)
     exc, G = ctx.exceptional_set, ctx.curve_gram
     # At rank >= 2 the test curves are the exceptional set.  Each round
     # takes the most negative entry of Q (first index on ties): Q pairs
@@ -399,19 +402,21 @@ class PositivityReport:
 
 
 def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:
-    """Full positivity report; the k-very-ample verdict is the pairing test
-    at level k minus the enumerated exceptions."""
+    """Full positivity report.  Each family's value (the minimum pairing
+    over its orbit) is read off the sorted coefficients of L; their
+    minimum gives the nef verdict, and the k-very-ample verdict is that
+    minimum >= k minus the enumerated exceptions.  A nef class is its own
+    effectivity certificate, so only a non-nef class that passes the early
+    reject is paired against the test curves."""
     k = ampleness_level(k)
-    P = pairing_vector(L, ctx)
-    mp = _minimum(P)
+    _check_context(L, ctx)
+    values = _family_values(L)
+    mp = min(values)
     flag = exception_flag(L, k, ctx)
     nef = mp >= 0
-    effective, cert = _effectivity(L, ctx, P, nef)
+    effective, cert = _effectivity(L, ctx, nef)
     violations = []
     if mp < k:
-        # each family's value is the minimum pairing over its orbit
-        order, starts = ctx.orbit_layout
-        values = np.minimum.reduceat(P[order], starts).tolist()
         for (nef_label, kva_label), val in zip(_family_labels(ctx.r), values, strict=True):
             if val < 0:
                 violations.append(Violation("nef", nef_label, val, 0))
@@ -491,8 +496,14 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
     Evaluating every family at (L, k) is equivalent to pairing L against
     every test curve.
 
-    The families depend on r alone: ``ctx`` is accepted for existing
-    callers and ignored, and the cache is keyed on r only."""
+    The families depend on r alone, and the cache is keyed on r only.
+    ``ctx`` is ignored and deprecated: passing it warns."""
+    if ctx is not None:
+        warnings.warn(
+            "generate_inequality_families ignores ctx; call it with r alone",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     return _inequality_families(r)
 
 
@@ -502,6 +513,36 @@ def _inequality_families(r: int) -> tuple[InequalityFamily, ...]:
         InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
         for pat, _ in surface_context(r).curve_orbits
     )
+
+
+@lru_cache(maxsize=None)
+def _family_folds(r: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Each family as ``(a_coeff, j1, w1, j2, w2)``, in family order: its
+    value at L is ``a_coeff * a - w1 * S[j1] - w2 * S[j2]``, where S[j] is
+    the sum of the j largest b_i and S[0] = 0.
+
+    By the rearrangement inequality the orbit's largest ``<c, b>`` pairs
+    the multiplicities c, zero-padded to r and sorted descending, with b
+    sorted descending, s_1 >= ... >= s_r; Abel summation turns that
+    ``sum c_j s_j`` into ``sum_{j<r} (c_j - c_{j+1}) S_j + c_r S_r``.  At
+    rank <= 8 at most two of those weights are nonzero, e.g.
+    ``6a - S_1 - 2 S_8`` for (6; 3, 2^7) and ``S_r - S_{r-1}`` (that is
+    s_r) for ``b_i >= 0``; an unused slot is (0, 0)."""
+    folds = []
+    for fam in _inequality_families(r):
+        c = sorted(fam.b_coeffs + (0,) * (r - len(fam.b_coeffs)), reverse=True) + [0]
+        terms = [(j, c[j - 1] - c[j]) for j in range(1, r + 1) if c[j - 1] != c[j]]
+        assert len(terms) <= 2, f"{fam.label()} needs {len(terms)} prefix sums"
+        (j1, w1), (j2, w2) = (terms + [(0, 0), (0, 0)])[:2]
+        folds.append((fam.a_coeff, j1, w1, j2, w2))
+    return tuple(folds)
+
+
+def _family_values(L: PicardClass) -> list[int]:
+    """Every family's value at L, in family order, as Python integers."""
+    S = (0, *itertools.accumulate(sorted(L.b, reverse=True)))
+    a = L.a
+    return [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_folds(len(L.b))]
 
 
 @lru_cache(maxsize=None)
@@ -572,20 +613,12 @@ def minimum_pairing_bulk(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
 
 
 def minimum_family_value_bulk(coeffs: np.ndarray, r: int) -> np.ndarray:
-    """Row-wise minimum over the inequality families (the folded form)."""
+    """Row-wise minimum over the inequality families: the folds of
+    :func:`_family_folds`, on the prefix sums of each row's b sorted
+    descending."""
     coeffs = exact_rows(coeffs)
-    dtype = coeffs.dtype
-    fams = generate_inequality_families(r)
-    desc = -np.sort(-coeffs[:, 1:], axis=1)
-    asc = desc[:, ::-1]
-    vals = np.empty((len(fams), coeffs.shape[0]), dtype=dtype)
-    for i, fam in enumerate(fams):
-        pos = np.array([m for m in fam.b_coeffs if m > 0], dtype=dtype)
-        neg = np.array(sorted(m for m in fam.b_coeffs if m < 0), dtype=dtype)
-        best = 0
-        if pos.size:
-            best = desc[:, : pos.size] @ pos
-        if neg.size:
-            best = best + asc[:, : neg.size] @ neg
-        vals[i] = fam.a_coeff * coeffs[:, 0] - best
-    return vals.min(axis=0)
+    S = np.zeros((coeffs.shape[0], r + 1), dtype=coeffs.dtype)
+    S[:, 1:] = np.cumsum(-np.sort(-coeffs[:, 1:], axis=1), axis=1)
+    a = coeffs[:, 0]
+    vals = [c * a - w1 * S[:, j1] - w2 * S[:, j2] for c, j1, w1, j2, w2 in _family_folds(r)]
+    return np.min(vals, axis=0)

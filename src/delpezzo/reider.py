@@ -60,7 +60,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import PicardClass, SurfaceContext, degree, float_operand, line, point_class
+from .lattice import PicardClass, SurfaceContext, _check_rank, degree, float_operand, line, point_class
 from .enumeration import descending_vectors, surface_context
 from .positivity import (
     EXCEPTION_NONE,
@@ -652,8 +652,9 @@ def consistency_sweep(
     ``sample`` below 1, a negative ``seed`` and a sampled box past the
     int64 sampler (``a_max`` above 2**63 - 1) raise ValueError; a k,
     ``a_max``, ``sample`` or ``seed`` that is not an integer raises
-    TypeError.
+    TypeError, and a rank that is not an integer in 1..8 raises RankError.
     """
+    r = _check_rank(r)
     if ctx is None:
         ctx = surface_context(r)
     if ctx.r != r:

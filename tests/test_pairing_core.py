@@ -22,11 +22,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delpezzo import positivity
 from delpezzo.lattice import (
     FLOAT_EXACT_BOUND,
     SAFE_COEFF_BOUND,
     LatticeMismatchError,
     PicardClass,
+    RankError,
     canonical_class,
     degree,
     fiber_class,
@@ -41,6 +43,7 @@ from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
     _effectivity,
+    _family_values,
     adjoint_kva_check,
     degree_bound_check,
     exact_product,
@@ -56,7 +59,6 @@ from delpezzo.positivity import (
     minimum_pairing,
     minimum_pairing_bulk,
     pairing_matrix,
-    pairing_vector,
 )
 from delpezzo.reider import _box_leaves, consistency_sweep, search_obstructions, window_applicable
 
@@ -259,11 +261,32 @@ class TestNefShortCircuit:
         report = is_k_very_ample(L, k, ctx)
         assert report.nef
         assert report.certificate == is_effective(L, ctx)[1] == EffectivityCertificate((), L)
-        P = pairing_vector(L, ctx)
-        before = P.copy()
-        assert _effectivity(L, ctx, P, nef=True) == _effectivity(L, ctx, P) == (True, report.certificate)
-        assert P.dtype == before.dtype
-        np.testing.assert_array_equal(P, before)  # the caller's P is not mutated
+        assert _effectivity(L, ctx, nef=True) == _effectivity(L, ctx) == (True, report.certificate)
+
+
+def refuse_to_pair(L, ctx):
+    raise AssertionError(f"pairing vector built for {L}")
+
+
+class TestVerdictsBuildNoPairingVector:
+    """The verdicts are read off the folded inequalities: with the pairing
+    vector refused, a nef class's report and any minimum pairing stand."""
+
+    @given(ranked(nef_classes), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_nef_report(self, L, k):
+        ctx = surface_context(L.r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(positivity, "pairing_vector", refuse_to_pair)
+            assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
+
+    @given(any_class)
+    @settings(max_examples=200, deadline=None)
+    def test_minimum_pairing(self, L):
+        ctx = surface_context(L.r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(positivity, "pairing_vector", refuse_to_pair)
+            assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
 
 
 class TestPairingCore:
@@ -280,7 +303,7 @@ class TestPairingCore:
         assert min(intersect(anticanonical, x) for x in curves) >= 1
 
     def test_cached_arrays_are_read_only(self, ctx):
-        arrays = (ctx.curve_matrix, ctx.curve_gram, ctx.curve_operand, *ctx.orbit_layout)
+        arrays = (ctx.curve_matrix, ctx.curve_gram, ctx.curve_operand)
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -301,11 +324,16 @@ class TestPairingCore:
     def test_orbit_minimum_is_the_family_value(self, L):
         ctx = surface_context(L.r)
         P = [intersect(L, x) for x in ctx.test_curves]
-        for fam, (pat, idx) in zip(generate_inequality_families(L.r), ctx.curve_orbits):
-            assert min(P[i] for i in idx) == fam.evaluate(L)
+        fams = generate_inequality_families(L.r)
+        values = _family_values(L)
+        assert len(values) == len(fams) == len(ctx.curve_orbits)
+        for fam, (pat, idx), value in zip(fams, ctx.curve_orbits, values):
+            assert min(P[i] for i in idx) == fam.evaluate(L) == value
+            assert type(value) is int
 
     def test_families_cached_on_rank_alone(self, ctx):
-        assert generate_inequality_families(ctx.r, ctx) is generate_inequality_families(ctx.r)
+        with pytest.warns(DeprecationWarning, match="ignores ctx"):
+            assert generate_inequality_families(ctx.r, ctx) is generate_inequality_families(ctx.r)
 
 
 @pytest.mark.parametrize(
@@ -351,6 +379,20 @@ def test_level_k_is_a_checked_plain_int(call, least):
         call(2.0)
     with pytest.raises(ValueError, match=f"k must be >= {least}, got {least - 1}$"):
         call(np.int64(least - 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda r: consistency_sweep(r, 1, 6), surface_context, canonical_class],
+    ids=["consistency_sweep", "surface_context", "canonical_class"],
+)
+def test_rank_is_a_checked_plain_int(call):
+    # a numpy integer rank is the int itself; a float is no rank
+    got = call(np.int64(3))
+    assert got == call(3)
+    assert type(got.r) is int
+    with pytest.raises(RankError):
+        call(3.0)
 
 
 @st.composite
