@@ -141,9 +141,7 @@ def surface_context(r: int) -> SurfaceContext:
 
 @lru_cache(maxsize=None)
 def _surface_context(r: int) -> SurfaceContext:
-    return SurfaceContext(
-        r=r, exceptional_set=enumerate_exceptional(r), canonical=canonical_class(r)
-    )
+    return SurfaceContext(r=r, exceptional_set=enumerate_exceptional(r))
 
 
 @dataclass(frozen=True)

@@ -257,12 +257,9 @@ class SurfaceContext:
 
     r: int
     exceptional_set: tuple[PicardClass, ...]
-    canonical: PicardClass
 
     def __post_init__(self):
         object.__setattr__(self, "r", _check_rank(self.r))
-        if self.canonical != canonical_class(self.r):
-            raise ValueError(f"wrong canonical class for rank {self.r}: {self.canonical}")
         expected = EXCEPTIONAL_CLASS_COUNTS[self.r]
         if len(self.exceptional_set) != expected:
             raise ValueError(
@@ -275,6 +272,11 @@ class SurfaceContext:
     def exceptional_index(self) -> frozenset:
         """Set view of the exceptional classes, for O(1) membership tests."""
         return frozenset(self.exceptional_set)
+
+    @cached_property
+    def canonical(self) -> PicardClass:
+        """The canonical class ``(-3; -1, ..., -1)`` at rank r."""
+        return canonical_class(self.r)
 
     @property
     def anticanonical(self) -> PicardClass:
@@ -304,13 +306,6 @@ class SurfaceContext:
         (see :func:`float_operand`): ``rows @ curve_operand`` pairs class
         rows against the test curves."""
         return float_operand(self.curve_matrix.T)
-
-    @cached_property
-    def curve_gram(self) -> np.ndarray:
-        """Gram matrix of the test curves: ``G[i, j] = x_i . x_j``.  Adding
-        n * x_i to a class changes its pairing vector by ``n * G[i]``."""
-        X = np.array([[x.a, *x.b] for x in self.test_curves], dtype=np.int64)
-        return _read_only(self.curve_matrix @ X.T)
 
     @cached_property
     def curve_orbits(self) -> tuple[tuple[CurveTypePattern, np.ndarray], ...]:

@@ -29,14 +29,14 @@ rows the same way.
 
 Effectivity needs the curves themselves, so it alone is read off the
 pairing vector ``P = S @ (a, b)``, where S is the signed test-curve
-matrix cached on the :class:`SurfaceContext`; the positive part pairs as
-P plus multiples of rows of the cached Gram matrix.  The bulk
-:func:`pairing_matrix` uses the same matrix.  Array arithmetic is exact:
-int64 while every coefficient is within ``SAFE_COEFF_BOUND``, Python
-integers (object arrays) beyond it.  Bulk products of int64 rows run
-through float64 BLAS (:func:`exact_product`), and only where every
-partial sum is an integer below 2**53, so their results are exact
-integers too.
+matrix cached on the :class:`SurfaceContext`; the positive part is
+tested by the same folded inequalities as every other nef verdict.
+The bulk :func:`pairing_matrix` uses the same matrix.  Array arithmetic
+is exact: int64 while every coefficient is within ``SAFE_COEFF_BOUND``,
+Python integers (object arrays) beyond it.  Bulk products of int64
+rows run through float64 BLAS (:func:`exact_product`), and only where
+every partial sum is an integer below 2**53, so their results are
+exact integers too.
 
 Each family's closed form :meth:`InequalityFamily.evaluate`, which sorts
 positive and negative multiplicities separately, is kept as an
@@ -224,6 +224,9 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
     C is nef.  Conversely a nef T makes ``L = T + sum (-L.E) * E``
     effective.  So L is effective iff C is pairwise disjoint and T is nef;
     the certificate subtracts each E of C ``-L.E`` times and ends at T.
+    For E in C, ``T.E <= 0``, negative exactly when E meets another curve
+    of C, so T nef alone decides it: T is tested by the folded family
+    inequalities, before any run is listed.
 
     Its runs are those of the greedy reduction, which subtracts the most
     negatively pairing exceptional class one unit at a time, ties still
@@ -245,12 +248,12 @@ def _effectivity(
 ) -> tuple[bool, EffectivityCertificate | None]:
     """:func:`is_effective` for a checked rank, given the caller's verdict
     that L is nef.  Only a class that is not nef and passes the early
-    reject below builds its pairing vector."""
+    reject below builds its pairing vector, to find C; the positive part
+    T is then tested by the folded inequalities of :func:`_family_values`,
+    like every other nef verdict."""
     if nef:
         # a nef class is its own positive part: C is empty
-        cert = EffectivityCertificate((), L)
-        assert cert.replay() == L
-        return True, cert
+        return True, EffectivityCertificate((), L)
     if L.a < 0 or L.a < max(L.b):
         # pairs negatively with the nef class l or some l - e_i; at rank 1
         # this is the whole closed form
@@ -266,35 +269,31 @@ def _effectivity(
         assert cert.replay() == L
         return True, cert
     P = pairing_vector(L, ctx)
-    exc, G = ctx.exceptional_set, ctx.curve_gram
-    # At rank >= 2 the test curves are the exceptional set.  Each round
-    # takes the most negative entry of Q (first index on ties): Q pairs
-    # L + sum (L.E) * E over the curves E of C taken so far.  While those
-    # are pairwise disjoint, each pairs 0 with that class and a curve of C
-    # not yet taken pairs with it as with L, so a negative entry that
-    # differs from P, or repeats a taken curve, means that C meets itself
-    # or that T is not nef.  Taken curves are pairwise disjoint, hence at
-    # most r + 1 rounds.  np.multiply in P's dtype keeps an object P exact.
-    Q = P
-    idx: list[int] = []  # C in the order found
-    vals: list[int] = []  # L.E along idx
+    C = (P < 0).nonzero()[0]
+    if not len(C):
+        return True, EffectivityCertificate((), L)
+    # At rank >= 2 the test curves are the exceptional set.  Pairwise
+    # disjoint (-1)-classes are orthogonal of square -1, and the lattice
+    # has signature (1, r), so an effective L has at most r of them in C.
+    if len(C) > ctx.r:
+        return False, None
+    exc = ctx.exceptional_set
+    idx = sorted(C.tolist(), key=P.item)  # C in the greedy's order
+    vals = [P.item(i) for i in idx]  # L.E along idx
     a, b = L.a, list(L.b)
-    while True:
-        i = int(Q.argmin())
-        v = Q.item(i)
-        if v >= 0:
-            break  # Q is the pairing vector of T
-        if v != P.item(i) or i in idx:
-            return False, None
-        idx.append(i)
-        vals.append(v)
-        Q = Q + np.multiply(G[i], v, dtype=P.dtype)
+    for i, v in zip(idx, vals):
         E = exc[i]
         a += v * E.a
         for j, x in enumerate(E.b):
             if x:
                 b[j] += v * x
     terminal = PicardClass._trusted(a, tuple(b))
+    # For E in C, T.E is the sum of (L.E')(E'.E) over the other E' of C,
+    # which is <= 0 and negative exactly when E meets one of them: so the
+    # folds' "T nef" already means "C pairwise disjoint and T nef".  It is
+    # tested before any run is listed.
+    if min(_family_values(terminal)) < 0:
+        return False, None
     # the greedy's runs by level: `active` holds the curves with L.E <= lo,
     # by index; only a range with one active curve (the first) gives a run
     # longer than 1, and it merges with the next range when that range

@@ -60,7 +60,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import PicardClass, SurfaceContext, _check_rank, degree, float_operand, line, point_class
+from .lattice import (
+    LatticeMismatchError,
+    PicardClass,
+    SurfaceContext,
+    _check_rank,
+    degree,
+    float_operand,
+    line,
+    point_class,
+)
 from .enumeration import descending_vectors, surface_context
 from .positivity import (
     EXCEPTION_NONE,
@@ -652,13 +661,14 @@ def consistency_sweep(
     ``sample`` below 1, a negative ``seed`` and a sampled box past the
     int64 sampler (``a_max`` above 2**63 - 1) raise ValueError; a k,
     ``a_max``, ``sample`` or ``seed`` that is not an integer raises
-    TypeError, and a rank that is not an integer in 1..8 raises RankError.
+    TypeError, a rank that is not an integer in 1..8 raises RankError, and
+    a ``ctx`` of another rank raises LatticeMismatchError.
     """
     r = _check_rank(r)
     if ctx is None:
         ctx = surface_context(r)
     if ctx.r != r:
-        raise ValueError(f"context rank {ctx.r} does not match r={r}")
+        raise LatticeMismatchError(f"context rank {ctx.r} does not match r={r}")
     k, a_max, seed = ampleness_level(k), operator.index(a_max), operator.index(seed)
     if k > DESK_SCALE_K:
         raise ValueError(

@@ -293,9 +293,6 @@ class TestPairingCore:
     def test_matrices_match_intersect(self, ctx):
         curves = ctx.test_curves
         assert curves == ref_test_curves(ctx)
-        for i, x in enumerate(curves):
-            for j, y in enumerate(curves):
-                assert ctx.curve_gram[i, j] == intersect(x, y)
         L = PicardClass(7, tuple(range(ctx.r)))
         assert (ctx.curve_matrix @ np.array([L.a, *L.b])).tolist() == [intersect(L, x) for x in curves]
         # the sweep's premise: M = L + (-K) is nef whenever L is
@@ -303,7 +300,7 @@ class TestPairingCore:
         assert min(intersect(anticanonical, x) for x in curves) >= 1
 
     def test_cached_arrays_are_read_only(self, ctx):
-        arrays = (ctx.curve_matrix, ctx.curve_gram, ctx.curve_operand)
+        arrays = (ctx.curve_matrix, ctx.curve_operand)
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -578,11 +575,18 @@ def zariski_sums(draw, r, meeting=False, huge=False):
 
 
 class TestClosedForm:
-    @pytest.mark.parametrize("r", [2, 3])
-    def test_equals_the_greedy_on_a_whole_box(self, r):
+    # the r = 4 box holds every way a class past the early reject fails:
+    # more than r negative curves, negative curves that meet, and disjoint
+    # negative curves with a positive part that is not nef
+    @pytest.mark.parametrize(
+        "r,a_range,b_range",
+        [(2, range(0, 9), range(-8, 9)), (3, range(0, 9), range(-8, 9)), (4, range(0, 7), range(-3, 6))],
+        ids=["2", "3", "4"],
+    )
+    def test_equals_the_greedy_on_a_whole_box(self, r, a_range, b_range):
         ctx = surface_context(r)
-        for a in range(0, 9):
-            for b in itertools.product(range(-8, 9), repeat=r):
+        for a in a_range:
+            for b in itertools.product(b_range, repeat=r):
                 L = PicardClass(a, b)
                 assert is_effective(L, ctx) == ref_is_effective(L, ctx), L
 

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delpezzo.lattice import SAFE_COEFF_BOUND, PicardClass, canonical_class, degree, intersect, line, point_class
+from delpezzo.lattice import (
+    SAFE_COEFF_BOUND,
+    LatticeMismatchError,
+    PicardClass,
+    canonical_class,
+    degree,
+    intersect,
+    line,
+    point_class,
+)
 from delpezzo.enumeration import distinct_permutations, orbit_size, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
@@ -723,6 +732,11 @@ class TestConsistencySweep:
     def test_desk_scale_refusal(self):
         with pytest.raises(ValueError):
             consistency_sweep(2, 3, 8)
+
+    def test_context_of_another_rank_refusal(self):
+        # the same error as every other entry point given a foreign rank
+        with pytest.raises(LatticeMismatchError, match="context rank 2 does not match r=3"):
+            consistency_sweep(3, 1, 4, surface_context(2))
 
     def test_oversized_exhaustive_box_refusal(self):
         with pytest.raises(ValueError, match="sample"):
