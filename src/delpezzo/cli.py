@@ -123,12 +123,8 @@ def parse_class_literal(text: str, r: int, strict: bool = True) -> PicardClass:
 
 def _add_rank_option(parser):
     parser.add_argument("--r", type=int, required=True, metavar="R",
+                        choices=range(MIN_RANK, MAX_RANK + 1),
                         help=f"number of blown-up points ({MIN_RANK}..{MAX_RANK})")
-
-
-def _check_rank_arg(parser, r):
-    if not MIN_RANK <= r <= MAX_RANK:
-        parser.error(f"--r must be in {MIN_RANK}..{MAX_RANK}, got {r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +186,6 @@ def _yes(flag: bool) -> str:
 
 
 def _cmd_exceptional(parser, args) -> int:
-    _check_rank_arg(parser, args.r)
     if args.list:
         for cls in enumerate_exceptional(args.r):
             print(cls.render())
@@ -200,7 +195,6 @@ def _cmd_exceptional(parser, args) -> int:
 
 
 def _cmd_null_classes(parser, args) -> int:
-    _check_rank_arg(parser, args.r)
     records = enumerate_null_classes(args.r)
     print(table_views.render_null_class_table(records, args.r), end="")
     print()
@@ -209,7 +203,6 @@ def _cmd_null_classes(parser, args) -> int:
 
 
 def _cmd_check(parser, args) -> int:
-    _check_rank_arg(parser, args.r)
     if args.k < 0:
         parser.error(f"--k must be >= 0, got {args.k}")
     L = _parse_literal_or_exit(parser, args)
@@ -238,7 +231,6 @@ def _cmd_check(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    _check_rank_arg(parser, args.r)
     if args.k < 0:
         parser.error(f"--k must be >= 0, got {args.k}")
     seed = 0 if args.seed is None else args.seed
@@ -257,7 +249,6 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_adjoint(parser, args) -> int:
-    _check_rank_arg(parser, args.r)
     if args.k < 1:
         parser.error(f"--k must be >= 1 for the adjoint check, got {args.k}")
     L = _parse_literal_or_exit(parser, args)

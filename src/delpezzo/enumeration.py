@@ -4,9 +4,10 @@ Three finite integer systems in (a; b) are solved exhaustively, and all
 three are symmetric in the b coordinates.  So one search serves them:
 :func:`descending_vectors` finds the non-increasing b with a prescribed
 range of sum and of sum of squares, by depth-first search with
-partial-sum and Cauchy-Schwarz pruning, :func:`distinct_permutations`
-expands a representative to its full orbit where a caller needs it, and
-:func:`orbit_size` counts that orbit without expanding it.
+partial-sum and Cauchy-Schwarz pruning.  This module is also the one
+home of the S_r orbits of such a representative: :func:`expand_orbit`
+lists the orbit of a row (a; b) and :func:`orbit_sizes` counts the
+orbits of many rows without expanding them.
 
 * exceptional classes: ``xi.xi = -1`` and ``K.xi = -1``, i.e.
   ``sum(b) = 3a - 1`` and ``sum(b^2) = a^2 + 1``.  Cauchy-Schwarz,
@@ -32,10 +33,13 @@ parallel partitioning of the search space could not change the output.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
+
+import numpy as np
 
 from .lattice import (
     CurveTypePattern,
@@ -92,29 +96,48 @@ def descending_vectors(length, lo, hi, s_lo, s_hi, q_lo, q_hi) -> list[tuple[int
     return out
 
 
-def distinct_permutations(t):
-    """Each distinct ordering of the tuple `t` exactly once, in
-    lexicographic order (Narayana's next-permutation step)."""
-    p = sorted(t)
-    n = len(p)
-    while True:
-        yield tuple(p)
-        i = n - 2
-        while i >= 0 and p[i] >= p[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while p[j] <= p[i]:
-            j -= 1
-        p[i], p[j] = p[j], p[i]
-        p[i + 1:] = p[:i:-1]
+def expand_orbit(rep: np.ndarray) -> np.ndarray:
+    """The S_r orbit of the row ``rep`` = (a; b), b non-increasing: one row
+    (a; b') per distinct ordering b' of b, in ascending (a, b) order and in
+    the dtype of ``rep``."""
+    runs = tuple(len(list(run)) for _, run in itertools.groupby(rep[1:].tolist()))
+    return rep[_orbit_index(runs)]
 
 
-def orbit_size(t) -> int:
-    """How many distinct orderings the tuple `t` has: the multinomial
-    ``len(t)! / prod(m!)`` over the multiplicities m of its entries."""
-    return factorial(len(t)) // prod(factorial(m) for m in Counter(t).values())
+@lru_cache(maxsize=None)
+def _orbit_index(runs: tuple[int, ...]) -> np.ndarray:
+    """Column indices that expand a representative (a; b), with b
+    non-increasing in runs of equal entries of these lengths, into its
+    orbit: ``rep[index]`` lists each distinct ordering of b once, in
+    ascending (a, b) order.
+
+    Built one coordinate at a time: each partial row is continued once per
+    value it has left, smallest value first."""
+    left = np.array([runs[::-1]])  # copies left of each value, smallest first
+    value = np.empty((1, 0), dtype=np.intp)
+    for _ in range(sum(runs)):
+        parent, v = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(len(parent)), v] -= 1
+        value = np.column_stack([value[parent], v])
+    # the representative holds its largest value first, from column 1
+    column = 1 + np.cumsum((0, *runs[:-1]))[::-1]
+    index = np.column_stack([np.zeros(len(value), dtype=np.intp), column[value]])
+    index = index.astype(np.int8)  # cached per shape for the whole process
+    index.flags.writeable = False
+    return index
+
+
+def orbit_sizes(b: np.ndarray) -> np.ndarray:
+    """The orbit size of each row of b, whose rows are sorted: the
+    multinomial ``len(row)! / prod(m!)`` over the multiplicities m, where
+    the running counts of equal neighbours multiply to prod(m!)."""
+    run = np.ones(len(b), dtype=np.int64)
+    denominator = np.ones(len(b), dtype=np.int64)
+    for j in range(1, b.shape[1]):
+        run = np.where(b[:, j] == b[:, j - 1], run + 1, 1)
+        denominator *= run
+    return factorial(b.shape[1]) // denominator
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +153,9 @@ def enumerate_exceptional(r: int) -> tuple[PicardClass, ...]:
         sols = descending_vectors(r, -1, a, 3 * a - 1, 3 * a - 1, a * a + 1, a * a + 1)
         if a == EXCEPTIONAL_A_BOUND:
             assert not sols, "Cauchy-Schwarz bound a <= 7 attained; enumeration is unsound"
-        found.extend(PicardClass(a, b) for rep in sols for b in distinct_permutations(rep))
+        for rep in sols:
+            orbit = expand_orbit(np.array((a, *rep))).tolist()
+            found.extend(PicardClass(a, tuple(b)) for _, *b in orbit)
     return tuple(sorted(found, key=PicardClass.sort_key))
 
 

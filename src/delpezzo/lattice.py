@@ -307,18 +307,6 @@ class SurfaceContext:
         rows against the test curves."""
         return float_operand(self.curve_matrix.T)
 
-    @cached_property
-    def curve_orbits(self) -> tuple[tuple[CurveTypePattern, np.ndarray], ...]:
-        """The test curves grouped by type pattern (one permutation orbit
-        each), sorted by pattern: (pattern, indices into ``test_curves``)."""
-        groups: dict[CurveTypePattern, list[int]] = {}
-        for i, x in enumerate(self.test_curves):
-            groups.setdefault(type_pattern(x), []).append(i)
-        return tuple(
-            (pat, _read_only(np.array(groups[pat], dtype=np.intp)))
-            for pat in sorted(groups, key=CurveTypePattern.sort_key)
-        )
-
 
 def float_operand(B: np.ndarray) -> np.ndarray:
     """The int64 matrix B as the right operand of exact products ``A @ B``

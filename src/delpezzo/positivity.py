@@ -19,7 +19,7 @@ against the test curves: the exceptional set, plus the fiber class
 
 The verdicts (nef, big, spanned, k-very ample, and a report's
 violations) come from the paper's inequalities: one family per
-permutation orbit of test curves (``SurfaceContext.curve_orbits``), the
+permutation orbit of test curves, that is per type pattern, the
 pairing test folded over that orbit, ``a0*a >= <multiplicities, b> + k``
 with both sides sorted.  Each family's value is read off the prefix sums
 of b sorted descending (:func:`_family_folds`), at most two of them per
@@ -65,6 +65,7 @@ from .lattice import (
     _genus,
     _same_rank,
     degree,
+    type_pattern,
     adjoint as adjoint_class,
 )
 from .enumeration import surface_context
@@ -321,9 +322,10 @@ def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
     though all three satisfy the intersection inequalities.  k = 0 is
     handled uniformly (so the zero class and ``-K`` are flagged at rank 8).
     """
+    _check_context(L, ctx)
     # -mK = (3m; m, ..., m); find m, if L is a multiple of -K at all
     m, rem = divmod(L.a, 3)
-    if rem or L.r != ctx.r or any(x != m for x in L.b):
+    if rem or any(x != m for x in L.b):
         return EXCEPTION_NONE
     if ctx.r == 8:
         if m == k:
@@ -489,9 +491,10 @@ class InequalityFamily:
 
 
 def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> tuple[InequalityFamily, ...]:
-    """One family per permutation orbit of the test curves, in the order of
-    ``surface_context(r).curve_orbits``: one per exceptional type present
-    at rank r, plus the ``a >= b_1 + k`` fiber family at rank 1.
+    """One family per permutation orbit of the test curves, that is per type
+    pattern of ``surface_context(r).test_curves``, sorted by pattern: one per
+    exceptional type present at rank r, plus the ``a >= b_1 + k`` fiber
+    family at rank 1.
     Evaluating every family at (L, k) is equivalent to pairing L against
     every test curve.
 
@@ -508,9 +511,10 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
 
 @lru_cache(maxsize=None)
 def _inequality_families(r: int) -> tuple[InequalityFamily, ...]:
+    patterns = {type_pattern(x) for x in surface_context(r).test_curves}
     return tuple(
         InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
-        for pat, _ in surface_context(r).curve_orbits
+        for pat in sorted(patterns, key=CurveTypePattern.sort_key)
     )
 
 
@@ -593,7 +597,7 @@ def f1_class(a0: int, b: int) -> PicardClass:
 
 def f1_is_k_very_ample(a0: int, b: int, k: int) -> bool:
     """k-very ampleness in (a0, b) coordinates: a0 >= k and b >= a0 + k."""
-    k = ampleness_level(k)
+    a0, b, k = operator.index(a0), operator.index(b), ampleness_level(k)
     return a0 >= k and b >= a0 + k
 
 

@@ -70,7 +70,7 @@ from .lattice import (
     line,
     point_class,
 )
-from .enumeration import descending_vectors, surface_context
+from .enumeration import descending_vectors, expand_orbit, orbit_sizes, surface_context
 from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
@@ -220,9 +220,7 @@ class _CandidateTable:
         ``operand``: float64 (integer-valued) or int64."""
         rows = self.expanded.get(o)
         if rows is None:
-            beta = self.reps[o, 1:].tolist()
-            runs = tuple(len(list(run)) for _, run in itertools.groupby(beta))
-            rows = self.expanded[o] = self.operand.T[o][_orbit_index(runs)]
+            rows = self.expanded[o] = expand_orbit(self.operand.T[o])
         return rows
 
     def witness(self, coeffs: tuple[int, ...]) -> tuple[PicardClass, EffectivityCertificate]:
@@ -238,30 +236,6 @@ class _CandidateTable:
             assert effective, f"candidate table let a non-effective class through: {D}"
             hit = self.certified[coeffs] = (D, cert)
         return hit
-
-
-@lru_cache(maxsize=None)
-def _orbit_index(runs: tuple[int, ...]) -> np.ndarray:
-    """Column indices that expand a representative (alpha; beta), with beta
-    non-increasing in runs of equal entries of these lengths, into its
-    orbit: ``rep[index]`` lists each distinct ordering of beta once, in
-    ascending (a, b) order.
-
-    Built one coordinate at a time: each partial row is continued once per
-    value it has left, smallest value first."""
-    left = np.array([runs[::-1]])  # copies left of each value, smallest first
-    value = np.empty((1, 0), dtype=np.intp)
-    for _ in range(sum(runs)):
-        parent, v = np.nonzero(left)
-        left = left[parent]
-        left[np.arange(len(parent)), v] -= 1
-        value = np.column_stack([value[parent], v])
-    # the representative holds its largest value first, from column 1
-    column = 1 + np.cumsum((0, *runs[:-1]))[::-1]
-    index = np.column_stack([np.zeros(len(value), dtype=np.intp), column[value]])
-    index = index.astype(np.int8)  # cached per shape for the whole process
-    index.flags.writeable = False
-    return index
 
 
 def _box_bounds(k: int) -> tuple[int, int]:
@@ -288,19 +262,8 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
     return _CandidateTable(
         reps=rows,
         squares=rows[:, 0] ** 2 - (rows[:, 1:] ** 2).sum(axis=1),
-        sizes=_orbit_sizes(rows[:, 1:]),  # each beta is non-increasing
+        sizes=orbit_sizes(rows[:, 1:]),  # each beta is non-increasing
     )
-
-
-def _orbit_sizes(b: np.ndarray) -> np.ndarray:
-    """``orbit_size`` of each row of b, whose rows are sorted: the running
-    counts of equal neighbours multiply to prod(m!) over the multiplicities m."""
-    run = np.ones(len(b), dtype=np.int64)
-    denominator = np.ones(len(b), dtype=np.int64)
-    for j in range(1, b.shape[1]):
-        run = np.where(b[:, j] == b[:, j - 1], run + 1, 1)
-        denominator *= run
-    return _math.factorial(b.shape[1]) // denominator
 
 
 def _window_hits(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple]:
@@ -711,7 +674,7 @@ def consistency_sweep(
         counts, found = _decide_block(rows, lowest[nef], below, k, ctx, table)
         scanned += len(rows)
         # a box leaf decides its whole permutation orbit
-        covered += len(rows) if sample is not None else int(_orbit_sizes(rows[:, 1:]).sum())
+        covered += len(rows) if sample is not None else int(orbit_sizes(rows[:, 1:]).sum())
         totals = [t + c for t, c in zip(totals, counts)]
         violations += found
         if scanned == sample:

@@ -77,8 +77,12 @@ class TestSubcommands:
         assert code == 0
         assert out.strip() == "0;-1"
 
-    def test_exceptional_bad_rank_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "exceptional", "--r", "9")
+    @pytest.mark.parametrize("argv", [
+        ("exceptional",), ("null-classes",), ("check", "3;1,1,1"), ("verify",),
+        ("adjoint", "--k", "1", "3;1,1,1"),
+    ], ids=lambda argv: argv[0])
+    def test_bad_rank_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--r", "9")
         assert code == 2
         assert "--r" in err
 
@@ -239,6 +243,13 @@ class TestGoldenFiles:
             (("verify", "--r", "8", "--k", "1", "--box", "12", "--sample", "20", "--seed", "3",
               "--json"), "verify_r8_k1_box12_sample20_seed3.json"),
             (("verify", "--r", "8", "--k", "2", "--box", "6", "--json"), "verify_r8_k2_box6.json"),
+            (("check", "--r", "2", "0;-100000000000000000000,0", "--json"),
+             "check_r2_certificate_1e20.json"),
+            (("check", "--r", "3", "100000000000000000000;100000000000000000000,"
+              "100000000000000000000,100000000000000000000", "--json"),
+             "check_r3_tied_past_int64.json"),
+            (("check", "--r", "8", "--k", "1", "10;100000000000000000000,0,0,0,0,0,0,0", "--json"),
+             "check_r8_k1_violations_past_int64.json"),
         ],
     )
     def test_machine_reports_byte_match(self, capsys, argv, golden):

@@ -11,6 +11,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,11 +19,11 @@ from delpezzo.lattice import PicardClass, RankError, canonical_class, degree, in
 from delpezzo.enumeration import (
     decompose_null_class,
     descending_vectors,
-    distinct_permutations,
-    orbit_size,
     enumerate_exceptional,
     enumerate_null_classes,
     exceptional_type_census,
+    expand_orbit,
+    orbit_sizes,
     surface_context,
 )
 
@@ -307,11 +308,20 @@ class TestSharedSearch:
 
     @given(st.lists(st.integers(-3, 3), max_size=8).map(tuple))
     def test_orbit_expander_matches_permutations(self, t):
-        orbit = list(distinct_permutations(t))
+        rep = np.array((5, *sorted(t, reverse=True)), dtype=np.int64)
+        rows = expand_orbit(rep)
+        assert rows.dtype == np.int64
+        assert set(rows[:, 0].tolist()) == {5}
+        orbit = [tuple(row[1:]) for row in rows.tolist()]
         assert len(orbit) == len(set(orbit))
         assert set(orbit) == set(itertools.permutations(t))
+        assert orbit == sorted(orbit)  # ascending (a, b) order
         multinomial = math.factorial(len(t))
         for count in Counter(t).values():
             multinomial //= math.factorial(count)
         assert len(orbit) == multinomial
-        assert orbit_size(t) == len(orbit)
+        assert orbit_sizes(rep[None, 1:]).tolist() == [len(orbit)]
+        # the expander keeps the dtype of the representative
+        as_float = expand_orbit(rep.astype(np.float64))
+        assert as_float.dtype == np.float64
+        np.testing.assert_array_equal(as_float, rows)

@@ -70,6 +70,15 @@ def ref_test_curves(ctx):
     return ctx.exceptional_set + ((fiber_class(1),) if ctx.r == 1 else ())
 
 
+def ref_curve_orbits(ctx):
+    """The test curves grouped by type pattern (one permutation orbit each),
+    sorted by pattern: (pattern, indices into ``ctx.test_curves``)."""
+    groups = {}
+    for i, x in enumerate(ctx.test_curves):
+        groups.setdefault(type_pattern(x), []).append(i)
+    return sorted(groups.items(), key=lambda kv: kv[0].sort_key())
+
+
 def ref_minimum_pairing(L, ctx):
     return min(intersect(L, c) for c in ref_test_curves(ctx))
 
@@ -307,14 +316,12 @@ class TestPairingCore:
 
     def test_orbits_follow_the_families(self, ctx):
         fams = generate_inequality_families(ctx.r)
-        assert [fam.source_type for fam in fams] == [pat for pat, _ in ctx.curve_orbits]
+        assert [fam.source_type for fam in fams] == [pat for pat, _ in ref_curve_orbits(ctx)]
         # independently of the orbits: the exceptional types, and the fiber at rank 1
         expected = [pat for pat, _ in exceptional_type_census(ctx.r).counts]
         if ctx.r == 1:
             expected.append(type_pattern(fiber_class(1)))
         assert [fam.source_type for fam in fams] == sorted(expected, key=lambda pat: pat.sort_key())
-        covered = np.sort(np.concatenate([idx for _, idx in ctx.curve_orbits]))
-        np.testing.assert_array_equal(covered, np.arange(len(ctx.test_curves)))
 
     @given(any_class)
     @settings(max_examples=200, deadline=None)
@@ -323,8 +330,10 @@ class TestPairingCore:
         P = [intersect(L, x) for x in ctx.test_curves]
         fams = generate_inequality_families(L.r)
         values = _family_values(L)
-        assert len(values) == len(fams) == len(ctx.curve_orbits)
-        for fam, (pat, idx), value in zip(fams, ctx.curve_orbits, values):
+        orbits = ref_curve_orbits(ctx)
+        assert len(values) == len(fams) == len(orbits)
+        for fam, (pat, idx), value in zip(fams, orbits, values):
+            assert fam.source_type == pat
             assert min(P[i] for i in idx) == fam.evaluate(L) == value
             assert type(value) is int
 
@@ -340,9 +349,10 @@ class TestPairingCore:
         lambda L, ctx: is_k_very_ample(L, 1, ctx),
         lambda L, ctx: search_obstructions(L, 1, ctx),
         lambda L, ctx: window_applicable(L, 1, ctx),
+        lambda L, ctx: exception_flag(L, 1, ctx),
     ],
     ids=["minimum_pairing", "is_nef", "is_big", "is_spanned", "is_effective",
-         "is_k_very_ample", "search_obstructions", "window_applicable"],
+         "is_k_very_ample", "search_obstructions", "window_applicable", "exception_flag"],
 )
 def test_foreign_rank_class_is_a_lattice_mismatch(check):
     with pytest.raises(LatticeMismatchError):
@@ -376,6 +386,14 @@ def test_level_k_is_a_checked_plain_int(call, least):
         call(2.0)
     with pytest.raises(ValueError, match=f"k must be >= {least}, got {least - 1}$"):
         call(np.int64(least - 1))
+
+
+@pytest.mark.parametrize("a0,b", [(2.5, 5), (2, 5.0)])
+def test_f1_coordinates_are_plain_ints(a0, b):
+    # numpy integers are the ints themselves; a float is no coordinate
+    assert f1_is_k_very_ample(np.int64(2), np.int64(5), 2) is f1_is_k_very_ample(2, 5, 2) is True
+    with pytest.raises(TypeError):
+        f1_is_k_very_ample(a0, b, 2)
 
 
 @pytest.mark.parametrize(

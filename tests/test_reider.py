@@ -19,7 +19,7 @@ from delpezzo.lattice import (
     line,
     point_class,
 )
-from delpezzo.enumeration import distinct_permutations, orbit_size, surface_context
+from delpezzo.enumeration import orbit_sizes, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     exact_rows,
@@ -40,7 +40,6 @@ from delpezzo.reider import (
     _box_leaves,
     _candidate_table,
     _decide_block,
-    _orbit_sizes,
     _window_hits,
     _witness_rows,
     consistency_sweep,
@@ -52,11 +51,38 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @lru_cache(maxsize=None)
+def _orderings(pattern):
+    """Each distinct ordering of the tuple `pattern` once, in ascending
+    order, by brute force over itertools.permutations."""
+    return sorted(set(itertools.permutations(pattern)))
+
+
+def _pattern(beta):
+    """beta's values in ascending order, and beta with each entry replaced
+    by its rank among them.  The orderings of beta depend only on which of
+    its entries are equal, so those of the pattern serve every beta of the
+    same pattern, and mapping them back keeps their order."""
+    values = sorted(set(beta))
+    return values, tuple(values.index(x) for x in beta)
+
+
+def permutations_of(beta):
+    """Each distinct ordering of beta once, in ascending order."""
+    values, pattern = _pattern(beta)
+    return [tuple(values[i] for i in p) for p in _orderings(pattern)]
+
+
+def permutation_count(beta):
+    """How many distinct orderings beta has, counted by brute force."""
+    return len(_orderings(_pattern(beta)[1]))
+
+
+@lru_cache(maxsize=None)
 def _full_table(r, k):
     """Every class of the (r, k) candidate table in (a, b) order, rebuilt
     from the orbit representatives: int64 coefficient rows and D.D."""
     rows = sorted((alpha, *perm) for alpha, *beta in _candidate_table(r, k).reps.tolist()
-                  for perm in distinct_permutations(beta))
+                  for perm in permutations_of(beta))
     coeffs = np.array(rows, dtype=np.int64).reshape(len(rows), r + 1)
     return coeffs, coeffs[:, 0] ** 2 - (coeffs[:, 1:] ** 2).sum(axis=1)
 
@@ -434,7 +460,7 @@ class TestFoldedWindow:
             alpha, *beta = rep
             assert beta == sorted(beta, reverse=True)
             got = [tuple(row) for row in table.orbit_rows(o).astype(np.int64).tolist()]
-            assert got == [(alpha, *perm) for perm in distinct_permutations(tuple(beta))]
+            assert got == [(alpha, *perm) for perm in permutations_of(beta)]
             assert len(got) == size
             assert d2 == alpha * alpha - sum(x * x for x in beta)
             seen.update(got)
@@ -492,7 +518,7 @@ def ref_box_rows(r, a_max):
         rec(r, a)
     coeffs = np.array(leaves, dtype=np.int64).reshape(len(leaves), r + 1)
     coeffs = coeffs[minimum_pairing_bulk(coeffs, surface_context(r)) >= 0]
-    return coeffs, np.array([orbit_size(row[1:]) for row in coeffs.tolist()], dtype=np.int64)
+    return coeffs, np.array([permutation_count(row[1:]) for row in coeffs.tolist()], dtype=np.int64)
 
 
 def ref_box_leaves(r, a_max):
@@ -619,7 +645,7 @@ class TestBatchedSweepAgainstPerRow:
         nef = leaves[minimum_pairing_bulk(leaves, surface_context(r)) >= 0]
         coeffs, weights = ref_box_rows(r, a_max)
         np.testing.assert_array_equal(nef, coeffs)
-        np.testing.assert_array_equal(_orbit_sizes(nef[:, 1:]), weights)
+        np.testing.assert_array_equal(orbit_sizes(nef[:, 1:]), weights)
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_box_leaves_match_the_column_by_column_build(self, r):
