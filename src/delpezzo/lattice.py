@@ -117,7 +117,7 @@ class PicardClass:
 
     def render(self) -> str:
         """Literal form ``a;b1,b2,...`` accepted back by the CLI parser."""
-        return f"{self.a};{','.join(str(x) for x in self.b)}"
+        return f"{self.a};{','.join(map(str, self.b))}"
 
     def __str__(self) -> str:
         return self.render()
@@ -167,7 +167,7 @@ def intersect(L1: PicardClass, L2: PicardClass) -> int:
 
 def degree(L: PicardClass) -> int:
     """Self-intersection ``L.L``."""
-    return intersect(L, L)
+    return L.a * L.a - sum(map(operator.mul, L.b, L.b))
 
 
 def sectional_genus(L: PicardClass) -> int:

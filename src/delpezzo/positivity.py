@@ -279,10 +279,11 @@ def _effectivity(
     if len(C) > ctx.r:
         return False, None
     exc = ctx.exceptional_set
-    idx = sorted(C.tolist(), key=P.item)  # C in the greedy's order
-    vals = [P.item(i) for i in idx]  # L.E along idx
+    # C as (L.E, index) pairs, each entry of P read once, in the greedy's
+    # order: most negative first, ties by first index
+    order = sorted([(P.item(i), i) for i in C.tolist()])
     a, b = L.a, list(L.b)
-    for i, v in zip(idx, vals):
+    for v, i in order:
         E = exc[i]
         a += v * E.a
         for j, x in enumerate(E.b):
@@ -296,12 +297,12 @@ def _effectivity(
     if min(_family_values(terminal)) < 0:
         return False, None
     # the greedy's runs by level: `active` holds the curves with L.E <= lo,
-    # by index; only a range with one active curve (the first) gives a run
-    # longer than 1, and it merges with the next range when that range
-    # starts with the same curve
+    # by index, and the last range ends at L.E = 0; only a range with one
+    # active curve (the first) gives a run longer than 1, and it merges
+    # with the next range when that range starts with the same curve
     chain: list[tuple[PicardClass, int]] = []
     active: list[int] = []
-    for i, lo, hi in zip(idx, vals, vals[1:] + [0]):
+    for (lo, i), (hi, _) in itertools.pairwise(order + [(0, None)]):
         insort(active, i)
         if hi == lo:
             continue
@@ -320,12 +321,20 @@ def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
     On the degree-1 surface neither ``-k*K`` nor ``-(k+1)*K`` is k-very
     ample, and on the degree-2 surface ``-K`` is not very ample, even
     though all three satisfy the intersection inequalities.  k = 0 is
-    handled uniformly (so the zero class and ``-K`` are flagged at rank 8).
+    handled uniformly (so the zero class and ``-K`` are flagged at rank 8);
+    k is checked by :func:`ampleness_level`, so a negative or non-integer
+    k is refused.
     """
+    k = ampleness_level(k)
     _check_context(L, ctx)
+    return _exception_flag(L, k, ctx)
+
+
+def _exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
+    """:func:`exception_flag` for a checked level k and class rank."""
     # -mK = (3m; m, ..., m); find m, if L is a multiple of -K at all
     m, rem = divmod(L.a, 3)
-    if rem or any(x != m for x in L.b):
+    if rem or L.b.count(m) != len(L.b):
         return EXCEPTION_NONE
     if ctx.r == 8:
         if m == k:
@@ -335,6 +344,23 @@ def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
     if ctx.r == 7 and k == 1 and m == 1:
         return EXCEPTION_MINUS_K_S7_K1
     return EXCEPTION_NONE
+
+
+def _record(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` whose instance dict is
+    ``fields``, which must name every field: for records the package
+    builds from values it has already checked.  It skips ``__init__``,
+    hence ``__post_init__`` and the frozen ``__setattr__`` per field;
+    equality, hashing and frozenness are the dataclass's own.
+
+    Used for the report and its violations.  The two-field records
+    (certificates, and classes through ``PicardClass._trusted``) keep
+    their constructors: for them this saves nothing, and the instance
+    dict it materializes under CPython 3.11, where ``__init__`` keeps
+    attributes inline, made effectivity calls slower."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -352,7 +378,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """All verdicts for one class, with violations and certificates."""
+    """All verdicts for one class, with violations and certificates.
+
+    Reports built by :func:`is_k_very_ample` skip the dataclass
+    ``__init__`` (their fields are written straight into the instance
+    dict, see :func:`_record`) but still run ``__post_init__``, so
+    the invariants below hold for every report."""
 
     subject: PicardClass
     k: int
@@ -383,8 +414,17 @@ class PositivityReport:
 
     def as_dict(self) -> dict:
         """Machine-readable form; field names and order are stable."""
+        subject = self.subject.render()
+        cert = self.certificate
+        if cert is None:
+            certificate = None
+        elif cert.terminal is self.subject and not cert.subtracted:
+            # the trivial certificate: its terminal renders as the subject
+            certificate = {"subtracted": [], "terminal": subject}
+        else:
+            certificate = cert.as_dict()
         return {
-            "subject": self.subject.render(),
+            "subject": subject,
             "r": self.r,
             "k": self.k,
             "degree": self.degree,
@@ -398,7 +438,7 @@ class PositivityReport:
             },
             "violations": [v.as_dict() for v in self.violations],
             "exception_flag": self.exception_flag,
-            "certificate": None if self.certificate is None else self.certificate.as_dict(),
+            "certificate": certificate,
         }
 
 
@@ -413,18 +453,21 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
     _check_context(L, ctx)
     values = _family_values(L)
     mp = min(values)
-    flag = exception_flag(L, k, ctx)
+    flag = _exception_flag(L, k, ctx)
     nef = mp >= 0
     effective, cert = _effectivity(L, ctx, nef)
     violations = []
     if mp < k:
         for (nef_label, kva_label), val in zip(_family_labels(ctx.r), values, strict=True):
             if val < 0:
-                violations.append(Violation("nef", nef_label, val, 0))
+                violations.append(_record(Violation, check="nef", family=nef_label, value=val, bound=0))
             if val < k:
-                violations.append(Violation("k_very_ample", kva_label, val, k))
+                violations.append(
+                    _record(Violation, check="k_very_ample", family=kva_label, value=val, bound=k)
+                )
     square = degree(L)
-    return PositivityReport(
+    report = _record(
+        PositivityReport,
         subject=L,
         k=k,
         effective=effective,
@@ -438,6 +481,8 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
         exception_flag=flag,
         certificate=cert,
     )
+    report.__post_init__()
+    return report
 
 
 @dataclass(frozen=True)

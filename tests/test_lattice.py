@@ -29,6 +29,13 @@ def classes(r):
 
 ranked_classes = st.integers(1, 8).flatmap(classes)
 
+#: Coefficients on both sides of the int64 range and far past it.
+wide_coeff = coeff | st.integers(-(10**30), 10**30) | st.sampled_from([2**63, -(2**63) - 1, 10**19])
+
+
+def wide_classes(r):
+    return st.builds(PicardClass, wide_coeff, st.tuples(*[wide_coeff] * r))
+
 
 class TestIntersection:
     def test_line_squares_to_one(self):
@@ -76,6 +83,12 @@ class TestDegreeAndGenus:
         assert sectional_genus(line(2)) == 0
         for r in range(1, 9):
             assert sectional_genus(-canonical_class(r)) == 1
+
+    @given(st.integers(1, 8).flatmap(wide_classes))
+    def test_degree_is_the_self_intersection(self, L):
+        # degree has its own sum of squares; intersect pairs two classes
+        square = degree(L)
+        assert type(square) is int and square == intersect(L, L)
 
     def test_genus_of_exceptional_classes_is_zero(self):
         from delpezzo.enumeration import enumerate_exceptional

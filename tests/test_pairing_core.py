@@ -12,6 +12,7 @@ for the greedy to replay are checked against the decomposition itself
 (``assert_zariski_certificate``).
 """
 
+import dataclasses
 import itertools
 import json
 import operator
@@ -42,6 +43,8 @@ from delpezzo.enumeration import exceptional_type_census, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
+    PositivityReport,
+    Violation,
     _effectivity,
     _family_values,
     adjoint_kva_check,
@@ -224,7 +227,11 @@ class TestAgainstReference:
             for m in range(-2, 6):
                 for k in range(-1, 5):
                     for L in (-m * K, -m * K + point_class(r, 1)):
-                        assert exception_flag(L, k, ctx) == ref_exception_flag(L, k, ctx)
+                        if k < 0:  # no level below 0 has exceptions to name
+                            with pytest.raises(ValueError):
+                                exception_flag(L, k, ctx)
+                        else:
+                            assert exception_flag(L, k, ctx) == ref_exception_flag(L, k, ctx)
 
 
 @st.composite
@@ -275,6 +282,64 @@ class TestNefShortCircuit:
 
 def refuse_to_pair(L, ctx):
     raise AssertionError(f"pairing vector built for {L}")
+
+
+def public_report(report):
+    """``report`` rebuilt, down to its classes and certificate, through the
+    public dataclass constructors."""
+    def public_class(L):
+        return PicardClass(L.a, L.b)
+
+    cert = report.certificate
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(PositivityReport)}
+    fields["subject"] = public_class(report.subject)
+    fields["violations"] = tuple(Violation(**v.as_dict()) for v in report.violations)
+    if cert is not None:
+        fields["certificate"] = EffectivityCertificate(
+            tuple((public_class(c), m) for c, m in cert.subtracted), public_class(cert.terminal)
+        )
+    return PositivityReport(**fields)
+
+
+class TestPackageBuiltRecords:
+    """Reports and their violations built by the package skip the dataclass
+    __init__; they, and the certificates they carry, must be the records
+    the public constructors build, just as frozen, and render the same."""
+
+    @given(any_class | ranked(nef_classes) | ranked(exceptional_multiples), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_report_is_the_publicly_constructed_one(self, L, k):
+        report = is_k_very_ample(L, k, surface_context(L.r))
+        public = public_report(report)
+        assert report == public and hash(report) == hash(public)
+
+        def records(rep):
+            cert = rep.certificate
+            return [rep, *rep.violations, *([cert, cert.terminal] if cert else [])]
+
+        for record, twin in zip(records(report), records(public), strict=True):
+            assert vars(record) == vars(twin)  # every field, and nothing else
+            name = dataclasses.fields(record)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+        expected = {
+            "subject": report.subject.render(),
+            "r": report.r,
+            "k": report.k,
+            "degree": report.degree,
+            "genus": report.genus,
+            "verdicts": {
+                "effective": report.effective,
+                "nef": report.nef,
+                "big": report.big,
+                "spanned": report.spanned,
+                "k_very_ample": report.k_very_ample,
+            },
+            "violations": [v.as_dict() for v in report.violations],
+            "exception_flag": report.exception_flag,
+            "certificate": None if report.certificate is None else report.certificate.as_dict(),
+        }
+        assert json.dumps(report.as_dict()) == json.dumps(expected)  # key order too
 
 
 class TestVerdictsBuildNoPairingVector:

@@ -18,6 +18,7 @@ from delpezzo.lattice import (
     type_pattern,
     zero_class,
 )
+from delpezzo import positivity
 from delpezzo.enumeration import surface_context
 from delpezzo.positivity import (
     EXCEPTION_MINUS_K1K_S8,
@@ -26,6 +27,7 @@ from delpezzo.positivity import (
     EXCEPTION_NONE,
     adjoint_kva_check,
     degree_bound_check,
+    exception_flag,
     f1_class,
     f1_coords,
     f1_is_k_very_ample,
@@ -202,6 +204,28 @@ class TestKVeryAmple:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             is_k_very_ample(line(2), -1, surface_context(2))
+
+    def test_exception_flag_checks_k(self):
+        ctx8 = surface_context(8)
+        K8 = canonical_class(8)
+        with pytest.raises(ValueError):
+            exception_flag(K8, -1, ctx8)  # K = -(-1)K: no level -1 to name
+        with pytest.raises(TypeError):
+            exception_flag(-K8, 1.0, ctx8)
+        assert exception_flag(-K8, np.int64(1), ctx8) == EXCEPTION_MINUS_KK_S8
+
+    def test_report_invariants_run_on_every_report(self, monkeypatch):
+        # -2K at r = 6 is 2-very ample; a forced degree of 0 keeps the genus
+        # parity (0 - 18 + 12 is even) but makes the report claim k-very
+        # ample without big, which __post_init__ refuses
+        ctx6 = surface_context(6)
+        L = -2 * canonical_class(6)
+        assert is_k_very_ample(L, 1, ctx6).k_very_ample
+        monkeypatch.setattr(positivity, "degree", lambda L: 0)
+        for k in (1, 2):
+            with pytest.raises(AssertionError) as excinfo:
+                is_k_very_ample(L, k, ctx6)
+            assert excinfo.traceback[-1].name == "__post_init__"
 
     @given(st.integers(1, 8).flatmap(classes), st.integers(1, 3))
     @settings(max_examples=300)
