@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .lattice import (
@@ -51,10 +52,11 @@ class ClassLiteralError(ValueError):
 
 
 def _parse_int(text: str, start: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ClassLiteralError(f"expected an integer, got {text!r}", start + 1) from None
+    # an optional sign and ASCII digits only: int() would also take
+    # underscores ("1_0") and non-ASCII digits
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ClassLiteralError(f"expected an integer, got {text!r}", start + 1)
+    return int(text)
 
 
 def _parse_coefficient_literal(text: str, r: int, strict: bool) -> PicardClass:
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="seeded random sample instead of the exhaustive box")
     p.add_argument("--seed", type=int, default=None, metavar="S",
-                   help="sample seed (default 0, printed)")
+                   help="sample seed, with --sample only (default 0, printed)")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
 
     p = sub.add_parser("adjoint", help="adjoint class and its (k-1)-very-ampleness")
@@ -233,6 +235,8 @@ def _cmd_check(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     if args.k < 0:
         parser.error(f"--k must be >= 0, got {args.k}")
+    if args.seed is not None and args.sample is None:
+        parser.error("--seed needs --sample: the exhaustive sweep draws no sample")
     seed = 0 if args.seed is None else args.seed
     try:
         summary = consistency_sweep(args.r, args.k, args.box, sample=args.sample, seed=seed)

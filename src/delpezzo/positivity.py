@@ -24,8 +24,9 @@ pairing test folded over that orbit, ``a0*a >= <multiplicities, b> + k``
 with both sides sorted.  Each family's value is read off the prefix sums
 of b sorted descending (:func:`_family_folds`), at most two of them per
 family at rank <= 8, in plain Python integers, so a verdict is exact at
-any size and builds no array.  :func:`minimum_family_value_bulk` folds
-rows the same way.
+any size and builds no array.  :func:`minimum_family_value_bulk` runs
+the same folds (:func:`_fold_values`) on numpy columns, one per prefix
+sum, with the rank read off the row width.
 
 Effectivity needs the curves themselves, so it alone is read off the
 pairing vector ``P = S @ (a, b)``, where S is the signed test-curve
@@ -62,6 +63,7 @@ from .lattice import (
     PicardClass,
     RankError,
     SurfaceContext,
+    _check_rank,
     _genus,
     _same_rank,
     degree,
@@ -93,8 +95,10 @@ def int64_safe(L: PicardClass) -> bool:
 
 
 def exact_rows(coeffs) -> np.ndarray:
-    """Class rows as int64 when every entry is within SAFE_COEFF_BOUND,
-    otherwise as an object array of Python integers (exact at any size)."""
+    """A 2-D block of class rows as int64 when every entry is within
+    SAFE_COEFF_BOUND, otherwise as an object array of Python integers
+    (exact at any size).  Non-integers raise TypeError, and anything but
+    a 2-D block (a single row, a scalar, a deeper array) ValueError."""
     rows = np.asarray(coeffs)
     if rows.dtype.kind == "f" and not isinstance(coeffs, np.ndarray):
         # np.asarray widens a list mixing integers past int64 with negative
@@ -104,6 +108,8 @@ def exact_rows(coeffs) -> np.ndarray:
             rows = exact
     if rows.dtype.kind not in "iuO":
         raise TypeError(f"class coefficients must be integers, got dtype {rows.dtype}")
+    if rows.ndim != 2:
+        raise ValueError(f"class rows must form a 2-D block, got {rows.ndim} dimension(s)")
     if rows.size == 0 or (rows.max() <= SAFE_COEFF_BOUND and rows.min() >= -SAFE_COEFF_BOUND):
         return rows.astype(np.int64, copy=False)
     return rows.astype(object)
@@ -174,6 +180,20 @@ def is_big(L: PicardClass, ctx: SurfaceContext) -> bool:
     return is_nef(L, ctx) and degree(L) > 0
 
 
+def _certificate_sum(L: PicardClass, runs) -> PicardClass:
+    """``L + sum(m * E)`` over the (E, m) pairs of runs, exact; a class E of
+    another rank than L raises LatticeMismatchError."""
+    a, b = L.a, list(L.b)
+    for cls, mult in runs:
+        if len(cls.b) != len(b):
+            _same_rank(cls, L)  # raises
+        a += mult * cls.a
+        for j, x in enumerate(cls.b):
+            if x:
+                b[j] += mult * x
+    return PicardClass._trusted(a, tuple(b))
+
+
 @dataclass(frozen=True)
 class EffectivityCertificate:
     """Replayable witness: L = sum(multiplicity * subtracted class) + terminal,
@@ -183,7 +203,6 @@ class EffectivityCertificate:
     terminal: PicardClass
 
     def replay(self) -> PicardClass:
-        terminal = self.terminal
         runs = self.subtracted
         if len(runs) > 1:
             # tied curves alternate over many runs of a few classes: total
@@ -196,15 +215,7 @@ class EffectivityCertificate:
                 else:
                     entry[1] += mult
             runs = totals.values()
-        a, b = terminal.a, list(terminal.b)
-        for cls, mult in runs:
-            if len(cls.b) != len(b):
-                _same_rank(cls, terminal)  # raises
-            a += mult * cls.a
-            for j, x in enumerate(cls.b):
-                if x:
-                    b[j] += mult * x
-        return PicardClass._trusted(a, tuple(b))
+        return _certificate_sum(self.terminal, runs)
 
     def as_dict(self) -> dict:
         """Machine-readable form; field names and order are stable."""
@@ -262,11 +273,10 @@ def _effectivity(
     if ctx.r == 1:
         # C is e_1 when b1 < 0, read off L without a pairing vector, and
         # T = (a; max(b1, 0)) is nef by the early reject
-        a, b1 = L.a, L.b[0]
-        if b1 < 0:
-            cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(a, (0,)))
-        else:
-            cert = EffectivityCertificate((), L)
+        b1 = L.b[0]
+        if b1 >= 0:
+            return True, EffectivityCertificate((), L)
+        cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)))
         assert cert.replay() == L
         return True, cert
     P = pairing_vector(L, ctx)
@@ -282,14 +292,7 @@ def _effectivity(
     # C as (L.E, index) pairs, each entry of P read once, in the greedy's
     # order: most negative first, ties by first index
     order = sorted([(P.item(i), i) for i in C.tolist()])
-    a, b = L.a, list(L.b)
-    for v, i in order:
-        E = exc[i]
-        a += v * E.a
-        for j, x in enumerate(E.b):
-            if x:
-                b[j] += v * x
-    terminal = PicardClass._trusted(a, tuple(b))
+    terminal = _certificate_sum(L, [(exc[i], v) for v, i in order])
     # For E in C, T.E is the sum of (L.E')(E'.E) over the other E' of C,
     # which is <= 0 and negative exactly when E meets one of them: so the
     # folds' "T nef" already means "C pairwise disjoint and T nef".  It is
@@ -500,6 +503,8 @@ class InequalityFamily:
         """min over the orbit of the pairing with L (exact, no orbit scan):
         positive coefficients take the largest coordinates, negative ones
         the smallest."""
+        if len(L.b) != self.r:
+            raise LatticeMismatchError(f"class of rank {len(L.b)} evaluated by a rank-{self.r} family")
         pos = [m for m in self.b_coeffs if m > 0]
         neg = [m for m in self.b_coeffs if m < 0]
         desc = sorted(L.b, reverse=True)
@@ -586,11 +591,16 @@ def _family_folds(r: int) -> tuple[tuple[int, int, int, int, int], ...]:
     return tuple(folds)
 
 
+def _fold_values(a, S, r: int) -> list:
+    """Every family's value, in family order, from a and the prefix sums
+    S[0..r] of b sorted descending (see :func:`_family_folds`): Python
+    integers for one class, numpy columns for a block of rows."""
+    return [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_folds(r)]
+
+
 def _family_values(L: PicardClass) -> list[int]:
     """Every family's value at L, in family order, as Python integers."""
-    S = (0, *itertools.accumulate(sorted(L.b, reverse=True)))
-    a = L.a
-    return [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_folds(len(L.b))]
+    return _fold_values(L.a, (0, *itertools.accumulate(sorted(L.b, reverse=True))), len(L.b))
 
 
 @lru_cache(maxsize=None)
@@ -652,21 +662,18 @@ def f1_is_k_very_ample(a0: int, b: int, k: int) -> bool:
 
 def pairing_matrix(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
     """(N, m) intersection numbers of N class rows against the test curves."""
-    return exact_product(exact_rows(coeffs), ctx.curve_operand)
+    rows = exact_rows(coeffs)
+    if rows.shape[1] != ctx.r + 1:
+        raise LatticeMismatchError(f"rows of width {rows.shape[1]} paired in rank-{ctx.r} context")
+    return exact_product(rows, ctx.curve_operand)
 
 
-def minimum_pairing_bulk(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
-    """Row-wise minimum pairing; >= k is the direct k-very-ampleness test."""
-    return pairing_matrix(coeffs, ctx).min(axis=1)
-
-
-def minimum_family_value_bulk(coeffs: np.ndarray, r: int) -> np.ndarray:
-    """Row-wise minimum over the inequality families: the folds of
-    :func:`_family_folds`, on the prefix sums of each row's b sorted
-    descending."""
+def minimum_family_value_bulk(coeffs: np.ndarray) -> np.ndarray:
+    """Row-wise minimum over the inequality families, the rank read off the
+    row width: the folds of :func:`_fold_values`, on the prefix sums of
+    each row's b sorted descending."""
     coeffs = exact_rows(coeffs)
-    S = np.zeros((coeffs.shape[0], r + 1), dtype=coeffs.dtype)
-    S[:, 1:] = np.cumsum(-np.sort(-coeffs[:, 1:], axis=1), axis=1)
-    a = coeffs[:, 0]
-    vals = [c * a - w1 * S[:, j1] - w2 * S[:, j2] for c, j1, w1, j2, w2 in _family_folds(r)]
-    return np.min(vals, axis=0)
+    r = _check_rank(coeffs.shape[1] - 1)
+    S = np.zeros((r + 1, coeffs.shape[0]), dtype=coeffs.dtype)
+    S[1:] = np.cumsum(-np.sort(-coeffs[:, 1:], axis=1), axis=1).T
+    return np.min(_fold_values(coeffs[:, 0], S, r), axis=0)

@@ -31,7 +31,7 @@ from delpezzo.positivity import (
     is_k_very_ample,
     minimum_family_value_bulk,
     minimum_pairing,
-    minimum_pairing_bulk,
+    pairing_matrix,
 )
 from delpezzo.reider import consistency_sweep
 from delpezzo.cli import main as cli_main
@@ -145,8 +145,8 @@ def test_criterion_3_criterion_equivalence():
     for r in range(1, 9):
         ctx = surface_context(r)
         coeffs = criterion_box(r) if r <= 4 else sampled_box(r)
-        direct = minimum_pairing_bulk(coeffs, ctx)
-        folded = minimum_family_value_bulk(coeffs, r)
+        direct = pairing_matrix(coeffs, ctx).min(axis=1)
+        folded = minimum_family_value_bulk(coeffs)
         for k in range(0, 4):
             disagreements += int(np.count_nonzero((direct >= k) != (folded >= k)))
     elapsed = time.monotonic() - start
@@ -195,7 +195,7 @@ def test_criterion_6_degree_bound():
     for r in range(1, 5):
         ctx = surface_context(r)
         coeffs = criterion_box(r)
-        mins = minimum_pairing_bulk(coeffs, ctx)
+        mins = pairing_matrix(coeffs, ctx).min(axis=1)
         degrees = coeffs[:, 0] ** 2 - (coeffs[:, 1:] ** 2).sum(axis=1)
         # no exception classes below rank 7, so the pairing test is the verdict
         for k, bound in ((2, 12), (3, 20)):

@@ -56,6 +56,20 @@ class TestLiteralParsing:
             for pat, _ in exceptional_type_census(r).counts:
                 assert parse_class_literal(pat.render(), r) == pat.to_class(r)
 
+    @pytest.mark.parametrize("text,column", [
+        ("3;1_0,1", 3),  # int() reads 1_0 as 10
+        ("3;\u0661,1", 3),  # ARABIC-INDIC DIGIT ONE
+        ("\uff13;1,1", 1),  # FULLWIDTH DIGIT THREE
+        ("(2;1^\u0665)", 6),
+    ])
+    def test_integers_are_ascii_decimal(self, text, column):
+        with pytest.raises(ClassLiteralError) as info:
+            parse_class_literal(text, 2 if text[0] != "(" else 5)
+        assert info.value.column == column
+
+    def test_signs_and_padding_still_parse(self):
+        assert parse_class_literal(" +3 ; -1 , 007 ", 2) == PicardClass(3, (-1, 7))
+
     def test_error_carries_column(self):
         with pytest.raises(ClassLiteralError) as info:
             parse_class_literal("3;1,x,1", 3)
@@ -131,6 +145,11 @@ class TestSubcommands:
         assert code == 2
         assert "column" in err
 
+    def test_check_refuses_underscored_integer(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--r", "2", "3;1_0,1")
+        assert code == 2 and out == ""
+        assert "'1_0'" in err and "(column 3)" in err
+
     def test_check_no_strict_pads(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--r", "4", "--k", "0", "--no-strict", "1;1")
         assert code == 0
@@ -171,6 +190,12 @@ class TestSubcommands:
         code, out, err = run_cli(capsys, "verify", "--r", "3", "--k", "1", *extra)
         assert code == 2 and out == ""
         assert err.startswith("refusing: ") and message in err
+
+    def test_verify_seed_without_sample_is_usage_error(self, capsys):
+        # the exhaustive sweep draws no sample, so a seed would be dropped
+        code, out, err = run_cli(capsys, "verify", "--r", "3", "--k", "1", "--box", "4", "--seed", "3")
+        assert code == 2 and out == ""
+        assert "--seed needs --sample" in err
 
     def test_verify_rank8_seeded_sample(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--r", "8", "--k", "1",

@@ -92,7 +92,41 @@ def oracle_exceptional(r):
     return out
 
 
+def quadratic_transformation(a, b):
+    """The Cremona map on the first three points, the reflection in the
+    root l - e_1 - e_2 - e_3."""
+    b1, b2, b3, *rest = b
+    return 2 * a - b1 - b2 - b3, (a - b2 - b3, a - b1 - b3, a - b1 - b2, *rest)
+
+
+def weyl_orbit(a, b):
+    """The W(E_r)-orbit of (a; b), r >= 3, by breadth-first search under its
+    generators: the adjacent transpositions of the b_i (the reflections in
+    e_i - e_{i+1}) and the quadratic transformation."""
+    seen = {(a, b)}
+    frontier = [(a, b)]
+    while frontier:
+        step = []
+        for a, b in frontier:
+            moves = [(a, b[:i] + (b[i + 1], b[i]) + b[i + 2:]) for i in range(len(b) - 1)]
+            moves.append(quadratic_transformation(a, b))
+            for move in moves:
+                if move not in seen:
+                    seen.add(move)
+                    step.append(move)
+        frontier = step
+    return {PicardClass(a, b) for a, b in seen}
+
+
 class TestExceptionalEnumeration:
+    @pytest.mark.parametrize("r", range(3, 9))
+    def test_is_the_weyl_orbit_of_a_point_class(self, r):
+        # the (-1)-curves are one W(E_r)-orbit; at r = 2 the transpositions
+        # alone miss l - e_1 - e_2, so the oracle starts at r = 3
+        orbit = weyl_orbit(0, (0,) * (r - 1) + (-1,))
+        assert len(orbit) == EXPECTED_TOTALS[r - 1]
+        assert orbit == set(enumerate_exceptional(r))
+
     def test_known_cardinalities(self, every_rank):
         assert len(enumerate_exceptional(every_rank)) == EXPECTED_TOTALS[every_rank - 1]
 

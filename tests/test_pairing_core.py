@@ -50,6 +50,7 @@ from delpezzo.positivity import (
     adjoint_kva_check,
     degree_bound_check,
     exact_product,
+    exact_rows,
     exception_flag,
     f1_is_k_very_ample,
     generate_inequality_families,
@@ -60,7 +61,6 @@ from delpezzo.positivity import (
     is_spanned,
     minimum_family_value_bulk,
     minimum_pairing,
-    minimum_pairing_bulk,
     pairing_matrix,
 )
 from delpezzo.reider import _box_leaves, consistency_sweep, search_obstructions, window_applicable
@@ -255,7 +255,7 @@ class TestEarlyReject:
 def nef_leaves(r):
     """The nef leaves of the box-6 sweep at rank r, as (a, *b) tuples."""
     leaves = _box_leaves(r, 6)
-    return tuple(map(tuple, leaves[minimum_pairing_bulk(leaves, surface_context(r)) >= 0].tolist()))
+    return tuple(map(tuple, leaves[pairing_matrix(leaves, surface_context(r)).min(axis=1) >= 0].tolist()))
 
 
 @st.composite
@@ -415,9 +415,13 @@ class TestPairingCore:
         lambda L, ctx: search_obstructions(L, 1, ctx),
         lambda L, ctx: window_applicable(L, 1, ctx),
         lambda L, ctx: exception_flag(L, 1, ctx),
+        # a truncating zip read (3; 1, 1) against every family of rank 3
+        lambda L, ctx: [fam.evaluate(L) for fam in generate_inequality_families(ctx.r)],
+        lambda L, ctx: pairing_matrix([[L.a, *L.b]], ctx),
     ],
     ids=["minimum_pairing", "is_nef", "is_big", "is_spanned", "is_effective",
-         "is_k_very_ample", "search_obstructions", "window_applicable", "exception_flag"],
+         "is_k_very_ample", "search_obstructions", "window_applicable", "exception_flag",
+         "InequalityFamily.evaluate", "pairing_matrix"],
 )
 def test_foreign_rank_class_is_a_lattice_mismatch(check):
     with pytest.raises(LatticeMismatchError):
@@ -546,12 +550,30 @@ class TestFloatRoute:
         assert got.tolist() == [[intersect(L, x) for x in ctx.test_curves]]
 
 
+class TestMalformedBulkRows:
+    """The bulk entry points take a 2-D block of rows of width r + 1 and
+    refuse anything else instead of misreading it."""
+
+    @pytest.mark.parametrize("coeffs", [[1, 0], np.array([1, 0]), [[[1, 0]]], 5],
+                             ids=["list", "vector", "3-D", "scalar"])
+    def test_only_a_2d_block_is_rows(self, coeffs):
+        # pairing_matrix([1, 0], ctx1) read the one class (1; 0) as two rows
+        for call in (exact_rows, minimum_family_value_bulk, lambda x: pairing_matrix(x, surface_context(1))):
+            with pytest.raises(ValueError, match="2-D block"):
+                call(coeffs)
+
+    @pytest.mark.parametrize("width", [1, 10])
+    def test_the_fold_reads_the_rank_off_the_width(self, width):
+        with pytest.raises(RankError):
+            minimum_family_value_bulk(np.zeros((2, width), dtype=np.int64))
+
+
 class TestExactBeyondInt64Bound:
     def test_bulk_minimum_does_not_wrap(self):
         ctx8 = surface_context(8)
         row = np.array([[2 * 10**18, 10**18] + [0] * 7], dtype=np.int64)
-        assert minimum_pairing_bulk(row, ctx8).tolist() == [0]
-        assert minimum_family_value_bulk(row, 8).tolist() == [0]
+        assert pairing_matrix(row, ctx8).min(axis=1).tolist() == [0]
+        assert minimum_family_value_bulk(row).tolist() == [0]
 
     @pytest.mark.parametrize("scale", [10**6, 10**6 + 1, 2**40, 10**18, 10**30])
     def test_bulk_rows_match_plain_integers(self, scale):
@@ -564,8 +586,7 @@ class TestExactBeyondInt64Bound:
             coeffs = np.array(rows, dtype=object)
             expected = [[intersect(L, x) for x in ctx.test_curves] for L in classes]
             assert pairing_matrix(coeffs, ctx).tolist() == expected
-            assert minimum_pairing_bulk(coeffs, ctx).tolist() == [min(p) for p in expected]
-            assert minimum_family_value_bulk(coeffs, r).tolist() == [min(p) for p in expected]
+            assert minimum_family_value_bulk(coeffs).tolist() == [min(p) for p in expected]
 
     def test_scalar_paths_at_scale_1e30(self):
         for r in (1, 2, 7, 8):
@@ -576,16 +597,15 @@ class TestExactBeyondInt64Bound:
 
     def test_bulk_refuses_non_integer_rows(self):
         with pytest.raises(TypeError):
-            minimum_pairing_bulk(np.array([[1.5, 0.0]]), surface_context(1))
+            pairing_matrix(np.array([[1.5, 0.0]]), surface_context(1))
         with pytest.raises(TypeError, match="must be integers"):
-            minimum_pairing_bulk([[1.5, 0]], surface_context(1))
+            pairing_matrix([[1.5, 0]], surface_context(1))
         with pytest.raises(TypeError, match="must be integers"):
-            minimum_pairing_bulk([[2**63, -1.0]], surface_context(1))
+            pairing_matrix([[2**63, -1.0]], surface_context(1))
 
     def test_bulk_list_past_int64_stays_exact(self):
         # np.asarray widens [2**63, -1] to float64
         ctx1 = surface_context(1)
-        assert minimum_pairing_bulk([[2**63, -1]], ctx1).tolist() == [-1]
         assert pairing_matrix([[2**63, -1]], ctx1).tolist() == [[-1, 2**63 + 1]]
 
     def test_window_mask_does_not_wrap(self):

@@ -28,7 +28,7 @@ from delpezzo.positivity import (
     is_k_very_ample,
     is_nef,
     minimum_pairing,
-    minimum_pairing_bulk,
+    pairing_matrix,
     pairing_vector,
 )
 from delpezzo.reider import (
@@ -338,7 +338,7 @@ def test_candidate_table_is_pinned(r, k):
 def _full_table_window(r, k, M):
     """The window test on every class of the table: the unfolded reference."""
     coeffs, d2 = _full_table(r, k)
-    md = coeffs @ exact_rows([M.a, *(-x for x in M.b)])
+    md = coeffs @ exact_rows([[M.a, *(-x for x in M.b)]])[0]
     hit = (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)
     return list(zip(coeffs[hit].tolist(), md[hit].tolist(), d2[hit].tolist()))
 
@@ -517,7 +517,7 @@ def ref_box_rows(r, a_max):
 
         rec(r, a)
     coeffs = np.array(leaves, dtype=np.int64).reshape(len(leaves), r + 1)
-    coeffs = coeffs[minimum_pairing_bulk(coeffs, surface_context(r)) >= 0]
+    coeffs = coeffs[pairing_matrix(coeffs, surface_context(r)).min(axis=1) >= 0]
     return coeffs, np.array([permutation_count(row[1:]) for row in coeffs.tolist()], dtype=np.int64)
 
 
@@ -546,7 +546,7 @@ def ref_sample_rows(r, a_max, count, seed):
         b = rng.integers(0, a_max + 1, size=(4096, r))
         coeffs = np.column_stack([a, b]).astype(np.int64)
         coeffs = coeffs[(b <= a[:, None]).all(axis=1)]
-        coeffs = coeffs[minimum_pairing_bulk(coeffs, ctx) >= 0]
+        coeffs = coeffs[pairing_matrix(coeffs, ctx).min(axis=1) >= 0]
         kept.append(coeffs)
         total += len(coeffs)
     return np.concatenate(kept, axis=0)[:count]
@@ -642,7 +642,7 @@ class TestBatchedSweepAgainstPerRow:
     @pytest.mark.parametrize("r,a_max", [(1, 30), (2, 12), (5, 6), (8, 4), (8, 12)])
     def test_box_rows_match_the_depth_first_scan(self, r, a_max):
         leaves = _box_leaves(r, a_max)
-        nef = leaves[minimum_pairing_bulk(leaves, surface_context(r)) >= 0]
+        nef = leaves[pairing_matrix(leaves, surface_context(r)).min(axis=1) >= 0]
         coeffs, weights = ref_box_rows(r, a_max)
         np.testing.assert_array_equal(nef, coeffs)
         np.testing.assert_array_equal(orbit_sizes(nef[:, 1:]), weights)
@@ -668,7 +668,7 @@ class TestBatchedSweepAgainstPerRow:
         witnesses = 0
         for lo, hi in ((0, 6), (6, 12), (12, 20), (0, len(rows))):
             block = np.array(rows[lo:hi], dtype=np.int64)
-            assert (minimum_pairing_bulk(block, ctx8) >= 0).all()
+            assert (pairing_matrix(block, ctx8).min(axis=1) >= 0).all()
             for k in (1, 2):
                 # each row's pairing vector, independent of the sweep's matrix
                 P = [pairing_vector(PicardClass(row[0], tuple(row[1:])), ctx8) for row in rows[lo:hi]]
