@@ -12,8 +12,15 @@ Class literals pair with an explicit ``--r``.  Two grammars:
 * type pattern ``(a0;m1^n1,m2^n2,...)`` e.g. ``(6;3,2^7)``, expanded to
   the canonical descending representative at rank r.
 
-Exit status: 0 only when there was no parse or usage error and, for
-``verify``, no consistency violation.
+Integer options (``--r``, ``--k``, ``--box``, ``--sample``, ``--seed``)
+take the grammar of a literal's entries: an optional sign, then ASCII
+digits.  The library applies its own rules (a k below its bound, a box
+too large to sweep) and raises ValueError; such a refusal prints one
+``refusing: <reason>`` line on stderr.
+
+Exit status: 0 only when there was no parse or usage error or refusal
+and, for ``verify``, no consistency violation; a parse or usage error
+or a refusal exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .enumeration import (
     exceptional_type_census,
     surface_context,
 )
-from .positivity import is_k_very_ample
+from .positivity import ampleness_level, is_k_very_ample
 from .reider import consistency_sweep
 from . import tables as table_views
 
@@ -51,9 +58,10 @@ class ClassLiteralError(ValueError):
         self.column = column
 
 
-def _parse_int(text: str, start: int) -> int:
-    # an optional sign and ASCII digits only: int() would also take
-    # underscores ("1_0") and non-ASCII digits
+def integer(text: str, start: int = 0) -> int:
+    """A literal entry, or an integer option: an optional sign and ASCII
+    digits only (int() would also take underscores, "1_0", and non-ASCII
+    digits).  argparse names an option's type by this function's name."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         raise ClassLiteralError(f"expected an integer, got {text!r}", start + 1)
     return int(text)
@@ -63,13 +71,13 @@ def _parse_coefficient_literal(text: str, r: int, strict: bool) -> PicardClass:
     if ";" not in text:
         raise ClassLiteralError("missing ';' between a and b coefficients", len(text))
     head, _, tail = text.partition(";")
-    a = _parse_int(head.strip(), 0)
+    a = integer(head.strip())
     b = []
     pos = len(head) + 1
     for piece in tail.split(","):
         if piece.strip() == "":
             raise ClassLiteralError("empty b coefficient", pos + 1)
-        b.append(_parse_int(piece.strip(), pos))
+        b.append(integer(piece.strip(), pos))
         pos += len(piece) + 1
     if len(b) > r:
         raise ClassLiteralError(f"{len(b)} b-coefficients for rank {r}", len(head) + 2)
@@ -90,7 +98,7 @@ def _parse_pattern_literal(text: str, r: int) -> PicardClass:
     if ";" not in inner:
         raise ClassLiteralError("missing ';' after a0 in pattern literal", len(text))
     head, _, tail = inner.partition(";")
-    a0 = _parse_int(head.strip(), 1)
+    a0 = integer(head.strip(), 1)
     entries = []
     pos = 1 + len(head) + 1
     for piece in tail.split(","):
@@ -98,10 +106,10 @@ def _parse_pattern_literal(text: str, r: int) -> PicardClass:
             raise ClassLiteralError("empty pattern entry", pos + 1)
         if "^" in piece:
             m_txt, _, n_txt = piece.partition("^")
-            mult = _parse_int(m_txt.strip(), pos)
-            count = _parse_int(n_txt.strip(), pos + len(m_txt) + 1)
+            mult = integer(m_txt.strip(), pos)
+            count = integer(n_txt.strip(), pos + len(m_txt) + 1)
         else:
-            mult, count = _parse_int(piece.strip(), pos), 1
+            mult, count = integer(piece.strip(), pos), 1
         if count <= 0:
             raise ClassLiteralError(f"pattern count must be positive, got {count}", pos + 1)
         entries.append((mult, count))
@@ -124,7 +132,7 @@ def parse_class_literal(text: str, r: int, strict: bool = True) -> PicardClass:
 
 
 def _add_rank_option(parser):
-    parser.add_argument("--r", type=int, required=True, metavar="R",
+    parser.add_argument("--r", type=integer, required=True, metavar="R",
                         choices=range(MIN_RANK, MAX_RANK + 1),
                         help=f"number of blown-up points ({MIN_RANK}..{MAX_RANK})")
 
@@ -147,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="positivity report for one class")
     _add_rank_option(p)
-    p.add_argument("--k", type=int, default=0, metavar="K", help="ampleness level (default 0)")
+    p.add_argument("--k", type=integer, default=0, metavar="K", help="ampleness level (default 0)")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                    help="reject b-length mismatches (default); --no-strict zero-pads")
@@ -155,32 +163,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="window-search consistency sweep")
     _add_rank_option(p)
-    p.add_argument("--k", type=int, default=1, metavar="K")
-    p.add_argument("--box", type=int, default=10, metavar="A", help="scan nef classes with a <= A")
-    p.add_argument("--sample", type=int, default=None, metavar="N",
+    p.add_argument("--k", type=integer, default=1, metavar="K")
+    p.add_argument("--box", type=integer, default=10, metavar="A", help="scan nef classes with a <= A")
+    p.add_argument("--sample", type=integer, default=None, metavar="N",
                    help="seeded random sample instead of the exhaustive box")
-    p.add_argument("--seed", type=int, default=None, metavar="S",
+    p.add_argument("--seed", type=integer, default=None, metavar="S",
                    help="sample seed, with --sample only (default 0, printed)")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
 
     p = sub.add_parser("adjoint", help="adjoint class and its (k-1)-very-ampleness")
     _add_rank_option(p)
-    p.add_argument("--k", type=int, required=True, metavar="K")
+    p.add_argument("--k", type=integer, required=True, metavar="K")
     p.add_argument("--json", action="store_true")
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("literal")
 
     sub.add_parser("tables", help="emit all reference tables")
     return parser
-
-
-def _parse_literal_or_exit(parser, args) -> PicardClass:
-    try:
-        return parse_class_literal(args.literal, args.r, strict=args.strict)
-    except ClassLiteralError as exc:
-        print(f"error: cannot parse class literal {args.literal!r}: {exc} (column {exc.column})",
-              file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
 
 
 def _yes(flag: bool) -> str:
@@ -205,9 +204,7 @@ def _cmd_null_classes(parser, args) -> int:
 
 
 def _cmd_check(parser, args) -> int:
-    if args.k < 0:
-        parser.error(f"--k must be >= 0, got {args.k}")
-    L = _parse_literal_or_exit(parser, args)
+    L = parse_class_literal(args.literal, args.r, strict=args.strict)
     report = is_k_very_ample(L, args.k, surface_context(args.r))
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
@@ -233,16 +230,10 @@ def _cmd_check(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    if args.k < 0:
-        parser.error(f"--k must be >= 0, got {args.k}")
     if args.seed is not None and args.sample is None:
         parser.error("--seed needs --sample: the exhaustive sweep draws no sample")
     seed = 0 if args.seed is None else args.seed
-    try:
-        summary = consistency_sweep(args.r, args.k, args.box, sample=args.sample, seed=seed)
-    except ValueError as exc:
-        print(f"refusing: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    summary = consistency_sweep(args.r, args.k, args.box, sample=args.sample, seed=seed)
     if args.json:
         print(json.dumps(summary.as_dict(), indent=2))
     else:
@@ -253,9 +244,8 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_adjoint(parser, args) -> int:
-    if args.k < 1:
-        parser.error(f"--k must be >= 1 for the adjoint check, got {args.k}")
-    L = _parse_literal_or_exit(parser, args)
+    ampleness_level(args.k, 1)  # adjoint_kva_check's rule
+    L = parse_class_literal(args.literal, args.r, strict=args.strict)
     ctx = surface_context(args.r)
     base = is_k_very_ample(L, args.k, ctx)
     if not base.k_very_ample:
@@ -304,7 +294,14 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](parser, args)
+    try:
+        return _HANDLERS[args.command](parser, args)
+    except ClassLiteralError as exc:
+        print(f"error: cannot parse class literal {args.literal!r}: {exc} (column {exc.column})",
+              file=sys.stderr)
+    except ValueError as exc:  # every library refusal
+        print(f"refusing: {exc}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ violations) come from the paper's inequalities: one family per
 permutation orbit of test curves, that is per type pattern, the
 pairing test folded over that orbit, ``a0*a >= <multiplicities, b> + k``
 with both sides sorted.  Each family's value is read off the prefix sums
-of b sorted descending (:func:`_family_folds`), at most two of them per
+of b sorted descending (:func:`_family_table`), at most two of them per
 family at rank <= 8, in plain Python integers, so a verdict is exact at
 any size and builds no array.  :func:`minimum_family_value_bulk` runs
 the same folds (:func:`_fold_values`) on numpy columns, one per prefix
@@ -49,10 +49,12 @@ from __future__ import annotations
 import itertools
 import numbers
 import operator
+import sys
 import warnings
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,7 +248,9 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
     by one and leaves the rest of C alone, so the greedy fills levels:
     between consecutive values lo < hi of L.E over C (the last hi is 0) it
     takes every E with ``L.E <= lo`` once per level, in index order.  The
-    work grows with the number of runs, not with the multiplicities.
+    work grows with the number of runs, not with the multiplicities; a
+    level whose tied curves need more runs than ``sys.maxsize`` is refused
+    with ValueError.
 
     Rank 1 is the monoid generated by ``e_1`` and ``l - e_1``: ``(a; b1)``
     is effective iff ``a >= 0`` and ``a >= b1``.
@@ -309,7 +313,13 @@ def _effectivity(
         insort(active, i)
         if hi == lo:
             continue
-        runs = [(exc[i], hi - lo)] if len(active) == 1 else [(exc[j], 1) for j in active] * (hi - lo)
+        if len(active) == 1:
+            runs = [(exc[i], hi - lo)]
+        elif len(active) * (hi - lo) > sys.maxsize:
+            n = len(active) * (hi - lo)
+            raise ValueError(f"cannot certify {L}: its tied curves need {n} runs, past sys.maxsize")
+        else:
+            runs = [(exc[j], 1) for j in active] * (hi - lo)
         if chain and chain[-1][0] is runs[0][0]:
             runs[0] = (runs[0][0], chain.pop()[1] + runs[0][1])
         chain += runs
@@ -461,7 +471,7 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
     effective, cert = _effectivity(L, ctx, nef)
     violations = []
     if mp < k:
-        for (nef_label, kva_label), val in zip(_family_labels(ctx.r), values, strict=True):
+        for (nef_label, kva_label), val in zip(_family_table(ctx.r).labels, values, strict=True):
             if val < 0:
                 violations.append(_record(Violation, check="nef", family=nef_label, value=val, bound=0))
             if val < k:
@@ -556,23 +566,23 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
             DeprecationWarning,
             stacklevel=2,
         )
-    return _inequality_families(r)
+    return _family_table(r).families
+
+
+class _FamilyTable(NamedTuple):
+    """One rank's families, each with its fold and labels, in family order."""
+
+    families: tuple[InequalityFamily, ...]
+    folds: tuple[tuple[int, int, int, int, int], ...]
+    labels: tuple[tuple[str, str], ...]  # without and with k
 
 
 @lru_cache(maxsize=None)
-def _inequality_families(r: int) -> tuple[InequalityFamily, ...]:
-    patterns = {type_pattern(x) for x in surface_context(r).test_curves}
-    return tuple(
-        InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
-        for pat in sorted(patterns, key=CurveTypePattern.sort_key)
-    )
-
-
-@lru_cache(maxsize=None)
-def _family_folds(r: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Each family as ``(a_coeff, j1, w1, j2, w2)``, in family order: its
-    value at L is ``a_coeff * a - w1 * S[j1] - w2 * S[j2]``, where S[j] is
-    the sum of the j largest b_i and S[0] = 0.
+def _family_table(r: int) -> _FamilyTable:
+    """The families of rank r, sorted by pattern, each with its fold
+    ``(a_coeff, j1, w1, j2, w2)``: its value at L is
+    ``a_coeff * a - w1 * S[j1] - w2 * S[j2]``, where S[j] is the sum of
+    the j largest b_i and S[0] = 0.
 
     By the rearrangement inequality the orbit's largest ``<c, b>`` pairs
     the multiplicities c, zero-padded to r and sorted descending, with b
@@ -581,32 +591,30 @@ def _family_folds(r: int) -> tuple[tuple[int, int, int, int, int], ...]:
     rank <= 8 at most two of those weights are nonzero, e.g.
     ``6a - S_1 - 2 S_8`` for (6; 3, 2^7) and ``S_r - S_{r-1}`` (that is
     s_r) for ``b_i >= 0``; an unused slot is (0, 0)."""
-    folds = []
-    for fam in _inequality_families(r):
+    families, folds, labels = [], [], []
+    patterns = {type_pattern(x) for x in surface_context(r).test_curves}
+    for pat in sorted(patterns, key=CurveTypePattern.sort_key):
+        fam = InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
         c = sorted(fam.b_coeffs + (0,) * (r - len(fam.b_coeffs)), reverse=True) + [0]
         terms = [(j, c[j - 1] - c[j]) for j in range(1, r + 1) if c[j - 1] != c[j]]
         assert len(terms) <= 2, f"{fam.label()} needs {len(terms)} prefix sums"
         (j1, w1), (j2, w2) = (terms + [(0, 0), (0, 0)])[:2]
+        families.append(fam)
         folds.append((fam.a_coeff, j1, w1, j2, w2))
-    return tuple(folds)
+        labels.append((fam.label(with_k=False), fam.label(with_k=True)))
+    return _FamilyTable(tuple(families), tuple(folds), tuple(labels))
 
 
 def _fold_values(a, S, r: int) -> list:
     """Every family's value, in family order, from a and the prefix sums
-    S[0..r] of b sorted descending (see :func:`_family_folds`): Python
+    S[0..r] of b sorted descending (see :func:`_family_table`): Python
     integers for one class, numpy columns for a block of rows."""
-    return [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_folds(r)]
+    return [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_table(r).folds]
 
 
 def _family_values(L: PicardClass) -> list[int]:
     """Every family's value at L, in family order, as Python integers."""
     return _fold_values(L.a, (0, *itertools.accumulate(sorted(L.b, reverse=True))), len(L.b))
-
-
-@lru_cache(maxsize=None)
-def _family_labels(r: int) -> tuple[tuple[str, str], ...]:
-    """Each family's label without and with k, in family order."""
-    return tuple((fam.label(with_k=False), fam.label(with_k=True)) for fam in _inequality_families(r))
 
 
 def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:

@@ -249,6 +249,59 @@ class TestSubcommands:
         assert "not 1-very ample" in err
 
 
+class TestRefusals:
+    """Every refusal exits 2 with nothing on stdout and one line on stderr."""
+
+    @pytest.mark.parametrize("argv,option,value", [
+        (("check", "--r", "2", "--k", "1_0", "9;1,1"), "--k", "1_0"),
+        (("verify", "--r", "2", "--box", "\u0661\u0660"), "--box", "\u0661\u0660"),
+        (("verify", "--r", "2", "--sample", "3", "--seed", "\uff15"), "--seed", "\uff15"),
+        (("check", "--r", "\uff18", "3;1,1,1,1,1,1,1,1"), "--r", "\uff18"),
+    ], ids=["underscore", "arabic-indic", "fullwidth-seed", "fullwidth-rank"])
+    def test_integer_options_take_the_literal_grammar(self, capsys, argv, option, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {option}: invalid integer value: {value!r}" in err
+
+    @pytest.mark.parametrize("argv,least", [
+        (("check", "--r", "2", "--k", "-1", "3;1,1"), 0),
+        (("verify", "--r", "2", "--k", "-1"), 0),
+        (("adjoint", "--r", "2", "--k", "0", "3;1,1"), 1),
+    ], ids=["check", "verify", "adjoint"])
+    def test_k_below_its_bound_is_the_library_refusal(self, capsys, argv, least):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"refusing: k must be >= {least}, got {least - 1}\n"
+
+    @pytest.mark.parametrize("literal,column", [
+        ("3;1,,1", 5),  # an empty b coefficient
+        ("(3;1", 4),  # no closing parenthesis
+        ("(3)", 3),  # no ';' after a0
+        ("(3;1,)", 6),  # an empty pattern entry
+        ("(3;1^0)", 4),  # a count below 1
+        ("   ", 1),  # a blank literal
+        ("(6;2,3)", 1),  # multiplicities not descending: the pattern's own refusal
+    ])
+    def test_literal_errors_report_their_column(self, capsys, literal, column):
+        code, out, err = run_cli(capsys, "check", "--r", "3", literal)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot parse class literal {literal!r}: ")
+        assert err.endswith(f" (column {column})\n")
+
+    def test_tied_certificate_past_the_index_range(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--r", "2",
+                                 "0;-100000000000000000000,-100000000000000000000")
+        assert code == 2 and out == ""
+        assert err.startswith("refusing: cannot certify ") and err.count("\n") == 1
+        assert "200000000000000000000 runs" in err
+
+    def test_adjoint_text_mode_prints_the_exception_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "adjoint", "--r", "7", "--k", "2", "6;2,2,2,2,2,2,2")
+        assert code == 0
+        assert "adjoint: 3;1,1,1,1,1,1,1" in out and "1-very ample: no" in out
+        assert "exception_flag: minus_K_S7_k1" in out
+
+
 class TestGoldenFiles:
     def test_tables_byte_match(self, capsys):
         code, out, _ = run_cli(capsys, "tables")

@@ -9,6 +9,7 @@ from delpezzo.lattice import (
     LatticeMismatchError,
     PicardClass,
     RankError,
+    SurfaceContext,
     adjoint,
     canonical_class,
     degree,
@@ -147,6 +148,17 @@ class TestTypePattern:
         shuffled = PicardClass(L.a, tuple(L.b[i] for i in perm))
         assert type_pattern(shuffled) == type_pattern(L)
 
+    @pytest.mark.parametrize("entries", [
+        ((2, 1), (3, 1)),  # ascending
+        ((2, 1), (2, 3)),  # repeated
+        ((0, 2),),  # zero multiplicity
+        ((1, 0),),  # empty count
+        ((1, -1),),  # negative count
+    ])
+    def test_malformed_entries_are_refused(self, entries):
+        with pytest.raises(ValueError, match="entries must|non-positive counts"):
+            CurveTypePattern(6, entries)
+
     def test_round_trip_through_canonical_representative(self):
         pat = CurveTypePattern(5, ((2, 6), (1, 2)))
         assert type_pattern(pat.to_class(8)) == pat
@@ -171,6 +183,20 @@ class TestPicardClassBasics:
         L = PicardClass(np.int64(3), (np.int32(1), np.uint8(2)))
         assert L == PicardClass(3, (1, 2))
         assert type(L.a) is int and all(type(x) is int for x in L.b)
+
+    def test_point_class_index_is_checked(self):
+        assert point_class(3, 3) == PicardClass(0, (0, 0, -1))
+        for i in (0, 4):
+            with pytest.raises(RankError, match=f"index {i} outside 1..3"):
+                point_class(3, i)
+
+    def test_surface_context_checks_its_exceptional_set(self):
+        exc = (point_class(2, 1), point_class(2, 2), PicardClass(1, (1, 1)))
+        assert SurfaceContext(2, exc).r == 2
+        with pytest.raises(ValueError, match="rank 2 needs 3 exceptional classes, got 2"):
+            SurfaceContext(2, exc[:2])
+        with pytest.raises(LatticeMismatchError, match="foreign rank"):
+            SurfaceContext(2, exc[:2] + (point_class(3, 1),))
 
     def test_render_form(self):
         assert PicardClass(3, (1, 1, 1)).render() == "3;1,1,1"

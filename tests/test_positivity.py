@@ -3,9 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from delpezzo.lattice import (
+    LatticeMismatchError,
     PicardClass,
     RankError,
     adjoint,
@@ -25,6 +26,7 @@ from delpezzo.positivity import (
     EXCEPTION_MINUS_KK_S8,
     EXCEPTION_MINUS_K_S7_K1,
     EXCEPTION_NONE,
+    EffectivityCertificate,
     adjoint_kva_check,
     degree_bound_check,
     exception_flag,
@@ -41,6 +43,7 @@ from delpezzo.positivity import (
     minimum_family_value_bulk,
     pairing_matrix,
 )
+from delpezzo.reider import search_obstructions, window_applicable
 
 coeff = st.integers(-12, 12)
 
@@ -167,6 +170,24 @@ class TestEffectivity:
                     assert any(intersect(L, N) < 0 for N in nef_box), (
                         f"no separating nef class found for {L}"
                     )
+
+    @pytest.mark.parametrize("L", [
+        PicardClass(0, (-10**20, -10**20)),
+        PicardClass(10**19, (10**19, -3 * 10**19, -3 * 10**19)),
+    ], ids=["r2", "r3"])
+    def test_tied_certificate_past_the_index_range_is_refused(self, L):
+        # effective, but its two tied curves would take more runs than a
+        # list can hold
+        ctx = surface_context(L.r)
+        with pytest.raises(ValueError, match=r"cannot certify .* runs, past sys.maxsize"):
+            is_effective(L, ctx)
+        with pytest.raises(ValueError, match="cannot certify"):
+            is_k_very_ample(L, 1, ctx)
+
+    def test_replay_refuses_a_foreign_rank_class(self):
+        cert = EffectivityCertificate(((point_class(3, 1), 1),), zero_class(2))
+        with pytest.raises(LatticeMismatchError):
+            cert.replay()
 
 
 class TestKVeryAmple:
@@ -452,3 +473,62 @@ class TestF1Coordinates:
     def test_rank_errors(self):
         with pytest.raises(RankError):
             f1_coords(line(2))
+
+
+def _permuted(L, sigma):
+    return PicardClass(L.a, tuple(L.b[i] for i in sigma))
+
+
+def _verdicts(report):
+    return (report.degree, report.genus, report.effective, report.nef, report.big, report.spanned,
+            report.k_very_ample, report.violations, report.exception_flag)
+
+
+def _with_permutation(classes_at_rank):
+    return st.integers(2, 8).flatmap(
+        lambda r: st.tuples(classes_at_rank(r), st.permutations(range(r)))
+    )
+
+
+class TestPermutationInvariance:
+    """Every verdict is invariant under permuting b: the candidate table
+    tests one representative per orbit, and the exhaustive sweep counts
+    whole orbits as covered."""
+
+    @given(_with_permutation(classes), st.sampled_from([1, 10**19]), st.integers(0, 3))
+    @settings(max_examples=300)
+    def test_verdicts(self, L_sigma, scale, k):
+        L, sigma = L_sigma
+        L = scale * L  # 10**19 is past 2**63
+        sL = _permuted(L, sigma)
+        ctx = surface_context(L.r)
+        assert minimum_pairing(sL, ctx) == minimum_pairing(L, ctx)
+        try:
+            effective, _ = is_effective(L, ctx)
+        except ValueError:  # a tied certificate past the index range
+            for f in (lambda M: is_effective(M, ctx), lambda M: is_k_very_ample(M, k, ctx)):
+                with pytest.raises(ValueError, match="cannot certify"):
+                    f(sL)
+            return
+        s_effective, s_cert = is_effective(sL, ctx)
+        assert s_effective == effective
+        if effective:
+            assert s_cert.replay() == sL
+        assert _verdicts(is_k_very_ample(sL, k, ctx)) == _verdicts(is_k_very_ample(L, k, ctx))
+
+    @given(
+        _with_permutation(lambda r: st.builds(PicardClass, st.integers(0, 12),
+                                              st.tuples(*[st.integers(-1, 4)] * r))),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=150)
+    def test_window_search_lists_the_permuted_witnesses(self, L_sigma, k):
+        L, sigma = L_sigma
+        ctx = surface_context(L.r)
+        assume(window_applicable(L, k, ctx)[0])
+
+        def found(M, act):
+            witnesses = search_obstructions(M, k, ctx).witnesses
+            return sorted((act(w.D).sort_key(), w.MD, w.D_squared) for w in witnesses)
+
+        assert found(_permuted(L, sigma), lambda D: D) == found(L, lambda D: _permuted(D, sigma))
