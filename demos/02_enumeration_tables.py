@@ -28,8 +28,8 @@ print()
 print(render_exceptional_census())
 
 records = enumerate_null_classes(8)
-print(render_null_class_table(records, 8))
-print(render_decomposition_table(records, 8))
+print(render_null_class_table(records))
+print(render_decomposition_table(records))
 
 # splittings of one specific class
 ctx = surface_context(8)

@@ -9,14 +9,17 @@ Class literals pair with an explicit ``--r``.  Two grammars:
 
 * coefficient list ``a;b1,b2,...`` e.g. ``3;1,1,1`` (with ``--no-strict``,
   a short b is zero-padded instead of rejected);
-* type pattern ``(a0;m1^n1,m2^n2,...)`` e.g. ``(6;3,2^7)``, expanded to
-  the canonical descending representative at rank r.
+* type pattern ``(a0;m1^n1,m2^n2,...)`` e.g. ``(6;3,2^7)``, or ``(a0;)``
+  for a multiple of l, expanded at rank r to its multiplicities in
+  descending order, then zeros (``(0;-1)`` is ``0;-1,0`` at rank 2).
+  Each entry is checked by the pattern's own rules as it is read.
 
 Integer options (``--r``, ``--k``, ``--box``, ``--sample``, ``--seed``)
 take the grammar of a literal's entries: an optional sign, then ASCII
 digits.  The library applies its own rules (a k below its bound, a box
-too large to sweep) and raises ValueError; such a refusal prints one
-``refusing: <reason>`` line on stderr.
+too large to sweep, an ``adjoint`` input that is not k-very ample) and
+raises ValueError; such a refusal prints one ``refusing: <reason>`` line
+on stderr.
 
 Exit status: 0 only when there was no parse or usage error or refusal
 and, for ``verify``, no consistency violation; a parse or usage error
@@ -30,20 +33,14 @@ import json
 import re
 import sys
 
-from .lattice import (
-    MAX_RANK,
-    MIN_RANK,
-    CurveTypePattern,
-    PicardClass,
-    adjoint as adjoint_class,
-)
+from .lattice import MAX_RANK, MIN_RANK, CurveTypePattern, PicardClass
 from .enumeration import (
     enumerate_exceptional,
     enumerate_null_classes,
     exceptional_type_census,
     surface_context,
 )
-from .positivity import ampleness_level, is_k_very_ample
+from .positivity import EXCEPTION_NONE, adjoint_report, ampleness_level, is_k_very_ample
 from .reider import consistency_sweep
 from . import tables as table_views
 
@@ -98,10 +95,10 @@ def _parse_pattern_literal(text: str, r: int) -> PicardClass:
     if ";" not in inner:
         raise ClassLiteralError("missing ';' after a0 in pattern literal", len(text))
     head, _, tail = inner.partition(";")
-    a0 = integer(head.strip(), 1)
-    entries = []
+    pattern = CurveTypePattern(integer(head.strip(), 1), ())
     pos = 1 + len(head) + 1
-    for piece in tail.split(","):
+    pieces = tail.split(",") if tail.strip() else []  # "(a0;)" has no entries
+    for piece in pieces:
         if piece.strip() == "":
             raise ClassLiteralError("empty pattern entry", pos + 1)
         if "^" in piece:
@@ -110,12 +107,12 @@ def _parse_pattern_literal(text: str, r: int) -> PicardClass:
             count = integer(n_txt.strip(), pos + len(m_txt) + 1)
         else:
             mult, count = integer(piece.strip(), pos), 1
-        if count <= 0:
-            raise ClassLiteralError(f"pattern count must be positive, got {count}", pos + 1)
-        entries.append((mult, count))
+        try:  # the pattern's own rules, reported at this entry
+            pattern = CurveTypePattern(pattern.a0, (*pattern.entries, (mult, count)))
+        except ValueError as exc:
+            raise ClassLiteralError(str(exc), pos + 1) from None
         pos += len(piece) + 1
     try:
-        pattern = CurveTypePattern(a0, tuple(entries))
         return pattern.to_class(r)
     except ValueError as exc:
         raise ClassLiteralError(str(exc), 1) from None
@@ -197,9 +194,9 @@ def _cmd_exceptional(parser, args) -> int:
 
 def _cmd_null_classes(parser, args) -> int:
     records = enumerate_null_classes(args.r)
-    print(table_views.render_null_class_table(records, args.r), end="")
+    print(table_views.render_null_class_table(records), end="")
     print()
-    print(table_views.render_decomposition_table(records, args.r), end="")
+    print(table_views.render_decomposition_table(records), end="")
     return 0
 
 
@@ -244,18 +241,10 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _cmd_adjoint(parser, args) -> int:
-    ampleness_level(args.k, 1)  # adjoint_kva_check's rule
+    ampleness_level(args.k, 1)  # refuse a bad k before reading the literal
     L = parse_class_literal(args.literal, args.r, strict=args.strict)
-    ctx = surface_context(args.r)
-    base = is_k_very_ample(L, args.k, ctx)
-    if not base.k_very_ample:
-        print(f"error: {L.render()} is not {args.k}-very ample; the adjoint check needs that",
-              file=sys.stderr)
-        return USAGE_ERROR
-    adj = adjoint_class(L)
-    adj_report = is_k_very_ample(adj, args.k - 1, ctx)
-    # adjoint_kva_check's verdict, read off the two reports built here
-    verdict = adj_report.k_very_ample
+    adj_report = adjoint_report(L, args.k, surface_context(args.r))
+    adj, verdict = adj_report.subject, adj_report.k_very_ample
     if args.json:
         payload = {
             "subject": L.render(),
@@ -271,7 +260,7 @@ def _cmd_adjoint(parser, args) -> int:
     print(f"class: {L.render()}  (r={args.r}, k={args.k})")
     print(f"adjoint: {adj.render()}")
     print(f"{args.k - 1}-very ample: {_yes(verdict)}")
-    if adj_report.exception_flag != "none":
+    if adj_report.exception_flag != EXCEPTION_NONE:
         print(f"exception_flag: {adj_report.exception_flag}")
     return 0
 

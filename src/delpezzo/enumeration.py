@@ -186,13 +186,6 @@ class ExceptionalTable:
                 return n
         return 0
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "counts": [[pat.render(), n] for pat, n in self.counts],
-            "total": self.total,
-        }
-
 
 def exceptional_type_census(r: int) -> ExceptionalTable:
     """Group the exceptional classes at rank r by type pattern."""

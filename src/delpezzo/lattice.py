@@ -222,7 +222,8 @@ class CurveTypePattern:
         return tuple(m for m, n in self.entries for _ in range(n))
 
     def to_class(self, r: int) -> PicardClass:
-        """Canonical representative at rank r: b descending, zero-padded."""
+        """The class at rank r whose b lists the multiplicities in
+        descending order, then zeros: ``(0;-1)`` is ``0;-1,0`` at rank 2."""
         r = _check_rank(r)
         mults = self.multiplicities()
         if len(mults) > r:

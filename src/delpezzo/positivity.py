@@ -617,19 +617,26 @@ def _family_values(L: PicardClass) -> list[int]:
     return _fold_values(L.a, (0, *itertools.accumulate(sorted(L.b, reverse=True))), len(L.b))
 
 
-def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:
-    """Whether K + L is (k-1)-very ample, given that L is k-very ample.
+def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:
+    """The (k-1) report of the adjoint class K + L, for L k-very ample.
 
+    Refuses k < 1 and a class L that is not k-very ample (ValueError).
     For rank >= 2 the inequalities always carry over (each pairing drops
-    by exactly 1); the verdict can still be False when K + L lands on an
-    exception class, which happens exactly for L = -2K at rank 7, k = 2.
-    For rank 1 the verdict is True iff ``a >= b_1 + k + 1``.
+    by exactly 1); K + L can still fail to be (k-1)-very ample when it
+    lands on an exception class, which happens exactly for L = -2K at
+    rank 7, k = 2.  For rank 1 it is (k-1)-very ample iff
+    ``a >= b_1 + k + 1``.
     """
     k = ampleness_level(k, 1)
-    report = is_k_very_ample(L, k, ctx)
-    if not report.k_very_ample:
+    if not is_k_very_ample(L, k, ctx).k_very_ample:
         raise ValueError(f"{L} is not {k}-very ample; adjoint check needs that")
-    return is_k_very_ample(adjoint_class(L), k - 1, ctx).k_very_ample
+    return is_k_very_ample(adjoint_class(L), k - 1, ctx)
+
+
+def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:
+    """Whether K + L is (k-1)-very ample, given that L is k-very ample
+    (see :func:`adjoint_report`)."""
+    return adjoint_report(L, k, ctx).k_very_ample
 
 
 def degree_bound_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:

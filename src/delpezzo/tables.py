@@ -31,10 +31,9 @@ def _format_table(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_exceptional_census(tables: list[ExceptionalTable] | None = None) -> str:
+def render_exceptional_census() -> str:
     """Census of exceptional classes by type, one column per rank 1..8."""
-    if tables is None:
-        tables = [exceptional_type_census(r) for r in range(MIN_RANK, MAX_RANK + 1)]
+    tables = [exceptional_type_census(r) for r in range(MIN_RANK, MAX_RANK + 1)]
     patterns = sorted(
         {pat for t in tables for pat, _ in t.counts}, key=lambda p: p.sort_key()
     )
@@ -54,10 +53,10 @@ def render_rank_census(table: ExceptionalTable) -> str:
     return f"{title}\n{_format_table(rows, header)}"
 
 
-def render_null_class_table(records: tuple[NullClassRecord, ...] | None = None, r: int = MAX_RANK) -> str:
-    """Solutions of D.D = 0, K.D = -2 with b ascending, plus their types."""
-    if records is None:
-        records = enumerate_null_classes(r)
+def render_null_class_table(records: tuple[NullClassRecord, ...]) -> str:
+    """Solutions of D.D = 0, K.D = -2 with b ascending, plus their types;
+    ``records`` is one rank's :func:`enumerate_null_classes`, never empty."""
+    r = records[0].representative.r
     header = ["a"] + [f"b{i}" for i in range(1, r + 1)] + ["type"]
     rows = [
         [rec.representative.a, *rec.representative.b, type_pattern(rec.representative).render()]
@@ -67,16 +66,13 @@ def render_null_class_table(records: tuple[NullClassRecord, ...] | None = None, 
     return f"{title}\n{_format_table(rows, header)}"
 
 
-def render_decomposition_table(records: tuple[NullClassRecord, ...] | None = None, r: int = MAX_RANK) -> str:
-    """Splittings into two exceptional classes, every shape per value of a."""
-    if records is None:
-        records = enumerate_null_classes(r)
-    by_a: dict[int, list] = {}
+def render_decomposition_table(records: tuple[NullClassRecord, ...]) -> str:
+    """Splittings into two exceptional classes, every shape per value of a;
+    ``records`` as for :func:`render_null_class_table`."""
+    r = records[0].representative.r
+    by_a: dict[int, set] = {}
     for rec in records:
-        shapes = by_a.setdefault(rec.representative.a, [])
-        for shape in rec.decomposition_shapes():
-            if shape not in shapes:
-                shapes.append(shape)
+        by_a.setdefault(rec.representative.a, set()).update(rec.decomposition_shapes())
     header = ["a", "decompositions"]
     rows = []
     for a in sorted(by_a):
@@ -92,9 +88,10 @@ def render_decomposition_table(records: tuple[NullClassRecord, ...] | None = Non
 
 def render_all_tables() -> str:
     """Everything the `tables` subcommand emits, in fixed order."""
+    records = enumerate_null_classes(MAX_RANK)
     parts = [
         render_exceptional_census(),
-        render_null_class_table(),
-        render_decomposition_table(),
+        render_null_class_table(records),
+        render_decomposition_table(records),
     ]
     return "\n".join(parts)

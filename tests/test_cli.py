@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo.cli import ClassLiteralError, main, parse_class_literal
-from delpezzo.lattice import PicardClass
+from delpezzo.lattice import PicardClass, type_pattern
 
 GOLDEN = Path(__file__).parent / "golden"
 
-coeff = st.integers(-99, 99)
+# small entries (zeros often, so b = 0 too) and entries past 2**63 of either sign
+coeff = st.integers(-3, 3) | st.integers(-99, 99) | st.integers(2**63, 2**66) | st.integers(-2**66, -2**63)
 literal_classes = st.integers(1, 8).flatmap(
     lambda r: st.builds(PicardClass, coeff, st.tuples(*[coeff] * r))
 )
@@ -28,6 +29,8 @@ class TestLiteralParsing:
     @given(literal_classes)
     def test_parse_inverts_render(self, L):
         assert parse_class_literal(L.render(), L.r) == L
+        pattern = type_pattern(L)  # "(a;)" when b = 0
+        assert parse_class_literal(pattern.render(), L.r) == pattern.to_class(L.r)
 
     def test_coefficient_form(self):
         assert parse_class_literal("3;1,1,1", 3) == PicardClass(3, (1, 1, 1))
@@ -37,6 +40,8 @@ class TestLiteralParsing:
         assert parse_class_literal("(6;3,2^7)", 8) == PicardClass(6, (3, 2, 2, 2, 2, 2, 2, 2))
         assert parse_class_literal("(1;1^2)", 4) == PicardClass(1, (1, 1, 0, 0))
         assert parse_class_literal("(0;-1)", 2) == PicardClass(0, (-1, 0))
+        assert parse_class_literal("(1;)", 2) == PicardClass(1, (0, 0))  # no entries: a multiple of l
+        assert parse_class_literal("( 4 ; )", 3) == PicardClass(4, (0, 0, 0))
 
     def test_pattern_needs_enough_coordinates(self):
         with pytest.raises(ClassLiteralError):
@@ -113,6 +118,11 @@ class TestSubcommands:
         assert code == 0
         rows = [line.split() for line in out.splitlines() if line and line[0].isdigit()]
         assert ["1", "0", "0", "1", "(1;1)"] in rows
+
+    def test_check_reads_a_multiple_of_l(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--r", "2", "(1;)")
+        assert code == 0
+        assert out.startswith("class: 1;0,0  (r=2, k=0)\n")
 
     def test_check_exception_class(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--r", "8", "--k", "1", "3;1,1,1,1,1,1,1,1")
@@ -244,9 +254,9 @@ class TestSubcommands:
         assert json.loads(out)["adjoint_k_very_ample"] == adjoint_kva_check(L, k, surface_context(r))
 
     def test_adjoint_rejects_non_ample_input(self, capsys):
-        code, _, err = run_cli(capsys, "adjoint", "--r", "2", "--k", "1", "3;2,2")
-        assert code == 2
-        assert "not 1-very ample" in err
+        code, out, err = run_cli(capsys, "adjoint", "--r", "2", "--k", "1", "3;2,2")
+        assert code == 2 and out == ""
+        assert err == "refusing: 3;2,2 is not 1-very ample; adjoint check needs that\n"
 
 
 class TestRefusals:
@@ -278,9 +288,11 @@ class TestRefusals:
         ("(3;1", 4),  # no closing parenthesis
         ("(3)", 3),  # no ';' after a0
         ("(3;1,)", 6),  # an empty pattern entry
-        ("(3;1^0)", 4),  # a count below 1
+        ("(3;1^0)", 4),  # a count below 1: the pattern's own refusal, at its entry
+        ("(3;0)", 4),  # a zero multiplicity
+        ("(6;2,3)", 6),  # the entry that breaks the descending order
+        ("(2;1^4)", 1),  # more multiplicities than coordinates: the rank's refusal
         ("   ", 1),  # a blank literal
-        ("(6;2,3)", 1),  # multiplicities not descending: the pattern's own refusal
     ])
     def test_literal_errors_report_their_column(self, capsys, literal, column):
         code, out, err = run_cli(capsys, "check", "--r", "3", literal)

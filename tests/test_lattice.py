@@ -179,6 +179,12 @@ class TestPicardClassBasics:
         with pytest.raises(TypeError):
             PicardClass(1, (2.0, 0))
 
+    def test_scaling_takes_integers_only(self):
+        L = PicardClass(1, (2, 3))
+        for product in (lambda: L * 1.5, lambda: 1.5 * L, lambda: L * L):
+            with pytest.raises(TypeError):  # L.L is intersect(L, L)
+                product()
+
     def test_numpy_integers_become_python_ints(self):
         L = PicardClass(np.int64(3), (np.int32(1), np.uint8(2)))
         assert L == PicardClass(3, (1, 2))

@@ -28,6 +28,7 @@ from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
     adjoint_kva_check,
+    adjoint_report,
     degree_bound_check,
     exception_flag,
     f1_class,
@@ -44,6 +45,7 @@ from delpezzo.positivity import (
     pairing_matrix,
 )
 from delpezzo.reider import search_obstructions, window_applicable
+from test_enumeration import quadratic_transformation
 
 coeff = st.integers(-12, 12)
 
@@ -407,6 +409,16 @@ class TestAdjoint:
         with pytest.raises(ValueError):
             adjoint_kva_check(PicardClass(6, (2, 2)), 0, ctx2)  # k must be >= 1
 
+    def test_report_is_the_adjoint_one_level_down(self):
+        ctx7 = surface_context(7)
+        L = -2 * canonical_class(7)
+        report = adjoint_report(L, 2, ctx7)
+        assert report.subject == adjoint(L) and report.k == 1
+        assert report.as_dict() == is_k_very_ample(adjoint(L), 1, ctx7).as_dict()
+        assert report.exception_flag == EXCEPTION_MINUS_K_S7_K1
+        with pytest.raises(ValueError, match=r"^3;2,2 is not 1-very ample"):
+            adjoint_report(PicardClass(3, (2, 2)), 1, surface_context(2))
+
 
 class TestDegreeBound:
     def test_bound_values(self):
@@ -532,3 +544,76 @@ class TestPermutationInvariance:
             return sorted((act(w.D).sort_key(), w.MD, w.D_squared) for w in witnesses)
 
         assert found(_permuted(L, sigma), lambda D: D) == found(L, lambda D: _permuted(D, sigma))
+
+
+def _weyl_image(L, word):
+    """L under the word: each round permutes b, then applies the quadratic
+    transformation."""
+    for sigma in word:
+        a, b = quadratic_transformation(L.a, tuple(L.b[i] for i in sigma))
+        L = PicardClass(a, b)
+    return L
+
+
+def _with_weyl_word(classes_at_rank):
+    return st.integers(3, 8).flatmap(lambda r: st.tuples(
+        classes_at_rank(r), st.lists(st.permutations(range(r)), min_size=1, max_size=4)))
+
+
+def _near_anticanonical(r):
+    # a = 3m + delta and b_i = m + eps_i: close to the ray of -K
+    return st.builds(lambda m, delta, eps: PicardClass(3 * m + delta, tuple(m + e for e in eps)),
+                     st.integers(0, 12), st.integers(-3, 3), st.tuples(*[st.integers(-2, 2)] * r))
+
+
+def _wide(r):
+    wide = st.integers(-30, 30)
+    return st.builds(PicardClass, wide, st.tuples(*[wide] * r))
+
+
+class TestWeylInvariance:
+    """W(E_r) acts on the lattice fixing K and permuting the (-1)-curves,
+    so each verdict is a function of the W-orbit.  The test maps a class
+    through random words in W's generators, the permutations of b and the
+    quadratic transformation, at r >= 3 where the latter is defined.
+    Violations are not compared: their families are S_r orbits, not
+    W-orbits."""
+
+    @given(_with_weyl_word(lambda r: _near_anticanonical(r) | _wide(r)),
+           st.sampled_from([1, 10**19]), st.integers(0, 3))
+    @settings(max_examples=400)
+    def test_verdicts(self, L_word, scale, k):
+        L, word = L_word
+        L = scale * L  # 10**19 is past 2**63
+        wL = _weyl_image(L, word)
+        ctx = surface_context(L.r)
+        try:
+            report, w_report = [is_k_very_ample(M, k, ctx) for M in (L, wL)]
+        except ValueError as exc:
+            # a tied certificate past the index range; run counts are not W-invariant
+            assert "cannot certify" in str(exc)
+            return
+
+        def invariants(report):
+            return (report.degree, report.genus, report.effective, report.nef, report.big,
+                    report.k_very_ample, report.exception_flag)
+
+        assert invariants(w_report) == invariants(report)
+        assert minimum_pairing(wL, ctx) == minimum_pairing(L, ctx)
+        if w_report.effective:
+            assert w_report.certificate.replay() == wL
+
+    @given(_with_weyl_word(lambda r: st.builds(PicardClass, st.integers(0, 12),
+                                               st.tuples(*[st.integers(0, 4)] * r))),
+           st.integers(1, 2))
+    @settings(max_examples=150)
+    def test_window_search_maps_across(self, L_word, k):
+        L, word = L_word
+        ctx = surface_context(L.r)
+        assume(is_nef(L, ctx))
+
+        def found(M):
+            outcome = search_obstructions(M, k, ctx)
+            return outcome.applicable, sorted((w.MD, w.D_squared) for w in outcome.witnesses)
+
+        assert found(_weyl_image(L, word)) == found(L)

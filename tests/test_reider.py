@@ -124,6 +124,23 @@ class TestBoxPremises:
         guard = 6 * ctx.anticanonical - line(ctx.r)
         assert is_nef(guard, ctx)
 
+    @pytest.mark.parametrize("broken,message", [
+        (lambda L: L.a != 17, "17;6,6,6 is not nef"),  # the guard 6(-K) - l
+        (lambda L: L.b != (1, 0, 0), "l - e_1 is not nef"),
+    ], ids=["guard", "pencil"])
+    def test_a_broken_premise_is_refused(self, monkeypatch, broken, message):
+        import delpezzo.reider as reider
+
+        _assert_box_premises.cache_clear()  # a cached True would skip the check
+        monkeypatch.setattr(reider, "is_nef", lambda L, ctx: broken(L))
+        try:
+            with pytest.raises(RuntimeError, match=f"box premise broken at rank 3: {message}"):
+                _assert_box_premises(3)
+        finally:
+            monkeypatch.undo()
+            _assert_box_premises.cache_clear()  # keep nothing decided under the patch
+        assert _assert_box_premises(3)
+
 
 class TestSearch:
     def test_not_applicable_outcome_records_reason(self):
