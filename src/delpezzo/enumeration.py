@@ -6,8 +6,9 @@ three are symmetric in the b coordinates.  So one search serves them:
 range of sum and of sum of squares, by depth-first search with
 partial-sum and Cauchy-Schwarz pruning.  This module is also the one
 home of the S_r orbits of such a representative: :func:`expand_orbit`
-lists the orbit of a row (a; b) and :func:`orbit_sizes` counts the
-orbits of many rows without expanding them.
+lists the orbit of a row (a; b), :func:`orbit_sizes` counts the orbits
+of many rows without expanding them, and :func:`orbit_floor` takes the
+smallest pairing of many rows with each of many orbits.
 
 * exceptional classes: ``xi.xi = -1`` and ``K.xi = -1``, i.e.
   ``sum(b) = 3a - 1`` and ``sum(b^2) = a^2 + 1``.  Cauchy-Schwarz,
@@ -48,6 +49,7 @@ from .lattice import (
     _check_rank,
     canonical_class,
     degree,
+    exact_product,
     intersect,
     type_pattern,
 )
@@ -138,6 +140,17 @@ def orbit_sizes(b: np.ndarray) -> np.ndarray:
         run = np.where(b[:, j] == b[:, j - 1], run + 1, 1)
         denominator *= run
     return factorial(b.shape[1]) // denominator
+
+
+def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """The smallest pairing ``y0*x0 - <y, x'>`` of each class row (y0; y)
+    with the orbit of each representative (x0; x), x non-increasing, over
+    the orderings x' of x: by the rearrangement inequality the largest
+    ``<y, x'>`` pairs y sorted descending with x, so the (rows x orbits)
+    floor is one exact product of ``(y0; sort(-y))`` with ``operand``,
+    the representatives as columns (see ``lattice.float_operand``), for
+    rows from ``lattice.exact_rows`` (at most shifted by a small class)."""
+    return exact_product(np.column_stack([rows[:, 0], np.sort(-rows[:, 1:], axis=1)]), operand)
 
 
 @lru_cache(maxsize=None)

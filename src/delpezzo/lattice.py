@@ -7,19 +7,23 @@ intersection form is ``diag(1, -1, ..., -1)`` and the canonical class is
 ``(-3; -1, ..., -1)``; with this sign convention the class of the blown-up
 point ``e_i`` is ``(0; ..., -1, ...)``.
 
-Everything here is plain Python integer arithmetic, hence exact at any
-magnitude.  The numpy pairing routines hold a class in int64 only while
-every coefficient satisfies ``|a|, |b_i| <= SAFE_COEFF_BOUND`` (products
-stay below 2**42, sums of at most nine of them far below 2**63); above
-that they switch to object arrays of Python integers, so no result ever
-wraps.  Their matrix products run through float64 BLAS only where
-:func:`float_operand` has shown that every partial sum is an integer
-below 2**53, which float64 holds exactly; the results are integers.
+The class arithmetic is plain Python integers, exact at any magnitude.
+The array helpers at the end of this module hold the one exactness rule
+of every numpy path in the package.  Class rows are int64 only while
+every entry is within SAFE_COEFF_BOUND (:func:`exact_rows`), object
+arrays of Python integers beyond it, so no result wraps; an int64 block
+is at most shifted by a class of small coefficients such as K.  A right
+operand B is float64 (:func:`float_operand`) only when every partial sum
+of such a row against a column of B is an integer below
+FLOAT_EXACT_BOUND = 2**53, which float64 holds exactly however BLAS
+splits and orders the sums; :func:`exact_product` runs any other pair
+on Python integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -207,6 +211,9 @@ class CurveTypePattern:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # operator.index refuses floats, as in PicardClass
+        object.__setattr__(self, "a0", operator.index(self.a0))
+        object.__setattr__(self, "entries", tuple((operator.index(m), operator.index(n)) for m, n in self.entries))
         mults = [m for m, _ in self.entries]
         if mults != sorted(mults, reverse=True) or len(set(mults)) != len(mults):
             raise ValueError(f"entries must have strictly descending multiplicities: {self.entries}")
@@ -309,22 +316,69 @@ class SurfaceContext:
         return float_operand(self.curve_matrix.T)
 
 
-def float_operand(B: np.ndarray) -> np.ndarray:
-    """The int64 matrix B as the right operand of exact products ``A @ B``
-    (``positivity.exact_product``): float64 when every such product with an
-    int64 A is exact in float64, B itself otherwise.
+def int64_safe(L: PicardClass) -> bool:
+    """Whether every coefficient of L is within SAFE_COEFF_BOUND, so that
+    int64 pairing arithmetic on L is exact."""
+    bound = SAFE_COEFF_BOUND
+    return -bound <= L.a <= bound and -bound <= min(L.b) and max(L.b) <= bound
 
-    An int64 A holds class rows within SAFE_COEFF_BOUND (see
-    ``positivity.exact_rows``), at most shifted by a class of small
-    coefficients such as K, so its entries stay below 2 * SAFE_COEFF_BOUND.
-    Every partial sum of a row of A against a column of B is then an
-    integer below ``B.shape[0] * 2 * SAFE_COEFF_BOUND * max|B|``; when that
-    is below FLOAT_EXACT_BOUND, float64 BLAS returns it exactly, however it
-    splits and orders the sums.  The test runs once per operand."""
+
+def exact_rows(coeffs) -> np.ndarray:
+    """A 2-D block of class rows as int64 when every entry is within
+    SAFE_COEFF_BOUND, otherwise as an object array of Python integers
+    (exact at any size).  Non-integers raise TypeError, and anything but
+    a 2-D block (a single row, a scalar, a deeper array) ValueError."""
+    rows = np.asarray(coeffs)
+    if rows.dtype.kind == "f" and not isinstance(coeffs, np.ndarray):
+        # np.asarray widens a list mixing integers past int64 with negative
+        # ones to float64; keep the integers themselves when that is all it is
+        exact = np.array(coeffs, dtype=object)
+        if all(isinstance(x, numbers.Integral) for x in exact.flat):
+            rows = exact
+    if rows.dtype.kind not in "iuO":
+        raise TypeError(f"class coefficients must be integers, got dtype {rows.dtype}")
+    if rows.ndim != 2:
+        raise ValueError(f"class rows must form a 2-D block, got {rows.ndim} dimension(s)")
+    if rows.size == 0 or (rows.max() <= SAFE_COEFF_BOUND and rows.min() >= -SAFE_COEFF_BOUND):
+        return rows.astype(np.int64, copy=False)
+    return rows.astype(object)
+
+
+def float_operand(B: np.ndarray) -> np.ndarray:
+    """The int64 matrix B as the right operand of :func:`exact_product`:
+    float64 when ``B.shape[0] * 2 * SAFE_COEFF_BOUND * max|B|``, which
+    bounds every partial sum against an int64 row block, is below
+    FLOAT_EXACT_BOUND, B itself otherwise.  The test runs once per operand."""
     largest = int(np.abs(B).max(initial=0))
     if B.shape[0] * 2 * SAFE_COEFF_BOUND * largest >= FLOAT_EXACT_BOUND:
         return B
     return _read_only(B.astype(np.float64))
+
+
+#: Result entries per float64 BLAS call in exact_product.  The products
+#: are thin (r + 1 <= 9 terms per entry), so a large one gains nothing
+#: from BLAS threads, and on a shared 2 vCPU host a dgemm split across
+#: them was measured to wait milliseconds per call; chunks this small run
+#: on the calling thread and keep each float64 temporary at 128 KiB.
+_PRODUCT_CHUNK = 2**14
+
+
+def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B``, exact, for rows A from :func:`exact_rows` (at most shifted
+    by a class of small coefficients) and an operand B from
+    :func:`float_operand`.  An int64 A against a float64 B runs through
+    float64 BLAS in row chunks of about _PRODUCT_CHUNK result entries and
+    returns int64; any other pair runs on Python integers and returns an
+    object array."""
+    if B.dtype.kind == "f":
+        if A.dtype != object:
+            out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+            step = max(1, _PRODUCT_CHUNK // max(1, B.shape[1]))
+            for i in range(0, A.shape[0], step):
+                out[i:i + step] = A[i:i + step] @ B  # matmul casts A to float64
+            return out
+        B = B.astype(np.int64)
+    return A.astype(object, copy=False) @ B
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -24,20 +24,17 @@ pairing test folded over that orbit, ``a0*a >= <multiplicities, b> + k``
 with both sides sorted.  Each family's value is read off the prefix sums
 of b sorted descending (:func:`_family_table`), at most two of them per
 family at rank <= 8, in plain Python integers, so a verdict is exact at
-any size and builds no array.  :func:`minimum_family_value_bulk` runs
-the same folds (:func:`_fold_values`) on numpy columns, one per prefix
-sum, with the rank read off the row width.
+any size and builds no array.  :func:`minimum_family_value_bulk` takes
+the same orbit minima for a block of rows in one product with the
+families' representatives (``enumeration.orbit_floor``), with the rank
+read off the row width.
 
 Effectivity needs the curves themselves, so it alone is read off the
 pairing vector ``P = S @ (a, b)``, where S is the signed test-curve
 matrix cached on the :class:`SurfaceContext`; the positive part is
 tested by the same folded inequalities as every other nef verdict.
-The bulk :func:`pairing_matrix` uses the same matrix.  Array arithmetic
-is exact: int64 while every coefficient is within ``SAFE_COEFF_BOUND``,
-Python integers (object arrays) beyond it.  Bulk products of int64
-rows run through float64 BLAS (:func:`exact_product`), and only where
-every partial sum is an integer below 2**53, so their results are
-exact integers too.
+The bulk :func:`pairing_matrix` uses the same matrix.  Every array
+product is exact by the rule stated once in :mod:`delpezzo.lattice`.
 
 Each family's closed form :meth:`InequalityFamily.evaluate`, which sorts
 positive and negative multiplicities separately, is kept as an
@@ -47,7 +44,6 @@ independent formulation that the tests check the folds against.
 from __future__ import annotations
 
 import itertools
-import numbers
 import operator
 import sys
 import warnings
@@ -59,7 +55,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    SAFE_COEFF_BOUND,
     CurveTypePattern,
     LatticeMismatchError,
     PicardClass,
@@ -69,10 +64,14 @@ from .lattice import (
     _genus,
     _same_rank,
     degree,
+    exact_product,
+    exact_rows,
+    float_operand,
+    int64_safe,
     type_pattern,
     adjoint as adjoint_class,
 )
-from .enumeration import surface_context
+from .enumeration import orbit_floor, surface_context
 
 EXCEPTION_NONE = "none"
 EXCEPTION_MINUS_KK_S8 = "minus_kK_S8"
@@ -87,62 +86,6 @@ def ampleness_level(k, least: int = 0) -> int:
     if k < least:
         raise ValueError(f"k must be >= {least}, got {k}")
     return k
-
-
-def int64_safe(L: PicardClass) -> bool:
-    """Whether every coefficient of L is within SAFE_COEFF_BOUND, so that
-    int64 pairing arithmetic on L is exact."""
-    bound = SAFE_COEFF_BOUND
-    return -bound <= L.a <= bound and -bound <= min(L.b) and max(L.b) <= bound
-
-
-def exact_rows(coeffs) -> np.ndarray:
-    """A 2-D block of class rows as int64 when every entry is within
-    SAFE_COEFF_BOUND, otherwise as an object array of Python integers
-    (exact at any size).  Non-integers raise TypeError, and anything but
-    a 2-D block (a single row, a scalar, a deeper array) ValueError."""
-    rows = np.asarray(coeffs)
-    if rows.dtype.kind == "f" and not isinstance(coeffs, np.ndarray):
-        # np.asarray widens a list mixing integers past int64 with negative
-        # ones to float64; keep the integers themselves when that is all it is
-        exact = np.array(coeffs, dtype=object)
-        if all(isinstance(x, numbers.Integral) for x in exact.flat):
-            rows = exact
-    if rows.dtype.kind not in "iuO":
-        raise TypeError(f"class coefficients must be integers, got dtype {rows.dtype}")
-    if rows.ndim != 2:
-        raise ValueError(f"class rows must form a 2-D block, got {rows.ndim} dimension(s)")
-    if rows.size == 0 or (rows.max() <= SAFE_COEFF_BOUND and rows.min() >= -SAFE_COEFF_BOUND):
-        return rows.astype(np.int64, copy=False)
-    return rows.astype(object)
-
-
-#: Result entries per float64 BLAS call in exact_product.  The products
-#: are thin (r + 1 <= 9 terms per entry), so a large one gains nothing
-#: from BLAS threads, and on a shared 2 vCPU host a dgemm split across
-#: them was measured to wait milliseconds per call; chunks this small run
-#: on the calling thread and keep each float64 temporary at 128 KiB.
-_PRODUCT_CHUNK = 2**14
-
-
-def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A @ B``, exact, for rows A from :func:`exact_rows` (int64 or object,
-    at most shifted by a class of small coefficients) and an operand B from
-    ``lattice.float_operand``.
-
-    An int64 A against a float64 B runs through float64 BLAS, in row chunks
-    of about _PRODUCT_CHUNK result entries, exact by the bound float_operand
-    checked, and returns int64.  Any other pair runs on Python integers and
-    returns an object array."""
-    if B.dtype.kind == "f":
-        if A.dtype != object:
-            out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
-            step = max(1, _PRODUCT_CHUNK // max(1, B.shape[1]))
-            for i in range(0, A.shape[0], step):
-                out[i:i + step] = A[i:i + step] @ B  # matmul casts A to float64
-            return out
-        B = B.astype(np.int64)
-    return A.astype(object, copy=False) @ B
 
 
 def pairing_vector(L: PicardClass, ctx: SurfaceContext) -> np.ndarray:
@@ -570,11 +513,13 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
 
 
 class _FamilyTable(NamedTuple):
-    """One rank's families, each with its fold and labels, in family order."""
+    """One rank's families, each with its fold and labels, in family order,
+    and the operand of their representatives."""
 
     families: tuple[InequalityFamily, ...]
     folds: tuple[tuple[int, int, int, int, int], ...]
     labels: tuple[tuple[str, str], ...]  # without and with k
+    operand: np.ndarray  # columns (a_coeff; c), for enumeration.orbit_floor
 
 
 @lru_cache(maxsize=None)
@@ -590,8 +535,9 @@ def _family_table(r: int) -> _FamilyTable:
     ``sum c_j s_j`` into ``sum_{j<r} (c_j - c_{j+1}) S_j + c_r S_r``.  At
     rank <= 8 at most two of those weights are nonzero, e.g.
     ``6a - S_1 - 2 S_8`` for (6; 3, 2^7) and ``S_r - S_{r-1}`` (that is
-    s_r) for ``b_i >= 0``; an unused slot is (0, 0)."""
-    families, folds, labels = [], [], []
+    s_r) for ``b_i >= 0``; an unused slot is (0, 0).  The representatives
+    (a_coeff; c) make up the bulk operand."""
+    families, folds, labels, reps = [], [], [], []
     patterns = {type_pattern(x) for x in surface_context(r).test_curves}
     for pat in sorted(patterns, key=CurveTypePattern.sort_key):
         fam = InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
@@ -602,19 +548,16 @@ def _family_table(r: int) -> _FamilyTable:
         families.append(fam)
         folds.append((fam.a_coeff, j1, w1, j2, w2))
         labels.append((fam.label(with_k=False), fam.label(with_k=True)))
-    return _FamilyTable(tuple(families), tuple(folds), tuple(labels))
-
-
-def _fold_values(a, S, r: int) -> list:
-    """Every family's value, in family order, from a and the prefix sums
-    S[0..r] of b sorted descending (see :func:`_family_table`): Python
-    integers for one class, numpy columns for a block of rows."""
-    return [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_table(r).folds]
+        reps.append([fam.a_coeff, *c[:r]])
+    operand = float_operand(np.array(reps, dtype=np.int64).T)
+    return _FamilyTable(tuple(families), tuple(folds), tuple(labels), operand)
 
 
 def _family_values(L: PicardClass) -> list[int]:
-    """Every family's value at L, in family order, as Python integers."""
-    return _fold_values(L.a, (0, *itertools.accumulate(sorted(L.b, reverse=True))), len(L.b))
+    """Every family's value at L, in family order, as Python integers: the
+    folds of :func:`_family_table` on the prefix sums of b sorted descending."""
+    S = (0, *itertools.accumulate(sorted(L.b, reverse=True)))
+    return [c * L.a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_table(len(L.b)).folds]
 
 
 def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:
@@ -673,7 +616,7 @@ def f1_is_k_very_ample(a0: int, b: int, k: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Bulk (numpy) evaluation.  Rows are class vectors (a, b_1..b_r), int64
-# within SAFE_COEFF_BOUND and Python integers beyond it (see exact_rows).
+# or Python integers as ``lattice.exact_rows`` decides.
 
 def pairing_matrix(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
     """(N, m) intersection numbers of N class rows against the test curves."""
@@ -685,10 +628,6 @@ def pairing_matrix(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
 
 def minimum_family_value_bulk(coeffs: np.ndarray) -> np.ndarray:
     """Row-wise minimum over the inequality families, the rank read off the
-    row width: the folds of :func:`_fold_values`, on the prefix sums of
-    each row's b sorted descending."""
-    coeffs = exact_rows(coeffs)
-    r = _check_rank(coeffs.shape[1] - 1)
-    S = np.zeros((r + 1, coeffs.shape[0]), dtype=coeffs.dtype)
-    S[1:] = np.cumsum(-np.sort(-coeffs[:, 1:], axis=1), axis=1).T
-    return np.min(_fold_values(coeffs[:, 0], S, r), axis=0)
+    row width: the smallest orbit floor against the families' representatives."""
+    rows = exact_rows(coeffs)
+    return orbit_floor(rows, _family_table(_check_rank(rows.shape[1] - 1)).operand).min(axis=1)

@@ -28,22 +28,21 @@ search of :mod:`delpezzo.enumeration` finds the non-increasing beta in
 the box, each representative is tested for effectivity once, and the
 table keeps one row per permutation orbit.  One window kernel then tests
 the candidates against N rows of M at once, in two stages.  First, the
-smallest M.D over each orbit (one product of the representatives with
-each row's sorted M, by the rearrangement inequality) drops every orbit
-that no row can meet with M.D <= min(D.D + k + 1, 2k + 1), the top of
-the window for the orbit's D.D.  Second, only orbits that some row
+smallest M.D over each orbit (``enumeration.orbit_floor``) drops every
+orbit that no row can meet with M.D <= min(D.D + k + 1, 2k + 1), the top
+of the window for the orbit's D.D.  Second, only orbits that some row
 reaches are expanded, and the exact window runs on their classes against
-those rows.  A class that is a witness is certified effective
-once per table.
+those rows.  A class that is a witness is certified effective once per
+table.  Every array product is exact by the rule of :mod:`delpezzo.lattice`.
 
 ``search_obstructions`` runs the kernel on its one M and lists the
 witnesses in (a, b) order.  ``consistency_sweep`` runs it on blocks of
-box rows and decides each block with array operations: it pairs each
-block once and keeps two numbers per row, the minimum pairing (the nef
-filter and the pairing verdict) and how many exceptional classes pair
-below k; the premise of a nef row is M.M >= 4k + 5 alone (-K pairs >= 1
-with every test curve, so M = L + (-K) is nef with L); the sweep counts
-witnesses instead of listing them.  For non-nef L the bounds in (i) and
+box rows and decides each block with array operations: it converts and
+pairs each block once, and the pairing rows give the nef filter, the
+pairing verdict and the exceptional classes a row pairs below k; the
+premise of a nef row is M.M >= 4k + 5 alone (-K pairs >= 1 with every
+test curve, so M = L + (-K) is nef with L); the sweep counts witnesses
+instead of listing them.  For non-nef L the bounds in (i) and
 (v) that use L.D >= 0 are not theorems, so the scan is best-effort
 outside the nef cone (the outcome says which box was used).
 """
@@ -66,22 +65,20 @@ from .lattice import (
     SurfaceContext,
     _check_rank,
     degree,
+    exact_product,
+    exact_rows,
     float_operand,
     line,
     point_class,
 )
-from .enumeration import descending_vectors, expand_orbit, orbit_sizes, surface_context
+from .enumeration import descending_vectors, expand_orbit, orbit_floor, orbit_sizes, surface_context
 from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
     ampleness_level,
-    exact_product,
-    exact_rows,
     exception_flag,
     is_effective,
     is_nef,
-    pairing_matrix,
-    pairing_vector,
 )
 
 #: The scan box grows like (6*(2k+1)) * (2k+2+6*(2k+1))**r before pruning;
@@ -268,24 +265,21 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
 
 def _window_hits(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple]:
     """Every (class, row) pair inside the window at level k for the N exact
-    rows M (see ``exact_rows``), grouped by orbit: one tuple
+    rows M (see ``lattice.exact_rows``), grouped by orbit: one tuple
     ``(o, C, ci, ri, md)`` per orbit o that has a hit, where C holds the
     orbit's class rows and hit j is class ``C[ci[j]]`` against row
     ``M[ri[j]]``, with M.D = ``md[j]``.
 
     D.D = d2 is constant on an orbit, so the window md - k - 1 <= d2,
     2*d2 < md, md < 2k+2 is the integer range 2*d2 < md <= top, with
-    top = min(d2 + k + 1, 2k + 1) per orbit.  By the rearrangement
-    inequality the smallest M.D over the orbit of (alpha; beta) is
-    ``m0*alpha - <sort_desc(mu), sort_desc(beta)>`` for M = (m0; mu), exact
-    for any M.  One (orbits x N) product of that floor gives the (orbit,
-    row) pairs whose floor is at most top.  Each orbit in such a pair is
-    expanded and meets the window in one (orbit size x reaching rows) M.D
-    product.  C is in the dtype of the table's operand (integer-valued
-    float64 or int64); md is exact."""
+    top = min(d2 + k + 1, 2k + 1) per orbit.  The (N x orbits)
+    ``orbit_floor`` of M against the representatives, the smallest M.D
+    over each orbit, gives the (orbit, row) pairs whose floor is at most
+    top.  Each orbit in such a pair is expanded and meets the window in
+    one (orbit size x reaching rows) M.D product.  C is in the dtype of
+    the table's operand (integer-valued float64 or int64); md is exact."""
     top = np.minimum(table.squares + k + 1, 2 * k + 1)
-    floor = exact_product(np.column_stack([M[:, 0], np.sort(-M[:, 1:], axis=1)]), table.operand)
-    orbit, row = (floor.T <= top[:, None]).nonzero()  # grouped by orbit
+    orbit, row = (orbit_floor(M, table.operand).T <= top[:, None]).nonzero()  # grouped by orbit
     if not len(orbit):
         return []
     dual = M[row]  # (m0; -mu) per pair, so that dual @ C.T is M.D
@@ -508,13 +502,12 @@ def _row_counts(parts: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _decide_block(
-    rows: np.ndarray, lowest: np.ndarray, below: np.ndarray, k: int, ctx: SurfaceContext,
-    table: _CandidateTable,
+    L: np.ndarray, P: np.ndarray, k: int, ctx: SurfaceContext, table: _CandidateTable,
 ) -> tuple[tuple[int, ...], list[SweepViolation]]:
-    """The sweep over one block of nef rows L, given each row's minimum
-    pairing ``lowest`` and the number ``below`` of exceptional classes it
-    pairs below k with: the counts (applicable, passing, failing,
-    exceptions, witnesses) and the violations, in row order.
+    """The sweep over one block of nef rows L, exact rows (see
+    ``lattice.exact_rows``) with their pairing rows P against the test
+    curves: the counts (applicable, passing, failing, exceptions,
+    witnesses) and the violations, in row order.
     M = L + (-K) of a nef row is nef (-K pairs >= 1 with every test
     curve), so its premise is M.M >= 4k + 5 alone.
 
@@ -523,12 +516,12 @@ def _decide_block(
     table), and once per row that is a multiple of -K or breaks a rule.
     """
     K = ctx.canonical
-    L = exact_rows(rows)
     M = L - np.array([K.a, *K.b], dtype=np.int64)
     m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
     applicable = np.flatnonzero(m2 >= 4 * k + 5)
-    L, M, lowest, below = L[applicable], M[applicable], lowest[applicable], below[applicable]
+    L, M, P = L[applicable], M[applicable], P[applicable]
     n = len(applicable)
+    low = P < k  # the exceptional classes come first among the test curves
 
     hit_rows, exceptional_hits = [], []
     for o, C, ci, ri, md in _window_hits(table, M, k):
@@ -542,9 +535,9 @@ def _decide_block(
     # x.x = -1), and those hits are the exceptional ones with L.x < k; so a
     # row misses one of them exactly when it has fewer such hits than
     # violating exceptional classes.
-    missing_exc = _row_counts(exceptional_hits, n) < below
+    missing_exc = _row_counts(exceptional_hits, n) < low[:, :len(ctx.exceptional_set)].sum(axis=1)
 
-    passes = lowest >= k
+    passes = ~low.any(axis=1)
     # An exception class is a multiple (3m; m, ..., m) of -K.  It satisfies
     # the inequalities without being k-very ample, and the window may or may
     # not show an obstruction for it (it does for -(k+1)K at rank 8, it
@@ -560,17 +553,18 @@ def _decide_block(
     violations = []
     for i in np.flatnonzero(flagged).tolist():
         L_i = _as_class(L[i].tolist())
-        violations += _row_violations(L_i, M[i:i + 1], bool(passing[i]), k, ctx, table)
+        violations += _row_violations(L_i, M[i:i + 1], low[i], bool(passing[i]), k, ctx, table)
     counts = (n, int(passing.sum()), int((~passes).sum()), int(exception.sum()), int(witnesses.sum()))
     return counts, violations
 
 
 def _row_violations(
-    L: PicardClass, M: np.ndarray, passing: bool, k: int, ctx: SurfaceContext, table: _CandidateTable,
+    L: PicardClass, M: np.ndarray, low: np.ndarray, passing: bool, k: int, ctx: SurfaceContext,
+    table: _CandidateTable,
 ) -> list[SweepViolation]:
-    """The violations of one flagged row (M as one exact row), worded from
-    its witness list in (a, b) order and, for a failing row, its own
-    pairing vector."""
+    """The violations of one flagged row (M as one exact row, ``low`` its
+    test curves that pair below k), worded from its witness list in (a, b)
+    order and, for a failing row, the exceptional classes in ``low``."""
     witnesses = _witness_rows(table, M, k)
     if passing:
         unexpected = SweepViolation(L, "unexpected_witness", f"k-very ample but has {len(witnesses)} witnesses")
@@ -582,10 +576,9 @@ def _row_violations(
         return [SweepViolation(L, "missing_witness", "fails the pairing test but has no witnesses")]
     found = {tuple(row) for row, _, _ in witnesses}
     exc = ctx.exceptional_set
-    P = pairing_vector(L, ctx)
     return [
         SweepViolation(L, "missing_exceptional_witness", f"violating class {exc[i]} absent from the witness list")
-        for i in np.flatnonzero(P[:len(exc)] < k).tolist() if (exc[i].a, *exc[i].b) not in found
+        for i in np.flatnonzero(low[:len(exc)]).tolist() if (exc[i].a, *exc[i].b) not in found
     ]
 
 
@@ -607,12 +600,12 @@ def consistency_sweep(
     returned as a violation (and means a genuine bug).
 
     The rows are decided in blocks of array operations.  Each block of
-    candidate rows is paired once, and two numbers per row are read off
-    its pairing matrix: the minimum pairing, which keeps the nef rows and
-    gives the pairing verdict, and how many exceptional classes pair
-    below k.  The premise is M.M >= 4k + 5 alone (-K pairs >= 1 with every
-    test curve, so M = L + (-K) is nef with L), and one orbit-floor
-    product finds the candidate orbits that reach each row's window.
+    candidate rows is converted to exact rows and paired once; its
+    pairing rows keep the nef rows and give the pairing verdict and the
+    exceptional classes each row pairs below k.  The premise is
+    M.M >= 4k + 5 alone (-K pairs >= 1 with every test curve, so
+    M = L + (-K) is nef with L), and one orbit-floor product finds the
+    candidate orbits that reach each row's window.
     Witnesses are counted, not listed; a row's witness list is built only
     to word its violations.  The exhaustive mode runs on one
     representative per coordinate-permutation orbit, the nef rows among
@@ -658,20 +651,18 @@ def consistency_sweep(
             raise ValueError(f"sampled box a_max = {a_max} is past the int64 sampler's 2**63 - 1")
         blocks = _sample_blocks(r, a_max, seed)
     table = _candidate_table(r, k)
-    n_exc = len(ctx.exceptional_set)  # the test curves start with them
 
     scanned = covered = 0
     totals = [0] * 5
     violations = []
     for block in blocks:
-        P = pairing_matrix(block, ctx)
-        lowest = P.min(axis=1)
-        nef = np.flatnonzero(lowest >= 0)
+        L = exact_rows(block)
+        P = exact_product(L, ctx.curve_operand)
+        nef = np.flatnonzero(P.min(axis=1) >= 0)
         if sample is not None:
             nef = nef[:sample - scanned]
-        rows = block[nef]
-        below = (P[:, :n_exc] < k).sum(axis=1)[nef]
-        counts, found = _decide_block(rows, lowest[nef], below, k, ctx, table)
+        rows = L[nef]
+        counts, found = _decide_block(rows, P[nef], k, ctx, table)
         scanned += len(rows)
         # a box leaf decides its whole permutation orbit
         covered += len(rows) if sample is not None else int(orbit_sizes(rows[:, 1:]).sum())

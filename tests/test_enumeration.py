@@ -13,9 +13,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from delpezzo.lattice import PicardClass, RankError, canonical_class, degree, intersect, point_class, type_pattern
+from delpezzo.lattice import (
+    SAFE_COEFF_BOUND,
+    PicardClass,
+    RankError,
+    canonical_class,
+    degree,
+    exact_rows,
+    float_operand,
+    intersect,
+    point_class,
+    type_pattern,
+)
 from delpezzo.enumeration import (
     decompose_null_class,
     descending_vectors,
@@ -23,6 +34,7 @@ from delpezzo.enumeration import (
     enumerate_null_classes,
     exceptional_type_census,
     expand_orbit,
+    orbit_floor,
     orbit_sizes,
     surface_context,
 )
@@ -359,3 +371,37 @@ class TestSharedSearch:
         as_float = expand_orbit(rep.astype(np.float64))
         assert as_float.dtype == np.float64
         np.testing.assert_array_equal(as_float, rows)
+
+
+#: Row entries of both signs: small, at SAFE_COEFF_BOUND, and past 2**63.
+FLOOR_ENTRY = (
+    st.integers(-9, 9)
+    | st.sampled_from([-SAFE_COEFF_BOUND, SAFE_COEFF_BOUND])
+    | st.integers(2**63, 2**66)
+    | st.integers(-(2**66), -(2**63))
+)
+
+
+class TestOrbitFloor:
+    """orbit_floor against the smallest pairing over the expanded orbit."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_expanded_orbit(self, r, data):
+        width = r + 1
+        # one representative and one row with distinct entries, so that the
+        # order of the pairing matters in every example
+        reps = data.draw(st.lists(st.lists(st.integers(-1, 2), min_size=width, max_size=width), max_size=2))
+        reps = [[1, *sorted([2, 1, -1, *[0] * r][:r], reverse=True)]] + [
+            [x0, *sorted(x, reverse=True)] for x0, *x in reps
+        ]
+        reps = np.array(reps, dtype=np.int64)
+        entry = data.draw(st.sampled_from([st.integers(-9, 9), FLOOR_ENTRY]))
+        rows = [[5, *range(r)]] + data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=3))
+        # y0*x0 - <y, x'> for every ordering x' of x, on Python integers
+        signed = np.array([[y0, *(-v for v in y)] for y0, *y in rows], dtype=object)
+        expected = np.column_stack([(signed @ expand_orbit(rep).T).min(axis=1) for rep in reps]).tolist()
+        # the float64 operand and the int64 one (the exact path) agree
+        for operand in (float_operand(reps.T), reps.T):
+            assert orbit_floor(exact_rows(rows), operand).tolist() == expected

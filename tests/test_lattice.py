@@ -159,6 +159,17 @@ class TestTypePattern:
         with pytest.raises(ValueError, match="entries must|non-positive counts"):
             CurveTypePattern(6, entries)
 
+    @pytest.mark.parametrize("a0,entries", [(1, ((2, 1.5),)), (1, ((2.0, 1),)), (1.5, ())])
+    def test_non_integers_are_refused(self, a0, entries):
+        # (1;2^1.5) and (1.5;) used to render, and only to_class failed
+        with pytest.raises(TypeError):
+            CurveTypePattern(a0, entries)
+
+    def test_numpy_integers_become_python_ints(self):
+        pat = CurveTypePattern(np.int64(6), [(np.int32(3), np.uint8(1)), (2, 7)])
+        assert pat == CurveTypePattern(6, ((3, 1), (2, 7)))
+        assert type(pat.a0) is int and all(type(x) is int for entry in pat.entries for x in entry)
+
     def test_round_trip_through_canonical_representative(self):
         pat = CurveTypePattern(5, ((2, 6), (1, 2)))
         assert type_pattern(pat.to_class(8)) == pat

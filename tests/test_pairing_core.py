@@ -32,6 +32,8 @@ from delpezzo.lattice import (
     RankError,
     canonical_class,
     degree,
+    exact_product,
+    exact_rows,
     fiber_class,
     float_operand,
     intersect,
@@ -49,8 +51,6 @@ from delpezzo.positivity import (
     _family_values,
     adjoint_kva_check,
     degree_bound_check,
-    exact_product,
-    exact_rows,
     exception_flag,
     f1_is_k_very_ample,
     generate_inequality_families,

@@ -356,6 +356,19 @@ class TestInequalityFamilies:
                 assert direct[i] == minimum_pairing(L, ctx)
             np.testing.assert_array_equal(direct, folded)
 
+    @pytest.mark.parametrize("r", range(1, 9))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_bulk_minimum_is_the_smallest_closed_form(self, r, data):
+        # evaluate sorts the positive and negative multiplicities separately
+        # and builds no array; rows past 2**63 take the exact path
+        wide = st.integers(2**63, 2**66) | st.integers(-(2**66), -(2**63))
+        entry = data.draw(st.sampled_from([coeff, coeff | wide]))
+        rows = data.draw(st.lists(st.lists(entry, min_size=r + 1, max_size=r + 1), min_size=1, max_size=6))
+        families = generate_inequality_families(r)
+        expected = [min(f.evaluate(PicardClass(a, tuple(b))) for f in families) for a, *b in rows]
+        assert minimum_family_value_bulk(rows).tolist() == expected
+
 
 class TestAdjoint:
     def test_examples(self):

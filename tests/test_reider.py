@@ -15,6 +15,7 @@ from delpezzo.lattice import (
     PicardClass,
     canonical_class,
     degree,
+    exact_rows,
     intersect,
     line,
     point_class,
@@ -22,7 +23,6 @@ from delpezzo.lattice import (
 from delpezzo.enumeration import orbit_sizes, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
-    exact_rows,
     exception_flag,
     is_effective,
     is_k_very_ample,
@@ -689,9 +689,8 @@ class TestBatchedSweepAgainstPerRow:
             for k in (1, 2):
                 # each row's pairing vector, independent of the sweep's matrix
                 P = [pairing_vector(PicardClass(row[0], tuple(row[1:])), ctx8) for row in rows[lo:hi]]
-                lowest = np.array([p.min() for p in P], dtype=object)
-                below = np.array([(p[:len(ctx8.exceptional_set)] < k).sum() for p in P])
-                counts, violations = _decide_block(block, lowest, below, k, ctx8, _candidate_table(8, k))
+                P = np.array(P, dtype=object)
+                counts, violations = _decide_block(exact_rows(block), P, k, ctx8, _candidate_table(8, k))
                 expected, expected_violations = ref_decide(block, k, ctx8)
                 assert counts == expected
                 assert violations == expected_violations
