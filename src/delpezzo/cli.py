@@ -56,11 +56,12 @@ class ClassLiteralError(ValueError):
 
 
 def integer(text: str, start: int = 0) -> int:
-    """A literal entry, or an integer option: an optional sign and ASCII
-    digits only (int() would also take underscores, "1_0", and non-ASCII
-    digits).  argparse names an option's type by this function's name."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise ClassLiteralError(f"expected an integer, got {text!r}", start + 1)
+    """A literal entry after column ``start``, or an integer option: an optional sign and
+    ASCII digits, blanks around them allowed (int() would also take "1_0" and non-ASCII
+    digits).  An error names its first non-blank column.  argparse names the type by this name."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        column = start + len(text) - len(text.lstrip()) + 1
+        raise ClassLiteralError(f"expected an integer, got {text.strip()!r}", column)
     return int(text)
 
 
@@ -68,16 +69,16 @@ def _parse_coefficient_literal(text: str, r: int, strict: bool) -> PicardClass:
     if ";" not in text:
         raise ClassLiteralError("missing ';' between a and b coefficients", len(text))
     head, _, tail = text.partition(";")
-    a = integer(head.strip())
+    a = integer(head)
     b = []
     pos = len(head) + 1
     for piece in tail.split(","):
         if piece.strip() == "":
             raise ClassLiteralError("empty b coefficient", pos + 1)
-        b.append(integer(piece.strip(), pos))
+        b.append(integer(piece, pos))
         pos += len(piece) + 1
     if len(b) > r:
-        raise ClassLiteralError(f"{len(b)} b-coefficients for rank {r}", len(head) + 2)
+        raise ClassLiteralError(f"{len(b)} b-coefficients for rank {r}", len(text) - len(tail.lstrip()) + 1)
     if len(b) < r:
         if strict:
             raise ClassLiteralError(
@@ -89,24 +90,26 @@ def _parse_coefficient_literal(text: str, r: int, strict: bool) -> PicardClass:
 
 
 def _parse_pattern_literal(text: str, r: int) -> PicardClass:
+    text = text.rstrip()
     if not text.endswith(")"):
         raise ClassLiteralError("pattern literal must end with ')'", len(text))
-    inner = text[1:-1]
+    start = text.index("(") + 1
+    inner = text[start:-1]
     if ";" not in inner:
         raise ClassLiteralError("missing ';' after a0 in pattern literal", len(text))
     head, _, tail = inner.partition(";")
-    pattern = CurveTypePattern(integer(head.strip(), 1), ())
-    pos = 1 + len(head) + 1
+    pattern = CurveTypePattern(integer(head, start), ())
+    pos = start + len(head) + 1
     pieces = tail.split(",") if tail.strip() else []  # "(a0;)" has no entries
     for piece in pieces:
         if piece.strip() == "":
             raise ClassLiteralError("empty pattern entry", pos + 1)
         if "^" in piece:
             m_txt, _, n_txt = piece.partition("^")
-            mult = integer(m_txt.strip(), pos)
-            count = integer(n_txt.strip(), pos + len(m_txt) + 1)
+            mult = integer(m_txt, pos)
+            count = integer(n_txt, pos + len(m_txt) + 1)
         else:
-            mult, count = integer(piece.strip(), pos), 1
+            mult, count = integer(piece, pos), 1
         try:  # the pattern's own rules, reported at this entry
             pattern = CurveTypePattern(pattern.a0, (*pattern.entries, (mult, count)))
         except ValueError as exc:
@@ -115,17 +118,16 @@ def _parse_pattern_literal(text: str, r: int) -> PicardClass:
     try:
         return pattern.to_class(r)
     except ValueError as exc:
-        raise ClassLiteralError(str(exc), 1) from None
+        raise ClassLiteralError(str(exc), start) from None
 
 
 def parse_class_literal(text: str, r: int, strict: bool = True) -> PicardClass:
-    """Parse either literal grammar against an explicit rank."""
-    stripped = text.strip()
-    if not stripped:
+    """Parse either literal grammar against an explicit rank; columns count in ``text`` as given."""
+    if not text.strip():
         raise ClassLiteralError("empty class literal", 1)
-    if stripped.startswith("("):
-        return _parse_pattern_literal(stripped, r)
-    return _parse_coefficient_literal(stripped, r, strict)
+    if text.lstrip().startswith("("):
+        return _parse_pattern_literal(text, r)
+    return _parse_coefficient_literal(text, r, strict)
 
 
 def _add_rank_option(parser):

@@ -9,7 +9,8 @@ point ``e_i`` is ``(0; ..., -1, ...)``.
 
 The class arithmetic is plain Python integers, exact at any magnitude.
 The array helpers at the end of this module hold the one exactness rule
-of every numpy path in the package.  Class rows are int64 only while
+of every numpy path in the package.  Bulk inputs refuse non-integers, as
+PicardClass does.  Class rows are int64 only while
 every entry is within SAFE_COEFF_BOUND (:func:`exact_rows`), object
 arrays of Python integers beyond it, so no result wraps; an int64 block
 is at most shifted by a class of small coefficients such as K.  A right
@@ -23,7 +24,6 @@ on Python integers.
 from __future__ import annotations
 
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,16 +145,15 @@ def line(r: int) -> PicardClass:
 
 def point_class(r: int, i: int) -> PicardClass:
     """The class of the blown-up point ``e_i`` (1-based), i.e. b_i = -1."""
-    r = _check_rank(r)
+    r, i = _check_rank(r), operator.index(i)
     if not 1 <= i <= r:
         raise RankError(f"index {i} outside 1..{r}")
     return PicardClass(0, tuple(-1 if j == i else 0 for j in range(1, r + 1)))
 
 
-def fiber_class(r: int = 1) -> PicardClass:
-    """``l - e_1``; at rank 1 it joins the exceptional class as a test curve."""
-    r = _check_rank(r)
-    return PicardClass(1, (1,) + (0,) * (r - 1))
+def fiber_class() -> PicardClass:
+    """``l - e_1`` at rank 1, where it joins the exceptional class as a test curve."""
+    return PicardClass(1, (1,))
 
 
 def canonical_class(r: int) -> PicardClass:
@@ -268,13 +267,15 @@ class SurfaceContext:
 
     def __post_init__(self):
         object.__setattr__(self, "r", _check_rank(self.r))
-        expected = EXCEPTIONAL_CLASS_COUNTS[self.r]
-        if len(self.exceptional_set) != expected:
-            raise ValueError(
-                f"rank {self.r} needs {expected} exceptional classes, got {len(self.exceptional_set)}"
-            )
-        if any(xi.r != self.r for xi in self.exceptional_set):
+        exc, expected = self.exceptional_set, EXCEPTIONAL_CLASS_COUNTS[self.r]
+        if len(exc) != expected:
+            raise ValueError(f"rank {self.r} needs {expected} exceptional classes, got {len(exc)}")
+        if any(x.r != self.r for x in exc):
             raise LatticeMismatchError("exceptional classes of foreign rank in context")
+        # with the count, this pins the set to the rank's exceptional classes in (a, b) order
+        K, keys = canonical_class(self.r), [x.sort_key() for x in exc]
+        if keys != sorted(set(keys)) or any(degree(x) != -1 or intersect(K, x) != -1 for x in exc):
+            raise ValueError(f"rank {self.r} needs classes with x.x = K.x = -1, distinct and in (a, b) order")
 
     @cached_property
     def exceptional_index(self) -> frozenset:
@@ -299,7 +300,7 @@ class SurfaceContext:
         """The exceptional classes, in their (a, b) order, followed at rank 1
         by the fiber ``l - e_1``: L is nef iff it pairs >= 0 with each."""
         if self.r == 1:
-            return self.exceptional_set + (fiber_class(1),)
+            return self.exceptional_set + (fiber_class(),)
         return self.exceptional_set
 
     @cached_property
@@ -326,19 +327,19 @@ def int64_safe(L: PicardClass) -> bool:
 def exact_rows(coeffs) -> np.ndarray:
     """A 2-D block of class rows as int64 when every entry is within
     SAFE_COEFF_BOUND, otherwise as an object array of Python integers
-    (exact at any size).  Non-integers raise TypeError, and anything but
-    a 2-D block (a single row, a scalar, a deeper array) ValueError."""
-    rows = np.asarray(coeffs)
-    if rows.dtype.kind == "f" and not isinstance(coeffs, np.ndarray):
-        # np.asarray widens a list mixing integers past int64 with negative
-        # ones to float64; keep the integers themselves when that is all it is
-        exact = np.array(coeffs, dtype=object)
-        if all(isinstance(x, numbers.Integral) for x in exact.flat):
-            rows = exact
-    if rows.dtype.kind not in "iuO":
-        raise TypeError(f"class coefficients must be integers, got dtype {rows.dtype}")
+    (exact at any size).  An ndarray needs an integer dtype; other input is
+    read as objects through ``operator.index``, as in PicardClass.  Non-integers
+    raise TypeError, anything but a 2-D block (say, one row) ValueError."""
+    rows = coeffs if isinstance(coeffs, np.ndarray) else np.array(coeffs, dtype=object)
     if rows.ndim != 2:
         raise ValueError(f"class rows must form a 2-D block, got {rows.ndim} dimension(s)")
+    if rows.dtype == object:
+        try:
+            rows = np.array([operator.index(x) for x in rows.flat], dtype=object).reshape(rows.shape)
+        except TypeError as exc:
+            raise TypeError(f"class coefficients must be integers: {exc}") from None
+    elif rows.dtype.kind not in "iu":
+        raise TypeError(f"class coefficients must be integers, got dtype {rows.dtype}")
     if rows.size == 0 or (rows.max() <= SAFE_COEFF_BOUND and rows.min() >= -SAFE_COEFF_BOUND):
         return rows.astype(np.int64, copy=False)
     return rows.astype(object)

@@ -91,10 +91,8 @@ def ampleness_level(k, least: int = 0) -> int:
 def pairing_vector(L: PicardClass, ctx: SurfaceContext) -> np.ndarray:
     """Intersection numbers of L with ``ctx.test_curves``, exact."""
     _check_context(L, ctx)
-    if int64_safe(L):
-        return ctx.curve_matrix @ np.array((L.a, *L.b), dtype=np.int64)
     # an int64 matrix times an object vector is computed on Python integers
-    return ctx.curve_matrix @ np.array((L.a, *L.b), dtype=object)
+    return ctx.curve_matrix @ np.array((L.a, *L.b), dtype=np.int64 if int64_safe(L) else object)
 
 
 def _check_context(L: PicardClass, ctx: SurfaceContext) -> None:
@@ -230,11 +228,6 @@ def _effectivity(
     C = (P < 0).nonzero()[0]
     if not len(C):
         return True, EffectivityCertificate((), L)
-    # At rank >= 2 the test curves are the exceptional set.  Pairwise
-    # disjoint (-1)-classes are orthogonal of square -1, and the lattice
-    # has signature (1, r), so an effective L has at most r of them in C.
-    if len(C) > ctx.r:
-        return False, None
     exc = ctx.exceptional_set
     # C as (L.E, index) pairs, each entry of P read once, in the greedy's
     # order: most negative first, ties by first index
@@ -242,8 +235,8 @@ def _effectivity(
     terminal = _certificate_sum(L, [(exc[i], v) for v, i in order])
     # For E in C, T.E is the sum of (L.E')(E'.E) over the other E' of C,
     # which is <= 0 and negative exactly when E meets one of them: so the
-    # folds' "T nef" already means "C pairwise disjoint and T nef".  It is
-    # tested before any run is listed.
+    # folds' "T nef" already means "C pairwise disjoint and T nef" (more
+    # than r curves never are).  It is tested before any run is listed.
     if min(_family_values(terminal)) < 0:
         return False, None
     # the greedy's runs by level: `active` holds the curves with L.E <= lo,
@@ -619,7 +612,8 @@ def f1_is_k_very_ample(a0: int, b: int, k: int) -> bool:
 # or Python integers as ``lattice.exact_rows`` decides.
 
 def pairing_matrix(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
-    """(N, m) intersection numbers of N class rows against the test curves."""
+    """(N, m) intersection numbers of N class rows against the test curves.
+    No ``src`` path calls it; it is the bulk reference the tests compare against."""
     rows = exact_rows(coeffs)
     if rows.shape[1] != ctx.r + 1:
         raise LatticeMismatchError(f"rows of width {rows.shape[1]} paired in rank-{ctx.r} context")
@@ -628,6 +622,7 @@ def pairing_matrix(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
 
 def minimum_family_value_bulk(coeffs: np.ndarray) -> np.ndarray:
     """Row-wise minimum over the inequality families, the rank read off the
-    row width: the smallest orbit floor against the families' representatives."""
+    row width: the smallest orbit floor against the families' representatives.
+    No ``src`` path calls it; it is the bulk reference the tests compare against."""
     rows = exact_rows(coeffs)
     return orbit_floor(rows, _family_table(_check_rank(rows.shape[1] - 1)).operand).min(axis=1)

@@ -293,6 +293,11 @@ class TestRefusals:
         ("(6;2,3)", 6),  # the entry that breaks the descending order
         ("(2;1^4)", 1),  # more multiplicities than coordinates: the rank's refusal
         ("   ", 1),  # a blank literal
+        ("  3;x,1", 5),  # columns count the blanks of the literal as given
+        ("3; x,1", 4),
+        ("(6; z,2^7)", 5),
+        (" (6;3,2^x)", 9),
+        ("3; 1,1,1,1", 4),  # too many b: the first b entry
     ])
     def test_literal_errors_report_their_column(self, capsys, literal, column):
         code, out, err = run_cli(capsys, "check", "--r", "3", literal)

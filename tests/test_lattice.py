@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,22 @@ class TestPicardClassBasics:
         for i in (0, 4):
             with pytest.raises(RankError, match=f"index {i} outside 1..3"):
                 point_class(3, i)
+
+    @pytest.mark.parametrize("i", [1.5, 2.0])
+    def test_point_class_index_is_an_integer(self, i):
+        # 1.5 matched no coordinate and gave the zero class, 2.0 gave e_2
+        with pytest.raises(TypeError):
+            point_class(3, i)
+
+    def test_surface_context_refuses_another_set_of_classes(self):
+        # only the rank's exceptional classes, distinct and in (a, b) order,
+        # pass: (e_1, e_2, l) made (1; 1, 1) look effective with a terminal
+        # class that is not nef
+        e1, e2, f = point_class(2, 1), point_class(2, 2), PicardClass(1, (1, 1))
+        square_minus_one = PicardClass(2, (2, 1))  # K.x = -3
+        for exc in ((e1, e2, line(2)), (e1, e2, square_minus_one), (e2, e1, f), (e1, e1, f)):
+            with pytest.raises(ValueError, match=re.escape("x.x = K.x = -1, distinct and in (a, b) order")):
+                SurfaceContext(2, exc)
 
     def test_surface_context_checks_its_exceptional_set(self):
         exc = (point_class(2, 1), point_class(2, 2), PicardClass(1, (1, 1)))

@@ -17,6 +17,7 @@ import itertools
 import json
 import operator
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +37,7 @@ from delpezzo.lattice import (
     exact_rows,
     fiber_class,
     float_operand,
+    int64_safe,
     intersect,
     point_class,
     sectional_genus,
@@ -70,7 +72,7 @@ from delpezzo.reider import _box_leaves, consistency_sweep, search_obstructions,
 
 
 def ref_test_curves(ctx):
-    return ctx.exceptional_set + ((fiber_class(1),) if ctx.r == 1 else ())
+    return ctx.exceptional_set + ((fiber_class(),) if ctx.r == 1 else ())
 
 
 def ref_curve_orbits(ctx):
@@ -385,7 +387,7 @@ class TestPairingCore:
         # independently of the orbits: the exceptional types, and the fiber at rank 1
         expected = [pat for pat, _ in exceptional_type_census(ctx.r).counts]
         if ctx.r == 1:
-            expected.append(type_pattern(fiber_class(1)))
+            expected.append(type_pattern(fiber_class()))
         assert [fam.source_type for fam in fams] == sorted(expected, key=lambda pat: pat.sort_key())
 
     @given(any_class)
@@ -562,6 +564,32 @@ class TestMalformedBulkRows:
             with pytest.raises(ValueError, match="2-D block"):
                 call(coeffs)
 
+    @pytest.mark.parametrize("coeffs", [
+        np.array([[3, 1.5, 1]], dtype=object), [[3, Fraction(3, 2), 1]], [[2**63, -1.0]],
+    ], ids=["object-float", "fraction", "float-past-int64"])
+    def test_non_integer_entries_are_refused(self, coeffs):
+        # the first two were truncated to the row (3; 1, 1)
+        for call in (exact_rows, minimum_family_value_bulk, lambda x: pairing_matrix(x, surface_context(2))):
+            with pytest.raises(TypeError, match="must be integers"):
+                call(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [
+        [[2**63, -1]], [[10**20, -1]], [[np.int64(2**62), np.uint8(7), 2**70]],
+        np.array([[5, -3, 2]], dtype=np.int64), np.array([[2**63, 3, 1]], dtype=np.uint64),
+        np.array([[5, 3, 1]], dtype=np.uint64),
+    ], ids=["past-int64", "1e20", "numpy-ints-past-int64", "int64", "uint64-past-int64", "uint64"])
+    def test_integer_blocks_stay_exact(self, coeffs):
+        # numpy integers in a list past int64 become Python ints, not int64 that overflow
+        a, *b = (int(x) for x in np.array(coeffs, dtype=object).flat)
+        L = PicardClass(a, tuple(b))
+        rows = exact_rows(coeffs)
+        assert rows.tolist() == [[a, *b]] and (rows.dtype == np.int64) == int64_safe(L)
+        if rows.dtype == object:
+            assert all(type(x) is int for x in rows.flat)
+        ctx = surface_context(L.r)
+        assert pairing_matrix(coeffs, ctx).tolist() == [[intersect(L, x) for x in ctx.test_curves]]
+        assert minimum_family_value_bulk(coeffs).tolist() == [minimum_pairing(L, ctx)]
+
     @pytest.mark.parametrize("width", [1, 10])
     def test_the_fold_reads_the_rank_off_the_width(self, width):
         with pytest.raises(RankError):
@@ -604,7 +632,7 @@ class TestExactBeyondInt64Bound:
             pairing_matrix([[2**63, -1.0]], surface_context(1))
 
     def test_bulk_list_past_int64_stays_exact(self):
-        # np.asarray widens [2**63, -1] to float64
+        # a plain np.array widens [2**63, -1] to float64
         ctx1 = surface_context(1)
         assert pairing_matrix([[2**63, -1]], ctx1).tolist() == [[-1, 2**63 + 1]]
 

@@ -771,6 +771,24 @@ class TestConsistencySweep:
         assert first.as_dict() == second.as_dict()
         assert first.ok
 
+    def test_default_seed_is_zero(self):
+        default = consistency_sweep(8, 1, 12, sample=20)
+        assert default.seed == 0
+        assert default.as_dict() == consistency_sweep(8, 1, 12, sample=20, seed=0).as_dict()
+
+    @pytest.mark.parametrize("r,k", [(8, 1), (7, 2)])
+    def test_no_row_is_rederived(self, monkeypatch, r, k):
+        # the array verdicts flag no row of a consistent box, so no witness
+        # list is built: a filter that flagged too many rows would cost
+        # only time, and the summary would still be ok
+        import delpezzo.reider as reider
+
+        calls = []
+        row_violations = reider._row_violations
+        monkeypatch.setattr(reider, "_row_violations", lambda *args: calls.append(args) or row_violations(*args))
+        assert consistency_sweep(r, k, 12).ok
+        assert len(calls) == 0
+
     def test_desk_scale_refusal(self):
         with pytest.raises(ValueError):
             consistency_sweep(2, 3, 8)
