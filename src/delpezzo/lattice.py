@@ -278,9 +278,10 @@ class SurfaceContext:
             raise ValueError(f"rank {self.r} needs classes with x.x = K.x = -1, distinct and in (a, b) order")
 
     @cached_property
-    def exceptional_index(self) -> frozenset:
-        """Set view of the exceptional classes, for O(1) membership tests."""
-        return frozenset(self.exceptional_set)
+    def exceptional_index(self) -> dict[PicardClass, int]:
+        """Each exceptional class's position in ``exceptional_set``, for O(1)
+        membership tests and lookups."""
+        return {x: i for i, x in enumerate(self.exceptional_set)}
 
     @cached_property
     def canonical(self) -> PicardClass:
@@ -291,9 +292,9 @@ class SurfaceContext:
     def anticanonical(self) -> PicardClass:
         return -self.canonical
 
-    # The pairing core.  Effectivity and the bulk routines pair classes
-    # against the test curves; the arrays below are built once per
-    # context, on first use, and are read-only.
+    # The pairing core.  The bulk routines pair class rows against the
+    # test curves; the arrays below are built once per context, on first
+    # use, and are read-only.
 
     @cached_property
     def test_curves(self) -> tuple[PicardClass, ...]:
@@ -315,13 +316,6 @@ class SurfaceContext:
         (see :func:`float_operand`): ``rows @ curve_operand`` pairs class
         rows against the test curves."""
         return float_operand(self.curve_matrix.T)
-
-
-def int64_safe(L: PicardClass) -> bool:
-    """Whether every coefficient of L is within SAFE_COEFF_BOUND, so that
-    int64 pairing arithmetic on L is exact."""
-    bound = SAFE_COEFF_BOUND
-    return -bound <= L.a <= bound and -bound <= min(L.b) and max(L.b) <= bound
 
 
 def exact_rows(coeffs) -> np.ndarray:

@@ -29,12 +29,13 @@ the same orbit minima for a block of rows in one product with the
 families' representatives (``enumeration.orbit_floor``), with the rank
 read off the row width.
 
-Effectivity needs the curves themselves, so it alone is read off the
-pairing vector ``P = S @ (a, b)``, where S is the signed test-curve
-matrix cached on the :class:`SurfaceContext`; the positive part is
-tested by the same folded inequalities as every other nef verdict.
-The bulk :func:`pairing_matrix` uses the same matrix.  Every array
-product is exact by the rule stated once in :mod:`delpezzo.lattice`.
+Effectivity needs the negatively pairing curves themselves, and the
+same folds find them: each fold pass on the positive part built so far
+names the curve attaining its minimum (:func:`is_effective`), so no
+scalar verdict builds an array.  The bulk :func:`pairing_matrix` pairs
+rows with the signed test-curve matrix cached on the
+:class:`SurfaceContext`; every array product is exact by the rule stated
+once in :mod:`delpezzo.lattice`.
 
 Each family's closed form :meth:`InequalityFamily.evaluate`, which sorts
 positive and negative multiplicities separately, is kept as an
@@ -67,7 +68,6 @@ from .lattice import (
     exact_product,
     exact_rows,
     float_operand,
-    int64_safe,
     type_pattern,
     adjoint as adjoint_class,
 )
@@ -86,13 +86,6 @@ def ampleness_level(k, least: int = 0) -> int:
     if k < least:
         raise ValueError(f"k must be >= {least}, got {k}")
     return k
-
-
-def pairing_vector(L: PicardClass, ctx: SurfaceContext) -> np.ndarray:
-    """Intersection numbers of L with ``ctx.test_curves``, exact."""
-    _check_context(L, ctx)
-    # an int64 matrix times an object vector is computed on Python integers
-    return ctx.curve_matrix @ np.array((L.a, *L.b), dtype=np.int64 if int64_safe(L) else object)
 
 
 def _check_context(L: PicardClass, ctx: SurfaceContext) -> None:
@@ -179,9 +172,18 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
     C is nef.  Conversely a nef T makes ``L = T + sum (-L.E) * E``
     effective.  So L is effective iff C is pairwise disjoint and T is nef;
     the certificate subtracts each E of C ``-L.E`` times and ends at T.
-    For E in C, ``T.E <= 0``, negative exactly when E meets another curve
-    of C, so T nef alone decides it: T is tested by the folded family
-    inequalities, before any run is listed.
+
+    C is found by the folds, one curve per pass.  Its points are the e_i
+    with ``L.e_i = b_i < 0``, so T starts at ``(a; max(b_i, 0))``.  A pass
+    evaluates the families on T and ends the search if T is nef; otherwise
+    the minimizing family names a curve E with T.E at the minimum (its
+    multiplicities on T's coordinates in descending order, as in
+    :func:`_family_table`).  Each curve E' subtracted so far added
+    ``(L.E')(E'.E) <= 0`` to T.E, so ``L.E != T.E`` exactly when E meets
+    one of them or is not in C, and either way the final T is not nef:
+    L is refused.  Otherwise T gains ``(L.E) * E``.  The subtracted curves
+    are pairwise disjoint (-1)-curves spanning a negative definite
+    sublattice, so there are at most r of them and at most r + 1 passes.
 
     Its runs are those of the greedy reduction, which subtracts the most
     negatively pairing exceptional class one unit at a time, ties still
@@ -204,10 +206,9 @@ def _effectivity(
     L: PicardClass, ctx: SurfaceContext, nef: bool = False
 ) -> tuple[bool, EffectivityCertificate | None]:
     """:func:`is_effective` for a checked rank, given the caller's verdict
-    that L is nef.  Only a class that is not nef and passes the early
-    reject below builds its pairing vector, to find C; the positive part
-    T is then tested by the folded inequalities of :func:`_family_values`,
-    like every other nef verdict."""
+    that L is nef.  A class that is not nef and passes the early reject
+    below is searched for C by at most r + 1 fold passes on its positive
+    part T (see :func:`is_effective`)."""
     if nef:
         # a nef class is its own positive part: C is empty
         return True, EffectivityCertificate((), L)
@@ -216,29 +217,44 @@ def _effectivity(
         # this is the whole closed form
         return False, None
     if ctx.r == 1:
-        # C is e_1 when b1 < 0, read off L without a pairing vector, and
-        # T = (a; max(b1, 0)) is nef by the early reject
+        # C is e_1 when b1 < 0, read off L, and T = (a; max(b1, 0)) is
+        # nef by the early reject
         b1 = L.b[0]
         if b1 >= 0:
             return True, EffectivityCertificate((), L)
         cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)))
         assert cert.replay() == L
         return True, cert
-    P = pairing_vector(L, ctx)
-    C = (P < 0).nonzero()[0]
-    if not len(C):
+    # C, each curve with L.E, and T = L + sum (L.E) * E, one fold pass per
+    # curve.  C holds e_i iff L.e_i = b_i < 0, and SurfaceContext pins the
+    # (a, b) order, so e_1..e_r are exceptional_set[0..r-1].
+    r, a, b = ctx.r, L.a, L.b
+    found = [(x, i) for i, x in enumerate(b) if x < 0]
+    ta, tb = a, [x if x > 0 else 0 for x in b]
+    reps = _family_table(r).reps
+    while True:
+        values = _fold_values(ta, sorted(tb, reverse=True))
+        low = min(values)
+        if low >= 0:
+            break
+        # the minimizing curve, with T.E = low
+        e0, *c = reps[values.index(low)]
+        e = [0] * r
+        for j, m in zip(sorted(range(r), key=tb.__getitem__, reverse=True), c):
+            e[j] = m
+        v = e0 * a - sum(map(operator.mul, e, b))
+        if v != low:
+            # E meets a curve already subtracted, or E is not in C
+            return False, None
+        found.append((v, ctx.exceptional_index[PicardClass._trusted(e0, tuple(e))]))
+        ta += v * e0
+        tb = [x + v * y for x, y in zip(tb, e)]
+    if not found:
         return True, EffectivityCertificate((), L)
     exc = ctx.exceptional_set
-    # C as (L.E, index) pairs, each entry of P read once, in the greedy's
-    # order: most negative first, ties by first index
-    order = sorted([(P.item(i), i) for i in C.tolist()])
-    terminal = _certificate_sum(L, [(exc[i], v) for v, i in order])
-    # For E in C, T.E is the sum of (L.E')(E'.E) over the other E' of C,
-    # which is <= 0 and negative exactly when E meets one of them: so the
-    # folds' "T nef" already means "C pairwise disjoint and T nef" (more
-    # than r curves never are).  It is tested before any run is listed.
-    if min(_family_values(terminal)) < 0:
-        return False, None
+    # the greedy's order: most negative first, ties by first index
+    order = sorted(found)
+    terminal = PicardClass._trusted(ta, tuple(tb))
     # the greedy's runs by level: `active` holds the curves with L.E <= lo,
     # by index, and the last range ends at L.E = 0; only a range with one
     # active curve (the first) gives a run longer than 1, and it merges
@@ -397,7 +413,7 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
     minimum gives the nef verdict, and the k-very-ample verdict is that
     minimum >= k minus the enumerated exceptions.  A nef class is its own
     effectivity certificate, so only a non-nef class that passes the early
-    reject is paired against the test curves."""
+    reject is searched for its negative curves."""
     k = ampleness_level(k)
     _check_context(L, ctx)
     values = _family_values(L)
@@ -506,13 +522,14 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
 
 
 class _FamilyTable(NamedTuple):
-    """One rank's families, each with its fold and labels, in family order,
-    and the operand of their representatives."""
+    """One rank's families, each with its fold, representative and labels,
+    in family order, and the operand of their representatives."""
 
     families: tuple[InequalityFamily, ...]
     folds: tuple[tuple[int, int, int, int, int], ...]
+    reps: tuple[tuple[int, ...], ...]  # (a_coeff; c), c descending and zero-padded to r
     labels: tuple[tuple[str, str], ...]  # without and with k
-    operand: np.ndarray  # columns (a_coeff; c), for enumeration.orbit_floor
+    operand: np.ndarray  # the reps as columns, for enumeration.orbit_floor
 
 
 @lru_cache(maxsize=None)
@@ -541,16 +558,21 @@ def _family_table(r: int) -> _FamilyTable:
         families.append(fam)
         folds.append((fam.a_coeff, j1, w1, j2, w2))
         labels.append((fam.label(with_k=False), fam.label(with_k=True)))
-        reps.append([fam.a_coeff, *c[:r]])
+        reps.append((fam.a_coeff, *c[:r]))
     operand = float_operand(np.array(reps, dtype=np.int64).T)
-    return _FamilyTable(tuple(families), tuple(folds), tuple(labels), operand)
+    return _FamilyTable(tuple(families), tuple(folds), tuple(reps), tuple(labels), operand)
 
 
 def _family_values(L: PicardClass) -> list[int]:
-    """Every family's value at L, in family order, as Python integers: the
-    folds of :func:`_family_table` on the prefix sums of b sorted descending."""
-    S = (0, *itertools.accumulate(sorted(L.b, reverse=True)))
-    return [c * L.a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_table(len(L.b)).folds]
+    """Every family's value at L, in family order, as Python integers."""
+    return _fold_values(L.a, sorted(L.b, reverse=True))
+
+
+def _fold_values(a: int, desc: list[int]) -> list[int]:
+    """Every family's value at the class (a; desc), desc sorted descending:
+    the folds of :func:`_family_table` on its prefix sums."""
+    S = (0, *itertools.accumulate(desc))
+    return [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_table(len(desc)).folds]
 
 
 def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:

@@ -12,6 +12,7 @@ for the greedy to replay are checked against the decomposition itself
 (``assert_zariski_certificate``).
 """
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -24,20 +25,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delpezzo import positivity
+from delpezzo import enumeration, positivity
 from delpezzo.lattice import (
     FLOAT_EXACT_BOUND,
     SAFE_COEFF_BOUND,
     LatticeMismatchError,
     PicardClass,
     RankError,
+    SurfaceContext,
     canonical_class,
     degree,
     exact_product,
     exact_rows,
     fiber_class,
     float_operand,
-    int64_safe,
     intersect,
     point_class,
     sectional_genus,
@@ -198,10 +199,27 @@ any_class = ranked(small_classes) | ranked(huge_classes)
 
 
 def exceptional_multiples(r):
-    """Small classes pushed by an exceptional class: long reductions."""
+    """Small classes pushed by an exceptional class: long reductions.  From
+    rank 2 on, also nef classes plus 2-4 multiples of exceptional classes
+    less one exceptional class (:func:`nef_plus_multiples_less_one`)."""
     ctx = surface_context(r)
-    return st.builds(lambda D, xi, n: D + n * xi, small_classes(r),
-                     st.sampled_from(ctx.exceptional_set), st.integers(1, 12))
+    pushed = st.builds(lambda D, xi, n: D + n * xi, small_classes(r),
+                       st.sampled_from(ctx.exceptional_set), st.integers(1, 12))
+    return pushed if r == 1 else pushed | nef_plus_multiples_less_one(r)
+
+
+@st.composite
+def nef_plus_multiples_less_one(draw, r):
+    """A permuted nef box leaf plus 2-4 multiples of exceptional classes,
+    which may meet, less one exceptional class: the negative curves may
+    meet, the fold search's minimizer may lie outside them, and they may
+    number several non-point curves."""
+    exc = surface_context(r).exceptional_set
+    a, *b = draw(st.sampled_from(nef_leaves(r)))
+    L = PicardClass(a, tuple(draw(st.permutations(b))))
+    for _ in range(draw(st.integers(2, 4))):
+        L = L + draw(st.integers(1, 6)) * draw(st.sampled_from(exc))
+    return L - draw(st.sampled_from(exc))
 
 
 class TestAgainstReference:
@@ -282,8 +300,20 @@ class TestNefShortCircuit:
         assert _effectivity(L, ctx, nef=True) == _effectivity(L, ctx) == (True, report.certificate)
 
 
-def refuse_to_pair(L, ctx):
-    raise AssertionError(f"pairing vector built for {L}")
+def refuse(*args):
+    raise AssertionError("refused call")
+
+
+@contextlib.contextmanager
+def no_pairing_arrays():
+    """The context's pairing arrays and every exact product raise."""
+    with pytest.MonkeyPatch.context() as mp:
+        # a property is a data descriptor: it wins over a cached value
+        mp.setattr(SurfaceContext, "curve_matrix", property(refuse))
+        mp.setattr(SurfaceContext, "curve_operand", property(refuse))
+        for module in (enumeration, positivity):
+            mp.setattr(module, "exact_product", refuse)
+        yield
 
 
 def public_report(report):
@@ -345,23 +375,31 @@ class TestPackageBuiltRecords:
 
 
 class TestVerdictsBuildNoPairingVector:
-    """The verdicts are read off the folded inequalities: with the pairing
-    vector refused, a nef class's report and any minimum pairing stand."""
+    """The verdicts, effectivity included, are read off the folded
+    inequalities: with the pairing arrays and exact products refused, every
+    report, certificate and minimum pairing stands."""
 
     @given(ranked(nef_classes), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_nef_report(self, L, k):
         ctx = surface_context(L.r)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(positivity, "pairing_vector", refuse_to_pair)
+        with no_pairing_arrays():
+            assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
+
+    @given(any_class | ranked(exceptional_multiples), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_effectivity_and_report(self, L, k):
+        # mostly classes that are not nef, effective or not
+        ctx = surface_context(L.r)
+        with no_pairing_arrays():
+            assert is_effective(L, ctx) == ref_is_effective(L, ctx)
             assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
 
     @given(any_class)
     @settings(max_examples=200, deadline=None)
     def test_minimum_pairing(self, L):
         ctx = surface_context(L.r)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(positivity, "pairing_vector", refuse_to_pair)
+        with no_pairing_arrays():
             assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
 
 
@@ -583,7 +621,8 @@ class TestMalformedBulkRows:
         a, *b = (int(x) for x in np.array(coeffs, dtype=object).flat)
         L = PicardClass(a, tuple(b))
         rows = exact_rows(coeffs)
-        assert rows.tolist() == [[a, *b]] and (rows.dtype == np.int64) == int64_safe(L)
+        int64_safe = all(abs(x) <= SAFE_COEFF_BOUND for x in (a, *b))
+        assert rows.tolist() == [[a, *b]] and (rows.dtype == np.int64) == int64_safe
         if rows.dtype == object:
             assert all(type(x) is int for x in rows.flat)
         ctx = surface_context(L.r)
@@ -737,6 +776,62 @@ class TestClosedForm:
         assert got == ref_is_effective(L, ctx)
         if got[0]:
             assert_zariski_certificate(L, ctx, got)
+
+
+# Eight pairwise disjoint exceptional curves at rank 8, none of them a point.
+DISJOINT_NON_POINT_R8 = (
+    PicardClass(1, (0, 0, 0, 0, 0, 0, 1, 1)), PicardClass(1, (0, 0, 0, 0, 0, 1, 0, 1)),
+    PicardClass(1, (0, 0, 0, 0, 0, 1, 1, 0)), PicardClass(2, (0, 0, 0, 1, 1, 1, 1, 1)),
+    PicardClass(2, (0, 0, 1, 0, 1, 1, 1, 1)), PicardClass(2, (0, 1, 0, 0, 1, 1, 1, 1)),
+    PicardClass(2, (1, 0, 0, 0, 1, 1, 1, 1)), PicardClass(4, (1, 1, 1, 1, 1, 2, 2, 2)),
+)
+
+
+def fold_passes(L):
+    """``is_effective(L)`` and the number of fold passes it took."""
+    calls = []
+    fold = positivity._fold_values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(positivity, "_fold_values", lambda a, desc: calls.append(a) or fold(a, desc))
+        result = is_effective(L, surface_context(L.r))
+    return result, len(calls)
+
+
+class TestFoldSearch:
+    """Each exit of the fold search for the negative part, on named classes,
+    against the greedy reduction."""
+
+    def test_many_negative_curves_are_refused_without_their_sum(self):
+        # (5; 2^8) pairs negatively with 148 exceptional curves; the search
+        # refuses it at a curve that meets the first one it subtracts,
+        # without summing the curves it has not reached
+        L = PicardClass(5, (2,) * 8)
+        assert sum(intersect(L, E) < 0 for E in surface_context(8).exceptional_set) == 148
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(positivity, "_certificate_sum", refuse)
+            result, passes = fold_passes(L)
+        assert result == (False, None)
+        assert passes <= 9
+
+    @pytest.mark.parametrize("L,passes", [
+        # l - e1 - e2 and l - e3 - e4 pair -1 with L and meet: after the
+        # first is subtracted the second pairs -2 with T
+        (PicardClass(1, (1, 1, 1, 1)), 2),
+        # the three lines l - e_i - e_j are disjoint and subtracted, which
+        # leaves T = (-1; -1, 0, 0); its minimizer e_1 pairs 1 with L
+        (PicardClass(1, (1, 1, 1)), 3),
+        # l - e1 - e2 and 2l - e1 - ... - e5 both attain the first minimum,
+        # -1; they are disjoint and L is their sum
+        (PicardClass(3, (2, 2, 1, 1, 1)), 3),
+        # -K plus 2..9 times eight disjoint non-point curves: r + 1 passes
+        (sum((m * E for m, E in enumerate(DISJOINT_NON_POINT_R8, 2)), -canonical_class(8)), 9),
+    ], ids=["minimizer-meets-an-earlier-curve", "minimizer-not-negative-on-L", "tied-in-two-families",
+            "eight-disjoint-non-point-curves"])
+    def test_named_exits(self, L, passes):
+        result = fold_passes(L)
+        assert result == (ref_is_effective(L, surface_context(L.r)), passes)
+        if result[0][0]:
+            assert_zariski_certificate(L, surface_context(L.r), result[0])
 
 
 class TestHugeMultiplicity:

@@ -29,7 +29,6 @@ from delpezzo.positivity import (
     is_nef,
     minimum_pairing,
     pairing_matrix,
-    pairing_vector,
 )
 from delpezzo.reider import (
     MAX_EXHAUSTIVE_LEAVES,
@@ -581,7 +580,7 @@ def ref_decide(coeffs, k, ctx):
             continue
         applicable_n += 1
         witness_total += len(outcome.witnesses)
-        P = pairing_vector(L, ctx)
+        P = np.array([intersect(L, x) for x in ctx.test_curves], dtype=object)
         if P.min() >= k:
             if exception_flag(L, k, ctx) != EXCEPTION_NONE:
                 exceptions += 1
@@ -688,8 +687,8 @@ class TestBatchedSweepAgainstPerRow:
             assert (pairing_matrix(block, ctx8).min(axis=1) >= 0).all()
             for k in (1, 2):
                 # each row's pairing vector, independent of the sweep's matrix
-                P = [pairing_vector(PicardClass(row[0], tuple(row[1:])), ctx8) for row in rows[lo:hi]]
-                P = np.array(P, dtype=object)
+                P = np.array([[intersect(PicardClass(row[0], tuple(row[1:])), x) for x in ctx8.test_curves]
+                              for row in rows[lo:hi]], dtype=object)
                 counts, violations = _decide_block(exact_rows(block), P, k, ctx8, _candidate_table(8, k))
                 expected, expected_violations = ref_decide(block, k, ctx8)
                 assert counts == expected
@@ -740,14 +739,13 @@ class TestSweepViolations:
     def test_context_blind_to_an_orbit(self):
         import dataclasses
 
-        # a context whose pairing rows of the e_i are those of -K: rows
-        # failing only against some e_i pass, with that e_i (D.D = -1)
-        # among their witnesses
+        # a context whose test curves e_i are replaced by -K, and so are
+        # its pairing rows: rows failing only against some e_i pass, with
+        # that e_i (D.D = -1) among their witnesses
         ctx8 = surface_context(8)
         blind = dataclasses.replace(ctx8)
-        S = ctx8.curve_matrix.copy()
-        S[[x.a == 0 for x in ctx8.exceptional_set]] = [3] + [-1] * 8
-        blind.__dict__["curve_matrix"] = S
+        blind.__dict__["test_curves"] = tuple(-ctx8.canonical if x.a == 0 else x for x in ctx8.test_curves)
+        assert blind.curve_matrix[0].tolist() == [3] + [-1] * 8
         kinds = self._compare(8, 1, 4, blind)
         assert {"unexpected_witness", "nonpositive_square_witness"} <= set(kinds)
 
