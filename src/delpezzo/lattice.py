@@ -68,19 +68,20 @@ def _check_rank(r: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PicardClass:
     """The class ``a*l - sum(b_i * e_i)``, as the vector ``(a; b_1..b_r)``."""
 
     a: int
     b: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: tuple[int, ...]):
         # operator.index accepts Python and numpy integers and refuses
         # floats, so 1.5 raises TypeError instead of truncating to 1.
-        object.__setattr__(self, "a", operator.index(self.a))
-        object.__setattr__(self, "b", tuple(map(operator.index, self.b)))
-        _check_rank(len(self.b))
+        a, b = operator.index(a), tuple(map(operator.index, b))
+        _check_rank(len(b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def _trusted(cls, a: int, b: tuple[int, ...]) -> "PicardClass":

@@ -14,8 +14,10 @@ against the test curves: the exceptional set, plus the fiber class
   negative curve is a (-1)-curve).  That is a closed form: the
   certificate subtracts each negatively pairing class E exactly -L.E
   times, in the order of a greedy reduction that subtracts one unit of
-  the most negative class at a time (ties by first index), and its cost
-  does not grow with those multiplicities.
+  the most negative class at a time (ties by first index).  Its work
+  grows with the number of the greedy's runs: a lone curve's
+  multiplicity is one run, but tied curves alternate, one run each per
+  level (:func:`is_effective`).
 
 The verdicts (nef, big, spanned, k-very ample, and a report's
 violations) come from the paper's inequalities: one family per
@@ -203,13 +205,13 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
 
 
 def _effectivity(
-    L: PicardClass, ctx: SurfaceContext, nef: bool = False
+    L: PicardClass, ctx: SurfaceContext, values: list[int] | None = None
 ) -> tuple[bool, EffectivityCertificate | None]:
-    """:func:`is_effective` for a checked rank, given the caller's verdict
-    that L is nef.  A class that is not nef and passes the early reject
-    below is searched for C by at most r + 1 fold passes on its positive
-    part T (see :func:`is_effective`)."""
-    if nef:
+    """:func:`is_effective` for a checked rank, given the caller's family
+    values of L (:func:`_family_values`), if it has them.  A class that is
+    not nef and passes the early reject below is searched for C by at most
+    r + 1 fold passes on its positive part T (see :func:`is_effective`)."""
+    if values is not None and min(values) >= 0:
         # a nef class is its own positive part: C is empty
         return True, EffectivityCertificate((), L)
     if L.a < 0 or L.a < max(L.b):
@@ -218,7 +220,9 @@ def _effectivity(
         return False, None
     if ctx.r == 1:
         # C is e_1 when b1 < 0, read off L, and T = (a; max(b1, 0)) is
-        # nef by the early reject
+        # nef by the early reject.  The fold search below decides rank 1
+        # the same way, but more slowly: without this branch oracle-lowrank
+        # (r = 1..3) took 4.9 against 3.2 us per-op p50 on a 2 vCPU host.
         b1 = L.b[0]
         if b1 >= 0:
             return True, EffectivityCertificate((), L)
@@ -231,12 +235,11 @@ def _effectivity(
     r, a, b = ctx.r, L.a, L.b
     found = [(x, i) for i, x in enumerate(b) if x < 0]
     ta, tb = a, [x if x > 0 else 0 for x in b]
-    reps = _family_table(r).reps
-    while True:
+    if found or values is None:
+        # with no negative b_i, T = L and the caller's values are T's
         values = _fold_values(ta, sorted(tb, reverse=True))
-        low = min(values)
-        if low >= 0:
-            break
+    reps = _family_table(r).reps
+    while (low := min(values)) < 0:
         # the minimizing curve, with T.E = low
         e0, *c = reps[values.index(low)]
         e = [0] * r
@@ -249,6 +252,7 @@ def _effectivity(
         found.append((v, ctx.exceptional_index[PicardClass._trusted(e0, tuple(e))]))
         ta += v * e0
         tb = [x + v * y for x, y in zip(tb, e)]
+        values = _fold_values(ta, sorted(tb, reverse=True))
     if not found:
         return True, EffectivityCertificate((), L)
     exc = ctx.exceptional_set
@@ -311,24 +315,7 @@ def _exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
     return EXCEPTION_NONE
 
 
-def _record(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` whose instance dict is
-    ``fields``, which must name every field: for records the package
-    builds from values it has already checked.  It skips ``__init__``,
-    hence ``__post_init__`` and the frozen ``__setattr__`` per field;
-    equality, hashing and frozenness are the dataclass's own.
-
-    Used for the report and its violations.  The two-field records
-    (certificates, and classes through ``PicardClass._trusted``) keep
-    their constructors: for them this saves nothing, and the instance
-    dict it materializes under CPython 3.11, where ``__init__`` keeps
-    attributes inline, made effectivity calls slower."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Violation:
     """One failed inequality: the family, its evaluated value, the bound."""
 
@@ -337,18 +324,16 @@ class Violation:
     value: int
     bound: int
 
+    def __init__(self, check: str, family: str, value: int, bound: int):
+        vars(self).update(check=check, family=family, value=value, bound=bound)
+
     def as_dict(self) -> dict:
         return {"check": self.check, "family": self.family, "value": self.value, "bound": self.bound}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PositivityReport:
-    """All verdicts for one class, with violations and certificates.
-
-    Reports built by :func:`is_k_very_ample` skip the dataclass
-    ``__init__`` (their fields are written straight into the instance
-    dict, see :func:`_record`) but still run ``__post_init__``, so
-    the invariants below hold for every report."""
+    """All verdicts for one class, with violations and certificates."""
 
     subject: PicardClass
     k: int
@@ -363,15 +348,24 @@ class PositivityReport:
     exception_flag: str
     certificate: EffectivityCertificate | None
 
-    def __post_init__(self):
-        assert self.spanned == self.nef
-        if self.k_very_ample:
-            assert self.exception_flag == EXCEPTION_NONE
-            assert self.nef
-            if self.k >= 1:
-                assert self.big
+    def __init__(
+        self, subject: PicardClass, k: int, effective: bool, nef: bool, big: bool, spanned: bool,
+        k_very_ample: bool, degree: int, genus: int, violations: tuple[Violation, ...],
+        exception_flag: str, certificate: EffectivityCertificate | None,
+    ):
+        assert spanned == nef
+        if k_very_ample:
+            assert exception_flag == EXCEPTION_NONE
+            assert nef
+            if k >= 1:
+                assert big
             else:
-                assert self.spanned
+                assert spanned
+        vars(self).update(
+            subject=subject, k=k, effective=effective, nef=nef, big=big, spanned=spanned,
+            k_very_ample=k_very_ample, degree=degree, genus=genus, violations=violations,
+            exception_flag=exception_flag, certificate=certificate,
+        )
 
     @property
     def r(self) -> int:
@@ -420,19 +414,16 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
     mp = min(values)
     flag = _exception_flag(L, k, ctx)
     nef = mp >= 0
-    effective, cert = _effectivity(L, ctx, nef)
+    effective, cert = _effectivity(L, ctx, values)
     violations = []
     if mp < k:
         for (nef_label, kva_label), val in zip(_family_table(ctx.r).labels, values, strict=True):
             if val < 0:
-                violations.append(_record(Violation, check="nef", family=nef_label, value=val, bound=0))
+                violations.append(Violation("nef", nef_label, val, 0))
             if val < k:
-                violations.append(
-                    _record(Violation, check="k_very_ample", family=kva_label, value=val, bound=k)
-                )
+                violations.append(Violation("k_very_ample", kva_label, val, k))
     square = degree(L)
-    report = _record(
-        PositivityReport,
+    return PositivityReport(
         subject=L,
         k=k,
         effective=effective,
@@ -446,8 +437,6 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
         exception_flag=flag,
         certificate=cert,
     )
-    report.__post_init__()
-    return report
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,14 @@ class TestPicardClassBasics:
         with pytest.raises(TypeError):
             PicardClass(1, (2.0, 0))
 
+    def test_refusals_check_a_then_b_then_the_rank(self):
+        with pytest.raises(TypeError, match="'str'"):
+            PicardClass("1", (2.0,) * 9)
+        with pytest.raises(TypeError, match="'float'"):
+            PicardClass(1, (2.0,) * 9)
+        with pytest.raises(RankError):
+            PicardClass(1, (2,) * 9)
+
     def test_scaling_takes_integers_only(self):
         L = PicardClass(1, (2, 3))
         for product in (lambda: L * 1.5, lambda: 1.5 * L, lambda: L * L):

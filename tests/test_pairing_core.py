@@ -13,10 +13,12 @@ for the greedy to replay are checked against the decomposition itself
 """
 
 import contextlib
+import copy
 import dataclasses
 import itertools
 import json
 import operator
+import pickle
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -297,7 +299,7 @@ class TestNefShortCircuit:
         report = is_k_very_ample(L, k, ctx)
         assert report.nef
         assert report.certificate == is_effective(L, ctx)[1] == EffectivityCertificate((), L)
-        assert _effectivity(L, ctx, nef=True) == _effectivity(L, ctx) == (True, report.certificate)
+        assert _effectivity(L, ctx, _family_values(L)) == _effectivity(L, ctx) == (True, report.certificate)
 
 
 def refuse(*args):
@@ -334,9 +336,11 @@ def public_report(report):
 
 
 class TestPackageBuiltRecords:
-    """Reports and their violations built by the package skip the dataclass
-    __init__; they, and the certificates they carry, must be the records
-    the public constructors build, just as frozen, and render the same."""
+    """The package builds reports and violations through the same checked
+    __init__ as any caller.  They, and the certificates they carry, must be
+    the records the public constructors build, just as frozen, render the
+    same, and survive pickling, copying and ``dataclasses.replace`` with
+    their checks."""
 
     @given(any_class | ranked(nef_classes) | ranked(exceptional_multiples), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
@@ -372,6 +376,33 @@ class TestPackageBuiltRecords:
             "certificate": None if report.certificate is None else report.certificate.as_dict(),
         }
         assert json.dumps(report.as_dict()) == json.dumps(expected)  # key order too
+
+    @pytest.mark.parametrize("L", [
+        PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)),  # not nef, effective
+        PicardClass(5, (2,) * 8),  # not effective
+        PicardClass(6, (2,) * 7),  # -2K at r = 7: nef, but not 3-very ample
+    ])
+    def test_records_survive_pickle_and_deepcopy(self, L):
+        report = is_k_very_ample(L, 3, surface_context(L.r))
+        assert report.violations
+        for record in (L, report, *report.violations):
+            twins = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in twins + [copy.deepcopy(record)]:
+                assert type(twin) is type(record) and vars(twin) == vars(record)
+                assert twin == record and hash(twin) == hash(record)
+        assert json.dumps(pickle.loads(pickle.dumps(report)).as_dict()) == json.dumps(report.as_dict())
+
+    def test_replace_runs_the_checks(self):
+        L = PicardClass(3, (1, 1))
+        M = dataclasses.replace(L, a=np.int64(5))
+        assert type(M.a) is int and M == PicardClass(5, (1, 1))
+        with pytest.raises(TypeError):
+            dataclasses.replace(L, b=(1.5, 1))
+        report = is_k_very_ample(-2 * canonical_class(6), 1, surface_context(6))
+        assert report.k_very_ample and report.big
+        assert dataclasses.replace(report, effective=True) == report
+        with pytest.raises(AssertionError):
+            dataclasses.replace(report, big=False)
 
 
 class TestVerdictsBuildNoPairingVector:

@@ -240,7 +240,7 @@ class TestKVeryAmple:
     def test_report_invariants_run_on_every_report(self, monkeypatch):
         # -2K at r = 6 is 2-very ample; a forced degree of 0 keeps the genus
         # parity (0 - 18 + 12 is even) but makes the report claim k-very
-        # ample without big, which __post_init__ refuses
+        # ample without big, which the report's __init__ refuses
         ctx6 = surface_context(6)
         L = -2 * canonical_class(6)
         assert is_k_very_ample(L, 1, ctx6).k_very_ample
@@ -248,7 +248,8 @@ class TestKVeryAmple:
         for k in (1, 2):
             with pytest.raises(AssertionError) as excinfo:
                 is_k_very_ample(L, k, ctx6)
-            assert excinfo.traceback[-1].name == "__post_init__"
+            frame = excinfo.traceback[-1]
+            assert frame.name == "__init__" and type(frame.frame.f_locals["self"]) is positivity.PositivityReport
 
     @given(st.integers(1, 8).flatmap(classes), st.integers(1, 3))
     @settings(max_examples=300)
