@@ -243,7 +243,7 @@ def decompose_null_class(D: PicardClass, ctx: SurfaceContext) -> tuple[tuple[Pic
     pairs = set()
     for xi in ctx.exceptional_set:
         other = D - xi
-        if other in ctx.exceptional_index:
+        if other.sort_key() in ctx.exceptional_index:
             pairs.add(tuple(sorted((xi, other), key=PicardClass.sort_key)))
     return tuple(sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())))
 

@@ -279,10 +279,11 @@ class SurfaceContext:
             raise ValueError(f"rank {self.r} needs classes with x.x = K.x = -1, distinct and in (a, b) order")
 
     @cached_property
-    def exceptional_index(self) -> dict[PicardClass, int]:
-        """Each exceptional class's position in ``exceptional_set``, for O(1)
-        membership tests and lookups."""
-        return {x: i for i, x in enumerate(self.exceptional_set)}
+    def exceptional_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """Each exceptional class's position in ``exceptional_set``, keyed by
+        its ``sort_key()`` ``(a, b)``, for O(1) membership tests and lookups
+        without building a class: ``x.sort_key() in ctx.exceptional_index``."""
+        return {x.sort_key(): i for i, x in enumerate(self.exceptional_set)}
 
     @cached_property
     def canonical(self) -> PicardClass:

@@ -26,10 +26,12 @@ pairing test folded over that orbit, ``a0*a >= <multiplicities, b> + k``
 with both sides sorted.  Each family's value is read off the prefix sums
 of b sorted descending (:func:`_family_table`), at most two of them per
 family at rank <= 8, in plain Python integers, so a verdict is exact at
-any size and builds no array.  :func:`minimum_family_value_bulk` takes
-the same orbit minima for a block of rows in one product with the
-families' representatives (``enumeration.orbit_floor``), with the rank
-read off the row width.
+any size and builds no array.  These folds are compiled once per rank
+into a straight-line kernel (:func:`_fold_kernel`) that every verdict
+and every effectivity pass runs through :func:`_fold_values`.
+:func:`minimum_family_value_bulk` takes the same orbit minima for a
+block of rows in one product with the families' representatives
+(``enumeration.orbit_floor``), with the rank read off the row width.
 
 Effectivity needs the negatively pairing curves themselves, and the
 same folds find them: each fold pass on the positive part built so far
@@ -53,7 +55,7 @@ import warnings
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -249,7 +251,7 @@ def _effectivity(
         if v != low:
             # E meets a curve already subtracted, or E is not in C
             return False, None
-        found.append((v, ctx.exceptional_index[PicardClass._trusted(e0, tuple(e))]))
+        found.append((v, ctx.exceptional_index[e0, tuple(e)]))
         ta += v * e0
         tb = [x + v * y for x, y in zip(tb, e)]
         values = _fold_values(ta, sorted(tb, reverse=True))
@@ -333,7 +335,8 @@ class Violation:
 
 @dataclass(frozen=True, init=False)
 class PositivityReport:
-    """All verdicts for one class, with violations and certificates."""
+    """All verdicts for one class, with violations and certificates.  Its
+    ``__init__`` refuses inconsistent verdicts with ValueError."""
 
     subject: PicardClass
     k: int
@@ -353,14 +356,13 @@ class PositivityReport:
         k_very_ample: bool, degree: int, genus: int, violations: tuple[Violation, ...],
         exception_flag: str, certificate: EffectivityCertificate | None,
     ):
-        assert spanned == nef
-        if k_very_ample:
-            assert exception_flag == EXCEPTION_NONE
-            assert nef
-            if k >= 1:
-                assert big
-            else:
-                assert spanned
+        # checks that raise, so that they hold under ``python -O`` too
+        if spanned != nef:
+            raise ValueError(f"report on {subject}: spanned={spanned} differs from nef={nef}")
+        if k_very_ample and not (exception_flag == EXCEPTION_NONE and nef and (big if k >= 1 else spanned)):
+            raise ValueError(
+                f"report on {subject}: {k}-very ample needs nef, no exception flag and, at k >= 1, big"
+            )
         vars(self).update(
             subject=subject, k=k, effective=effective, nef=nef, big=big, spanned=spanned,
             k_very_ample=k_very_ample, degree=degree, genus=genus, violations=violations,
@@ -512,10 +514,12 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
 
 class _FamilyTable(NamedTuple):
     """One rank's families, each with its fold, representative and labels,
-    in family order, and the operand of their representatives."""
+    in family order, the folds compiled into one kernel, and the operand of
+    their representatives."""
 
     families: tuple[InequalityFamily, ...]
     folds: tuple[tuple[int, int, int, int, int], ...]
+    kernel: Callable[[int, list[int]], list[int]]  # see _fold_kernel
     reps: tuple[tuple[int, ...], ...]  # (a_coeff; c), c descending and zero-padded to r
     labels: tuple[tuple[str, str], ...]  # without and with k
     operand: np.ndarray  # the reps as columns, for enumeration.orbit_floor
@@ -535,7 +539,10 @@ def _family_table(r: int) -> _FamilyTable:
     rank <= 8 at most two of those weights are nonzero, e.g.
     ``6a - S_1 - 2 S_8`` for (6; 3, 2^7) and ``S_r - S_{r-1}`` (that is
     s_r) for ``b_i >= 0``; an unused slot is (0, 0).  The representatives
-    (a_coeff; c) make up the bulk operand."""
+    (a_coeff; c) make up the bulk operand.
+
+    The folds are compiled once per rank into the straight-line kernel of
+    :func:`_fold_kernel`, which :func:`_fold_values` runs."""
     families, folds, labels, reps = [], [], [], []
     patterns = {type_pattern(x) for x in surface_context(r).test_curves}
     for pat in sorted(patterns, key=CurveTypePattern.sort_key):
@@ -549,7 +556,33 @@ def _family_table(r: int) -> _FamilyTable:
         labels.append((fam.label(with_k=False), fam.label(with_k=True)))
         reps.append((fam.a_coeff, *c[:r]))
     operand = float_operand(np.array(reps, dtype=np.int64).T)
-    return _FamilyTable(tuple(families), tuple(folds), tuple(reps), tuple(labels), operand)
+    folds = tuple(folds)
+    return _FamilyTable(tuple(families), folds, _fold_kernel(r, folds), tuple(reps), tuple(labels), operand)
+
+
+def _fold_kernel(r: int, folds) -> Callable[[int, list[int]], list[int]]:
+    """The folds of rank r as one generated function ``kernel(a, desc)``,
+    built with ``exec`` as :mod:`dataclasses` builds an ``__init__``: it
+    unpacks desc, forms the prefix sums S1..Sr in turn and returns each
+    family's value ``a_coeff * a - w1 * S[j1] - w2 * S[j2]``, in family
+    order, with the coefficients as literals (a zero term dropped, a unit
+    one written bare)."""
+
+    def linear(terms) -> str:
+        parts = [f"{'-' if w < 0 else '+'} {name if abs(w) == 1 else f'{abs(w)} * {name}'}" for w, name in terms if w]
+        return " ".join(parts).removeprefix("+ ")
+
+    values = [linear([(c, "a"), (-w1, f"S{j1}"), (-w2, f"S{j2}")]) for c, j1, w1, j2, w2 in folds]
+    source = "\n".join([
+        f"def fold_kernel_r{r}(a, desc):",
+        f"    {''.join(f's{j}, ' for j in range(1, r + 1))}= desc",
+        "    S1 = s1",
+        *(f"    S{j} = S{j - 1} + s{j}" for j in range(2, r + 1)),
+        f"    return [{', '.join(values)}]",
+    ])
+    namespace: dict = {}
+    exec(source, {}, namespace)
+    return namespace[f"fold_kernel_r{r}"]
 
 
 def _family_values(L: PicardClass) -> list[int]:
@@ -559,9 +592,10 @@ def _family_values(L: PicardClass) -> list[int]:
 
 def _fold_values(a: int, desc: list[int]) -> list[int]:
     """Every family's value at the class (a; desc), desc sorted descending:
-    the folds of :func:`_family_table` on its prefix sums."""
-    S = (0, *itertools.accumulate(desc))
-    return [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in _family_table(len(desc)).folds]
+    the folds of :func:`_family_table` on its prefix sums, run by the
+    rank's compiled kernel.  The one caller of every kernel; a desc of no
+    rank in 1..8 raises RankError."""
+    return _family_table(len(desc)).kernel(a, desc)
 
 
 def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:

@@ -18,10 +18,14 @@ import dataclasses
 import itertools
 import json
 import operator
+import os
 import pickle
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,8 +405,29 @@ class TestPackageBuiltRecords:
         report = is_k_very_ample(-2 * canonical_class(6), 1, surface_context(6))
         assert report.k_very_ample and report.big
         assert dataclasses.replace(report, effective=True) == report
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="very ample needs"):
             dataclasses.replace(report, big=False)
+        with pytest.raises(ValueError, match="differs from nef"):
+            dataclasses.replace(report, big=False, nef=False)
+
+    def test_report_checks_hold_under_optimize(self):
+        # python -O strips assert statements, not the report's checks
+        code = (
+            "import dataclasses\n"
+            "from delpezzo.enumeration import surface_context\n"
+            "from delpezzo.lattice import canonical_class\n"
+            "from delpezzo.positivity import is_k_very_ample\n"
+            "report = is_k_very_ample(-2 * canonical_class(6), 1, surface_context(6))\n"
+            "try:\n"
+            "    dataclasses.replace(report, big=False, nef=False)\n"
+            "except ValueError as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "refused: report on 6;2,2,2,2,2,2: spanned=True differs from nef=False\n"
 
 
 class TestVerdictsBuildNoPairingVector:
@@ -476,6 +501,35 @@ class TestPairingCore:
     def test_families_cached_on_rank_alone(self, ctx):
         with pytest.warns(DeprecationWarning, match="ignores ctx"):
             assert generate_inequality_families(ctx.r, ctx) is generate_inequality_families(ctx.r)
+
+
+# a coefficient: small, or past 2**63 either way
+kernel_coeff = small | st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63))
+
+
+class TestFoldKernel:
+    """The compiled kernel behind ``_fold_values``, the formula read off the
+    folds it was compiled from, and the closed forms
+    ``InequalityFamily.evaluate`` agree exactly at every rank."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_folds_and_closed_forms_agree(self, r, data):
+        a = data.draw(kernel_coeff)
+        desc = sorted(data.draw(st.lists(kernel_coeff, min_size=r, max_size=r)), reverse=True)
+        S = (0, *itertools.accumulate(desc))
+        folded = [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in positivity._family_table(r).folds]
+        L = PicardClass(a, tuple(data.draw(st.permutations(desc))))
+        closed = [fam.evaluate(L) for fam in generate_inequality_families(r)]
+        values = positivity._fold_values(a, desc)
+        assert values == folded == closed
+        assert all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_no_kernel_outside_ranks_1_to_8(self, width):
+        with pytest.raises(RankError):
+            positivity._fold_values(1, [0] * width)
 
 
 @pytest.mark.parametrize(
