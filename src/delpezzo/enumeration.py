@@ -210,16 +210,19 @@ def exceptional_type_census(r: int) -> ExceptionalTable:
 @dataclass(frozen=True)
 class NullClassRecord:
     """A class D with D.D = 0, K.D = -2 (b ascending), plus its splittings
-    into unordered pairs of exceptional classes."""
+    into unordered pairs of exceptional classes; any other D, or a
+    splitting that does not sum to D, is refused with ValueError."""
 
     representative: PicardClass
     decompositions: tuple[tuple[PicardClass, PicardClass], ...]
 
     def __post_init__(self):
-        assert degree(self.representative) == 0
-        assert intersect(canonical_class(self.representative.r), self.representative) == -2
+        D = self.representative
+        if degree(D) != 0 or intersect(canonical_class(D.r), D) != -2:
+            raise ValueError(f"{D} is not a null class: D.D = 0 and K.D = -2 needed")
         for xi1, xi2 in self.decompositions:
-            assert xi1 + xi2 == self.representative
+            if xi1 + xi2 != D:
+                raise ValueError(f"splitting {xi1} + {xi2} does not sum to {D}")
 
     def decomposition_shapes(self) -> tuple[tuple[CurveTypePattern, CurveTypePattern], ...]:
         """Distinct unordered type-pattern pairs among the decompositions,

@@ -23,27 +23,27 @@ The verdicts (nef, big, spanned, k-very ample, and a report's
 violations) come from the paper's inequalities: one family per
 permutation orbit of test curves, that is per type pattern, the
 pairing test folded over that orbit, ``a0*a >= <multiplicities, b> + k``
-with both sides sorted.  Each family's value is read off the prefix sums
-of b sorted descending (:func:`_family_table`), at most two of them per
-family at rank <= 8, in plain Python integers, so a verdict is exact at
-any size and builds no array.  These folds are compiled once per rank
-into a straight-line kernel (:func:`_fold_kernel`) that every verdict
-and every effectivity pass runs through :func:`_fold_values`.
+with both sides sorted.  Each family is held once, as its representative
+``(a0; c)``, c sorted descending (:func:`_family_table`), and each rank's
+representatives are compiled once into a straight-line kernel
+(:func:`_fold_kernel`): it reads every family's value off at most two
+prefix sums of b sorted descending, in plain Python integers, so a
+verdict is exact at any size and builds no array.  Every verdict and
+every effectivity pass runs it through :func:`_fold_values`;
 :func:`minimum_family_value_bulk` takes the same orbit minima for a
-block of rows in one product with the families' representatives
-(``enumeration.orbit_floor``), with the rank read off the row width.
+block of rows in one product with the representatives (``orbit_floor``).
 
 Effectivity needs the negatively pairing curves themselves, and the
-same folds find them: each fold pass on the positive part built so far
-names the curve attaining its minimum (:func:`is_effective`), so no
-scalar verdict builds an array.  The bulk :func:`pairing_matrix` pairs
-rows with the signed test-curve matrix cached on the
+same kernel finds them: each fold pass on the positive part built so far
+names the curve attaining its minimum, the minimizing family's
+representative (:func:`is_effective`).  The bulk :func:`pairing_matrix`
+pairs rows with the signed test-curve matrix cached on the
 :class:`SurfaceContext`; every array product is exact by the rule stated
 once in :mod:`delpezzo.lattice`.
 
 Each family's closed form :meth:`InequalityFamily.evaluate`, which sorts
 positive and negative multiplicities separately, is kept as an
-independent formulation that the tests check the folds against.
+independent formulation that the tests check the kernel against.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
     effective.  So L is effective iff C is pairwise disjoint and T is nef;
     the certificate subtracts each E of C ``-L.E`` times and ends at T.
 
-    C is found by the folds, one curve per pass.  Its points are the e_i
+    C is found by fold passes, one curve per pass.  Its points are the e_i
     with ``L.e_i = b_i < 0``, so T starts at ``(a; max(b_i, 0))``.  A pass
     evaluates the families on T and ends the search if T is nef; otherwise
     the minimizing family names a curve E with T.E at the minimum (its
@@ -513,72 +513,56 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
 
 
 class _FamilyTable(NamedTuple):
-    """One rank's families, each with its fold, representative and labels,
-    in family order, the folds compiled into one kernel, and the operand of
-    their representatives."""
+    """One rank's families, each with its representative and labels, in
+    family order, the representatives compiled into one kernel."""
 
     families: tuple[InequalityFamily, ...]
-    folds: tuple[tuple[int, int, int, int, int], ...]
-    kernel: Callable[[int, list[int]], list[int]]  # see _fold_kernel
     reps: tuple[tuple[int, ...], ...]  # (a_coeff; c), c descending and zero-padded to r
     labels: tuple[tuple[str, str], ...]  # without and with k
-    operand: np.ndarray  # the reps as columns, for enumeration.orbit_floor
+    kernel: Callable[[int, list[int]], list[int]]  # see _fold_kernel
 
 
 @lru_cache(maxsize=None)
 def _family_table(r: int) -> _FamilyTable:
-    """The families of rank r, sorted by pattern, each with its fold
-    ``(a_coeff, j1, w1, j2, w2)``: its value at L is
-    ``a_coeff * a - w1 * S[j1] - w2 * S[j2]``, where S[j] is the sum of
-    the j largest b_i and S[0] = 0.
-
-    By the rearrangement inequality the orbit's largest ``<c, b>`` pairs
-    the multiplicities c, zero-padded to r and sorted descending, with b
-    sorted descending, s_1 >= ... >= s_r; Abel summation turns that
-    ``sum c_j s_j`` into ``sum_{j<r} (c_j - c_{j+1}) S_j + c_r S_r``.  At
-    rank <= 8 at most two of those weights are nonzero, e.g.
-    ``6a - S_1 - 2 S_8`` for (6; 3, 2^7) and ``S_r - S_{r-1}`` (that is
-    s_r) for ``b_i >= 0``; an unused slot is (0, 0).  The representatives
-    (a_coeff; c) make up the bulk operand.
-
-    The folds are compiled once per rank into the straight-line kernel of
-    :func:`_fold_kernel`, which :func:`_fold_values` runs."""
-    families, folds, labels, reps = [], [], [], []
+    """The families of rank r, sorted by pattern, each with its
+    representative ``(a_coeff; c)``, c zero-padded to r and sorted
+    descending: by the rearrangement inequality the family's value at L is
+    ``a_coeff * a - sum c_j s_j``, with s_1 >= ... >= s_r the b_i sorted
+    descending.  :func:`_fold_kernel` compiles the representatives once;
+    the effectivity search reads them to name a minimizing curve."""
+    families, reps, labels = [], [], []
     patterns = {type_pattern(x) for x in surface_context(r).test_curves}
     for pat in sorted(patterns, key=CurveTypePattern.sort_key):
         fam = InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
-        c = sorted(fam.b_coeffs + (0,) * (r - len(fam.b_coeffs)), reverse=True) + [0]
-        terms = [(j, c[j - 1] - c[j]) for j in range(1, r + 1) if c[j - 1] != c[j]]
-        assert len(terms) <= 2, f"{fam.label()} needs {len(terms)} prefix sums"
-        (j1, w1), (j2, w2) = (terms + [(0, 0), (0, 0)])[:2]
         families.append(fam)
-        folds.append((fam.a_coeff, j1, w1, j2, w2))
+        reps.append((fam.a_coeff, *sorted(fam.b_coeffs + (0,) * (r - len(fam.b_coeffs)), reverse=True)))
         labels.append((fam.label(with_k=False), fam.label(with_k=True)))
-        reps.append((fam.a_coeff, *c[:r]))
-    operand = float_operand(np.array(reps, dtype=np.int64).T)
-    folds = tuple(folds)
-    return _FamilyTable(tuple(families), folds, _fold_kernel(r, folds), tuple(reps), tuple(labels), operand)
+    reps = tuple(reps)
+    return _FamilyTable(tuple(families), reps, tuple(labels), _fold_kernel(r, reps))
 
 
-def _fold_kernel(r: int, folds) -> Callable[[int, list[int]], list[int]]:
-    """The folds of rank r as one generated function ``kernel(a, desc)``,
-    built with ``exec`` as :mod:`dataclasses` builds an ``__init__``: it
-    unpacks desc, forms the prefix sums S1..Sr in turn and returns each
-    family's value ``a_coeff * a - w1 * S[j1] - w2 * S[j2]``, in family
-    order, with the coefficients as literals (a zero term dropped, a unit
-    one written bare)."""
+def _fold_kernel(r: int, reps) -> Callable[[int, list[int]], list[int]]:
+    """The representatives of rank r as one generated function
+    ``kernel(a, desc)``, built with ``exec`` as :mod:`dataclasses` builds an
+    ``__init__``.  Abel summation gives ``sum c_j s_j = sum (c_j - c_{j+1}) S_j``
+    (c_{r+1} = 0, S_j the sum of the j largest b_i), at most two nonzero
+    terms at rank <= 8, as ``6 * a - S1 - 2 * S8`` for (6; 3, 2^7).  The
+    kernel unpacks desc, forms S1..Sr in turn and returns each family's
+    value in family order, its coefficients as literals (a zero term
+    dropped, a unit one written bare)."""
 
-    def linear(terms) -> str:
+    def value(a_coeff: int, *c: int) -> str:
+        c = (*c, 0)
+        terms = [(a_coeff, "a"), *((c[j] - c[j - 1], f"S{j}") for j in range(1, r + 1))]
         parts = [f"{'-' if w < 0 else '+'} {name if abs(w) == 1 else f'{abs(w)} * {name}'}" for w, name in terms if w]
         return " ".join(parts).removeprefix("+ ")
 
-    values = [linear([(c, "a"), (-w1, f"S{j1}"), (-w2, f"S{j2}")]) for c, j1, w1, j2, w2 in folds]
     source = "\n".join([
         f"def fold_kernel_r{r}(a, desc):",
         f"    {''.join(f's{j}, ' for j in range(1, r + 1))}= desc",
         "    S1 = s1",
         *(f"    S{j} = S{j - 1} + s{j}" for j in range(2, r + 1)),
-        f"    return [{', '.join(values)}]",
+        f"    return [{', '.join(value(*rep) for rep in reps)}]",
     ])
     namespace: dict = {}
     exec(source, {}, namespace)
@@ -591,10 +575,9 @@ def _family_values(L: PicardClass) -> list[int]:
 
 
 def _fold_values(a: int, desc: list[int]) -> list[int]:
-    """Every family's value at the class (a; desc), desc sorted descending:
-    the folds of :func:`_family_table` on its prefix sums, run by the
-    rank's compiled kernel.  The one caller of every kernel; a desc of no
-    rank in 1..8 raises RankError."""
+    """Every family's value at the class (a; desc), desc sorted descending,
+    run by the rank's kernel (:func:`_fold_kernel`).  The one caller of
+    every kernel; a desc of no rank in 1..8 raises RankError."""
     return _family_table(len(desc)).kernel(a, desc)
 
 
@@ -670,4 +653,5 @@ def minimum_family_value_bulk(coeffs: np.ndarray) -> np.ndarray:
     row width: the smallest orbit floor against the families' representatives.
     No ``src`` path calls it; it is the bulk reference the tests compare against."""
     rows = exact_rows(coeffs)
-    return orbit_floor(rows, _family_table(_check_rank(rows.shape[1] - 1)).operand).min(axis=1)
+    reps = _family_table(_check_rank(rows.shape[1] - 1)).reps
+    return orbit_floor(rows, float_operand(np.array(reps, dtype=np.int64).T)).min(axis=1)

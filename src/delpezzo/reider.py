@@ -124,7 +124,8 @@ def window_applicable(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[bool
 
 @dataclass(frozen=True)
 class ObstructionWitness:
-    """An effective class D inside the numeric window for a given (L, k)."""
+    """An effective class D inside the numeric window for a given (L, k); a
+    failing window triple or certificate is refused with ValueError."""
 
     D: PicardClass
     MD: int
@@ -133,9 +134,14 @@ class ObstructionWitness:
     effectivity_certificate: EffectivityCertificate
 
     def __post_init__(self):
+        # checks that raise, so that they hold under ``python -O`` too
         for lhs, op, rhs in self.window:
-            assert (lhs <= rhs) if op == "<=" else (lhs < rhs), self.window
-        assert self.effectivity_certificate.replay() == self.D
+            if op not in ("<=", "<"):
+                raise ValueError(f"witness {self.D}: window operator {op!r} is not '<=' or '<'")
+            if not (lhs <= rhs if op == "<=" else lhs < rhs):
+                raise ValueError(f"witness {self.D}: window {lhs} {op} {rhs} fails")
+        if self.effectivity_certificate.replay() != self.D:
+            raise ValueError(f"witness {self.D}: its certificate replays to another class")
 
     def as_dict(self) -> dict:
         return {
@@ -149,6 +155,9 @@ class ObstructionWitness:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """The window search for (L, k); an inapplicable outcome without a
+    reason, or with witnesses, is refused with ValueError."""
+
     subject: PicardClass
     k: int
     applicable: bool
@@ -160,8 +169,8 @@ class SearchOutcome:
     nodes_visited: int
 
     def __post_init__(self):
-        if not self.applicable:
-            assert not self.witnesses and self.reason
+        if not self.applicable and (self.witnesses or not self.reason):
+            raise ValueError(f"search on {self.subject}: an inapplicable outcome needs a reason and no witnesses")
 
     def as_dict(self) -> dict:
         return {

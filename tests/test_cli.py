@@ -345,6 +345,8 @@ class TestGoldenFiles:
              "check_r3_tied_past_int64.json"),
             (("check", "--r", "8", "--k", "1", "10;100000000000000000000,0,0,0,0,0,0,0", "--json"),
              "check_r8_k1_violations_past_int64.json"),
+            (("check", "--r", "8", "--k", "1", "5;2,2,2,2,2,2,2,2", "--json"),
+             "check_r8_k1_meeting_curves.json"),
         ],
     )
     def test_machine_reports_byte_match(self, capsys, argv, golden):

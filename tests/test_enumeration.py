@@ -28,6 +28,7 @@ from delpezzo.lattice import (
     type_pattern,
 )
 from delpezzo.enumeration import (
+    NullClassRecord,
     decompose_null_class,
     descending_vectors,
     enumerate_exceptional,
@@ -217,6 +218,18 @@ class TestNullClasses:
             assert intersect(canonical_class(every_rank), rep) == -2
             assert list(rep.b) == sorted(rep.b)
             assert all(x >= 0 for x in rep.b)
+
+    def test_record_refuses_a_non_null_class_or_a_wrong_splitting(self):
+        # ValueError, not assert: these checks hold under python -O too
+        with pytest.raises(ValueError, match="1;0,0,0 is not a null class"):
+            NullClassRecord(PicardClass(1, (0, 0, 0)), ())
+        with pytest.raises(ValueError, match="is not a null class"):
+            NullClassRecord(PicardClass(3, (3,)), ())  # D.D = 0, but K.D = -6
+        rec = enumerate_null_classes(8)[0]
+        x, y = rec.decompositions[0]
+        assert NullClassRecord(rec.representative, ((x, y),)).decompositions == ((x, y),)
+        with pytest.raises(ValueError, match="does not sum to"):
+            NullClassRecord(rec.representative, ((x, x),))
 
     def test_small_ranks_restrict_to_few_nonzeros(self):
         assert [r.representative.render() for r in enumerate_null_classes(1)] == ["1;1"]

@@ -411,23 +411,37 @@ class TestPackageBuiltRecords:
             dataclasses.replace(report, big=False, nef=False)
 
     def test_report_checks_hold_under_optimize(self):
-        # python -O strips assert statements, not the report's checks
+        # python -O strips assert statements, not the records' checks
         code = (
             "import dataclasses\n"
-            "from delpezzo.enumeration import surface_context\n"
-            "from delpezzo.lattice import canonical_class\n"
-            "from delpezzo.positivity import is_k_very_ample\n"
+            "from delpezzo.enumeration import NullClassRecord, surface_context\n"
+            "from delpezzo.lattice import PicardClass, canonical_class\n"
+            "from delpezzo.positivity import is_effective, is_k_very_ample\n"
+            "from delpezzo.reider import ObstructionWitness, search_obstructions\n"
             "report = is_k_very_ample(-2 * canonical_class(6), 1, surface_context(6))\n"
-            "try:\n"
-            "    dataclasses.replace(report, big=False, nef=False)\n"
-            "except ValueError as exc:\n"
-            "    print('refused:', exc)\n"
+            "D = PicardClass(2, (0, 0, 0))\n"
+            "outcome = search_obstructions(-canonical_class(8), 1, surface_context(8))\n"
+            "for build in [\n"
+            "    lambda: dataclasses.replace(report, big=False, nef=False),\n"
+            "    lambda: ObstructionWitness(D, 0, 4, ((9, '<=', 4),), is_effective(D, surface_context(3))[1]),\n"
+            "    lambda: dataclasses.replace(outcome, reason=None),\n"
+            "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0)), ()),\n"
+            "]:\n"
+            "    try:\n"
+            "        build()\n"
+            "    except ValueError as exc:\n"
+            "        print('refused:', exc)\n"
         )
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "refused: report on 6;2,2,2,2,2,2: spanned=True differs from nef=False\n"
+        assert done.stdout.splitlines() == [
+            "refused: report on 6;2,2,2,2,2,2: spanned=True differs from nef=False",
+            "refused: witness 2;0,0,0: window 9 <= 4 fails",
+            "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome needs a reason and no witnesses",
+            "refused: 1;0,0,0 is not a null class: D.D = 0 and K.D = -2 needed",
+        ]
 
 
 class TestVerdictsBuildNoPairingVector:
@@ -508,8 +522,8 @@ kernel_coeff = small | st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63
 
 
 class TestFoldKernel:
-    """The compiled kernel behind ``_fold_values``, the formula read off the
-    folds it was compiled from, and the closed forms
+    """The compiled kernel behind ``_fold_values``, the rearrangement sum
+    read off the representatives it was compiled from, and the closed forms
     ``InequalityFamily.evaluate`` agree exactly at every rank."""
 
     @pytest.mark.parametrize("r", range(1, 9))
@@ -518,13 +532,40 @@ class TestFoldKernel:
     def test_kernel_folds_and_closed_forms_agree(self, r, data):
         a = data.draw(kernel_coeff)
         desc = sorted(data.draw(st.lists(kernel_coeff, min_size=r, max_size=r)), reverse=True)
-        S = (0, *itertools.accumulate(desc))
-        folded = [c * a - w1 * S[j1] - w2 * S[j2] for c, j1, w1, j2, w2 in positivity._family_table(r).folds]
+        rearranged = [e0 * a - sum(map(operator.mul, c, desc)) for e0, *c in positivity._family_table(r).reps]
         L = PicardClass(a, tuple(data.draw(st.permutations(desc))))
         closed = [fam.evaluate(L) for fam in generate_inequality_families(r)]
         values = positivity._fold_values(a, desc)
-        assert values == folded == closed
+        assert values == rearranged == closed
         assert all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_every_representative_needs_at_most_two_prefix_sums(self, r):
+        # Abel summation: with c padded by a trailing 0, S_j weighs c_j - c_{j+1}
+        weights = []
+        for _, *c in positivity._family_table(r).reps:
+            c.append(0)
+            weights.append(sum(c[j - 1] != c[j] for j in range(1, r + 1)))
+        assert max(weights) <= 2
+        if r == 8:  # 6a - S_1 - 2 S_8 for (6; 3, 2^7)
+            assert positivity._family_table(8).reps[-1] == (6, 3, *[2] * 7) and weights[-1] == 2
+
+    def test_table_builds_no_array(self, monkeypatch):
+        for r in range(1, 9):
+            surface_context(r)  # warm: the contexts' own arrays are not the table's
+
+        def refuse(*args):
+            raise RuntimeError("the family table built a bulk operand")
+
+        monkeypatch.setattr(positivity, "float_operand", refuse)
+        positivity._family_table.cache_clear()
+        try:
+            tables = [positivity._family_table(r) for r in range(1, 9)]
+        finally:
+            positivity._family_table.cache_clear()  # keep nothing built under the patch
+        for r, table in enumerate(tables, 1):
+            assert table._fields == ("families", "reps", "labels", "kernel")
+            assert all(type(x) is int for rep in table.reps for x in rep) and len(table.reps[0]) == r + 1
 
     @pytest.mark.parametrize("width", [0, 9])
     def test_no_kernel_outside_ranks_1_to_8(self, width):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -32,6 +33,7 @@ from delpezzo.positivity import (
 )
 from delpezzo.reider import (
     MAX_EXHAUSTIVE_LEAVES,
+    ObstructionWitness,
     SweepSummary,
     SweepViolation,
     _assert_box_premises,
@@ -177,6 +179,25 @@ class TestSearch:
         assert w.MD == 0 and w.D_squared == -1
         assert w.window == ((-2, "<=", -1), (-2, "<", 0), (0, "<", 4))
         assert w.effectivity_certificate.replay() == D
+
+    def test_records_refuse_what_fails(self):
+        # ValueError, not assert: these checks hold under python -O too
+        D = PicardClass(2, (0, 0, 0))
+        _, cert = is_effective(D, surface_context(3))
+        with pytest.raises(ValueError, match="window 9 <= 4 fails"):
+            ObstructionWitness(D, 0, 4, ((9, "<=", 4),), cert)
+        with pytest.raises(ValueError, match="window 4 < 4 fails"):
+            ObstructionWitness(D, 0, 4, ((4, "<", 4),), cert)
+        with pytest.raises(ValueError, match="operator '>=' is not"):
+            ObstructionWitness(D, 0, 4, ((4, ">=", 9),), cert)  # would hold if read as 4 < 9
+        _, other = is_effective(PicardClass(1, (0, 0, 0)), surface_context(3))
+        with pytest.raises(ValueError, match="replays to another class"):
+            ObstructionWitness(D, 0, 4, (), other)
+        out = search_obstructions(-canonical_class(8), 1, surface_context(8))
+        witness = search_obstructions(PicardClass(3, (2, 2)), 1, surface_context(2)).witnesses[0]
+        for bad in [{"reason": None}, {"reason": ""}, {"witnesses": (witness,)}]:
+            with pytest.raises(ValueError, match="needs a reason and no witnesses"):
+                dataclasses.replace(out, **bad)
 
     def test_very_ample_anticanonical_has_empty_window(self):
         ctx6 = surface_context(6)
