@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import GOLDEN
+
 ROOT = Path(__file__).parents[1]
-GOLDEN = Path(__file__).parent / "golden"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 

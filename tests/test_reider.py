@@ -4,7 +4,6 @@ import itertools
 import json
 import re
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,8 +46,7 @@ from delpezzo.reider import (
     search_obstructions,
     window_applicable,
 )
-
-GOLDEN = Path(__file__).parent / "golden"
+from test_cli import GOLDEN
 
 
 @lru_cache(maxsize=None)
