@@ -40,7 +40,7 @@ from delpezzo.enumeration import (
     orbit_sizes,
     surface_context,
 )
-from test_acceptance import NULL_ROWS, TOTALS
+from test_acceptance import CENSUS, NULL_ROWS, SPLIT_SHAPES, TOTALS
 
 
 def multiset_oracle(r, sum_target, sq_target, lo, hi):
@@ -140,6 +140,16 @@ class TestExceptionalEnumeration:
 
 
 class TestCensus:
+    def test_all_table_cells(self):
+        tables = {r: exceptional_type_census(r) for r in range(1, 9)}
+        for pattern_text, row in CENSUS.items():
+            for r in range(1, 9):
+                table = tables[r]
+                got = next((n for pat, n in table.counts if pat.render() == pattern_text), 0)
+                assert got == row[r - 1], f"{pattern_text} at rank {r}"
+        for r in range(1, 9):
+            assert tables[r].total == TOTALS[r - 1]
+
     def test_spot_examples(self):
         assert exceptional_type_census(7).counts[3][0].render() == "(3;2,1^6)"
         lookup = {pat.render(): n for pat, n in exceptional_type_census(7).counts}
@@ -151,6 +161,12 @@ class TestCensus:
 
 
 class TestNullClasses:
+    def test_rank8_rows(self):
+        recs = enumerate_null_classes(8)
+        got = [(rec.representative.a, rec.representative.b) for rec in recs]
+        assert got == NULL_ROWS
+        assert max(a for a, _ in got) == 11
+
     def test_defining_equations_and_orientation(self, every_rank):
         for rec in enumerate_null_classes(every_rank):
             rep = rec.representative
@@ -213,6 +229,26 @@ class TestDecompositions:
         for rec in enumerate_null_classes(every_rank):
             if rec.representative.a >= 2:
                 assert rec.decompositions, rec.representative
+
+    def test_published_shapes_all_occur(self):
+        by_a = {}
+        for rec in enumerate_null_classes(8):
+            shapes = by_a.setdefault(rec.representative.a, set())
+            shapes.update(
+                f"{s1.render()}+{s2.render()}" for s1, s2 in rec.decomposition_shapes()
+            )
+        for a, expected in SPLIT_SHAPES.items():
+            for shape in expected:
+                assert shape in by_a[a], f"a={a}: {shape} missing from {sorted(by_a[a])}"
+
+    def test_both_options_at_a7_and_a8_come_from_distinct_representatives(self):
+        recs = [rec for rec in enumerate_null_classes(8) if rec.representative.a == 7]
+        shapes = [
+            {f"{s1.render()}+{s2.render()}" for s1, s2 in rec.decomposition_shapes()}
+            for rec in recs
+        ]
+        assert "(5;2^6,1^2)+(2;1^5)" in shapes[0]
+        assert "(6;3,2^7)+(1;1^2)" in shapes[1]
 
     def test_pencil_class_has_no_split_at_rank_one(self):
         ctx1 = surface_context(1)
