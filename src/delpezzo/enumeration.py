@@ -4,16 +4,14 @@ Three finite integer systems in (a; b) are solved exhaustively, and all
 three are symmetric in the b coordinates.  So one search serves them:
 :func:`descending_vectors` finds the non-increasing b with a prescribed
 range of sum and of sum of squares, by depth-first search with
-partial-sum and Cauchy-Schwarz pruning.  This module is also the one
-home of the S_r orbits of such a representative: :func:`expand_orbit`
-lists the orbit of a row (a; b), :func:`orbit_sizes` counts the orbits
-of many rows without expanding them, and :func:`orbit_floor` takes the
-smallest pairing of many rows with each of many orbits.
+partial-sum and Cauchy-Schwarz pruning, and :func:`orderings` expands
+such a representative into its S_r orbit.  The array forms of the orbits
+are in :mod:`delpezzo.bulk`; this module imports no numpy.
 
 * exceptional classes: ``xi.xi = -1`` and ``K.xi = -1``, i.e.
   ``sum(b) = 3a - 1`` and ``sum(b^2) = a^2 + 1``.  Cauchy-Schwarz,
   ``(3a-1)^2 <= r*(a^2+1)`` with r <= 8, forces ``-1 <= a <= 7``; the
-  search runs a = 0..7 and asserts that a = 7 contributes nothing (the
+  search runs a = 0..7 and checks that a = 7 contributes nothing (the
   real maximum is 6).  Inside a fixed a the coordinates are confined to
   ``[-1, a]``: an entry >= a+1 makes ``sum(b^2)`` overshoot, and an entry
   <= -2 contradicts Cauchy-Schwarz on the remaining coordinates.
@@ -22,7 +20,7 @@ smallest pairing of many rows with each of many orbits.
   ``D.D = 0`` and ``K.D = -2``, i.e. ``sum(b) = 3a - 2`` and
   ``sum(b^2) = a^2``, with b non-negative and sorted ascending.  Here
   Cauchy-Schwarz gives ``a <= 11``; the search runs through a = 12 and
-  asserts emptiness there.
+  checks emptiness there.
 
 * window candidates for :mod:`delpezzo.reider`: ``(-K).D`` in
   ``[1, 2k+1]`` and ``|D.D| <= k``, i.e. ``sum(b)`` in
@@ -34,13 +32,10 @@ parallel partitioning of the search space could not change the output.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
-
-import numpy as np
 
 from .lattice import (
     CurveTypePattern,
@@ -49,7 +44,6 @@ from .lattice import (
     _check_rank,
     canonical_class,
     degree,
-    exact_product,
     intersect,
     type_pattern,
 )
@@ -98,59 +92,24 @@ def descending_vectors(length, lo, hi, s_lo, s_hi, q_lo, q_hi) -> list[tuple[int
     return out
 
 
-def expand_orbit(rep: np.ndarray) -> np.ndarray:
-    """The S_r orbit of the row ``rep`` = (a; b), b non-increasing: one row
-    (a; b') per distinct ordering b' of b, in ascending (a, b) order and in
-    the dtype of ``rep``."""
-    runs = tuple(len(list(run)) for _, run in itertools.groupby(rep[1:].tolist()))
-    return rep[_orbit_index(runs)]
-
-
-@lru_cache(maxsize=None)
-def _orbit_index(runs: tuple[int, ...]) -> np.ndarray:
-    """Column indices that expand a representative (a; b), with b
-    non-increasing in runs of equal entries of these lengths, into its
-    orbit: ``rep[index]`` lists each distinct ordering of b once, in
-    ascending (a, b) order.
-
-    Built one coordinate at a time: each partial row is continued once per
-    value it has left, smallest value first."""
-    left = np.array([runs[::-1]])  # copies left of each value, smallest first
-    value = np.empty((1, 0), dtype=np.intp)
-    for _ in range(sum(runs)):
-        parent, v = np.nonzero(left)
-        left = left[parent]
-        left[np.arange(len(parent)), v] -= 1
-        value = np.column_stack([value[parent], v])
-    # the representative holds its largest value first, from column 1
-    column = 1 + np.cumsum((0, *runs[:-1]))[::-1]
-    index = np.column_stack([np.zeros(len(value), dtype=np.intp), column[value]])
-    index = index.astype(np.int8)  # cached per shape for the whole process
-    index.flags.writeable = False
-    return index
-
-
-def orbit_sizes(b: np.ndarray) -> np.ndarray:
-    """The orbit size of each row of b, whose rows are sorted: the
-    multinomial ``len(row)! / prod(m!)`` over the multiplicities m, where
-    the running counts of equal neighbours multiply to prod(m!)."""
-    run = np.ones(len(b), dtype=np.int64)
-    denominator = np.ones(len(b), dtype=np.int64)
-    for j in range(1, b.shape[1]):
-        run = np.where(b[:, j] == b[:, j - 1], run + 1, 1)
-        denominator *= run
-    return factorial(b.shape[1]) // denominator
-
-
-def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """The smallest pairing ``y0*x0 - <y, x'>`` of each class row (y0; y)
-    with the orbit of each representative (x0; x), x non-increasing, over
-    the orderings x' of x: by the rearrangement inequality the largest
-    ``<y, x'>`` pairs y sorted descending with x, so the (rows x orbits)
-    floor is one exact product of ``(y0; sort(-y))`` with ``operand``,
-    the representatives as columns (see ``lattice.float_operand``), for
-    rows from ``lattice.exact_rows`` (at most shifted by a small class)."""
-    return exact_product(np.column_stack([rows[:, 0], np.sort(-rows[:, 1:], axis=1)]), operand)
+def orderings(values) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of the multiset ``values`` once, in ascending
+    lexicographic order: from the sorted tuple, each step swaps the last
+    ascent ``p[i] < p[i+1]`` with the last entry above ``p[i]`` and
+    reverses the tail after i (Narayana's next permutation)."""
+    p = sorted(values)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
 
 
 @lru_cache(maxsize=None)
@@ -164,11 +123,10 @@ def enumerate_exceptional(r: int) -> tuple[PicardClass, ...]:
     found = []
     for a in range(0, EXCEPTIONAL_A_BOUND + 1):
         sols = descending_vectors(r, -1, a, 3 * a - 1, 3 * a - 1, a * a + 1, a * a + 1)
-        if a == EXCEPTIONAL_A_BOUND:
-            assert not sols, "Cauchy-Schwarz bound a <= 7 attained; enumeration is unsound"
+        if a == EXCEPTIONAL_A_BOUND and sols:
+            raise RuntimeError("Cauchy-Schwarz bound a <= 7 attained; enumeration is unsound")
         for rep in sols:
-            orbit = expand_orbit(np.array((a, *rep))).tolist()
-            found.extend(PicardClass(a, tuple(b)) for _, *b in orbit)
+            found.extend(PicardClass(a, b) for b in orderings(rep))
     return tuple(sorted(found, key=PicardClass.sort_key))
 
 
@@ -266,7 +224,8 @@ def enumerate_null_classes(r: int) -> tuple[NullClassRecord, ...]:
     for a in range(1, NULL_CLASS_A_BOUND + 2):
         sols = descending_vectors(r, 0, a, 3 * a - 2, 3 * a - 2, a * a, a * a)
         if a == NULL_CLASS_A_BOUND + 1:
-            assert not sols, "Cauchy-Schwarz bound a <= 11 attained; enumeration is unsound"
+            if sols:
+                raise RuntimeError("Cauchy-Schwarz bound a <= 11 attained; enumeration is unsound")
             break
         for b in sorted(sol[::-1] for sol in sols):
             rep = PicardClass(a, b)

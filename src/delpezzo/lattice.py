@@ -7,18 +7,9 @@ intersection form is ``diag(1, -1, ..., -1)`` and the canonical class is
 ``(-3; -1, ..., -1)``; with this sign convention the class of the blown-up
 point ``e_i`` is ``(0; ..., -1, ...)``.
 
-The class arithmetic is plain Python integers, exact at any magnitude.
-The array helpers at the end of this module hold the one exactness rule
-of every numpy path in the package.  Bulk inputs refuse non-integers, as
-PicardClass does.  Class rows are int64 only while
-every entry is within SAFE_COEFF_BOUND (:func:`exact_rows`), object
-arrays of Python integers beyond it, so no result wraps; an int64 block
-is at most shifted by a class of small coefficients such as K.  A right
-operand B is float64 (:func:`float_operand`) only when every partial sum
-of such a row against a column of B is an integer below
-FLOAT_EXACT_BOUND = 2**53, which float64 holds exactly however BLAS
-splits and orders the sums; :func:`exact_product` runs any other pair
-on Python integers.
+The class arithmetic is plain Python integers, exact at any magnitude, and
+this module imports no numpy; the array helpers, and the exactness rule of
+every array path, are in :mod:`delpezzo.bulk`.
 """
 
 from __future__ import annotations
@@ -28,19 +19,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 MIN_RANK = 1
 MAX_RANK = 8
-
-#: Coefficient magnitude up to which the numpy pairing routines use int64;
-#: larger inputs are computed exactly on Python integers instead.  The
-#: pure-Python operations in this module have no limit.
-SAFE_COEFF_BOUND = 10**6
-
-#: Integers of magnitude up to this are float64 numbers, so a float64
-#: product whose partial sums all stay below it is exact in any order.
-FLOAT_EXACT_BOUND = 2**53
 
 #: Number of classes with self-intersection -1 and anticanonical degree 1,
 #: per rank.  Used as a construction-time sanity check on SurfaceContext;
@@ -187,7 +167,8 @@ def sectional_genus(L: PicardClass) -> int:
 def _genus(L: PicardClass, square: int) -> int:
     """Sectional genus of L given its self-intersection ``square``."""
     s = square - 3 * L.a + sum(L.b)  # L.L + K.L
-    assert s % 2 == 0, f"adjunction parity violated for {L}"
+    if s % 2:
+        raise RuntimeError(f"adjunction parity violated for {L}")
     return s // 2 + 1
 
 
@@ -257,7 +238,9 @@ def type_pattern(L: PicardClass) -> CurveTypePattern:
 
 @dataclass(frozen=True)
 class SurfaceContext:
-    """Fixed rank r together with the cached exceptional classes.
+    """Fixed rank r together with the cached exceptional classes, as Python
+    integers; the array form of its test curves is
+    :func:`delpezzo.bulk.curve_operand`.
 
     Immutable after construction; safe to share between any number of
     concurrent callers.  Build via :func:`delpezzo.enumeration.surface_context`.
@@ -294,10 +277,6 @@ class SurfaceContext:
     def anticanonical(self) -> PicardClass:
         return -self.canonical
 
-    # The pairing core.  The bulk routines pair class rows against the
-    # test curves; the arrays below are built once per context, on first
-    # use, and are read-only.
-
     @cached_property
     def test_curves(self) -> tuple[PicardClass, ...]:
         """The exceptional classes, in their (a, b) order, followed at rank 1
@@ -305,79 +284,3 @@ class SurfaceContext:
         if self.r == 1:
             return self.exceptional_set + (fiber_class(),)
         return self.exceptional_set
-
-    @cached_property
-    def curve_matrix(self) -> np.ndarray:
-        """Signed int64 matrix S with rows ``(x_a, -x_b1, ..., -x_br)``, one
-        per test curve x, so that ``S @ (a, b_1..b_r)`` is the pairing vector."""
-        return _read_only(np.array([[x.a, *(-y for y in x.b)] for x in self.test_curves], dtype=np.int64))
-
-    @cached_property
-    def curve_operand(self) -> np.ndarray:
-        """``curve_matrix.T`` as the right operand of exact matrix products
-        (see :func:`float_operand`): ``rows @ curve_operand`` pairs class
-        rows against the test curves."""
-        return float_operand(self.curve_matrix.T)
-
-
-def exact_rows(coeffs) -> np.ndarray:
-    """A 2-D block of class rows as int64 when every entry is within
-    SAFE_COEFF_BOUND, otherwise as an object array of Python integers
-    (exact at any size).  An ndarray needs an integer dtype; other input is
-    read as objects through ``operator.index``, as in PicardClass.  Non-integers
-    raise TypeError, anything but a 2-D block (say, one row) ValueError."""
-    rows = coeffs if isinstance(coeffs, np.ndarray) else np.array(coeffs, dtype=object)
-    if rows.ndim != 2:
-        raise ValueError(f"class rows must form a 2-D block, got {rows.ndim} dimension(s)")
-    if rows.dtype == object:
-        try:
-            rows = np.array([operator.index(x) for x in rows.flat], dtype=object).reshape(rows.shape)
-        except TypeError as exc:
-            raise TypeError(f"class coefficients must be integers: {exc}") from None
-    elif rows.dtype.kind not in "iu":
-        raise TypeError(f"class coefficients must be integers, got dtype {rows.dtype}")
-    if rows.size == 0 or (rows.max() <= SAFE_COEFF_BOUND and rows.min() >= -SAFE_COEFF_BOUND):
-        return rows.astype(np.int64, copy=False)
-    return rows.astype(object)
-
-
-def float_operand(B: np.ndarray) -> np.ndarray:
-    """The int64 matrix B as the right operand of :func:`exact_product`:
-    float64 when ``B.shape[0] * 2 * SAFE_COEFF_BOUND * max|B|``, which
-    bounds every partial sum against an int64 row block, is below
-    FLOAT_EXACT_BOUND, B itself otherwise.  The test runs once per operand."""
-    largest = int(np.abs(B).max(initial=0))
-    if B.shape[0] * 2 * SAFE_COEFF_BOUND * largest >= FLOAT_EXACT_BOUND:
-        return B
-    return _read_only(B.astype(np.float64))
-
-
-#: Result entries per float64 BLAS call in exact_product.  The products
-#: are thin (r + 1 <= 9 terms per entry), so a large one gains nothing
-#: from BLAS threads, and on a shared 2 vCPU host a dgemm split across
-#: them was measured to wait milliseconds per call; chunks this small run
-#: on the calling thread and keep each float64 temporary at 128 KiB.
-_PRODUCT_CHUNK = 2**14
-
-
-def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A @ B``, exact, for rows A from :func:`exact_rows` (at most shifted
-    by a class of small coefficients) and an operand B from
-    :func:`float_operand`.  An int64 A against a float64 B runs through
-    float64 BLAS in row chunks of about _PRODUCT_CHUNK result entries and
-    returns int64; any other pair runs on Python integers and returns an
-    object array."""
-    if B.dtype.kind == "f":
-        if A.dtype != object:
-            out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
-            step = max(1, _PRODUCT_CHUNK // max(1, B.shape[1]))
-            for i in range(0, A.shape[0], step):
-                out[i:i + step] = A[i:i + step] @ B  # matmul casts A to float64
-            return out
-        B = B.astype(np.int64)
-    return A.astype(object, copy=False) @ B
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr

@@ -29,17 +29,14 @@ representatives are compiled once into a straight-line kernel
 (:func:`_fold_kernel`): it reads every family's value off at most two
 prefix sums of b sorted descending, in plain Python integers, so a
 verdict is exact at any size and builds no array.  Every verdict and
-every effectivity pass runs it through :func:`_fold_values`;
-:func:`minimum_family_value_bulk` takes the same orbit minima for a
-block of rows in one product with the representatives (``orbit_floor``).
+every effectivity pass runs it through :func:`_fold_values`.
 
 Effectivity needs the negatively pairing curves themselves, and the
 same kernel finds them: each fold pass on the positive part built so far
 names the curve attaining its minimum, the minimizing family's
-representative (:func:`is_effective`).  The bulk :func:`pairing_matrix`
-pairs rows with the signed test-curve matrix cached on the
-:class:`SurfaceContext`; every array product is exact by the rule stated
-once in :mod:`delpezzo.lattice`.
+representative (:func:`is_effective`).  This module imports no numpy:
+the array forms of the pairing (``bulk.curve_operand``) and of the orbit
+minima (``bulk.orbit_floor``) are in :mod:`delpezzo.bulk`.
 
 Each family's closed form :meth:`InequalityFamily.evaluate`, which sorts
 positive and negative multiplicities separately, is kept as an
@@ -57,25 +54,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .lattice import (
     CurveTypePattern,
     LatticeMismatchError,
     PicardClass,
     RankError,
     SurfaceContext,
-    _check_rank,
     _genus,
     _same_rank,
     degree,
-    exact_product,
-    exact_rows,
-    float_operand,
     type_pattern,
     adjoint as adjoint_class,
 )
-from .enumeration import orbit_floor, surface_context
+from .enumeration import surface_context
 
 EXCEPTION_NONE = "none"
 EXCEPTION_MINUS_KK_S8 = "minus_kK_S8"
@@ -229,7 +220,8 @@ def _effectivity(
         if b1 >= 0:
             return True, EffectivityCertificate((), L)
         cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)))
-        assert cert.replay() == L
+        if cert.replay() != L:
+            raise RuntimeError(f"the certificate of {L} replays to another class")
         return True, cert
     # C, each curve with L.E, and T = L + sum (L.E) * E, one fold pass per
     # curve.  C holds e_i iff L.e_i = b_i < 0, and SurfaceContext pins the
@@ -282,7 +274,8 @@ def _effectivity(
             runs[0] = (runs[0][0], chain.pop()[1] + runs[0][1])
         chain += runs
     cert = EffectivityCertificate(tuple(chain), terminal)
-    assert cert.replay() == L
+    if cert.replay() != L:
+        raise RuntimeError(f"the certificate of {L} replays to another class")
     return True, cert
 
 
@@ -633,25 +626,3 @@ def f1_is_k_very_ample(a0: int, b: int, k: int) -> bool:
     """k-very ampleness in (a0, b) coordinates: a0 >= k and b >= a0 + k."""
     a0, b, k = operator.index(a0), operator.index(b), ampleness_level(k)
     return a0 >= k and b >= a0 + k
-
-
-# ---------------------------------------------------------------------------
-# Bulk (numpy) evaluation.  Rows are class vectors (a, b_1..b_r), int64
-# or Python integers as ``lattice.exact_rows`` decides.
-
-def pairing_matrix(coeffs: np.ndarray, ctx: SurfaceContext) -> np.ndarray:
-    """(N, m) intersection numbers of N class rows against the test curves.
-    No ``src`` path calls it; it is the bulk reference the tests compare against."""
-    rows = exact_rows(coeffs)
-    if rows.shape[1] != ctx.r + 1:
-        raise LatticeMismatchError(f"rows of width {rows.shape[1]} paired in rank-{ctx.r} context")
-    return exact_product(rows, ctx.curve_operand)
-
-
-def minimum_family_value_bulk(coeffs: np.ndarray) -> np.ndarray:
-    """Row-wise minimum over the inequality families, the rank read off the
-    row width: the smallest orbit floor against the families' representatives.
-    No ``src`` path calls it; it is the bulk reference the tests compare against."""
-    rows = exact_rows(coeffs)
-    reps = _family_table(_check_rank(rows.shape[1] - 1)).reps
-    return orbit_floor(rows, float_operand(np.array(reps, dtype=np.int64).T)).min(axis=1)

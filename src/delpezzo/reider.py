@@ -28,12 +28,12 @@ search of :mod:`delpezzo.enumeration` finds the non-increasing beta in
 the box, each representative is tested for effectivity once, and the
 table keeps one row per permutation orbit.  One window kernel then tests
 the candidates against N rows of M at once, in two stages.  First, the
-smallest M.D over each orbit (``enumeration.orbit_floor``) drops every
+smallest M.D over each orbit (``bulk.orbit_floor``) drops every
 orbit that no row can meet with M.D <= min(D.D + k + 1, 2k + 1), the top
 of the window for the orbit's D.D.  Second, only orbits that some row
 reaches are expanded, and the exact window runs on their classes against
 those rows.  A class that is a witness is certified effective once per
-table.  Every array product is exact by the rule of :mod:`delpezzo.lattice`.
+table.  Every array product is exact by the rule of :mod:`delpezzo.bulk`.
 
 ``search_obstructions`` runs the kernel on its one M and lists the
 witnesses in (a, b) order.  ``consistency_sweep`` runs it on blocks of
@@ -59,19 +59,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lattice import (
-    LatticeMismatchError,
-    PicardClass,
-    SurfaceContext,
-    _check_rank,
-    degree,
-    exact_product,
-    exact_rows,
-    float_operand,
-    line,
-    point_class,
-)
-from .enumeration import descending_vectors, expand_orbit, orbit_floor, orbit_sizes, surface_context
+from .bulk import curve_operand, exact_product, exact_rows, expand_orbit, float_operand, orbit_floor, orbit_sizes
+from .lattice import LatticeMismatchError, PicardClass, SurfaceContext, _check_rank, degree, line, point_class
+from .enumeration import descending_vectors, surface_context
 from .positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
@@ -239,7 +229,8 @@ class _CandidateTable:
             a, *b = coeffs
             D = PicardClass(a, tuple(b))
             effective, cert = is_effective(D, surface_context(D.r))
-            assert effective, f"candidate table let a non-effective class through: {D}"
+            if not effective:
+                raise RuntimeError(f"candidate table let a non-effective class through: {D}")
             hit = self.certified[coeffs] = (D, cert)
         return hit
 
@@ -274,7 +265,7 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
 
 def _window_hits(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple]:
     """Every (class, row) pair inside the window at level k for the N exact
-    rows M (see ``lattice.exact_rows``), grouped by orbit: one tuple
+    rows M (see ``bulk.exact_rows``), grouped by orbit: one tuple
     ``(o, C, ci, ri, md)`` per orbit o that has a hit, where C holds the
     orbit's class rows and hit j is class ``C[ci[j]]`` against row
     ``M[ri[j]]``, with M.D = ``md[j]``.
@@ -514,7 +505,7 @@ def _decide_block(
     L: np.ndarray, P: np.ndarray, k: int, ctx: SurfaceContext, table: _CandidateTable,
 ) -> tuple[tuple[int, ...], list[SweepViolation]]:
     """The sweep over one block of nef rows L, exact rows (see
-    ``lattice.exact_rows``) with their pairing rows P against the test
+    ``bulk.exact_rows``) with their pairing rows P against the test
     curves: the counts (applicable, passing, failing, exceptions,
     witnesses) and the violations, in row order.
     M = L + (-K) of a nef row is nef (-K pairs >= 1 with every test
@@ -642,6 +633,8 @@ def consistency_sweep(
         )
     if a_max < 0:
         raise ValueError(f"box bound a_max must be >= 0, got {a_max}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if sample is None:
         if _box_leaf_count(r, a_max, MAX_EXHAUSTIVE_LEAVES) > MAX_EXHAUSTIVE_LEAVES:
             raise ValueError(
@@ -654,8 +647,6 @@ def consistency_sweep(
         sample = operator.index(sample)
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
         if a_max > np.iinfo(np.int64).max:
             raise ValueError(f"sampled box a_max = {a_max} is past the int64 sampler's 2**63 - 1")
         blocks = _sample_blocks(r, a_max, seed)
@@ -666,7 +657,7 @@ def consistency_sweep(
     violations = []
     for block in blocks:
         L = exact_rows(block)
-        P = exact_product(L, ctx.curve_operand)
+        P = exact_product(L, curve_operand(r))
         nef = np.flatnonzero(P.min(axis=1) >= 0)
         if sample is not None:
             nef = nef[:sample - scanned]

@@ -30,11 +30,10 @@ from delpezzo.positivity import (
     f1_is_k_very_ample,
     is_effective,
     is_k_very_ample,
-    minimum_family_value_bulk,
     minimum_pairing,
-    pairing_matrix,
 )
 from delpezzo.reider import consistency_sweep
+from bulk_reference import minimum_family_value_bulk, pairing_matrix
 from test_cli import GOLDEN, MANIFEST, run_cli
 
 CENSUS = {

@@ -16,14 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delpezzo.bulk import SAFE_COEFF_BOUND, exact_rows, expand_orbit, float_operand, orbit_floor, orbit_sizes
 from delpezzo.lattice import (
-    SAFE_COEFF_BOUND,
     PicardClass,
     RankError,
     canonical_class,
     degree,
-    exact_rows,
-    float_operand,
     intersect,
     point_class,
     type_pattern,
@@ -35,9 +33,7 @@ from delpezzo.enumeration import (
     enumerate_exceptional,
     enumerate_null_classes,
     exceptional_type_census,
-    expand_orbit,
-    orbit_floor,
-    orbit_sizes,
+    orderings,
     surface_context,
 )
 from test_acceptance import CENSUS, NULL_ROWS, SPLIT_SHAPES, TOTALS
@@ -335,6 +331,8 @@ class TestSharedSearch:
             multinomial //= math.factorial(count)
         assert len(orbit) == multinomial
         assert orbit_sizes(rep[None, 1:]).tolist() == [len(orbit)]
+        # the pure-Python orderings of enumerate_exceptional: the same rows, in the same order
+        assert list(orderings(rep[1:].tolist())) == list(orderings(t)) == orbit
         # the expander keeps the dtype of the representative
         as_float = expand_orbit(rep.astype(np.float64))
         assert as_float.dtype == np.float64

@@ -31,20 +31,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delpezzo import enumeration, positivity
+from delpezzo import bulk, positivity
+from delpezzo.bulk import FLOAT_EXACT_BOUND, SAFE_COEFF_BOUND, exact_product, exact_rows, float_operand
 from delpezzo.lattice import (
-    FLOAT_EXACT_BOUND,
-    SAFE_COEFF_BOUND,
     LatticeMismatchError,
     PicardClass,
     RankError,
-    SurfaceContext,
     canonical_class,
     degree,
-    exact_product,
-    exact_rows,
     fiber_class,
-    float_operand,
     intersect,
     point_class,
     sectional_genus,
@@ -68,11 +63,10 @@ from delpezzo.positivity import (
     is_k_very_ample,
     is_nef,
     is_spanned,
-    minimum_family_value_bulk,
     minimum_pairing,
-    pairing_matrix,
 )
 from delpezzo.reider import _box_leaves, consistency_sweep, search_obstructions, window_applicable
+from bulk_reference import minimum_family_value_bulk, pairing_matrix
 
 # ---------------------------------------------------------------------------
 # Reference algorithms.
@@ -312,13 +306,10 @@ def refuse(*args):
 
 @contextlib.contextmanager
 def no_pairing_arrays():
-    """The context's pairing arrays and every exact product raise."""
+    """The test-curve operand and every bulk product raise."""
     with pytest.MonkeyPatch.context() as mp:
-        # a property is a data descriptor: it wins over a cached value
-        mp.setattr(SurfaceContext, "curve_matrix", property(refuse))
-        mp.setattr(SurfaceContext, "curve_operand", property(refuse))
-        for module in (enumeration, positivity):
-            mp.setattr(module, "exact_product", refuse)
+        for name in ("curve_operand", "exact_product", "float_operand"):
+            mp.setattr(bulk, name, refuse)
         yield
 
 
@@ -478,16 +469,14 @@ class TestPairingCore:
         curves = ctx.test_curves
         assert curves == ref_test_curves(ctx)
         L = PicardClass(7, tuple(range(ctx.r)))
-        assert (ctx.curve_matrix @ np.array([L.a, *L.b])).tolist() == [intersect(L, x) for x in curves]
+        assert (np.array([L.a, *L.b]) @ bulk.curve_operand(ctx.r)).tolist() == [intersect(L, x) for x in curves]
         # the sweep's premise: M = L + (-K) is nef whenever L is
         anticanonical = -canonical_class(ctx.r)
         assert min(intersect(anticanonical, x) for x in curves) >= 1
 
     def test_cached_arrays_are_read_only(self, ctx):
-        arrays = (ctx.curve_matrix, ctx.curve_operand)
-        for arr in arrays:
-            with pytest.raises(ValueError):
-                arr[0] = 0
+        with pytest.raises(ValueError):
+            bulk.curve_operand(ctx.r)[0] = 0
 
     def test_orbits_follow_the_families(self, ctx):
         fams = generate_inequality_families(ctx.r)
@@ -552,12 +541,12 @@ class TestFoldKernel:
 
     def test_table_builds_no_array(self, monkeypatch):
         for r in range(1, 9):
-            surface_context(r)  # warm: the contexts' own arrays are not the table's
+            surface_context(r)  # warm: only the tables are built under the patch
 
         def refuse(*args):
             raise RuntimeError("the family table built a bulk operand")
 
-        monkeypatch.setattr(positivity, "float_operand", refuse)
+        monkeypatch.setattr(bulk, "float_operand", refuse)
         positivity._family_table.cache_clear()
         try:
             tables = [positivity._family_table(r) for r in range(1, 9)]
@@ -665,9 +654,10 @@ class TestFloatRoute:
         r, rows = block
         ctx = surface_context(r)
         got = pairing_matrix(np.array(rows, dtype=np.int64), ctx)
-        assert ctx.curve_operand.dtype == np.float64  # the float route runs
+        operand = bulk.curve_operand(r)
+        assert operand.dtype == np.float64  # the float route runs
         assert got.dtype == np.int64
-        assert got.tolist() == (np.array(rows, dtype=object) @ ctx.curve_matrix.astype(object).T).tolist()
+        assert got.tolist() == (np.array(rows, dtype=object) @ operand.astype(np.int64).astype(object)).tolist()
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_pairing_matrix_at_every_corner(self, r):
@@ -710,7 +700,7 @@ class TestFloatRoute:
     def test_object_rows_against_a_float_operand(self):
         ctx = surface_context(8)
         row = np.array([[2**70 + 3] + [2**70] * 8], dtype=object)
-        got = exact_product(row, ctx.curve_operand)
+        got = exact_product(row, bulk.curve_operand(8))
         assert got.dtype == object
         L = PicardClass(2**70 + 3, (2**70,) * 8)
         assert got.tolist() == [[intersect(L, x) for x in ctx.test_curves]]

@@ -41,10 +41,9 @@ from delpezzo.positivity import (
     is_nef,
     is_spanned,
     minimum_pairing,
-    minimum_family_value_bulk,
-    pairing_matrix,
 )
 from delpezzo.reider import search_obstructions, window_applicable
+from bulk_reference import minimum_family_value_bulk, pairing_matrix
 from test_enumeration import quadratic_transformation
 
 coeff = st.integers(-12, 12)

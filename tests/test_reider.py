@@ -9,18 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from delpezzo.bulk import SAFE_COEFF_BOUND, exact_rows, float_operand, orbit_sizes
 from delpezzo.lattice import (
-    SAFE_COEFF_BOUND,
     LatticeMismatchError,
     PicardClass,
     canonical_class,
     degree,
-    exact_rows,
     intersect,
     line,
     point_class,
 )
-from delpezzo.enumeration import orbit_sizes, surface_context
+from delpezzo.enumeration import surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     exception_flag,
@@ -28,7 +27,6 @@ from delpezzo.positivity import (
     is_k_very_ample,
     is_nef,
     minimum_pairing,
-    pairing_matrix,
 )
 from delpezzo.reider import (
     MAX_EXHAUSTIVE_LEAVES,
@@ -46,6 +44,7 @@ from delpezzo.reider import (
     search_obstructions,
     window_applicable,
 )
+from bulk_reference import pairing_matrix
 from test_cli import GOLDEN
 
 
@@ -139,6 +138,18 @@ class TestBoxPremises:
             monkeypatch.undo()
             _assert_box_premises.cache_clear()  # keep nothing decided under the patch
         assert _assert_box_premises(3)
+
+    def test_table_refuses_a_non_effective_witness(self, monkeypatch):
+        import delpezzo.reider as reider
+
+        # a fresh table, so that no certificate is cached; the check raises
+        # under ``python -O`` too instead of caching (D, None)
+        table = _candidate_table(3, 1)
+        fresh = reider._CandidateTable(reps=table.reps, squares=table.squares, sizes=table.sizes)
+        monkeypatch.setattr(reider, "is_effective", lambda D, ctx: (False, None))
+        with pytest.raises(RuntimeError, match="let a non-effective class through: 1;1,0,0"):
+            fresh.witness((1, 1, 0, 0))
+        assert not fresh.certified
 
 
 class TestSearch:
@@ -755,16 +766,20 @@ class TestSweepViolations:
         kinds = self._compare(8, 1, 6)
         assert kinds == ["unexpected_witness"]
 
-    def test_context_blind_to_an_orbit(self):
+    def test_context_blind_to_an_orbit(self, monkeypatch):
         import dataclasses
 
+        import delpezzo.reider as reider
+
         # a context whose test curves e_i are replaced by -K, and so are
-        # its pairing rows: rows failing only against some e_i pass, with
-        # that e_i (D.D = -1) among their witnesses
+        # the sweep's pairing rows: rows failing only against some e_i pass,
+        # with that e_i (D.D = -1) among their witnesses
         ctx8 = surface_context(8)
         blind = dataclasses.replace(ctx8)
         blind.__dict__["test_curves"] = tuple(-ctx8.canonical if x.a == 0 else x for x in ctx8.test_curves)
-        assert blind.curve_matrix[0].tolist() == [3] + [-1] * 8
+        operand = float_operand(np.array([[x.a, *(-y for y in x.b)] for x in blind.test_curves]).T)
+        assert operand[:, 0].tolist() == [3] + [-1] * 8
+        monkeypatch.setattr(reider, "curve_operand", lambda r: operand)
         kinds = self._compare(8, 1, 4, blind)
         assert {"unexpected_witness", "nonpositive_square_witness"} <= set(kinds)
 
@@ -851,6 +866,7 @@ class TestConsistencySweep:
             (8, 0, 0, "sample must be >= 1, got 0"),
             (8, -4, 0, "sample must be >= 1, got -4"),
             (8, 5, -1, "seed must be >= 0, got -1"),
+            (6, None, -1, "seed must be >= 0, got -1"),
             (10**19, 3, 0, "a_max = 10000000000000000000 is past the int64 sampler"),
         ],
     )

@@ -1,0 +1,43 @@
+"""Rules on the package source, read with ``ast``: which modules may use
+numpy, and that no internal check is an ``assert`` (which ``python -O``
+strips)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "delpezzo"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every module ``path`` imports, absolute (``numpy``) or relative to the
+    package (``delpezzo.bulk``), at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "delpezzo." * bool(node.level) + (node.module or "")
+            names.add(base.rstrip("."))
+            names.update(f"{base}{alias.name}" for alias in node.names if base == "delpezzo.")
+    return names
+
+
+def test_numpy_stays_behind_bulk():
+    assert {"bulk.py", "lattice.py", "reider.py"} <= {p.name for p in MODULES}
+    for path in MODULES:
+        imports = imported_modules(path)
+        if path.name not in ("bulk.py", "reider.py"):
+            assert not any(name == "numpy" or name.startswith("numpy.") for name in imports), path.name
+        if path.stem in ("lattice", "enumeration", "positivity", "cli", "tables"):
+            assert "delpezzo.bulk" not in imports, path.name
+
+
+def test_no_assert_in_src():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
