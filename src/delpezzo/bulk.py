@@ -21,14 +21,13 @@ of a rank as a product operand.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
-from .enumeration import surface_context
+from .enumeration import orderings, surface_context
 
 #: Coefficient magnitude up to which the array routines use int64; larger
 #: inputs are computed exactly on Python integers instead.  The scalar
@@ -116,32 +115,9 @@ def curve_operand(r: int) -> np.ndarray:
 
 def expand_orbit(rep: np.ndarray) -> np.ndarray:
     """The S_r orbit of the row ``rep`` = (a; b), b non-increasing: one row
-    (a; b') per distinct ordering b' of b, in ascending (a, b) order and in
-    the dtype of ``rep``."""
-    runs = tuple(len(list(run)) for _, run in itertools.groupby(rep[1:].tolist()))
-    return rep[_orbit_index(runs)]
-
-
-@lru_cache(maxsize=None)
-def _orbit_index(runs: tuple[int, ...]) -> np.ndarray:
-    """Column indices that expand a representative (a; b), with b
-    non-increasing in runs of equal entries of these lengths, into its
-    orbit: ``rep[index]`` lists each distinct ordering of b once, in
-    ascending (a, b) order.
-
-    Built one coordinate at a time: each partial row is continued once per
-    value it has left, smallest value first."""
-    left = np.array([runs[::-1]])  # copies left of each value, smallest first
-    value = np.empty((1, 0), dtype=np.intp)
-    for _ in range(sum(runs)):
-        parent, v = np.nonzero(left)
-        left = left[parent]
-        left[np.arange(len(parent)), v] -= 1
-        value = np.column_stack([value[parent], v])
-    # the representative holds its largest value first, from column 1
-    column = 1 + np.cumsum((0, *runs[:-1]))[::-1]
-    index = np.column_stack([np.zeros(len(value), dtype=np.intp), column[value]])
-    return _read_only(index.astype(np.int8))  # cached per shape for the whole process
+    (a; b') per distinct ordering b' of b (:func:`orderings`), in ascending
+    (a, b) order and in the dtype of ``rep``."""
+    return np.array([(rep[0], *b) for b in orderings(rep[1:].tolist())], dtype=rep.dtype)
 
 
 def orbit_sizes(b: np.ndarray) -> np.ndarray:

@@ -618,7 +618,10 @@ def consistency_sweep(
     int64 sampler (``a_max`` above 2**63 - 1) raise ValueError; a k,
     ``a_max``, ``sample`` or ``seed`` that is not an integer raises
     TypeError, a rank that is not an integer in 1..8 raises RankError, and
-    a ``ctx`` of another rank raises LatticeMismatchError.
+    a ``ctx`` of another rank raises LatticeMismatchError.  A ``ctx`` must
+    be ``surface_context(r)``: the pairing rows always pair against that
+    context's test curves (``curve_operand(r)``), while the canonical class
+    and exceptional set come from ``ctx``.
     """
     r = _check_rank(r)
     if ctx is None:

@@ -331,7 +331,7 @@ class TestSharedSearch:
             multinomial //= math.factorial(count)
         assert len(orbit) == multinomial
         assert orbit_sizes(rep[None, 1:]).tolist() == [len(orbit)]
-        # the pure-Python orderings of enumerate_exceptional: the same rows, in the same order
+        # the orderings behind the expander do not depend on the order of their input
         assert list(orderings(rep[1:].tolist())) == list(orderings(t)) == orbit
         # the expander keeps the dtype of the representative
         as_float = expand_orbit(rep.astype(np.float64))

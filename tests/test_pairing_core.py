@@ -12,7 +12,6 @@ for the greedy to replay are checked against the decomposition itself
 (``assert_zariski_certificate``).
 """
 
-import contextlib
 import copy
 import dataclasses
 import itertools
@@ -304,15 +303,6 @@ def refuse(*args):
     raise AssertionError("refused call")
 
 
-@contextlib.contextmanager
-def no_pairing_arrays():
-    """The test-curve operand and every bulk product raise."""
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("curve_operand", "exact_product", "float_operand"):
-            mp.setattr(bulk, name, refuse)
-        yield
-
-
 def public_report(report):
     """``report`` rebuilt, down to its classes and certificate, through the
     public dataclass constructors."""
@@ -437,31 +427,30 @@ class TestPackageBuiltRecords:
 
 class TestVerdictsBuildNoPairingVector:
     """The verdicts, effectivity included, are read off the folded
-    inequalities: with the pairing arrays and exact products refused, every
-    report, certificate and minimum pairing stands."""
+    inequalities, and every report, certificate and minimum pairing matches
+    the reference.  That they build no pairing array is a rule of the
+    source: positivity imports neither numpy nor bulk
+    (test_numpy_stays_behind_bulk in test_source_rules)."""
 
     @given(ranked(nef_classes), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_nef_report(self, L, k):
         ctx = surface_context(L.r)
-        with no_pairing_arrays():
-            assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
+        assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
 
     @given(any_class | ranked(exceptional_multiples), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_effectivity_and_report(self, L, k):
         # mostly classes that are not nef, effective or not
         ctx = surface_context(L.r)
-        with no_pairing_arrays():
-            assert is_effective(L, ctx) == ref_is_effective(L, ctx)
-            assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
+        assert is_effective(L, ctx) == ref_is_effective(L, ctx)
+        assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
 
     @given(any_class)
     @settings(max_examples=200, deadline=None)
     def test_minimum_pairing(self, L):
         ctx = surface_context(L.r)
-        with no_pairing_arrays():
-            assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
+        assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
 
 
 class TestPairingCore:
@@ -539,19 +528,11 @@ class TestFoldKernel:
         if r == 8:  # 6a - S_1 - 2 S_8 for (6; 3, 2^7)
             assert positivity._family_table(8).reps[-1] == (6, 3, *[2] * 7) and weights[-1] == 2
 
-    def test_table_builds_no_array(self, monkeypatch):
-        for r in range(1, 9):
-            surface_context(r)  # warm: only the tables are built under the patch
-
-        def refuse(*args):
-            raise RuntimeError("the family table built a bulk operand")
-
-        monkeypatch.setattr(bulk, "float_operand", refuse)
+    def test_table_builds_no_array(self):
+        # positivity imports neither numpy nor bulk (test_numpy_stays_behind_bulk),
+        # so a freshly built table can hold Python integers only
         positivity._family_table.cache_clear()
-        try:
-            tables = [positivity._family_table(r) for r in range(1, 9)]
-        finally:
-            positivity._family_table.cache_clear()  # keep nothing built under the patch
+        tables = [positivity._family_table(r) for r in range(1, 9)]
         for r, table in enumerate(tables, 1):
             assert table._fields == ("families", "reps", "labels", "kernel")
             assert all(type(x) is int for rep in table.reps for x in rep) and len(table.reps[0]) == r + 1
