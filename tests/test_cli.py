@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,24 @@ GOLDEN = Path(__file__).parent / "golden"
 # one "golden argv..." line per CLI golden: criterion 9 diffs each line in
 # process, and CI runs each line cold and diffs it
 MANIFEST = [(golden, argv) for golden, *argv in map(str.split, (GOLDEN / "MANIFEST").read_text().splitlines())]
+
+# A child that makes numpy unimportable before anything loads, then runs
+# each argv of the JSON list in sys.argv[2] through main against the
+# package in sys.argv[1], and prints each exit code and stdout.
+NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+sys.path.insert(0, sys.argv[1])
+import delpezzo
+from delpezzo import consistency_sweep
+from delpezzo.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({"runs": runs, "bulk_loaded": "delpezzo.bulk" in sys.modules}))
+"""
 
 # small entries (zeros often, so b = 0 too) and entries past 2**63 of either sign
 coeff = st.integers(-3, 3) | st.integers(-99, 99) | st.integers(2**63, 2**66) | st.integers(-2**66, -2**63)
@@ -349,3 +369,20 @@ class TestGoldenManifest:
         assert text.endswith("\n") and text.isascii() and text.replace("\n", "").isprintable()
         for golden, argv in MANIFEST:
             assert argv and not set("".join(argv)) & set("*?["), golden
+
+    def test_every_command_but_verify_runs_without_numpy(self):
+        # only verify needs arrays: the package root, its exports and the
+        # other commands load neither numpy nor delpezzo.bulk
+        goldens = [(golden, argv) for golden, argv in MANIFEST if argv[0] != "verify"]
+        listings = [["exceptional", "--r", "8", "--list"], ["exceptional", "--r", "8", "--types"],
+                    ["null-classes", "--r", "8"]]
+        argvs = [argv for _, argv in goldens] + listings
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD, src, json.dumps(argvs)],
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0 and child.stderr == "", child.stderr
+        report = json.loads(child.stdout)
+        for (golden, _), (_, out) in zip(goldens, report["runs"]):
+            assert out.encode() == (GOLDEN / golden).read_bytes(), golden
+        assert [code for code, _ in report["runs"][len(goldens):]] == [0] * len(listings)
+        assert len(report["runs"]) == len(argvs) and not report["bulk_loaded"]

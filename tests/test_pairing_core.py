@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delpezzo import bulk, positivity
-from delpezzo.bulk import FLOAT_EXACT_BOUND, SAFE_COEFF_BOUND, exact_product, exact_rows, float_operand
+from delpezzo.bulk import FLOAT_EXACT_BOUND, SAFE_COEFF_BOUND, _box_leaves, exact_product, exact_rows, float_operand
 from delpezzo.lattice import (
     LatticeMismatchError,
     PicardClass,
@@ -64,7 +64,7 @@ from delpezzo.positivity import (
     is_spanned,
     minimum_pairing,
 )
-from delpezzo.reider import _box_leaves, consistency_sweep, search_obstructions, window_applicable
+from delpezzo.reider import consistency_sweep, search_obstructions, window_applicable
 from bulk_reference import minimum_family_value_bulk, pairing_matrix
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delpezzo.bulk import SAFE_COEFF_BOUND, exact_rows, float_operand, orbit_sizes
+from delpezzo.bulk import (
+    SAFE_COEFF_BOUND,
+    _box_leaves,
+    _candidate_table,
+    _decide_block,
+    _window_hits,
+    _witness_rows,
+    exact_rows,
+    float_operand,
+    orbit_sizes,
+)
 from delpezzo.lattice import (
     LatticeMismatchError,
     PicardClass,
@@ -35,11 +45,6 @@ from delpezzo.reider import (
     SweepViolation,
     _assert_box_premises,
     _box_leaf_count,
-    _box_leaves,
-    _candidate_table,
-    _decide_block,
-    _window_hits,
-    _witness_rows,
     consistency_sweep,
     search_obstructions,
     window_applicable,
@@ -140,13 +145,13 @@ class TestBoxPremises:
         assert _assert_box_premises(3)
 
     def test_table_refuses_a_non_effective_witness(self, monkeypatch):
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
         # a fresh table, so that no certificate is cached; the check raises
         # under ``python -O`` too instead of caching (D, None)
         table = _candidate_table(3, 1)
-        fresh = reider._CandidateTable(reps=table.reps, squares=table.squares, sizes=table.sizes)
-        monkeypatch.setattr(reider, "is_effective", lambda D, ctx: (False, None))
+        fresh = bulk._CandidateTable(reps=table.reps, squares=table.squares, sizes=table.sizes)
+        monkeypatch.setattr(bulk, "is_effective", lambda D, ctx: (False, None))
         with pytest.raises(RuntimeError, match="let a non-effective class through: 1;1,0,0"):
             fresh.witness((1, 1, 0, 0))
         assert not fresh.certified
@@ -525,7 +530,7 @@ class TestFoldedWindow:
                 assert is_effective(D, surface_context(r)) == (True, cert)
 
     def test_repeated_search_certifies_no_row_again(self, monkeypatch):
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
         ctx8 = surface_context(8)
         first = search_obstructions(-2 * canonical_class(8), 1, ctx8)
@@ -534,7 +539,7 @@ class TestFoldedWindow:
         def refuse(L, ctx):
             raise AssertionError(f"{L} certified twice")
 
-        monkeypatch.setattr(reider, "is_effective", refuse)
+        monkeypatch.setattr(bulk, "is_effective", refuse)
         again = search_obstructions(-2 * canonical_class(8), 1, ctx8)
         assert again.as_dict() == first.as_dict()
 
@@ -739,29 +744,29 @@ class TestSweepViolations:
         return [v.kind for v in got.violations]
 
     def test_dropped_orbit(self, monkeypatch):
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
         # without the orbit of the e_i, rows with some b_i = 0 (L.e_i < 1)
         # lose those witnesses, and some rows lose every witness
         table = _candidate_table(8, 1)
         keep = np.array([rep != [0] * 8 + [-1] for rep in table.reps.tolist()])
         assert not keep.all()
-        faulty = reider._CandidateTable(
+        faulty = bulk._CandidateTable(
             reps=table.reps[keep], squares=table.squares[keep], sizes=table.sizes[keep])
-        monkeypatch.setattr(reider, "_candidate_table", lambda r, k: faulty)
+        monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: faulty)
         kinds = self._compare(8, 1, 4)
         assert {"missing_witness", "missing_exceptional_witness"} <= set(kinds)
 
     def test_exception_flag_forced_to_none(self, monkeypatch):
         import sys
 
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
         # -2K at rank 8 then counts as 1-very ample, with the witness -K
         def none(L, k, ctx):
             return EXCEPTION_NONE
 
-        monkeypatch.setattr(reider, "exception_flag", none)
+        monkeypatch.setattr(bulk, "exception_flag", none)
         monkeypatch.setattr(sys.modules[__name__], "exception_flag", none)
         kinds = self._compare(8, 1, 6)
         assert kinds == ["unexpected_witness"]
@@ -769,7 +774,7 @@ class TestSweepViolations:
     def test_context_blind_to_an_orbit(self, monkeypatch):
         import dataclasses
 
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
         # a context whose test curves e_i are replaced by -K, and so are
         # the sweep's pairing rows: rows failing only against some e_i pass,
@@ -779,7 +784,7 @@ class TestSweepViolations:
         blind.__dict__["test_curves"] = tuple(-ctx8.canonical if x.a == 0 else x for x in ctx8.test_curves)
         operand = float_operand(np.array([[x.a, *(-y for y in x.b)] for x in blind.test_curves]).T)
         assert operand[:, 0].tolist() == [3] + [-1] * 8
-        monkeypatch.setattr(reider, "curve_operand", lambda r: operand)
+        monkeypatch.setattr(bulk, "curve_operand", lambda r: operand)
         kinds = self._compare(8, 1, 4, blind)
         assert {"unexpected_witness", "nonpositive_square_witness"} <= set(kinds)
 
@@ -813,11 +818,11 @@ class TestConsistencySweep:
         # the array verdicts flag no row of a consistent box, so no witness
         # list is built: a filter that flagged too many rows would cost
         # only time, and the summary would still be ok
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
         calls = []
-        row_violations = reider._row_violations
-        monkeypatch.setattr(reider, "_row_violations", lambda *args: calls.append(args) or row_violations(*args))
+        row_violations = bulk._row_violations
+        monkeypatch.setattr(bulk, "_row_violations", lambda *args: calls.append(args) or row_violations(*args))
         assert consistency_sweep(r, k, 12).ok
         assert len(calls) == 0
 
@@ -840,20 +845,20 @@ class TestConsistencySweep:
         assert summary.ok, summary.render()
 
     def test_exhaustive_cap_threshold(self, monkeypatch):
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
         assert _box_leaf_count(8, 20) == 238_238 <= MAX_EXHAUSTIVE_LEAVES
         assert _box_leaf_count(8, 21) == 325_754 > MAX_EXHAUSTIVE_LEAVES
 
         # box 20 passes the cap: with no leaves built, its sweep scans nothing
-        monkeypatch.setattr(reider, "_box_leaves", lambda r, a_max: np.empty((0, r + 1), dtype=np.int64))
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: np.empty((0, r + 1), dtype=np.int64))
         assert consistency_sweep(8, 1, 20).scanned == 0
 
         # bigger boxes are refused before any leaf is built, however large
         def unbuilt(r, a_max):
             raise AssertionError(f"built the leaves of box {a_max}")
 
-        monkeypatch.setattr(reider, "_box_leaves", unbuilt)
+        monkeypatch.setattr(bulk, "_box_leaves", unbuilt)
         for a_max in (21, 200, 10**18):
             with pytest.raises(ValueError, match=f"a <= {a_max} at rank 8 has more than 250000 .*sample"):
                 consistency_sweep(8, 1, a_max)

@@ -9,11 +9,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "delpezzo"
 MODULES = sorted(SRC.glob("*.py"))
 
 
-def imported_modules(path: Path) -> set[str]:
+def imported_modules(path: Path, module_level: bool = False) -> set[str]:
     """Every module ``path`` imports, absolute (``numpy``) or relative to the
-    package (``delpezzo.bulk``), at any depth of its code."""
+    package (``delpezzo.bulk``), at any depth of its code, or with
+    ``module_level`` outside every function body (what importing runs)."""
+
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if not (module_level and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))):
+                yield child
+                yield from walk(child)
+
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -27,8 +35,11 @@ def test_numpy_stays_behind_bulk():
     assert {"bulk.py", "lattice.py", "reider.py"} <= {p.name for p in MODULES}
     for path in MODULES:
         imports = imported_modules(path)
-        if path.name not in ("bulk.py", "reider.py"):
+        if path.name != "bulk.py":
             assert not any(name == "numpy" or name.startswith("numpy.") for name in imports), path.name
+        # bulk is loaded inside the functions that need arrays, so that the
+        # package root and every command but verify start without numpy
+        assert "delpezzo.bulk" not in imported_modules(path, module_level=True), path.name
         if path.stem in ("lattice", "enumeration", "positivity", "cli", "tables"):
             assert "delpezzo.bulk" not in imports, path.name
 
