@@ -21,19 +21,17 @@ them, and :func:`orbit_floor` takes the smallest pairing of many rows
 with each of many orbits.  :func:`curve_operand` holds the test curves
 of a rank as a product operand.
 
-The window engine of :mod:`delpezzo.reider` runs here.  The
-(alpha; beta) scan with the box prunes depends only on (r, k), so it
-runs once per pair and is cached: per alpha, the shared sorted-vector
-search of :mod:`delpezzo.enumeration` finds the non-increasing beta in
-the box, each representative is tested for effectivity once, and the
-table keeps one row per permutation orbit.  One window kernel then tests
-the candidates against N rows of M at once, in two stages.  First, the
-smallest M.D over each orbit (:func:`orbit_floor`) drops every
+The window engine of :mod:`delpezzo.reider` runs here and reports nothing.
+The candidate table depends only on (r, k), so it is built once per pair
+and cached: it keeps the effective classes among the orbit representatives
+of :func:`~delpezzo.enumeration.window_candidates`.  One window kernel
+then tests the candidates against N rows of M at once, in two stages.
+First, the smallest M.D over each orbit (:func:`orbit_floor`) drops every
 orbit that no row can meet with M.D <= min(D.D + k + 1, 2k + 1), the top
 of the window for the orbit's D.D.  Second, only orbits that some row
 reaches are expanded, and the exact window runs on their classes against
-those rows.  A class that is a witness is certified effective once per
-table.
+those rows.  A sweep counts the witnesses of each row and certifies none;
+:mod:`delpezzo.reider` words the rows it flags.
 """
 
 from __future__ import annotations
@@ -48,9 +46,8 @@ from math import comb, factorial
 import numpy as np
 
 from .lattice import PicardClass, SurfaceContext
-from .enumeration import descending_vectors, orderings, surface_context
-from .positivity import EXCEPTION_NONE, EffectivityCertificate, exception_flag, is_effective
-from .reider import SweepViolation, _assert_box_premises, _box_bounds
+from .enumeration import orderings, surface_context, window_candidates
+from .positivity import EXCEPTION_NONE, exception_flag, is_effective
 
 #: Coefficient magnitude up to which the array routines use int64; larger
 #: inputs are computed exactly on Python integers instead.  The scalar
@@ -166,28 +163,20 @@ def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
     return exact_product(np.column_stack([rows[:, 0], np.sort(-rows[:, 1:], axis=1)]), operand)
 
 
-def _as_class(row: Iterable[int]) -> PicardClass:
-    a, *b = row
-    return PicardClass(a, tuple(b))
-
-
 @dataclass(frozen=True)
 class _CandidateTable:
     """Every effective class in the (r, k) box that could sit in a window:
     (-K).D in [1, 2k+1] and -k <= D.D <= k, held as one row per S_r orbit.
 
-    Built from one sorted-vector search per alpha and one effectivity test
-    per representative.  Only orbits that reach the window are expanded,
-    each once (``expanded``, keyed by orbit index), as rows of the table's
-    product operand; ``certified`` keeps each witness class with its
-    certificate, keyed by its coefficients.
+    Only orbits that reach the window are expanded, each once
+    (``expanded``, keyed by orbit index), as rows of the table's product
+    operand.
     """
 
     reps: np.ndarray  # (n, r+1) orbit representatives (alpha, beta), beta non-increasing
     squares: np.ndarray  # (n,) self-intersection of each orbit's classes
     sizes: np.ndarray  # (n,) number of classes in each orbit
     expanded: dict = field(default_factory=dict, compare=False, repr=False)
-    certified: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def exceptional(self) -> np.ndarray:  # orbits of exceptional classes: D.D = -1 = K.D
@@ -213,36 +202,19 @@ class _CandidateTable:
             rows = self.expanded[o] = expand_orbit(self.operand.T[o])
         return rows
 
-    def witness(self, coeffs: tuple[int, ...]) -> tuple[PicardClass, EffectivityCertificate]:
-        """The class (a, *b) = ``coeffs`` and its own certificate (the
-        certificate orders tied negative curves by first index, so a
-        permuted representative's certificate would differ), against the
-        context that admitted it."""
-        hit = self.certified.get(coeffs)
-        if hit is None:
-            D = _as_class(coeffs)
-            effective, cert = is_effective(D, surface_context(D.r))
-            if not effective:
-                raise RuntimeError(f"candidate table let a non-effective class through: {D}")
-            hit = self.certified[coeffs] = (D, cert)
-        return hit
-
 
 @lru_cache(maxsize=None)
 def _candidate_table(r: int, k: int) -> _CandidateTable:
     ctx = surface_context(r)
-    _assert_box_premises(r)
-    alpha_max, beta_min = _box_bounds(k)
-    reps = []
-    for alpha in range(0, alpha_max + 1):
-        # (-K).D = 3*alpha - sum(beta) in [1, 2k+1] and |D.D| <= k
-        found = descending_vectors(
-            r, beta_min, alpha, 3 * alpha - (2 * k + 1), 3 * alpha - 1,
-            alpha * alpha - k, alpha * alpha + k,
-        )
-        # Effectivity is invariant under coordinate permutations (the
-        # exceptional set is permutation-closed), so test the orbit once.
-        reps.extend((alpha, *b) for b in found if is_effective(PicardClass(alpha, b), ctx)[0])
+    # Riemann-Roch: D.D + (-K).D >= 0 gives h^0(D) >= chi(D) >= 1, as
+    # h^2(D) = h^0(K - D) = 0: (K - D).l = -3 - alpha < 0 and l is nef.  The
+    # other candidates are tested once per orbit: effectivity is invariant
+    # under coordinate permutations (the exceptional set is permutation-closed).
+    reps = [
+        (alpha, *b) for alpha, b in window_candidates(r, k)
+        if alpha * alpha - sum(x * x for x in b) + 3 * alpha - sum(b) >= 0
+        or is_effective(PicardClass(alpha, b), ctx)[0]
+    ]
     rows = np.array(reps, dtype=np.int64).reshape(len(reps), r + 1)
     return _CandidateTable(
         reps=rows,
@@ -344,17 +316,18 @@ def _row_counts(parts: list[np.ndarray], n: int) -> np.ndarray:
 
 def _decide_block(
     L: np.ndarray, P: np.ndarray, k: int, ctx: SurfaceContext, table: _CandidateTable,
-) -> tuple[tuple[int, ...], list[SweepViolation]]:
+) -> tuple[tuple[int, ...], list[tuple[PicardClass, bool, list[PicardClass]]]]:
     """The sweep over one block of nef rows L, exact rows (see
     :func:`exact_rows`) with their pairing rows P against the test
     curves: the counts (applicable, passing, failing, exceptions,
-    witnesses) and the violations, in row order.
+    witnesses) and the flagged rows in row order, each as its class, its
+    pass flag and the exceptional classes it pairs below k.
     M = L + (-K) of a nef row is nef (-K pairs >= 1 with every test
     curve), so its premise is M.M >= 4k + 5 alone.
 
     Every verdict is an array comparison.  Python runs once per orbit that
-    some row reaches, once per distinct witness class (certified once per
-    table), and once per row that is a multiple of -K or breaks a rule.
+    some row reaches and once per row that is a multiple of -K or is
+    flagged; a consistent block flags no row.
     """
     K = ctx.canonical
     M = L - np.array([K.a, *K.b], dtype=np.int64)
@@ -365,18 +338,17 @@ def _decide_block(
     low = P < k  # the exceptional classes come first among the test curves
 
     hit_rows, exceptional_hits = [], []
-    for o, C, ci, ri, md in _window_hits(table, M, k):
+    for o, _, _, ri, md in _window_hits(table, M, k):
         hit_rows.append(ri)
         if table.exceptional[o]:
             exceptional_hits.append(ri[md - 1 < k])  # L.x = M.x - (-K).x = M.x - 1
-        for row in C[np.bincount(ci).nonzero()[0]].astype(np.int64).tolist():
-            table.witness(tuple(row))
     witnesses = _row_counts(hit_rows, n)
     # Each exceptional class x with L.x < k sits in the window (M.x <= k,
     # x.x = -1), and those hits are the exceptional ones with L.x < k; so a
     # row misses one of them exactly when it has fewer such hits than
     # violating exceptional classes.
-    missing_exc = _row_counts(exceptional_hits, n) < low[:, :len(ctx.exceptional_set)].sum(axis=1)
+    exc = ctx.exceptional_set
+    missing_exc = _row_counts(exceptional_hits, n) < low[:, :len(exc)].sum(axis=1)
 
     passes = ~low.any(axis=1)
     # An exception class is a multiple (3m; m, ..., m) of -K.  It satisfies
@@ -386,46 +358,22 @@ def _decide_block(
     exception = np.zeros(n, dtype=bool)
     multiple = passes & (L[:, 0] == 3 * L[:, 1]) & (L[:, 1:] == L[:, 1:2]).all(axis=1)
     for i in np.flatnonzero(multiple).tolist():
-        exception[i] = exception_flag(_as_class(L[i].tolist()), k, ctx) != EXCEPTION_NONE
+        exception[i] = exception_flag(-int(L[i, 1]) * K, k, ctx) != EXCEPTION_NONE
     passing = passes & ~exception
     # A k-very-ample class may have no witness at all, so none with D.D <= 0
     # either; a failing one needs a witness and each violating exceptional class.
     flagged = (passing & (witnesses > 0)) | (~passes & ((witnesses == 0) | missing_exc))
-    violations = []
+    flagged_rows = []
     for i in np.flatnonzero(flagged).tolist():
-        L_i = _as_class(L[i].tolist())
-        violations += _row_violations(L_i, M[i:i + 1], low[i], bool(passing[i]), k, ctx, table)
+        below = [exc[j] for j in np.flatnonzero(low[i, :len(exc)]).tolist()]
+        flagged_rows.append((PicardClass(L[i, 0], tuple(L[i, 1:].tolist())), bool(passing[i]), below))
     counts = (n, int(passing.sum()), int((~passes).sum()), int(exception.sum()), int(witnesses.sum()))
-    return counts, violations
-
-
-def _row_violations(
-    L: PicardClass, M: np.ndarray, low: np.ndarray, passing: bool, k: int, ctx: SurfaceContext,
-    table: _CandidateTable,
-) -> list[SweepViolation]:
-    """The violations of one flagged row (M as one exact row, ``low`` its
-    test curves that pair below k), worded from its witness list in (a, b)
-    order and, for a failing row, the exceptional classes in ``low``."""
-    witnesses = _witness_rows(table, M, k)
-    if passing:
-        unexpected = SweepViolation(L, "unexpected_witness", f"k-very ample but has {len(witnesses)} witnesses")
-        return [unexpected] + [
-            SweepViolation(L, "nonpositive_square_witness", f"witness {_as_class(row)} with D.D = {d2}")
-            for row, _, d2 in witnesses if d2 <= 0
-        ]
-    if not witnesses:
-        return [SweepViolation(L, "missing_witness", "fails the pairing test but has no witnesses")]
-    found = {tuple(row) for row, _, _ in witnesses}
-    exc = ctx.exceptional_set
-    return [
-        SweepViolation(L, "missing_exceptional_witness", f"violating class {exc[i]} absent from the witness list")
-        for i in np.flatnonzero(low[:len(exc)]).tolist() if (exc[i].a, *exc[i].b) not in found
-    ]
+    return counts, flagged_rows
 
 
 def sweep_blocks(
     blocks: Iterable[np.ndarray], k: int, ctx: SurfaceContext, sample: int | None,
-) -> tuple[int, int, list[int], list[SweepViolation]]:
+) -> tuple[int, int, list[int], list[tuple[PicardClass, bool, list[PicardClass]]]]:
     """The block loop of ``consistency_sweep`` at level k.  Each block of
     candidate rows is converted to exact rows and paired once with
     ``curve_operand(ctx.r)``; its pairing rows keep the nef rows and give
@@ -433,11 +381,11 @@ def sweep_blocks(
     each row pairs below k, and one orbit-floor product finds the
     candidate orbits that reach each row's window.  With ``sample`` the
     loop stops after that many nef rows.  Returns scanned, covered, the
-    five totals of :func:`_decide_block` and the violations in row order."""
+    five totals and the flagged rows of :func:`_decide_block`, in row order."""
     table = _candidate_table(ctx.r, k)
     scanned = covered = 0
     totals = [0] * 5
-    violations = []
+    flagged = []
     for block in blocks:
         L = exact_rows(block)
         P = exact_product(L, curve_operand(ctx.r))
@@ -450,7 +398,7 @@ def sweep_blocks(
         # a box leaf decides its whole permutation orbit
         covered += len(rows) if sample is not None else int(orbit_sizes(rows[:, 1:]).sum())
         totals = [t + c for t, c in zip(totals, counts)]
-        violations += found
+        flagged += found
         if scanned == sample:
             break
-    return scanned, covered, totals, violations
+    return scanned, covered, totals, flagged

@@ -24,7 +24,8 @@ are in :mod:`delpezzo.bulk`; this module imports no numpy.
 
 * window candidates for :mod:`delpezzo.reider`: ``(-K).D`` in
   ``[1, 2k+1]`` and ``|D.D| <= k``, i.e. ``sum(b)`` in
-  ``[3a - 2k - 1, 3a - 1]`` and ``sum(b^2)`` in ``[a^2 - k, a^2 + k]``.
+  ``[3a - 2k - 1, 3a - 1]`` and ``sum(b^2)`` in ``[a^2 - k, a^2 + k]``,
+  in the box of :func:`window_box`, listed by :func:`window_candidates`.
 
 Results are returned in a canonical sort order, so any internal
 parallel partitioning of the search space could not change the output.
@@ -90,6 +91,23 @@ def descending_vectors(length, lo, hi, s_lo, s_hi, q_lo, q_hi) -> list[tuple[int
 
     rec(length, hi, s_lo, s_hi, q_hi)
     return out
+
+
+def window_box(k: int) -> tuple[int, int]:
+    """alpha_max and beta_min of the window box at level k, by steps (ii)
+    and (iv) of the box derivation in :mod:`delpezzo.reider`."""
+    return 6 * (2 * k + 1), -(2 * k + 1)
+
+
+def window_candidates(r: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each (alpha, beta), beta non-increasing, of the window box at level
+    k with (-K).D in [1, 2k+1] and |D.D| <= k: one per S_r orbit, alpha
+    ascending, then beta descending.  Effectivity is not tested."""
+    alpha_max, beta_min = window_box(k)
+    for alpha in range(alpha_max + 1):
+        s_hi, q = 3 * alpha - 1, alpha * alpha
+        for beta in descending_vectors(r, beta_min, alpha, s_hi - 2 * k, s_hi, q - k, q + k):
+            yield alpha, beta
 
 
 def orderings(values) -> Iterator[tuple[int, ...]]:

@@ -22,13 +22,15 @@ Box derivation, recorded in each outcome (valid for nef L):
   (v)   the window itself pins 2*D.D < M.D < 2k + 2 and
         D.D >= M.D - k - 1 >= -k, i.e. -k <= D.D <= k.
 
-The candidate table of the box and the window kernel live in
-:mod:`delpezzo.bulk`, the package's one numpy module, which this module
-imports inside its two entry points only, so that the package root
-imports no numpy.  ``search_obstructions`` runs the kernel on its one M
-and lists the witnesses in (a, b) order.  ``consistency_sweep`` checks
-its arguments here and has ``bulk.sweep_blocks`` decide blocks of box
-rows with array operations, counting witnesses instead of listing them.
+The box search is :func:`~delpezzo.enumeration.window_candidates`; the
+candidate table and the window kernel live in :mod:`delpezzo.bulk`, the
+package's one numpy module, which this module imports inside its two
+entry points only, so that the package root imports no numpy.  Both
+entry points check the premises of (ii) and (iii) first.
+``search_obstructions`` lists the witnesses of its one M in (a, b)
+order, each certified effective.  ``consistency_sweep`` has
+``bulk.sweep_blocks`` count witnesses over blocks of box rows, and words
+each row the sweep flags from that row's own ``search_obstructions``.
 For non-nef L the bounds in (i) and (v) that use L.D >= 0 are not
 theorems, so the scan is best-effort outside the nef cone (the outcome
 says which box was used).
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import LatticeMismatchError, PicardClass, SurfaceContext, _check_rank, degree, line, point_class
-from .enumeration import surface_context
-from .positivity import EffectivityCertificate, ampleness_level, is_nef
+from .enumeration import surface_context, window_box
+from .positivity import EffectivityCertificate, ampleness_level, is_effective, is_nef
 
 #: The scan box grows like (6*(2k+1)) * (2k+2+6*(2k+1))**r before pruning;
 #: sweeps refuse above this k and single searches emit a warning.
@@ -152,13 +154,8 @@ class SearchOutcome:
         }
 
 
-def _box_bounds(k: int) -> tuple[int, int]:
-    """alpha_max and beta_min of the (r, k) scan box, from (ii) and (iv)."""
-    return 6 * (2 * k + 1), -(2 * k + 1)
-
-
 def _bounds_record(k: int, candidates: int) -> dict:
-    alpha_max, beta_min = _box_bounds(k)
+    alpha_max, beta_min = window_box(k)
     return {
         "alpha_max": alpha_max,
         "beta_min": beta_min,
@@ -189,7 +186,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
     if k > DESK_SCALE_K:
         warnings.warn(
             f"k = {k} is beyond the desk-scale envelope (k <= {DESK_SCALE_K}); "
-            f"the scan box has alpha <= {_box_bounds(k)[0]} and may be slow",
+            f"the scan box has alpha <= {window_box(k)[0]} and may be slow",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -198,12 +195,16 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
             subject=L, k=k, applicable=False, reason=reason, M=M, M_squared=m2,
             witnesses=(), search_bounds={}, nodes_visited=0,
         )
+    _assert_box_premises(ctx.r)
     from . import bulk
 
     table = bulk._candidate_table(ctx.r, k)
     witnesses = []
-    for row, md, d2 in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]]), k):
-        D, cert = table.witness(tuple(row))
+    for (a, *b), md, d2 in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]]), k):
+        D = PicardClass(a, tuple(b))
+        effective, cert = is_effective(D, ctx)
+        if not effective:
+            raise RuntimeError(f"candidate table let a non-effective class through: {D}")
         witnesses.append(
             ObstructionWitness(
                 D=D,
@@ -284,6 +285,28 @@ class SweepSummary:
         return "\n".join(lines)
 
 
+def _row_violations(
+    L: PicardClass, passing: bool, below: list[PicardClass], k: int, ctx: SurfaceContext,
+) -> list[SweepViolation]:
+    """The violations of one row that the sweep flagged, worded from its
+    own witness list: ``passing`` is its pairing verdict and ``below`` the
+    exceptional classes it pairs below k."""
+    witnesses = search_obstructions(L, k, ctx).witnesses
+    if passing:
+        unexpected = SweepViolation(L, "unexpected_witness", f"k-very ample but has {len(witnesses)} witnesses")
+        return [unexpected] + [
+            SweepViolation(L, "nonpositive_square_witness", f"witness {w.D} with D.D = {w.D_squared}")
+            for w in witnesses if w.D_squared <= 0
+        ]
+    if not witnesses:
+        return [SweepViolation(L, "missing_witness", "fails the pairing test but has no witnesses")]
+    found = {w.D for w in witnesses}
+    return [
+        SweepViolation(L, "missing_exceptional_witness", f"violating class {x} absent from the witness list")
+        for x in below if x not in found
+    ]
+
+
 def _box_leaf_count(r: int, a_max: int, cap: float = _math.inf) -> int:
     """``len(_box_leaves(r, a_max))`` without building the leaves, or the
     first partial sum over a that exceeds ``cap``.
@@ -319,22 +342,22 @@ def consistency_sweep(
     returned as a violation (and means a genuine bug).
 
     ``bulk.sweep_blocks`` decides the rows in blocks of array operations.
-    Witnesses are counted, not listed; a row's witness list is built only
-    to word its violations.  The exhaustive mode runs on one
-    representative per coordinate-permutation orbit, the nef rows among
-    the box leaves of ``bulk._box_leaves``: all checks are
-    permutation-equivariant, so the representative decides its whole
-    orbit (counted in ``covered``).  Desk-scale only: k <= 2.  An
-    exhaustive box of more than ``MAX_EXHAUSTIVE_LEAVES`` leaves (counted
-    in closed form, before any leaf is built), a negative ``a_max``, a
-    ``sample`` below 1, a negative ``seed`` and a sampled box past the
-    int64 sampler (``a_max`` above 2**63 - 1) raise ValueError; a k,
-    ``a_max``, ``sample`` or ``seed`` that is not an integer raises
-    TypeError, a rank that is not an integer in 1..8 raises RankError, and
-    a ``ctx`` of another rank raises LatticeMismatchError.  A ``ctx`` must
-    be ``surface_context(r)``: the pairing rows always pair against that
-    context's test curves (``bulk.curve_operand(r)``), while the canonical class
-    and exceptional set come from ``ctx``.
+    Witnesses are counted, not listed or certified; a flagged row's
+    violations are worded from its own ``search_obstructions``.  The
+    exhaustive mode runs on one representative per coordinate-permutation
+    orbit, the nef rows among the box leaves of ``bulk._box_leaves``: all
+    checks are permutation-equivariant, so the representative decides its
+    whole orbit (counted in ``covered``).  Desk-scale only: k <= 2.  An
+    exhaustive box of more than ``MAX_EXHAUSTIVE_LEAVES`` leaves (counted in
+    closed form, before any leaf is built), a negative ``a_max``, a
+    ``sample`` below 1, a negative ``seed`` and a sampled box past the int64
+    sampler (``a_max`` above 2**63 - 1) raise ValueError; a k, ``a_max``,
+    ``sample`` or ``seed`` that is not an integer raises TypeError, a rank
+    that is not an integer in 1..8 raises RankError, and a ``ctx`` of
+    another rank raises LatticeMismatchError.  A ``ctx`` must be
+    ``surface_context(r)``: the pairing rows always pair against that
+    context's test curves (``bulk.curve_operand(r)``), while the canonical
+    class and exceptional set come from ``ctx``.
     """
     r = _check_rank(r)
     if ctx is None:
@@ -368,8 +391,10 @@ def consistency_sweep(
         if a_max > 2**63 - 1:
             raise ValueError(f"sampled box a_max = {a_max} is past the int64 sampler's 2**63 - 1")
         blocks = bulk._sample_blocks(r, a_max, seed)
-    scanned, covered, totals, violations = bulk.sweep_blocks(blocks, k, ctx, sample)
+    _assert_box_premises(r)
+    scanned, covered, totals, flagged = bulk.sweep_blocks(blocks, k, ctx, sample)
     applicable, passing, failing, exceptions, witness_total = totals
+    violations = [v for row in flagged for v in _row_violations(*row, k, ctx)]
     return SweepSummary(
         r=r, k=k, a_max=a_max, sample=sample, seed=seed if sample else None,
         scanned=scanned, covered=covered, applicable=applicable,

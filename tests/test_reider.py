@@ -45,6 +45,7 @@ from delpezzo.reider import (
     SweepViolation,
     _assert_box_premises,
     _box_leaf_count,
+    _row_violations,
     consistency_sweep,
     search_obstructions,
     window_applicable,
@@ -145,16 +146,27 @@ class TestBoxPremises:
         assert _assert_box_premises(3)
 
     def test_table_refuses_a_non_effective_witness(self, monkeypatch):
-        import delpezzo.bulk as bulk
+        import delpezzo.reider as reider
 
-        # a fresh table, so that no certificate is cached; the check raises
-        # under ``python -O`` too instead of caching (D, None)
-        table = _candidate_table(3, 1)
-        fresh = bulk._CandidateTable(reps=table.reps, squares=table.squares, sizes=table.sizes)
-        monkeypatch.setattr(bulk, "is_effective", lambda D, ctx: (False, None))
-        with pytest.raises(RuntimeError, match="let a non-effective class through: 1;1,0,0"):
-            fresh.witness((1, 1, 0, 0))
-        assert not fresh.certified
+        # each reported witness is certified; the check raises under
+        # ``python -O`` too instead of reporting (D, None)
+        monkeypatch.setattr(reider, "is_effective", lambda D, ctx: (False, None))
+        with pytest.raises(RuntimeError, match="let a non-effective class through: 1;0,1,1"):
+            search_obstructions(PicardClass(3, (2, 2, 1)), 1, surface_context(3))
+
+    def test_both_entry_points_check_the_premises(self, monkeypatch):
+        import delpezzo.reider as reider
+
+        def broken(r):
+            raise RuntimeError(f"box premise broken at rank {r}")
+
+        monkeypatch.setattr(reider, "_assert_box_premises", broken)
+        with pytest.raises(RuntimeError, match="at rank 3"):
+            search_obstructions(PicardClass(3, (2, 2, 1)), 1, surface_context(3))
+        with pytest.raises(RuntimeError, match="at rank 3"):
+            consistency_sweep(3, 1, 4)
+        # an inapplicable search scans no box, so it needs no premise
+        assert not search_obstructions(-canonical_class(8), 1, surface_context(8)).applicable
 
 
 class TestSearch:
@@ -519,29 +531,21 @@ class TestFoldedWindow:
         if k == 0:
             assert len(table.reps) == 0
 
-    def test_cached_certificates_equal_fresh_ones(self):
-        consistency_sweep(8, 1, 4)
-        search_obstructions(PicardClass(7, (3, 3, 2, 2, 2, 1, 1)), 2, surface_context(7))
-        for r, k in ((8, 1), (7, 2)):
-            table = _candidate_table(r, k)
-            assert table.certified
-            for (a, *b), (D, cert) in table.certified.items():
-                assert D == PicardClass(a, tuple(b))
-                assert is_effective(D, surface_context(r)) == (True, cert)
-
-    def test_repeated_search_certifies_no_row_again(self, monkeypatch):
-        import delpezzo.bulk as bulk
-
-        ctx8 = surface_context(8)
-        first = search_obstructions(-2 * canonical_class(8), 1, ctx8)
-        assert first.witnesses
-
-        def refuse(L, ctx):
-            raise AssertionError(f"{L} certified twice")
-
-        monkeypatch.setattr(bulk, "is_effective", refuse)
-        again = search_obstructions(-2 * canonical_class(8), 1, ctx8)
-        assert again.as_dict() == first.as_dict()
+    def test_reported_witnesses_carry_their_own_certificates(self):
+        # the table tests one representative per orbit; each witness a
+        # search reports, in any ordering of its orbit, is certified afresh.
+        # Past the nef cone, (1; -1^7) at k = 2 meets witnesses whose
+        # certificates subtract two curves, in an order of their own.
+        for r, k, a_max in ((8, 1, 6), (7, 2, 5)):
+            ctx = surface_context(r)
+            subjects = [PicardClass(row[0], tuple(row[1:])) for row in ref_box_rows(r, a_max)[0].tolist()]
+            if k == 2:
+                subjects.append(PicardClass(1, (-1,) * 7))
+            witnesses = [w for L in subjects for w in search_obstructions(L, k, ctx).witnesses]
+            assert any(list(w.D.b) != sorted(w.D.b, reverse=True) for w in witnesses)
+            assert any(len(w.effectivity_certificate.subtracted) == 2 for w in witnesses) == (k == 2)
+            for w in witnesses:
+                assert is_effective(w.D, ctx) == (True, w.effectivity_certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +728,8 @@ class TestBatchedSweepAgainstPerRow:
                 # each row's pairing vector, independent of the sweep's matrix
                 P = np.array([[intersect(PicardClass(row[0], tuple(row[1:])), x) for x in ctx8.test_curves]
                               for row in rows[lo:hi]], dtype=object)
-                counts, violations = _decide_block(exact_rows(block), P, k, ctx8, _candidate_table(8, k))
+                counts, flagged = _decide_block(exact_rows(block), P, k, ctx8, _candidate_table(8, k))
+                violations = [v for row in flagged for v in _row_violations(*row, k, ctx8)]
                 expected, expected_violations = ref_decide(block, k, ctx8)
                 assert counts == expected
                 assert violations == expected_violations
@@ -818,13 +823,32 @@ class TestConsistencySweep:
         # the array verdicts flag no row of a consistent box, so no witness
         # list is built: a filter that flagged too many rows would cost
         # only time, and the summary would still be ok
-        import delpezzo.bulk as bulk
+        import delpezzo.reider as reider
 
         calls = []
-        row_violations = bulk._row_violations
-        monkeypatch.setattr(bulk, "_row_violations", lambda *args: calls.append(args) or row_violations(*args))
+        row_violations = reider._row_violations
+        monkeypatch.setattr(reider, "_row_violations", lambda *args: calls.append(args) or row_violations(*args))
         assert consistency_sweep(r, k, 12).ok
         assert len(calls) == 0
+
+    def test_sweep_certifies_no_witness(self, monkeypatch):
+        # a freshly built table, and an effectivity test that refuses to run:
+        # a sweep counts the witnesses of a consistent box and certifies none
+        import delpezzo.bulk as bulk
+        import delpezzo.reider as reider
+
+        fresh = bulk._candidate_table.__wrapped__(8, 1)
+
+        def refuse(D, ctx):
+            raise AssertionError(f"{D} certified by a sweep")
+
+        monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: fresh)
+        monkeypatch.setattr(bulk, "is_effective", refuse)
+        monkeypatch.setattr(reider, "is_effective", refuse)
+        got = consistency_sweep(8, 1, 4).as_dict()
+        monkeypatch.undo()
+        assert got == ref_sweep(8, 1, 4).as_dict()
+        assert got["witness_total"] > 0
 
     def test_desk_scale_refusal(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Rules on the package source, read with ``ast``: which modules may use
-numpy, and that no internal check is an ``assert`` (which ``python -O``
-strips)."""
+numpy, which package modules bulk and enumeration may import, and that no
+internal check is an ``assert`` (which ``python -O`` strips)."""
 
 import ast
 from pathlib import Path
@@ -42,6 +42,16 @@ def test_numpy_stays_behind_bulk():
         assert "delpezzo.bulk" not in imported_modules(path, module_level=True), path.name
         if path.stem in ("lattice", "enumeration", "positivity", "cli", "tables"):
             assert "delpezzo.bulk" not in imports, path.name
+
+
+def test_import_graph_is_layered():
+    # bulk counts with arrays and words nothing, so it never reaches back
+    # into reider, not even lazily; enumeration rests on lattice alone
+    def package(name):
+        return {m for m in imported_modules(SRC / name) if m.split(".")[0] == "delpezzo"}
+
+    assert package("bulk.py") <= {"delpezzo.lattice", "delpezzo.enumeration", "delpezzo.positivity"}
+    assert package("enumeration.py") <= {"delpezzo.lattice"}
 
 
 def test_no_assert_in_src():
