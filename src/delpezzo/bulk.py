@@ -24,14 +24,15 @@ of a rank as a product operand.
 The window engine of :mod:`delpezzo.reider` runs here and reports nothing.
 The candidate table depends only on (r, k), so it is built once per pair
 and cached: it keeps the effective classes among the orbit representatives
-of :func:`~delpezzo.enumeration.window_candidates`.  One window kernel
-then tests the candidates against N rows of M at once, in two stages.
-First, the smallest M.D over each orbit (:func:`orbit_floor`) drops every
-orbit that no row can meet with M.D <= min(D.D + k + 1, 2k + 1), the top
-of the window for the orbit's D.D.  Second, only orbits that some row
-reaches are expanded, and the exact window runs on their classes against
-those rows.  A sweep counts the witnesses of each row and certifies none;
-:mod:`delpezzo.reider` words the rows it flags.
+of :func:`~delpezzo.enumeration.window_candidates`, and the top
+min(D.D + k + 1, 2k + 1) of each orbit's window.  The window kernel tests
+them against N rows of M at once: the smallest M.D over each orbit
+(:func:`orbit_floor`) marks the rows that can meet the orbit at most at
+its top, and only orbits that some row reaches are expanded and run the
+exact window.  A sweep reduces each block's pairing matrix to two per-row
+vectors, the smallest pairing (nef filter and pairing verdict) and the
+count of exceptional classes paired below k, counts the witnesses of each
+row and certifies none; :mod:`delpezzo.reider` words the rows it flags.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -140,16 +141,20 @@ def expand_orbit(rep: np.ndarray) -> np.ndarray:
     return np.array([(rep[0], *b) for b in orderings(rep[1:].tolist())], dtype=rep.dtype)
 
 
+@lru_cache(maxsize=None)
+def _multinomials(r: int) -> np.ndarray:
+    """``r! / prod(m!)`` for each mask of equal neighbours of a sorted row
+    of length r (bit j set when entries j and j + 1 are equal): a run of
+    s set bits is a multiplicity m = s + 1."""
+    return _read_only(np.array([
+        factorial(r) // prod(factorial(len(ones) + 1) for ones in f"{mask:b}".split("0"))
+        for mask in range(1 << max(r - 1, 0))], dtype=np.int64))
+
+
 def orbit_sizes(b: np.ndarray) -> np.ndarray:
-    """The orbit size of each row of b, whose rows are sorted: the
-    multinomial ``len(row)! / prod(m!)`` over the multiplicities m, where
-    the running counts of equal neighbours multiply to prod(m!)."""
-    run = np.ones(len(b), dtype=np.int64)
-    denominator = np.ones(len(b), dtype=np.int64)
-    for j in range(1, b.shape[1]):
-        run = np.where(b[:, j] == b[:, j - 1], run + 1, 1)
-        denominator *= run
-    return factorial(b.shape[1]) // denominator
+    """The orbit size ``len(row)! / prod(m!)`` of each row of b, whose rows
+    are sorted, over the multiplicities m, looked up by equal neighbours."""
+    return _multinomials(b.shape[1])[(b[:, 1:] == b[:, :-1]) @ (1 << np.arange(b.shape[1] - 1))]
 
 
 def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
@@ -167,16 +172,18 @@ def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
 class _CandidateTable:
     """Every effective class in the (r, k) box that could sit in a window:
     (-K).D in [1, 2k+1] and -k <= D.D <= k, held as one row per S_r orbit.
-
-    Only orbits that reach the window are expanded, each once
-    (``expanded``, keyed by orbit index), as rows of the table's product
-    operand.
-    """
+    Only orbits that reach a window are expanded, each once (``expanded``,
+    keyed by orbit index), as rows of the table's product operand."""
 
     reps: np.ndarray  # (n, r+1) orbit representatives (alpha, beta), beta non-increasing
     squares: np.ndarray  # (n,) self-intersection of each orbit's classes
     sizes: np.ndarray  # (n,) number of classes in each orbit
+    top: np.ndarray  # (n,) largest M.D in the window at level k: min(D.D + k + 1, 2k + 1)
     expanded: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def window(self) -> tuple[list[int], list[int]]:  # squares and top as Python lists
+        return self.squares.tolist(), self.top.tolist()
 
     @cached_property
     def exceptional(self) -> np.ndarray:  # orbits of exceptional classes: D.D = -1 = K.D
@@ -215,54 +222,46 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
         if alpha * alpha - sum(x * x for x in b) + 3 * alpha - sum(b) >= 0
         or is_effective(PicardClass(alpha, b), ctx)[0]
     ]
-    rows = np.array(reps, dtype=np.int64).reshape(len(reps), r + 1)
-    return _CandidateTable(
-        reps=rows,
-        squares=rows[:, 0] ** 2 - (rows[:, 1:] ** 2).sum(axis=1),
-        sizes=orbit_sizes(rows[:, 1:]),  # each beta is non-increasing
-    )
+    rows = np.array(reps, dtype=np.int64).reshape(len(reps), r + 1)  # each beta non-increasing
+    squares = rows[:, 0] ** 2 - (rows[:, 1:] ** 2).sum(axis=1)
+    return _CandidateTable(rows, squares, orbit_sizes(rows[:, 1:]), np.minimum(squares + k + 1, 2 * k + 1))
 
 
-def _window_hits(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple]:
-    """Every (class, row) pair inside the window at level k for the N exact
-    rows M (see :func:`exact_rows`), grouped by orbit: one tuple
-    ``(o, C, ci, ri, md)`` per orbit o that has a hit, where C holds the
-    orbit's class rows and hit j is class ``C[ci[j]]`` against row
-    ``M[ri[j]]``, with M.D = ``md[j]``.
+def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
+    """Every (class, row) pair inside the window at the table's level k for
+    the N exact rows M (see :func:`exact_rows`): one ``(o, C, ci, ri, md)``
+    per orbit o that has a hit, o ascending, where C holds the orbit's
+    class rows and hit j, by class then row, is class ``C[ci[j]]`` against
+    row ``M[ri[j]]``, with M.D = ``md[j]``.
 
     D.D = d2 is constant on an orbit, so the window md - k - 1 <= d2,
     2*d2 < md, md < 2k+2 is the integer range 2*d2 < md <= top, with
-    top = min(d2 + k + 1, 2k + 1) per orbit.  The (N x orbits)
-    :func:`orbit_floor` of M against the representatives, the smallest M.D
-    over each orbit, gives the (orbit, row) pairs whose floor is at most
-    top.  Each orbit in such a pair is expanded and meets the window in
-    one (orbit size x reaching rows) M.D product.  C is in the dtype of
-    the table's operand (integer-valued float64 or int64); md is exact."""
-    top = np.minimum(table.squares + k + 1, 2 * k + 1)
-    orbit, row = (orbit_floor(M, table.operand).T <= top[:, None]).nonzero()  # grouped by orbit
-    if not len(orbit):
-        return []
-    dual = M[row]  # (m0; -mu) per pair, so that dual @ C.T is M.D
-    dual[:, 1:] *= -1
-    edges = (np.flatnonzero(np.diff(orbit)) + 1).tolist()
-    starts, ends = [0, *edges], [*edges, len(orbit)]
-    squares, top = table.squares.tolist(), top.tolist()
+    top = min(d2 + k + 1, 2k + 1) per orbit (``table.top``).  A row
+    reaches an orbit when its :func:`orbit_floor`, the smallest M.D over
+    the orbit, is at most top.  Each orbit that some row reaches is
+    expanded and meets the window in one (orbit size x reaching rows) M.D
+    product.  C is in the dtype of the table's operand (integer-valued
+    float64 or int64); md is exact."""
+    reach = orbit_floor(M, table.operand) <= table.top
+    dual = np.column_stack([M[:, 0], -M[:, 1:]])  # (m0; -mu), so that dual @ C.T is M.D
+    squares, top = table.window
     hits = []
-    for o, start, end in zip(orbit[starts].tolist(), starts, ends):
+    for o in np.flatnonzero(reach.any(axis=0)).tolist():
+        rows = np.flatnonzero(reach[:, o])
         C = table.orbit_rows(o)
-        md = exact_product(dual[start:end], C.T).T
+        md = exact_product(dual[rows], C.T).T
         ci, pi = ((2 * squares[o] < md) & (md <= top[o])).nonzero()
         if len(ci):
-            hits.append((o, C, ci, row[start + pi], md[ci, pi]))
+            hits.append((o, C, ci, rows[pi], md[ci, pi]))
     return hits
 
 
-def _witness_rows(table: _CandidateTable, M: np.ndarray, k: int) -> list[tuple[list[int], int, int]]:
+def _witness_rows(table: _CandidateTable, M: np.ndarray) -> list[tuple[list[int], int, int]]:
     """The window classes of the one exact row M (shape (1, r+1)) as
     (class row, M.D, D.D) triples, in (a, b) order."""
     found = [
         (row, md, int(table.squares[o]))
-        for o, C, ci, _, mds in _window_hits(table, M, k)
+        for o, C, ci, _, mds in _window_hits(table, M)
         for row, md in zip(C[ci].astype(np.int64).tolist(), mds.tolist())
     ]
     return sorted(found)  # distinct rows, so this sorts by (a, b)
@@ -315,15 +314,15 @@ def _row_counts(parts: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _decide_block(
-    L: np.ndarray, P: np.ndarray, k: int, ctx: SurfaceContext, table: _CandidateTable,
-) -> tuple[tuple[int, ...], list[tuple[PicardClass, bool, list[PicardClass]]]]:
-    """The sweep over one block of nef rows L, exact rows (see
-    :func:`exact_rows`) with their pairing rows P against the test
-    curves: the counts (applicable, passing, failing, exceptions,
-    witnesses) and the flagged rows in row order, each as its class, its
-    pass flag and the exceptional classes it pairs below k.
-    M = L + (-K) of a nef row is nef (-K pairs >= 1 with every test
-    curve), so its premise is M.M >= 4k + 5 alone.
+    L: np.ndarray, lowest: np.ndarray, exc_below: np.ndarray, k: int, ctx: SurfaceContext, table: _CandidateTable,
+) -> tuple[tuple[int, ...], list[tuple[int, bool]]]:
+    """The sweep over one block of nef exact rows L (see :func:`exact_rows`)
+    from two reductions of their pairing rows with the test curves: each
+    row's smallest pairing ``lowest`` and its count ``exc_below`` of
+    exceptional classes paired below k.  Returns the counts (applicable,
+    passing, failing, exceptions, witnesses) and the flagged rows in row
+    order, as (index in L, pass flag).  M = L + (-K) of a nef row is nef
+    (-K pairs >= 1 with every test curve), so its premise is M.M >= 4k + 5.
 
     Every verdict is an array comparison.  Python runs once per orbit that
     some row reaches and once per row that is a multiple of -K or is
@@ -333,12 +332,11 @@ def _decide_block(
     M = L - np.array([K.a, *K.b], dtype=np.int64)
     m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
     applicable = np.flatnonzero(m2 >= 4 * k + 5)
-    L, M, P = L[applicable], M[applicable], P[applicable]
+    L, M = L[applicable], M[applicable]
     n = len(applicable)
-    low = P < k  # the exceptional classes come first among the test curves
 
     hit_rows, exceptional_hits = [], []
-    for o, _, _, ri, md in _window_hits(table, M, k):
+    for o, _, _, ri, md in _window_hits(table, M):
         hit_rows.append(ri)
         if table.exceptional[o]:
             exceptional_hits.append(ri[md - 1 < k])  # L.x = M.x - (-K).x = M.x - 1
@@ -347,10 +345,9 @@ def _decide_block(
     # x.x = -1), and those hits are the exceptional ones with L.x < k; so a
     # row misses one of them exactly when it has fewer such hits than
     # violating exceptional classes.
-    exc = ctx.exceptional_set
-    missing_exc = _row_counts(exceptional_hits, n) < low[:, :len(exc)].sum(axis=1)
+    missing_exc = _row_counts(exceptional_hits, n) < exc_below[applicable]
 
-    passes = ~low.any(axis=1)
+    passes = lowest[applicable] >= k
     # An exception class is a multiple (3m; m, ..., m) of -K.  It satisfies
     # the inequalities without being k-very ample, and the window may or may
     # not show an obstruction for it (it does for -(k+1)K at rank 8, it
@@ -363,10 +360,7 @@ def _decide_block(
     # A k-very-ample class may have no witness at all, so none with D.D <= 0
     # either; a failing one needs a witness and each violating exceptional class.
     flagged = (passing & (witnesses > 0)) | (~passes & ((witnesses == 0) | missing_exc))
-    flagged_rows = []
-    for i in np.flatnonzero(flagged).tolist():
-        below = [exc[j] for j in np.flatnonzero(low[i, :len(exc)]).tolist()]
-        flagged_rows.append((PicardClass(L[i, 0], tuple(L[i, 1:].tolist())), bool(passing[i]), below))
+    flagged_rows = [(int(applicable[i]), bool(passing[i])) for i in np.flatnonzero(flagged).tolist()]
     counts = (n, int(passing.sum()), int((~passes).sum()), int(exception.sum()), int(witnesses.sum()))
     return counts, flagged_rows
 
@@ -376,29 +370,35 @@ def sweep_blocks(
 ) -> tuple[int, int, list[int], list[tuple[PicardClass, bool, list[PicardClass]]]]:
     """The block loop of ``consistency_sweep`` at level k.  Each block of
     candidate rows is converted to exact rows and paired once with
-    ``curve_operand(ctx.r)``; its pairing rows keep the nef rows and give
-    :func:`_decide_block` the pairing verdict and the exceptional classes
-    each row pairs below k, and one orbit-floor product finds the
-    candidate orbits that reach each row's window.  With ``sample`` the
-    loop stops after that many nef rows.  Returns scanned, covered, the
-    five totals and the flagged rows of :func:`_decide_block`, in row order."""
+    ``curve_operand(ctx.r)``.  The pairing matrix P is reduced once per
+    quantity, to each row's smallest pairing (the nef filter) and its count
+    of exceptional classes (the first test curves) below k, and read again
+    only for flagged rows.  With ``sample`` the loop stops after that many
+    nef rows.  Returns scanned, covered, the five totals of
+    :func:`_decide_block` and the flagged rows in row order, as (class,
+    pass flag, exceptional classes paired below k)."""
     table = _candidate_table(ctx.r, k)
+    exc = ctx.exceptional_set
     scanned = covered = 0
     totals = [0] * 5
     flagged = []
     for block in blocks:
         L = exact_rows(block)
         P = exact_product(L, curve_operand(ctx.r))
-        nef = np.flatnonzero(P.min(axis=1) >= 0)
+        lowest = P.min(axis=1)
+        exc_below = (P[:, :len(exc)] < k).sum(axis=1)
+        nef = np.flatnonzero(lowest >= 0)
         if sample is not None:
             nef = nef[:sample - scanned]
         rows = L[nef]
-        counts, found = _decide_block(rows, P[nef], k, ctx, table)
+        counts, found = _decide_block(rows, lowest[nef], exc_below[nef], k, ctx, table)
+        for i, passing in found:
+            below = [exc[j] for j in np.flatnonzero(P[nef[i], :len(exc)] < k).tolist()]
+            flagged.append((PicardClass(rows[i, 0], tuple(rows[i, 1:].tolist())), passing, below))
         scanned += len(rows)
         # a box leaf decides its whole permutation orbit
         covered += len(rows) if sample is not None else int(orbit_sizes(rows[:, 1:]).sum())
         totals = [t + c for t, c in zip(totals, counts)]
-        flagged += found
         if scanned == sample:
             break
     return scanned, covered, totals, flagged

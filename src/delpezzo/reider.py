@@ -200,7 +200,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
 
     table = bulk._candidate_table(ctx.r, k)
     witnesses = []
-    for (a, *b), md, d2 in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]]), k):
+    for (a, *b), md, d2 in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
         D = PicardClass(a, tuple(b))
         effective, cert = is_effective(D, ctx)
         if not effective:

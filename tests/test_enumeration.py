@@ -339,6 +339,34 @@ class TestSharedSearch:
         np.testing.assert_array_equal(as_float, rows)
 
 
+class TestOrbitSizes:
+    """orbit_sizes against the multinomial of each row's multiplicities."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_every_mask_of_equal_neighbours(self, r):
+        # one non-increasing row per mask: entry j + 1 equals entry j
+        # exactly when bit j is set
+        rows = []
+        for mask in range(1 << (r - 1)):
+            row = [0]
+            for j in range(r - 1):
+                row.append(row[-1] if mask >> j & 1 else row[-1] - 1)
+            rows.append(row)
+        expected = [math.factorial(r) // math.prod(math.factorial(m) for m in Counter(row).values())
+                    for row in rows]
+        small = np.array(rows, dtype=np.int64)
+        assert orbit_sizes(small).tolist() == expected
+        # past SAFE_COEFF_BOUND the rows are Python integers, of both signs
+        for shift in (SAFE_COEFF_BOUND + 1, 10**20, -(2**70)):
+            big = exact_rows([[shift + 3 * x for x in row] for row in rows])
+            assert big.dtype == object
+            sizes = orbit_sizes(big)
+            assert sizes.dtype == np.int64 and sizes.tolist() == expected
+        for dtype in (np.int64, object):
+            empty = orbit_sizes(np.zeros((0, r), dtype=dtype))
+            assert empty.shape == (0,) and empty.dtype == np.int64
+
+
 #: Row entries of both signs: small, at SAFE_COEFF_BOUND, and past 2**63.
 FLOOR_ENTRY = (
     st.integers(-9, 9)

@@ -463,7 +463,7 @@ class TestFoldedWindow:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_full_table(self, subject):
         r, k, M = subject
-        found = _witness_rows(_candidate_table(r, k), exact_rows([[M.a, *M.b]]), k)
+        found = _witness_rows(_candidate_table(r, k), exact_rows([[M.a, *M.b]]))
         assert found == _full_table_window(r, k, M)
 
     @given(window_blocks())
@@ -473,7 +473,7 @@ class TestFoldedWindow:
         r, k, Ms = block
         table = _candidate_table(r, k)
         found = [[] for _ in Ms]
-        for o, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms]), k):
+        for o, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
             for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()):
                 found[j].append((C[c].astype(np.int64).tolist(), x, int(table.squares[o])))
         assert [sorted(f) for f in found] == [_full_table_window(r, k, M) for M in Ms]
@@ -488,7 +488,7 @@ class TestFoldedWindow:
         table = _candidate_table(r, k)
 
         def hits(M):
-            return sorted((o, c, j, x) for o, _, ci, ri, md in _window_hits(table, M, k)
+            return sorted((o, c, j, x) for o, _, ci, ri, md in _window_hits(table, M)
                           for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()))
 
         found = hits(np.array(rows, dtype=np.int64))
@@ -506,7 +506,7 @@ class TestFoldedWindow:
         hits = 0
         for row in ref_box_rows(r, a_max)[0].tolist():
             M = PicardClass(row[0], tuple(row[1:])) - ctx.canonical
-            found = _witness_rows(table, exact_rows([[M.a, *M.b]]), k)
+            found = _witness_rows(table, exact_rows([[M.a, *M.b]]))
             assert found == _full_table_window(r, k, M), M
             hits += len(found)
         assert hits > 0
@@ -605,6 +605,22 @@ def ref_sample_rows(r, a_max, count, seed):
         kept.append(coeffs)
         total += len(coeffs)
     return np.concatenate(kept, axis=0)[:count]
+
+
+def decide_per_row(rows, k, ctx):
+    """``_decide_block`` on the nef rows `rows` (lists) from pairing rows
+    built per row with ``intersect``, independent of the sweep's matrix:
+    its counts, and its flagged rows worded by ``_row_violations``."""
+    classes = [PicardClass(row[0], tuple(row[1:])) for row in rows]
+    P = np.array([[intersect(L, x) for x in ctx.test_curves] for L in classes], dtype=object)
+    P = P.reshape(len(rows), len(ctx.test_curves))
+    exc = ctx.exceptional_set
+    below = P[:, :len(exc)] < k
+    counts, flagged = _decide_block(
+        exact_rows(rows), P.min(axis=1), below.sum(axis=1), k, ctx, _candidate_table(ctx.r, k))
+    violations = [v for i, passing in flagged for v in _row_violations(
+        classes[i], passing, [x for x, low in zip(exc, below[i]) if low], k, ctx)]
+    return counts, violations
 
 
 def ref_decide(coeffs, k, ctx):
@@ -725,16 +741,29 @@ class TestBatchedSweepAgainstPerRow:
             block = np.array(rows[lo:hi], dtype=np.int64)
             assert (pairing_matrix(block, ctx8).min(axis=1) >= 0).all()
             for k in (1, 2):
-                # each row's pairing vector, independent of the sweep's matrix
-                P = np.array([[intersect(PicardClass(row[0], tuple(row[1:])), x) for x in ctx8.test_curves]
-                              for row in rows[lo:hi]], dtype=object)
-                counts, flagged = _decide_block(exact_rows(block), P, k, ctx8, _candidate_table(8, k))
-                violations = [v for row in flagged for v in _row_violations(*row, k, ctx8)]
-                expected, expected_violations = ref_decide(block, k, ctx8)
-                assert counts == expected
-                assert violations == expected_violations
+                counts, violations = decide_per_row(rows[lo:hi], k, ctx8)
+                assert (counts, violations) == ref_decide(block, k, ctx8)
                 witnesses += counts[-1]
         assert witnesses > 0
+
+    @pytest.mark.parametrize("r,a_max", [(1, 12), (7, 5)])
+    def test_rank_one_fiber_fails_the_pairing_test(self, r, a_max):
+        # At r = 1 the fiber l - e_1 is a test curve but not an exceptional
+        # class: (1; 1) pairs 1 with e_1 and 0 with the fiber, so at k = 1
+        # it fails the pairing test with no exceptional class below k.  At
+        # r = 7 the test curves are the exceptional classes.
+        ctx = surface_context(r)
+        rows = ref_box_rows(r, a_max)[0]
+        fiber_only = 0
+        for k in (1, 2):
+            counts, violations = decide_per_row(rows.tolist(), k, ctx)
+            assert (counts, violations) == ref_decide(rows, k, ctx)
+            for row in rows.tolist():
+                L = PicardClass(row[0], tuple(row[1:]))
+                pairings = [intersect(L, x) for x in ctx.test_curves]
+                fiber_only += (window_applicable(L, k, ctx)[0] and min(pairings) < k
+                               and min(pairings[:len(ctx.exceptional_set)]) >= k)
+        assert (fiber_only > 0) == (r == 1)
 
 
 class TestSweepViolations:
@@ -757,7 +786,7 @@ class TestSweepViolations:
         keep = np.array([rep != [0] * 8 + [-1] for rep in table.reps.tolist()])
         assert not keep.all()
         faulty = bulk._CandidateTable(
-            reps=table.reps[keep], squares=table.squares[keep], sizes=table.sizes[keep])
+            reps=table.reps[keep], squares=table.squares[keep], sizes=table.sizes[keep], top=table.top[keep])
         monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: faulty)
         kinds = self._compare(8, 1, 4)
         assert {"missing_witness", "missing_exceptional_witness"} <= set(kinds)
