@@ -367,18 +367,16 @@ def _decide_block(
 
 def sweep_blocks(
     blocks: Iterable[np.ndarray], k: int, ctx: SurfaceContext, sample: int | None,
-) -> tuple[int, int, list[int], list[tuple[PicardClass, bool, list[PicardClass]]]]:
+) -> tuple[int, int, list[int], list[tuple[PicardClass, bool]]]:
     """The block loop of ``consistency_sweep`` at level k.  Each block of
     candidate rows is converted to exact rows and paired once with
     ``curve_operand(ctx.r)``.  The pairing matrix P is reduced once per
     quantity, to each row's smallest pairing (the nef filter) and its count
-    of exceptional classes (the first test curves) below k, and read again
-    only for flagged rows.  With ``sample`` the loop stops after that many
-    nef rows.  Returns scanned, covered, the five totals of
-    :func:`_decide_block` and the flagged rows in row order, as (class,
-    pass flag, exceptional classes paired below k)."""
+    of exceptional classes (the first test curves) below k.  With
+    ``sample`` the loop stops after that many nef rows.  Returns scanned,
+    covered, the five totals of :func:`_decide_block` and the flagged rows
+    in row order, as (class, pass flag)."""
     table = _candidate_table(ctx.r, k)
-    exc = ctx.exceptional_set
     scanned = covered = 0
     totals = [0] * 5
     flagged = []
@@ -386,15 +384,13 @@ def sweep_blocks(
         L = exact_rows(block)
         P = exact_product(L, curve_operand(ctx.r))
         lowest = P.min(axis=1)
-        exc_below = (P[:, :len(exc)] < k).sum(axis=1)
+        exc_below = (P[:, :len(ctx.exceptional_set)] < k).sum(axis=1)
         nef = np.flatnonzero(lowest >= 0)
         if sample is not None:
             nef = nef[:sample - scanned]
         rows = L[nef]
         counts, found = _decide_block(rows, lowest[nef], exc_below[nef], k, ctx, table)
-        for i, passing in found:
-            below = [exc[j] for j in np.flatnonzero(P[nef[i], :len(exc)] < k).tolist()]
-            flagged.append((PicardClass(rows[i, 0], tuple(rows[i, 1:].tolist())), passing, below))
+        flagged += [(PicardClass(rows[i, 0], tuple(rows[i, 1:].tolist())), passing) for i, passing in found]
         scanned += len(rows)
         # a box leaf decides its whole permutation orbit
         covered += len(rows) if sample is not None else int(orbit_sizes(rows[:, 1:]).sum())

@@ -37,10 +37,6 @@ names the curve attaining its minimum, the minimizing family's
 representative (:func:`is_effective`).  This module imports no numpy:
 the array forms of the pairing (``bulk.curve_operand``) and of the orbit
 minima (``bulk.orbit_floor``) are in :mod:`delpezzo.bulk`.
-
-Each family's closed form :meth:`InequalityFamily.evaluate`, which sorts
-positive and negative multiplicities separately, is kept as an
-independent formulation that the tests check the kernel against.
 """
 
 from __future__ import annotations
@@ -436,43 +432,36 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
 
 @dataclass(frozen=True)
 class InequalityFamily:
-    """One per-type inequality: ``a_coeff * a >= <b-terms> + k`` ranging over
-    all choices of distinct coordinates, i.e. the pairing test against a
-    whole permutation orbit of exceptional classes folded into one line."""
+    """One per-type inequality: ``a0 * a >= <b-terms> + k`` for the pattern
+    ``source_type`` = (a0; m1^n1, ...), ranging over all choices of distinct
+    coordinates, i.e. the pairing test against a whole permutation orbit of
+    exceptional classes folded into one line."""
 
     r: int
-    a_coeff: int
-    b_coeffs: tuple[int, ...]  # descending multiplicities; one slot each
     source_type: CurveTypePattern
 
     def evaluate(self, L: PicardClass) -> int:
-        """min over the orbit of the pairing with L (exact, no orbit scan):
-        positive coefficients take the largest coordinates, negative ones
-        the smallest."""
+        """min over the orbit of the pairing with L: this family's entry of
+        :func:`_fold_values` at L."""
         if len(L.b) != self.r:
             raise LatticeMismatchError(f"class of rank {len(L.b)} evaluated by a rank-{self.r} family")
-        pos = [m for m in self.b_coeffs if m > 0]
-        neg = [m for m in self.b_coeffs if m < 0]
-        desc = sorted(L.b, reverse=True)
-        best = sum(m * x for m, x in zip(pos, desc))
-        best += sum(m * x for m, x in zip(sorted(neg), sorted(L.b)))
-        return self.a_coeff * L.a - best
+        return _family_values(L)[_family_table(self.r).families.index(self)]
 
     def satisfied(self, L: PicardClass, k: int) -> bool:
         return self.evaluate(L) >= k
 
     def label(self, with_k: bool = True) -> str:
         """Symbolic form, e.g. ``a >= b_i + b_j + k`` or ``b_i >= k``."""
+        pat = self.source_type
         suffix = " + k" if with_k else ""
         bound = "k" if with_k else "0"
-        if self.b_coeffs == (-1,):
+        if pat.entries == ((-1, 1),):
             name = "b_1" if self.r == 1 else "b_i"
             return f"{name} >= {bound}"
-        lhs = "a" if self.a_coeff == 1 else f"{self.a_coeff}a"
+        lhs = "a" if pat.a0 == 1 else f"{pat.a0}a"
         letters = iter("ijmn")
         terms = []
-        for mult, grp in itertools.groupby(self.b_coeffs):
-            n = len(list(grp))
+        for mult, n in pat.entries:
             coeff = "" if mult == 1 else f"{mult}"
             if self.r == 1:
                 terms.append(f"{coeff}b_1")
@@ -510,7 +499,7 @@ class _FamilyTable(NamedTuple):
     family order, the representatives compiled into one kernel."""
 
     families: tuple[InequalityFamily, ...]
-    reps: tuple[tuple[int, ...], ...]  # (a_coeff; c), c descending and zero-padded to r
+    reps: tuple[tuple[int, ...], ...]  # (a0; c), c descending and zero-padded to r
     labels: tuple[tuple[str, str], ...]  # without and with k
     kernel: Callable[[int, list[int]], list[int]]  # see _fold_kernel
 
@@ -518,17 +507,17 @@ class _FamilyTable(NamedTuple):
 @lru_cache(maxsize=None)
 def _family_table(r: int) -> _FamilyTable:
     """The families of rank r, sorted by pattern, each with its
-    representative ``(a_coeff; c)``, c zero-padded to r and sorted
-    descending: by the rearrangement inequality the family's value at L is
-    ``a_coeff * a - sum c_j s_j``, with s_1 >= ... >= s_r the b_i sorted
-    descending.  :func:`_fold_kernel` compiles the representatives once;
-    the effectivity search reads them to name a minimizing curve."""
+    representative ``(a0; c)``: the pattern's multiplicities zero-padded to
+    r and sorted descending.  By the rearrangement inequality the family's
+    value at L is ``a0 * a - sum c_j s_j``, with s_1 >= ... >= s_r the b_i
+    sorted descending.  :func:`_fold_kernel` compiles the representatives
+    once; the effectivity search reads them to name a minimizing curve."""
     families, reps, labels = [], [], []
     patterns = {type_pattern(x) for x in surface_context(r).test_curves}
     for pat in sorted(patterns, key=CurveTypePattern.sort_key):
-        fam = InequalityFamily(r=r, a_coeff=pat.a0, b_coeffs=pat.multiplicities(), source_type=pat)
+        fam = InequalityFamily(r=r, source_type=pat)
         families.append(fam)
-        reps.append((fam.a_coeff, *sorted(fam.b_coeffs + (0,) * (r - len(fam.b_coeffs)), reverse=True)))
+        reps.append((pat.a0, *sorted(pat.to_class(r).b, reverse=True)))
         labels.append((fam.label(with_k=False), fam.label(with_k=True)))
     reps = tuple(reps)
     return _FamilyTable(tuple(families), reps, tuple(labels), _fold_kernel(r, reps))
@@ -544,9 +533,9 @@ def _fold_kernel(r: int, reps) -> Callable[[int, list[int]], list[int]]:
     value in family order, its coefficients as literals (a zero term
     dropped, a unit one written bare)."""
 
-    def value(a_coeff: int, *c: int) -> str:
+    def value(a0: int, *c: int) -> str:
         c = (*c, 0)
-        terms = [(a_coeff, "a"), *((c[j] - c[j - 1], f"S{j}") for j in range(1, r + 1))]
+        terms = [(a0, "a"), *((c[j] - c[j - 1], f"S{j}") for j in range(1, r + 1))]
         parts = [f"{'-' if w < 0 else '+'} {name if abs(w) == 1 else f'{abs(w)} * {name}'}" for w, name in terms if w]
         return " ".join(parts).removeprefix("+ ")
 

@@ -44,7 +44,9 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import LatticeMismatchError, PicardClass, SurfaceContext, _check_rank, degree, line, point_class
+from .lattice import (
+    LatticeMismatchError, PicardClass, SurfaceContext, _check_rank, degree, intersect, line, point_class,
+)
 from .enumeration import surface_context, window_box
 from .positivity import EffectivityCertificate, ampleness_level, is_effective, is_nef
 
@@ -285,12 +287,11 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-def _row_violations(
-    L: PicardClass, passing: bool, below: list[PicardClass], k: int, ctx: SurfaceContext,
-) -> list[SweepViolation]:
+def _row_violations(L: PicardClass, passing: bool, k: int, ctx: SurfaceContext) -> list[SweepViolation]:
     """The violations of one row that the sweep flagged, worded from its
-    own witness list: ``passing`` is its pairing verdict and ``below`` the
-    exceptional classes it pairs below k."""
+    own witness list; ``passing`` is its pairing verdict.  A failing row
+    with witnesses names each exceptional class it pairs below k and its
+    witnesses miss."""
     witnesses = search_obstructions(L, k, ctx).witnesses
     if passing:
         unexpected = SweepViolation(L, "unexpected_witness", f"k-very ample but has {len(witnesses)} witnesses")
@@ -303,7 +304,7 @@ def _row_violations(
     found = {w.D for w in witnesses}
     return [
         SweepViolation(L, "missing_exceptional_witness", f"violating class {x} absent from the witness list")
-        for x in below if x not in found
+        for x in ctx.exceptional_set if intersect(L, x) < k and x not in found
     ]
 
 
@@ -354,10 +355,10 @@ def consistency_sweep(
     sampler (``a_max`` above 2**63 - 1) raise ValueError; a k, ``a_max``,
     ``sample`` or ``seed`` that is not an integer raises TypeError, a rank
     that is not an integer in 1..8 raises RankError, and a ``ctx`` of
-    another rank raises LatticeMismatchError.  A ``ctx`` must be
-    ``surface_context(r)``: the pairing rows always pair against that
-    context's test curves (``bulk.curve_operand(r)``), while the canonical
-    class and exceptional set come from ``ctx``.
+    another rank raises LatticeMismatchError.  Any ``ctx`` of rank r gives
+    the same sweep: ``SurfaceContext`` pins it to that rank's exceptional
+    classes in (a, b) order, which are the columns of
+    ``bulk.curve_operand(r)``.
     """
     r = _check_rank(r)
     if ctx is None:

@@ -342,17 +342,6 @@ class TestRefusals:
         assert "exception_flag: minus_K_S7_k1" in out
 
 
-class TestGoldenFiles:
-    def test_machine_report_verdicts(self, capsys):
-        _, out, _ = run_cli(capsys, "check", "--r", "8", "--k", "1",
-                            "3;1,1,1,1,1,1,1,1", "--json")
-        payload = json.loads(out)
-        assert payload["verdicts"]["k_very_ample"] is False
-        assert payload["exception_flag"] == "minus_kK_S8"
-        _, out, _ = run_cli(capsys, "check", "--r", "1", "--k", "2", "4;2", "--json")
-        assert json.loads(out)["verdicts"]["k_very_ample"] is True
-
-
 class TestGoldenManifest:
     def test_every_golden_is_read_once(self):
         # a golden is a MANIFEST line or is read by a named test:

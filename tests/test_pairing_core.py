@@ -3,12 +3,12 @@
 ``ref_minimum_pairing``, ``ref_is_effective`` and ``ref_report`` copy the
 package's original pure-Python algorithms as an oracle: one ``intersect``
 per test curve, a greedy reduction that rescans the exceptional set and
-subtracts one exceptional class per step, and every inequality family
-evaluated by its closed form.  The package decides effectivity in closed
-form (the Zariski decomposition) and must agree with the greedy exactly,
-certificates included, also on coefficients far beyond
-``SAFE_COEFF_BOUND`` where int64 would wrap.  Multiplicities too large
-for the greedy to replay are checked against the decomposition itself
+subtracts one exceptional class per step, and each inequality family's
+value taken as the smallest pairing over its orbit.  The package decides
+effectivity in closed form (the Zariski decomposition) and must agree with
+the greedy exactly, certificates included, also on coefficients far beyond
+``SAFE_COEFF_BOUND`` where int64 would wrap.  Multiplicities too large for
+the greedy to replay are checked against the decomposition itself
 (``assert_zariski_certificate``).
 """
 
@@ -137,8 +137,10 @@ def ref_report(L, k, ctx):
     flag = ref_exception_flag(L, k, ctx)
     effective, cert = ref_is_effective(L, ctx)
     violations = []
-    for fam in generate_inequality_families(ctx.r):
-        val = fam.evaluate(L)
+    P = [intersect(L, x) for x in ctx.test_curves]
+    for fam, (pat, idx) in zip(generate_inequality_families(ctx.r), ref_curve_orbits(ctx), strict=True):
+        assert fam.source_type == pat
+        val = min(P[i] for i in idx)
         if val < 0:
             violations.append({"check": "nef", "family": fam.label(with_k=False), "value": val, "bound": 0})
         if val < k:
@@ -501,8 +503,8 @@ kernel_coeff = small | st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63
 
 class TestFoldKernel:
     """The compiled kernel behind ``_fold_values``, the rearrangement sum
-    read off the representatives it was compiled from, and the closed forms
-    ``InequalityFamily.evaluate`` agree exactly at every rank."""
+    read off the representatives it was compiled from, and each orbit's
+    smallest pairing by ``intersect`` agree exactly at every rank."""
 
     @pytest.mark.parametrize("r", range(1, 9))
     @given(data=st.data())
@@ -512,9 +514,10 @@ class TestFoldKernel:
         desc = sorted(data.draw(st.lists(kernel_coeff, min_size=r, max_size=r)), reverse=True)
         rearranged = [e0 * a - sum(map(operator.mul, c, desc)) for e0, *c in positivity._family_table(r).reps]
         L = PicardClass(a, tuple(data.draw(st.permutations(desc))))
-        closed = [fam.evaluate(L) for fam in generate_inequality_families(r)]
+        ctx = surface_context(r)
+        orbit_minima = [min(intersect(L, ctx.test_curves[i]) for i in idx) for _, idx in ref_curve_orbits(ctx)]
         values = positivity._fold_values(a, desc)
-        assert values == rearranged == closed
+        assert values == rearranged == orbit_minima
         assert all(type(v) is int for v in values)
 
     @pytest.mark.parametrize("r", range(1, 9))

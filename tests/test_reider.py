@@ -23,13 +23,14 @@ from delpezzo.bulk import (
 from delpezzo.lattice import (
     LatticeMismatchError,
     PicardClass,
+    SurfaceContext,
     canonical_class,
     degree,
     intersect,
     line,
     point_class,
 )
-from delpezzo.enumeration import surface_context
+from delpezzo.enumeration import enumerate_exceptional, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     exception_flag,
@@ -241,15 +242,17 @@ class TestSearch:
 
     def test_exception_class_obstruction_is_visible_at_rank_8(self):
         # -(k+1)K satisfies all pairing inequalities yet the window finds
-        # the anticanonical class as an obstruction; -K itself has
-        # M.D = 3, D.D = 1 inside the window
+        # the anticanonical class as its one obstruction: -K has
+        # M.D = k + 2, D.D = 1 inside the window
         ctx8 = surface_context(8)
         K = canonical_class(8)
-        out = search_obstructions(-2 * K, 1, ctx8)
-        assert minimum_pairing(-2 * K, ctx8) >= 1
-        assert not is_k_very_ample(-2 * K, 1, ctx8).k_very_ample
-        assert [w.D for w in out.witnesses] == [-K]
-        assert out.witnesses[0].MD == 3 and out.witnesses[0].D_squared == 1
+        for k in (1, 2):
+            L = -(k + 1) * K
+            out = search_obstructions(L, k, ctx8)
+            assert minimum_pairing(L, ctx8) >= k
+            assert not is_k_very_ample(L, k, ctx8).k_very_ample
+            assert [w.D for w in out.witnesses] == [-K]
+            assert out.witnesses[0].MD == k + 2 and out.witnesses[0].D_squared == 1
 
     def test_determinism(self):
         ctx3 = surface_context(3)
@@ -614,12 +617,9 @@ def decide_per_row(rows, k, ctx):
     classes = [PicardClass(row[0], tuple(row[1:])) for row in rows]
     P = np.array([[intersect(L, x) for x in ctx.test_curves] for L in classes], dtype=object)
     P = P.reshape(len(rows), len(ctx.test_curves))
-    exc = ctx.exceptional_set
-    below = P[:, :len(exc)] < k
-    counts, flagged = _decide_block(
-        exact_rows(rows), P.min(axis=1), below.sum(axis=1), k, ctx, _candidate_table(ctx.r, k))
-    violations = [v for i, passing in flagged for v in _row_violations(
-        classes[i], passing, [x for x, low in zip(exc, below[i]) if low], k, ctx)]
+    below = (P[:, :len(ctx.exceptional_set)] < k).sum(axis=1)
+    counts, flagged = _decide_block(exact_rows(rows), P.min(axis=1), below, k, ctx, _candidate_table(ctx.r, k))
+    violations = [v for i, passing in flagged for v in _row_violations(classes[i], passing, k, ctx)]
     return counts, violations
 
 
@@ -887,6 +887,15 @@ class TestConsistencySweep:
         # the same error as every other entry point given a foreign rank
         with pytest.raises(LatticeMismatchError, match="context rank 2 does not match r=3"):
             consistency_sweep(3, 1, 4, surface_context(2))
+
+    def test_any_context_of_the_rank_gives_the_same_sweep(self):
+        # SurfaceContext pins a rank-8 context to the rank's exceptional
+        # classes in (a, b) order, the columns of the sweep's pairing rows
+        ctx8 = SurfaceContext(8, enumerate_exceptional(8))
+        assert ctx8 is not surface_context(8)
+        got, expected = consistency_sweep(8, 1, 4, ctx8), consistency_sweep(8, 1, 4)
+        assert json.dumps(got.as_dict()) == json.dumps(expected.as_dict())
+        assert got.render() == expected.render()
 
     def test_oversized_exhaustive_box_refusal(self):
         with pytest.raises(ValueError, match="sample"):
