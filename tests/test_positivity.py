@@ -16,6 +16,7 @@ from delpezzo.lattice import (
     intersect,
     line,
     point_class,
+    type_pattern,
     zero_class,
 )
 from delpezzo import positivity
@@ -319,6 +320,20 @@ class TestInequalityFamilies:
             "6a >= 3b_i + 2 sum_7 b + k",
         ]
         assert generate_inequality_families(2)[1].label(with_k=False) == "a >= b_i + b_j"
+
+    @given(st.integers(1, 8).flatmap(classes))
+    @settings(max_examples=200)
+    def test_family_value_is_orbit_minimum(self, L):
+        ctx = surface_context(L.r)
+        orbit_min = {}
+        for xi in ctx.exceptional_set:
+            pat = type_pattern(xi)
+            v = intersect(L, xi)
+            orbit_min[pat] = min(v, orbit_min.get(pat, v))
+        if L.r == 1:
+            orbit_min[type_pattern(fiber_class())] = intersect(L, fiber_class())
+        for fam in generate_inequality_families(L.r):
+            assert fam.evaluate(L) == orbit_min[fam.source_type]
 
     @given(st.integers(1, 8).flatmap(classes), st.integers(0, 3))
     @settings(max_examples=200)
