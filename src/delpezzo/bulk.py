@@ -11,8 +11,10 @@ result wraps; an int64 block is at most shifted by a class of small
 coefficients such as K.  A right operand B is float64
 (:func:`float_operand`) only when every partial sum of such a row against
 a column of B is an integer below FLOAT_EXACT_BOUND = 2**53, which
-float64 holds exactly however BLAS splits and orders the sums;
-:func:`exact_product` runs any other pair on Python integers.
+float64 holds exactly however BLAS splits and orders the sums.  Every
+float64 operand is a read-only C-ordered array, also where it is built
+from a transpose; :func:`exact_product` runs any other pair on Python
+integers.
 
 This module is also the home of the S_r orbits of a representative
 (a; b), b non-increasing: :func:`expand_orbit` lists the orbit of a row,
@@ -29,10 +31,13 @@ min(D.D + k + 1, 2k + 1) of each orbit's window.  The window kernel tests
 them against N rows of M at once: the smallest M.D over each orbit
 (:func:`orbit_floor`) marks the rows that can meet the orbit at most at
 its top, and only orbits that some row reaches are expanded and run the
-exact window.  A sweep reduces each block's pairing matrix to two per-row
-vectors, the smallest pairing (nef filter and pairing verdict) and the
-count of exceptional classes paired below k, counts the witnesses of each
-row and certifies none; :mod:`delpezzo.reider` words the rows it flags.
+exact window; an expanded orbit keeps its rows and their transpose, the
+operand of its M.D products.  The leaves of an exhaustive sweep are built
+once per (r, a_max) and kept for the last four boxes (:func:`_box_leaves`).
+A sweep reduces each block's pairing matrix to two per-row vectors, the
+smallest pairing (nef filter and pairing verdict) and the count of
+exceptional classes paired below k, counts the witnesses of each row and
+certifies none; :mod:`delpezzo.reider` words the rows it flags.
 """
 
 from __future__ import annotations
@@ -85,11 +90,13 @@ def float_operand(B: np.ndarray) -> np.ndarray:
     """The int64 matrix B as the right operand of :func:`exact_product`:
     float64 when ``B.shape[0] * 2 * SAFE_COEFF_BOUND * max|B|``, which
     bounds every partial sum against an int64 row block, is below
-    FLOAT_EXACT_BOUND, B itself otherwise.  The test runs once per operand."""
+    FLOAT_EXACT_BOUND, B itself otherwise.  The test runs once per operand.
+    A float64 operand is a read-only C-ordered copy, whatever the layout of
+    B (often a transposed view), so BLAS reads it row by row."""
     largest = int(np.abs(B).max(initial=0))
     if B.shape[0] * 2 * SAFE_COEFF_BOUND * largest >= FLOAT_EXACT_BOUND:
         return B
-    return _read_only(B.astype(np.float64))
+    return _read_only(np.ascontiguousarray(B, dtype=np.float64))
 
 
 #: Result entries per float64 BLAS call in exact_product.  The products
@@ -173,7 +180,8 @@ class _CandidateTable:
     """Every effective class in the (r, k) box that could sit in a window:
     (-K).D in [1, 2k+1] and -k <= D.D <= k, held as one row per S_r orbit.
     Only orbits that reach a window are expanded, each once (``expanded``,
-    keyed by orbit index), as rows of the table's product operand."""
+    keyed by orbit index), as rows of the table's product operand and as
+    the columns of a product operand (:meth:`orbit`)."""
 
     reps: np.ndarray  # (n, r+1) orbit representatives (alpha, beta), beta non-increasing
     squares: np.ndarray  # (n,) self-intersection of each orbit's classes
@@ -201,13 +209,20 @@ class _CandidateTable:
         their representative."""
         return float_operand(self.reps.T)
 
+    def orbit(self, o: int) -> tuple[np.ndarray, np.ndarray]:
+        """The classes of orbit o in (a, b) order, read-only and in the
+        dtype of ``operand`` (integer-valued float64 or int64): as rows, and
+        as their C-ordered transpose, the right operand of an exact product
+        against the orbit."""
+        entry = self.expanded.get(o)
+        if entry is None:
+            rows = _read_only(expand_orbit(self.operand.T[o]))
+            entry = self.expanded[o] = (rows, _read_only(np.ascontiguousarray(rows.T)))
+        return entry
+
     def orbit_rows(self, o: int) -> np.ndarray:
-        """The classes of orbit o in (a, b) order, in the dtype of
-        ``operand``: float64 (integer-valued) or int64."""
-        rows = self.expanded.get(o)
-        if rows is None:
-            rows = self.expanded[o] = expand_orbit(self.operand.T[o])
-        return rows
+        """The classes of orbit o as rows (see :meth:`orbit`)."""
+        return self.orbit(o)[0]
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +263,8 @@ def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
     hits = []
     for o in np.flatnonzero(reach.any(axis=0)).tolist():
         rows = np.flatnonzero(reach[:, o])
-        C = table.orbit_rows(o)
-        md = exact_product(dual[rows], C.T).T
+        C, columns = table.orbit(o)
+        md = exact_product(dual[rows], columns).T
         ci, pi = ((2 * squares[o] < md) & (md <= top[o])).nonzero()
         if len(ci):
             hits.append((o, C, ci, rows[pi], md[ci, pi]))
@@ -272,9 +287,12 @@ def _witness_rows(table: _CandidateTable, M: np.ndarray) -> list[tuple[list[int]
 _BLOCK_ROWS = 1024
 
 
+@lru_cache(maxsize=4)
 def _box_leaves(r: int, a_max: int) -> np.ndarray:
     """Every (a; b) with 0 <= a <= a_max, b non-increasing and non-negative
-    and b_1 + b_2 <= a, in (a ascending, b descending) order.
+    and b_1 + b_2 <= a, in (a ascending, b descending) order, read-only.
+    The leaves of the last four boxes are kept, so a repeated sweep builds
+    none; the bound caps what is kept (the rank-8 box-20 leaves take 17 MB).
 
     A nef class has 0 <= b_i <= a and (for r >= 2) b_i + b_j <= a, so these
     descending-coordinate rows hold every nef orbit of the box.  The tail
@@ -295,7 +313,7 @@ def _box_leaves(r: int, a_max: int) -> np.ndarray:
     rows[:, 0] = np.repeat(a, count)
     rows[:, 1] = np.repeat(b1, count)
     rows[:, 2:] = tails[np.arange(len(rows)) + np.repeat(n_tails - np.cumsum(count), count)]
-    return rows
+    return _read_only(rows)
 
 
 def _sample_blocks(r: int, a_max: int, seed: int) -> Iterator[np.ndarray]:
@@ -384,7 +402,8 @@ def sweep_blocks(
         L = exact_rows(block)
         P = exact_product(L, curve_operand(ctx.r))
         lowest = P.min(axis=1)
-        exc_below = (P[:, :len(ctx.exceptional_set)] < k).sum(axis=1)
+        # int16 is exact: a rank has at most 240 exceptional classes
+        exc_below = (P[:, :len(ctx.exceptional_set)] < k).sum(axis=1, dtype=np.int16)
         nef = np.flatnonzero(lowest >= 0)
         if sample is not None:
             nef = nef[:sample - scanned]

@@ -442,10 +442,14 @@ class InequalityFamily:
 
     def evaluate(self, L: PicardClass) -> int:
         """min over the orbit of the pairing with L: this family's entry of
-        :func:`_fold_values` at L."""
+        :func:`_fold_values` at L.  A family whose pattern is not a test-curve
+        type at its rank has no entry and is refused."""
         if len(L.b) != self.r:
             raise LatticeMismatchError(f"class of rank {len(L.b)} evaluated by a rank-{self.r} family")
-        return _family_values(L)[_family_table(self.r).families.index(self)]
+        families = _family_table(self.r).families
+        if self not in families:
+            raise ValueError(f"pattern {self.source_type} is not a test-curve type at rank {self.r}")
+        return _family_values(L)[families.index(self)]
 
     def satisfied(self, L: PicardClass, k: int) -> bool:
         return self.evaluate(L) >= k

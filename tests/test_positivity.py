@@ -1,11 +1,13 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from delpezzo.lattice import (
+    CurveTypePattern,
     LatticeMismatchError,
     PicardClass,
     RankError,
@@ -27,6 +29,7 @@ from delpezzo.positivity import (
     EXCEPTION_MINUS_K_S7_K1,
     EXCEPTION_NONE,
     EffectivityCertificate,
+    InequalityFamily,
     adjoint_kva_check,
     adjoint_report,
     degree_bound_check,
@@ -334,6 +337,16 @@ class TestInequalityFamilies:
             orbit_min[type_pattern(fiber_class())] = intersect(L, fiber_class())
         for fam in generate_inequality_families(L.r):
             assert fam.evaluate(L) == orbit_min[fam.source_type]
+
+    @pytest.mark.parametrize("r,a0,entries", [(3, 2, ((1, 3),)), (4, 2, ((1, 5),)), (8, 1, ((1, 3),))])
+    def test_pattern_that_is_no_test_curve_type_refusal(self, r, a0, entries):
+        # a family built by hand from a pattern with no family at its rank:
+        # (2; 1^3) has square 1, (2; 1^5) needs five points, (1; 1^3) has
+        # (-K).D = 0
+        family = InequalityFamily(r, CurveTypePattern(a0, entries))
+        pattern = re.escape(str(family.source_type))
+        with pytest.raises(ValueError, match=f"^pattern {pattern} is not a test-curve type at rank {r}$"):
+            family.evaluate(PicardClass(3, (1,) * r))
 
     @given(st.integers(1, 8).flatmap(classes), st.integers(0, 3))
     @settings(max_examples=200)

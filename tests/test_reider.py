@@ -16,9 +16,11 @@ from delpezzo.bulk import (
     _decide_block,
     _window_hits,
     _witness_rows,
+    curve_operand,
     exact_rows,
     float_operand,
     orbit_sizes,
+    sweep_blocks,
 )
 from delpezzo.lattice import (
     LatticeMismatchError,
@@ -905,6 +907,49 @@ class TestConsistencySweep:
         summary = consistency_sweep(8, 1, 16)
         assert summary.scanned == 47_132
         assert summary.ok, summary.render()
+
+    def test_box_leaves_are_built_once(self):
+        # the leaves of a box are kept, read-only, so a repeated sweep
+        # neither rebuilds them nor sees them changed
+        leaves = _box_leaves(8, 4)
+        assert _box_leaves(8, 4) is leaves
+        with pytest.raises(ValueError, match="read-only"):
+            leaves[0, 0] = 1
+        for a_max in (4, 12):
+            first = json.dumps(consistency_sweep(8, 1, a_max).as_dict())
+            assert json.dumps(consistency_sweep(8, 1, a_max).as_dict()) == first
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_product_operands_are_c_ordered_and_read_only(self, r):
+        # every right operand of the sweep's float64 products: the test
+        # curves, each table's representatives and each expanded orbit
+        operands = [curve_operand(r)]
+        for k in range(3):
+            if k:
+                consistency_sweep(r, k, 6)  # expands the orbits a box-6 row reaches
+            table = _candidate_table(r, k)
+            operands += [table.operand, *(columns for _, columns in table.expanded.values())]
+        assert len(operands) > 5
+        for operand in operands:
+            assert operand.dtype == np.float64  # the float route applies
+            assert operand.flags.c_contiguous and not operand.flags.writeable
+
+    def test_exceptional_count_of_the_zero_row(self, monkeypatch):
+        # the zero class pairs 0 < 1 with each of the 240 exceptional
+        # classes of rank 8: the narrow count holds the whole set
+        import delpezzo.bulk as bulk
+
+        seen = []
+        decide = bulk._decide_block
+
+        def capture(L, lowest, exc_below, *rest):
+            seen.append(exc_below.copy())
+            return decide(L, lowest, exc_below, *rest)
+
+        monkeypatch.setattr(bulk, "_decide_block", capture)
+        sweep_blocks([np.zeros((1, 9), dtype=np.int64)], 1, surface_context(8), None)
+        assert len(seen) == 1
+        assert seen[0].dtype == np.int16 and seen[0].tolist() == [240]
 
     def test_exhaustive_cap_threshold(self, monkeypatch):
         import delpezzo.bulk as bulk
