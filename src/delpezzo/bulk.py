@@ -24,16 +24,18 @@ with each of many orbits.  :func:`curve_operand` holds the test curves
 of a rank as a product operand.
 
 The window engine of :mod:`delpezzo.reider` runs here and reports nothing.
-The candidate table depends only on (r, k), so it is built once per pair
-and cached: it keeps the effective classes among the orbit representatives
-of :func:`~delpezzo.enumeration.window_candidates`, and the top
-min(D.D + k + 1, 2k + 1) of each orbit's window.  The window kernel tests
-them against N rows of M at once: the smallest M.D over each orbit
-(:func:`orbit_floor`) marks the rows that can meet the orbit at most at
-its top, and only orbits that some row reaches are expanded and run the
-exact window; an expanded orbit keeps its rows and their transpose, the
-operand of its M.D products.  The leaves of an exhaustive sweep are built
-once per (r, a_max) and kept for the last four boxes (:func:`_box_leaves`).
+The candidate table depends only on (r, k), so it is built once per pair,
+whole, and cached as read-only arrays: the effective classes among the
+orbit representatives of :func:`~delpezzo.enumeration.window_candidates`
+as int64 rows and as a product operand, and per orbit its D.D, the top
+min(D.D + k + 1, 2k + 1) of its window and whether it is exceptional.
+The window kernel tests them against N rows of M at once: the smallest
+M.D over each orbit (:func:`orbit_floor`) marks the rows that can meet
+the orbit at most at its top, and only orbits that some row reaches are
+expanded and run the exact window; an expanded orbit keeps its int64 rows
+and their transpose, the operand of its M.D products.  The leaves of an
+exhaustive sweep are built by one loop over (a, b_1), once per (r, a_max),
+and kept for the last four boxes (:func:`_box_leaves`).
 A sweep reduces each block's pairing matrix to two per-row vectors, the
 smallest pairing (nef filter and pairing verdict) and the count of
 exceptional classes paired below k, counts the witnesses of each row and
@@ -46,7 +48,7 @@ import itertools
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import numpy as np
@@ -178,51 +180,40 @@ def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _CandidateTable:
     """Every effective class in the (r, k) box that could sit in a window:
-    (-K).D in [1, 2k+1] and -k <= D.D <= k, held as one row per S_r orbit.
-    Only orbits that reach a window are expanded, each once (``expanded``,
-    keyed by orbit index), as rows of the table's product operand and as
-    the columns of a product operand (:meth:`orbit`)."""
+    (-K).D in [1, 2k+1] and -k <= D.D <= k, held as one row per S_r orbit
+    (built by :func:`_table`).  Its arrays are read-only.  Only orbits that
+    reach a window are expanded, each once (``expanded``, keyed by orbit
+    index, see :meth:`orbit`)."""
 
-    reps: np.ndarray  # (n, r+1) orbit representatives (alpha, beta), beta non-increasing
+    reps: np.ndarray  # (n, r+1) int64 orbit representatives (alpha, beta), beta non-increasing
+    operand: np.ndarray  # reps.T as the right operand of exact products (see float_operand)
     squares: np.ndarray  # (n,) self-intersection of each orbit's classes
-    sizes: np.ndarray  # (n,) number of classes in each orbit
     top: np.ndarray  # (n,) largest M.D in the window at level k: min(D.D + k + 1, 2k + 1)
+    exceptional: np.ndarray  # (n,) orbits of exceptional classes: D.D = -1 = K.D
+    size: int  # classes in the table: the sum of the orbit sizes
     expanded: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @cached_property
-    def window(self) -> tuple[list[int], list[int]]:  # squares and top as Python lists
-        return self.squares.tolist(), self.top.tolist()
-
-    @cached_property
-    def exceptional(self) -> np.ndarray:  # orbits of exceptional classes: D.D = -1 = K.D
-        return (self.squares == -1) & (3 * self.reps[:, 0] - self.reps[:, 1:].sum(axis=1) == 1)
-
-    @cached_property
-    def size(self) -> int:  # classes in the table: the sum of the orbit sizes
-        return int(self.sizes.sum())
-
-    @cached_property
-    def operand(self) -> np.ndarray:
-        """``reps.T`` as the right operand of exact products (float64 when
-        every product with an M row is exact in float64, see float_operand);
-        the bound holds for every orbit, whose classes share the entries of
-        their representative."""
-        return float_operand(self.reps.T)
-
     def orbit(self, o: int) -> tuple[np.ndarray, np.ndarray]:
-        """The classes of orbit o in (a, b) order, read-only and in the
-        dtype of ``operand`` (integer-valued float64 or int64): as rows, and
-        as their C-ordered transpose, the right operand of an exact product
-        against the orbit."""
+        """The classes of orbit o in (a, b) order, read-only: as int64 rows,
+        and as their C-ordered transpose in the dtype of ``operand``, the
+        right operand of an exact product against the orbit.  The float64
+        bound of ``operand`` holds for every orbit, whose classes share the
+        entries of their representative."""
         entry = self.expanded.get(o)
         if entry is None:
-            rows = _read_only(expand_orbit(self.operand.T[o]))
-            entry = self.expanded[o] = (rows, _read_only(np.ascontiguousarray(rows.T)))
+            rows = _read_only(expand_orbit(self.reps[o]))
+            entry = self.expanded[o] = (rows, _read_only(np.ascontiguousarray(rows.T, dtype=self.operand.dtype)))
         return entry
 
-    def orbit_rows(self, o: int) -> np.ndarray:
-        """The classes of orbit o as rows (see :meth:`orbit`)."""
-        return self.orbit(o)[0]
+
+def _table(reps: np.ndarray, k: int) -> _CandidateTable:
+    """The candidate table at level k of the int64 orbit representatives
+    ``reps``, one (alpha; beta) row per orbit, beta non-increasing."""
+    reps = _read_only(reps)
+    squares = _read_only(reps[:, 0] ** 2 - (reps[:, 1:] ** 2).sum(axis=1))
+    top = _read_only(np.minimum(squares + k + 1, 2 * k + 1))
+    exceptional = _read_only((squares == -1) & (3 * reps[:, 0] - reps[:, 1:].sum(axis=1) == 1))
+    return _CandidateTable(reps, float_operand(reps.T), squares, top, exceptional, int(orbit_sizes(reps[:, 1:]).sum()))
 
 
 @lru_cache(maxsize=None)
@@ -237,9 +228,7 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
         if alpha * alpha - sum(x * x for x in b) + 3 * alpha - sum(b) >= 0
         or is_effective(PicardClass(alpha, b), ctx)[0]
     ]
-    rows = np.array(reps, dtype=np.int64).reshape(len(reps), r + 1)  # each beta non-increasing
-    squares = rows[:, 0] ** 2 - (rows[:, 1:] ** 2).sum(axis=1)
-    return _CandidateTable(rows, squares, orbit_sizes(rows[:, 1:]), np.minimum(squares + k + 1, 2 * k + 1))
+    return _table(np.array(reps, dtype=np.int64).reshape(len(reps), r + 1), k)
 
 
 def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
@@ -255,17 +244,15 @@ def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
     reaches an orbit when its :func:`orbit_floor`, the smallest M.D over
     the orbit, is at most top.  Each orbit that some row reaches is
     expanded and meets the window in one (orbit size x reaching rows) M.D
-    product.  C is in the dtype of the table's operand (integer-valued
-    float64 or int64); md is exact."""
+    product.  C holds int64 rows; md is exact."""
     reach = orbit_floor(M, table.operand) <= table.top
     dual = np.column_stack([M[:, 0], -M[:, 1:]])  # (m0; -mu), so that dual @ C.T is M.D
-    squares, top = table.window
     hits = []
     for o in np.flatnonzero(reach.any(axis=0)).tolist():
         rows = np.flatnonzero(reach[:, o])
         C, columns = table.orbit(o)
         md = exact_product(dual[rows], columns).T
-        ci, pi = ((2 * squares[o] < md) & (md <= top[o])).nonzero()
+        ci, pi = ((2 * table.squares[o] < md) & (md <= table.top[o])).nonzero()
         if len(ci):
             hits.append((o, C, ci, rows[pi], md[ci, pi]))
     return hits
@@ -277,7 +264,7 @@ def _witness_rows(table: _CandidateTable, M: np.ndarray) -> list[tuple[list[int]
     found = [
         (row, md, int(table.squares[o]))
         for o, C, ci, _, mds in _window_hits(table, M)
-        for row, md in zip(C[ci].astype(np.int64).tolist(), mds.tolist())
+        for row, md in zip(C[ci].tolist(), mds.tolist())
     ]
     return sorted(found)  # distinct rows, so this sorts by (a, b)
 
@@ -299,20 +286,20 @@ def _box_leaves(r: int, a_max: int) -> np.ndarray:
     (b_2, ..., b_r) of a leaf is any non-increasing tuple bounded by
     c = min(b_1, a - b_1).  In descending-lex order the tuples bounded by
     a_max // 2 end with exactly those bounded by c, comb(c + r - 1, r - 1)
-    of them, so one enumeration of the tuples serves every (a, b_1): each
-    pair is repeated once per tuple of its suffix, which is gathered."""
+    of them, so one enumeration of the tuples serves every (a, b_1), which
+    takes its last rows."""
     tails = itertools.combinations_with_replacement(range(a_max // 2, -1, -1), r - 1)
     n_tails = comb(a_max // 2 + r - 1, r - 1)
     tails = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64, count=n_tails * (r - 1))
     tails = tails.reshape(n_tails, r - 1)  # r = 1: one empty tail
-    a = np.repeat(np.arange(a_max + 1, dtype=np.int64), np.arange(1, a_max + 2))
-    b1 = a - (np.arange(len(a)) - a * (a + 1) // 2)  # b_1 from a down to 0
-    suffix = np.array([comb(c + r - 1, r - 1) for c in range(a_max // 2 + 1)], dtype=np.int64)
-    count = suffix[np.minimum(b1, a - b1)]
-    rows = np.empty((int(count.sum()), r + 1), dtype=np.int64)
-    rows[:, 0] = np.repeat(a, count)
-    rows[:, 1] = np.repeat(b1, count)
-    rows[:, 2:] = tails[np.arange(len(rows)) + np.repeat(n_tails - np.cumsum(count), count)]
+    pairs = [(a, b1) for a in range(a_max + 1) for b1 in range(a, -1, -1)]
+    counts = [comb(min(b1, a - b1) + r - 1, r - 1) for a, b1 in pairs]
+    rows = np.empty((sum(counts), r + 1), dtype=np.int64)
+    end = 0
+    for (a, b1), n in zip(pairs, counts):
+        rows[end:end + n, :2] = a, b1
+        rows[end:end + n, 2:] = tails[n_tails - n:]
+        end += n
     return _read_only(rows)
 
 

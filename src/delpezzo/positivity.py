@@ -56,6 +56,7 @@ from .lattice import (
     PicardClass,
     RankError,
     SurfaceContext,
+    _check_rank,
     _genus,
     _same_rank,
     degree,
@@ -435,10 +436,14 @@ class InequalityFamily:
     """One per-type inequality: ``a0 * a >= <b-terms> + k`` for the pattern
     ``source_type`` = (a0; m1^n1, ...), ranging over all choices of distinct
     coordinates, i.e. the pairing test against a whole permutation orbit of
-    exceptional classes folded into one line."""
+    exceptional classes folded into one line.  A rank that is not an
+    integer in 1..8 raises RankError."""
 
     r: int
     source_type: CurveTypePattern
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", _check_rank(self.r))
 
     def evaluate(self, L: PicardClass) -> int:
         """min over the orbit of the pairing with L: this family's entry of
@@ -446,10 +451,11 @@ class InequalityFamily:
         type at its rank has no entry and is refused."""
         if len(L.b) != self.r:
             raise LatticeMismatchError(f"class of rank {len(L.b)} evaluated by a rank-{self.r} family")
-        families = _family_table(self.r).families
-        if self not in families:
-            raise ValueError(f"pattern {self.source_type} is not a test-curve type at rank {self.r}")
-        return _family_values(L)[families.index(self)]
+        try:
+            entry = _family_table(self.r).families.index(self)
+        except ValueError:
+            raise ValueError(f"pattern {self.source_type} is not a test-curve type at rank {self.r}") from None
+        return _family_values(L)[entry]
 
     def satisfied(self, L: PicardClass, k: int) -> bool:
         return self.evaluate(L) >= k

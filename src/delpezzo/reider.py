@@ -351,11 +351,12 @@ def consistency_sweep(
     whole orbit (counted in ``covered``).  Desk-scale only: k <= 2.  An
     exhaustive box of more than ``MAX_EXHAUSTIVE_LEAVES`` leaves (counted in
     closed form, before any leaf is built), a negative ``a_max``, a
-    ``sample`` below 1, a negative ``seed`` and a sampled box past the int64
-    sampler (``a_max`` above 2**63 - 1) raise ValueError; a k, ``a_max``,
-    ``sample`` or ``seed`` that is not an integer raises TypeError, a rank
-    that is not an integer in 1..8 raises RankError, and a ``ctx`` of
-    another rank raises LatticeMismatchError.  Any ``ctx`` of rank r gives
+    ``sample`` below 1, a negative ``seed``, a nonzero ``seed`` without
+    ``sample`` and a sampled box past the int64 sampler (``a_max`` above
+    2**63 - 1) raise ValueError; a k, ``a_max``, ``sample`` or ``seed``
+    that is not an integer raises TypeError, a rank that is not an integer
+    in 1..8 raises RankError, and a ``ctx`` of another rank raises
+    LatticeMismatchError.  Any ``ctx`` of rank r gives
     the same sweep: ``SurfaceContext`` pins it to that rank's exceptional
     classes in (a, b) order, which are the columns of
     ``bulk.curve_operand(r)``.
@@ -375,6 +376,8 @@ def consistency_sweep(
         raise ValueError(f"box bound a_max must be >= 0, got {a_max}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if seed and sample is None:
+        raise ValueError(f"seed = {seed} needs sample=: the exhaustive sweep draws no sample")
     from . import bulk
 
     if sample is None:

@@ -181,7 +181,7 @@ def test_criterion_5_reider_consistency_sweeps():
         (5, 2, 12, 1000),
     ]
     for r, k, a_max, sample in plans:
-        summary = consistency_sweep(r, k, a_max, sample=sample, seed=7)
+        summary = consistency_sweep(r, k, a_max, sample=sample, seed=7 if sample else 0)
         assert summary.ok, summary.render()
         assert summary.applicable > 0
         assert summary.failing > 0  # the sweep actually exercised witnesses

@@ -348,6 +348,18 @@ class TestInequalityFamilies:
         with pytest.raises(ValueError, match=f"^pattern {pattern} is not a test-curve type at rank {r}$"):
             family.evaluate(PicardClass(3, (1,) * r))
 
+    @pytest.mark.parametrize("r", ["3", 3.0, 9, 0])
+    def test_family_of_no_rank_refusal(self, r):
+        # the rank is checked when the family is built, as PicardClass
+        # checks its length, not when it first evaluates a class
+        with pytest.raises(RankError, match=re.escape(f"rank must be an integer in 1..8, got {r!r}")):
+            InequalityFamily(r, CurveTypePattern(0, ((-1, 1),)))
+
+    def test_family_rank_is_a_plain_int(self):
+        family = InequalityFamily(np.int64(3), CurveTypePattern(0, ((-1, 1),)))
+        assert type(family.r) is int and family in generate_inequality_families(3)
+        assert family.evaluate(PicardClass(3, (1, 1, 1))) == 1
+
     @given(st.integers(1, 8).flatmap(classes), st.integers(0, 3))
     @settings(max_examples=200)
     def test_families_reproduce_the_direct_test(self, L, k):

@@ -393,7 +393,7 @@ def test_candidate_table_is_pinned(r, k):
     n_orbits, n_classes, reps_digest = REPRESENTATIVE_DIGESTS[r, k]
     table = _candidate_table(r, k)
     assert table.reps.shape == (n_orbits, r + 1)
-    assert table.size == int(table.sizes.sum()) == n_classes
+    assert table.size == int(orbit_sizes(table.reps[:, 1:]).sum()) == n_classes
     assert hashlib.sha256(table.reps.astype("<i8").tobytes()).hexdigest() == reps_digest
     if (r, k) in CANDIDATE_TABLE_DIGESTS:
         shape, coeffs_digest, squares_digest = CANDIDATE_TABLE_DIGESTS[r, k]
@@ -521,18 +521,19 @@ class TestFoldedWindow:
         # each representative expands to exactly its distinct permutations,
         # the orbits are disjoint, and their sizes sum to the table size
         table = _candidate_table(r, k)
-        assert len(table.sizes) == len(table.reps) == len(table.squares)
+        sizes = orbit_sizes(table.reps[:, 1:])
+        assert len(sizes) == len(table.reps) == len(table.squares)
         seen = set()
-        columns = zip(table.reps.tolist(), table.sizes.tolist(), table.squares.tolist())
+        columns = zip(table.reps.tolist(), sizes.tolist(), table.squares.tolist())
         for o, (rep, size, d2) in enumerate(columns):
             alpha, *beta = rep
             assert beta == sorted(beta, reverse=True)
-            got = [tuple(row) for row in table.orbit_rows(o).astype(np.int64).tolist()]
+            got = [tuple(row) for row in table.orbit(o)[0].tolist()]
             assert got == [(alpha, *perm) for perm in permutations_of(beta)]
             assert len(got) == size
             assert d2 == alpha * alpha - sum(x * x for x in beta)
             seen.update(got)
-        assert len(seen) == int(table.sizes.sum()) == len(_full_table(r, k)[0])
+        assert len(seen) == table.size == len(_full_table(r, k)[0])
         if k == 0:
             assert len(table.reps) == 0
 
@@ -708,6 +709,11 @@ ORACLE_PLANS = [
 class TestBatchedSweepAgainstPerRow:
     @pytest.mark.parametrize("r,k,a_max,sample,seed", ORACLE_PLANS)
     def test_summaries_are_equal(self, r, k, a_max, sample, seed):
+        if sample is None and seed:
+            # the criterion-5 plans carry seed 7, which only a sampled sweep takes
+            with pytest.raises(ValueError, match="needs sample="):
+                consistency_sweep(r, k, a_max, seed=seed)
+            seed = 0
         got = consistency_sweep(r, k, a_max, sample=sample, seed=seed)
         assert got.as_dict() == ref_sweep(r, k, a_max, sample=sample, seed=seed).as_dict()
         assert got.ok
@@ -787,8 +793,7 @@ class TestSweepViolations:
         table = _candidate_table(8, 1)
         keep = np.array([rep != [0] * 8 + [-1] for rep in table.reps.tolist()])
         assert not keep.all()
-        faulty = bulk._CandidateTable(
-            reps=table.reps[keep], squares=table.squares[keep], sizes=table.sizes[keep], top=table.top[keep])
+        faulty = bulk._table(table.reps[keep], 1)
         monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: faulty)
         kinds = self._compare(8, 1, 4)
         assert {"missing_witness", "missing_exceptional_witness"} <= set(kinds)
@@ -922,17 +927,23 @@ class TestConsistencySweep:
     @pytest.mark.parametrize("r", range(1, 9))
     def test_product_operands_are_c_ordered_and_read_only(self, r):
         # every right operand of the sweep's float64 products: the test
-        # curves, each table's representatives and each expanded orbit
-        operands = [curve_operand(r)]
+        # curves, each table's representatives and each expanded orbit;
+        # and every other array a table holds, each orbit's int64 rows too
+        operands, arrays, orbit_rows = [curve_operand(r)], [], []
         for k in range(3):
             if k:
                 consistency_sweep(r, k, 6)  # expands the orbits a box-6 row reaches
             table = _candidate_table(r, k)
             operands += [table.operand, *(columns for _, columns in table.expanded.values())]
-        assert len(operands) > 5
+            arrays += [table.reps, table.squares, table.top, table.exceptional]
+            orbit_rows += [rows for rows, _ in table.expanded.values()]
+        assert len(operands) > 5 and orbit_rows
         for operand in operands:
             assert operand.dtype == np.float64  # the float route applies
             assert operand.flags.c_contiguous and not operand.flags.writeable
+        for array in arrays + orbit_rows:
+            assert not array.flags.writeable
+        assert all(rows.dtype == np.int64 for rows in orbit_rows)
 
     def test_exceptional_count_of_the_zero_row(self, monkeypatch):
         # the zero class pairs 0 < 1 with each of the 240 exceptional
@@ -979,6 +990,7 @@ class TestConsistencySweep:
             (8, -4, 0, "sample must be >= 1, got -4"),
             (8, 5, -1, "seed must be >= 0, got -1"),
             (6, None, -1, "seed must be >= 0, got -1"),
+            (6, None, 5, "seed = 5 needs sample=: the exhaustive sweep draws no sample"),
             (10**19, 3, 0, "a_max = 10000000000000000000 is past the int64 sampler"),
         ],
     )
