@@ -17,7 +17,8 @@ against the test curves: the exceptional set, plus the fiber class
   the most negative class at a time (ties by first index).  Its work
   grows with the number of the greedy's runs: a lone curve's
   multiplicity is one run, but tied curves alternate, one run each per
-  level (:func:`is_effective`).
+  level (:func:`is_effective`).  A certificate is summed once, when it
+  is built, and its ``replay()`` reads that sum.
 
 The verdicts (nef, big, spanned, k-very ample, and a report's
 violations) come from the paper's inequalities: one family per
@@ -46,7 +47,7 @@ import operator
 import sys
 import warnings
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -122,16 +123,20 @@ def _certificate_sum(L: PicardClass, runs) -> PicardClass:
     return PicardClass._trusted(a, tuple(b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EffectivityCertificate:
     """Replayable witness: L = sum(multiplicity * subtracted class) + terminal,
-    where the terminal class is nef (possibly zero)."""
+    where the terminal class is nef (possibly zero).  The sum is taken once,
+    when the certificate is built, and kept as ``total`` (outside ``==``,
+    hash, repr and :meth:`as_dict`); a class of another rank than the
+    terminal raises LatticeMismatchError there."""
 
     subtracted: tuple[tuple[PicardClass, int], ...]
     terminal: PicardClass
+    total: PicardClass = field(init=False, compare=False, repr=False)
 
-    def replay(self) -> PicardClass:
-        runs = self.subtracted
+    def __init__(self, subtracted: tuple[tuple[PicardClass, int], ...], terminal: PicardClass):
+        runs = subtracted
         if len(runs) > 1:
             # tied curves alternate over many runs of a few classes: total
             # each class object's multiplicity, then add each class once
@@ -143,7 +148,13 @@ class EffectivityCertificate:
                 else:
                     entry[1] += mult
             runs = totals.values()
-        return _certificate_sum(self.terminal, runs)
+        object.__setattr__(self, "subtracted", subtracted)
+        object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "total", _certificate_sum(terminal, runs) if runs else terminal)
+
+    def replay(self) -> PicardClass:
+        """L, the sum taken when the certificate was built."""
+        return self.total
 
     def as_dict(self) -> dict:
         """Machine-readable form; field names and order are stable."""
@@ -185,7 +196,8 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
     takes every E with ``L.E <= lo`` once per level, in index order.  The
     work grows with the number of runs, not with the multiplicities; a
     level whose tied curves need more runs than ``sys.maxsize`` is refused
-    with ValueError.
+    with ValueError.  The certificate is summed once, when it is built:
+    the check that it sums to L and every later ``replay()`` read that sum.
 
     Rank 1 is the monoid generated by ``e_1`` and ``l - e_1``: ``(a; b1)``
     is effective iff ``a >= 0`` and ``a >= b1``.
@@ -217,7 +229,7 @@ def _effectivity(
         if b1 >= 0:
             return True, EffectivityCertificate((), L)
         cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)))
-        if cert.replay() != L:
+        if cert.total != L:
             raise RuntimeError(f"the certificate of {L} replays to another class")
         return True, cert
     # C, each curve with L.E, and T = L + sum (L.E) * E, one fold pass per
@@ -271,7 +283,7 @@ def _effectivity(
             runs[0] = (runs[0][0], chain.pop()[1] + runs[0][1])
         chain += runs
     cert = EffectivityCertificate(tuple(chain), terminal)
-    if cert.replay() != L:
+    if cert.total != L:
         raise RuntimeError(f"the certificate of {L} replays to another class")
     return True, cert
 

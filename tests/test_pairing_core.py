@@ -372,12 +372,36 @@ class TestPackageBuiltRecords:
     def test_records_survive_pickle_and_deepcopy(self, L):
         report = is_k_very_ample(L, 3, surface_context(L.r))
         assert report.violations
-        for record in (L, report, *report.violations):
+        for record in (L, report, *report.violations, *filter(None, [report.certificate])):
             twins = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
             for twin in twins + [copy.deepcopy(record)]:
                 assert type(twin) is type(record) and vars(twin) == vars(record)
                 assert twin == record and hash(twin) == hash(record)
         assert json.dumps(pickle.loads(pickle.dumps(report)).as_dict()) == json.dumps(report.as_dict())
+
+    def test_certificate_sum_is_kept_out_of_its_identity(self):
+        # the sum a certificate takes when it is built is no part of ==,
+        # hash, repr or as_dict, and survives pickling and copying
+        L = PicardClass(7, (-12, -12))
+        _, cert = is_effective(L, surface_context(2))
+        assert len(cert.subtracted) == 24 and cert.total == L
+        assert [f.name for f in dataclasses.fields(cert) if f.compare] == ["subtracted", "terminal"]
+        twin = copy.copy(cert)
+        object.__setattr__(twin, "total", PicardClass(0, (0, 0)))
+        assert twin == cert and hash(twin) == hash(cert) and repr(twin) == repr(cert)
+        assert "total" not in repr(cert) and json.dumps(twin.as_dict()) == json.dumps(cert.as_dict())
+        twins = [pickle.loads(pickle.dumps(cert, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.deepcopy(cert)]:
+            assert vars(twin) == vars(cert) and twin.replay() == L
+
+    def test_replace_sums_the_certificate_again(self):
+        _, cert = is_effective(PicardClass(7, (-12, -12)), surface_context(2))
+        moved = dataclasses.replace(cert, terminal=PicardClass(8, (0, 0)))
+        assert moved.subtracted is cert.subtracted and moved.replay() == PicardClass(8, (-12, -12))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cert, total=PicardClass(0, (0, 0)))
+        with pytest.raises(LatticeMismatchError):
+            dataclasses.replace(cert, terminal=PicardClass(0, (0, 0, 0)))
 
     def test_replace_runs_the_checks(self):
         L = PicardClass(3, (1, 1))
@@ -399,7 +423,7 @@ class TestPackageBuiltRecords:
             "import dataclasses\n"
             "from delpezzo.enumeration import NullClassRecord, surface_context\n"
             "from delpezzo.lattice import PicardClass, canonical_class\n"
-            "from delpezzo.positivity import is_effective, is_k_very_ample\n"
+            "from delpezzo.positivity import EffectivityCertificate, is_effective, is_k_very_ample\n"
             "from delpezzo.reider import ObstructionWitness, search_obstructions\n"
             "report = is_k_very_ample(-2 * canonical_class(6), 1, surface_context(6))\n"
             "D = PicardClass(2, (0, 0, 0))\n"
@@ -409,6 +433,7 @@ class TestPackageBuiltRecords:
             "    lambda: ObstructionWitness(D, 0, 4, ((9, '<=', 4),), is_effective(D, surface_context(3))[1]),\n"
             "    lambda: dataclasses.replace(outcome, reason=None),\n"
             "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0)), ()),\n"
+            "    lambda: EffectivityCertificate(((PicardClass(0, (-1, 0, 0)), 1),), PicardClass(0, (0, 0))),\n"
             "]:\n"
             "    try:\n"
             "        build()\n"
@@ -424,6 +449,7 @@ class TestPackageBuiltRecords:
             "refused: witness 2;0,0,0: window 9 <= 4 fails",
             "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome needs a reason and no witnesses",
             "refused: 1;0,0,0 is not a null class: D.D = 0 and K.D = -2 needed",
+            "refused: rank mismatch: 3 vs 2",
         ]
 
 

@@ -45,7 +45,7 @@ from delpezzo.positivity import (
     is_spanned,
     minimum_pairing,
 )
-from delpezzo.reider import search_obstructions, window_applicable
+from delpezzo.reider import ObstructionWitness, search_obstructions, window_applicable
 from bulk_reference import minimum_family_value_bulk, pairing_matrix
 from test_enumeration import quadratic_transformation
 
@@ -188,10 +188,67 @@ class TestEffectivity:
         with pytest.raises(ValueError, match="cannot certify"):
             is_k_very_ample(L, 1, ctx)
 
-    def test_replay_refuses_a_foreign_rank_class(self):
-        cert = EffectivityCertificate(((point_class(3, 1), 1),), zero_class(2))
+    def test_certificate_refuses_a_foreign_rank_class(self):
+        # the certificate is summed when it is built, so its constructor
+        # refuses a subtracted class of another rank than the terminal
         with pytest.raises(LatticeMismatchError):
-            cert.replay()
+            EffectivityCertificate(((point_class(3, 1), 1),), zero_class(2))
+
+
+class TestCertificateSum:
+    """A certificate is summed once, when it is built: the self-check of
+    is_effective, every replay() and an ObstructionWitness read that sum."""
+
+    @staticmethod
+    def patched_sum(mp, change=lambda S: S):
+        """Route positivity._certificate_sum through ``change`` and return
+        the list of classes it is called on."""
+        calls = []
+        real = positivity._certificate_sum
+
+        def counted(L, runs):
+            calls.append(L)
+            return change(real(L, runs))
+
+        mp.setattr(positivity, "_certificate_sum", counted)
+        return calls
+
+    @pytest.mark.parametrize("L", [
+        PicardClass(5, (-3,)),
+        PicardClass(7, (-12, -12)),
+        PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)),
+    ], ids=["rank-1-branch", "24-tied-runs", "r8"])
+    def test_an_effective_class_is_summed_once(self, L):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.patched_sum(mp)
+            ok, cert = is_effective(L, surface_context(L.r))
+            assert ok and cert.subtracted
+            assert cert.replay() == cert.replay() == L
+            ObstructionWitness(L, 0, degree(L), (), cert)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("L,effective", [
+        (-canonical_class(8), True),  # nef: its own certificate, nothing subtracted
+        (PicardClass(5, (2,) * 8), False),  # refused by the fold search
+        (PicardClass(-1, (0, 0)), False),  # refused by the early reject
+    ], ids=["nef", "refused", "early-reject"])
+    def test_nef_and_refused_classes_are_not_summed(self, L, effective):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.patched_sum(mp)
+            ok, cert = is_effective(L, surface_context(L.r))
+            assert ok == effective
+            if ok:
+                assert cert.subtracted == () and cert.replay() is L
+        assert calls == []
+
+    @pytest.mark.parametrize("L", [PicardClass(5, (-3,)), PicardClass(5, (-3, 2))],
+                             ids=["rank-1-branch", "fold-search"])
+    def test_a_certificate_summing_to_another_class_is_refused(self, L):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.patched_sum(mp, lambda S: PicardClass(S.a + 1, S.b))
+            with pytest.raises(RuntimeError, match=re.escape(f"the certificate of {L} replays to another class")):
+                is_effective(L, surface_context(L.r))
+        assert len(calls) == 1
 
 
 class TestKVeryAmple:
