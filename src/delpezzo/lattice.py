@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 MIN_RANK = 1
@@ -48,7 +48,15 @@ def _check_rank(r: int) -> int:
     return rank
 
 
-@dataclass(frozen=True, init=False)
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each slot of a slotted frozen dataclass, in field
+    order.  A hand-written ``__init__`` stores each field once through them:
+    past the frozen ``__setattr__``, with no attribute lookup by name (as
+    ``object.__setattr__`` makes) and no instance dict."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class PicardClass:
     """The class ``a*l - sum(b_i * e_i)``, as the vector ``(a; b_1..b_r)``."""
 
@@ -59,17 +67,18 @@ class PicardClass:
         # operator.index accepts Python and numpy integers and refuses
         # floats, so 1.5 raises TypeError instead of truncating to 1.
         a, b = operator.index(a), tuple(map(operator.index, b))
-        _check_rank(len(b))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        if not MIN_RANK <= len(b) <= MAX_RANK:
+            _check_rank(len(b))  # raises
+        _set_a(self, a)
+        _set_b(self, b)
 
     @classmethod
     def _trusted(cls, a: int, b: tuple[int, ...]) -> "PicardClass":
         """Internal constructor for a Python int and a tuple of Python ints
         of valid length: skips the coercion and rank check."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "a", a)
-        object.__setattr__(obj, "b", b)
+        _set_a(obj, a)
+        _set_b(obj, b)
         return obj
 
     @property
@@ -106,6 +115,9 @@ class PicardClass:
 
     def __str__(self) -> str:
         return self.render()
+
+
+_set_a, _set_b = _slot_setters(PicardClass)
 
 
 def _same_rank(L1: PicardClass, L2: PicardClass) -> None:

@@ -60,6 +60,7 @@ from .lattice import (
     _check_rank,
     _genus,
     _same_rank,
+    _slot_setters,
     degree,
     type_pattern,
     adjoint as adjoint_class,
@@ -123,20 +124,21 @@ def _certificate_sum(L: PicardClass, runs) -> PicardClass:
     return PicardClass._trusted(a, tuple(b))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class EffectivityCertificate:
     """Replayable witness: L = sum(multiplicity * subtracted class) + terminal,
-    where the terminal class is nef (possibly zero).  The sum is taken once,
-    when the certificate is built, and kept as ``total`` (outside ``==``,
-    hash, repr and :meth:`as_dict`); a class of another rank than the
-    terminal raises LatticeMismatchError there."""
+    where the terminal class is nef (possibly zero).  The runs are kept as a
+    tuple (a tuple argument as it is).  The sum is taken once, when the
+    certificate is built, and kept as ``total`` (outside ``==``, hash, repr
+    and :meth:`as_dict`); a class of another rank than the terminal raises
+    LatticeMismatchError there."""
 
     subtracted: tuple[tuple[PicardClass, int], ...]
     terminal: PicardClass
     total: PicardClass = field(init=False, compare=False, repr=False)
 
     def __init__(self, subtracted: tuple[tuple[PicardClass, int], ...], terminal: PicardClass):
-        runs = subtracted
+        runs = subtracted = tuple(subtracted)
         if len(runs) > 1:
             # tied curves alternate over many runs of a few classes: total
             # each class object's multiplicity, then add each class once
@@ -148,9 +150,9 @@ class EffectivityCertificate:
                 else:
                     entry[1] += mult
             runs = totals.values()
-        object.__setattr__(self, "subtracted", subtracted)
-        object.__setattr__(self, "terminal", terminal)
-        object.__setattr__(self, "total", _certificate_sum(terminal, runs) if runs else terminal)
+        _set_subtracted(self, subtracted)
+        _set_terminal(self, terminal)
+        _set_total(self, _certificate_sum(terminal, runs) if runs else terminal)
 
     def replay(self) -> PicardClass:
         """L, the sum taken when the certificate was built."""
@@ -162,6 +164,9 @@ class EffectivityCertificate:
             "subtracted": [[c.render(), m] for c, m in self.subtracted],
             "terminal": self.terminal.render(),
         }
+
+
+_set_subtracted, _set_terminal, _set_total = _slot_setters(EffectivityCertificate)
 
 
 def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, EffectivityCertificate | None]:
@@ -319,7 +324,7 @@ def _exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
     return EXCEPTION_NONE
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Violation:
     """One failed inequality: the family, its evaluated value, the bound."""
 
@@ -329,16 +334,26 @@ class Violation:
     bound: int
 
     def __init__(self, check: str, family: str, value: int, bound: int):
-        vars(self).update(check=check, family=family, value=value, bound=bound)
+        _set_check(self, check)
+        _set_family(self, family)
+        _set_value(self, value)
+        _set_bound(self, bound)
 
     def as_dict(self) -> dict:
         return {"check": self.check, "family": self.family, "value": self.value, "bound": self.bound}
 
 
-@dataclass(frozen=True, init=False)
+_set_check, _set_family, _set_value, _set_bound = _slot_setters(Violation)
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class PositivityReport:
     """All verdicts for one class, with violations and certificates.  Its
-    ``__init__`` refuses inconsistent verdicts with ValueError."""
+    ``__init__`` refuses inconsistent verdicts with ValueError: spanned
+    differing from nef, a k-very-ample class that is not nef, flagged or
+    (at k >= 1) not big, big differing from nef with a positive degree, and
+    effective differing from having a certificate.  The violations are kept
+    as a tuple (a tuple argument as it is)."""
 
     subject: PicardClass
     k: int
@@ -365,11 +380,22 @@ class PositivityReport:
             raise ValueError(
                 f"report on {subject}: {k}-very ample needs nef, no exception flag and, at k >= 1, big"
             )
-        vars(self).update(
-            subject=subject, k=k, effective=effective, nef=nef, big=big, spanned=spanned,
-            k_very_ample=k_very_ample, degree=degree, genus=genus, violations=violations,
-            exception_flag=exception_flag, certificate=certificate,
-        )
+        if big != (nef and degree > 0):
+            raise ValueError(f"report on {subject}: big={big}, but nef={nef} and degree={degree}")
+        if effective != (certificate is not None):
+            raise ValueError(f"report on {subject}: effective={effective} differs from having a certificate")
+        _set_subject(self, subject)
+        _set_k(self, k)
+        _set_effective(self, effective)
+        _set_nef(self, nef)
+        _set_big(self, big)
+        _set_spanned(self, spanned)
+        _set_k_very_ample(self, k_very_ample)
+        _set_degree(self, degree)
+        _set_genus(self, genus)
+        _set_violations(self, tuple(violations))
+        _set_exception_flag(self, exception_flag)
+        _set_certificate(self, certificate)
 
     @property
     def r(self) -> int:
@@ -405,6 +431,12 @@ class PositivityReport:
         }
 
 
+(
+    _set_subject, _set_k, _set_effective, _set_nef, _set_big, _set_spanned, _set_k_very_ample,
+    _set_degree, _set_genus, _set_violations, _set_exception_flag, _set_certificate,
+) = _slot_setters(PositivityReport)
+
+
 def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:
     """Full positivity report.  Each family's value (the minimum pairing
     over its orbit) is read off the sorted coefficients of L; their
@@ -427,19 +459,11 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
             if val < k:
                 violations.append(Violation("k_very_ample", kva_label, val, k))
     square = degree(L)
+    # subject, k, effective, nef, big, spanned, k_very_ample, degree,
+    # genus, violations, exception_flag, certificate
     return PositivityReport(
-        subject=L,
-        k=k,
-        effective=effective,
-        nef=nef,
-        big=nef and square > 0,
-        spanned=nef,
-        k_very_ample=(mp >= k and flag == EXCEPTION_NONE),
-        degree=square,
-        genus=_genus(L, square),
-        violations=tuple(violations),
-        exception_flag=flag,
-        certificate=cert,
+        L, k, effective, nef, nef and square > 0, nef, mp >= k and flag == EXCEPTION_NONE,
+        square, _genus(L, square), violations, flag, cert,
     )
 
 

@@ -305,6 +305,12 @@ def refuse(*args):
     raise AssertionError("refused call")
 
 
+def slot_values(record):
+    """Every slot of a slotted record by name; it must keep no instance dict."""
+    assert not hasattr(record, "__dict__")
+    return {name: getattr(record, name) for name in type(record).__slots__}
+
+
 def public_report(report):
     """``report`` rebuilt, down to its classes and certificate, through the
     public dataclass constructors."""
@@ -325,9 +331,9 @@ def public_report(report):
 class TestPackageBuiltRecords:
     """The package builds reports and violations through the same checked
     __init__ as any caller.  They, and the certificates they carry, must be
-    the records the public constructors build, just as frozen, render the
-    same, and survive pickling, copying and ``dataclasses.replace`` with
-    their checks."""
+    the records the public constructors build, just as frozen and slotted,
+    render the same, and survive pickling, copying and
+    ``dataclasses.replace`` with their checks."""
 
     @given(any_class | ranked(nef_classes) | ranked(exceptional_multiples), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
@@ -341,7 +347,7 @@ class TestPackageBuiltRecords:
             return [rep, *rep.violations, *([cert, cert.terminal] if cert else [])]
 
         for record, twin in zip(records(report), records(public), strict=True):
-            assert vars(record) == vars(twin)  # every field, and nothing else
+            assert slot_values(record) == slot_values(twin)  # every field, and nothing else
             name = dataclasses.fields(record)[0].name
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, getattr(record, name))
@@ -370,12 +376,20 @@ class TestPackageBuiltRecords:
         PicardClass(6, (2,) * 7),  # -2K at r = 7: nef, but not 3-very ample
     ])
     def test_records_survive_pickle_and_deepcopy(self, L):
+        # each record, built by the package and by its public constructor,
+        # keeps exactly its dataclass fields in slots, a certificate's total
+        # included, and no instance dict
         report = is_k_very_ample(L, 3, surface_context(L.r))
         assert report.violations
-        for record in (L, report, *report.violations, *filter(None, [report.certificate])):
+        records = [L]
+        for rep in (report, public_report(report)):
+            cert = rep.certificate
+            records += [rep, rep.subject, *rep.violations, *([cert, cert.terminal, cert.total] if cert else [])]
+        for record in records:
+            assert type(record).__slots__ == tuple(f.name for f in dataclasses.fields(record))
             twins = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
             for twin in twins + [copy.deepcopy(record)]:
-                assert type(twin) is type(record) and vars(twin) == vars(record)
+                assert type(twin) is type(record) and slot_values(twin) == slot_values(record)
                 assert twin == record and hash(twin) == hash(record)
         assert json.dumps(pickle.loads(pickle.dumps(report)).as_dict()) == json.dumps(report.as_dict())
 
@@ -392,7 +406,22 @@ class TestPackageBuiltRecords:
         assert "total" not in repr(cert) and json.dumps(twin.as_dict()) == json.dumps(cert.as_dict())
         twins = [pickle.loads(pickle.dumps(cert, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in twins + [copy.deepcopy(cert)]:
-            assert vars(twin) == vars(cert) and twin.replay() == L
+            assert slot_values(twin) == slot_values(cert) and twin.replay() == L
+
+    def test_records_hold_tuples(self):
+        ctx = surface_context(2)
+        E, T = ctx.exceptional_set[0], PicardClass(1, (0, 0))
+        cert = EffectivityCertificate(((E, 2),), T)
+        for runs in ([(E, 2)], (run for run in [(E, 2)])):
+            built = EffectivityCertificate(runs, T)
+            assert type(built.subtracted) is tuple and built == cert and hash(built) == hash(cert)
+        assert EffectivityCertificate(cert.subtracted, T).subtracted is cert.subtracted
+        report = is_k_very_ample(PicardClass(1, (2, 0)), 1, ctx)
+        assert report.violations
+        for violations in (list(report.violations), iter(report.violations)):
+            built = dataclasses.replace(report, violations=violations)
+            assert type(built.violations) is tuple and built == report and hash(built) == hash(report)
+        assert dataclasses.replace(report, k=report.k).violations is report.violations
 
     def test_replace_sums_the_certificate_again(self):
         _, cert = is_effective(PicardClass(7, (-12, -12)), surface_context(2))
@@ -416,6 +445,20 @@ class TestPackageBuiltRecords:
             dataclasses.replace(report, big=False)
         with pytest.raises(ValueError, match="differs from nef"):
             dataclasses.replace(report, big=False, nef=False)
+        with pytest.raises(ValueError, match="but nef=True and degree=12"):
+            dataclasses.replace(report, big=False, k_very_ample=False)
+        with pytest.raises(ValueError, match="differs from having a certificate"):
+            dataclasses.replace(report, effective=False)
+        with pytest.raises(ValueError, match="differs from having a certificate"):
+            dataclasses.replace(report, certificate=None)
+        flat = is_k_very_ample(PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), 1, surface_context(8))
+        assert not flat.nef and flat.effective
+        with pytest.raises(ValueError, match="big=True, but nef=False"):
+            dataclasses.replace(flat, big=True)
+        blocked = is_k_very_ample(PicardClass(5, (2,) * 8), 1, surface_context(8))
+        assert not blocked.effective and blocked.certificate is None
+        with pytest.raises(ValueError, match="differs from having a certificate"):
+            dataclasses.replace(blocked, certificate=flat.certificate)
 
     def test_report_checks_hold_under_optimize(self):
         # python -O strips assert statements, not the records' checks
@@ -430,6 +473,9 @@ class TestPackageBuiltRecords:
             "outcome = search_obstructions(-canonical_class(8), 1, surface_context(8))\n"
             "for build in [\n"
             "    lambda: dataclasses.replace(report, big=False, nef=False),\n"
+            "    lambda: dataclasses.replace(report, big=False, k_very_ample=False),\n"
+            "    lambda: dataclasses.replace(report, effective=False),\n"
+            "    lambda: dataclasses.replace(report, certificate=None),\n"
             "    lambda: ObstructionWitness(D, 0, 4, ((9, '<=', 4),), is_effective(D, surface_context(3))[1]),\n"
             "    lambda: dataclasses.replace(outcome, reason=None),\n"
             "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0)), ()),\n"
@@ -446,6 +492,9 @@ class TestPackageBuiltRecords:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
             "refused: report on 6;2,2,2,2,2,2: spanned=True differs from nef=False",
+            "refused: report on 6;2,2,2,2,2,2: big=False, but nef=True and degree=12",
+            "refused: report on 6;2,2,2,2,2,2: effective=False differs from having a certificate",
+            "refused: report on 6;2,2,2,2,2,2: effective=True differs from having a certificate",
             "refused: witness 2;0,0,0: window 9 <= 4 fails",
             "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome needs a reason and no witnesses",
             "refused: 1;0,0,0 is not a null class: D.D = 0 and K.D = -2 needed",
