@@ -10,7 +10,6 @@ from delpezzo import (
     decompose_null_class,
     enumerate_exceptional,
     enumerate_null_classes,
-    surface_context,
     type_pattern,
 )
 from delpezzo.tables import (
@@ -32,8 +31,7 @@ print(render_null_class_table(records))
 print(render_decomposition_table(records))
 
 # splittings of one specific class
-ctx = surface_context(8)
 D = records[1].representative  # (2; 0,0,0,0,1,1,1,1)
 print(f"all splittings of {D} into two exceptional classes:")
-for xi1, xi2 in decompose_null_class(D, ctx):
+for xi1, xi2 in decompose_null_class(D):
     print(f"  {xi1}  +  {xi2}")

@@ -15,15 +15,12 @@ from delpezzo import (
     canonical_class,
     consistency_sweep,
     search_obstructions,
-    surface_context,
     window_applicable,
 )
 
-ctx2 = surface_context(2)
-
 # a failing class: (3;2,2) pairs with l - e_1 - e_2 only 3 - 4 = -1 < 1
 L = PicardClass(3, (2, 2))
-outcome = search_obstructions(L, 1, ctx2)
+outcome = search_obstructions(L, 1)
 print(f"L = {L}, k = 1: M = {outcome.M}, M.M = {outcome.M_squared}")
 for w in outcome.witnesses:
     checks = ", ".join(f"{a} {op} {b}" for a, op, b in w.window)
@@ -32,14 +29,13 @@ print()
 
 # a passing class: the anticanonical class of the cubic surface is very
 # ample and its window is empty
-ctx6 = surface_context(6)
-outcome = search_obstructions(-canonical_class(6), 1, ctx6)
+outcome = search_obstructions(-canonical_class(6), 1)
 print(f"-K on the cubic surface, k = 1: applicable={outcome.applicable}, "
       f"witnesses={len(outcome.witnesses)}")
 print()
 
 # small anticanonical classes do not even clear the M.M threshold
-ok, M, m2 = window_applicable(-canonical_class(7), 1, surface_context(7))
+ok, M, m2 = window_applicable(-canonical_class(7), 1)
 print(f"-K at rank 7, k = 1: M.M = {m2} < 9, applicable={ok}")
 print()
 

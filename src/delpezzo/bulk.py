@@ -53,9 +53,9 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .lattice import PicardClass, SurfaceContext
-from .enumeration import orderings, surface_context, window_candidates
-from .positivity import EXCEPTION_NONE, exception_flag, is_effective
+from .lattice import EXCEPTIONAL_CLASS_COUNTS, PicardClass
+from .enumeration import _surface_context, orderings, window_candidates
+from .positivity import EXCEPTION_NONE, _effectivity, _exception_flag
 
 #: Coefficient magnitude up to which the array routines use int64; larger
 #: inputs are computed exactly on Python integers instead.  The scalar
@@ -138,7 +138,7 @@ def curve_operand(r: int) -> np.ndarray:
     :func:`exact_product`, read-only: column j is ``(x_a, -x_b1, ..., -x_br)``
     for test curve x_j, so ``rows @ curve_operand(r)`` pairs class rows
     against the test curves."""
-    curves = surface_context(r).test_curves
+    curves = _surface_context(r).test_curves
     signed = np.array([[x.a, *(-y for y in x.b)] for x in curves], dtype=np.int64)
     return float_operand(_read_only(signed.T))
 
@@ -218,7 +218,6 @@ def _table(reps: np.ndarray, k: int) -> _CandidateTable:
 
 @lru_cache(maxsize=None)
 def _candidate_table(r: int, k: int) -> _CandidateTable:
-    ctx = surface_context(r)
     # Riemann-Roch: D.D + (-K).D >= 0 gives h^0(D) >= chi(D) >= 1, as
     # h^2(D) = h^0(K - D) = 0: (K - D).l = -3 - alpha < 0 and l is nef.  The
     # other candidates are tested once per orbit: effectivity is invariant
@@ -226,7 +225,7 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
     reps = [
         (alpha, *b) for alpha, b in window_candidates(r, k)
         if alpha * alpha - sum(x * x for x in b) + 3 * alpha - sum(b) >= 0
-        or is_effective(PicardClass(alpha, b), ctx)[0]
+        or _effectivity(PicardClass(alpha, b))[0]
     ]
     return _table(np.array(reps, dtype=np.int64).reshape(len(reps), r + 1), k)
 
@@ -319,7 +318,7 @@ def _row_counts(parts: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _decide_block(
-    L: np.ndarray, lowest: np.ndarray, exc_below: np.ndarray, k: int, ctx: SurfaceContext, table: _CandidateTable,
+    L: np.ndarray, lowest: np.ndarray, exc_below: np.ndarray, k: int, table: _CandidateTable,
 ) -> tuple[tuple[int, ...], list[tuple[int, bool]]]:
     """The sweep over one block of nef exact rows L (see :func:`exact_rows`)
     from two reductions of their pairing rows with the test curves: each
@@ -333,7 +332,7 @@ def _decide_block(
     some row reaches and once per row that is a multiple of -K or is
     flagged; a consistent block flags no row.
     """
-    K = ctx.canonical
+    K = _surface_context(L.shape[1] - 1).canonical
     M = L - np.array([K.a, *K.b], dtype=np.int64)
     m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
     applicable = np.flatnonzero(m2 >= 4 * k + 5)
@@ -360,7 +359,7 @@ def _decide_block(
     exception = np.zeros(n, dtype=bool)
     multiple = passes & (L[:, 0] == 3 * L[:, 1]) & (L[:, 1:] == L[:, 1:2]).all(axis=1)
     for i in np.flatnonzero(multiple).tolist():
-        exception[i] = exception_flag(-int(L[i, 1]) * K, k, ctx) != EXCEPTION_NONE
+        exception[i] = _exception_flag(-int(L[i, 1]) * K, k) != EXCEPTION_NONE
     passing = passes & ~exception
     # A k-very-ample class may have no witness at all, so none with D.D <= 0
     # either; a failing one needs a witness and each violating exceptional class.
@@ -371,31 +370,31 @@ def _decide_block(
 
 
 def sweep_blocks(
-    blocks: Iterable[np.ndarray], k: int, ctx: SurfaceContext, sample: int | None,
+    blocks: Iterable[np.ndarray], r: int, k: int, sample: int | None,
 ) -> tuple[int, int, list[int], list[tuple[PicardClass, bool]]]:
-    """The block loop of ``consistency_sweep`` at level k.  Each block of
-    candidate rows is converted to exact rows and paired once with
-    ``curve_operand(ctx.r)``.  The pairing matrix P is reduced once per
+    """The block loop of ``consistency_sweep`` at rank r and level k.  Each
+    block of candidate rows is converted to exact rows and paired once with
+    ``curve_operand(r)``.  The pairing matrix P is reduced once per
     quantity, to each row's smallest pairing (the nef filter) and its count
     of exceptional classes (the first test curves) below k.  With
     ``sample`` the loop stops after that many nef rows.  Returns scanned,
     covered, the five totals of :func:`_decide_block` and the flagged rows
     in row order, as (class, pass flag)."""
-    table = _candidate_table(ctx.r, k)
+    table = _candidate_table(r, k)
     scanned = covered = 0
     totals = [0] * 5
     flagged = []
     for block in blocks:
         L = exact_rows(block)
-        P = exact_product(L, curve_operand(ctx.r))
+        P = exact_product(L, curve_operand(r))
         lowest = P.min(axis=1)
         # int16 is exact: a rank has at most 240 exceptional classes
-        exc_below = (P[:, :len(ctx.exceptional_set)] < k).sum(axis=1, dtype=np.int16)
+        exc_below = (P[:, :EXCEPTIONAL_CLASS_COUNTS[r]] < k).sum(axis=1, dtype=np.int16)
         nef = np.flatnonzero(lowest >= 0)
         if sample is not None:
             nef = nef[:sample - scanned]
         rows = L[nef]
-        counts, found = _decide_block(rows, lowest[nef], exc_below[nef], k, ctx, table)
+        counts, found = _decide_block(rows, lowest[nef], exc_below[nef], k, table)
         flagged += [(PicardClass(rows[i, 0], tuple(rows[i, 1:].tolist())), passing) for i, passing in found]
         scanned += len(rows)
         # a box leaf decides its whole permutation orbit

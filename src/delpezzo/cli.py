@@ -34,12 +34,7 @@ import re
 import sys
 
 from .lattice import MAX_RANK, MIN_RANK, CurveTypePattern, PicardClass
-from .enumeration import (
-    enumerate_exceptional,
-    enumerate_null_classes,
-    exceptional_type_census,
-    surface_context,
-)
+from .enumeration import enumerate_exceptional, enumerate_null_classes, exceptional_type_census
 from .positivity import EXCEPTION_NONE, adjoint_report, ampleness_level, is_k_very_ample
 from .reider import consistency_sweep
 from . import tables as table_views
@@ -204,7 +199,7 @@ def _cmd_null_classes(parser, args) -> int:
 
 def _cmd_check(parser, args) -> int:
     L = parse_class_literal(args.literal, args.r, strict=args.strict)
-    report = is_k_very_ample(L, args.k, surface_context(args.r))
+    report = is_k_very_ample(L, args.k)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
         return 0
@@ -245,7 +240,7 @@ def _cmd_verify(parser, args) -> int:
 def _cmd_adjoint(parser, args) -> int:
     ampleness_level(args.k, 1)  # refuse a bad k before reading the literal
     L = parse_class_literal(args.literal, args.r, strict=args.strict)
-    adj_report = adjoint_report(L, args.k, surface_context(args.r))
+    adj_report = adjoint_report(L, args.k)
     adj, verdict = adj_report.subject, adj_report.k_very_ample
     if args.json:
         payload = {

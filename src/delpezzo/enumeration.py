@@ -42,6 +42,7 @@ from .lattice import (
     CurveTypePattern,
     PicardClass,
     SurfaceContext,
+    _check_context,
     _check_rank,
     canonical_class,
     degree,
@@ -211,18 +212,22 @@ class NullClassRecord:
         return tuple(sorted(shapes, key=lambda p: (p[0].sort_key(), p[1].sort_key())))
 
 
-def decompose_null_class(D: PicardClass, ctx: SurfaceContext) -> tuple[tuple[PicardClass, PicardClass], ...]:
+def decompose_null_class(
+    D: PicardClass, ctx: SurfaceContext | None = None
+) -> tuple[tuple[PicardClass, PicardClass], ...]:
     """All unordered pairs {xi1, xi2} of exceptional classes with xi1 + xi2 = D.
 
     Deduplication is by unordered-pair identity of the exact classes; two
     distinct pairs may well share a type-pattern shape.
     """
-    if degree(D) != 0 or intersect(ctx.canonical, D) != -2:
+    _check_context(D.r, ctx)
+    surface = _surface_context(D.r)
+    if degree(D) != 0 or intersect(surface.canonical, D) != -2:
         raise ValueError(f"{D} does not satisfy D.D = 0 and K.D = -2")
     pairs = set()
-    for xi in ctx.exceptional_set:
+    for xi in surface.exceptional_set:
         other = D - xi
-        if other.sort_key() in ctx.exceptional_index:
+        if other.sort_key() in surface.exceptional_index:
             pairs.add(tuple(sorted((xi, other), key=PicardClass.sort_key)))
     return tuple(sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())))
 
@@ -237,7 +242,6 @@ def enumerate_null_classes(r: int) -> tuple[NullClassRecord, ...]:
     none at rank 1, but splits as (l - e_i - e_j) + e_j once r >= 2.
     """
     r = _check_rank(r)
-    ctx = surface_context(r)
     records = []
     for a in range(1, NULL_CLASS_A_BOUND + 2):
         sols = descending_vectors(r, 0, a, 3 * a - 2, 3 * a - 2, a * a, a * a)
@@ -247,5 +251,5 @@ def enumerate_null_classes(r: int) -> tuple[NullClassRecord, ...]:
             break
         for b in sorted(sol[::-1] for sol in sols):
             rep = PicardClass(a, b)
-            records.append(NullClassRecord(rep, decompose_null_class(rep, ctx)))
+            records.append(NullClassRecord(rep, decompose_null_class(rep)))
     return tuple(records)

@@ -256,6 +256,10 @@ class SurfaceContext:
 
     Immutable after construction; safe to share between any number of
     concurrent callers.  Build via :func:`delpezzo.enumeration.surface_context`.
+
+    A valid context carries nothing beyond its rank (``__post_init__`` pins
+    its classes), so every public ``ctx`` is optional, a given one is checked
+    for its rank only (:func:`_check_context`), and the parameter is to go.
     """
 
     r: int
@@ -296,3 +300,9 @@ class SurfaceContext:
         if self.r == 1:
             return self.exceptional_set + (fiber_class(),)
         return self.exceptional_set
+
+
+def _check_context(r: int, ctx: SurfaceContext | None) -> None:
+    """Refuse a given ctx of another rank than r: the one reader of a ctx."""
+    if ctx is not None and ctx.r != r:
+        raise LatticeMismatchError(f"context rank {ctx.r} does not match r={r}")

@@ -57,15 +57,17 @@ from .lattice import (
     PicardClass,
     RankError,
     SurfaceContext,
+    _check_context,
     _check_rank,
     _genus,
     _same_rank,
     _slot_setters,
+    canonical_class,
     degree,
     type_pattern,
     adjoint as adjoint_class,
 )
-from .enumeration import surface_context
+from .enumeration import _surface_context, surface_context
 
 EXCEPTION_NONE = "none"
 EXCEPTION_MINUS_KK_S8 = "minus_kK_S8"
@@ -82,30 +84,25 @@ def ampleness_level(k, least: int = 0) -> int:
     return k
 
 
-def _check_context(L: PicardClass, ctx: SurfaceContext) -> None:
-    if ctx.r != L.r:
-        raise LatticeMismatchError(f"class of rank {L.r} checked in rank-{ctx.r} context")
-
-
-def minimum_pairing(L: PicardClass, ctx: SurfaceContext) -> int:
+def minimum_pairing(L: PicardClass, ctx: SurfaceContext | None = None) -> int:
     """Smallest intersection of L with the test curves at this rank: the
     smallest family value, read off the sorted coefficients of L."""
-    _check_context(L, ctx)
+    _check_context(L.r, ctx)
     return min(_family_values(L))
 
 
-def is_nef(L: PicardClass, ctx: SurfaceContext) -> bool:
+def is_nef(L: PicardClass, ctx: SurfaceContext | None = None) -> bool:
     """True iff L pairs >= 0 with every exceptional class (and with
     ``l - e_1`` at rank 1)."""
     return minimum_pairing(L, ctx) >= 0
 
 
-def is_spanned(L: PicardClass, ctx: SurfaceContext) -> bool:
+def is_spanned(L: PicardClass, ctx: SurfaceContext | None = None) -> bool:
     """Spanned-by-sections coincides with nef on these surfaces."""
     return is_nef(L, ctx)
 
 
-def is_big(L: PicardClass, ctx: SurfaceContext) -> bool:
+def is_big(L: PicardClass, ctx: SurfaceContext | None = None) -> bool:
     """Nef with positive self-intersection."""
     return is_nef(L, ctx) and degree(L) > 0
 
@@ -169,7 +166,7 @@ class EffectivityCertificate:
 _set_subtracted, _set_terminal, _set_total = _slot_setters(EffectivityCertificate)
 
 
-def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, EffectivityCertificate | None]:
+def is_effective(L: PicardClass, ctx: SurfaceContext | None = None) -> tuple[bool, EffectivityCertificate | None]:
     """Decide effectivity in closed form, by the Zariski decomposition of L
     along the (-1)-curves.
 
@@ -207,17 +204,15 @@ def is_effective(L: PicardClass, ctx: SurfaceContext) -> tuple[bool, Effectivity
     Rank 1 is the monoid generated by ``e_1`` and ``l - e_1``: ``(a; b1)``
     is effective iff ``a >= 0`` and ``a >= b1``.
     """
-    _check_context(L, ctx)
-    return _effectivity(L, ctx)
+    _check_context(L.r, ctx)
+    return _effectivity(L)
 
 
-def _effectivity(
-    L: PicardClass, ctx: SurfaceContext, values: list[int] | None = None
-) -> tuple[bool, EffectivityCertificate | None]:
-    """:func:`is_effective` for a checked rank, given the caller's family
-    values of L (:func:`_family_values`), if it has them.  A class that is
-    not nef and passes the early reject below is searched for C by at most
-    r + 1 fold passes on its positive part T (see :func:`is_effective`)."""
+def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool, EffectivityCertificate | None]:
+    """:func:`is_effective`, given the caller's family values of L
+    (:func:`_family_values`), if it has them.  A class that is not nef and
+    passes the early reject below is searched for C by at most r + 1 fold
+    passes on its positive part T (see :func:`is_effective`)."""
     if values is not None and min(values) >= 0:
         # a nef class is its own positive part: C is empty
         return True, EffectivityCertificate((), L)
@@ -225,7 +220,8 @@ def _effectivity(
         # pairs negatively with the nef class l or some l - e_i; at rank 1
         # this is the whole closed form
         return False, None
-    if ctx.r == 1:
+    r = len(L.b)
+    if r == 1:
         # C is e_1 when b1 < 0, read off L, and T = (a; max(b1, 0)) is
         # nef by the early reject.  The fold search below decides rank 1
         # the same way, but more slowly: without this branch oracle-lowrank
@@ -233,14 +229,14 @@ def _effectivity(
         b1 = L.b[0]
         if b1 >= 0:
             return True, EffectivityCertificate((), L)
-        cert = EffectivityCertificate(((ctx.exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)))
+        cert = EffectivityCertificate(((_surface_context(1).exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)))
         if cert.total != L:
             raise RuntimeError(f"the certificate of {L} replays to another class")
         return True, cert
     # C, each curve with L.E, and T = L + sum (L.E) * E, one fold pass per
     # curve.  C holds e_i iff L.e_i = b_i < 0, and SurfaceContext pins the
     # (a, b) order, so e_1..e_r are exceptional_set[0..r-1].
-    r, a, b = ctx.r, L.a, L.b
+    a, b = L.a, L.b
     found = [(x, i) for i, x in enumerate(b) if x < 0]
     ta, tb = a, [x if x > 0 else 0 for x in b]
     if found or values is None:
@@ -257,13 +253,13 @@ def _effectivity(
         if v != low:
             # E meets a curve already subtracted, or E is not in C
             return False, None
-        found.append((v, ctx.exceptional_index[e0, tuple(e)]))
+        found.append((v, _surface_context(r).exceptional_index[e0, tuple(e)]))
         ta += v * e0
         tb = [x + v * y for x, y in zip(tb, e)]
         values = _fold_values(ta, sorted(tb, reverse=True))
     if not found:
         return True, EffectivityCertificate((), L)
-    exc = ctx.exceptional_set
+    exc = _surface_context(r).exceptional_set
     # the greedy's order: most negative first, ties by first index
     order = sorted(found)
     terminal = PicardClass._trusted(ta, tuple(tb))
@@ -293,7 +289,7 @@ def _effectivity(
     return True, cert
 
 
-def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
+def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> str:
     """Which of the three named exception classes L is, if any.
 
     On the degree-1 surface neither ``-k*K`` nor ``-(k+1)*K`` is k-very
@@ -304,22 +300,23 @@ def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
     k is refused.
     """
     k = ampleness_level(k)
-    _check_context(L, ctx)
-    return _exception_flag(L, k, ctx)
+    _check_context(L.r, ctx)
+    return _exception_flag(L, k)
 
 
-def _exception_flag(L: PicardClass, k: int, ctx: SurfaceContext) -> str:
-    """:func:`exception_flag` for a checked level k and class rank."""
+def _exception_flag(L: PicardClass, k: int) -> str:
+    """:func:`exception_flag` for a checked level k."""
     # -mK = (3m; m, ..., m); find m, if L is a multiple of -K at all
     m, rem = divmod(L.a, 3)
-    if rem or L.b.count(m) != len(L.b):
+    r = len(L.b)
+    if rem or L.b.count(m) != r:
         return EXCEPTION_NONE
-    if ctx.r == 8:
+    if r == 8:
         if m == k:
             return EXCEPTION_MINUS_KK_S8
         if m == k + 1:
             return EXCEPTION_MINUS_K1K_S8
-    if ctx.r == 7 and k == 1 and m == 1:
+    if r == 7 and k == 1 and m == 1:
         return EXCEPTION_MINUS_K_S7_K1
     return EXCEPTION_NONE
 
@@ -437,7 +434,7 @@ class PositivityReport:
 ) = _slot_setters(PositivityReport)
 
 
-def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:
+def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> PositivityReport:
     """Full positivity report.  Each family's value (the minimum pairing
     over its orbit) is read off the sorted coefficients of L; their
     minimum gives the nef verdict, and the k-very-ample verdict is that
@@ -445,15 +442,15 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRe
     effectivity certificate, so only a non-nef class that passes the early
     reject is searched for its negative curves."""
     k = ampleness_level(k)
-    _check_context(L, ctx)
+    _check_context(L.r, ctx)
     values = _family_values(L)
     mp = min(values)
-    flag = _exception_flag(L, k, ctx)
+    flag = _exception_flag(L, k)
     nef = mp >= 0
-    effective, cert = _effectivity(L, ctx, values)
+    effective, cert = _effectivity(L, values)
     violations = []
     if mp < k:
-        for (nef_label, kva_label), val in zip(_family_table(ctx.r).labels, values, strict=True):
+        for (nef_label, kva_label), val in zip(_family_table(L.r).labels, values, strict=True):
             if val < 0:
                 violations.append(Violation("nef", nef_label, val, 0))
             if val < k:
@@ -530,13 +527,15 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
     every test curve.
 
     The families depend on r alone, and the cache is keyed on r only.
-    ``ctx`` is ignored and deprecated: passing it warns."""
+    ``ctx`` is deprecated: passing it warns, and one of another rank than r
+    raises LatticeMismatchError."""
     if ctx is not None:
         warnings.warn(
             "generate_inequality_families ignores ctx; call it with r alone",
             DeprecationWarning,
             stacklevel=2,
         )
+    _check_context(r, ctx)
     return _family_table(r).families
 
 
@@ -609,7 +608,7 @@ def _fold_values(a: int, desc: list[int]) -> list[int]:
     return _family_table(len(desc)).kernel(a, desc)
 
 
-def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityReport:
+def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> PositivityReport:
     """The (k-1) report of the adjoint class K + L, for L k-very ample.
 
     Refuses k < 1 and a class L that is not k-very ample (ValueError).
@@ -620,24 +619,26 @@ def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext) -> PositivityRep
     ``a >= b_1 + k + 1``.
     """
     k = ampleness_level(k, 1)
-    if not is_k_very_ample(L, k, ctx).k_very_ample:
+    _check_context(L.r, ctx)
+    if not is_k_very_ample(L, k).k_very_ample:
         raise ValueError(f"{L} is not {k}-very ample; adjoint check needs that")
-    return is_k_very_ample(adjoint_class(L), k - 1, ctx)
+    return is_k_very_ample(adjoint_class(L), k - 1)
 
 
-def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:
+def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> bool:
     """Whether K + L is (k-1)-very ample, given that L is k-very ample
     (see :func:`adjoint_report`)."""
     return adjoint_report(L, k, ctx).k_very_ample
 
 
-def degree_bound_check(L: PicardClass, k: int, ctx: SurfaceContext) -> bool:
+def degree_bound_check(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> bool:
     """Assert-style check ``degree(L) >= k^2 + 3k + 2`` for k-very ample L
     with k >= 2 and L != -kK.  Expected to hold always."""
     k = ampleness_level(k, 2)
-    if L == -k * ctx.canonical:
+    _check_context(L.r, ctx)
+    if L == -k * canonical_class(L.r):
         raise ValueError(f"{L} = -{k}K is excluded from the degree bound")
-    if not is_k_very_ample(L, k, ctx).k_very_ample:
+    if not is_k_very_ample(L, k).k_very_ample:
         raise ValueError(f"{L} is not {k}-very ample; degree bound needs that")
     return degree(L) >= k * k + 3 * k + 2
 

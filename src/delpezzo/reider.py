@@ -30,7 +30,7 @@ entry points check the premises of (ii) and (iii) first.
 ``search_obstructions`` lists the witnesses of its one M in (a, b)
 order, each certified effective.  ``consistency_sweep`` has
 ``bulk.sweep_blocks`` count witnesses over blocks of box rows, and words
-each row the sweep flags from that row's own ``search_obstructions``.
+each row the sweep flags from that row's own witness list.
 For non-nef L the bounds in (i) and (v) that use L.D >= 0 are not
 theorems, so the scan is best-effort outside the nef cone (the outcome
 says which box was used).
@@ -41,14 +41,12 @@ from __future__ import annotations
 import math as _math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .lattice import (
-    LatticeMismatchError, PicardClass, SurfaceContext, _check_rank, degree, intersect, line, point_class,
-)
-from .enumeration import surface_context, window_box
-from .positivity import EffectivityCertificate, ampleness_level, is_effective, is_nef
+from .lattice import PicardClass, SurfaceContext, _check_context, _check_rank, degree, intersect, line, point_class
+from .enumeration import _surface_context, window_box
+from .positivity import EffectivityCertificate, _effectivity, _family_values, ampleness_level, is_nef
 
 #: The scan box grows like (6*(2k+1)) * (2k+2+6*(2k+1))**r before pruning;
 #: sweeps refuse above this k and single searches emit a warning.
@@ -63,31 +61,32 @@ MAX_EXHAUSTIVE_LEAVES = 250_000
 def _assert_box_premises(r: int) -> bool:
     """The box derivation needs 6*(-K) - l and every l - e_i nef; refuse to
     search if that ever failed."""
-    ctx = surface_context(r)
-    guard = 6 * ctx.anticanonical - line(r)
-    if not is_nef(guard, ctx):
+    guard = 6 * _surface_context(r).anticanonical - line(r)
+    if not is_nef(guard):
         raise RuntimeError(f"box premise broken at rank {r}: {guard} is not nef")
     for i in range(1, r + 1):
-        if not is_nef(line(r) - point_class(r, i), ctx):
+        if not is_nef(line(r) - point_class(r, i)):
             raise RuntimeError(f"box premise broken at rank {r}: l - e_{i} is not nef")
     return True
 
 
-def _window_premise(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[PicardClass, int, str | None]:
+def _window_premise(L: PicardClass, k: int) -> tuple[PicardClass, int, str | None]:
     """M = L - K, M.M, and why the window argument does not apply: it
     applies iff M is nef and M.M >= 4k+5 (reason None), for a checked k."""
-    M = L - ctx.canonical
+    M = L - _surface_context(L.r).canonical
     m2 = degree(M)
-    if not is_nef(M, ctx):
+    if min(_family_values(M)) < 0:
         return M, m2, f"M = {M} is not nef"
     if m2 < 4 * k + 5:
         return M, m2, f"M.M = {m2} < {4 * k + 5}"
     return M, m2, None
 
 
-def window_applicable(L: PicardClass, k: int, ctx: SurfaceContext) -> tuple[bool, PicardClass, int]:
+def window_applicable(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> tuple[bool, PicardClass, int]:
     """M = L - K; the window argument applies iff M is nef and M.M >= 4k+5."""
-    M, m2, reason = _window_premise(L, ampleness_level(k), ctx)
+    k = ampleness_level(k)
+    _check_context(L.r, ctx)
+    M, m2, reason = _window_premise(L, k)
     return reason is None, M, m2
 
 
@@ -176,7 +175,7 @@ def _bounds_record(k: int, candidates: int) -> dict:
     }
 
 
-def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOutcome:
+def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> SearchOutcome:
     """Enumerate every effective class in the window for (L, k).
 
     Not applicable (M not nef, or M.M < 4k+5) returns an empty outcome
@@ -184,7 +183,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
     witness lists in identical (a, b) order.
     """
     k = ampleness_level(k)
-    M, m2, reason = _window_premise(L, k, ctx)
+    _check_context(L.r, ctx)
     if k > DESK_SCALE_K:
         warnings.warn(
             f"k = {k} is beyond the desk-scale envelope (k <= {DESK_SCALE_K}); "
@@ -192,19 +191,25 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext) -> SearchOu
             RuntimeWarning,
             stacklevel=2,
         )
+    return _search(L, k)
+
+
+def _search(L: PicardClass, k: int) -> SearchOutcome:
+    """:func:`search_obstructions` for a checked level k."""
+    M, m2, reason = _window_premise(L, k)
     if reason is not None:
         return SearchOutcome(
             subject=L, k=k, applicable=False, reason=reason, M=M, M_squared=m2,
             witnesses=(), search_bounds={}, nodes_visited=0,
         )
-    _assert_box_premises(ctx.r)
+    _assert_box_premises(L.r)
     from . import bulk
 
-    table = bulk._candidate_table(ctx.r, k)
+    table = bulk._candidate_table(L.r, k)
     witnesses = []
     for (a, *b), md, d2 in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
         D = PicardClass(a, tuple(b))
-        effective, cert = is_effective(D, ctx)
+        effective, cert = _effectivity(D)
         if not effective:
             raise RuntimeError(f"candidate table let a non-effective class through: {D}")
         witnesses.append(
@@ -255,21 +260,10 @@ class SweepSummary:
         return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "k": self.k,
-            "a_max": self.a_max,
-            "sample": self.sample,
-            "seed": self.seed,
-            "scanned": self.scanned,
-            "covered": self.covered,
-            "applicable": self.applicable,
-            "passing": self.passing,
-            "failing": self.failing,
-            "exceptions": self.exceptions,
-            "witness_total": self.witness_total,
-            "violations": [v.as_dict() for v in self.violations],
-        }
+        """Every field, in field order, each violation as its own dict."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["violations"] = [v.as_dict() for v in self.violations]
+        return out
 
     def render(self) -> str:
         mode = f"sample {self.sample} (seed {self.seed})" if self.sample else "exhaustive"
@@ -287,12 +281,12 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-def _row_violations(L: PicardClass, passing: bool, k: int, ctx: SurfaceContext) -> list[SweepViolation]:
+def _row_violations(L: PicardClass, passing: bool, k: int) -> list[SweepViolation]:
     """The violations of one row that the sweep flagged, worded from its
     own witness list; ``passing`` is its pairing verdict.  A failing row
     with witnesses names each exceptional class it pairs below k and its
     witnesses miss."""
-    witnesses = search_obstructions(L, k, ctx).witnesses
+    witnesses = _search(L, k).witnesses
     if passing:
         unexpected = SweepViolation(L, "unexpected_witness", f"k-very ample but has {len(witnesses)} witnesses")
         return [unexpected] + [
@@ -304,7 +298,7 @@ def _row_violations(L: PicardClass, passing: bool, k: int, ctx: SurfaceContext) 
     found = {w.D for w in witnesses}
     return [
         SweepViolation(L, "missing_exceptional_witness", f"violating class {x} absent from the witness list")
-        for x in ctx.exceptional_set if intersect(L, x) < k and x not in found
+        for x in _surface_context(L.r).exceptional_set if intersect(L, x) < k and x not in found
     ]
 
 
@@ -344,7 +338,7 @@ def consistency_sweep(
 
     ``bulk.sweep_blocks`` decides the rows in blocks of array operations.
     Witnesses are counted, not listed or certified; a flagged row's
-    violations are worded from its own ``search_obstructions``.  The
+    violations are worded from its own window search.  The
     exhaustive mode runs on one representative per coordinate-permutation
     orbit, the nef rows among the box leaves of ``bulk._box_leaves``: all
     checks are permutation-equivariant, so the representative decides its
@@ -355,17 +349,13 @@ def consistency_sweep(
     ``sample`` and a sampled box past the int64 sampler (``a_max`` above
     2**63 - 1) raise ValueError; a k, ``a_max``, ``sample`` or ``seed``
     that is not an integer raises TypeError, a rank that is not an integer
-    in 1..8 raises RankError, and a ``ctx`` of another rank raises
-    LatticeMismatchError.  Any ``ctx`` of rank r gives
-    the same sweep: ``SurfaceContext`` pins it to that rank's exceptional
-    classes in (a, b) order, which are the columns of
-    ``bulk.curve_operand(r)``.
+    in 1..8 raises RankError.  ``ctx`` is optional and is to be removed: a
+    given one is checked for its rank only (another rank raises
+    LatticeMismatchError), as ``SurfaceContext`` pins every context of rank
+    r to the columns of ``bulk.curve_operand(r)``.
     """
     r = _check_rank(r)
-    if ctx is None:
-        ctx = surface_context(r)
-    if ctx.r != r:
-        raise LatticeMismatchError(f"context rank {ctx.r} does not match r={r}")
+    _check_context(r, ctx)
     k, a_max, seed = ampleness_level(k), operator.index(a_max), operator.index(seed)
     if k > DESK_SCALE_K:
         raise ValueError(
@@ -396,9 +386,9 @@ def consistency_sweep(
             raise ValueError(f"sampled box a_max = {a_max} is past the int64 sampler's 2**63 - 1")
         blocks = bulk._sample_blocks(r, a_max, seed)
     _assert_box_premises(r)
-    scanned, covered, totals, flagged = bulk.sweep_blocks(blocks, k, ctx, sample)
+    scanned, covered, totals, flagged = bulk.sweep_blocks(blocks, r, k, sample)
     applicable, passing, failing, exceptions, witness_total = totals
-    violations = [v for row in flagged for v in _row_violations(*row, k, ctx)]
+    violations = [v for row in flagged for v in _row_violations(*row, k)]
     return SweepSummary(
         r=r, k=k, a_max=a_max, sample=sample, seed=seed if sample else None,
         scanned=scanned, covered=covered, applicable=applicable,

@@ -261,7 +261,7 @@ class TestSubcommands:
 
         calls = []
 
-        def counting_report(L, k, ctx):
+        def counting_report(L, k, ctx=None):
             calls.append((L, k))
             return is_k_very_ample(L, k, ctx)
 

@@ -1,6 +1,6 @@
-"""Every demo script runs cleanly in a fresh process and prints its
-golden output byte for byte, so a change in what the demos show is a
-diff here."""
+"""Every demo script runs cleanly in a fresh process, under ``-W error``
+and with nothing on stderr, and prints its golden output byte for byte,
+so a change in what the demos show is a diff here."""
 
 import os
 import subprocess
@@ -23,6 +23,7 @@ def test_every_demo_has_a_golden():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_output_is_pinned(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, timeout=120)
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr == b""
     assert done.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()

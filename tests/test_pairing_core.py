@@ -22,6 +22,7 @@ import pickle
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -36,6 +37,7 @@ from delpezzo.lattice import (
     LatticeMismatchError,
     PicardClass,
     RankError,
+    SurfaceContext,
     canonical_class,
     degree,
     fiber_class,
@@ -44,7 +46,7 @@ from delpezzo.lattice import (
     sectional_genus,
     type_pattern,
 )
-from delpezzo.enumeration import exceptional_type_census, surface_context
+from delpezzo.enumeration import decompose_null_class, enumerate_exceptional, exceptional_type_census, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
@@ -53,6 +55,7 @@ from delpezzo.positivity import (
     _effectivity,
     _family_values,
     adjoint_kva_check,
+    adjoint_report,
     degree_bound_check,
     exception_flag,
     f1_is_k_very_ample,
@@ -298,7 +301,7 @@ class TestNefShortCircuit:
         report = is_k_very_ample(L, k, ctx)
         assert report.nef
         assert report.certificate == is_effective(L, ctx)[1] == EffectivityCertificate((), L)
-        assert _effectivity(L, ctx, _family_values(L)) == _effectivity(L, ctx) == (True, report.certificate)
+        assert _effectivity(L, _family_values(L)) == _effectivity(L) == (True, report.certificate)
 
 
 def refuse(*args):
@@ -571,6 +574,10 @@ class TestPairingCore:
         with pytest.warns(DeprecationWarning, match="ignores ctx"):
             assert generate_inequality_families(ctx.r, ctx) is generate_inequality_families(ctx.r)
 
+    def test_context_of_another_rank_is_refused(self):
+        with pytest.warns(DeprecationWarning), pytest.raises(LatticeMismatchError, match="rank 2 does not match r=3"):
+            generate_inequality_families(3, surface_context(2))
+
 
 # a coefficient: small, or past 2**63 either way
 kernel_coeff = small | st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63))
@@ -632,14 +639,88 @@ class TestFoldKernel:
         # a truncating zip read (3; 1, 1) against every family of rank 3
         lambda L, ctx: [fam.evaluate(L) for fam in generate_inequality_families(ctx.r)],
         lambda L, ctx: pairing_matrix([[L.a, *L.b]], ctx),
+        # refused at entry, before the class is read
+        lambda L, ctx: adjoint_report(L, 1, ctx),
+        lambda L, ctx: adjoint_kva_check(L, 1, ctx),
+        lambda L, ctx: degree_bound_check(L, 2, ctx),
+        decompose_null_class,
     ],
     ids=["minimum_pairing", "is_nef", "is_big", "is_spanned", "is_effective",
          "is_k_very_ample", "search_obstructions", "window_applicable", "exception_flag",
-         "InequalityFamily.evaluate", "pairing_matrix"],
+         "InequalityFamily.evaluate", "pairing_matrix", "adjoint_report", "adjoint_kva_check",
+         "degree_bound_check", "decompose_null_class"],
 )
 def test_foreign_rank_class_is_a_lattice_mismatch(check):
     with pytest.raises(LatticeMismatchError):
         check(PicardClass(3, (1, 1)), surface_context(3))
+
+
+def context_calls():
+    """(name, r, call) for every public function that takes a context, each
+    call taking that context: the classes of ranks 1, 2, 7 and 8 below, at
+    levels where each function has something to decide."""
+    classes = {
+        # a class with something to refuse or flag, then a 1- and a 2-very ample one
+        1: [PicardClass(2, (-3,)), PicardClass(5, (2,)), PicardClass(7, (2,))],  # b_1 < 0
+        2: [PicardClass(3, (2, 2)), PicardClass(6, (2, 2)), PicardClass(7, (2, 2))],
+        7: [-canonical_class(7), -2 * canonical_class(7), -3 * canonical_class(7)],  # flagged at k = 1
+        8: [PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), -3 * canonical_class(8), -4 * canonical_class(8)],
+    }
+    null = {1: PicardClass(1, (1,)), 2: PicardClass(1, (1, 0)), 7: PicardClass(2, (1, 1, 1, 1, 0, 0, 0)),
+            8: PicardClass(2, (1, 1, 1, 1, 0, 0, 0, 0))}
+    calls = []
+    for r, (L, kva1, kva2) in classes.items():
+        for name, fn in [("minimum_pairing", minimum_pairing), ("is_nef", is_nef), ("is_spanned", is_spanned),
+                         ("is_big", is_big), ("is_effective", is_effective)]:
+            calls += [(name, r, lambda ctx, fn=fn, M=M: fn(M, ctx)) for M in (L, kva1)]
+        for k in (1, 2):
+            calls += [(name, r, lambda ctx, fn=fn, M=M, k=k: fn(M, k, ctx))
+                      for name, fn in [("exception_flag", exception_flag), ("is_k_very_ample", is_k_very_ample),
+                                       ("window_applicable", window_applicable)]
+                      for M in (L, kva1, kva2)]
+        calls += [
+            ("adjoint_report", r, lambda ctx, M=kva2: adjoint_report(M, 2, ctx)),
+            ("adjoint_kva_check", r, lambda ctx, M=kva1: adjoint_kva_check(M, 1, ctx)),
+            ("degree_bound_check", r, lambda ctx, M=kva2: degree_bound_check(M, 2, ctx)),
+            ("search_obstructions", r, lambda ctx, M=L: search_obstructions(M, 1, ctx)),
+            ("decompose_null_class", r, lambda ctx, D=null[r]: decompose_null_class(D, ctx)),
+            ("consistency_sweep", r, lambda ctx, r=r: consistency_sweep(r, 1, 4, ctx)),
+            ("generate_inequality_families", r, lambda ctx, r=r: generate_inequality_families(r, ctx)),
+        ]
+    calls += [
+        ("search_obstructions", 8, lambda ctx: search_obstructions(-2 * canonical_class(8), 1, ctx)),
+        ("consistency_sweep", 3, lambda ctx: consistency_sweep(3, 1, 6, ctx)),
+    ]
+    return calls
+
+
+def payload(out):
+    """JSON of a result: ``as_dict()`` where there is one, a class rendered."""
+    def plain(x):
+        if hasattr(x, "as_dict"):
+            return x.as_dict()
+        if isinstance(x, PicardClass):
+            return x.render()
+        if isinstance(x, (tuple, list)):
+            return [plain(y) for y in x]
+        return repr(x) if isinstance(x, positivity.InequalityFamily) else x
+
+    return json.dumps(plain(out))
+
+
+CONTEXT_CALLS = context_calls()
+
+
+@pytest.mark.parametrize("r,call", [(r, call) for _, r, call in CONTEXT_CALLS],
+                         ids=[f"{name}-r{r}-{i}" for i, (name, r, _) in enumerate(CONTEXT_CALLS)])
+def test_every_context_of_the_rank_gives_the_same_result(r, call):
+    # no context, the cached one and a freshly built one are the same surface
+    with warnings.catch_warnings():
+        # generate_inequality_families warns when given a context it ignores
+        warnings.filterwarnings("ignore", "generate_inequality_families ignores ctx", DeprecationWarning)
+        contexts = (None, surface_context(r), SurfaceContext(r, enumerate_exceptional(r)))
+        results = [payload(call(ctx)) for ctx in contexts]
+    assert results[0] == results[1] == results[2]
 
 
 MINUS_3K_R3 = PicardClass(9, (3, 3, 3))  # pairs 3 with every test curve

@@ -139,7 +139,7 @@ class TestBoxPremises:
         import delpezzo.reider as reider
 
         _assert_box_premises.cache_clear()  # a cached True would skip the check
-        monkeypatch.setattr(reider, "is_nef", lambda L, ctx: broken(L))
+        monkeypatch.setattr(reider, "is_nef", lambda L, ctx=None: broken(L))
         try:
             with pytest.raises(RuntimeError, match=f"box premise broken at rank 3: {message}"):
                 _assert_box_premises(3)
@@ -153,7 +153,7 @@ class TestBoxPremises:
 
         # each reported witness is certified; the check raises under
         # ``python -O`` too instead of reporting (D, None)
-        monkeypatch.setattr(reider, "is_effective", lambda D, ctx: (False, None))
+        monkeypatch.setattr(reider, "_effectivity", lambda D: (False, None))
         with pytest.raises(RuntimeError, match="let a non-effective class through: 1;0,1,1"):
             search_obstructions(PicardClass(3, (2, 2, 1)), 1, surface_context(3))
 
@@ -184,16 +184,17 @@ class TestSearch:
 
         calls = []
 
-        def counting_is_nef(L, ctx):
-            calls.append(L)
-            return is_nef(L, ctx)
+        def counting_values(M):
+            calls.append(M)
+            return family_values(M)
 
-        monkeypatch.setattr(reider, "is_nef", counting_is_nef)
+        family_values = reider._family_values
+        monkeypatch.setattr(reider, "_family_values", counting_values)
         # M = L - K = (2; 3, 3) pairs to -4 with l - e_1 - e_2
         out = search_obstructions(PicardClass(-1, (2, 2)), 1, surface_context(2))
         assert not out.applicable and out.witnesses == ()
         assert out.reason == "M = 2;3,3 is not nef"
-        assert len(calls) == 1
+        assert calls == [out.M]
 
     def test_known_witness(self):
         # L = (3;2,2) at k = 1: M = (6;3,3) and D = l - e_1 - e_2 sits in
@@ -621,8 +622,8 @@ def decide_per_row(rows, k, ctx):
     P = np.array([[intersect(L, x) for x in ctx.test_curves] for L in classes], dtype=object)
     P = P.reshape(len(rows), len(ctx.test_curves))
     below = (P[:, :len(ctx.exceptional_set)] < k).sum(axis=1)
-    counts, flagged = _decide_block(exact_rows(rows), P.min(axis=1), below, k, ctx, _candidate_table(ctx.r, k))
-    violations = [v for i, passing in flagged for v in _row_violations(classes[i], passing, k, ctx)]
+    counts, flagged = _decide_block(exact_rows(rows), P.min(axis=1), below, k, _candidate_table(ctx.r, k))
+    violations = [v for i, passing in flagged for v in _row_violations(classes[i], passing, k)]
     return counts, violations
 
 
@@ -804,10 +805,10 @@ class TestSweepViolations:
         import delpezzo.bulk as bulk
 
         # -2K at rank 8 then counts as 1-very ample, with the witness -K
-        def none(L, k, ctx):
+        def none(L, k, ctx=None):
             return EXCEPTION_NONE
 
-        monkeypatch.setattr(bulk, "exception_flag", none)
+        monkeypatch.setattr(bulk, "_exception_flag", none)
         monkeypatch.setattr(sys.modules[__name__], "exception_flag", none)
         kinds = self._compare(8, 1, 6)
         assert kinds == ["unexpected_witness"]
@@ -875,12 +876,12 @@ class TestConsistencySweep:
 
         fresh = bulk._candidate_table.__wrapped__(8, 1)
 
-        def refuse(D, ctx):
+        def refuse(D, values=None):
             raise AssertionError(f"{D} certified by a sweep")
 
         monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: fresh)
-        monkeypatch.setattr(bulk, "is_effective", refuse)
-        monkeypatch.setattr(reider, "is_effective", refuse)
+        monkeypatch.setattr(bulk, "_effectivity", refuse)
+        monkeypatch.setattr(reider, "_effectivity", refuse)
         got = consistency_sweep(8, 1, 4).as_dict()
         monkeypatch.undo()
         assert got == ref_sweep(8, 1, 4).as_dict()
@@ -958,7 +959,7 @@ class TestConsistencySweep:
             return decide(L, lowest, exc_below, *rest)
 
         monkeypatch.setattr(bulk, "_decide_block", capture)
-        sweep_blocks([np.zeros((1, 9), dtype=np.int64)], 1, surface_context(8), None)
+        sweep_blocks([np.zeros((1, 9), dtype=np.int64)], 8, 1, None)
         assert len(seen) == 1
         assert seen[0].dtype == np.int16 and seen[0].tolist() == [240]
 

@@ -62,3 +62,31 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+
+def test_ctx_is_optional_and_public_only():
+    # a valid context carries nothing beyond its rank, so no private function
+    # takes one (but _check_context, the one reader of a given ctx) and every
+    # public one is optional: the set below is what is left to delete
+    optional = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "_check_context":
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+                for arg, default in [*zip(positional, defaults), *zip(args.kwonlyargs, args.kw_defaults)]:
+                    if arg.arg == "ctx":
+                        is_none = isinstance(default, ast.Constant) and default.value is None
+                        optional[f"{path.stem}.{node.name}"] = is_none
+    assert not [name for name in optional if name.split(".")[1].startswith("_")]
+    assert all(optional.values()), optional
+    assert set(optional) == {
+        "enumeration.decompose_null_class",
+        "positivity.minimum_pairing", "positivity.is_nef", "positivity.is_spanned", "positivity.is_big",
+        "positivity.is_effective", "positivity.exception_flag", "positivity.is_k_very_ample",
+        "positivity.generate_inequality_families", "positivity.adjoint_report", "positivity.adjoint_kva_check",
+        "positivity.degree_bound_check",
+        "reider.window_applicable", "reider.search_obstructions", "reider.consistency_sweep",
+    }
