@@ -43,6 +43,7 @@ from .positivity import (
     Violation,
     adjoint_kva_check,
     degree_bound_check,
+    exception_flag,
     f1_class,
     f1_coords,
     f1_is_k_very_ample,
@@ -90,6 +91,7 @@ __all__ = [
     "degree_bound_check",
     "enumerate_exceptional",
     "enumerate_null_classes",
+    "exception_flag",
     "exceptional_type_census",
     "f1_class",
     "f1_coords",

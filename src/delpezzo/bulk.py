@@ -33,9 +33,13 @@ The window kernel tests them against N rows of M at once: the smallest
 M.D over each orbit (:func:`orbit_floor`) marks the rows that can meet
 the orbit at most at its top, and only orbits that some row reaches are
 expanded and run the exact window; an expanded orbit keeps its int64 rows
-and their transpose, the operand of its M.D products.  The leaves of an
-exhaustive sweep are built by one loop over (a, b_1), once per (r, a_max),
-and kept for the last four boxes (:func:`_box_leaves`).
+and their transpose, the operand of its M.D products.  Past the floor, a
+reached orbit costs one gather of its reaching rows, one exact product,
+one window mask and one ``nonzero`` (:func:`_window_hits`); the block
+pass gathers rows with ``take``, which skips the set-up of fancy
+indexing.  The leaves of an exhaustive sweep are built by one loop over
+(a, b_1), once per (r, a_max), and kept for the last four boxes
+(:func:`_box_leaves`).
 A sweep reduces each block's pairing matrix to two per-row vectors, the
 smallest pairing (nef filter and pairing verdict) and the count of
 exceptional classes paired below k, counts the witnesses of each row and
@@ -174,7 +178,7 @@ def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
     floor is one exact product of ``(y0; sort(-y))`` with ``operand``,
     the representatives as columns (see :func:`float_operand`), for rows
     from :func:`exact_rows` (at most shifted by a small class)."""
-    return exact_product(np.column_stack([rows[:, 0], np.sort(-rows[:, 1:], axis=1)]), operand)
+    return exact_product(np.concatenate([rows[:, :1], np.sort(-rows[:, 1:], axis=1)], axis=1), operand)
 
 
 @dataclass(frozen=True)
@@ -243,17 +247,25 @@ def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
     reaches an orbit when its :func:`orbit_floor`, the smallest M.D over
     the orbit, is at most top.  Each orbit that some row reaches is
     expanded and meets the window in one (orbit size x reaching rows) M.D
-    product.  C holds int64 rows; md is exact."""
-    reach = orbit_floor(M, table.operand) <= table.top
-    dual = np.column_stack([M[:, 0], -M[:, 1:]])  # (m0; -mu), so that dual @ C.T is M.D
+    product.  C holds int64 rows; md is exact.
+
+    The reach matrix is transposed once, so orbit o finds its reaching
+    rows in the contiguous row ``by_orbit[o]``.  A reached orbit then
+    costs one gather of those rows of (m0; -mu), one :func:`exact_product`,
+    one window mask against 2*d2 and top read as Python integers, and one
+    ``nonzero``; md is read through the same mask."""
+    reached = orbit_floor(M, table.operand) <= table.top
+    by_orbit = np.ascontiguousarray(reached.T)
+    dual = np.concatenate([M[:, :1], -M[:, 1:]], axis=1)  # (m0; -mu), so that dual @ C.T is M.D
     hits = []
-    for o in np.flatnonzero(reach.any(axis=0)).tolist():
-        rows = np.flatnonzero(reach[:, o])
+    for o in reached.any(axis=0).nonzero()[0].tolist():
+        rows = by_orbit[o].nonzero()[0]
         C, columns = table.orbit(o)
-        md = exact_product(dual[rows], columns).T
-        ci, pi = ((2 * table.squares[o] < md) & (md <= table.top[o])).nonzero()
+        md = exact_product(dual.take(rows, axis=0), columns).T
+        window = (2 * table.squares.item(o) < md) & (md <= table.top.item(o))
+        ci, pi = window.nonzero()
         if len(ci):
-            hits.append((o, C, ci, rows[pi], md[ci, pi]))
+            hits.append((o, C, ci, rows[pi], md[window]))
     return hits
 
 
@@ -335,8 +347,8 @@ def _decide_block(
     K = _surface_context(L.shape[1] - 1).canonical
     M = L - np.array([K.a, *K.b], dtype=np.int64)
     m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
-    applicable = np.flatnonzero(m2 >= 4 * k + 5)
-    L, M = L[applicable], M[applicable]
+    applicable = (m2 >= 4 * k + 5).nonzero()[0]
+    L, M = L.take(applicable, axis=0), M.take(applicable, axis=0)
     n = len(applicable)
 
     hit_rows, exceptional_hits = [], []
@@ -358,13 +370,13 @@ def _decide_block(
     # cannot for -kK), so neither outcome is a violation.
     exception = np.zeros(n, dtype=bool)
     multiple = passes & (L[:, 0] == 3 * L[:, 1]) & (L[:, 1:] == L[:, 1:2]).all(axis=1)
-    for i in np.flatnonzero(multiple).tolist():
+    for i in multiple.nonzero()[0].tolist():
         exception[i] = _exception_flag(-int(L[i, 1]) * K, k) != EXCEPTION_NONE
     passing = passes & ~exception
     # A k-very-ample class may have no witness at all, so none with D.D <= 0
     # either; a failing one needs a witness and each violating exceptional class.
     flagged = (passing & (witnesses > 0)) | (~passes & ((witnesses == 0) | missing_exc))
-    flagged_rows = [(int(applicable[i]), bool(passing[i])) for i in np.flatnonzero(flagged).tolist()]
+    flagged_rows = [(int(applicable[i]), bool(passing[i])) for i in flagged.nonzero()[0].tolist()]
     counts = (n, int(passing.sum()), int((~passes).sum()), int(exception.sum()), int(witnesses.sum()))
     return counts, flagged_rows
 
@@ -390,10 +402,10 @@ def sweep_blocks(
         lowest = P.min(axis=1)
         # int16 is exact: a rank has at most 240 exceptional classes
         exc_below = (P[:, :EXCEPTIONAL_CLASS_COUNTS[r]] < k).sum(axis=1, dtype=np.int16)
-        nef = np.flatnonzero(lowest >= 0)
+        nef = (lowest >= 0).nonzero()[0]
         if sample is not None:
             nef = nef[:sample - scanned]
-        rows = L[nef]
+        rows = L.take(nef, axis=0)
         counts, found = _decide_block(rows, lowest[nef], exc_below[nef], k, table)
         flagged += [(PicardClass(rows[i, 0], tuple(rows[i, 1:].tolist())), passing) for i, passing in found]
         scanned += len(rows)

@@ -296,6 +296,14 @@ class TestKVeryAmple:
             exception_flag(-K8, 1.0, ctx8)
         assert exception_flag(-K8, np.int64(1), ctx8) == EXCEPTION_MINUS_KK_S8
 
+    def test_exception_flag_is_exported_from_the_package_root(self):
+        # the README documents the verdict, so the root offers its function
+        import delpezzo
+
+        assert delpezzo.exception_flag is positivity.exception_flag
+        assert "exception_flag" in delpezzo.__all__
+        assert delpezzo.exception_flag(-2 * canonical_class(8), 1) == EXCEPTION_MINUS_K1K_S8
+
     def test_report_invariants_run_on_every_report(self, monkeypatch):
         # -2K at r = 6 is 2-very ample; a forced degree of 0 keeps the genus
         # parity (0 - 18 + 12 is even) but makes the report claim k-very

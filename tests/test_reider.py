@@ -517,6 +517,37 @@ class TestFoldedWindow:
             hits += len(found)
         assert hits > 0
 
+    def test_a_block_that_reaches_no_orbit_has_no_hits(self):
+        # M = L - K with L a nef multiple of -K plus l has M.D >= 4 > 2k + 1
+        # on every candidate class D ((-K).D >= 1 and l.D >= 0), so no orbit
+        # is reached: no hits and no witnesses, though every row applies
+        r, k = 8, 1
+        K = canonical_class(r)
+        Ls = [-3 * K, -4 * K, -3 * K + line(r)]
+        Ms = [L - K for L in Ls]
+        assert _window_hits(_candidate_table(r, k), exact_rows([[M.a, *M.b] for M in Ms])) == []
+        assert all(_full_table_window(r, k, M) == [] for M in Ms)
+        counts, violations = decide_per_row([[L.a, *L.b] for L in Ls], k, surface_context(r))
+        assert counts == (3, 3, 0, 0, 0) and violations == []
+
+    def test_hits_of_non_adjacent_rows_map_back_to_their_rows(self):
+        # rows 0 and 2 reach the orbit of the e_i and meet different classes
+        # of it (M.e_1 = 2 for row 0, M.e_2 = 2 for row 2); row 1 reaches none
+        r, k = 8, 1
+        K = canonical_class(r)
+        Ms = [line(r) - point_class(r, 1) - K, -4 * K, line(r) - point_class(r, 2) - K]
+        table = _candidate_table(r, k)
+        found = [[] for _ in Ms]
+        shared = []
+        for o, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
+            if set(ri.tolist()) == {0, 2}:
+                shared.append(o)
+            for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()):
+                found[j].append((C[c].tolist(), x, int(table.squares[o])))
+        assert shared  # some orbit is reached by rows 0 and 2 and not by row 1
+        assert [sorted(f) for f in found] == [_full_table_window(r, k, M) for M in Ms]
+        assert found[1] == [] and sorted(found[0]) != sorted(found[2])
+
     @pytest.mark.parametrize("r,k", WINDOW_TABLES)
     def test_orbits_partition_the_table(self, r, k):
         # each representative expands to exactly its distinct permutations,
@@ -867,6 +898,22 @@ class TestConsistencySweep:
         monkeypatch.setattr(reider, "_row_violations", lambda *args: calls.append(args) or row_violations(*args))
         assert consistency_sweep(r, k, 12).ok
         assert len(calls) == 0
+
+    def test_box_4_sweep_makes_one_product_per_reached_orbit(self, monkeypatch):
+        # the sweep's work, not its time: from a freshly built table, the
+        # pairing of the 85 leaves, the orbit floor of the 50 applicable rows
+        # and one M.D product per reached orbit, 76 reaching rows in all
+        import delpezzo.bulk as bulk
+
+        fresh = bulk._candidate_table.__wrapped__(8, 1)
+        rows = []
+        exact_product = bulk.exact_product
+        monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: fresh)
+        monkeypatch.setattr(bulk, "exact_product", lambda A, B: rows.append(len(A)) or exact_product(A, B))
+        assert consistency_sweep(8, 1, 4).ok
+        assert len(fresh.expanded) == 5
+        assert len(rows) == 7
+        assert rows[:2] == [85, 50] and sum(rows[2:]) == 76
 
     def test_sweep_certifies_no_witness(self, monkeypatch):
         # a freshly built table, and an effectivity test that refuses to run:
