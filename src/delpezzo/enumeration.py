@@ -42,7 +42,6 @@ from .lattice import (
     CurveTypePattern,
     PicardClass,
     SurfaceContext,
-    _check_context,
     _check_rank,
     canonical_class,
     degree,
@@ -212,15 +211,12 @@ class NullClassRecord:
         return tuple(sorted(shapes, key=lambda p: (p[0].sort_key(), p[1].sort_key())))
 
 
-def decompose_null_class(
-    D: PicardClass, ctx: SurfaceContext | None = None
-) -> tuple[tuple[PicardClass, PicardClass], ...]:
+def decompose_null_class(D: PicardClass) -> tuple[tuple[PicardClass, PicardClass], ...]:
     """All unordered pairs {xi1, xi2} of exceptional classes with xi1 + xi2 = D.
 
     Deduplication is by unordered-pair identity of the exact classes; two
     distinct pairs may well share a type-pattern shape.
     """
-    _check_context(D.r, ctx)
     surface = _surface_context(D.r)
     if degree(D) != 0 or intersect(surface.canonical, D) != -2:
         raise ValueError(f"{D} does not satisfy D.D = 0 and K.D = -2")

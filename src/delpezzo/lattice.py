@@ -23,8 +23,9 @@ MIN_RANK = 1
 MAX_RANK = 8
 
 #: Number of classes with self-intersection -1 and anticanonical degree 1,
-#: per rank.  Used as a construction-time sanity check on SurfaceContext;
-#: the enumeration module recomputes these from scratch.
+#: per rank.  Checks each SurfaceContext as it is built and slices the
+#: exceptional columns in ``bulk.sweep_blocks``; the enumeration module
+#: recomputes these from scratch.
 EXCEPTIONAL_CLASS_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
 
@@ -258,8 +259,10 @@ class SurfaceContext:
     concurrent callers.  Build via :func:`delpezzo.enumeration.surface_context`.
 
     A valid context carries nothing beyond its rank (``__post_init__`` pins
-    its classes), so every public ``ctx`` is optional, a given one is checked
-    for its rank only (:func:`_check_context`), and the parameter is to go.
+    its classes).  The benchmark's workloads pass one, so ``is_effective``,
+    ``is_k_very_ample``, ``generate_inequality_families``,
+    ``search_obstructions`` and ``consistency_sweep`` still take an optional
+    ``ctx``, checked for its rank only (:func:`_check_context`).
     """
 
     r: int
@@ -303,6 +306,8 @@ class SurfaceContext:
 
 
 def _check_context(r: int, ctx: SurfaceContext | None) -> None:
-    """Refuse a given ctx of another rank than r: the one reader of a ctx."""
+    """Refuse a given ctx of another rank than r: the one reader of the ctx of
+    ``is_effective``, ``is_k_very_ample``, ``generate_inequality_families``,
+    ``search_obstructions`` and ``consistency_sweep``, kept as the benchmark passes it."""
     if ctx is not None and ctx.r != r:
         raise LatticeMismatchError(f"context rank {ctx.r} does not match r={r}")

@@ -84,27 +84,26 @@ def ampleness_level(k, least: int = 0) -> int:
     return k
 
 
-def minimum_pairing(L: PicardClass, ctx: SurfaceContext | None = None) -> int:
+def minimum_pairing(L: PicardClass) -> int:
     """Smallest intersection of L with the test curves at this rank: the
     smallest family value, read off the sorted coefficients of L."""
-    _check_context(L.r, ctx)
     return min(_family_values(L))
 
 
-def is_nef(L: PicardClass, ctx: SurfaceContext | None = None) -> bool:
+def is_nef(L: PicardClass) -> bool:
     """True iff L pairs >= 0 with every exceptional class (and with
     ``l - e_1`` at rank 1)."""
-    return minimum_pairing(L, ctx) >= 0
+    return minimum_pairing(L) >= 0
 
 
-def is_spanned(L: PicardClass, ctx: SurfaceContext | None = None) -> bool:
+def is_spanned(L: PicardClass) -> bool:
     """Spanned-by-sections coincides with nef on these surfaces."""
-    return is_nef(L, ctx)
+    return is_nef(L)
 
 
-def is_big(L: PicardClass, ctx: SurfaceContext | None = None) -> bool:
+def is_big(L: PicardClass) -> bool:
     """Nef with positive self-intersection."""
-    return is_nef(L, ctx) and degree(L) > 0
+    return is_nef(L) and degree(L) > 0
 
 
 def _certificate_sum(L: PicardClass, runs) -> PicardClass:
@@ -289,7 +288,7 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
     return True, cert
 
 
-def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> str:
+def exception_flag(L: PicardClass, k: int) -> str:
     """Which of the three named exception classes L is, if any.
 
     On the degree-1 surface neither ``-k*K`` nor ``-(k+1)*K`` is k-very
@@ -299,9 +298,7 @@ def exception_flag(L: PicardClass, k: int, ctx: SurfaceContext | None = None) ->
     k is checked by :func:`ampleness_level`, so a negative or non-integer
     k is refused.
     """
-    k = ampleness_level(k)
-    _check_context(L.r, ctx)
-    return _exception_flag(L, k)
+    return _exception_flag(L, ampleness_level(k))
 
 
 def _exception_flag(L: PicardClass, k: int) -> str:
@@ -608,7 +605,7 @@ def _fold_values(a: int, desc: list[int]) -> list[int]:
     return _family_table(len(desc)).kernel(a, desc)
 
 
-def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> PositivityReport:
+def adjoint_report(L: PicardClass, k: int) -> PositivityReport:
     """The (k-1) report of the adjoint class K + L, for L k-very ample.
 
     Refuses k < 1 and a class L that is not k-very ample (ValueError).
@@ -619,23 +616,21 @@ def adjoint_report(L: PicardClass, k: int, ctx: SurfaceContext | None = None) ->
     ``a >= b_1 + k + 1``.
     """
     k = ampleness_level(k, 1)
-    _check_context(L.r, ctx)
     if not is_k_very_ample(L, k).k_very_ample:
         raise ValueError(f"{L} is not {k}-very ample; adjoint check needs that")
     return is_k_very_ample(adjoint_class(L), k - 1)
 
 
-def adjoint_kva_check(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> bool:
+def adjoint_kva_check(L: PicardClass, k: int) -> bool:
     """Whether K + L is (k-1)-very ample, given that L is k-very ample
     (see :func:`adjoint_report`)."""
-    return adjoint_report(L, k, ctx).k_very_ample
+    return adjoint_report(L, k).k_very_ample
 
 
-def degree_bound_check(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> bool:
+def degree_bound_check(L: PicardClass, k: int) -> bool:
     """Assert-style check ``degree(L) >= k^2 + 3k + 2`` for k-very ample L
     with k >= 2 and L != -kK.  Expected to hold always."""
     k = ampleness_level(k, 2)
-    _check_context(L.r, ctx)
     if L == -k * canonical_class(L.r):
         raise ValueError(f"{L} = -{k}K is excluded from the degree bound")
     if not is_k_very_ample(L, k).k_very_ample:

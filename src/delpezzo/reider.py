@@ -82,11 +82,9 @@ def _window_premise(L: PicardClass, k: int) -> tuple[PicardClass, int, str | Non
     return M, m2, None
 
 
-def window_applicable(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> tuple[bool, PicardClass, int]:
+def window_applicable(L: PicardClass, k: int) -> tuple[bool, PicardClass, int]:
     """M = L - K; the window argument applies iff M is nef and M.M >= 4k+5."""
-    k = ampleness_level(k)
-    _check_context(L.r, ctx)
-    M, m2, reason = _window_premise(L, k)
+    M, m2, reason = _window_premise(L, ampleness_level(k))
     return reason is None, M, m2
 
 
@@ -134,6 +132,8 @@ class SearchOutcome:
     M_squared: int
     witnesses: tuple[ObstructionWitness, ...]
     search_bounds: dict
+    #: the candidate table's class count, as ``search_bounds["effective_candidates"]``;
+    #: kept only because the benchmark's tracer reads it
     nodes_visited: int
 
     def __post_init__(self):
@@ -349,10 +349,12 @@ def consistency_sweep(
     ``sample`` and a sampled box past the int64 sampler (``a_max`` above
     2**63 - 1) raise ValueError; a k, ``a_max``, ``sample`` or ``seed``
     that is not an integer raises TypeError, a rank that is not an integer
-    in 1..8 raises RankError.  ``ctx`` is optional and is to be removed: a
-    given one is checked for its rank only (another rank raises
-    LatticeMismatchError), as ``SurfaceContext`` pins every context of rank
-    r to the columns of ``bulk.curve_operand(r)``.
+    in 1..8 raises RankError.  ``ctx`` is optional and is checked for its
+    rank only (another rank raises LatticeMismatchError), as
+    ``SurfaceContext`` pins every context of rank r to the columns of
+    ``bulk.curve_operand(r)``; it stays, as the ``ctx`` of ``is_effective``,
+    ``is_k_very_ample``, ``generate_inequality_families`` and
+    ``search_obstructions`` does, because the benchmark's workloads pass one.
     """
     r = _check_rank(r)
     _check_context(r, ctx)

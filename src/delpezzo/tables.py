@@ -79,9 +79,9 @@ def render_decomposition_table(records: tuple[NullClassRecord, ...]) -> str:
         shapes = sorted(by_a[a], key=lambda p: (p[0].sort_key(), p[1].sort_key()))
         cell = " or ".join(f"{s1.render()}+{s2.render()}" for s1, s2 in shapes) or "(irreducible)"
         rows.append([a, cell])
-    widths = [max(len(str(r[i])) for r in [header, *rows]) for i in range(2)]
-    lines = [f"{str(header[0]).rjust(widths[0])}  {header[1]}"]
-    lines.extend(f"{str(a).rjust(widths[0])}  {cell}" for a, cell in rows)
+    width = max(len(str(row[0])) for row in [header, *rows])
+    lines = [f"{str(header[0]).rjust(width)}  {header[1]}"]
+    lines.extend(f"{str(a).rjust(width)}  {cell}" for a, cell in rows)
     title = f"splittings into two exceptional classes (rank {r})"
     return f"{title}\n" + "\n".join(lines) + "\n"
 

@@ -18,7 +18,6 @@ from delpezzo.lattice import PicardClass, canonical_class, degree, intersect
 from delpezzo.enumeration import (
     enumerate_null_classes,
     exceptional_type_census,
-    surface_context,
 )
 from delpezzo.positivity import (
     EXCEPTION_MINUS_K1K_S8,
@@ -141,9 +140,8 @@ def test_criterion_3_criterion_equivalence():
     start = time.monotonic()
     disagreements = 0
     for r in range(1, 9):
-        ctx = surface_context(r)
         coeffs = criterion_box(r) if r <= 4 else sampled_box(r)
-        direct = pairing_matrix(coeffs, ctx).min(axis=1)
+        direct = pairing_matrix(coeffs, r).min(axis=1)
         folded = minimum_family_value_bulk(coeffs)
         for k in range(0, 4):
             disagreements += int(np.count_nonzero((direct >= k) != (folded >= k)))
@@ -153,21 +151,20 @@ def test_criterion_3_criterion_equivalence():
 
 
 def test_criterion_4_exception_classes():
-    ctx8, ctx7 = surface_context(8), surface_context(7)
     K8, K7 = canonical_class(8), canonical_class(7)
     for k in range(1, 6):
         for mult, flag in ((k, EXCEPTION_MINUS_KK_S8), (k + 1, EXCEPTION_MINUS_K1K_S8)):
             L = -mult * K8
-            assert minimum_pairing(L, ctx8) >= k, "inequalities are supposed to hold"
-            report = is_k_very_ample(L, k, ctx8)
+            assert minimum_pairing(L) >= k, "inequalities are supposed to hold"
+            report = is_k_very_ample(L, k)
             assert report.k_very_ample is False
             assert report.exception_flag == flag
-    rep = is_k_very_ample(-K7, 1, ctx7)
+    rep = is_k_very_ample(-K7, 1)
     assert rep.k_very_ample is False and rep.exception_flag == EXCEPTION_MINUS_K_S7_K1
-    rep = is_k_very_ample(-K7, 0, ctx7)
+    rep = is_k_very_ample(-K7, 0)
     assert rep.k_very_ample is True and rep.exception_flag == EXCEPTION_NONE
     for k in (2, 3):  # rejected exactly at k = 1
-        assert is_k_very_ample(-K7, k, ctx7).exception_flag == EXCEPTION_NONE
+        assert is_k_very_ample(-K7, k).exception_flag == EXCEPTION_NONE
 
 
 def test_criterion_5_reider_consistency_sweeps():
@@ -191,9 +188,8 @@ def test_criterion_5_reider_consistency_sweeps():
 
 def test_criterion_6_degree_bound():
     for r in range(1, 5):
-        ctx = surface_context(r)
         coeffs = criterion_box(r)
-        mins = pairing_matrix(coeffs, ctx).min(axis=1)
+        mins = pairing_matrix(coeffs, r).min(axis=1)
         degrees = coeffs[:, 0] ** 2 - (coeffs[:, 1:] ** 2).sum(axis=1)
         # no exception classes below rank 7, so the pairing test is the verdict
         for k, bound in ((2, 12), (3, 20)):
@@ -207,16 +203,14 @@ def test_criterion_6_degree_bound():
 
 
 def test_criterion_7_effectivity_oracle():
-    ctx8 = surface_context(8)
-    ok, cert = is_effective(-canonical_class(8), ctx8)
+    ok, cert = is_effective(-canonical_class(8))
     assert ok and cert.replay() == -canonical_class(8)
     for r in (1, 2, 3):
-        ctx = surface_context(r)
         K = canonical_class(r)
         for a in range(-2, 13):
             for b in itertools.product(range(-12, 13), repeat=r):
                 L = PicardClass(a, b)
-                effective, certificate = is_effective(L, ctx)
+                effective, certificate = is_effective(L)
                 if degree(L) >= intersect(K, L):  # a >= -2 holds on the whole box
                     assert effective, f"sufficiency bound violated at {L}"
                 if effective:
@@ -224,14 +218,13 @@ def test_criterion_7_effectivity_oracle():
 
 
 def test_criterion_8_ruled_surface_coordinates():
-    ctx1 = surface_context(1)
     for a0 in range(-20, 21):
         for b in range(-20, 21):
             assert f1_coords(f1_class(a0, b)) == (a0, b)
             L = PicardClass(b, (b - a0,))
             assert f1_class(a0, b) == L
             for k in range(0, 4):
-                assert f1_is_k_very_ample(a0, b, k) == is_k_very_ample(L, k, ctx1).k_very_ample
+                assert f1_is_k_very_ample(a0, b, k) == is_k_very_ample(L, k).k_very_ample
 
 
 # what four goldens say, beyond their bytes, keyed by the golden's stem:

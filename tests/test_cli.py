@@ -255,15 +255,14 @@ class TestSubcommands:
     def test_adjoint_builds_each_report_once(self, capsys, monkeypatch, r, k, literal):
         import delpezzo.cli as cli
         import delpezzo.positivity as positivity
-        from delpezzo.enumeration import surface_context
         from delpezzo.lattice import adjoint
         from delpezzo.positivity import adjoint_kva_check, is_k_very_ample
 
         calls = []
 
-        def counting_report(L, k, ctx=None):
+        def counting_report(L, k):
             calls.append((L, k))
-            return is_k_very_ample(L, k, ctx)
+            return is_k_very_ample(L, k)
 
         # count reports built by the CLI and by any library helper it calls
         monkeypatch.setattr(cli, "is_k_very_ample", counting_report)
@@ -274,7 +273,7 @@ class TestSubcommands:
         L = parse_class_literal(literal, r)
         assert calls == [(L, k), (adjoint(L), k - 1)]
         # the verdict read off the reports is the library's
-        assert json.loads(out)["adjoint_k_very_ample"] == adjoint_kva_check(L, k, surface_context(r))
+        assert json.loads(out)["adjoint_k_very_ample"] == adjoint_kva_check(L, k)
 
     def test_adjoint_rejects_non_ample_input(self, capsys):
         code, out, err = run_cli(capsys, "adjoint", "--r", "2", "--k", "1", "3;2,2")

@@ -247,15 +247,13 @@ class TestDecompositions:
         assert "(6;3,2^7)+(1;1^2)" in shapes[1]
 
     def test_pencil_class_has_no_split_at_rank_one(self):
-        ctx1 = surface_context(1)
         rec, = enumerate_null_classes(1)
         assert rec.decompositions == ()
-        assert decompose_null_class(rec.representative, ctx1) == ()
+        assert decompose_null_class(rec.representative) == ()
 
     def test_pencil_class_splits_off_point_classes_at_higher_rank(self):
         # l - e_i = (l - e_i - e_j) + e_j is a genuine class splitting,
         # even though the generic member of the pencil is irreducible
-        ctx8 = surface_context(8)
         rec = enumerate_null_classes(8)[0]
         assert rec.representative.a == 1
         assert len(rec.decompositions) == 7
@@ -263,27 +261,25 @@ class TestDecompositions:
         assert shapes == {"(1;1^2)+(0;-1)"}
 
     def test_precondition_violation(self):
-        ctx2 = surface_context(2)
         with pytest.raises(ValueError):
-            decompose_null_class(PicardClass(1, (0, 0)), ctx2)
+            decompose_null_class(PicardClass(1, (0, 0)))
 
     def test_spot_example_a2(self):
-        ctx8 = surface_context(8)
         D = PicardClass(2, (0, 0, 0, 0, 1, 1, 1, 1))
-        pairs = decompose_null_class(D, ctx8)
+        pairs = decompose_null_class(D)
         shapes = {(type_pattern(x).render(), type_pattern(y).render()) for x, y in pairs}
         assert ("(1;1^2)", "(1;1^2)") in shapes
         # the a=7 representatives admit both published splittings
         D1 = PicardClass(7, (1, 2, 2, 2, 3, 3, 3, 3))
         shapes1 = {
             frozenset((type_pattern(x).render(), type_pattern(y).render()))
-            for x, y in decompose_null_class(D1, ctx8)
+            for x, y in decompose_null_class(D1)
         }
         assert frozenset(("(5;2^6,1^2)", "(2;1^5)")) in shapes1
         D2 = PicardClass(7, (2, 2, 2, 2, 2, 2, 3, 4))
         shapes2 = {
             frozenset((type_pattern(x).render(), type_pattern(y).render()))
-            for x, y in decompose_null_class(D2, ctx8)
+            for x, y in decompose_null_class(D2)
         }
         assert frozenset(("(6;3,2^7)", "(1;1^2)")) in shapes2
 

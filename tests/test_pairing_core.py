@@ -74,25 +74,25 @@ from bulk_reference import minimum_family_value_bulk, pairing_matrix
 # Reference algorithms.
 
 
-def ref_test_curves(ctx):
-    return ctx.exceptional_set + ((fiber_class(),) if ctx.r == 1 else ())
+def ref_test_curves(r):
+    return enumerate_exceptional(r) + ((fiber_class(),) if r == 1 else ())
 
 
-def ref_curve_orbits(ctx):
+def ref_curve_orbits(r):
     """The test curves grouped by type pattern (one permutation orbit each),
-    sorted by pattern: (pattern, indices into ``ctx.test_curves``)."""
+    sorted by pattern: (pattern, indices into ``surface_context(r).test_curves``)."""
     groups = {}
-    for i, x in enumerate(ctx.test_curves):
+    for i, x in enumerate(surface_context(r).test_curves):
         groups.setdefault(type_pattern(x), []).append(i)
     return sorted(groups.items(), key=lambda kv: kv[0].sort_key())
 
 
-def ref_minimum_pairing(L, ctx):
-    return min(intersect(L, c) for c in ref_test_curves(ctx))
+def ref_minimum_pairing(L):
+    return min(intersect(L, c) for c in ref_test_curves(L.r))
 
 
-def ref_is_effective(L, ctx):
-    if ctx.r == 1:
+def ref_is_effective(L):
+    if L.r == 1:
         a, b1 = L.a, L.b[0]
         if a < 0 or a < b1:
             return False, None
@@ -107,7 +107,7 @@ def ref_is_effective(L, ctx):
         if 3 * a - sum(b) <= 0:
             return False, None
         worst_val, worst = 0, None
-        for xi in ctx.exceptional_set:
+        for xi in enumerate_exceptional(L.r):
             v = xi.a * a - sum(map(operator.mul, xi.b, b))
             if v < worst_val:
                 worst_val, worst = v, xi
@@ -122,26 +122,26 @@ def ref_is_effective(L, ctx):
     return True, EffectivityCertificate(tuple((c, m) for c, m in chain), PicardClass(a, tuple(b)))
 
 
-def ref_exception_flag(L, k, ctx):
-    K = ctx.canonical
-    if ctx.r == 8:
+def ref_exception_flag(L, k):
+    K = canonical_class(L.r)
+    if L.r == 8:
         if L == -k * K:
             return "minus_kK_S8"
         if L == -(k + 1) * K:
             return "minus_k1K_S8"
-    if ctx.r == 7 and k == 1 and L == -K:
+    if L.r == 7 and k == 1 and L == -K:
         return "minus_K_S7_k1"
     return EXCEPTION_NONE
 
 
-def ref_report(L, k, ctx):
-    """``is_k_very_ample(L, k, ctx).as_dict()``, computed the reference way."""
-    mp = ref_minimum_pairing(L, ctx)
-    flag = ref_exception_flag(L, k, ctx)
-    effective, cert = ref_is_effective(L, ctx)
+def ref_report(L, k):
+    """``is_k_very_ample(L, k).as_dict()``, computed the reference way."""
+    mp = ref_minimum_pairing(L)
+    flag = ref_exception_flag(L, k)
+    effective, cert = ref_is_effective(L)
     violations = []
-    P = [intersect(L, x) for x in ctx.test_curves]
-    for fam, (pat, idx) in zip(generate_inequality_families(ctx.r), ref_curve_orbits(ctx), strict=True):
+    P = [intersect(L, x) for x in surface_context(L.r).test_curves]
+    for fam, (pat, idx) in zip(generate_inequality_families(L.r), ref_curve_orbits(L.r), strict=True):
         assert fam.source_type == pat
         val = min(P[i] for i in idx)
         if val < 0:
@@ -230,9 +230,8 @@ class TestAgainstReference:
     @given(any_class | ranked(exceptional_multiples))
     @settings(max_examples=400, deadline=None)
     def test_minimum_pairing_and_effectivity(self, L):
-        ctx = surface_context(L.r)
-        assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
-        got, expected = is_effective(L, ctx), ref_is_effective(L, ctx)
+        assert minimum_pairing(L) == ref_minimum_pairing(L)
+        got, expected = is_effective(L), ref_is_effective(L)
         assert got == expected
         if got[0]:
             assert type(got[1].terminal.a) is int  # plain ints, never numpy scalars
@@ -240,22 +239,20 @@ class TestAgainstReference:
     @given(any_class | ranked(exceptional_multiples), st.integers(0, 3))
     @settings(max_examples=400, deadline=None)
     def test_report(self, L, k):
-        ctx = surface_context(L.r)
-        got = json.dumps(is_k_very_ample(L, k, ctx).as_dict())
-        assert got == json.dumps(ref_report(L, k, ctx))
+        got = json.dumps(is_k_very_ample(L, k).as_dict())
+        assert got == json.dumps(ref_report(L, k))
 
     def test_exception_classes_and_neighbours(self):
         for r in (6, 7, 8):
-            ctx = surface_context(r)
             K = canonical_class(r)
             for m in range(-2, 6):
                 for k in range(-1, 5):
                     for L in (-m * K, -m * K + point_class(r, 1)):
                         if k < 0:  # no level below 0 has exceptions to name
                             with pytest.raises(ValueError):
-                                exception_flag(L, k, ctx)
+                                exception_flag(L, k)
                         else:
-                            assert exception_flag(L, k, ctx) == ref_exception_flag(L, k, ctx)
+                            assert exception_flag(L, k) == ref_exception_flag(L, k)
 
 
 @st.composite
@@ -271,15 +268,14 @@ class TestEarlyReject:
     @given(ranked(near_the_nef_bound))
     @settings(max_examples=500, deadline=None)
     def test_agrees_with_the_greedy_reduction(self, L):
-        ctx = surface_context(L.r)
-        assert is_effective(L, ctx) == ref_is_effective(L, ctx)
+        assert is_effective(L) == ref_is_effective(L)
 
 
 @lru_cache(maxsize=None)
 def nef_leaves(r):
     """The nef leaves of the box-6 sweep at rank r, as (a, *b) tuples."""
     leaves = _box_leaves(r, 6)
-    return tuple(map(tuple, leaves[pairing_matrix(leaves, surface_context(r)).min(axis=1) >= 0].tolist()))
+    return tuple(map(tuple, leaves[pairing_matrix(leaves, r).min(axis=1) >= 0].tolist()))
 
 
 @st.composite
@@ -297,10 +293,9 @@ class TestNefShortCircuit:
     @given(ranked(nef_classes), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
     def test_report_certificate_is_the_reduction_certificate(self, L, k):
-        ctx = surface_context(L.r)
-        report = is_k_very_ample(L, k, ctx)
+        report = is_k_very_ample(L, k)
         assert report.nef
-        assert report.certificate == is_effective(L, ctx)[1] == EffectivityCertificate((), L)
+        assert report.certificate == is_effective(L)[1] == EffectivityCertificate((), L)
         assert _effectivity(L, _family_values(L)) == _effectivity(L) == (True, report.certificate)
 
 
@@ -341,7 +336,7 @@ class TestPackageBuiltRecords:
     @given(any_class | ranked(nef_classes) | ranked(exceptional_multiples), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
     def test_report_is_the_publicly_constructed_one(self, L, k):
-        report = is_k_very_ample(L, k, surface_context(L.r))
+        report = is_k_very_ample(L, k)
         public = public_report(report)
         assert report == public and hash(report) == hash(public)
 
@@ -382,7 +377,7 @@ class TestPackageBuiltRecords:
         # each record, built by the package and by its public constructor,
         # keeps exactly its dataclass fields in slots, a certificate's total
         # included, and no instance dict
-        report = is_k_very_ample(L, 3, surface_context(L.r))
+        report = is_k_very_ample(L, 3)
         assert report.violations
         records = [L]
         for rep in (report, public_report(report)):
@@ -400,7 +395,7 @@ class TestPackageBuiltRecords:
         # the sum a certificate takes when it is built is no part of ==,
         # hash, repr or as_dict, and survives pickling and copying
         L = PicardClass(7, (-12, -12))
-        _, cert = is_effective(L, surface_context(2))
+        _, cert = is_effective(L)
         assert len(cert.subtracted) == 24 and cert.total == L
         assert [f.name for f in dataclasses.fields(cert) if f.compare] == ["subtracted", "terminal"]
         twin = copy.copy(cert)
@@ -412,14 +407,13 @@ class TestPackageBuiltRecords:
             assert slot_values(twin) == slot_values(cert) and twin.replay() == L
 
     def test_records_hold_tuples(self):
-        ctx = surface_context(2)
-        E, T = ctx.exceptional_set[0], PicardClass(1, (0, 0))
+        E, T = enumerate_exceptional(2)[0], PicardClass(1, (0, 0))
         cert = EffectivityCertificate(((E, 2),), T)
         for runs in ([(E, 2)], (run for run in [(E, 2)])):
             built = EffectivityCertificate(runs, T)
             assert type(built.subtracted) is tuple and built == cert and hash(built) == hash(cert)
         assert EffectivityCertificate(cert.subtracted, T).subtracted is cert.subtracted
-        report = is_k_very_ample(PicardClass(1, (2, 0)), 1, ctx)
+        report = is_k_very_ample(PicardClass(1, (2, 0)), 1)
         assert report.violations
         for violations in (list(report.violations), iter(report.violations)):
             built = dataclasses.replace(report, violations=violations)
@@ -427,7 +421,7 @@ class TestPackageBuiltRecords:
         assert dataclasses.replace(report, k=report.k).violations is report.violations
 
     def test_replace_sums_the_certificate_again(self):
-        _, cert = is_effective(PicardClass(7, (-12, -12)), surface_context(2))
+        _, cert = is_effective(PicardClass(7, (-12, -12)))
         moved = dataclasses.replace(cert, terminal=PicardClass(8, (0, 0)))
         assert moved.subtracted is cert.subtracted and moved.replay() == PicardClass(8, (-12, -12))
         with pytest.raises(ValueError, match="init=False"):
@@ -441,7 +435,7 @@ class TestPackageBuiltRecords:
         assert type(M.a) is int and M == PicardClass(5, (1, 1))
         with pytest.raises(TypeError):
             dataclasses.replace(L, b=(1.5, 1))
-        report = is_k_very_ample(-2 * canonical_class(6), 1, surface_context(6))
+        report = is_k_very_ample(-2 * canonical_class(6), 1)
         assert report.k_very_ample and report.big
         assert dataclasses.replace(report, effective=True) == report
         with pytest.raises(ValueError, match="very ample needs"):
@@ -454,11 +448,11 @@ class TestPackageBuiltRecords:
             dataclasses.replace(report, effective=False)
         with pytest.raises(ValueError, match="differs from having a certificate"):
             dataclasses.replace(report, certificate=None)
-        flat = is_k_very_ample(PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), 1, surface_context(8))
+        flat = is_k_very_ample(PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), 1)
         assert not flat.nef and flat.effective
         with pytest.raises(ValueError, match="big=True, but nef=False"):
             dataclasses.replace(flat, big=True)
-        blocked = is_k_very_ample(PicardClass(5, (2,) * 8), 1, surface_context(8))
+        blocked = is_k_very_ample(PicardClass(5, (2,) * 8), 1)
         assert not blocked.effective and blocked.certificate is None
         with pytest.raises(ValueError, match="differs from having a certificate"):
             dataclasses.replace(blocked, certificate=flat.certificate)
@@ -471,15 +465,15 @@ class TestPackageBuiltRecords:
             "from delpezzo.lattice import PicardClass, canonical_class\n"
             "from delpezzo.positivity import EffectivityCertificate, is_effective, is_k_very_ample\n"
             "from delpezzo.reider import ObstructionWitness, search_obstructions\n"
-            "report = is_k_very_ample(-2 * canonical_class(6), 1, surface_context(6))\n"
+            "report = is_k_very_ample(-2 * canonical_class(6), 1)\n"
             "D = PicardClass(2, (0, 0, 0))\n"
-            "outcome = search_obstructions(-canonical_class(8), 1, surface_context(8))\n"
+            "outcome = search_obstructions(-canonical_class(8), 1)\n"
             "for build in [\n"
             "    lambda: dataclasses.replace(report, big=False, nef=False),\n"
             "    lambda: dataclasses.replace(report, big=False, k_very_ample=False),\n"
             "    lambda: dataclasses.replace(report, effective=False),\n"
             "    lambda: dataclasses.replace(report, certificate=None),\n"
-            "    lambda: ObstructionWitness(D, 0, 4, ((9, '<=', 4),), is_effective(D, surface_context(3))[1]),\n"
+            "    lambda: ObstructionWitness(D, 0, 4, ((9, '<=', 4),), is_effective(D)[1]),\n"
             "    lambda: dataclasses.replace(outcome, reason=None),\n"
             "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0)), ()),\n"
             "    lambda: EffectivityCertificate(((PicardClass(0, (-1, 0, 0)), 1),), PicardClass(0, (0, 0))),\n"
@@ -515,28 +509,25 @@ class TestVerdictsBuildNoPairingVector:
     @given(ranked(nef_classes), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_nef_report(self, L, k):
-        ctx = surface_context(L.r)
-        assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
+        assert is_k_very_ample(L, k).as_dict() == ref_report(L, k)
 
     @given(any_class | ranked(exceptional_multiples), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_effectivity_and_report(self, L, k):
         # mostly classes that are not nef, effective or not
-        ctx = surface_context(L.r)
-        assert is_effective(L, ctx) == ref_is_effective(L, ctx)
-        assert is_k_very_ample(L, k, ctx).as_dict() == ref_report(L, k, ctx)
+        assert is_effective(L) == ref_is_effective(L)
+        assert is_k_very_ample(L, k).as_dict() == ref_report(L, k)
 
     @given(any_class)
     @settings(max_examples=200, deadline=None)
     def test_minimum_pairing(self, L):
-        ctx = surface_context(L.r)
-        assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
+        assert minimum_pairing(L) == ref_minimum_pairing(L)
 
 
 class TestPairingCore:
     def test_matrices_match_intersect(self, ctx):
         curves = ctx.test_curves
-        assert curves == ref_test_curves(ctx)
+        assert curves == ref_test_curves(ctx.r)
         L = PicardClass(7, tuple(range(ctx.r)))
         assert (np.array([L.a, *L.b]) @ bulk.curve_operand(ctx.r)).tolist() == [intersect(L, x) for x in curves]
         # the sweep's premise: M = L + (-K) is nef whenever L is
@@ -549,7 +540,7 @@ class TestPairingCore:
 
     def test_orbits_follow_the_families(self, ctx):
         fams = generate_inequality_families(ctx.r)
-        assert [fam.source_type for fam in fams] == [pat for pat, _ in ref_curve_orbits(ctx)]
+        assert [fam.source_type for fam in fams] == [pat for pat, _ in ref_curve_orbits(ctx.r)]
         # independently of the orbits: the exceptional types, and the fiber at rank 1
         expected = [pat for pat, _ in exceptional_type_census(ctx.r).counts]
         if ctx.r == 1:
@@ -559,11 +550,10 @@ class TestPairingCore:
     @given(any_class)
     @settings(max_examples=200, deadline=None)
     def test_orbit_minimum_is_the_family_value(self, L):
-        ctx = surface_context(L.r)
-        P = [intersect(L, x) for x in ctx.test_curves]
+        P = [intersect(L, x) for x in surface_context(L.r).test_curves]
         fams = generate_inequality_families(L.r)
         values = _family_values(L)
-        orbits = ref_curve_orbits(ctx)
+        orbits = ref_curve_orbits(L.r)
         assert len(values) == len(fams) == len(orbits)
         for fam, (pat, idx), value in zip(fams, orbits, values):
             assert fam.source_type == pat
@@ -596,8 +586,8 @@ class TestFoldKernel:
         desc = sorted(data.draw(st.lists(kernel_coeff, min_size=r, max_size=r)), reverse=True)
         rearranged = [e0 * a - sum(map(operator.mul, c, desc)) for e0, *c in positivity._family_table(r).reps]
         L = PicardClass(a, tuple(data.draw(st.permutations(desc))))
-        ctx = surface_context(r)
-        orbit_minima = [min(intersect(L, ctx.test_curves[i]) for i in idx) for _, idx in ref_curve_orbits(ctx)]
+        curves = surface_context(r).test_curves
+        orbit_minima = [min(intersect(L, curves[i]) for i in idx) for _, idx in ref_curve_orbits(r)]
         values = positivity._fold_values(a, desc)
         assert values == rearranged == orbit_minima
         assert all(type(v) is int for v in values)
@@ -631,34 +621,92 @@ class TestFoldKernel:
 @pytest.mark.parametrize(
     "check",
     [
-        minimum_pairing, is_nef, is_big, is_spanned, is_effective,
+        is_effective,
         lambda L, ctx: is_k_very_ample(L, 1, ctx),
         lambda L, ctx: search_obstructions(L, 1, ctx),
-        lambda L, ctx: window_applicable(L, 1, ctx),
-        lambda L, ctx: exception_flag(L, 1, ctx),
         # a truncating zip read (3; 1, 1) against every family of rank 3
         lambda L, ctx: [fam.evaluate(L) for fam in generate_inequality_families(ctx.r)],
-        lambda L, ctx: pairing_matrix([[L.a, *L.b]], ctx),
-        # refused at entry, before the class is read
-        lambda L, ctx: adjoint_report(L, 1, ctx),
-        lambda L, ctx: adjoint_kva_check(L, 1, ctx),
-        lambda L, ctx: degree_bound_check(L, 2, ctx),
-        decompose_null_class,
+        lambda L, ctx: pairing_matrix([[L.a, *L.b]], ctx.r),
     ],
-    ids=["minimum_pairing", "is_nef", "is_big", "is_spanned", "is_effective",
-         "is_k_very_ample", "search_obstructions", "window_applicable", "exception_flag",
-         "InequalityFamily.evaluate", "pairing_matrix", "adjoint_report", "adjoint_kva_check",
-         "degree_bound_check", "decompose_null_class"],
+    ids=["is_effective", "is_k_very_ample", "search_obstructions", "InequalityFamily.evaluate", "pairing_matrix"],
 )
 def test_foreign_rank_class_is_a_lattice_mismatch(check):
     with pytest.raises(LatticeMismatchError):
         check(PicardClass(3, (1, 1)), surface_context(3))
 
 
+# the public functions that take no context, each with a call its class
+# decides alone; passing them one, even None, is a TypeError
+CONTEXT_FREE_CALLS = {
+    "minimum_pairing": (minimum_pairing, (PicardClass(3, (1, 1)),)),
+    "is_nef": (is_nef, (PicardClass(3, (1, 1)),)),
+    "is_spanned": (is_spanned, (PicardClass(3, (1, 1)),)),
+    "is_big": (is_big, (PicardClass(3, (1, 1)),)),
+    "exception_flag": (exception_flag, (-canonical_class(7), 1)),
+    "adjoint_report": (adjoint_report, (PicardClass(7, (2, 2)), 2)),
+    "adjoint_kva_check": (adjoint_kva_check, (PicardClass(6, (2, 2)), 1)),
+    "degree_bound_check": (degree_bound_check, (PicardClass(7, (2, 2)), 2)),
+    "window_applicable": (window_applicable, (PicardClass(3, (1, 1)), 1)),
+    "decompose_null_class": (decompose_null_class, (PicardClass(1, (1, 0)),)),
+}
+
+
+@pytest.mark.parametrize("name", CONTEXT_FREE_CALLS)
+def test_context_free_function_refuses_a_context(name):
+    fn, args = CONTEXT_FREE_CALLS[name]
+    assert getattr(sys.modules[fn.__module__], name) is fn
+    fn(*args)  # its class alone decides it
+    for ctx in (surface_context(args[0].r), None):
+        with pytest.raises(TypeError):
+            fn(*args, ctx)
+        with pytest.raises(TypeError):
+            fn(*args, ctx=ctx)
+
+
+def read_off(ctx):
+    """The answers of the public functions that take no context, read off
+    the classes a context holds (its test curves, canonical class and
+    exceptional set) instead of the package's own tables."""
+    def least(M):
+        return min(intersect(M, x) for x in ctx.test_curves)
+
+    def window(M, k):
+        N = M - ctx.canonical
+        return least(N) >= 0 and degree(N) >= 4 * k + 5, N, degree(N)
+
+    def flag(M, k):
+        K = ctx.canonical
+        if ctx.r == 8 and M == -k * K:
+            return "minus_kK_S8"
+        if ctx.r == 8 and M == -(k + 1) * K:
+            return "minus_k1K_S8"
+        return "minus_K_S7_k1" if ctx.r == 7 and k == 1 and M == -K else EXCEPTION_NONE
+
+    def null_pairs(D):
+        exc = set(ctx.exceptional_set)
+        pairs = {tuple(sorted((xi, D - xi), key=PicardClass.sort_key)) for xi in exc if D - xi in exc}
+        return tuple(sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())))
+
+    return {
+        "minimum_pairing": least,
+        "is_nef": lambda M: least(M) >= 0,
+        "is_spanned": lambda M: least(M) >= 0,
+        "is_big": lambda M: least(M) >= 0 and degree(M) > 0,
+        "exception_flag": flag,
+        "window_applicable": window,
+        "adjoint_report": lambda M, k: is_k_very_ample(M + ctx.canonical, k - 1),
+        "adjoint_kva_check": lambda M, k: is_k_very_ample(M + ctx.canonical, k - 1).k_very_ample,
+        "degree_bound_check": lambda M, k: degree(M) >= k * k + 3 * k + 2,
+        "decompose_null_class": null_pairs,
+    }
+
+
 def context_calls():
-    """(name, r, call) for every public function that takes a context, each
-    call taking that context: the classes of ranks 1, 2, 7 and 8 below, at
-    levels where each function has something to decide."""
+    """(name, r, call) for every public function at the classes of ranks 1,
+    2, 7 and 8 below, at levels where each function has something to decide.
+    A function that takes a context gets the call's context.  One that takes
+    none runs on its class alone when the call has no context, and with a
+    context the call returns that answer read off the context (``read_off``)."""
     classes = {
         # a class with something to refuse or flag, then a 1- and a 2-very ample one
         1: [PicardClass(2, (-3,)), PicardClass(5, (2,)), PicardClass(7, (2,))],  # b_1 < 0
@@ -668,22 +716,26 @@ def context_calls():
     }
     null = {1: PicardClass(1, (1,)), 2: PicardClass(1, (1, 0)), 7: PicardClass(2, (1, 1, 1, 1, 0, 0, 0)),
             8: PicardClass(2, (1, 1, 1, 1, 0, 0, 0, 0))}
+
+    def free(r, fn, *args):
+        return fn.__name__, r, lambda ctx: fn(*args) if ctx is None else read_off(ctx)[fn.__name__](*args)
+
     calls = []
     for r, (L, kva1, kva2) in classes.items():
-        for name, fn in [("minimum_pairing", minimum_pairing), ("is_nef", is_nef), ("is_spanned", is_spanned),
-                         ("is_big", is_big), ("is_effective", is_effective)]:
-            calls += [(name, r, lambda ctx, fn=fn, M=M: fn(M, ctx)) for M in (L, kva1)]
+        for fn in (minimum_pairing, is_nef, is_spanned, is_big):
+            calls += [free(r, fn, M) for M in (L, kva1)]
+        calls += [("is_effective", r, lambda ctx, M=M: is_effective(M, ctx)) for M in (L, kva1)]
         for k in (1, 2):
-            calls += [(name, r, lambda ctx, fn=fn, M=M, k=k: fn(M, k, ctx))
-                      for name, fn in [("exception_flag", exception_flag), ("is_k_very_ample", is_k_very_ample),
-                                       ("window_applicable", window_applicable)]
+            calls += [free(r, exception_flag, M, k) for M in (L, kva1, kva2)]
+            calls += [("is_k_very_ample", r, lambda ctx, M=M, k=k: is_k_very_ample(M, k, ctx))
                       for M in (L, kva1, kva2)]
+            calls += [free(r, window_applicable, M, k) for M in (L, kva1, kva2)]
         calls += [
-            ("adjoint_report", r, lambda ctx, M=kva2: adjoint_report(M, 2, ctx)),
-            ("adjoint_kva_check", r, lambda ctx, M=kva1: adjoint_kva_check(M, 1, ctx)),
-            ("degree_bound_check", r, lambda ctx, M=kva2: degree_bound_check(M, 2, ctx)),
+            free(r, adjoint_report, kva2, 2),
+            free(r, adjoint_kva_check, kva1, 1),
+            free(r, degree_bound_check, kva2, 2),
             ("search_obstructions", r, lambda ctx, M=L: search_obstructions(M, 1, ctx)),
-            ("decompose_null_class", r, lambda ctx, D=null[r]: decompose_null_class(D, ctx)),
+            free(r, decompose_null_class, null[r]),
             ("consistency_sweep", r, lambda ctx, r=r: consistency_sweep(r, 1, 4, ctx)),
             ("generate_inequality_families", r, lambda ctx, r=r: generate_inequality_families(r, ctx)),
         ]
@@ -714,7 +766,8 @@ CONTEXT_CALLS = context_calls()
 @pytest.mark.parametrize("r,call", [(r, call) for _, r, call in CONTEXT_CALLS],
                          ids=[f"{name}-r{r}-{i}" for i, (name, r, _) in enumerate(CONTEXT_CALLS)])
 def test_every_context_of_the_rank_gives_the_same_result(r, call):
-    # no context, the cached one and a freshly built one are the same surface
+    # no context, the cached one and a freshly built one are the same surface:
+    # a function that takes no context answers as each context's classes do
     with warnings.catch_warnings():
         # generate_inequality_families warns when given a context it ignores
         warnings.filterwarnings("ignore", "generate_inequality_families ignores ctx", DeprecationWarning)
@@ -729,13 +782,13 @@ MINUS_3K_R3 = PicardClass(9, (3, 3, 3))  # pairs 3 with every test curve
 @pytest.mark.parametrize(
     "call,least",
     [
-        (lambda k: is_k_very_ample(MINUS_3K_R3, k, surface_context(3)), 0),
-        (lambda k: search_obstructions(MINUS_3K_R3, k, surface_context(3)), 0),
-        (lambda k: window_applicable(MINUS_3K_R3, k, surface_context(3))[::2], 0),
+        (lambda k: is_k_very_ample(MINUS_3K_R3, k), 0),
+        (lambda k: search_obstructions(MINUS_3K_R3, k), 0),
+        (lambda k: window_applicable(MINUS_3K_R3, k)[::2], 0),
         (lambda k: consistency_sweep(3, k, 6), 0),
         (lambda k: f1_is_k_very_ample(3, 6, k), 0),
-        (lambda k: adjoint_kva_check(MINUS_3K_R3, k, surface_context(3)), 1),
-        (lambda k: degree_bound_check(MINUS_3K_R3, k, surface_context(3)), 2),
+        (lambda k: adjoint_kva_check(MINUS_3K_R3, k), 1),
+        (lambda k: degree_bound_check(MINUS_3K_R3, k), 2),
     ],
     ids=["is_k_very_ample", "search_obstructions", "window_applicable", "consistency_sweep",
          "f1_is_k_very_ample", "adjoint_kva_check", "degree_bound_check"],
@@ -792,8 +845,7 @@ class TestFloatRoute:
     @settings(max_examples=300, deadline=None)
     def test_pairing_matrix_equals_the_exact_product(self, block):
         r, rows = block
-        ctx = surface_context(r)
-        got = pairing_matrix(np.array(rows, dtype=np.int64), ctx)
+        got = pairing_matrix(np.array(rows, dtype=np.int64), r)
         operand = bulk.curve_operand(r)
         assert operand.dtype == np.float64  # the float route runs
         assert got.dtype == np.int64
@@ -802,11 +854,10 @@ class TestFloatRoute:
     @pytest.mark.parametrize("r", range(1, 9))
     def test_pairing_matrix_at_every_corner(self, r):
         # all 2**(r+1) sign patterns of (a; b) at +-SAFE_COEFF_BOUND
-        ctx = surface_context(r)
         rows = [list(signs) for signs in itertools.product((-SAFE_COEFF_BOUND, SAFE_COEFF_BOUND), repeat=r + 1)]
-        got = pairing_matrix(rows, ctx)
+        got = pairing_matrix(rows, r)
         assert got.dtype == np.int64
-        assert got.tolist() == [[intersect(PicardClass(a, tuple(b)), x) for x in ctx.test_curves]
+        assert got.tolist() == [[intersect(PicardClass(a, tuple(b)), x) for x in surface_context(r).test_curves]
                                 for a, *b in rows]
 
     @pytest.mark.parametrize("rows,cols", [(1000, 240), (5, 20_000), (0, 7)])
@@ -838,12 +889,11 @@ class TestFloatRoute:
             assert float_operand(B).dtype == np.int64
 
     def test_object_rows_against_a_float_operand(self):
-        ctx = surface_context(8)
         row = np.array([[2**70 + 3] + [2**70] * 8], dtype=object)
         got = exact_product(row, bulk.curve_operand(8))
         assert got.dtype == object
         L = PicardClass(2**70 + 3, (2**70,) * 8)
-        assert got.tolist() == [[intersect(L, x) for x in ctx.test_curves]]
+        assert got.tolist() == [[intersect(L, x) for x in surface_context(8).test_curves]]
 
 
 class TestMalformedBulkRows:
@@ -853,8 +903,8 @@ class TestMalformedBulkRows:
     @pytest.mark.parametrize("coeffs", [[1, 0], np.array([1, 0]), [[[1, 0]]], 5],
                              ids=["list", "vector", "3-D", "scalar"])
     def test_only_a_2d_block_is_rows(self, coeffs):
-        # pairing_matrix([1, 0], ctx1) read the one class (1; 0) as two rows
-        for call in (exact_rows, minimum_family_value_bulk, lambda x: pairing_matrix(x, surface_context(1))):
+        # pairing_matrix([1, 0], 1) read the one class (1; 0) as two rows
+        for call in (exact_rows, minimum_family_value_bulk, lambda x: pairing_matrix(x, 1)):
             with pytest.raises(ValueError, match="2-D block"):
                 call(coeffs)
 
@@ -863,7 +913,7 @@ class TestMalformedBulkRows:
     ], ids=["object-float", "fraction", "float-past-int64"])
     def test_non_integer_entries_are_refused(self, coeffs):
         # the first two were truncated to the row (3; 1, 1)
-        for call in (exact_rows, minimum_family_value_bulk, lambda x: pairing_matrix(x, surface_context(2))):
+        for call in (exact_rows, minimum_family_value_bulk, lambda x: pairing_matrix(x, 2)):
             with pytest.raises(TypeError, match="must be integers"):
                 call(coeffs)
 
@@ -881,9 +931,8 @@ class TestMalformedBulkRows:
         assert rows.tolist() == [[a, *b]] and (rows.dtype == np.int64) == int64_safe
         if rows.dtype == object:
             assert all(type(x) is int for x in rows.flat)
-        ctx = surface_context(L.r)
-        assert pairing_matrix(coeffs, ctx).tolist() == [[intersect(L, x) for x in ctx.test_curves]]
-        assert minimum_family_value_bulk(coeffs).tolist() == [minimum_pairing(L, ctx)]
+        assert pairing_matrix(coeffs, L.r).tolist() == [[intersect(L, x) for x in surface_context(L.r).test_curves]]
+        assert minimum_family_value_bulk(coeffs).tolist() == [minimum_pairing(L)]
 
     @pytest.mark.parametrize("width", [1, 10])
     def test_the_fold_reads_the_rank_off_the_width(self, width):
@@ -893,52 +942,47 @@ class TestMalformedBulkRows:
 
 class TestExactBeyondInt64Bound:
     def test_bulk_minimum_does_not_wrap(self):
-        ctx8 = surface_context(8)
         row = np.array([[2 * 10**18, 10**18] + [0] * 7], dtype=np.int64)
-        assert pairing_matrix(row, ctx8).min(axis=1).tolist() == [0]
+        assert pairing_matrix(row, 8).min(axis=1).tolist() == [0]
         assert minimum_family_value_bulk(row).tolist() == [0]
 
     @pytest.mark.parametrize("scale", [10**6, 10**6 + 1, 2**40, 10**18, 10**30])
     def test_bulk_rows_match_plain_integers(self, scale):
         rng = np.random.default_rng(scale % 1000)
         for r in (1, 3, 8):
-            ctx = surface_context(r)
             rows = [[int(x) * scale + int(y) for x, y in zip(rng.integers(-3, 4, r + 1), rng.integers(-9, 10, r + 1))]
                     for _ in range(20)]
             classes = [PicardClass(row[0], tuple(row[1:])) for row in rows]
             coeffs = np.array(rows, dtype=object)
-            expected = [[intersect(L, x) for x in ctx.test_curves] for L in classes]
-            assert pairing_matrix(coeffs, ctx).tolist() == expected
+            expected = [[intersect(L, x) for x in surface_context(r).test_curves] for L in classes]
+            assert pairing_matrix(coeffs, r).tolist() == expected
             assert minimum_family_value_bulk(coeffs).tolist() == [min(p) for p in expected]
 
     def test_scalar_paths_at_scale_1e30(self):
         for r in (1, 2, 7, 8):
-            ctx = surface_context(r)
             L = PicardClass(3 * 10**30 + 5, (10**30 + 1,) + (10**30 - 2,) * (r - 1))
-            assert minimum_pairing(L, ctx) == ref_minimum_pairing(L, ctx)
-            assert is_k_very_ample(L, 1, ctx).as_dict() == ref_report(L, 1, ctx)
+            assert minimum_pairing(L) == ref_minimum_pairing(L)
+            assert is_k_very_ample(L, 1).as_dict() == ref_report(L, 1)
 
     def test_bulk_refuses_non_integer_rows(self):
         with pytest.raises(TypeError):
-            pairing_matrix(np.array([[1.5, 0.0]]), surface_context(1))
+            pairing_matrix(np.array([[1.5, 0.0]]), 1)
         with pytest.raises(TypeError, match="must be integers"):
-            pairing_matrix([[1.5, 0]], surface_context(1))
+            pairing_matrix([[1.5, 0]], 1)
         with pytest.raises(TypeError, match="must be integers"):
-            pairing_matrix([[2**63, -1.0]], surface_context(1))
+            pairing_matrix([[2**63, -1.0]], 1)
 
     def test_bulk_list_past_int64_stays_exact(self):
         # a plain np.array widens [2**63, -1] to float64
-        ctx1 = surface_context(1)
-        assert pairing_matrix([[2**63, -1]], ctx1).tolist() == [[-1, 2**63 + 1]]
+        assert pairing_matrix([[2**63, -1]], 1).tolist() == [[-1, 2**63 + 1]]
 
     def test_window_mask_does_not_wrap(self):
         # M = L - K = (2^62 + 3; 1^8): an (4; 2^3, 1^5) candidate D has
         # M.D = 2^64 + 1, which int64 wraps to 1 and would put D in the window.
         # At M = (2^63; 1^8) the row (2^63, -1, ...) fits neither int64 nor
         # uint64, and a plain np.array would widen it to float.
-        ctx8 = surface_context(8)
         for a in (2**62, 2**63 - 3):
-            outcome = search_obstructions(PicardClass(a, (0,) * 8), 1, ctx8)
+            outcome = search_obstructions(PicardClass(a, (0,) * 8), 1)
             assert outcome.applicable
             assert {w.D for w in outcome.witnesses} == {point_class(8, i) for i in range(1, 9)}
             assert all(w.MD == 1 for w in outcome.witnesses)
@@ -949,7 +993,7 @@ class TestExactBeyondInt64Bound:
 # greedy, and against the decomposition itself where the greedy cannot go.
 
 
-def assert_zariski_certificate(L, ctx, result):
+def assert_zariski_certificate(L, result):
     """The certificate of an effective L checked from the mathematics, not
     from the greedy: it replays to L, every subtracted class is exceptional
     (E.E = K.E = -1), the subtracted classes are pairwise disjoint, each
@@ -961,7 +1005,7 @@ def assert_zariski_certificate(L, ctx, result):
     for E, mult in cert.subtracted:
         replayed = replayed + mult * E
     assert cert.replay() == replayed == L
-    K = canonical_class(ctx.r)
+    K = canonical_class(L.r)
     totals = {}
     for E, mult in cert.subtracted:
         assert intersect(E, E) == -1 and intersect(K, E) == -1
@@ -969,9 +1013,9 @@ def assert_zariski_certificate(L, ctx, result):
         totals[E] = totals.get(E, 0) + mult
     for E, F in itertools.combinations(totals, 2):
         assert intersect(E, F) == 0
-    negative = {E: -intersect(L, E) for E in ctx.exceptional_set if intersect(L, E) < 0}
+    negative = {E: -intersect(L, E) for E in enumerate_exceptional(L.r) if intersect(L, E) < 0}
     assert totals == negative
-    assert ref_minimum_pairing(cert.terminal, ctx) >= 0
+    assert ref_minimum_pairing(cert.terminal) >= 0
 
 
 @st.composite
@@ -1010,28 +1054,25 @@ class TestClosedForm:
         ids=["2", "3", "4"],
     )
     def test_equals_the_greedy_on_a_whole_box(self, r, a_range, b_range):
-        ctx = surface_context(r)
         for a in a_range:
             for b in itertools.product(b_range, repeat=r):
                 L = PicardClass(a, b)
-                assert is_effective(L, ctx) == ref_is_effective(L, ctx), L
+                assert is_effective(L) == ref_is_effective(L), L
 
     @given(st.integers(2, 8).flatmap(zariski_sums))
     @settings(max_examples=100, deadline=None)
     def test_zariski_sums_equal_the_greedy(self, L):
-        ctx = surface_context(L.r)
-        got = is_effective(L, ctx)
-        assert got == ref_is_effective(L, ctx)
-        assert_zariski_certificate(L, ctx, got)
+        got = is_effective(L)
+        assert got == ref_is_effective(L)
+        assert_zariski_certificate(L, got)
 
     @given(st.integers(2, 8).flatmap(lambda r: zariski_sums(r, meeting=True)))
     @settings(max_examples=100, deadline=None)
     def test_sums_less_a_meeting_class_equal_the_greedy(self, L):
-        ctx = surface_context(L.r)
-        got = is_effective(L, ctx)
-        assert got == ref_is_effective(L, ctx)
+        got = is_effective(L)
+        assert got == ref_is_effective(L)
         if got[0]:
-            assert_zariski_certificate(L, ctx, got)
+            assert_zariski_certificate(L, got)
 
 
 # Eight pairwise disjoint exceptional curves at rank 8, none of them a point.
@@ -1049,7 +1090,7 @@ def fold_passes(L):
     fold = positivity._fold_values
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(positivity, "_fold_values", lambda a, desc: calls.append(a) or fold(a, desc))
-        result = is_effective(L, surface_context(L.r))
+        result = is_effective(L)
     return result, len(calls)
 
 
@@ -1085,9 +1126,9 @@ class TestFoldSearch:
             "eight-disjoint-non-point-curves"])
     def test_named_exits(self, L, passes):
         result = fold_passes(L)
-        assert result == (ref_is_effective(L, surface_context(L.r)), passes)
+        assert result == (ref_is_effective(L), passes)
         if result[0][0]:
-            assert_zariski_certificate(L, surface_context(L.r), result[0])
+            assert_zariski_certificate(L, result[0])
 
 
 class TestHugeMultiplicity:
@@ -1096,9 +1137,9 @@ class TestHugeMultiplicity:
 
     @staticmethod
     def timed_is_effective(L):
-        ctx = surface_context(L.r)  # built outside the timed call
+        surface_context(L.r)  # the rank's surface is built outside the timed call
         start = time.perf_counter()
-        result = is_effective(L, ctx)
+        result = is_effective(L)
         assert time.perf_counter() - start < 0.25
         return result
 
@@ -1113,4 +1154,4 @@ class TestHugeMultiplicity:
     @given(st.integers(2, 8).flatmap(lambda r: zariski_sums(r, huge=True)))
     @settings(max_examples=60, deadline=None)
     def test_zariski_oracle(self, L):
-        assert_zariski_certificate(L, surface_context(L.r), self.timed_is_effective(L))
+        assert_zariski_certificate(L, self.timed_is_effective(L))

@@ -61,89 +61,83 @@ ranked_classes = st.integers(1, 8).flatmap(classes)
 
 class TestNef:
     def test_anticanonical_is_nef_everywhere(self, ctx):
-        assert is_nef(-ctx.canonical, ctx)
+        assert is_nef(-ctx.canonical)
 
     def test_failing_pair_inequality(self):
-        assert not is_nef(PicardClass(3, (2, 2)), surface_context(2))
+        assert not is_nef(PicardClass(3, (2, 2)))
 
     def test_pencil_class_is_nef(self):
         for r in range(1, 9):
-            assert is_nef(PicardClass(1, (1,) + (0,) * (r - 1)), surface_context(r))
+            assert is_nef(PicardClass(1, (1,) + (0,) * (r - 1)))
 
     def test_rank_one_needs_the_fiber_inequality(self):
-        ctx1 = surface_context(1)
         # (2;5) pairs fine with e_1 but not with l - e_1
         assert intersect(PicardClass(2, (5,)), point_class(1, 1)) >= 0
-        assert not is_nef(PicardClass(2, (5,)), ctx1)
+        assert not is_nef(PicardClass(2, (5,)))
 
     @given(ranked_classes)
     def test_spanned_coincides_with_nef(self, L):
-        ctx = surface_context(L.r)
-        assert is_spanned(L, ctx) == is_nef(L, ctx)
+        assert is_spanned(L) == is_nef(L)
 
     def test_big_examples(self, ctx):
-        assert is_big(-ctx.canonical, ctx)
+        assert is_big(-ctx.canonical)
         fib = PicardClass(1, (1,) + (0,) * (ctx.r - 1))
-        assert not is_big(fib, ctx)  # nef of square zero
+        assert not is_big(fib)  # nef of square zero
         if ctx.r == 2:
-            assert not is_big(PicardClass(3, (2, 2)), ctx)  # not even nef
+            assert not is_big(PicardClass(3, (2, 2)))  # not even nef
 
 
 class TestEffectivity:
     def test_point_classes_are_effective(self, ctx):
         for i in range(1, ctx.r + 1):
-            ok, cert = is_effective(point_class(ctx.r, i), ctx)
+            ok, cert = is_effective(point_class(ctx.r, i))
             assert ok and cert.replay() == point_class(ctx.r, i)
 
     def test_anticanonical_of_degree_one_surface(self):
-        ctx8 = surface_context(8)
-        ok, cert = is_effective(-canonical_class(8), ctx8)
+        ok, cert = is_effective(-canonical_class(8))
         assert ok and cert.terminal == -canonical_class(8)
 
     def test_negative_line_multiple_is_not_effective(self):
-        ctx8 = surface_context(8)
-        assert is_effective(PicardClass(-1, (0,) * 8), ctx8) == (False, None)
+        assert is_effective(PicardClass(-1, (0,) * 8)) == (False, None)
 
     def test_general_position_constraints(self):
         # three points not on a line, six not on a conic
-        assert not is_effective(PicardClass(1, (1, 1, 1)), surface_context(3))[0]
-        assert not is_effective(PicardClass(2, (1,) * 6), surface_context(6))[0]
-        assert not is_effective(PicardClass(0, (-1, 1)), surface_context(2))[0]
+        assert not is_effective(PicardClass(1, (1, 1, 1)))[0]
+        assert not is_effective(PicardClass(2, (1,) * 6))[0]
+        assert not is_effective(PicardClass(0, (-1, 1)))[0]
 
     def test_rank_one_monoid_rule(self):
-        ctx1 = surface_context(1)
         for a in range(-5, 9):
             for b in range(-8, 9):
-                ok, cert = is_effective(PicardClass(a, (b,)), ctx1)
+                ok, cert = is_effective(PicardClass(a, (b,)))
                 assert ok == (a >= 0 and a >= b)
                 if ok:
                     assert cert.replay() == PicardClass(a, (b,))
-                    assert is_nef(cert.terminal, ctx1)
+                    assert is_nef(cert.terminal)
 
     def test_sufficiency_bound(self):
         # a >= -2 and degree >= K.L forces effectivity
         for r in (1, 2):
-            ctx = surface_context(r)
             K = canonical_class(r)
             for a in range(-2, 9):
                 for b in itertools.product(range(-6, 7), repeat=r):
                     L = PicardClass(a, b)
                     if degree(L) >= intersect(K, L):
-                        assert is_effective(L, ctx)[0], L
+                        assert is_effective(L)[0], L
 
     @given(st.integers(2, 8).flatmap(classes))
     @settings(max_examples=200)
     def test_certificate_replays_and_terminal_is_nef(self, L):
         ctx = surface_context(L.r)
-        ok, cert = is_effective(L, ctx)
+        ok, cert = is_effective(L)
         if ok:
             assert cert.replay() == L
-            assert cert.terminal.is_zero() or is_nef(cert.terminal, ctx)
+            assert cert.terminal.is_zero() or is_nef(cert.terminal)
             for cls, mult in cert.subtracted:
                 assert cls.sort_key() in ctx.exceptional_index and mult >= 1
 
     def test_zero_class_is_effective(self, ctx):
-        ok, cert = is_effective(zero_class(ctx.r), ctx)
+        ok, cert = is_effective(zero_class(ctx.r))
         assert ok and cert.subtracted == () and cert.terminal.is_zero()
 
     def test_nef_implies_effective(self, ctx):
@@ -152,25 +146,24 @@ class TestEffectivity:
             a = int(rng.integers(0, 10))
             b = tuple(int(x) for x in rng.integers(0, a + 1, ctx.r))
             L = PicardClass(a, b)
-            if is_nef(L, ctx):
-                assert is_effective(L, ctx)[0]
+            if is_nef(L):
+                assert is_effective(L)[0]
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_negative_verdicts_have_separating_nef_class(self, r):
         # a nef class pairs >= 0 with every effective class, so finding a
         # nef N with L.N < 0 certifies non-effectivity independently of
         # the closed form; every negative verdict in the box must admit one
-        ctx = surface_context(r)
         nef_box = []
         for a in range(0, 13):
             for b in itertools.product(range(0, a + 1), repeat=r):
                 N = PicardClass(a, b)
-                if is_nef(N, ctx):
+                if is_nef(N):
                     nef_box.append(N)
         for a in range(-3, 7):
             for b in itertools.product(range(-4, 5), repeat=r):
                 L = PicardClass(a, b)
-                if not is_effective(L, ctx)[0]:
+                if not is_effective(L)[0]:
                     assert any(intersect(L, N) < 0 for N in nef_box), (
                         f"no separating nef class found for {L}"
                     )
@@ -182,11 +175,10 @@ class TestEffectivity:
     def test_tied_certificate_past_the_index_range_is_refused(self, L):
         # effective, but its two tied curves would take more runs than a
         # list can hold
-        ctx = surface_context(L.r)
         with pytest.raises(ValueError, match=r"cannot certify .* runs, past sys.maxsize"):
-            is_effective(L, ctx)
+            is_effective(L)
         with pytest.raises(ValueError, match="cannot certify"):
-            is_k_very_ample(L, 1, ctx)
+            is_k_very_ample(L, 1)
 
     def test_certificate_refuses_a_foreign_rank_class(self):
         # the certificate is summed when it is built, so its constructor
@@ -221,7 +213,7 @@ class TestCertificateSum:
     def test_an_effective_class_is_summed_once(self, L):
         with pytest.MonkeyPatch.context() as mp:
             calls = self.patched_sum(mp)
-            ok, cert = is_effective(L, surface_context(L.r))
+            ok, cert = is_effective(L)
             assert ok and cert.subtracted
             assert cert.replay() == cert.replay() == L
             ObstructionWitness(L, 0, degree(L), (), cert)
@@ -235,7 +227,7 @@ class TestCertificateSum:
     def test_nef_and_refused_classes_are_not_summed(self, L, effective):
         with pytest.MonkeyPatch.context() as mp:
             calls = self.patched_sum(mp)
-            ok, cert = is_effective(L, surface_context(L.r))
+            ok, cert = is_effective(L)
             assert ok == effective
             if ok:
                 assert cert.subtracted == () and cert.replay() is L
@@ -247,54 +239,48 @@ class TestCertificateSum:
         with pytest.MonkeyPatch.context() as mp:
             calls = self.patched_sum(mp, lambda S: PicardClass(S.a + 1, S.b))
             with pytest.raises(RuntimeError, match=re.escape(f"the certificate of {L} replays to another class")):
-                is_effective(L, surface_context(L.r))
+                is_effective(L)
         assert len(calls) == 1
 
 
 class TestKVeryAmple:
     def test_rank_one_boundary_family(self):
-        ctx1 = surface_context(1)
         for k in range(0, 5):
-            assert is_k_very_ample(PicardClass(2 * k, (k,)), k, ctx1).k_very_ample
+            assert is_k_very_ample(PicardClass(2 * k, (k,)), k).k_very_ample
 
     def test_exception_classes(self):
-        ctx8 = surface_context(8)
-        ctx7 = surface_context(7)
         K8, K7 = canonical_class(8), canonical_class(7)
         for k in range(1, 6):
-            rep = is_k_very_ample(-k * K8, k, ctx8)
+            rep = is_k_very_ample(-k * K8, k)
             assert not rep.k_very_ample
             assert rep.exception_flag == EXCEPTION_MINUS_KK_S8
-            assert minimum_pairing(-k * K8, ctx8) >= k  # inequalities do hold
-            rep = is_k_very_ample(-(k + 1) * K8, k, ctx8)
+            assert minimum_pairing(-k * K8) >= k  # inequalities do hold
+            rep = is_k_very_ample(-(k + 1) * K8, k)
             assert not rep.k_very_ample
             assert rep.exception_flag == EXCEPTION_MINUS_K1K_S8
-        rep = is_k_very_ample(-K7, 1, ctx7)
+        rep = is_k_very_ample(-K7, 1)
         assert not rep.k_very_ample and rep.exception_flag == EXCEPTION_MINUS_K_S7_K1
-        rep = is_k_very_ample(-K7, 0, ctx7)
+        rep = is_k_very_ample(-K7, 0)
         assert rep.k_very_ample and rep.exception_flag == EXCEPTION_NONE
 
     def test_zero_level_flags_at_rank_8(self):
-        ctx8 = surface_context(8)
-        assert is_k_very_ample(zero_class(8), 0, ctx8).exception_flag == EXCEPTION_MINUS_KK_S8
-        assert is_k_very_ample(-canonical_class(8), 0, ctx8).exception_flag == EXCEPTION_MINUS_K1K_S8
+        assert is_k_very_ample(zero_class(8), 0).exception_flag == EXCEPTION_MINUS_KK_S8
+        assert is_k_very_ample(-canonical_class(8), 0).exception_flag == EXCEPTION_MINUS_K1K_S8
 
     def test_anticanonical_on_cubic_surface_is_very_ample(self):
-        ctx6 = surface_context(6)
-        assert is_k_very_ample(-canonical_class(6), 1, ctx6).k_very_ample
+        assert is_k_very_ample(-canonical_class(6), 1).k_very_ample
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            is_k_very_ample(line(2), -1, surface_context(2))
+            is_k_very_ample(line(2), -1)
 
     def test_exception_flag_checks_k(self):
-        ctx8 = surface_context(8)
         K8 = canonical_class(8)
         with pytest.raises(ValueError):
-            exception_flag(K8, -1, ctx8)  # K = -(-1)K: no level -1 to name
+            exception_flag(K8, -1)  # K = -(-1)K: no level -1 to name
         with pytest.raises(TypeError):
-            exception_flag(-K8, 1.0, ctx8)
-        assert exception_flag(-K8, np.int64(1), ctx8) == EXCEPTION_MINUS_KK_S8
+            exception_flag(-K8, 1.0)
+        assert exception_flag(-K8, np.int64(1)) == EXCEPTION_MINUS_KK_S8
 
     def test_exception_flag_is_exported_from_the_package_root(self):
         # the README documents the verdict, so the root offers its function
@@ -308,33 +294,30 @@ class TestKVeryAmple:
         # -2K at r = 6 is 2-very ample; a forced degree of 0 keeps the genus
         # parity (0 - 18 + 12 is even) but makes the report claim k-very
         # ample without big, which the report's __init__ refuses
-        ctx6 = surface_context(6)
         L = -2 * canonical_class(6)
-        assert is_k_very_ample(L, 1, ctx6).k_very_ample
+        assert is_k_very_ample(L, 1).k_very_ample
         monkeypatch.setattr(positivity, "degree", lambda L: 0)
         for k in (1, 2):
             with pytest.raises(ValueError, match="very ample needs") as excinfo:
-                is_k_very_ample(L, k, ctx6)
+                is_k_very_ample(L, k)
             frame = excinfo.traceback[-1]
             assert frame.name == "__init__" and type(frame.frame.f_locals["self"]) is positivity.PositivityReport
 
     @given(st.integers(1, 8).flatmap(classes), st.integers(1, 3))
     @settings(max_examples=300)
     def test_monotone_in_k(self, L, k):
-        ctx = surface_context(L.r)
-        if is_k_very_ample(L, k, ctx).k_very_ample:
-            assert is_k_very_ample(L, k - 1, ctx).k_very_ample
+        if is_k_very_ample(L, k).k_very_ample:
+            assert is_k_very_ample(L, k - 1).k_very_ample
 
     @given(st.integers(1, 8).flatmap(classes), st.integers(1, 3))
     @settings(max_examples=300)
     def test_kva_implies_nef_and_big(self, L, k):
-        ctx = surface_context(L.r)
-        rep = is_k_very_ample(L, k, ctx)
+        rep = is_k_very_ample(L, k)
         if rep.k_very_ample:
             assert rep.nef and rep.big and rep.spanned and rep.effective
 
     def test_report_fields_and_stable_schema(self):
-        rep = is_k_very_ample(PicardClass(3, (2, 2)), 1, surface_context(2))
+        rep = is_k_very_ample(PicardClass(3, (2, 2)), 1)
         payload = rep.as_dict()
         assert list(payload) == [
             "subject", "r", "k", "degree", "genus", "verdicts",
@@ -347,7 +330,6 @@ class TestKVeryAmple:
     def test_intersection_with_low_degree_effectives(self):
         # a k-very-ample class meets every effective class at least k times;
         # checked against all effectives of anticanonical degree <= 6 (rank 2)
-        ctx = surface_context(2)
         effectives = []
         for d in range(1, 7):
             for alpha in range(0, 6 * d + 1):
@@ -355,11 +337,11 @@ class TestKVeryAmple:
                     b2 = 3 * alpha - d - b1
                     if -d <= b2 <= alpha:
                         D = PicardClass(alpha, (b1, b2))
-                        if is_effective(D, ctx)[0]:
+                        if is_effective(D)[0]:
                             effectives.append(D)
         for L in (PicardClass(3, (1, 1)), PicardClass(5, (2, 1)), PicardClass(6, (2, 2))):
             for k in range(0, 3):
-                if is_k_very_ample(L, k, ctx).k_very_ample:
+                if is_k_very_ample(L, k).k_very_ample:
                     assert all(intersect(L, C) >= k for C in effectives)
 
 
@@ -428,22 +410,20 @@ class TestInequalityFamilies:
     @given(st.integers(1, 8).flatmap(classes), st.integers(0, 3))
     @settings(max_examples=200)
     def test_families_reproduce_the_direct_test(self, L, k):
-        ctx = surface_context(L.r)
         fams = generate_inequality_families(L.r)
-        assert all(f.satisfied(L, k) for f in fams) == (minimum_pairing(L, ctx) >= k)
+        assert all(f.satisfied(L, k) for f in fams) == (minimum_pairing(L) >= k)
 
     def test_bulk_evaluators_match_scalar(self):
         rng = np.random.default_rng(11)
         for r in (1, 3, 8):
-            ctx = surface_context(r)
             rows = np.column_stack(
                 [rng.integers(-5, 16, 400), rng.integers(-4, 16, (400, r))]
             ).astype(np.int64)
-            direct = pairing_matrix(rows, ctx).min(axis=1)
+            direct = pairing_matrix(rows, r).min(axis=1)
             folded = minimum_family_value_bulk(rows)
             for i in range(len(rows)):
                 L = PicardClass(int(rows[i, 0]), tuple(int(x) for x in rows[i, 1:]))
-                assert direct[i] == minimum_pairing(L, ctx)
+                assert direct[i] == minimum_pairing(L)
             np.testing.assert_array_equal(direct, folded)
 
     @pytest.mark.parametrize("r", range(1, 9))
@@ -465,23 +445,20 @@ class TestInequalityFamilies:
 
 class TestAdjoint:
     def test_examples(self):
-        ctx2 = surface_context(2)
         for k in (1, 2, 3):
             L = PicardClass(3 * k, (k, k))
-            assert adjoint_kva_check(L, k, ctx2)
-        ctx1 = surface_context(1)
-        assert not adjoint_kva_check(PicardClass(3, (2,)), 1, ctx1)  # a = b1 + k
-        assert adjoint_kva_check(PicardClass(4, (2,)), 1, ctx1)  # a = b1 + k + 1
+            assert adjoint_kva_check(L, k)
+        assert not adjoint_kva_check(PicardClass(3, (2,)), 1)  # a = b1 + k
+        assert adjoint_kva_check(PicardClass(4, (2,)), 1)  # a = b1 + k + 1
 
     def test_rank_one_rule(self):
-        ctx1 = surface_context(1)
         for b1 in range(0, 6):
             for k in range(1, 4):
                 for a in range(b1 + k, b1 + k + 4):
                     L = PicardClass(a, (b1,))
                     if b1 < k:
                         continue  # not k-very ample, precondition fails
-                    assert adjoint_kva_check(L, k, ctx1) == (a >= b1 + k + 1)
+                    assert adjoint_kva_check(L, k) == (a >= b1 + k + 1)
 
     def test_always_true_at_rank_two_plus_except_one_class(self):
         # the adjoint of a k-very-ample class stays (k-1)-very ample for
@@ -489,41 +466,37 @@ class TestAdjoint:
         # which is exactly the flagged very-ampleness exception
         rng = np.random.default_rng(5)
         for r in range(2, 9):
-            ctx = surface_context(r)
             checked = 0
             for _ in range(400):
                 k = int(rng.integers(1, 4))
                 a = int(rng.integers(0, 16))
                 b = tuple(int(x) for x in rng.integers(0, 8, r))
                 L = PicardClass(a, b)
-                if not is_k_very_ample(L, k, ctx).k_very_ample:
+                if not is_k_very_ample(L, k).k_very_ample:
                     continue
                 checked += 1
                 expected = not (r == 7 and k == 2 and L == -2 * canonical_class(7))
-                assert adjoint_kva_check(L, k, ctx) == expected
+                assert adjoint_kva_check(L, k) == expected
             assert checked > 0
-        ctx7 = surface_context(7)
-        assert is_k_very_ample(-2 * canonical_class(7), 2, ctx7).k_very_ample
-        assert not adjoint_kva_check(-2 * canonical_class(7), 2, ctx7)
-        rep = is_k_very_ample(adjoint(-2 * canonical_class(7)), 1, ctx7)
+        assert is_k_very_ample(-2 * canonical_class(7), 2).k_very_ample
+        assert not adjoint_kva_check(-2 * canonical_class(7), 2)
+        rep = is_k_very_ample(adjoint(-2 * canonical_class(7)), 1)
         assert rep.exception_flag == EXCEPTION_MINUS_K_S7_K1
 
     def test_precondition_errors(self):
-        ctx2 = surface_context(2)
         with pytest.raises(ValueError):
-            adjoint_kva_check(PicardClass(3, (2, 2)), 1, ctx2)  # not 1-very ample
+            adjoint_kva_check(PicardClass(3, (2, 2)), 1)  # not 1-very ample
         with pytest.raises(ValueError):
-            adjoint_kva_check(PicardClass(6, (2, 2)), 0, ctx2)  # k must be >= 1
+            adjoint_kva_check(PicardClass(6, (2, 2)), 0)  # k must be >= 1
 
     def test_report_is_the_adjoint_one_level_down(self):
-        ctx7 = surface_context(7)
         L = -2 * canonical_class(7)
-        report = adjoint_report(L, 2, ctx7)
+        report = adjoint_report(L, 2)
         assert report.subject == adjoint(L) and report.k == 1
-        assert report.as_dict() == is_k_very_ample(adjoint(L), 1, ctx7).as_dict()
+        assert report.as_dict() == is_k_very_ample(adjoint(L), 1).as_dict()
         assert report.exception_flag == EXCEPTION_MINUS_K_S7_K1
         with pytest.raises(ValueError, match=r"^3;2,2 is not 1-very ample"):
-            adjoint_report(PicardClass(3, (2, 2)), 1, surface_context(2))
+            adjoint_report(PicardClass(3, (2, 2)), 1)
 
 
 class TestDegreeBound:
@@ -532,34 +505,31 @@ class TestDegreeBound:
         assert 3 * 3 + 3 * 3 + 2 == 20
 
     def test_holds_on_examples(self):
-        ctx2 = surface_context(2)
         for k in (2, 3):
             L = PicardClass(3 * k + 1, (k, k))
-            assert degree_bound_check(L, k, ctx2)
+            assert degree_bound_check(L, k)
 
     def test_exhaustive_minimum_small_ranks(self):
         # minimum degree of a 2-very-ample class, excluding -2K, over a <= 12
         for r in (1, 2, 3):
-            ctx = surface_context(r)
             K = canonical_class(r)
             best = None
             for a in range(0, 13):
                 for b in itertools.product(range(0, a + 1), repeat=r):
                     L = PicardClass(a, b)
-                    if L == -2 * K or not is_k_very_ample(L, 2, ctx).k_very_ample:
+                    if L == -2 * K or not is_k_very_ample(L, 2).k_very_ample:
                         continue
                     d = degree(L)
                     best = d if best is None else min(best, d)
             assert best is not None and best >= 12
 
     def test_precondition_errors(self):
-        ctx2 = surface_context(2)
         with pytest.raises(ValueError):
-            degree_bound_check(PicardClass(6, (2, 2)), 1, ctx2)  # k too small
+            degree_bound_check(PicardClass(6, (2, 2)), 1)  # k too small
         with pytest.raises(ValueError):
-            degree_bound_check(-2 * canonical_class(2), 2, ctx2)  # excluded class
+            degree_bound_check(-2 * canonical_class(2), 2)  # excluded class
         with pytest.raises(ValueError):
-            degree_bound_check(PicardClass(3, (2, 2)), 2, ctx2)  # not 2-very ample
+            degree_bound_check(PicardClass(3, (2, 2)), 2)  # not 2-very ample
 
 
 class TestF1Coordinates:
@@ -581,11 +551,10 @@ class TestF1Coordinates:
         assert f1_coords(fiber_class()) == (0, 1)
 
     def test_criterion_agrees_with_lattice_test(self):
-        ctx1 = surface_context(1)
         for a0 in range(-8, 9):
             for b in range(-8, 9):
                 for k in range(0, 4):
-                    direct = is_k_very_ample(f1_class(a0, b), k, ctx1).k_very_ample
+                    direct = is_k_very_ample(f1_class(a0, b), k).k_very_ample
                     assert f1_is_k_very_ample(a0, b, k) == direct
 
     def test_rank_errors(self):
@@ -619,20 +588,19 @@ class TestPermutationInvariance:
         L, sigma = L_sigma
         L = scale * L  # 10**19 is past 2**63
         sL = _permuted(L, sigma)
-        ctx = surface_context(L.r)
-        assert minimum_pairing(sL, ctx) == minimum_pairing(L, ctx)
+        assert minimum_pairing(sL) == minimum_pairing(L)
         try:
-            effective, _ = is_effective(L, ctx)
+            effective, _ = is_effective(L)
         except ValueError:  # a tied certificate past the index range
-            for f in (lambda M: is_effective(M, ctx), lambda M: is_k_very_ample(M, k, ctx)):
+            for f in (is_effective, lambda M: is_k_very_ample(M, k)):
                 with pytest.raises(ValueError, match="cannot certify"):
                     f(sL)
             return
-        s_effective, s_cert = is_effective(sL, ctx)
+        s_effective, s_cert = is_effective(sL)
         assert s_effective == effective
         if effective:
             assert s_cert.replay() == sL
-        assert _verdicts(is_k_very_ample(sL, k, ctx)) == _verdicts(is_k_very_ample(L, k, ctx))
+        assert _verdicts(is_k_very_ample(sL, k)) == _verdicts(is_k_very_ample(L, k))
 
     @given(
         _with_permutation(lambda r: st.builds(PicardClass, st.integers(0, 12),
@@ -642,11 +610,10 @@ class TestPermutationInvariance:
     @settings(max_examples=150)
     def test_window_search_lists_the_permuted_witnesses(self, L_sigma, k):
         L, sigma = L_sigma
-        ctx = surface_context(L.r)
-        assume(window_applicable(L, k, ctx)[0])
+        assume(window_applicable(L, k)[0])
 
         def found(M, act):
-            witnesses = search_obstructions(M, k, ctx).witnesses
+            witnesses = search_obstructions(M, k).witnesses
             return sorted((act(w.D).sort_key(), w.MD, w.D_squared) for w in witnesses)
 
         assert found(_permuted(L, sigma), lambda D: D) == found(L, lambda D: _permuted(D, sigma))
@@ -692,9 +659,8 @@ class TestWeylInvariance:
         L, word = L_word
         L = scale * L  # 10**19 is past 2**63
         wL = _weyl_image(L, word)
-        ctx = surface_context(L.r)
         try:
-            report, w_report = [is_k_very_ample(M, k, ctx) for M in (L, wL)]
+            report, w_report = [is_k_very_ample(M, k) for M in (L, wL)]
         except ValueError as exc:
             # a tied certificate past the index range; run counts are not W-invariant
             assert "cannot certify" in str(exc)
@@ -705,7 +671,7 @@ class TestWeylInvariance:
                     report.k_very_ample, report.exception_flag)
 
         assert invariants(w_report) == invariants(report)
-        assert minimum_pairing(wL, ctx) == minimum_pairing(L, ctx)
+        assert minimum_pairing(wL) == minimum_pairing(L)
         if w_report.effective:
             assert w_report.certificate.replay() == wL
 
@@ -715,11 +681,10 @@ class TestWeylInvariance:
     @settings(max_examples=150)
     def test_window_search_maps_across(self, L_word, k):
         L, word = L_word
-        ctx = surface_context(L.r)
-        assume(is_nef(L, ctx))
+        assume(is_nef(L))
 
         def found(M):
-            outcome = search_obstructions(M, k, ctx)
+            outcome = search_obstructions(M, k)
             return outcome.applicable, sorted((w.MD, w.D_squared) for w in outcome.witnesses)
 
         assert found(_weyl_image(L, word)) == found(L)
@@ -733,12 +698,12 @@ def _genus_one_classes(r):
     return [ctx.anticanonical] + [ctx.anticanonical + E for E in ctx.exceptional_set if r == 8]
 
 
-def _fails_on_an_elliptic_curve(L, k, ctx):
+def _fails_on_an_elliptic_curve(L, k):
     """Whether L restricts to some genus-1 class D as a bundle that is not
     k-very ample.  On an elliptic curve a bundle of degree d >= 1 is
     k-very ample iff d >= k + 2; for L nef, d = 0 means L = 0, whose
     trivial bundle is 0-very ample and no more."""
-    return any(d <= k + 1 and (d, k) != (0, 0) for d in (intersect(L, D) for D in _genus_one_classes(ctx.r)))
+    return any(d <= k + 1 and (d, k) != (0, 0) for d in (intersect(L, D) for D in _genus_one_classes(L.r)))
 
 
 class TestExceptionsFromEllipticCurves:
@@ -752,8 +717,8 @@ class TestExceptionsFromEllipticCurves:
         flagged = []
         for m, k in itertools.product(range(13), range(1, 6)):
             L = m * ctx.anticanonical
-            derived = minimum_pairing(L, ctx) >= k and _fails_on_an_elliptic_curve(L, k, ctx)
-            assert derived == (exception_flag(L, k, ctx) != EXCEPTION_NONE), (m, k)
+            derived = minimum_pairing(L) >= k and _fails_on_an_elliptic_curve(L, k)
+            assert derived == (exception_flag(L, k) != EXCEPTION_NONE), (m, k)
             flagged += [(m, k)] * derived
         # -kK and -(k+1)K at r = 8, -K at r = 7 and k = 1
         expected = [(m, k) for m, k in itertools.product(range(13), range(1, 6)) if m - k in (0, 1)]
@@ -763,11 +728,10 @@ class TestExceptionsFromEllipticCurves:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_near_anticanonical_classes(self, r, data):
-        ctx = surface_context(r)
         L = data.draw(_near_anticanonical(r))
         for k in range(1, 6):
-            derived = minimum_pairing(L, ctx) >= k and _fails_on_an_elliptic_curve(L, k, ctx)
-            assert derived == (exception_flag(L, k, ctx) != EXCEPTION_NONE), k
+            derived = minimum_pairing(L) >= k and _fails_on_an_elliptic_curve(L, k)
+            assert derived == (exception_flag(L, k) != EXCEPTION_NONE), k
 
     @pytest.mark.parametrize("m", [
         pytest.param(0, marks=pytest.mark.xfail(
@@ -779,4 +743,4 @@ class TestExceptionsFromEllipticCurves:
         # at k = 0 the elliptic curves flag -K alone
         ctx = surface_context(8)
         L = m * ctx.anticanonical
-        assert _fails_on_an_elliptic_curve(L, 0, ctx) == (exception_flag(L, 0, ctx) != EXCEPTION_NONE)
+        assert _fails_on_an_elliptic_curve(L, 0) == (exception_flag(L, 0) != EXCEPTION_NONE)

@@ -96,31 +96,27 @@ def _full_table(r, k):
 
 class TestWindowApplicability:
     def test_degree_two_anticanonical_misses_the_threshold(self):
-        ctx7 = surface_context(7)
-        ok, M, m2 = window_applicable(-canonical_class(7), 1, ctx7)
+        ok, M, m2 = window_applicable(-canonical_class(7), 1)
         assert not ok and M == -2 * canonical_class(7) and m2 == 8
 
     def test_degree_one_anticanonical_misses_it_too(self):
-        ctx8 = surface_context(8)
-        ok, M, m2 = window_applicable(-canonical_class(8), 1, ctx8)
+        ok, M, m2 = window_applicable(-canonical_class(8), 1)
         assert not ok and m2 == 4
 
     def test_big_class_applies(self):
-        ctx2 = surface_context(2)
-        ok, M, m2 = window_applicable(PicardClass(6, (3, 3)), 1, ctx2)
+        ok, M, m2 = window_applicable(PicardClass(6, (3, 3)), 1)
         assert ok and M == PicardClass(9, (4, 4)) and m2 == 49
 
     def test_threshold_values(self):
         # -(k+1)K at rank 8 is applicable for every k >= 1, -kK only from k = 4
-        ctx8 = surface_context(8)
         K = canonical_class(8)
         for k in range(1, 6):
-            assert window_applicable(-(k + 1) * K, k, ctx8)[0] == (k >= 1)
-            assert window_applicable(-k * K, k, ctx8)[0] == (k >= 4)
+            assert window_applicable(-(k + 1) * K, k)[0] == (k >= 1)
+            assert window_applicable(-k * K, k)[0] == (k >= 4)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            window_applicable(line(2), -1, surface_context(2))
+            window_applicable(line(2), -1)
 
 
 class TestBoxPremises:
@@ -129,7 +125,7 @@ class TestBoxPremises:
 
     def test_guard_class_is_nef(self, ctx):
         guard = 6 * ctx.anticanonical - line(ctx.r)
-        assert is_nef(guard, ctx)
+        assert is_nef(guard)
 
     @pytest.mark.parametrize("broken,message", [
         (lambda L: L.a != 17, "17;6,6,6 is not nef"),  # the guard 6(-K) - l
@@ -139,7 +135,7 @@ class TestBoxPremises:
         import delpezzo.reider as reider
 
         _assert_box_premises.cache_clear()  # a cached True would skip the check
-        monkeypatch.setattr(reider, "is_nef", lambda L, ctx=None: broken(L))
+        monkeypatch.setattr(reider, "is_nef", broken)
         try:
             with pytest.raises(RuntimeError, match=f"box premise broken at rank 3: {message}"):
                 _assert_box_premises(3)
@@ -155,7 +151,7 @@ class TestBoxPremises:
         # ``python -O`` too instead of reporting (D, None)
         monkeypatch.setattr(reider, "_effectivity", lambda D: (False, None))
         with pytest.raises(RuntimeError, match="let a non-effective class through: 1;0,1,1"):
-            search_obstructions(PicardClass(3, (2, 2, 1)), 1, surface_context(3))
+            search_obstructions(PicardClass(3, (2, 2, 1)), 1)
 
     def test_both_entry_points_check_the_premises(self, monkeypatch):
         import delpezzo.reider as reider
@@ -165,17 +161,16 @@ class TestBoxPremises:
 
         monkeypatch.setattr(reider, "_assert_box_premises", broken)
         with pytest.raises(RuntimeError, match="at rank 3"):
-            search_obstructions(PicardClass(3, (2, 2, 1)), 1, surface_context(3))
+            search_obstructions(PicardClass(3, (2, 2, 1)), 1)
         with pytest.raises(RuntimeError, match="at rank 3"):
             consistency_sweep(3, 1, 4)
         # an inapplicable search scans no box, so it needs no premise
-        assert not search_obstructions(-canonical_class(8), 1, surface_context(8)).applicable
+        assert not search_obstructions(-canonical_class(8), 1).applicable
 
 
 class TestSearch:
     def test_not_applicable_outcome_records_reason(self):
-        ctx8 = surface_context(8)
-        out = search_obstructions(-canonical_class(8), 1, ctx8)
+        out = search_obstructions(-canonical_class(8), 1)
         assert not out.applicable and out.witnesses == ()
         assert "M.M = 4" in out.reason
 
@@ -191,7 +186,7 @@ class TestSearch:
         family_values = reider._family_values
         monkeypatch.setattr(reider, "_family_values", counting_values)
         # M = L - K = (2; 3, 3) pairs to -4 with l - e_1 - e_2
-        out = search_obstructions(PicardClass(-1, (2, 2)), 1, surface_context(2))
+        out = search_obstructions(PicardClass(-1, (2, 2)), 1)
         assert not out.applicable and out.witnesses == ()
         assert out.reason == "M = 2;3,3 is not nef"
         assert calls == [out.M]
@@ -199,8 +194,7 @@ class TestSearch:
     def test_known_witness(self):
         # L = (3;2,2) at k = 1: M = (6;3,3) and D = l - e_1 - e_2 sits in
         # the window with M.D = 0, D.D = -1
-        ctx2 = surface_context(2)
-        out = search_obstructions(PicardClass(3, (2, 2)), 1, ctx2)
+        out = search_obstructions(PicardClass(3, (2, 2)), 1)
         assert out.applicable
         hits = {w.D: w for w in out.witnesses}
         D = PicardClass(1, (1, 1))
@@ -213,33 +207,31 @@ class TestSearch:
     def test_records_refuse_what_fails(self):
         # ValueError, not assert: these checks hold under python -O too
         D = PicardClass(2, (0, 0, 0))
-        _, cert = is_effective(D, surface_context(3))
+        _, cert = is_effective(D)
         with pytest.raises(ValueError, match="window 9 <= 4 fails"):
             ObstructionWitness(D, 0, 4, ((9, "<=", 4),), cert)
         with pytest.raises(ValueError, match="window 4 < 4 fails"):
             ObstructionWitness(D, 0, 4, ((4, "<", 4),), cert)
         with pytest.raises(ValueError, match="operator '>=' is not"):
             ObstructionWitness(D, 0, 4, ((4, ">=", 9),), cert)  # would hold if read as 4 < 9
-        _, other = is_effective(PicardClass(1, (0, 0, 0)), surface_context(3))
+        _, other = is_effective(PicardClass(1, (0, 0, 0)))
         with pytest.raises(ValueError, match="replays to another class"):
             ObstructionWitness(D, 0, 4, (), other)
-        out = search_obstructions(-canonical_class(8), 1, surface_context(8))
-        witness = search_obstructions(PicardClass(3, (2, 2)), 1, surface_context(2)).witnesses[0]
+        out = search_obstructions(-canonical_class(8), 1)
+        witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
         for bad in [{"reason": None}, {"reason": ""}, {"witnesses": (witness,)}]:
             with pytest.raises(ValueError, match="needs a reason and no witnesses"):
                 dataclasses.replace(out, **bad)
 
     def test_very_ample_anticanonical_has_empty_window(self):
-        ctx6 = surface_context(6)
-        out = search_obstructions(-canonical_class(6), 1, ctx6)
+        out = search_obstructions(-canonical_class(6), 1)
         assert out.applicable and out.witnesses == ()
 
     def test_violating_exceptional_class_is_always_a_witness(self):
         # nef, applicable, fails the pairing test at xi = l - e_1 - e_2
-        ctx2 = surface_context(2)
         L = PicardClass(2, (1, 1))
-        assert is_nef(L, ctx2) and minimum_pairing(L, ctx2) == 0
-        out = search_obstructions(L, 1, ctx2)
+        assert is_nef(L) and minimum_pairing(L) == 0
+        out = search_obstructions(L, 1)
         assert out.applicable
         assert PicardClass(1, (1, 1)) in {w.D for w in out.witnesses}
 
@@ -247,21 +239,19 @@ class TestSearch:
         # -(k+1)K satisfies all pairing inequalities yet the window finds
         # the anticanonical class as its one obstruction: -K has
         # M.D = k + 2, D.D = 1 inside the window
-        ctx8 = surface_context(8)
         K = canonical_class(8)
         for k in (1, 2):
             L = -(k + 1) * K
-            out = search_obstructions(L, k, ctx8)
-            assert minimum_pairing(L, ctx8) >= k
-            assert not is_k_very_ample(L, k, ctx8).k_very_ample
+            out = search_obstructions(L, k)
+            assert minimum_pairing(L) >= k
+            assert not is_k_very_ample(L, k).k_very_ample
             assert [w.D for w in out.witnesses] == [-K]
             assert out.witnesses[0].MD == k + 2 and out.witnesses[0].D_squared == 1
 
     def test_determinism(self):
-        ctx3 = surface_context(3)
         L = PicardClass(4, (2, 2, 1))
-        first = search_obstructions(L, 1, ctx3)
-        second = search_obstructions(L, 1, ctx3)
+        first = search_obstructions(L, 1)
+        second = search_obstructions(L, 1)
         assert first.as_dict() == second.as_dict()
         ordered = [w.D.sort_key() for w in first.witnesses]
         assert ordered == sorted(ordered)
@@ -276,7 +266,7 @@ class TestSearch:
         ]
         records = []
         for L, k in subjects:
-            outcome = search_obstructions(L, k, surface_context(L.r))
+            outcome = search_obstructions(L, k)
             records.append({
                 "subject": L.render(), "r": L.r, "k": k,
                 "witnesses": [w.as_dict() for w in outcome.witnesses],
@@ -285,14 +275,12 @@ class TestSearch:
         assert json.dumps(records, indent=2) + "\n" == (GOLDEN / "witness_records.json").read_text()
 
     def test_desk_scale_warning(self):
-        ctx1 = surface_context(1)
         with pytest.warns(RuntimeWarning):
-            search_obstructions(PicardClass(12, (4,)), 3, ctx1)
+            search_obstructions(PicardClass(12, (4,)), 3)
 
     def test_witness_window_inequalities_hold(self):
-        ctx3 = surface_context(3)
         for L in (PicardClass(3, (2, 2, 0)), PicardClass(4, (2, 2, 2)), PicardClass(5, (2, 2, 1))):
-            out = search_obstructions(L, 1, ctx3)
+            out = search_obstructions(L, 1)
             if not out.applicable:
                 continue
             for w in out.witnesses:
@@ -300,7 +288,7 @@ class TestSearch:
                 assert w.D_squared == degree(w.D)
                 assert w.MD - 1 - 1 <= w.D_squared
                 assert 2 * w.D_squared < w.MD < 2 * 1 + 2
-                assert is_effective(w.D, ctx3)[0]
+                assert is_effective(w.D)[0]
 
 
 class TestBoxSoundness:
@@ -308,9 +296,9 @@ class TestBoxSoundness:
     derived box (checked on small ranks where the scan is exhaustive)."""
 
     @staticmethod
-    def _reference_witnesses(L, k, ctx, alpha_cap=40, beta_cap=40):
-        M = L - ctx.canonical
-        r = ctx.r
+    def _reference_witnesses(L, k, alpha_cap=40, beta_cap=40):
+        M = L - canonical_class(L.r)
+        r = L.r
         grids = np.meshgrid(
             np.arange(0, alpha_cap + 1),
             *[np.arange(-beta_cap, beta_cap + 1)] * r,
@@ -323,26 +311,25 @@ class TestBoxSoundness:
         out = []
         for row in rows[mask]:
             D = PicardClass(int(row[0]), tuple(int(x) for x in row[1:]))
-            if is_effective(D, ctx)[0]:
+            if is_effective(D)[0]:
                 out.append(D)
         return sorted(out, key=PicardClass.sort_key)
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_reference_scan_matches_derived_box(self, r):
-        ctx = surface_context(r)
         nef_classes = []
         for a in range(0, 7):
             for b in itertools.product(range(0, a + 1), repeat=r):
                 L = PicardClass(a, b)
-                if is_nef(L, ctx):
+                if is_nef(L):
                     nef_classes.append(L)
         checked = 0
         for L in nef_classes:
-            if not window_applicable(L, 1, ctx)[0]:
+            if not window_applicable(L, 1)[0]:
                 continue
             checked += 1
-            reference = self._reference_witnesses(L, 1, ctx)
-            searched = sorted((w.D for w in search_obstructions(L, 1, ctx).witnesses),
+            reference = self._reference_witnesses(L, 1)
+            searched = sorted((w.D for w in search_obstructions(L, 1).witnesses),
                               key=PicardClass.sort_key)
             assert reference == searched, L
         assert checked >= 10
@@ -507,11 +494,10 @@ class TestFoldedWindow:
 
     @pytest.mark.parametrize("r,k,a_max", [(2, 1, 8), (5, 2, 6), (7, 1, 5), (8, 1, 4)])
     def test_matches_the_full_table_on_a_nef_box(self, r, k, a_max):
-        ctx = surface_context(r)
         table = _candidate_table(r, k)
         hits = 0
         for row in ref_box_rows(r, a_max)[0].tolist():
-            M = PicardClass(row[0], tuple(row[1:])) - ctx.canonical
+            M = PicardClass(row[0], tuple(row[1:])) - canonical_class(r)
             found = _witness_rows(table, exact_rows([[M.a, *M.b]]))
             assert found == _full_table_window(r, k, M), M
             hits += len(found)
@@ -527,7 +513,7 @@ class TestFoldedWindow:
         Ms = [L - K for L in Ls]
         assert _window_hits(_candidate_table(r, k), exact_rows([[M.a, *M.b] for M in Ms])) == []
         assert all(_full_table_window(r, k, M) == [] for M in Ms)
-        counts, violations = decide_per_row([[L.a, *L.b] for L in Ls], k, surface_context(r))
+        counts, violations = decide_per_row([[L.a, *L.b] for L in Ls], k, r)
         assert counts == (3, 3, 0, 0, 0) and violations == []
 
     def test_hits_of_non_adjacent_rows_map_back_to_their_rows(self):
@@ -575,15 +561,14 @@ class TestFoldedWindow:
         # Past the nef cone, (1; -1^7) at k = 2 meets witnesses whose
         # certificates subtract two curves, in an order of their own.
         for r, k, a_max in ((8, 1, 6), (7, 2, 5)):
-            ctx = surface_context(r)
             subjects = [PicardClass(row[0], tuple(row[1:])) for row in ref_box_rows(r, a_max)[0].tolist()]
             if k == 2:
                 subjects.append(PicardClass(1, (-1,) * 7))
-            witnesses = [w for L in subjects for w in search_obstructions(L, k, ctx).witnesses]
+            witnesses = [w for L in subjects for w in search_obstructions(L, k).witnesses]
             assert any(list(w.D.b) != sorted(w.D.b, reverse=True) for w in witnesses)
             assert any(len(w.effectivity_certificate.subtracted) == 2 for w in witnesses) == (k == 2)
             for w in witnesses:
-                assert is_effective(w.D, ctx) == (True, w.effectivity_certificate)
+                assert is_effective(w.D) == (True, w.effectivity_certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +595,7 @@ def ref_box_rows(r, a_max):
 
         rec(r, a)
     coeffs = np.array(leaves, dtype=np.int64).reshape(len(leaves), r + 1)
-    coeffs = coeffs[pairing_matrix(coeffs, surface_context(r)).min(axis=1) >= 0]
+    coeffs = coeffs[pairing_matrix(coeffs, r).min(axis=1) >= 0]
     return coeffs, np.array([permutation_count(row[1:]) for row in coeffs.tolist()], dtype=np.int64)
 
 
@@ -630,7 +615,6 @@ def ref_box_leaves(r, a_max):
 
 
 def ref_sample_rows(r, a_max, count, seed):
-    ctx = surface_context(r)
     rng = np.random.default_rng(seed)
     kept = []
     total = 0
@@ -639,40 +623,43 @@ def ref_sample_rows(r, a_max, count, seed):
         b = rng.integers(0, a_max + 1, size=(4096, r))
         coeffs = np.column_stack([a, b]).astype(np.int64)
         coeffs = coeffs[(b <= a[:, None]).all(axis=1)]
-        coeffs = coeffs[pairing_matrix(coeffs, ctx).min(axis=1) >= 0]
+        coeffs = coeffs[pairing_matrix(coeffs, r).min(axis=1) >= 0]
         kept.append(coeffs)
         total += len(coeffs)
     return np.concatenate(kept, axis=0)[:count]
 
 
-def decide_per_row(rows, k, ctx):
-    """``_decide_block`` on the nef rows `rows` (lists) from pairing rows
-    built per row with ``intersect``, independent of the sweep's matrix:
+def decide_per_row(rows, k, r):
+    """``_decide_block`` on the rank-r nef rows `rows` (lists) from pairing
+    rows built per row with ``intersect``, independent of the sweep's matrix:
     its counts, and its flagged rows worded by ``_row_violations``."""
     classes = [PicardClass(row[0], tuple(row[1:])) for row in rows]
-    P = np.array([[intersect(L, x) for x in ctx.test_curves] for L in classes], dtype=object)
-    P = P.reshape(len(rows), len(ctx.test_curves))
-    below = (P[:, :len(ctx.exceptional_set)] < k).sum(axis=1)
-    counts, flagged = _decide_block(exact_rows(rows), P.min(axis=1), below, k, _candidate_table(ctx.r, k))
+    curves = surface_context(r).test_curves
+    P = np.array([[intersect(L, x) for x in curves] for L in classes], dtype=object)
+    P = P.reshape(len(rows), len(curves))
+    below = (P[:, :len(enumerate_exceptional(r))] < k).sum(axis=1)
+    counts, flagged = _decide_block(exact_rows(rows), P.min(axis=1), below, k, _candidate_table(r, k))
     violations = [v for i, passing in flagged for v in _row_violations(classes[i], passing, k)]
     return counts, violations
 
 
-def ref_decide(coeffs, k, ctx):
+def ref_decide(coeffs, k, curves):
     """(applicable, passing, failing, exceptions, witnesses) and the
-    violations of the nef rows `coeffs`, one window search per row."""
+    violations of the nef rows `coeffs`, one window search per row, each
+    paired with the test curves `curves`."""
+    exceptional = enumerate_exceptional(curves[0].r)
     violations = []
     applicable_n = passing = failing = exceptions = witness_total = 0
     for row in coeffs.tolist():
         L = PicardClass(row[0], tuple(row[1:]))
-        outcome = search_obstructions(L, k, ctx)
+        outcome = search_obstructions(L, k)
         if not outcome.applicable:
             continue
         applicable_n += 1
         witness_total += len(outcome.witnesses)
-        P = np.array([intersect(L, x) for x in ctx.test_curves], dtype=object)
+        P = np.array([intersect(L, x) for x in curves], dtype=object)
         if P.min() >= k:
-            if exception_flag(L, k, ctx) != EXCEPTION_NONE:
+            if exception_flag(L, k) != EXCEPTION_NONE:
                 exceptions += 1
                 continue
             passing += 1
@@ -695,9 +682,8 @@ def ref_decide(coeffs, k, ctx):
                 )
             else:
                 found = {w.D for w in outcome.witnesses}
-                n_exc = len(ctx.exceptional_set)
-                for i in np.flatnonzero(P[:n_exc] < k):
-                    xi = ctx.exceptional_set[i]
+                for i in np.flatnonzero(P[:len(exceptional)] < k):
+                    xi = exceptional[i]
                     if xi not in found:
                         violations.append(
                             SweepViolation(L, "missing_exceptional_witness",
@@ -706,14 +692,14 @@ def ref_decide(coeffs, k, ctx):
     return (applicable_n, passing, failing, exceptions, witness_total), violations
 
 
-def ref_sweep(r, k, a_max, ctx=None, *, sample=None, seed=0):
-    ctx = surface_context(r) if ctx is None else ctx
+def ref_sweep(r, k, a_max, *, sample=None, seed=0, curves=None):
+    curves = surface_context(r).test_curves if curves is None else curves
     if sample is None:
         coeffs, weights = ref_box_rows(r, a_max)
     else:
         coeffs = ref_sample_rows(r, a_max, sample, seed)
         weights = np.ones(len(coeffs), dtype=np.int64)
-    (applicable_n, passing, failing, exceptions, witness_total), violations = ref_decide(coeffs, k, ctx)
+    (applicable_n, passing, failing, exceptions, witness_total), violations = ref_decide(coeffs, k, curves)
     return SweepSummary(
         r=r, k=k, a_max=a_max, sample=sample, seed=seed if sample else None,
         scanned=len(coeffs), covered=int(weights.sum()), applicable=applicable_n,
@@ -753,7 +739,7 @@ class TestBatchedSweepAgainstPerRow:
     @pytest.mark.parametrize("r,a_max", [(1, 30), (2, 12), (5, 6), (8, 4), (8, 12)])
     def test_box_rows_match_the_depth_first_scan(self, r, a_max):
         leaves = _box_leaves(r, a_max)
-        nef = leaves[pairing_matrix(leaves, surface_context(r)).min(axis=1) >= 0]
+        nef = leaves[pairing_matrix(leaves, r).min(axis=1) >= 0]
         coeffs, weights = ref_box_rows(r, a_max)
         np.testing.assert_array_equal(nef, coeffs)
         np.testing.assert_array_equal(orbit_sizes(nef[:, 1:]), weights)
@@ -771,7 +757,6 @@ class TestBatchedSweepAgainstPerRow:
         # nef rows whose M = L - K crosses SAFE_COEFF_BOUND, or leaves int64
         # altogether: (2^63 - 1; 2^63 - 1, 0^7) - K has a = 2^63 + 2.  The
         # pencil rows (a; a, 0, ...) have witnesses of type l - e_1 - e_j.
-        ctx8 = surface_context(8)
         m = 333_333
         rows = [[3 * m + t] + [m] * 8 for t in range(6)]
         for a in (10**6 - 3, 10**6 - 1, 10**6, 10**6 + 2, 2**62, 2**63 - 4, 2**63 - 1):
@@ -779,10 +764,10 @@ class TestBatchedSweepAgainstPerRow:
         witnesses = 0
         for lo, hi in ((0, 6), (6, 12), (12, 20), (0, len(rows))):
             block = np.array(rows[lo:hi], dtype=np.int64)
-            assert (pairing_matrix(block, ctx8).min(axis=1) >= 0).all()
+            assert (pairing_matrix(block, 8).min(axis=1) >= 0).all()
             for k in (1, 2):
-                counts, violations = decide_per_row(rows[lo:hi], k, ctx8)
-                assert (counts, violations) == ref_decide(block, k, ctx8)
+                counts, violations = decide_per_row(rows[lo:hi], k, 8)
+                assert (counts, violations) == ref_decide(block, k, surface_context(8).test_curves)
                 witnesses += counts[-1]
         assert witnesses > 0
 
@@ -792,17 +777,17 @@ class TestBatchedSweepAgainstPerRow:
         # class: (1; 1) pairs 1 with e_1 and 0 with the fiber, so at k = 1
         # it fails the pairing test with no exceptional class below k.  At
         # r = 7 the test curves are the exceptional classes.
-        ctx = surface_context(r)
+        curves = surface_context(r).test_curves
         rows = ref_box_rows(r, a_max)[0]
         fiber_only = 0
         for k in (1, 2):
-            counts, violations = decide_per_row(rows.tolist(), k, ctx)
-            assert (counts, violations) == ref_decide(rows, k, ctx)
+            counts, violations = decide_per_row(rows.tolist(), k, r)
+            assert (counts, violations) == ref_decide(rows, k, curves)
             for row in rows.tolist():
                 L = PicardClass(row[0], tuple(row[1:]))
-                pairings = [intersect(L, x) for x in ctx.test_curves]
-                fiber_only += (window_applicable(L, k, ctx)[0] and min(pairings) < k
-                               and min(pairings[:len(ctx.exceptional_set)]) >= k)
+                pairings = [intersect(L, x) for x in curves]
+                fiber_only += (window_applicable(L, k)[0] and min(pairings) < k
+                               and min(pairings[:len(enumerate_exceptional(r))]) >= k)
         assert (fiber_only > 0) == (r == 1)
 
 
@@ -811,9 +796,9 @@ class TestSweepViolations:
     report must equal the per-row one, text and order included."""
 
     @staticmethod
-    def _compare(r, k, a_max, ctx=None):
-        got = consistency_sweep(r, k, a_max, ctx)
-        expected = ref_sweep(r, k, a_max, ctx)
+    def _compare(r, k, a_max, curves=None):
+        got = consistency_sweep(r, k, a_max)
+        expected = ref_sweep(r, k, a_max, curves=curves)
         assert got.as_dict() == expected.as_dict()
         return [v.kind for v in got.violations]
 
@@ -836,7 +821,7 @@ class TestSweepViolations:
         import delpezzo.bulk as bulk
 
         # -2K at rank 8 then counts as 1-very ample, with the witness -K
-        def none(L, k, ctx=None):
+        def none(L, k):
             return EXCEPTION_NONE
 
         monkeypatch.setattr(bulk, "_exception_flag", none)
@@ -844,18 +829,14 @@ class TestSweepViolations:
         kinds = self._compare(8, 1, 6)
         assert kinds == ["unexpected_witness"]
 
-    def test_context_blind_to_an_orbit(self, monkeypatch):
-        import dataclasses
-
+    def test_pairing_blind_to_an_orbit(self, monkeypatch):
         import delpezzo.bulk as bulk
 
-        # a context whose test curves e_i are replaced by -K, and so are
+        # test curves whose e_i are replaced by -K, in the reference and in
         # the sweep's pairing rows: rows failing only against some e_i pass,
         # with that e_i (D.D = -1) among their witnesses
-        ctx8 = surface_context(8)
-        blind = dataclasses.replace(ctx8)
-        blind.__dict__["test_curves"] = tuple(-ctx8.canonical if x.a == 0 else x for x in ctx8.test_curves)
-        operand = float_operand(np.array([[x.a, *(-y for y in x.b)] for x in blind.test_curves]).T)
+        blind = tuple(-canonical_class(8) if x.a == 0 else x for x in surface_context(8).test_curves)
+        operand = float_operand(np.array([[x.a, *(-y for y in x.b)] for x in blind]).T)
         assert operand[:, 0].tolist() == [3] + [-1] * 8
         monkeypatch.setattr(bulk, "curve_operand", lambda r: operand)
         kinds = self._compare(8, 1, 4, blind)
@@ -1065,11 +1046,10 @@ class TestConsistencySweep:
         # descending representatives
         assert summary.covered > summary.scanned
         brute = 0
-        ctx = surface_context(2)
         for a in range(0, 7):
             for b1 in range(0, a + 1):
                 for b2 in range(0, a + 1):
-                    if is_nef(PicardClass(a, (b1, b2)), ctx):
+                    if is_nef(PicardClass(a, (b1, b2))):
                         brute += 1
         assert summary.covered == brute
 
