@@ -342,20 +342,18 @@ _set_check, _set_family, _set_value, _set_bound = _slot_setters(Violation)
 
 @dataclass(frozen=True, init=False, slots=True)
 class PositivityReport:
-    """All verdicts for one class, with violations and certificates.  Its
-    ``__init__`` refuses inconsistent verdicts with ValueError: spanned
-    differing from nef, a k-very-ample class that is not nef, flagged or
-    (at k >= 1) not big, big differing from nef with a positive degree, and
-    effective differing from having a certificate.  The violations are kept
-    as a tuple (a tuple argument as it is)."""
+    """All verdicts for one class, with violations and certificates.  It
+    stores what was measured (``minimum``, the smallest family value; the
+    degree, genus, exception flag and certificate) and reads the five
+    verdicts off it: ``effective`` is having a certificate, ``nef`` and
+    ``spanned`` are ``minimum >= 0``, ``big`` is nef of positive degree and
+    ``k_very_ample`` is ``minimum >= k`` unflagged.  A class with minimum
+    >= 1 is ample, so ``__init__`` refuses one of degree <= 0 (ValueError).
+    The violations are kept as a tuple (a tuple argument as it is)."""
 
     subject: PicardClass
     k: int
-    effective: bool
-    nef: bool
-    big: bool
-    spanned: bool
-    k_very_ample: bool
+    minimum: int
     degree: int
     genus: int
     violations: tuple[Violation, ...]
@@ -363,33 +361,42 @@ class PositivityReport:
     certificate: EffectivityCertificate | None
 
     def __init__(
-        self, subject: PicardClass, k: int, effective: bool, nef: bool, big: bool, spanned: bool,
-        k_very_ample: bool, degree: int, genus: int, violations: tuple[Violation, ...],
-        exception_flag: str, certificate: EffectivityCertificate | None,
+        self, subject: PicardClass, k: int, minimum: int, degree: int, genus: int,
+        violations: tuple[Violation, ...], exception_flag: str, certificate: EffectivityCertificate | None,
     ):
-        # checks that raise, so that they hold under ``python -O`` too
-        if spanned != nef:
-            raise ValueError(f"report on {subject}: spanned={spanned} differs from nef={nef}")
-        if k_very_ample and not (exception_flag == EXCEPTION_NONE and nef and (big if k >= 1 else spanned)):
-            raise ValueError(
-                f"report on {subject}: {k}-very ample needs nef, no exception flag and, at k >= 1, big"
-            )
-        if big != (nef and degree > 0):
-            raise ValueError(f"report on {subject}: big={big}, but nef={nef} and degree={degree}")
-        if effective != (certificate is not None):
-            raise ValueError(f"report on {subject}: effective={effective} differs from having a certificate")
+        # a check that raises, so that it holds under ``python -O`` too
+        if minimum >= 1 and degree <= 0:
+            raise ValueError(f"report on {subject}: minimum={minimum} makes it ample, and ample or very ample "
+                             f"needs degree > 0, got degree={degree}")
         _set_subject(self, subject)
         _set_k(self, k)
-        _set_effective(self, effective)
-        _set_nef(self, nef)
-        _set_big(self, big)
-        _set_spanned(self, spanned)
-        _set_k_very_ample(self, k_very_ample)
+        _set_minimum(self, minimum)
         _set_degree(self, degree)
         _set_genus(self, genus)
         _set_violations(self, tuple(violations))
         _set_exception_flag(self, exception_flag)
         _set_certificate(self, certificate)
+
+    @property
+    def effective(self) -> bool:
+        return self.certificate is not None
+
+    @property
+    def nef(self) -> bool:
+        return self.minimum >= 0
+
+    @property
+    def spanned(self) -> bool:
+        """Spanned-by-sections coincides with nef on these surfaces."""
+        return self.nef
+
+    @property
+    def big(self) -> bool:
+        return self.nef and self.degree > 0
+
+    @property
+    def k_very_ample(self) -> bool:
+        return self.minimum >= self.k and self.exception_flag == EXCEPTION_NONE
 
     @property
     def r(self) -> int:
@@ -426,8 +433,8 @@ class PositivityReport:
 
 
 (
-    _set_subject, _set_k, _set_effective, _set_nef, _set_big, _set_spanned, _set_k_very_ample,
-    _set_degree, _set_genus, _set_violations, _set_exception_flag, _set_certificate,
+    _set_subject, _set_k, _set_minimum, _set_degree, _set_genus, _set_violations, _set_exception_flag,
+    _set_certificate,
 ) = _slot_setters(PositivityReport)
 
 
@@ -443,8 +450,7 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -
     values = _family_values(L)
     mp = min(values)
     flag = _exception_flag(L, k)
-    nef = mp >= 0
-    effective, cert = _effectivity(L, values)
+    _, cert = _effectivity(L, values)
     violations = []
     if mp < k:
         for (nef_label, kva_label), val in zip(_family_table(L.r).labels, values, strict=True):
@@ -453,12 +459,8 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -
             if val < k:
                 violations.append(Violation("k_very_ample", kva_label, val, k))
     square = degree(L)
-    # subject, k, effective, nef, big, spanned, k_very_ample, degree,
-    # genus, violations, exception_flag, certificate
-    return PositivityReport(
-        L, k, effective, nef, nef and square > 0, nef, mp >= k and flag == EXCEPTION_NONE,
-        square, _genus(L, square), violations, flag, cert,
-    )
+    # subject, k, minimum, degree, genus, violations, exception_flag, certificate
+    return PositivityReport(L, k, mp, square, _genus(L, square), violations, flag, cert)
 
 
 @dataclass(frozen=True)

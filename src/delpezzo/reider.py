@@ -90,24 +90,30 @@ def window_applicable(L: PicardClass, k: int) -> tuple[bool, PicardClass, int]:
 
 @dataclass(frozen=True)
 class ObstructionWitness:
-    """An effective class D inside the numeric window for a given (L, k); a
-    failing window triple or certificate is refused with ValueError."""
+    """An effective class D inside the numeric window for (L, k), with k,
+    ``MD`` = M.D, ``D_squared`` = D.D and its certificate; ``window`` reads
+    the three inequalities off them.  A witness outside the window, or whose
+    certificate replays to another class, is refused with ValueError."""
 
     D: PicardClass
+    k: int
     MD: int
     D_squared: int
-    window: tuple[tuple[int, str, int], ...]
     effectivity_certificate: EffectivityCertificate
 
     def __post_init__(self):
         # checks that raise, so that they hold under ``python -O`` too
-        for lhs, op, rhs in self.window:
-            if op not in ("<=", "<"):
-                raise ValueError(f"witness {self.D}: window operator {op!r} is not '<=' or '<'")
-            if not (lhs <= rhs if op == "<=" else lhs < rhs):
-                raise ValueError(f"witness {self.D}: window {lhs} {op} {rhs} fails")
+        md, d2, k = self.MD, self.D_squared, self.k
+        if not (md - k - 1 <= d2 and 2 * d2 < md < 2 * k + 2):
+            raise ValueError(f"witness {self.D}: M.D = {md}, D.D = {d2} lies outside the window at k = {k}")
         if self.effectivity_certificate.replay() != self.D:
             raise ValueError(f"witness {self.D}: its certificate replays to another class")
+
+    @property
+    def window(self) -> tuple[tuple[int, str, int], ...]:
+        """``M.D - k - 1 <= D.D``, ``2*D.D < M.D`` and ``M.D < 2k + 2``."""
+        md, d2, k = self.MD, self.D_squared, self.k
+        return ((md - k - 1, "<=", d2), (2 * d2, "<", md), (md, "<", 2 * k + 2))
 
     def as_dict(self) -> dict:
         return {
@@ -132,13 +138,16 @@ class SearchOutcome:
     M_squared: int
     witnesses: tuple[ObstructionWitness, ...]
     search_bounds: dict
-    #: the candidate table's class count, as ``search_bounds["effective_candidates"]``;
-    #: kept only because the benchmark's tracer reads it
-    nodes_visited: int
 
     def __post_init__(self):
         if not self.applicable and (self.witnesses or not self.reason):
             raise ValueError(f"search on {self.subject}: an inapplicable outcome needs a reason and no witnesses")
+
+    @property
+    def nodes_visited(self) -> int:
+        """``search_bounds["effective_candidates"]``, or 0 when the window does
+        not apply; kept because the benchmark's tracer reads it."""
+        return self.search_bounds.get("effective_candidates", 0)
 
     def as_dict(self) -> dict:
         return {
@@ -199,8 +208,7 @@ def _search(L: PicardClass, k: int) -> SearchOutcome:
     M, m2, reason = _window_premise(L, k)
     if reason is not None:
         return SearchOutcome(
-            subject=L, k=k, applicable=False, reason=reason, M=M, M_squared=m2,
-            witnesses=(), search_bounds={}, nodes_visited=0,
+            subject=L, k=k, applicable=False, reason=reason, M=M, M_squared=m2, witnesses=(), search_bounds={},
         )
     _assert_box_premises(L.r)
     from . import bulk
@@ -212,20 +220,10 @@ def _search(L: PicardClass, k: int) -> SearchOutcome:
         effective, cert = _effectivity(D)
         if not effective:
             raise RuntimeError(f"candidate table let a non-effective class through: {D}")
-        witnesses.append(
-            ObstructionWitness(
-                D=D,
-                MD=md,
-                D_squared=d2,
-                window=((md - k - 1, "<=", d2), (2 * d2, "<", md), (md, "<", 2 * k + 2)),
-                effectivity_certificate=cert,
-            )
-        )
+        witnesses.append(ObstructionWitness(D=D, k=k, MD=md, D_squared=d2, effectivity_certificate=cert))
     return SearchOutcome(
         subject=L, k=k, applicable=True, reason=None, M=M, M_squared=m2,
-        witnesses=tuple(witnesses),
-        search_bounds=_bounds_record(k, table.size),
-        nodes_visited=table.size,
+        witnesses=tuple(witnesses), search_bounds=_bounds_record(k, table.size),
     )
 
 

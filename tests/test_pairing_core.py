@@ -436,26 +436,64 @@ class TestPackageBuiltRecords:
         with pytest.raises(TypeError):
             dataclasses.replace(L, b=(1.5, 1))
         report = is_k_very_ample(-2 * canonical_class(6), 1)
-        assert report.k_very_ample and report.big
-        assert dataclasses.replace(report, effective=True) == report
-        with pytest.raises(ValueError, match="very ample needs"):
-            dataclasses.replace(report, big=False)
-        with pytest.raises(ValueError, match="differs from nef"):
-            dataclasses.replace(report, big=False, nef=False)
-        with pytest.raises(ValueError, match="but nef=True and degree=12"):
-            dataclasses.replace(report, big=False, k_very_ample=False)
-        with pytest.raises(ValueError, match="differs from having a certificate"):
-            dataclasses.replace(report, effective=False)
-        with pytest.raises(ValueError, match="differs from having a certificate"):
-            dataclasses.replace(report, certificate=None)
+        assert report.k_very_ample and report.big and report.minimum == 2
+        assert dataclasses.replace(report, minimum=2) == report
+        # a class with minimum >= 1 is ample, so its degree is positive
+        with pytest.raises(ValueError, match="very ample needs degree > 0, got degree=0"):
+            dataclasses.replace(report, degree=0)
+        with pytest.raises(ValueError, match="minimum=1 makes it ample"):
+            dataclasses.replace(report, minimum=1, degree=-3)
+        # a verdict is no field: it cannot be replaced, only read off
+        for verdict in ("effective", "nef", "big", "spanned", "k_very_ample"):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                dataclasses.replace(report, **{verdict: False})
         flat = is_k_very_ample(PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), 1)
-        assert not flat.nef and flat.effective
-        with pytest.raises(ValueError, match="big=True, but nef=False"):
-            dataclasses.replace(flat, big=True)
+        assert not flat.nef and flat.effective and flat.degree <= 0
+        # at minimum 0 a non-positive degree is no contradiction: nef, not big
+        zero = dataclasses.replace(flat, minimum=0)
+        assert zero.nef and not zero.big and not zero.k_very_ample
         blocked = is_k_very_ample(PicardClass(5, (2,) * 8), 1)
         assert not blocked.effective and blocked.certificate is None
-        with pytest.raises(ValueError, match="differs from having a certificate"):
-            dataclasses.replace(blocked, certificate=flat.certificate)
+        assert dataclasses.replace(blocked, certificate=flat.certificate).effective
+
+    @pytest.mark.parametrize("L,k", [
+        (-2 * canonical_class(6), 1),  # nef, big, k-very ample
+        (-2 * canonical_class(8), 1),  # flagged minus_k1K_S8
+        (PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), 2),  # not nef, effective
+        (PicardClass(5, (2,) * 8), 0),  # not effective
+        (PicardClass(7, (2,)), 3),  # rank 1
+    ])
+    def test_verdicts_move_with_the_minimum(self, L, k):
+        # each verdict is its rule read off the stored numbers
+        report = is_k_very_ample(L, k)
+        assert report.minimum == minimum_pairing(L)
+        for m in sorted({-1, 0, k - 1, k}):
+            if m >= 1 and report.degree <= 0:
+                # an ample class has a positive degree
+                with pytest.raises(ValueError, match="very ample needs degree > 0"):
+                    dataclasses.replace(report, minimum=m)
+                continue
+            moved = dataclasses.replace(report, minimum=m)
+            assert moved.minimum == m and moved.k == k
+            assert moved.nef == moved.spanned == (m >= 0)
+            assert moved.big == (m >= 0 and report.degree > 0)
+            assert moved.k_very_ample == (m >= k and report.exception_flag == EXCEPTION_NONE)
+            assert moved.effective == (report.certificate is not None)
+
+    def test_report_keeps_its_numbers_and_no_verdict(self):
+        assert [f.name for f in dataclasses.fields(PositivityReport)] == [
+            "subject", "k", "minimum", "degree", "genus", "violations", "exception_flag", "certificate",
+        ]
+        report = is_k_very_ample(-2 * canonical_class(6), 1)
+        for verdict in ("effective", "nef", "big", "spanned", "k_very_ample"):
+            assert isinstance(getattr(PositivityReport, verdict), property)
+            # a verdict has no slot to write.  The frozen dataclass refuses
+            # a name that is not a field by calling super() on its pre-slots
+            # class, which raises TypeError under Python 3.11
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(report, verdict, False)
+            assert getattr(report, verdict) is True
+        assert "minimum" not in report.as_dict()
 
     def test_report_checks_hold_under_optimize(self):
         # python -O strips assert statements, not the records' checks
@@ -469,11 +507,8 @@ class TestPackageBuiltRecords:
             "D = PicardClass(2, (0, 0, 0))\n"
             "outcome = search_obstructions(-canonical_class(8), 1)\n"
             "for build in [\n"
-            "    lambda: dataclasses.replace(report, big=False, nef=False),\n"
-            "    lambda: dataclasses.replace(report, big=False, k_very_ample=False),\n"
-            "    lambda: dataclasses.replace(report, effective=False),\n"
-            "    lambda: dataclasses.replace(report, certificate=None),\n"
-            "    lambda: ObstructionWitness(D, 0, 4, ((9, '<=', 4),), is_effective(D)[1]),\n"
+            "    lambda: dataclasses.replace(report, degree=0),\n"
+            "    lambda: ObstructionWitness(D, 0, 4, 4, is_effective(D)[1]),\n"
             "    lambda: dataclasses.replace(outcome, reason=None),\n"
             "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0)), ()),\n"
             "    lambda: EffectivityCertificate(((PicardClass(0, (-1, 0, 0)), 1),), PicardClass(0, (0, 0))),\n"
@@ -488,11 +523,9 @@ class TestPackageBuiltRecords:
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
-            "refused: report on 6;2,2,2,2,2,2: spanned=True differs from nef=False",
-            "refused: report on 6;2,2,2,2,2,2: big=False, but nef=True and degree=12",
-            "refused: report on 6;2,2,2,2,2,2: effective=False differs from having a certificate",
-            "refused: report on 6;2,2,2,2,2,2: effective=True differs from having a certificate",
-            "refused: witness 2;0,0,0: window 9 <= 4 fails",
+            "refused: report on 6;2,2,2,2,2,2: minimum=2 makes it ample, and ample or very ample needs "
+            "degree > 0, got degree=0",
+            "refused: witness 2;0,0,0: M.D = 4, D.D = 4 lies outside the window at k = 0",
             "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome needs a reason and no witnesses",
             "refused: 1;0,0,0 is not a null class: D.D = 0 and K.D = -2 needed",
             "refused: rank mismatch: 3 vs 2",
@@ -702,11 +735,13 @@ def read_off(ctx):
 
 
 def context_calls():
-    """(name, r, call) for every public function at the classes of ranks 1,
+    """(id, r, call) for every public function at the classes of ranks 1,
     2, 7 and 8 below, at levels where each function has something to decide.
     A function that takes a context gets the call's context.  One that takes
     none runs on its class alone when the call has no context, and with a
-    context the call returns that answer read off the context (``read_off``)."""
+    context the call returns that answer read off the context (``read_off``).
+    The id is the function's name, the rank and the arguments besides the
+    context, so that no id depends on another entry."""
     classes = {
         # a class with something to refuse or flag, then a 1- and a 2-very ample one
         1: [PicardClass(2, (-3,)), PicardClass(5, (2,)), PicardClass(7, (2,))],  # b_1 < 0
@@ -717,31 +752,38 @@ def context_calls():
     null = {1: PicardClass(1, (1,)), 2: PicardClass(1, (1, 0)), 7: PicardClass(2, (1, 1, 1, 1, 0, 0, 0)),
             8: PicardClass(2, (1, 1, 1, 1, 0, 0, 0, 0))}
 
+    def ident(fn, r, args):
+        words = [x.render() if isinstance(x, PicardClass) else str(x) for x in args]
+        return "-".join([fn.__name__, f"r{r}", *words])
+
+    def case(fn, r, *args):
+        """A function that takes a context: ``fn(*args, ctx)``."""
+        return ident(fn, r, args), r, lambda ctx: fn(*args, ctx)
+
     def free(r, fn, *args):
-        return fn.__name__, r, lambda ctx: fn(*args) if ctx is None else read_off(ctx)[fn.__name__](*args)
+        return ident(fn, r, args), r, lambda ctx: fn(*args) if ctx is None else read_off(ctx)[fn.__name__](*args)
 
     calls = []
     for r, (L, kva1, kva2) in classes.items():
         for fn in (minimum_pairing, is_nef, is_spanned, is_big):
             calls += [free(r, fn, M) for M in (L, kva1)]
-        calls += [("is_effective", r, lambda ctx, M=M: is_effective(M, ctx)) for M in (L, kva1)]
+        calls += [case(is_effective, r, M) for M in (L, kva1)]
         for k in (1, 2):
             calls += [free(r, exception_flag, M, k) for M in (L, kva1, kva2)]
-            calls += [("is_k_very_ample", r, lambda ctx, M=M, k=k: is_k_very_ample(M, k, ctx))
-                      for M in (L, kva1, kva2)]
+            calls += [case(is_k_very_ample, r, M, k) for M in (L, kva1, kva2)]
             calls += [free(r, window_applicable, M, k) for M in (L, kva1, kva2)]
         calls += [
             free(r, adjoint_report, kva2, 2),
             free(r, adjoint_kva_check, kva1, 1),
             free(r, degree_bound_check, kva2, 2),
-            ("search_obstructions", r, lambda ctx, M=L: search_obstructions(M, 1, ctx)),
+            case(search_obstructions, r, L, 1),
             free(r, decompose_null_class, null[r]),
-            ("consistency_sweep", r, lambda ctx, r=r: consistency_sweep(r, 1, 4, ctx)),
-            ("generate_inequality_families", r, lambda ctx, r=r: generate_inequality_families(r, ctx)),
+            case(consistency_sweep, r, r, 1, 4),
+            case(generate_inequality_families, r, r),
         ]
     calls += [
-        ("search_obstructions", 8, lambda ctx: search_obstructions(-2 * canonical_class(8), 1, ctx)),
-        ("consistency_sweep", 3, lambda ctx: consistency_sweep(3, 1, 6, ctx)),
+        case(search_obstructions, 8, -2 * canonical_class(8), 1),
+        case(consistency_sweep, 3, 3, 1, 6),
     ]
     return calls
 
@@ -764,7 +806,7 @@ CONTEXT_CALLS = context_calls()
 
 
 @pytest.mark.parametrize("r,call", [(r, call) for _, r, call in CONTEXT_CALLS],
-                         ids=[f"{name}-r{r}-{i}" for i, (name, r, _) in enumerate(CONTEXT_CALLS)])
+                         ids=[ident for ident, _, _ in CONTEXT_CALLS])
 def test_every_context_of_the_rank_gives_the_same_result(r, call):
     # no context, the cached one and a freshly built one are the same surface:
     # a function that takes no context answers as each context's classes do

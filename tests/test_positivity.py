@@ -216,7 +216,10 @@ class TestCertificateSum:
             ok, cert = is_effective(L)
             assert ok and cert.subtracted
             assert cert.replay() == cert.replay() == L
-            ObstructionWitness(L, 0, degree(L), (), cert)
+            # a witness replays its certificate without summing it again;
+            # level k = max(0, D.D) with M.D = D.D + k + 1 is inside the window
+            d2 = degree(L)
+            ObstructionWitness(L, max(0, d2), d2 + max(0, d2) + 1, d2, cert)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("L,effective", [

@@ -208,15 +208,16 @@ class TestSearch:
         # ValueError, not assert: these checks hold under python -O too
         D = PicardClass(2, (0, 0, 0))
         _, cert = is_effective(D)
-        with pytest.raises(ValueError, match="window 9 <= 4 fails"):
-            ObstructionWitness(D, 0, 4, ((9, "<=", 4),), cert)
-        with pytest.raises(ValueError, match="window 4 < 4 fails"):
-            ObstructionWitness(D, 0, 4, ((4, "<", 4),), cert)
-        with pytest.raises(ValueError, match="operator '>=' is not"):
-            ObstructionWitness(D, 0, 4, ((4, ">=", 9),), cert)  # would hold if read as 4 < 9
+        # (k, MD, D_squared) breaking M.D - k - 1 <= D.D, then 2*D.D < M.D,
+        # then both, then the first and M.D < 2k + 2 (which the other two
+        # imply, so it never fails alone)
+        for k, md, d2 in [(1, 3, 0), (1, 2, 1), (0, 4, 2), (0, 2, 0)]:
+            with pytest.raises(ValueError, match=f"M.D = {md}, D.D = {d2} lies outside the window at k = {k}"):
+                ObstructionWitness(D, k, md, d2, cert)
+        assert ObstructionWitness(D, 1, 1, 0, cert).window == ((-1, "<=", 0), (0, "<", 1), (1, "<", 4))
         _, other = is_effective(PicardClass(1, (0, 0, 0)))
         with pytest.raises(ValueError, match="replays to another class"):
-            ObstructionWitness(D, 0, 4, (), other)
+            ObstructionWitness(D, 1, 1, 0, other)
         out = search_obstructions(-canonical_class(8), 1)
         witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
         for bad in [{"reason": None}, {"reason": ""}, {"witnesses": (witness,)}]:
@@ -273,6 +274,28 @@ class TestSearch:
                 "search_bounds": outcome.search_bounds,
             })
         assert json.dumps(records, indent=2) + "\n" == (GOLDEN / "witness_records.json").read_text()
+
+    @pytest.mark.parametrize("L,k", [
+        (-2 * canonical_class(8), 1),
+        (PicardClass(3, (2, 2)), 1),
+        (PicardClass(7, (3, 3, 2, 2, 2, 1, 1)), 2),
+        (-3 * canonical_class(8), 2),
+        (PicardClass(2, (1, 1)), 1),
+    ])
+    def test_window_is_read_off_the_witness(self, L, k):
+        # the triples the search stored in each witness before it kept k,
+        # rebuilt from M, D and k alone
+        out = search_obstructions(L, k)
+        assert out.witnesses
+        for w in out.witnesses:
+            md, d2 = intersect(out.M, w.D), degree(w.D)
+            assert (w.k, w.MD, w.D_squared) == (k, md, d2)
+            assert w.window == ((md - k - 1, "<=", d2), (2 * d2, "<", md), (md, "<", 2 * k + 2))
+            assert w.as_dict()["window"] == [list(t) for t in w.window]
+        assert out.nodes_visited == out.search_bounds["effective_candidates"]
+        fields = ["D", "k", "MD", "D_squared", "effectivity_certificate"]
+        assert [f.name for f in dataclasses.fields(ObstructionWitness)] == fields
+        assert "nodes_visited" not in {f.name for f in dataclasses.fields(out)}
 
     def test_desk_scale_warning(self):
         with pytest.warns(RuntimeWarning):
