@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 
 MIN_RANK = 1
@@ -49,11 +49,25 @@ def _check_rank(r: int) -> int:
     return rank
 
 
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _slot_setters(cls) -> tuple:
     """The ``__set__`` of each slot of a slotted frozen dataclass, in field
     order.  A hand-written ``__init__`` stores each field once through them:
     past the frozen ``__setattr__``, with no attribute lookup by name (as
-    ``object.__setattr__`` makes) and no instance dict."""
+    ``object.__setattr__`` makes) and no instance dict.
+
+    It also gives cls a ``__setattr__`` and ``__delattr__`` that refuse
+    every name with FrozenInstanceError: the ones ``dataclass`` generates
+    call ``super()`` on the class ``slots=True`` replaced, so a name that
+    is not a field raised TypeError."""
+    cls.__setattr__, cls.__delattr__ = _refuse_setattr, _refuse_delattr
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 

@@ -124,7 +124,9 @@ def _certificate_sum(L: PicardClass, runs) -> PicardClass:
 class EffectivityCertificate:
     """Replayable witness: L = sum(multiplicity * subtracted class) + terminal,
     where the terminal class is nef (possibly zero).  The runs are kept as a
-    tuple (a tuple argument as it is).  The sum is taken once, when the
+    tuple of ``(class, int)`` pairs: each multiplicity passes
+    ``operator.index``, so ``[[E, 2]]`` is stored as ``((E, 2),)`` and a
+    multiplicity of 2.5 raises TypeError.  The sum is taken once, when the
     certificate is built, and kept as ``total`` (outside ``==``, hash, repr
     and :meth:`as_dict`); a class of another rank than the terminal raises
     LatticeMismatchError there."""
@@ -134,21 +136,15 @@ class EffectivityCertificate:
     total: PicardClass = field(init=False, compare=False, repr=False)
 
     def __init__(self, subtracted: tuple[tuple[PicardClass, int], ...], terminal: PicardClass):
-        runs = subtracted = tuple(subtracted)
-        if len(runs) > 1:
-            # tied curves alternate over many runs of a few classes: total
-            # each class object's multiplicity, then add each class once
-            totals: dict[int, list] = {}
-            for cls, mult in runs:
-                entry = totals.get(id(cls))
-                if entry is None:
-                    totals[id(cls)] = [cls, mult]
-                else:
-                    entry[1] += mult
-            runs = totals.values()
-        _set_subtracted(self, subtracted)
-        _set_terminal(self, terminal)
-        _set_total(self, _certificate_sum(terminal, runs) if runs else terminal)
+        _store_certificate(self, tuple((cls, operator.index(mult)) for cls, mult in subtracted), terminal)
+
+    @classmethod
+    def _trusted(cls, subtracted: tuple, terminal: PicardClass) -> "EffectivityCertificate":
+        """Internal constructor for runs that are already a tuple of
+        ``(class, Python int)`` pairs: skips their normalisation."""
+        obj = object.__new__(cls)
+        _store_certificate(obj, subtracted, terminal)
+        return obj
 
     def replay(self) -> PicardClass:
         """L, the sum taken when the certificate was built."""
@@ -160,6 +156,25 @@ class EffectivityCertificate:
             "subtracted": [[c.render(), m] for c, m in self.subtracted],
             "terminal": self.terminal.render(),
         }
+
+
+def _store_certificate(cert: EffectivityCertificate, subtracted: tuple, terminal: PicardClass) -> None:
+    """Store the runs and the terminal of cert, and their sum as its total."""
+    runs = subtracted
+    if len(runs) > 1:
+        # tied curves alternate over many runs of a few classes: total
+        # each class object's multiplicity, then add each class once
+        totals: dict[int, list] = {}
+        for cls, mult in runs:
+            entry = totals.get(id(cls))
+            if entry is None:
+                totals[id(cls)] = [cls, mult]
+            else:
+                entry[1] += mult
+        runs = totals.values()
+    _set_subtracted(cert, subtracted)
+    _set_terminal(cert, terminal)
+    _set_total(cert, _certificate_sum(terminal, runs) if runs else terminal)
 
 
 _set_subtracted, _set_terminal, _set_total = _slot_setters(EffectivityCertificate)
@@ -214,7 +229,7 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
     passes on its positive part T (see :func:`is_effective`)."""
     if values is not None and min(values) >= 0:
         # a nef class is its own positive part: C is empty
-        return True, EffectivityCertificate((), L)
+        return True, EffectivityCertificate._trusted((), L)
     if L.a < 0 or L.a < max(L.b):
         # pairs negatively with the nef class l or some l - e_i; at rank 1
         # this is the whole closed form
@@ -227,8 +242,10 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
         # (r = 1..3) took 4.9 against 3.2 us per-op p50 on a 2 vCPU host.
         b1 = L.b[0]
         if b1 >= 0:
-            return True, EffectivityCertificate((), L)
-        cert = EffectivityCertificate(((_surface_context(1).exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)))
+            return True, EffectivityCertificate._trusted((), L)
+        cert = EffectivityCertificate._trusted(
+            ((_surface_context(1).exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)),
+        )
         if cert.total != L:
             raise RuntimeError(f"the certificate of {L} replays to another class")
         return True, cert
@@ -257,7 +274,7 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
         tb = [x + v * y for x, y in zip(tb, e)]
         values = _fold_values(ta, sorted(tb, reverse=True))
     if not found:
-        return True, EffectivityCertificate((), L)
+        return True, EffectivityCertificate._trusted((), L)
     exc = _surface_context(r).exceptional_set
     # the greedy's order: most negative first, ties by first index
     order = sorted(found)
@@ -282,7 +299,7 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
         if chain and chain[-1][0] is runs[0][0]:
             runs[0] = (runs[0][0], chain.pop()[1] + runs[0][1])
         chain += runs
-    cert = EffectivityCertificate(tuple(chain), terminal)
+    cert = EffectivityCertificate._trusted(tuple(chain), terminal)
     if cert.total != L:
         raise RuntimeError(f"the certificate of {L} replays to another class")
     return True, cert

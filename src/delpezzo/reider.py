@@ -28,7 +28,8 @@ package's one numpy module, which this module imports inside its two
 entry points only, so that the package root imports no numpy.  Both
 entry points check the premises of (ii) and (iii) first.
 ``search_obstructions`` lists the witnesses of its one M in (a, b)
-order, each certified effective.  ``consistency_sweep`` has
+order, each certified effective.
+``consistency_sweep`` has
 ``bulk.sweep_blocks`` count witnesses over blocks of box rows, and words
 each row the sweep flags from that row's own witness list.
 For non-nef L the bounds in (i) and (v) that use L.D >= 0 are not
@@ -90,15 +91,16 @@ def window_applicable(L: PicardClass, k: int) -> tuple[bool, PicardClass, int]:
 
 @dataclass(frozen=True)
 class ObstructionWitness:
-    """An effective class D inside the numeric window for (L, k), with k,
-    ``MD`` = M.D, ``D_squared`` = D.D and its certificate; ``window`` reads
-    the three inequalities off them.  A witness outside the window, or whose
-    certificate replays to another class, is refused with ValueError."""
+    """An effective class D inside the numeric window of M = L - K at level
+    k, with its certificate.  ``MD`` = M.D, ``D_squared`` = D.D and the
+    three ``window`` inequalities are read off D and M.  A witness outside
+    the window, or whose certificate replays to another class, is refused
+    with ValueError; an M of another rank than D raises
+    LatticeMismatchError."""
 
     D: PicardClass
+    M: PicardClass
     k: int
-    MD: int
-    D_squared: int
     effectivity_certificate: EffectivityCertificate
 
     def __post_init__(self):
@@ -108,6 +110,14 @@ class ObstructionWitness:
             raise ValueError(f"witness {self.D}: M.D = {md}, D.D = {d2} lies outside the window at k = {k}")
         if self.effectivity_certificate.replay() != self.D:
             raise ValueError(f"witness {self.D}: its certificate replays to another class")
+
+    @property
+    def MD(self) -> int:
+        return intersect(self.M, self.D)
+
+    @property
+    def D_squared(self) -> int:
+        return degree(self.D)
 
     @property
     def window(self) -> tuple[tuple[int, str, int], ...]:
@@ -127,27 +137,49 @@ class ObstructionWitness:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """The window search for (L, k); an inapplicable outcome without a
-    reason, or with witnesses, is refused with ValueError."""
+    """The window search for (L, k): the subject, k, why the window does not
+    apply (None when it does), the witnesses in (a, b) order and the count
+    of candidate classes in the box; the rest is read off them.  An
+    inapplicable outcome with an empty reason, witnesses or candidates, and
+    a witness of another M or k, are refused with ValueError."""
 
     subject: PicardClass
     k: int
-    applicable: bool
     reason: str | None
-    M: PicardClass
-    M_squared: int
     witnesses: tuple[ObstructionWitness, ...]
-    search_bounds: dict
+    candidates: int
 
     def __post_init__(self):
-        if not self.applicable and (self.witnesses or not self.reason):
-            raise ValueError(f"search on {self.subject}: an inapplicable outcome needs a reason and no witnesses")
+        if self.reason is not None and (not self.reason or self.witnesses or self.candidates):
+            raise ValueError(f"search on {self.subject}: an inapplicable outcome needs a reason, "
+                             f"and has no witnesses and no candidates")
+        for w in self.witnesses:
+            if w.M != self.M or w.k != self.k:
+                raise ValueError(f"search on {self.subject}: witness {w.D} is of another M or k")
+
+    @property
+    def applicable(self) -> bool:
+        return self.reason is None
+
+    @property
+    def M(self) -> PicardClass:
+        return self.subject - _surface_context(self.subject.r).canonical
+
+    @property
+    def M_squared(self) -> int:
+        return degree(self.M)
+
+    @property
+    def search_bounds(self) -> dict:
+        """The box the search scanned and its derivation, built afresh on
+        each read; empty when the window does not apply."""
+        return _bounds_record(self.k, self.candidates) if self.applicable else {}
 
     @property
     def nodes_visited(self) -> int:
-        """``search_bounds["effective_candidates"]``, or 0 when the window does
-        not apply; kept because the benchmark's tracer reads it."""
-        return self.search_bounds.get("effective_candidates", 0)
+        """``candidates``, the candidate table's class count (0 when the
+        window does not apply); kept because the benchmark's tracer reads it."""
+        return self.candidates
 
     def as_dict(self) -> dict:
         return {
@@ -205,26 +237,23 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext | None = Non
 
 def _search(L: PicardClass, k: int) -> SearchOutcome:
     """:func:`search_obstructions` for a checked level k."""
-    M, m2, reason = _window_premise(L, k)
+    M, _, reason = _window_premise(L, k)
     if reason is not None:
-        return SearchOutcome(
-            subject=L, k=k, applicable=False, reason=reason, M=M, M_squared=m2, witnesses=(), search_bounds={},
-        )
+        return SearchOutcome(L, k, reason, (), 0)
     _assert_box_premises(L.r)
     from . import bulk
 
     table = bulk._candidate_table(L.r, k)
     witnesses = []
-    for (a, *b), md, d2 in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
+    for (a, *b), md, _ in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
         D = PicardClass(a, tuple(b))
         effective, cert = _effectivity(D)
         if not effective:
             raise RuntimeError(f"candidate table let a non-effective class through: {D}")
-        witnesses.append(ObstructionWitness(D=D, k=k, MD=md, D_squared=d2, effectivity_certificate=cert))
-    return SearchOutcome(
-        subject=L, k=k, applicable=True, reason=None, M=M, M_squared=m2,
-        witnesses=tuple(witnesses), search_bounds=_bounds_record(k, table.size),
-    )
+        if md != intersect(M, D):
+            raise RuntimeError(f"window engine gave M.D = {md} for {D}, not {intersect(M, D)}")
+        witnesses.append(ObstructionWitness(D, M, k, cert))
+    return SearchOutcome(L, k, None, tuple(witnesses), table.size)
 
 
 @dataclass(frozen=True)

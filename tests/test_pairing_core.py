@@ -409,10 +409,15 @@ class TestPackageBuiltRecords:
     def test_records_hold_tuples(self):
         E, T = enumerate_exceptional(2)[0], PicardClass(1, (0, 0))
         cert = EffectivityCertificate(((E, 2),), T)
-        for runs in ([(E, 2)], (run for run in [(E, 2)])):
+        for runs in ([(E, 2)], (run for run in [(E, 2)]), [[E, 2]], [(E, np.int64(2))], ((E, 2),)):
             built = EffectivityCertificate(runs, T)
             assert type(built.subtracted) is tuple and built == cert and hash(built) == hash(cert)
-        assert EffectivityCertificate(cert.subtracted, T).subtracted is cert.subtracted
+            assert [(type(run), type(run[1])) for run in built.subtracted] == [(tuple, int)]
+        # each multiplicity passes operator.index: True is 1, a float is refused
+        flag = EffectivityCertificate([(E, True)], T)
+        assert type(flag.subtracted[0][1]) is int and flag == EffectivityCertificate(((E, 1),), T)
+        with pytest.raises(TypeError):
+            EffectivityCertificate([(E, 2.5)], T)
         report = is_k_very_ample(PicardClass(1, (2, 0)), 1)
         assert report.violations
         for violations in (list(report.violations), iter(report.violations)):
@@ -423,7 +428,7 @@ class TestPackageBuiltRecords:
     def test_replace_sums_the_certificate_again(self):
         _, cert = is_effective(PicardClass(7, (-12, -12)))
         moved = dataclasses.replace(cert, terminal=PicardClass(8, (0, 0)))
-        assert moved.subtracted is cert.subtracted and moved.replay() == PicardClass(8, (-12, -12))
+        assert moved.subtracted == cert.subtracted and moved.replay() == PicardClass(8, (-12, -12))
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(cert, total=PicardClass(0, (0, 0)))
         with pytest.raises(LatticeMismatchError):
@@ -484,16 +489,24 @@ class TestPackageBuiltRecords:
         assert [f.name for f in dataclasses.fields(PositivityReport)] == [
             "subject", "k", "minimum", "degree", "genus", "violations", "exception_flag", "certificate",
         ]
-        report = is_k_very_ample(-2 * canonical_class(6), 1)
+        report = is_k_very_ample(PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), 1)
         for verdict in ("effective", "nef", "big", "spanned", "k_very_ample"):
             assert isinstance(getattr(PositivityReport, verdict), property)
-            # a verdict has no slot to write.  The frozen dataclass refuses
-            # a name that is not a field by calling super() on its pre-slots
-            # class, which raises TypeError under Python 3.11
-            with pytest.raises((AttributeError, TypeError)):
-                setattr(report, verdict, False)
-            assert getattr(report, verdict) is True
+            # a verdict has no slot to write
+            before = getattr(report, verdict)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, verdict, not before)
+            assert getattr(report, verdict) is before
         assert "minimum" not in report.as_dict()
+        # every slotted record refuses to set or delete any name, a field or not
+        cert = report.certificate
+        for record in (report, report.subject, report.violations[0], cert, cert.terminal):
+            for name in (dataclasses.fields(record)[0].name, "total", "foo"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+            assert not hasattr(record, "foo") and not hasattr(record, "__dict__")
 
     def test_report_checks_hold_under_optimize(self):
         # python -O strips assert statements, not the records' checks
@@ -506,10 +519,11 @@ class TestPackageBuiltRecords:
             "report = is_k_very_ample(-2 * canonical_class(6), 1)\n"
             "D = PicardClass(2, (0, 0, 0))\n"
             "outcome = search_obstructions(-canonical_class(8), 1)\n"
+            "witnesses = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses\n"
             "for build in [\n"
             "    lambda: dataclasses.replace(report, degree=0),\n"
-            "    lambda: ObstructionWitness(D, 0, 4, 4, is_effective(D)[1]),\n"
-            "    lambda: dataclasses.replace(outcome, reason=None),\n"
+            "    lambda: ObstructionWitness(D, D, 0, is_effective(D)[1]),\n"
+            "    lambda: dataclasses.replace(outcome, witnesses=witnesses),\n"
             "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0)), ()),\n"
             "    lambda: EffectivityCertificate(((PicardClass(0, (-1, 0, 0)), 1),), PicardClass(0, (0, 0))),\n"
             "]:\n"
@@ -526,7 +540,8 @@ class TestPackageBuiltRecords:
             "refused: report on 6;2,2,2,2,2,2: minimum=2 makes it ample, and ample or very ample needs "
             "degree > 0, got degree=0",
             "refused: witness 2;0,0,0: M.D = 4, D.D = 4 lies outside the window at k = 0",
-            "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome needs a reason and no witnesses",
+            "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome needs a reason, and has no witnesses "
+            "and no candidates",
             "refused: 1;0,0,0 is not a null class: D.D = 0 and K.D = -2 needed",
             "refused: rank mismatch: 3 vs 2",
         ]

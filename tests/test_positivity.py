@@ -205,21 +205,22 @@ class TestCertificateSum:
         mp.setattr(positivity, "_certificate_sum", counted)
         return calls
 
-    @pytest.mark.parametrize("L", [
-        PicardClass(5, (-3,)),
-        PicardClass(7, (-12, -12)),
-        PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)),
+    @pytest.mark.parametrize("L,M", [
+        (PicardClass(5, (-3,)), PicardClass(6, (1,))),
+        (PicardClass(7, (-12, -12)), PicardClass(-34, (0, 0))),
+        (PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), PicardClass(-1, (2, 0, 0, 0, 0, 0, 0, 0))),
     ], ids=["rank-1-branch", "24-tied-runs", "r8"])
-    def test_an_effective_class_is_summed_once(self, L):
+    def test_an_effective_class_is_summed_once(self, L, M):
         with pytest.MonkeyPatch.context() as mp:
             calls = self.patched_sum(mp)
             ok, cert = is_effective(L)
             assert ok and cert.subtracted
             assert cert.replay() == cert.replay() == L
             # a witness replays its certificate without summing it again;
-            # level k = max(0, D.D) with M.D = D.D + k + 1 is inside the window
-            d2 = degree(L)
-            ObstructionWitness(L, max(0, d2), d2 + max(0, d2) + 1, d2, cert)
+            # at level k = max(0, D.D), M.D = D.D + k + 1 is inside the window
+            k = max(0, degree(L))
+            assert intersect(M, L) == degree(L) + k + 1
+            ObstructionWitness(L, M, k, cert)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("L,effective", [

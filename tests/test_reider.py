@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import re
 from functools import lru_cache
 
@@ -44,10 +46,12 @@ from delpezzo.positivity import (
 from delpezzo.reider import (
     MAX_EXHAUSTIVE_LEAVES,
     ObstructionWitness,
+    SearchOutcome,
     SweepSummary,
     SweepViolation,
     _assert_box_premises,
     _box_leaf_count,
+    _bounds_record,
     _row_violations,
     consistency_sweep,
     search_obstructions,
@@ -153,6 +157,16 @@ class TestBoxPremises:
         with pytest.raises(RuntimeError, match="let a non-effective class through: 1;0,1,1"):
             search_obstructions(PicardClass(3, (2, 2, 1)), 1)
 
+    def test_table_refuses_a_wrong_M_D(self, monkeypatch):
+        import delpezzo.bulk as bulk
+
+        # a witness reads M.D off M and D; the window engine's own M.D for
+        # each hit must agree with it, or the search raises
+        rows = bulk._witness_rows
+        monkeypatch.setattr(bulk, "_witness_rows", lambda *args: [(D, md + 1, d2) for D, md, d2 in rows(*args)])
+        with pytest.raises(RuntimeError, match="window engine gave M.D = 1 for 1;1,1, not 0"):
+            search_obstructions(PicardClass(3, (2, 2)), 1)
+
     def test_both_entry_points_check_the_premises(self, monkeypatch):
         import delpezzo.reider as reider
 
@@ -205,24 +219,72 @@ class TestSearch:
         assert w.effectivity_certificate.replay() == D
 
     def test_records_refuse_what_fails(self):
-        # ValueError, not assert: these checks hold under python -O too
+        # ValueError, not assert: these checks hold under python -O too.
+        # D = 2l has D.D = 4 and M.D = 2 * M.a for M = (M.a; 0, 0, 0)
         D = PicardClass(2, (0, 0, 0))
         _, cert = is_effective(D)
-        # (k, MD, D_squared) breaking M.D - k - 1 <= D.D, then 2*D.D < M.D,
-        # then both, then the first and M.D < 2k + 2 (which the other two
-        # imply, so it never fails alone)
-        for k, md, d2 in [(1, 3, 0), (1, 2, 1), (0, 4, 2), (0, 2, 0)]:
-            with pytest.raises(ValueError, match=f"M.D = {md}, D.D = {d2} lies outside the window at k = {k}"):
-                ObstructionWitness(D, k, md, d2, cert)
-        assert ObstructionWitness(D, 1, 1, 0, cert).window == ((-1, "<=", 0), (0, "<", 1), (1, "<", 4))
+        # (k, M.a) breaking M.D - k - 1 <= D.D, then 2*D.D < M.D, then the
+        # first and M.D < 2k + 2, then the second and M.D < 2k + 2 (which
+        # the other two imply, so it never fails alone)
+        for k, a in [(6, 6), (1, 1), (1, 5), (0, 2)]:
+            with pytest.raises(ValueError, match=f"M.D = {2 * a}, D.D = 4 lies outside the window at k = {k}"):
+                ObstructionWitness(D, PicardClass(a, (0, 0, 0)), k, cert)
+        M = PicardClass(5, (0, 0, 0))
+        assert ObstructionWitness(D, M, 5, cert).window == ((4, "<=", 4), (8, "<", 10), (10, "<", 12))
         _, other = is_effective(PicardClass(1, (0, 0, 0)))
         with pytest.raises(ValueError, match="replays to another class"):
-            ObstructionWitness(D, 1, 1, 0, other)
+            ObstructionWitness(D, M, 5, other)
+        with pytest.raises(LatticeMismatchError):
+            ObstructionWitness(D, PicardClass(5, (0, 0)), 5, cert)
         out = search_obstructions(-canonical_class(8), 1)
         witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
-        for bad in [{"reason": None}, {"reason": ""}, {"witnesses": (witness,)}]:
-            with pytest.raises(ValueError, match="needs a reason and no witnesses"):
+        for bad in [{"reason": ""}, {"witnesses": (witness,)}, {"candidates": 1}]:
+            with pytest.raises(ValueError, match="an inapplicable outcome needs a reason, and has no witnesses"):
                 dataclasses.replace(out, **bad)
+        # with no reason the outcome says the window applies and found nothing
+        assert dataclasses.replace(out, reason=None).applicable
+
+    def test_a_witness_outside_the_window_is_refused(self):
+        # handed M.D = 3 and D.D = 1, (1; 1, 1) would sit in the window at
+        # k = 1; its real D.D = -1 does not
+        D = PicardClass(1, (1, 1))
+        ok, cert = is_effective(D)
+        assert ok and degree(D) == -1
+        with pytest.raises(ValueError, match="witness 1;1,1: M.D = 3, D.D = -1 lies outside the window at k = 1"):
+            ObstructionWitness(D, PicardClass(3, (0, 0)), 1, cert)
+
+    def test_an_inapplicable_outcome_has_no_witnesses(self):
+        witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
+        out = search_obstructions(-canonical_class(7), 1)
+        assert out.reason == "M.M = 8 < 9" and out.candidates == 0
+        with pytest.raises(ValueError, match="an inapplicable outcome needs a reason, and has no witnesses"):
+            SearchOutcome(out.subject, 1, out.reason, (witness,), 0)
+
+    def test_a_witness_of_another_M_or_k_is_refused(self):
+        out = search_obstructions(PicardClass(3, (2, 2)), 1)
+        assert out.witnesses
+        for moved in [{"k": 2}, {"subject": PicardClass(4, (2, 2))}]:
+            with pytest.raises(ValueError, match="witness 1;1,1 is of another M or k"):
+                dataclasses.replace(out, **moved)
+        assert dataclasses.replace(out, subject=PicardClass(3, (2, 2))) == out
+
+    def test_the_output_is_no_alias_of_the_record(self):
+        out = search_obstructions(PicardClass(3, (2, 2)), 1)
+        count = out.nodes_visited
+        assert count == out.candidates == out.search_bounds["effective_candidates"] > 0
+        for bounds in (out.as_dict()["search_bounds"], out.search_bounds):
+            bounds["effective_candidates"] = -1
+            bounds["derivation"].clear()
+        assert out.nodes_visited == count and out.search_bounds == _bounds_record(1, count)
+        assert out.as_dict()["nodes_visited"] == count
+
+    def test_an_outcome_hashes_like_its_pickled_twin(self):
+        for L in (PicardClass(3, (2, 2)), -canonical_class(8)):
+            out = search_obstructions(L, 1)
+            twins = [pickle.loads(pickle.dumps(out, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in twins + [copy.deepcopy(out)]:
+                assert twin == out and hash(twin) == hash(out)
+                assert json.dumps(twin.as_dict()) == json.dumps(out.as_dict())
 
     def test_very_ample_anticanonical_has_empty_window(self):
         out = search_obstructions(-canonical_class(6), 1)
@@ -289,13 +351,13 @@ class TestSearch:
         assert out.witnesses
         for w in out.witnesses:
             md, d2 = intersect(out.M, w.D), degree(w.D)
-            assert (w.k, w.MD, w.D_squared) == (k, md, d2)
+            assert (w.M, w.k, w.MD, w.D_squared) == (out.M, k, md, d2)
             assert w.window == ((md - k - 1, "<=", d2), (2 * d2, "<", md), (md, "<", 2 * k + 2))
             assert w.as_dict()["window"] == [list(t) for t in w.window]
         assert out.nodes_visited == out.search_bounds["effective_candidates"]
-        fields = ["D", "k", "MD", "D_squared", "effectivity_certificate"]
-        assert [f.name for f in dataclasses.fields(ObstructionWitness)] == fields
-        assert "nodes_visited" not in {f.name for f in dataclasses.fields(out)}
+        names = {record: [f.name for f in dataclasses.fields(record)] for record in (ObstructionWitness, SearchOutcome)}
+        assert names[ObstructionWitness] == ["D", "M", "k", "effectivity_certificate"]
+        assert names[SearchOutcome] == ["subject", "k", "reason", "witnesses", "candidates"]
 
     def test_desk_scale_warning(self):
         with pytest.warns(RuntimeWarning):

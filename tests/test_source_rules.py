@@ -1,6 +1,7 @@
 """Rules on the package source, read with ``ast``: which modules may use
-numpy, which package modules bulk and enumeration may import, and that no
-internal check is an ``assert`` (which ``python -O`` strips)."""
+numpy, which package modules bulk and enumeration may import, that no
+internal check is an ``assert`` (which ``python -O`` strips), and how the
+frozen records hold their fields."""
 
 import ast
 from pathlib import Path
@@ -52,6 +53,49 @@ def test_import_graph_is_layered():
 
     assert package("bulk.py") <= {"delpezzo.lattice", "delpezzo.enumeration", "delpezzo.positivity"}
     assert package("enumeration.py") <= {"delpezzo.lattice"}
+
+
+def dataclass_records():
+    """(module stem, class node, the decorator's constant keywords) of every
+    ``@dataclass`` class in the package."""
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                for dec in node.decorator_list:
+                    func = dec.func if isinstance(dec, ast.Call) else dec
+                    if isinstance(func, ast.Name) and func.id == "dataclass":
+                        keywords = getattr(dec, "keywords", [])
+                        yield path.stem, node, {kw.arg: ast.literal_eval(kw.value) for kw in keywords}
+
+
+def test_no_frozen_record_holds_a_dict():
+    # a dict field makes a frozen record unhashable and lets whoever reads
+    # it edit it; the one exception is a cache kept out of == and hash
+    found = {}
+    for stem, node, keywords in dataclass_records():
+        for stmt in node.body:
+            if keywords.get("frozen") and isinstance(stmt, ast.AnnAssign):
+                if ast.unparse(stmt.annotation).split("[")[0] == "dict":
+                    found[f"{stem}.{node.name}.{stmt.target.id}"] = stmt.value
+    assert set(found) == {"bulk._CandidateTable.expanded"}
+    cache = found["bulk._CandidateTable.expanded"]
+    assert ast.unparse(cache.func) == "field"
+    assert any(kw.arg == "compare" and kw.value.value is False for kw in cache.keywords)
+
+
+def test_slotted_records_take_their_setters_from_slot_setters():
+    # _slot_setters also installs the __setattr__ and __delattr__ that
+    # refuse every name with FrozenInstanceError
+    slotted = {(stem, node.name) for stem, node, keywords in dataclass_records() if keywords.get("slots")}
+    assert {"PicardClass", "EffectivityCertificate", "Violation", "PositivityReport"} <= {name for _, name in slotted}
+    calls = {
+        (path.stem, node.args[0].id)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_slot_setters"
+        and len(node.args) == 1 and isinstance(node.args[0], ast.Name)
+    }
+    assert slotted <= calls
 
 
 def test_no_assert_in_src():
