@@ -14,7 +14,9 @@ a column of B is an integer below FLOAT_EXACT_BOUND = 2**53, which
 float64 holds exactly however BLAS splits and orders the sums.  Every
 float64 operand is a read-only C-ordered array, also where it is built
 from a transpose; :func:`exact_product` runs any other pair on Python
-integers.
+integers.  A float64 product stays float64: every entry is an exact
+integer, so it is compared and reduced where it lands, and only a value
+that leaves this module is cast to a Python int.
 
 This module is also the home of the S_r orbits of a representative
 (a; b), b non-increasing: :func:`expand_orbit` lists the orbit of a row,
@@ -109,7 +111,7 @@ def float_operand(B: np.ndarray) -> np.ndarray:
 #: are thin (r + 1 <= 9 terms per entry), so a large one gains nothing
 #: from BLAS threads, and on a shared 2 vCPU host a dgemm split across
 #: them was measured to wait milliseconds per call; chunks this small run
-#: on the calling thread and keep each float64 temporary at 128 KiB.
+#: on the calling thread.
 _PRODUCT_CHUNK = 2**14
 
 
@@ -118,17 +120,18 @@ def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     by a class of small coefficients) and an operand B from
     :func:`float_operand`.  An int64 A against a float64 B runs through
     float64 BLAS in row chunks of about _PRODUCT_CHUNK result entries and
-    returns int64; any other pair runs on Python integers and returns an
-    object array."""
-    if B.dtype.kind == "f":
-        if A.dtype != object:
-            out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
-            step = max(1, _PRODUCT_CHUNK // max(1, B.shape[1]))
-            for i in range(0, A.shape[0], step):
-                out[i:i + step] = A[i:i + step] @ B  # matmul casts A to float64
-            return out
-        B = B.astype(np.int64)
-    return A.astype(object, copy=False) @ B
+    returns the float64 product itself: every entry is an exact integer,
+    to be compared or reduced where it lands.  Any other pair runs on
+    Python integers and returns an object array."""
+    if B.dtype.kind == "f" and A.dtype != object:
+        step = max(1, _PRODUCT_CHUNK // max(1, B.shape[1]))
+        if A.shape[0] <= step:
+            return A @ B  # matmul casts A to float64
+        out = np.empty((A.shape[0], B.shape[1]))
+        for i in range(0, A.shape[0], step):
+            np.matmul(A[i:i + step], B, out=out[i:i + step])
+        return out
+    return A.astype(object, copy=False) @ B.astype(np.int64, copy=False)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -247,7 +250,7 @@ def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
     reaches an orbit when its :func:`orbit_floor`, the smallest M.D over
     the orbit, is at most top.  Each orbit that some row reaches is
     expanded and meets the window in one (orbit size x reaching rows) M.D
-    product.  C holds int64 rows; md is exact.
+    product.  C holds int64 rows; md is exact (see :func:`exact_product`).
 
     The reach matrix is transposed once, so orbit o finds its reaching
     rows in the contiguous row ``by_orbit[o]``.  A reached orbit then
@@ -269,12 +272,12 @@ def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
     return hits
 
 
-def _witness_rows(table: _CandidateTable, M: np.ndarray) -> list[tuple[list[int], int, int]]:
+def _witness_rows(table: _CandidateTable, M: np.ndarray) -> list[tuple[list[int], int]]:
     """The window classes of the one exact row M (shape (1, r+1)) as
-    (class row, M.D, D.D) triples, in (a, b) order."""
+    (class row, M.D) pairs in (a, b) order, M.D a Python int."""
     found = [
-        (row, md, int(table.squares[o]))
-        for o, C, ci, _, mds in _window_hits(table, M)
+        (row, int(md))
+        for _, C, ci, _, mds in _window_hits(table, M)
         for row, md in zip(C[ci].tolist(), mds.tolist())
     ]
     return sorted(found)  # distinct rows, so this sorts by (a, b)

@@ -129,19 +129,21 @@ class EffectivityCertificate:
     multiplicity of 2.5 raises TypeError.  The sum is taken once, when the
     certificate is built, and kept as ``total`` (outside ``==``, hash, repr
     and :meth:`as_dict`); a class of another rank than the terminal raises
-    LatticeMismatchError there."""
+    LatticeMismatchError there, a terminal class that is not nef ValueError."""
 
     subtracted: tuple[tuple[PicardClass, int], ...]
     terminal: PicardClass
     total: PicardClass = field(init=False, compare=False, repr=False)
 
     def __init__(self, subtracted: tuple[tuple[PicardClass, int], ...], terminal: PicardClass):
+        if not is_nef(terminal):
+            raise ValueError(f"certificate ends at {terminal}, which is not nef")
         _store_certificate(self, tuple((cls, operator.index(mult)) for cls, mult in subtracted), terminal)
 
     @classmethod
     def _trusted(cls, subtracted: tuple, terminal: PicardClass) -> "EffectivityCertificate":
         """Internal constructor for runs that are already a tuple of
-        ``(class, Python int)`` pairs: skips their normalisation."""
+        ``(class, Python int)`` pairs and a nef terminal: skips both checks."""
         obj = object.__new__(cls)
         _store_certificate(obj, subtracted, terminal)
         return obj

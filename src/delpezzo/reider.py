@@ -139,9 +139,10 @@ class ObstructionWitness:
 class SearchOutcome:
     """The window search for (L, k): the subject, k, why the window does not
     apply (None when it does), the witnesses in (a, b) order and the count
-    of candidate classes in the box; the rest is read off them.  An
-    inapplicable outcome with an empty reason, witnesses or candidates, and
-    a witness of another M or k, are refused with ValueError."""
+    of candidate classes in the box; the rest is read off them.  A reason
+    other than the window premise's, an inapplicable outcome with witnesses
+    or candidates, and a witness of another M or k are refused with
+    ValueError."""
 
     subject: PicardClass
     k: int
@@ -150,12 +151,30 @@ class SearchOutcome:
     candidates: int
 
     def __post_init__(self):
-        if self.reason is not None and (not self.reason or self.witnesses or self.candidates):
-            raise ValueError(f"search on {self.subject}: an inapplicable outcome needs a reason, "
-                             f"and has no witnesses and no candidates")
+        reason = _window_premise(self.subject, self.k)[2]
+        if self.reason != reason:
+            raise ValueError(f"search on {self.subject}: reason {self.reason!r}, but the premise gives {reason!r}")
+        if reason is not None and (self.witnesses or self.candidates):
+            raise ValueError(f"search on {self.subject}: an inapplicable outcome has no witnesses and no candidates")
         for w in self.witnesses:
             if w.M != self.M or w.k != self.k:
                 raise ValueError(f"search on {self.subject}: witness {w.D} is of another M or k")
+
+    @classmethod
+    def _trusted(cls, subject: PicardClass, k: int, reason: str | None,
+                 witnesses: tuple, candidates: int) -> "SearchOutcome":
+        """Internal constructor for :func:`_search`, which has just worked out
+        the premise's reason and built each witness from M and k: skips the
+        checks, so that the search folds M once."""
+        obj = object.__new__(cls)
+        # set in field order, as __init__ does, so the instance dict stays key-sharing
+        put = object.__setattr__
+        put(obj, "subject", subject)
+        put(obj, "k", k)
+        put(obj, "reason", reason)
+        put(obj, "witnesses", witnesses)
+        put(obj, "candidates", candidates)
+        return obj
 
     @property
     def applicable(self) -> bool:
@@ -239,13 +258,13 @@ def _search(L: PicardClass, k: int) -> SearchOutcome:
     """:func:`search_obstructions` for a checked level k."""
     M, _, reason = _window_premise(L, k)
     if reason is not None:
-        return SearchOutcome(L, k, reason, (), 0)
+        return SearchOutcome._trusted(L, k, reason, (), 0)
     _assert_box_premises(L.r)
     from . import bulk
 
     table = bulk._candidate_table(L.r, k)
     witnesses = []
-    for (a, *b), md, _ in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
+    for (a, *b), md in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
         D = PicardClass(a, tuple(b))
         effective, cert = _effectivity(D)
         if not effective:
@@ -253,7 +272,7 @@ def _search(L: PicardClass, k: int) -> SearchOutcome:
         if md != intersect(M, D):
             raise RuntimeError(f"window engine gave M.D = {md} for {D}, not {intersect(M, D)}")
         witnesses.append(ObstructionWitness(D, M, k, cert))
-    return SearchOutcome(L, k, None, tuple(witnesses), table.size)
+    return SearchOutcome._trusted(L, k, None, tuple(witnesses), table.size)
 
 
 @dataclass(frozen=True)

@@ -526,6 +526,8 @@ class TestPackageBuiltRecords:
             "    lambda: dataclasses.replace(outcome, witnesses=witnesses),\n"
             "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0)), ()),\n"
             "    lambda: EffectivityCertificate(((PicardClass(0, (-1, 0, 0)), 1),), PicardClass(0, (0, 0))),\n"
+            "    lambda: EffectivityCertificate((), PicardClass(0, (1, 0))),\n"
+            "    lambda: dataclasses.replace(outcome, reason=None),\n"
             "]:\n"
             "    try:\n"
             "        build()\n"
@@ -540,10 +542,11 @@ class TestPackageBuiltRecords:
             "refused: report on 6;2,2,2,2,2,2: minimum=2 makes it ample, and ample or very ample needs "
             "degree > 0, got degree=0",
             "refused: witness 2;0,0,0: M.D = 4, D.D = 4 lies outside the window at k = 0",
-            "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome needs a reason, and has no witnesses "
-            "and no candidates",
+            "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome has no witnesses and no candidates",
             "refused: 1;0,0,0 is not a null class: D.D = 0 and K.D = -2 needed",
             "refused: rank mismatch: 3 vs 2",
+            "refused: certificate ends at 0;1,0, which is not nef",
+            "refused: search on 3;1,1,1,1,1,1,1,1: reason None, but the premise gives 'M.M = 4 < 9'",
         ]
 
 
@@ -895,8 +898,9 @@ def int64_blocks(draw):
 
 
 class TestFloatRoute:
-    """int64 rows are paired through float64 BLAS; every result must equal
-    the product on Python integers."""
+    """int64 rows are paired through float64 BLAS and the product stays
+    float64; every entry must be an integer equal to the product on Python
+    integers."""
 
     @given(int64_blocks())
     @settings(max_examples=300, deadline=None)
@@ -905,7 +909,7 @@ class TestFloatRoute:
         got = pairing_matrix(np.array(rows, dtype=np.int64), r)
         operand = bulk.curve_operand(r)
         assert operand.dtype == np.float64  # the float route runs
-        assert got.dtype == np.int64
+        assert got.dtype == np.float64 and (got == np.rint(got)).all()
         assert got.tolist() == (np.array(rows, dtype=object) @ operand.astype(np.int64).astype(object)).tolist()
 
     @pytest.mark.parametrize("r", range(1, 9))
@@ -913,18 +917,19 @@ class TestFloatRoute:
         # all 2**(r+1) sign patterns of (a; b) at +-SAFE_COEFF_BOUND
         rows = [list(signs) for signs in itertools.product((-SAFE_COEFF_BOUND, SAFE_COEFF_BOUND), repeat=r + 1)]
         got = pairing_matrix(rows, r)
-        assert got.dtype == np.int64
+        assert got.dtype == np.float64 and (got == np.rint(got)).all()
         assert got.tolist() == [[intersect(PicardClass(a, tuple(b)), x) for x in surface_context(r).test_curves]
                                 for a, *b in rows]
 
-    @pytest.mark.parametrize("rows,cols", [(1000, 240), (5, 20_000), (0, 7)])
+    @pytest.mark.parametrize("rows,cols", [(1000, 240), (5, 20_000), (0, 7), (60, 240)])
     def test_products_in_row_chunks_cover_every_entry(self, rows, cols):
-        # tall products and products wider than one chunk are split by rows
+        # tall products and products wider than one chunk are split by rows;
+        # a product that fits one chunk is a single one
         rng = np.random.default_rng(rows + cols)
         A = rng.integers(-SAFE_COEFF_BOUND, SAFE_COEFF_BOUND + 1, size=(rows, 9))
         B = rng.integers(-6, 7, size=(9, cols))
         got = exact_product(A, float_operand(B))
-        assert got.dtype == np.int64
+        assert got.dtype == np.float64 and (got == np.rint(got)).all()
         assert got.tolist() == (A.astype(object) @ B).tolist()
 
     def test_operand_past_the_bound_takes_the_exact_path(self):

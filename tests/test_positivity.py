@@ -186,6 +186,21 @@ class TestEffectivity:
         with pytest.raises(LatticeMismatchError):
             EffectivityCertificate(((point_class(3, 1), 1),), zero_class(2))
 
+    def test_certificate_refuses_a_terminal_that_is_not_nef(self):
+        # a certificate proves effectivity only through a nef terminal: the
+        # trivial certificate of D = -e_1 would replay to a class that is
+        # not effective, and a witness would take it as proof
+        D = PicardClass(0, (1, 0))
+        assert is_effective(D) == (False, None)
+        with pytest.raises(ValueError, match="certificate ends at 0;1,0, which is not nef"):
+            EffectivityCertificate((), D)
+        with pytest.raises(ValueError, match="not nef"):
+            EffectivityCertificate(((point_class(2, 1), 1),), PicardClass(1, (2, 0)))
+        # the package's certificate of l + 3e_1 ends at l and passes the check
+        E = point_class(2, 1)
+        _, cert = is_effective(PicardClass(1, (-3, 0)))
+        assert cert == EffectivityCertificate(((E, 3),), PicardClass(1, (0, 0)))
+
 
 class TestCertificateSum:
     """A certificate is summed once, when it is built: the self-check of

@@ -16,6 +16,7 @@ from delpezzo.bulk import (
     _box_leaves,
     _candidate_table,
     _decide_block,
+    _sample_blocks,
     _window_hits,
     _witness_rows,
     curve_operand,
@@ -163,7 +164,7 @@ class TestBoxPremises:
         # a witness reads M.D off M and D; the window engine's own M.D for
         # each hit must agree with it, or the search raises
         rows = bulk._witness_rows
-        monkeypatch.setattr(bulk, "_witness_rows", lambda *args: [(D, md + 1, d2) for D, md, d2 in rows(*args)])
+        monkeypatch.setattr(bulk, "_witness_rows", lambda *args: [(D, md + 1) for D, md in rows(*args)])
         with pytest.raises(RuntimeError, match="window engine gave M.D = 1 for 1;1,1, not 0"):
             search_obstructions(PicardClass(3, (2, 2)), 1)
 
@@ -238,11 +239,26 @@ class TestSearch:
             ObstructionWitness(D, PicardClass(5, (0, 0)), 5, cert)
         out = search_obstructions(-canonical_class(8), 1)
         witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
-        for bad in [{"reason": ""}, {"witnesses": (witness,)}, {"candidates": 1}]:
-            with pytest.raises(ValueError, match="an inapplicable outcome needs a reason, and has no witnesses"):
+        for bad in [{"witnesses": (witness,)}, {"candidates": 1}]:
+            with pytest.raises(ValueError, match="an inapplicable outcome has no witnesses and no candidates"):
                 dataclasses.replace(out, **bad)
-        # with no reason the outcome says the window applies and found nothing
-        assert dataclasses.replace(out, reason=None).applicable
+        with pytest.raises(ValueError, match="reason '', but the premise gives 'M.M = 4 < 9'"):
+            dataclasses.replace(out, reason="")
+
+    def test_an_outcome_keeps_the_premise_reason(self):
+        # -K at rank 8 has M.M = 4 < 9: no outcome may call its window
+        # applicable, nor give an applicable window a reason
+        out = search_obstructions(-canonical_class(8), 1)
+        with pytest.raises(ValueError, match="reason None, but the premise gives 'M.M = 4 < 9'"):
+            dataclasses.replace(out, reason=None)
+        applicable = search_obstructions(-canonical_class(6), 1)
+        assert applicable.applicable and applicable.witnesses == ()
+        with pytest.raises(ValueError, match="reason 'M.M = 4 < 9', but the premise gives None"):
+            dataclasses.replace(applicable, reason=out.reason, candidates=0)
+        assert dataclasses.replace(out, reason=out.reason) == out
+        # the search builds its outcomes unchecked; each passes the public check
+        found = search_obstructions(PicardClass(3, (2, 2)), 1)
+        assert found.witnesses and dataclasses.replace(found) == found
 
     def test_a_witness_outside_the_window_is_refused(self):
         # handed M.D = 3 and D.D = 1, (1; 1, 1) would sit in the window at
@@ -257,7 +273,7 @@ class TestSearch:
         witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
         out = search_obstructions(-canonical_class(7), 1)
         assert out.reason == "M.M = 8 < 9" and out.candidates == 0
-        with pytest.raises(ValueError, match="an inapplicable outcome needs a reason, and has no witnesses"):
+        with pytest.raises(ValueError, match="an inapplicable outcome has no witnesses and no candidates"):
             SearchOutcome(out.subject, 1, out.reason, (witness,), 0)
 
     def test_a_witness_of_another_M_or_k_is_refused(self):
@@ -477,11 +493,12 @@ def test_candidate_table_is_pinned(r, k):
 
 
 def _full_table_window(r, k, M):
-    """The window test on every class of the table: the unfolded reference."""
+    """The window test on every class of the table, as (class row, M.D)
+    pairs: the unfolded reference."""
     coeffs, d2 = _full_table(r, k)
     md = coeffs @ exact_rows([[M.a, *(-x for x in M.b)]])[0]
     hit = (md - k - 1 <= d2) & (2 * d2 < md) & (md < 2 * k + 2)
-    return list(zip(coeffs[hit].tolist(), md[hit].tolist(), d2[hit].tolist()))
+    return list(zip(coeffs[hit].tolist(), md[hit].tolist()))
 
 
 # (r, k) tables the folded window is checked on; k = 0 has an empty table
@@ -543,6 +560,8 @@ class TestFoldedWindow:
         r, k, M = subject
         found = _witness_rows(_candidate_table(r, k), exact_rows([[M.a, *M.b]]))
         assert found == _full_table_window(r, k, M)
+        # the one M.D that leaves bulk is a Python int on either route
+        assert all(type(md) is int for _, md in found)
 
     @given(window_blocks())
     @settings(max_examples=50, deadline=None)
@@ -551,9 +570,9 @@ class TestFoldedWindow:
         r, k, Ms = block
         table = _candidate_table(r, k)
         found = [[] for _ in Ms]
-        for o, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
+        for _, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
             for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()):
-                found[j].append((C[c].astype(np.int64).tolist(), x, int(table.squares[o])))
+                found[j].append((C[c].astype(np.int64).tolist(), x))
         assert [sorted(f) for f in found] == [_full_table_window(r, k, M) for M in Ms]
 
     @given(edge_blocks())
@@ -585,6 +604,7 @@ class TestFoldedWindow:
             M = PicardClass(row[0], tuple(row[1:])) - canonical_class(r)
             found = _witness_rows(table, exact_rows([[M.a, *M.b]]))
             assert found == _full_table_window(r, k, M), M
+            assert all(type(md) is int for _, md in found)
             hits += len(found)
         assert hits > 0
 
@@ -614,7 +634,7 @@ class TestFoldedWindow:
             if set(ri.tolist()) == {0, 2}:
                 shared.append(o)
             for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()):
-                found[j].append((C[c].tolist(), x, int(table.squares[o])))
+                found[j].append((C[c].tolist(), x))
         assert shared  # some orbit is reached by rows 0 and 2 and not by row 1
         assert [sorted(f) for f in found] == [_full_table_window(r, k, M) for M in Ms]
         assert found[1] == [] and sorted(found[0]) != sorted(found[2])
@@ -855,6 +875,41 @@ class TestBatchedSweepAgainstPerRow:
                 assert (counts, violations) == ref_decide(block, k, surface_context(8).test_curves)
                 witnesses += counts[-1]
         assert witnesses > 0
+
+    def test_float_and_object_routes_sweep_a_block_alike(self, monkeypatch):
+        # The float route compares and reduces float64 products where they
+        # land; the same block on Python integers must sweep the same.  The
+        # corners at +-SAFE_COEFF_BOUND give the largest partial sums (none
+        # is nef), the multiples of -K and the pencils near the bound are
+        # nef, and the pencils have witnesses.
+        import delpezzo.bulk as bulk
+
+        r, k, B = 8, 1, SAFE_COEFF_BOUND
+        drawn = next(_sample_blocks(r, B, 0))
+        rows = np.concatenate([drawn[:, :1], -np.sort(-drawn[:, 1:], axis=1)], axis=1).tolist()
+        rows += [list(signs) for signs in itertools.product((-B, B), repeat=r + 1)]
+        rows += [[3 * (B // 3) + t] + [B // 3] * r for t in range(2)]
+        for a in (B - 1, B):
+            rows += [[a, a] + [0] * (r - 1), [a, a - 1, 1] + [0] * (r - 2)]
+        block = np.array(rows, dtype=np.int64)
+        rows_of, product = bulk.exact_rows, bulk.exact_product
+        dtypes = set()
+
+        def recorded(A, operand):
+            out = product(A, operand)
+            dtypes.add(out.dtype)
+            return out
+
+        monkeypatch.setattr(bulk, "exact_product", recorded)
+        floats = sweep_blocks([block], r, k, None)
+        assert dtypes == {np.dtype(np.float64)}
+        dtypes.clear()
+        monkeypatch.setattr(bulk, "exact_rows", lambda coeffs: rows_of(coeffs).astype(object))
+        objects = sweep_blocks([block], r, k, None)
+        assert dtypes == {np.dtype(object)}
+        assert objects == floats
+        scanned, covered, (applicable, *_, witnesses), flagged = floats
+        assert scanned > 5 and applicable > 0 and witnesses > 0 and flagged == []
 
     @pytest.mark.parametrize("r,a_max", [(1, 12), (7, 5)])
     def test_rank_one_fiber_fails_the_pairing_test(self, r, a_max):
