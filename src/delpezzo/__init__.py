@@ -15,7 +15,6 @@ from .lattice import (
     LatticeMismatchError,
     PicardClass,
     RankError,
-    SurfaceContext,
     adjoint,
     canonical_class,
     degree,
@@ -30,6 +29,7 @@ from .lattice import (
 from .enumeration import (
     ExceptionalTable,
     NullClassRecord,
+    SurfaceContext,
     decompose_null_class,
     enumerate_exceptional,
     enumerate_null_classes,

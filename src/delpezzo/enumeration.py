@@ -36,15 +36,16 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lattice import (
+    EXCEPTIONAL_CLASS_COUNTS,
     CurveTypePattern,
     PicardClass,
-    SurfaceContext,
     _check_rank,
     canonical_class,
     degree,
+    fiber_class,
     intersect,
     type_pattern,
 )
@@ -135,7 +136,7 @@ def enumerate_exceptional(r: int) -> tuple[PicardClass, ...]:
     """Every class with self-intersection -1 and anticanonical degree 1.
 
     Returns the full set (all coordinate permutations, not one per type),
-    sorted by (a, b).
+    sorted by (a, b), and checked against the classical counts.
     """
     r = _check_rank(r)
     found = []
@@ -145,17 +146,61 @@ def enumerate_exceptional(r: int) -> tuple[PicardClass, ...]:
             raise RuntimeError("Cauchy-Schwarz bound a <= 7 attained; enumeration is unsound")
         for rep in sols:
             found.extend(PicardClass(a, b) for b in orderings(rep))
+    if len(found) != EXCEPTIONAL_CLASS_COUNTS[r]:
+        raise RuntimeError(f"rank {r} has {EXCEPTIONAL_CLASS_COUNTS[r]} exceptional classes, found {len(found)}")
     return tuple(sorted(found, key=PicardClass.sort_key))
 
 
+@dataclass(frozen=True)
+class SurfaceContext:
+    """The surface of rank r, whose exceptional classes, as Python integers,
+    depend on r alone; the array form of its test curves is
+    :func:`delpezzo.bulk.curve_operand`.  Immutable and safe to share;
+    :func:`surface_context` caches one per rank.  The five functions that
+    take an optional ``ctx`` check it for its rank only."""
+
+    r: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", _check_rank(self.r))
+
+    @cached_property
+    def exceptional_set(self) -> tuple[PicardClass, ...]:
+        return enumerate_exceptional(self.r)
+
+    @cached_property
+    def exceptional_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """Each exceptional class's position in ``exceptional_set``, keyed by
+        its ``sort_key()`` ``(a, b)``, for O(1) membership tests and lookups
+        without building a class: ``x.sort_key() in ctx.exceptional_index``."""
+        return {x.sort_key(): i for i, x in enumerate(self.exceptional_set)}
+
+    @cached_property
+    def canonical(self) -> PicardClass:
+        """The canonical class ``(-3; -1, ..., -1)`` at rank r."""
+        return canonical_class(self.r)
+
+    @property
+    def anticanonical(self) -> PicardClass:
+        return -self.canonical
+
+    @cached_property
+    def test_curves(self) -> tuple[PicardClass, ...]:
+        """The exceptional classes, in their (a, b) order, followed at rank 1
+        by the fiber ``l - e_1``: L is nef iff it pairs >= 0 with each."""
+        if self.r == 1:
+            return self.exceptional_set + (fiber_class(),)
+        return self.exceptional_set
+
+
 def surface_context(r: int) -> SurfaceContext:
-    """Context for rank r: the cached exceptional set plus the canonical class."""
+    """The cached context of rank r."""
     return _surface_context(_check_rank(r))
 
 
 @lru_cache(maxsize=None)
 def _surface_context(r: int) -> SurfaceContext:
-    return SurfaceContext(r=r, exceptional_set=enumerate_exceptional(r))
+    return SurfaceContext(r)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,14 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
-from functools import cached_property
 
 MIN_RANK = 1
 MAX_RANK = 8
 
 #: Number of classes with self-intersection -1 and anticanonical degree 1,
-#: per rank.  Checks each SurfaceContext as it is built and slices the
-#: exceptional columns in ``bulk.sweep_blocks``; the enumeration module
-#: recomputes these from scratch.
+#: per rank (Manin, *Cubic Forms* §26).  ``enumeration.enumerate_exceptional``
+#: checks its search against it, and ``bulk.sweep_blocks`` slices the
+#: exceptional columns by it.
 EXCEPTIONAL_CLASS_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
 
@@ -263,65 +262,10 @@ def type_pattern(L: PicardClass) -> CurveTypePattern:
     return CurveTypePattern(L.a, entries)
 
 
-@dataclass(frozen=True)
-class SurfaceContext:
-    """Fixed rank r together with the cached exceptional classes, as Python
-    integers; the array form of its test curves is
-    :func:`delpezzo.bulk.curve_operand`.
-
-    Immutable after construction; safe to share between any number of
-    concurrent callers.  Build via :func:`delpezzo.enumeration.surface_context`.
-
-    A valid context carries nothing beyond its rank (``__post_init__`` pins
-    its classes).  The benchmark's workloads pass one, so ``is_effective``,
-    ``is_k_very_ample``, ``generate_inequality_families``,
-    ``search_obstructions`` and ``consistency_sweep`` still take an optional
-    ``ctx``, checked for its rank only (:func:`_check_context`).
-    """
-
-    r: int
-    exceptional_set: tuple[PicardClass, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _check_rank(self.r))
-        exc, expected = self.exceptional_set, EXCEPTIONAL_CLASS_COUNTS[self.r]
-        if len(exc) != expected:
-            raise ValueError(f"rank {self.r} needs {expected} exceptional classes, got {len(exc)}")
-        if any(x.r != self.r for x in exc):
-            raise LatticeMismatchError("exceptional classes of foreign rank in context")
-        # with the count, this pins the set to the rank's exceptional classes in (a, b) order
-        K, keys = canonical_class(self.r), [x.sort_key() for x in exc]
-        if keys != sorted(set(keys)) or any(degree(x) != -1 or intersect(K, x) != -1 for x in exc):
-            raise ValueError(f"rank {self.r} needs classes with x.x = K.x = -1, distinct and in (a, b) order")
-
-    @cached_property
-    def exceptional_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        """Each exceptional class's position in ``exceptional_set``, keyed by
-        its ``sort_key()`` ``(a, b)``, for O(1) membership tests and lookups
-        without building a class: ``x.sort_key() in ctx.exceptional_index``."""
-        return {x.sort_key(): i for i, x in enumerate(self.exceptional_set)}
-
-    @cached_property
-    def canonical(self) -> PicardClass:
-        """The canonical class ``(-3; -1, ..., -1)`` at rank r."""
-        return canonical_class(self.r)
-
-    @property
-    def anticanonical(self) -> PicardClass:
-        return -self.canonical
-
-    @cached_property
-    def test_curves(self) -> tuple[PicardClass, ...]:
-        """The exceptional classes, in their (a, b) order, followed at rank 1
-        by the fiber ``l - e_1``: L is nef iff it pairs >= 0 with each."""
-        if self.r == 1:
-            return self.exceptional_set + (fiber_class(),)
-        return self.exceptional_set
-
-
-def _check_context(r: int, ctx: SurfaceContext | None) -> None:
-    """Refuse a given ctx of another rank than r: the one reader of the ctx of
-    ``is_effective``, ``is_k_very_ample``, ``generate_inequality_families``,
-    ``search_obstructions`` and ``consistency_sweep``, kept as the benchmark passes it."""
+def _check_context(r: int, ctx) -> None:
+    """Refuse a given ``enumeration.SurfaceContext`` of another rank than r:
+    the one reader of the ctx of ``is_effective``, ``is_k_very_ample``,
+    ``generate_inequality_families``, ``search_obstructions`` and
+    ``consistency_sweep``, kept as the benchmark passes it."""
     if ctx is not None and ctx.r != r:
         raise LatticeMismatchError(f"context rank {ctx.r} does not match r={r}")

@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-import warnings
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,7 +55,6 @@ from .lattice import (
     LatticeMismatchError,
     PicardClass,
     RankError,
-    SurfaceContext,
     _check_context,
     _check_rank,
     _genus,
@@ -67,7 +65,7 @@ from .lattice import (
     type_pattern,
     adjoint as adjoint_class,
 )
-from .enumeration import _surface_context, surface_context
+from .enumeration import SurfaceContext, _surface_context, surface_context
 
 EXCEPTION_NONE = "none"
 EXCEPTION_MINUS_KK_S8 = "minus_kK_S8"
@@ -252,8 +250,8 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
             raise RuntimeError(f"the certificate of {L} replays to another class")
         return True, cert
     # C, each curve with L.E, and T = L + sum (L.E) * E, one fold pass per
-    # curve.  C holds e_i iff L.e_i = b_i < 0, and SurfaceContext pins the
-    # (a, b) order, so e_1..e_r are exceptional_set[0..r-1].
+    # curve.  C holds e_i iff L.e_i = b_i < 0, and enumerate_exceptional
+    # sorts by (a, b), so e_1..e_r are exceptional_set[0..r-1].
     a, b = L.a, L.b
     found = [(x, i) for i, x in enumerate(b) if x < 0]
     ta, tb = a, [x if x > 0 else 0 for x in b]
@@ -545,14 +543,8 @@ def generate_inequality_families(r: int, ctx: SurfaceContext | None = None) -> t
     every test curve.
 
     The families depend on r alone, and the cache is keyed on r only.
-    ``ctx`` is deprecated: passing it warns, and one of another rank than r
-    raises LatticeMismatchError."""
-    if ctx is not None:
-        warnings.warn(
-            "generate_inequality_families ignores ctx; call it with r alone",
-            DeprecationWarning,
-            stacklevel=2,
-        )
+    ``ctx`` is optional and checked for its rank only: one of another rank
+    than r raises LatticeMismatchError."""
     _check_context(r, ctx)
     return _family_table(r).families
 

@@ -45,8 +45,8 @@ import warnings
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .lattice import PicardClass, SurfaceContext, _check_context, _check_rank, degree, intersect, line, point_class
-from .enumeration import _surface_context, window_box
+from .lattice import PicardClass, _check_context, _check_rank, degree, intersect, line, point_class
+from .enumeration import SurfaceContext, _surface_context, window_box
 from .positivity import EffectivityCertificate, _effectivity, _family_values, ampleness_level, is_nef
 
 #: The scan box grows like (6*(2k+1)) * (2k+2+6*(2k+1))**r before pruning;
@@ -396,8 +396,8 @@ def consistency_sweep(
     2**63 - 1) raise ValueError; a k, ``a_max``, ``sample`` or ``seed``
     that is not an integer raises TypeError, a rank that is not an integer
     in 1..8 raises RankError.  ``ctx`` is optional and is checked for its
-    rank only (another rank raises LatticeMismatchError), as
-    ``SurfaceContext`` pins every context of rank r to the columns of
+    rank only (another rank raises LatticeMismatchError), as a
+    ``SurfaceContext`` is its rank, whose classes are the columns of
     ``bulk.curve_operand(r)``; it stays, as the ``ctx`` of ``is_effective``,
     ``is_k_very_ample``, ``generate_inequality_families`` and
     ``search_obstructions`` does, because the benchmark's workloads pass one.

@@ -8,8 +8,11 @@ integer systems by brute force over sorted value combinations and
 expands permutation orbits.  The production search must agree with both.
 """
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from delpezzo.bulk import SAFE_COEFF_BOUND, exact_rows, expand_orbit, float_operand, orbit_floor, orbit_sizes
 from delpezzo.lattice import (
+    EXCEPTIONAL_CLASS_COUNTS,
     PicardClass,
     RankError,
     canonical_class,
@@ -28,6 +32,7 @@ from delpezzo.lattice import (
 )
 from delpezzo.enumeration import (
     NullClassRecord,
+    SurfaceContext,
     decompose_null_class,
     descending_vectors,
     enumerate_exceptional,
@@ -291,6 +296,33 @@ class TestSurfaceContext:
         assert ctx.canonical == canonical_class(every_rank)
         assert ctx.exceptional_set == enumerate_exceptional(every_rank)
         assert point_class(every_rank, 1).sort_key() in ctx.exceptional_index
+
+    def test_a_context_is_its_rank(self, every_rank):
+        assert [f.name for f in dataclasses.fields(SurfaceContext)] == ["r"]
+        built, cached = SurfaceContext(every_rank), surface_context(every_rank)
+        assert built == cached and hash(built) == hash(cached)
+        assert built.exceptional_set == cached.exceptional_set
+
+    @pytest.mark.parametrize("r", [0, 9, 8.0, "8"])
+    def test_rank_is_checked(self, r):
+        with pytest.raises(RankError):
+            SurfaceContext(r)
+
+    def test_classes_are_not_taken_from_the_caller(self):
+        with pytest.raises(TypeError):
+            SurfaceContext(2, enumerate_exceptional(2))
+
+    def test_pickle_and_deepcopy_keep_the_context(self, every_rank):
+        ctx = surface_context(every_rank)
+        copies = [pickle.loads(pickle.dumps(ctx, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in [*copies, copy.deepcopy(ctx)]:
+            assert other == ctx and hash(other) == hash(ctx)
+            assert other.exceptional_set == ctx.exceptional_set
+
+    def test_search_is_checked_against_the_classical_count(self, monkeypatch):
+        monkeypatch.setitem(EXCEPTIONAL_CLASS_COUNTS, 3, 7)
+        with pytest.raises(RuntimeError, match="rank 3 has 7 exceptional classes, found 6"):
+            enumerate_exceptional.__wrapped__(3)
 
 
 class TestSharedSearch:

@@ -37,7 +37,6 @@ from delpezzo.lattice import (
     LatticeMismatchError,
     PicardClass,
     RankError,
-    SurfaceContext,
     canonical_class,
     degree,
     fiber_class,
@@ -46,7 +45,13 @@ from delpezzo.lattice import (
     sectional_genus,
     type_pattern,
 )
-from delpezzo.enumeration import decompose_null_class, enumerate_exceptional, exceptional_type_census, surface_context
+from delpezzo.enumeration import (
+    SurfaceContext,
+    decompose_null_class,
+    enumerate_exceptional,
+    exceptional_type_census,
+    surface_context,
+)
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     EffectivityCertificate,
@@ -612,11 +617,13 @@ class TestPairingCore:
             assert type(value) is int
 
     def test_families_cached_on_rank_alone(self, ctx):
-        with pytest.warns(DeprecationWarning, match="ignores ctx"):
+        # a context of the rank is taken without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert generate_inequality_families(ctx.r, ctx) is generate_inequality_families(ctx.r)
 
     def test_context_of_another_rank_is_refused(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(LatticeMismatchError, match="rank 2 does not match r=3"):
+        with pytest.raises(LatticeMismatchError, match="rank 2 does not match r=3"):
             generate_inequality_families(3, surface_context(2))
 
 
@@ -828,11 +835,8 @@ CONTEXT_CALLS = context_calls()
 def test_every_context_of_the_rank_gives_the_same_result(r, call):
     # no context, the cached one and a freshly built one are the same surface:
     # a function that takes no context answers as each context's classes do
-    with warnings.catch_warnings():
-        # generate_inequality_families warns when given a context it ignores
-        warnings.filterwarnings("ignore", "generate_inequality_families ignores ctx", DeprecationWarning)
-        contexts = (None, surface_context(r), SurfaceContext(r, enumerate_exceptional(r)))
-        results = [payload(call(ctx)) for ctx in contexts]
+    contexts = (None, surface_context(r), SurfaceContext(r))
+    results = [payload(call(ctx)) for ctx in contexts]
     assert results[0] == results[1] == results[2]
 
 

@@ -28,14 +28,13 @@ from delpezzo.bulk import (
 from delpezzo.lattice import (
     LatticeMismatchError,
     PicardClass,
-    SurfaceContext,
     canonical_class,
     degree,
     intersect,
     line,
     point_class,
 )
-from delpezzo.enumeration import enumerate_exceptional, surface_context
+from delpezzo.enumeration import SurfaceContext, enumerate_exceptional, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
     exception_flag,
@@ -1065,9 +1064,9 @@ class TestConsistencySweep:
             consistency_sweep(3, 1, 4, surface_context(2))
 
     def test_any_context_of_the_rank_gives_the_same_sweep(self):
-        # SurfaceContext pins a rank-8 context to the rank's exceptional
-        # classes in (a, b) order, the columns of the sweep's pairing rows
-        ctx8 = SurfaceContext(8, enumerate_exceptional(8))
+        # a rank-8 context is its rank: its exceptional classes, in (a, b)
+        # order, are the columns of the sweep's pairing rows
+        ctx8 = SurfaceContext(8)
         assert ctx8 is not surface_context(8)
         got, expected = consistency_sweep(8, 1, 4, ctx8), consistency_sweep(8, 1, 4)
         assert json.dumps(got.as_dict()) == json.dumps(expected.as_dict())

@@ -47,12 +47,14 @@ def test_numpy_stays_behind_bulk():
 
 def test_import_graph_is_layered():
     # bulk counts with arrays and words nothing, so it never reaches back
-    # into reider, not even lazily; enumeration rests on lattice alone
+    # into reider, not even lazily; enumeration rests on lattice alone, and
+    # lattice on nothing of the package
     def package(name):
         return {m for m in imported_modules(SRC / name) if m.split(".")[0] == "delpezzo"}
 
     assert package("bulk.py") <= {"delpezzo.lattice", "delpezzo.enumeration", "delpezzo.positivity"}
     assert package("enumeration.py") <= {"delpezzo.lattice"}
+    assert package("lattice.py") == set()
 
 
 def dataclass_records():

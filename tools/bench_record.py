@@ -11,7 +11,8 @@ change.  It runs the checkout's own ``benchmarks/run.py``, unchanged, once
 per workload as a subprocess (seed 1, ``--trace 0``, its own run length)
 and keeps each run's last line; then the Tier-1 command with
 ``--durations=10``, keeping its wall time, its counts and its ten slowest
-tests; and it notes the host:
+tests; it counts the lines of each ``src/delpezzo/*.py`` of the checkout,
+as ``wc -l`` does, and their total; and it notes the host:
 the bare interpreter start with and without ``-S`` (median of 7), nproc,
 the Python and numpy versions, and the checkout's git commit.  The runs
 are sequential, benchmarks first, so that none shares the CPU with another.
@@ -67,6 +68,11 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": round(wall, 2), "counts": counts, "summary": summary, "slowest": slowest}
 
 
+def src_lines(checkout: Path) -> dict:
+    files = {path.name: path.read_bytes().count(b"\n") for path in sorted((checkout / "src" / "delpezzo").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
@@ -84,6 +90,7 @@ def main(argv=None) -> int:
         "git_dirty": bool(run(["git", "status", "--porcelain", "--untracked-files=no"], checkout).strip()),
         "workloads": workloads,
         "tier1": tier1(checkout),
+        "src_lines": src_lines(checkout),
         "host": {
             "python_c_pass_s": round(interpreter_start_s(), 4),
             "python_S_c_pass_s": round(interpreter_start_s("-S"), 4),
