@@ -232,7 +232,7 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
     reps = [
         (alpha, *b) for alpha, b in window_candidates(r, k)
         if alpha * alpha - sum(x * x for x in b) + 3 * alpha - sum(b) >= 0
-        or _effectivity(PicardClass(alpha, b))[0]
+        or _effectivity(PicardClass(alpha, b)) is not None
     ]
     return _table(np.array(reps, dtype=np.int64).reshape(len(reps), r + 1), k)
 

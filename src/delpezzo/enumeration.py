@@ -230,20 +230,21 @@ def exceptional_type_census(r: int) -> ExceptionalTable:
 
 @dataclass(frozen=True)
 class NullClassRecord:
-    """A class D with D.D = 0, K.D = -2 (b ascending), plus its splittings
-    into unordered pairs of exceptional classes; any other D, or a
-    splitting that does not sum to D, is refused with ValueError."""
+    """A class D with D.D = 0, K.D = -2 (b ascending); its splittings into
+    unordered pairs of exceptional classes, ``decompositions``, are read off
+    it by :func:`decompose_null_class`.  Any other D is refused with
+    ValueError."""
 
     representative: PicardClass
-    decompositions: tuple[tuple[PicardClass, PicardClass], ...]
 
     def __post_init__(self):
         D = self.representative
         if degree(D) != 0 or intersect(canonical_class(D.r), D) != -2:
             raise ValueError(f"{D} is not a null class: D.D = 0 and K.D = -2 needed")
-        for xi1, xi2 in self.decompositions:
-            if xi1 + xi2 != D:
-                raise ValueError(f"splitting {xi1} + {xi2} does not sum to {D}")
+
+    @cached_property
+    def decompositions(self) -> tuple[tuple[PicardClass, PicardClass], ...]:
+        return decompose_null_class(self.representative)
 
     def decomposition_shapes(self) -> tuple[tuple[CurveTypePattern, CurveTypePattern], ...]:
         """Distinct unordered type-pattern pairs among the decompositions,
@@ -292,5 +293,5 @@ def enumerate_null_classes(r: int) -> tuple[NullClassRecord, ...]:
             break
         for b in sorted(sol[::-1] for sol in sols):
             rep = PicardClass(a, b)
-            records.append(NullClassRecord(rep, decompose_null_class(rep)))
+            records.append(NullClassRecord(rep))
     return tuple(records)

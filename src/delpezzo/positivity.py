@@ -219,21 +219,22 @@ def is_effective(L: PicardClass, ctx: SurfaceContext | None = None) -> tuple[boo
     is effective iff ``a >= 0`` and ``a >= b1``.
     """
     _check_context(L.r, ctx)
-    return _effectivity(L)
+    cert = _effectivity(L)
+    return cert is not None, cert
 
 
-def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool, EffectivityCertificate | None]:
-    """:func:`is_effective`, given the caller's family values of L
-    (:func:`_family_values`), if it has them.  A class that is not nef and
-    passes the early reject below is searched for C by at most r + 1 fold
-    passes on its positive part T (see :func:`is_effective`)."""
+def _effectivity(L: PicardClass, values: list[int] | None = None) -> EffectivityCertificate | None:
+    """L's certificate from :func:`is_effective`, or None, given the caller's
+    family values of L (:func:`_family_values`), if it has them.  A class
+    that is not nef and passes the early reject below is searched for C by
+    at most r + 1 fold passes on its positive part T (see :func:`is_effective`)."""
     if values is not None and min(values) >= 0:
         # a nef class is its own positive part: C is empty
-        return True, EffectivityCertificate._trusted((), L)
+        return EffectivityCertificate._trusted((), L)
     if L.a < 0 or L.a < max(L.b):
         # pairs negatively with the nef class l or some l - e_i; at rank 1
         # this is the whole closed form
-        return False, None
+        return None
     r = len(L.b)
     if r == 1:
         # C is e_1 when b1 < 0, read off L, and T = (a; max(b1, 0)) is
@@ -242,13 +243,13 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
         # (r = 1..3) took 4.9 against 3.2 us per-op p50 on a 2 vCPU host.
         b1 = L.b[0]
         if b1 >= 0:
-            return True, EffectivityCertificate._trusted((), L)
+            return EffectivityCertificate._trusted((), L)
         cert = EffectivityCertificate._trusted(
             ((_surface_context(1).exceptional_set[0], -b1),), PicardClass._trusted(L.a, (0,)),
         )
         if cert.total != L:
             raise RuntimeError(f"the certificate of {L} replays to another class")
-        return True, cert
+        return cert
     # C, each curve with L.E, and T = L + sum (L.E) * E, one fold pass per
     # curve.  C holds e_i iff L.e_i = b_i < 0, and enumerate_exceptional
     # sorts by (a, b), so e_1..e_r are exceptional_set[0..r-1].
@@ -268,13 +269,13 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
         v = e0 * a - sum(map(operator.mul, e, b))
         if v != low:
             # E meets a curve already subtracted, or E is not in C
-            return False, None
+            return None
         found.append((v, _surface_context(r).exceptional_index[e0, tuple(e)]))
         ta += v * e0
         tb = [x + v * y for x, y in zip(tb, e)]
         values = _fold_values(ta, sorted(tb, reverse=True))
     if not found:
-        return True, EffectivityCertificate._trusted((), L)
+        return EffectivityCertificate._trusted((), L)
     exc = _surface_context(r).exceptional_set
     # the greedy's order: most negative first, ties by first index
     order = sorted(found)
@@ -302,7 +303,7 @@ def _effectivity(L: PicardClass, values: list[int] | None = None) -> tuple[bool,
     cert = EffectivityCertificate._trusted(tuple(chain), terminal)
     if cert.total != L:
         raise RuntimeError(f"the certificate of {L} replays to another class")
-    return True, cert
+    return cert
 
 
 def exception_flag(L: PicardClass, k: int) -> str:
@@ -467,7 +468,7 @@ def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -
     values = _family_values(L)
     mp = min(values)
     flag = _exception_flag(L, k)
-    _, cert = _effectivity(L, values)
+    cert = _effectivity(L, values)
     violations = []
     if mp < k:
         for (nef_label, kva_label), val in zip(_family_table(L.r).labels, values, strict=True):

@@ -43,7 +43,7 @@ import math as _math
 import operator
 import warnings
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lattice import PicardClass, _check_context, _check_rank, degree, intersect, line, point_class
 from .enumeration import SurfaceContext, _surface_context, window_box
@@ -137,44 +137,29 @@ class ObstructionWitness:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """The window search for (L, k): the subject, k, why the window does not
-    apply (None when it does), the witnesses in (a, b) order and the count
-    of candidate classes in the box; the rest is read off them.  A reason
-    other than the window premise's, an inapplicable outcome with witnesses
-    or candidates, and a witness of another M or k are refused with
-    ValueError."""
+    """The window search for (L, k): the subject, k, the witnesses in (a, b)
+    order and the count of candidate classes in the box; the rest is read
+    off them, ``reason`` (why the window does not apply, None when it does)
+    off the window premise of the subject at k.  An inapplicable outcome
+    with witnesses or candidates, and a witness of another M or k, are
+    refused with ValueError."""
 
     subject: PicardClass
     k: int
-    reason: str | None
     witnesses: tuple[ObstructionWitness, ...]
     candidates: int
 
     def __post_init__(self):
-        reason = _window_premise(self.subject, self.k)[2]
-        if self.reason != reason:
-            raise ValueError(f"search on {self.subject}: reason {self.reason!r}, but the premise gives {reason!r}")
-        if reason is not None and (self.witnesses or self.candidates):
+        if self.reason is not None and (self.witnesses or self.candidates):
             raise ValueError(f"search on {self.subject}: an inapplicable outcome has no witnesses and no candidates")
+        M = self.M
         for w in self.witnesses:
-            if w.M != self.M or w.k != self.k:
+            if w.M != M or w.k != self.k:
                 raise ValueError(f"search on {self.subject}: witness {w.D} is of another M or k")
 
-    @classmethod
-    def _trusted(cls, subject: PicardClass, k: int, reason: str | None,
-                 witnesses: tuple, candidates: int) -> "SearchOutcome":
-        """Internal constructor for :func:`_search`, which has just worked out
-        the premise's reason and built each witness from M and k: skips the
-        checks, so that the search folds M once."""
-        obj = object.__new__(cls)
-        # set in field order, as __init__ does, so the instance dict stays key-sharing
-        put = object.__setattr__
-        put(obj, "subject", subject)
-        put(obj, "k", k)
-        put(obj, "reason", reason)
-        put(obj, "witnesses", witnesses)
-        put(obj, "candidates", candidates)
-        return obj
+    @cached_property
+    def reason(self) -> str | None:
+        return _window_premise(self.subject, self.k)[2]
 
     @property
     def applicable(self) -> bool:
@@ -238,8 +223,8 @@ def _bounds_record(k: int, candidates: int) -> dict:
 def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> SearchOutcome:
     """Enumerate every effective class in the window for (L, k).
 
-    Not applicable (M not nef, or M.M < 4k+5) returns an empty outcome
-    with the reason recorded.  Identical inputs always produce identical
+    Not applicable (M not nef, or M.M < 4k+5) returns an empty outcome,
+    whose ``reason`` says why.  Identical inputs always produce identical
     witness lists in identical (a, b) order.
     """
     k = ampleness_level(k)
@@ -255,24 +240,26 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext | None = Non
 
 
 def _search(L: PicardClass, k: int) -> SearchOutcome:
-    """:func:`search_obstructions` for a checked level k."""
-    M, _, reason = _window_premise(L, k)
-    if reason is not None:
-        return SearchOutcome._trusted(L, k, reason, (), 0)
+    """:func:`search_obstructions` for a checked level k: the empty outcome
+    when the window does not apply, else its witnesses, each certified."""
+    out = SearchOutcome(L, k, (), 0)
+    if not out.applicable:
+        return out
     _assert_box_premises(L.r)
     from . import bulk
 
+    M = out.M
     table = bulk._candidate_table(L.r, k)
     witnesses = []
     for (a, *b), md in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
         D = PicardClass(a, tuple(b))
-        effective, cert = _effectivity(D)
-        if not effective:
+        cert = _effectivity(D)
+        if cert is None:
             raise RuntimeError(f"candidate table let a non-effective class through: {D}")
         if md != intersect(M, D):
             raise RuntimeError(f"window engine gave M.D = {md} for {D}, not {intersect(M, D)}")
         witnesses.append(ObstructionWitness(D, M, k, cert))
-    return SearchOutcome._trusted(L, k, None, tuple(witnesses), table.size)
+    return SearchOutcome(L, k, tuple(witnesses), table.size)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from delpezzo.lattice import (
     canonical_class,
     degree,
     intersect,
+    line,
     point_class,
     type_pattern,
 )
@@ -179,14 +180,32 @@ class TestNullClasses:
     def test_record_refuses_a_non_null_class_or_a_wrong_splitting(self):
         # ValueError, not assert: these checks hold under python -O too
         with pytest.raises(ValueError, match="1;0,0,0 is not a null class"):
-            NullClassRecord(PicardClass(1, (0, 0, 0)), ())
+            NullClassRecord(PicardClass(1, (0, 0, 0)))
         with pytest.raises(ValueError, match="is not a null class"):
-            NullClassRecord(PicardClass(3, (3,)), ())  # D.D = 0, but K.D = -6
+            NullClassRecord(PicardClass(3, (3,)))  # D.D = 0, but K.D = -6
+
+    def test_a_record_takes_its_representative_alone(self):
+        # the splittings are read off the class, so none can be handed in:
+        # not a partial one, nor one whose parts are not exceptional
         rec = enumerate_null_classes(8)[0]
-        x, y = rec.decompositions[0]
-        assert NullClassRecord(rec.representative, ((x, y),)).decompositions == ((x, y),)
-        with pytest.raises(ValueError, match="does not sum to"):
-            NullClassRecord(rec.representative, ((x, x),))
+        with pytest.raises(TypeError):
+            NullClassRecord(rec.representative, rec.decompositions[:1])
+        with pytest.raises(TypeError):
+            NullClassRecord(PicardClass(1, (1, 0, 0)), ((line(3), -point_class(3, 1)),))
+        assert [f.name for f in dataclasses.fields(NullClassRecord)] == ["representative"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.decompositions = ()
+
+    def test_decompositions_are_read_off_the_representative(self, every_rank):
+        for rec in enumerate_null_classes(every_rank):
+            assert rec.decompositions == decompose_null_class(rec.representative)
+            # copies of a record that has read its splittings, and of one
+            # that has not yet
+            for source in (rec, NullClassRecord(rec.representative)):
+                twins = [pickle.loads(pickle.dumps(source, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+                for twin in [source] + twins + [copy.deepcopy(source)]:
+                    assert twin == rec and hash(twin) == hash(rec)
+                    assert twin.decompositions == rec.decompositions
 
     def test_small_ranks_restrict_to_few_nonzeros(self):
         assert [r.representative.render() for r in enumerate_null_classes(1)] == ["1;1"]

@@ -301,7 +301,7 @@ class TestNefShortCircuit:
         report = is_k_very_ample(L, k)
         assert report.nef
         assert report.certificate == is_effective(L)[1] == EffectivityCertificate((), L)
-        assert _effectivity(L, _family_values(L)) == _effectivity(L) == (True, report.certificate)
+        assert _effectivity(L, _family_values(L)) == _effectivity(L) == report.certificate
 
 
 def refuse(*args):
@@ -529,10 +529,9 @@ class TestPackageBuiltRecords:
             "    lambda: dataclasses.replace(report, degree=0),\n"
             "    lambda: ObstructionWitness(D, D, 0, is_effective(D)[1]),\n"
             "    lambda: dataclasses.replace(outcome, witnesses=witnesses),\n"
-            "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0)), ()),\n"
+            "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0))),\n"
             "    lambda: EffectivityCertificate(((PicardClass(0, (-1, 0, 0)), 1),), PicardClass(0, (0, 0))),\n"
             "    lambda: EffectivityCertificate((), PicardClass(0, (1, 0))),\n"
-            "    lambda: dataclasses.replace(outcome, reason=None),\n"
             "]:\n"
             "    try:\n"
             "        build()\n"
@@ -551,7 +550,6 @@ class TestPackageBuiltRecords:
             "refused: 1;0,0,0 is not a null class: D.D = 0 and K.D = -2 needed",
             "refused: rank mismatch: 3 vs 2",
             "refused: certificate ends at 0;1,0, which is not nef",
-            "refused: search on 3;1,1,1,1,1,1,1,1: reason None, but the premise gives 'M.M = 4 < 9'",
         ]
 
 

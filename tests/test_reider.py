@@ -153,7 +153,7 @@ class TestBoxPremises:
 
         # each reported witness is certified; the check raises under
         # ``python -O`` too instead of reporting (D, None)
-        monkeypatch.setattr(reider, "_effectivity", lambda D: (False, None))
+        monkeypatch.setattr(reider, "_effectivity", lambda D: None)
         with pytest.raises(RuntimeError, match="let a non-effective class through: 1;0,1,1"):
             search_obstructions(PicardClass(3, (2, 2, 1)), 1)
 
@@ -241,21 +241,27 @@ class TestSearch:
         for bad in [{"witnesses": (witness,)}, {"candidates": 1}]:
             with pytest.raises(ValueError, match="an inapplicable outcome has no witnesses and no candidates"):
                 dataclasses.replace(out, **bad)
-        with pytest.raises(ValueError, match="reason '', but the premise gives 'M.M = 4 < 9'"):
-            dataclasses.replace(out, reason="")
 
-    def test_an_outcome_keeps_the_premise_reason(self):
-        # -K at rank 8 has M.M = 4 < 9: no outcome may call its window
-        # applicable, nor give an applicable window a reason
+    def test_the_reason_is_read_off_the_subject(self):
+        # -K at rank 8 has M.M = 4 < 9, -K at rank 6 has M.M = 16: an
+        # outcome moved to the other subject reads its reason afresh
         out = search_obstructions(-canonical_class(8), 1)
-        with pytest.raises(ValueError, match="reason None, but the premise gives 'M.M = 4 < 9'"):
-            dataclasses.replace(out, reason=None)
-        applicable = search_obstructions(-canonical_class(6), 1)
-        assert applicable.applicable and applicable.witnesses == ()
-        with pytest.raises(ValueError, match="reason 'M.M = 4 < 9', but the premise gives None"):
-            dataclasses.replace(applicable, reason=out.reason, candidates=0)
-        assert dataclasses.replace(out, reason=out.reason) == out
-        # the search builds its outcomes unchecked; each passes the public check
+        assert out.reason == "M.M = 4 < 9"
+        moved = dataclasses.replace(out, subject=-canonical_class(6))
+        assert moved.applicable and moved.reason is None
+        assert moved == dataclasses.replace(search_obstructions(-canonical_class(6), 1), candidates=0)
+        back = dataclasses.replace(moved, subject=-canonical_class(8))
+        assert back == out and back.reason == out.reason
+        # a reason is no argument: the constructor takes the four fields
+        with pytest.raises(TypeError):
+            SearchOutcome(out.subject, 1, out.reason, (), 0)
+        with pytest.raises(TypeError):
+            SearchOutcome(out.subject, 1, (), 0, reason=None)
+        # and a read-only property, as the record is frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.reason = None
+        assert out.reason == "M.M = 4 < 9"
+        # each outcome the search builds passes the public check
         found = search_obstructions(PicardClass(3, (2, 2)), 1)
         assert found.witnesses and dataclasses.replace(found) == found
 
@@ -273,7 +279,7 @@ class TestSearch:
         out = search_obstructions(-canonical_class(7), 1)
         assert out.reason == "M.M = 8 < 9" and out.candidates == 0
         with pytest.raises(ValueError, match="an inapplicable outcome has no witnesses and no candidates"):
-            SearchOutcome(out.subject, 1, out.reason, (witness,), 0)
+            SearchOutcome(out.subject, 1, (witness,), 0)
 
     def test_a_witness_of_another_M_or_k_is_refused(self):
         out = search_obstructions(PicardClass(3, (2, 2)), 1)
@@ -372,7 +378,7 @@ class TestSearch:
         assert out.nodes_visited == out.search_bounds["effective_candidates"]
         names = {record: [f.name for f in dataclasses.fields(record)] for record in (ObstructionWitness, SearchOutcome)}
         assert names[ObstructionWitness] == ["D", "M", "k", "effectivity_certificate"]
-        assert names[SearchOutcome] == ["subject", "k", "reason", "witnesses", "candidates"]
+        assert names[SearchOutcome] == ["subject", "k", "witnesses", "candidates"]
 
     def test_desk_scale_warning(self):
         with pytest.warns(RuntimeWarning):
