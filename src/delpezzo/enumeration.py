@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .lattice import (
@@ -205,10 +205,17 @@ def _surface_context(r: int) -> SurfaceContext:
 
 @dataclass(frozen=True)
 class ExceptionalTable:
-    """Per-type counts of the exceptional classes at one rank."""
+    """Per-type counts of the exceptional classes at rank r, read off r: the
+    classes grouped by type pattern, sorted by pattern.  A rank that is not
+    an integer in 1..8 raises RankError."""
 
     r: int
-    counts: tuple[tuple[CurveTypePattern, int], ...]
+    counts: tuple[tuple[CurveTypePattern, int], ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", _check_rank(self.r))
+        groups = Counter(type_pattern(xi) for xi in enumerate_exceptional(self.r))
+        object.__setattr__(self, "counts", tuple(sorted(groups.items(), key=lambda kv: kv[0].sort_key())))
 
     @property
     def total(self) -> int:
@@ -223,9 +230,7 @@ class ExceptionalTable:
 
 def exceptional_type_census(r: int) -> ExceptionalTable:
     """Group the exceptional classes at rank r by type pattern."""
-    groups = Counter(type_pattern(xi) for xi in enumerate_exceptional(r))
-    ordered = tuple(sorted(groups.items(), key=lambda kv: kv[0].sort_key()))
-    return ExceptionalTable(r=r, counts=ordered)
+    return ExceptionalTable(r)
 
 
 @dataclass(frozen=True)

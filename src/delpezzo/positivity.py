@@ -360,40 +360,50 @@ _set_check, _set_family, _set_value, _set_bound = _slot_setters(Violation)
 
 @dataclass(frozen=True, init=False, slots=True)
 class PositivityReport:
-    """All verdicts for one class, with violations and certificates.  It
-    stores what was measured (``minimum``, the smallest family value; the
-    degree, genus, exception flag and certificate) and reads the five
-    verdicts off it: ``effective`` is having a certificate, ``nef`` and
-    ``spanned`` are ``minimum >= 0``, ``big`` is nef of positive degree and
-    ``k_very_ample`` is ``minimum >= k`` unflagged.  A class with minimum
-    >= 1 is ample, so ``__init__`` refuses one of degree <= 0 (ValueError).
-    The violations are kept as a tuple (a tuple argument as it is)."""
+    """All verdicts for one class at level k.  ``PositivityReport(subject, k)``
+    measures the subject: ``minimum``, the smallest family value (read off
+    its sorted coefficients), the degree, genus, violations, exception flag
+    and certificate (a nef class is its own; only a non-nef class that
+    passes the early reject is searched for its negative curves).  The five
+    verdicts are read off them: ``effective`` is having a certificate,
+    ``nef`` and ``spanned`` are ``minimum >= 0``, ``big`` is nef of
+    positive degree and ``k_very_ample`` is ``minimum >= k`` unflagged.  A
+    class with minimum >= 1 is ample, so one of degree <= 0 is refused
+    (ValueError)."""
 
     subject: PicardClass
     k: int
-    minimum: int
-    degree: int
-    genus: int
-    violations: tuple[Violation, ...]
-    exception_flag: str
-    certificate: EffectivityCertificate | None
+    minimum: int = field(init=False)
+    degree: int = field(init=False)
+    genus: int = field(init=False)
+    violations: tuple[Violation, ...] = field(init=False)
+    exception_flag: str = field(init=False)
+    certificate: EffectivityCertificate | None = field(init=False)
 
-    def __init__(
-        self, subject: PicardClass, k: int, minimum: int, degree: int, genus: int,
-        violations: tuple[Violation, ...], exception_flag: str, certificate: EffectivityCertificate | None,
-    ):
+    def __init__(self, subject: PicardClass, k: int):
+        k = ampleness_level(k)
+        values = _family_values(subject)
+        minimum = min(values)
+        violations = []
+        if minimum < k:
+            for (nef_label, kva_label), val in zip(_family_table(subject.r).labels, values, strict=True):
+                if val < 0:
+                    violations.append(Violation("nef", nef_label, val, 0))
+                if val < k:
+                    violations.append(Violation("k_very_ample", kva_label, val, k))
+        square = degree(subject)
         # a check that raises, so that it holds under ``python -O`` too
-        if minimum >= 1 and degree <= 0:
+        if minimum >= 1 and square <= 0:
             raise ValueError(f"report on {subject}: minimum={minimum} makes it ample, and ample or very ample "
-                             f"needs degree > 0, got degree={degree}")
+                             f"needs degree > 0, got degree={square}")
         _set_subject(self, subject)
         _set_k(self, k)
         _set_minimum(self, minimum)
-        _set_degree(self, degree)
-        _set_genus(self, genus)
+        _set_degree(self, square)
+        _set_genus(self, _genus(subject, square))
         _set_violations(self, tuple(violations))
-        _set_exception_flag(self, exception_flag)
-        _set_certificate(self, certificate)
+        _set_exception_flag(self, _exception_flag(subject, k))
+        _set_certificate(self, _effectivity(subject, values))
 
     @property
     def effective(self) -> bool:
@@ -457,28 +467,10 @@ class PositivityReport:
 
 
 def is_k_very_ample(L: PicardClass, k: int, ctx: SurfaceContext | None = None) -> PositivityReport:
-    """Full positivity report.  Each family's value (the minimum pairing
-    over its orbit) is read off the sorted coefficients of L; their
-    minimum gives the nef verdict, and the k-very-ample verdict is that
-    minimum >= k minus the enumerated exceptions.  A nef class is its own
-    effectivity certificate, so only a non-nef class that passes the early
-    reject is searched for its negative curves."""
-    k = ampleness_level(k)
+    """Full positivity report, ``PositivityReport(L, k)``, which checks k;
+    ``ctx`` is optional and checked for its rank only."""
     _check_context(L.r, ctx)
-    values = _family_values(L)
-    mp = min(values)
-    flag = _exception_flag(L, k)
-    cert = _effectivity(L, values)
-    violations = []
-    if mp < k:
-        for (nef_label, kva_label), val in zip(_family_table(L.r).labels, values, strict=True):
-            if val < 0:
-                violations.append(Violation("nef", nef_label, val, 0))
-            if val < k:
-                violations.append(Violation("k_very_ample", kva_label, val, k))
-    square = degree(L)
-    # subject, k, minimum, degree, genus, violations, exception_flag, certificate
-    return PositivityReport(L, k, mp, square, _genus(L, square), violations, flag, cert)
+    return PositivityReport(L, k)
 
 
 @dataclass(frozen=True)

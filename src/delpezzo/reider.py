@@ -24,14 +24,13 @@ Box derivation, recorded in each outcome (valid for nef L):
 
 The box search is :func:`~delpezzo.enumeration.window_candidates`; the
 candidate table and the window kernel live in :mod:`delpezzo.bulk`, the
-package's one numpy module, which this module imports inside its two
-entry points only, so that the package root imports no numpy.  Both
-entry points check the premises of (ii) and (iii) first.
-``search_obstructions`` lists the witnesses of its one M in (a, b)
-order, each certified effective.
-``consistency_sweep`` has
-``bulk.sweep_blocks`` count witnesses over blocks of box rows, and words
-each row the sweep flags from that row's own witness list.
+package's one numpy module, which this module imports only where it
+scans, so that the package root imports no numpy.  Both scans check the
+premises of (ii) and (iii) first.  A ``SearchOutcome`` lists the
+witnesses of its one M in (a, b) order, each certified effective;
+``consistency_sweep`` has ``bulk.sweep_blocks`` count witnesses over
+blocks of box rows, and words each row the sweep flags from that row's
+own witness list.
 For non-nef L the bounds in (i) and (v) that use L.D >= 0 are not
 theorems, so the scan is best-effort outside the nef cone (the outcome
 says which box was used).
@@ -42,7 +41,7 @@ from __future__ import annotations
 import math as _math
 import operator
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 from .lattice import PicardClass, _check_context, _check_rank, degree, intersect, line, point_class
@@ -137,25 +136,39 @@ class ObstructionWitness:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """The window search for (L, k): the subject, k, the witnesses in (a, b)
-    order and the count of candidate classes in the box; the rest is read
-    off them, ``reason`` (why the window does not apply, None when it does)
-    off the window premise of the subject at k.  An inapplicable outcome
-    with witnesses or candidates, and a witness of another M or k, are
-    refused with ValueError."""
+    """The window search for (L, k), run by ``SearchOutcome(subject, k)``.
+    When the window applies it stores the witnesses, every class of the
+    box inside the window of M = L - K in (a, b) order, each certified,
+    and the count of candidate classes in the box; otherwise neither.
+    ``reason`` (why the window does not apply, None when it does) and the
+    rest are read off the subject at k.  A k that is not an integer raises
+    TypeError, a negative one ValueError."""
 
     subject: PicardClass
     k: int
-    witnesses: tuple[ObstructionWitness, ...]
-    candidates: int
+    witnesses: tuple[ObstructionWitness, ...] = field(init=False)
+    candidates: int = field(init=False)
 
     def __post_init__(self):
-        if self.reason is not None and (self.witnesses or self.candidates):
-            raise ValueError(f"search on {self.subject}: an inapplicable outcome has no witnesses and no candidates")
-        M = self.M
-        for w in self.witnesses:
-            if w.M != M or w.k != self.k:
-                raise ValueError(f"search on {self.subject}: witness {w.D} is of another M or k")
+        object.__setattr__(self, "k", ampleness_level(self.k))
+        witnesses, candidates = [], 0
+        if self.applicable:
+            _assert_box_premises(self.subject.r)
+            from . import bulk
+
+            M, k = self.M, self.k
+            table = bulk._candidate_table(M.r, k)
+            for (a, *b), md in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
+                D = PicardClass(a, tuple(b))
+                cert = _effectivity(D)
+                if cert is None:
+                    raise RuntimeError(f"candidate table let a non-effective class through: {D}")
+                if md != intersect(M, D):
+                    raise RuntimeError(f"window engine gave M.D = {md} for {D}, not {intersect(M, D)}")
+                witnesses.append(ObstructionWitness(D, M, k, cert))
+            candidates = table.size
+        object.__setattr__(self, "witnesses", tuple(witnesses))
+        object.__setattr__(self, "candidates", candidates)
 
     @cached_property
     def reason(self) -> str | None:
@@ -236,30 +249,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext | None = Non
             RuntimeWarning,
             stacklevel=2,
         )
-    return _search(L, k)
-
-
-def _search(L: PicardClass, k: int) -> SearchOutcome:
-    """:func:`search_obstructions` for a checked level k: the empty outcome
-    when the window does not apply, else its witnesses, each certified."""
-    out = SearchOutcome(L, k, (), 0)
-    if not out.applicable:
-        return out
-    _assert_box_premises(L.r)
-    from . import bulk
-
-    M = out.M
-    table = bulk._candidate_table(L.r, k)
-    witnesses = []
-    for (a, *b), md in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
-        D = PicardClass(a, tuple(b))
-        cert = _effectivity(D)
-        if cert is None:
-            raise RuntimeError(f"candidate table let a non-effective class through: {D}")
-        if md != intersect(M, D):
-            raise RuntimeError(f"window engine gave M.D = {md} for {D}, not {intersect(M, D)}")
-        witnesses.append(ObstructionWitness(D, M, k, cert))
-    return SearchOutcome(L, k, tuple(witnesses), table.size)
+    return SearchOutcome(L, k)
 
 
 @dataclass(frozen=True)
@@ -319,7 +309,7 @@ def _row_violations(L: PicardClass, passing: bool, k: int) -> list[SweepViolatio
     own witness list; ``passing`` is its pairing verdict.  A failing row
     with witnesses names each exceptional class it pairs below k and its
     witnesses miss."""
-    witnesses = _search(L, k).witnesses
+    witnesses = SearchOutcome(L, k).witnesses
     if passing:
         unexpected = SweepViolation(L, "unexpected_witness", f"k-very ample but has {len(witnesses)} witnesses")
         return [unexpected] + [

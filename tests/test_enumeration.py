@@ -32,6 +32,7 @@ from delpezzo.lattice import (
     type_pattern,
 )
 from delpezzo.enumeration import (
+    ExceptionalTable,
     NullClassRecord,
     SurfaceContext,
     decompose_null_class,
@@ -160,6 +161,22 @@ class TestCensus:
         assert lookup["(2;1^5)"] == 1
         lookup = {pat.render(): n for pat, n in exceptional_type_census(4).counts}
         assert lookup["(1;1^2)"] == 6
+
+    def test_a_table_is_read_off_its_rank(self):
+        # the counts are measured, never handed in
+        table = ExceptionalTable(np.int64(7))
+        assert type(table.r) is int and table == exceptional_type_census(7) and table.total == 56
+        with pytest.raises(TypeError):
+            ExceptionalTable(3, ())
+        for bad in (0, 9, 99):
+            with pytest.raises(RankError):
+                ExceptionalTable(bad)
+        assert dataclasses.replace(table, r=5) == exceptional_type_census(5)
+        with pytest.raises(ValueError, match="field counts is declared with init=False"):
+            dataclasses.replace(table, counts=())
+        twins = [pickle.loads(pickle.dumps(table, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.deepcopy(table)]:
+            assert twin == table and hash(twin) == hash(table) and twin.counts == table.counts
 
 
 class TestNullClasses:

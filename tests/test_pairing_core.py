@@ -46,6 +46,7 @@ from delpezzo.lattice import (
     type_pattern,
 )
 from delpezzo.enumeration import (
+    ExceptionalTable,
     SurfaceContext,
     decompose_null_class,
     enumerate_exceptional,
@@ -72,7 +73,7 @@ from delpezzo.positivity import (
     is_spanned,
     minimum_pairing,
 )
-from delpezzo.reider import consistency_sweep, search_obstructions, window_applicable
+from delpezzo.reider import SearchOutcome, consistency_sweep, search_obstructions, window_applicable
 from bulk_reference import minimum_family_value_bulk, pairing_matrix
 
 # ---------------------------------------------------------------------------
@@ -314,43 +315,38 @@ def slot_values(record):
     return {name: getattr(record, name) for name in type(record).__slots__}
 
 
-def public_report(report):
-    """``report`` rebuilt, down to its classes and certificate, through the
-    public dataclass constructors."""
-    def public_class(L):
-        return PicardClass(L.a, L.b)
+#: Every field a report measures off its subject and k.
+MEASURED = ("minimum", "degree", "genus", "violations", "exception_flag", "certificate")
 
-    cert = report.certificate
-    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(PositivityReport)}
-    fields["subject"] = public_class(report.subject)
-    fields["violations"] = tuple(Violation(**v.as_dict()) for v in report.violations)
-    if cert is not None:
-        fields["certificate"] = EffectivityCertificate(
-            tuple((public_class(c), m) for c, m in cert.subtracted), public_class(cert.terminal)
-        )
-    return PositivityReport(**fields)
+
+def unit_class(r):
+    """A class meeting every test curve of rank r once: -K, or 2l - e_1 at
+    rank 1, where the fiber l - e_1 meets -K twice."""
+    return PicardClass(2, (1,)) if r == 1 else -canonical_class(r)
 
 
 class TestPackageBuiltRecords:
-    """The package builds reports and violations through the same checked
-    __init__ as any caller.  They, and the certificates they carry, must be
-    the records the public constructors build, just as frozen and slotted,
-    render the same, and survive pickling, copying and
-    ``dataclasses.replace`` with their checks."""
+    """A report is built from its class: ``PositivityReport(subject, k)``
+    measures the rest, so the package's report is the publicly constructed
+    one.  Its violations and certificate are the records their public
+    constructors build, every record is frozen and slotted, renders the
+    same, and survives pickling, copying and ``dataclasses.replace``, which
+    measures again."""
 
     @given(any_class | ranked(nef_classes) | ranked(exceptional_multiples), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
     def test_report_is_the_publicly_constructed_one(self, L, k):
         report = is_k_very_ample(L, k)
-        public = public_report(report)
+        public = PositivityReport(PicardClass(L.a, L.b), k)
         assert report == public and hash(report) == hash(public)
-
-        def records(rep):
-            cert = rep.certificate
-            return [rep, *rep.violations, *([cert, cert.terminal] if cert else [])]
-
-        for record, twin in zip(records(report), records(public), strict=True):
-            assert slot_values(record) == slot_values(twin)  # every field, and nothing else
+        for j in range(4):
+            assert dataclasses.replace(report, k=j) == is_k_very_ample(L, j)
+        cert = report.certificate
+        assert report.violations == tuple(Violation(**v.as_dict()) for v in report.violations)
+        if cert is not None:
+            assert cert == EffectivityCertificate(cert.subtracted, cert.terminal)
+        for record in [report, *report.violations, *([cert, cert.terminal] if cert else [])]:
+            slot_values(record)  # every field in a slot, and no instance dict
             name = dataclasses.fields(record)[0].name
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, name, getattr(record, name))
@@ -385,7 +381,7 @@ class TestPackageBuiltRecords:
         report = is_k_very_ample(L, 3)
         assert report.violations
         records = [L]
-        for rep in (report, public_report(report)):
+        for rep in (report, PositivityReport(L, 3)):
             cert = rep.certificate
             records += [rep, rep.subject, *rep.violations, *([cert, cert.terminal, cert.total] if cert else [])]
         for record in records:
@@ -424,11 +420,7 @@ class TestPackageBuiltRecords:
         with pytest.raises(TypeError):
             EffectivityCertificate([(E, 2.5)], T)
         report = is_k_very_ample(PicardClass(1, (2, 0)), 1)
-        assert report.violations
-        for violations in (list(report.violations), iter(report.violations)):
-            built = dataclasses.replace(report, violations=violations)
-            assert type(built.violations) is tuple and built == report and hash(built) == hash(report)
-        assert dataclasses.replace(report, k=report.k).violations is report.violations
+        assert report.violations and type(report.violations) is tuple
 
     def test_replace_sums_the_certificate_again(self):
         _, cert = is_effective(PicardClass(7, (-12, -12)))
@@ -445,26 +437,43 @@ class TestPackageBuiltRecords:
         assert type(M.a) is int and M == PicardClass(5, (1, 1))
         with pytest.raises(TypeError):
             dataclasses.replace(L, b=(1.5, 1))
+        # a report is measured again from its subject and k, and refuses
+        # every measured field
         report = is_k_very_ample(-2 * canonical_class(6), 1)
         assert report.k_very_ample and report.big and report.minimum == 2
-        assert dataclasses.replace(report, minimum=2) == report
-        # a class with minimum >= 1 is ample, so its degree is positive
-        with pytest.raises(ValueError, match="very ample needs degree > 0, got degree=0"):
-            dataclasses.replace(report, degree=0)
-        with pytest.raises(ValueError, match="minimum=1 makes it ample"):
-            dataclasses.replace(report, minimum=1, degree=-3)
+        moved = dataclasses.replace(report, k=np.int64(3))
+        assert type(moved.k) is int and moved == is_k_very_ample(-2 * canonical_class(6), 3)
+        assert not moved.k_very_ample and moved.violations
+        flat = PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3))
+        assert dataclasses.replace(report, subject=flat) == is_k_very_ample(flat, 1)
+        for name in MEASURED:
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(report, **{name: getattr(report, name)})
+        with pytest.raises(TypeError):
+            dataclasses.replace(report, k=1.5)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            dataclasses.replace(report, k=-1)
         # a verdict is no field: it cannot be replaced, only read off
         for verdict in ("effective", "nef", "big", "spanned", "k_very_ample"):
             with pytest.raises(TypeError, match="unexpected keyword argument"):
                 dataclasses.replace(report, **{verdict: False})
-        flat = is_k_very_ample(PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), 1)
-        assert not flat.nef and flat.effective and flat.degree <= 0
-        # at minimum 0 a non-positive degree is no contradiction: nef, not big
-        zero = dataclasses.replace(flat, minimum=0)
-        assert zero.nef and not zero.big and not zero.k_very_ample
-        blocked = is_k_very_ample(PicardClass(5, (2,) * 8), 1)
-        assert not blocked.effective and blocked.certificate is None
-        assert dataclasses.replace(blocked, certificate=flat.certificate).effective
+
+    @pytest.mark.parametrize("record,names", [
+        (PositivityReport, ["subject", "k"]),
+        (SearchOutcome, ["subject", "k"]),
+        (ExceptionalTable, ["r"]),
+    ])
+    def test_records_take_what_identifies_them(self, record, names):
+        # the rest of each record is measured off these
+        assert [f.name for f in dataclasses.fields(record) if f.init] == names
+
+    def test_a_report_cannot_be_handed_its_numbers(self):
+        # a k = 5 report on -2K at rank 8 has minimum 2 and a violation
+        L = -2 * canonical_class(8)
+        with pytest.raises(TypeError):
+            PositivityReport(L, 5, 2, 8, 0, (), EXCEPTION_NONE, None)
+        report = PositivityReport(L, 5)
+        assert report.minimum == 2 and report.violations and not report.k_very_ample
 
     @pytest.mark.parametrize("L,k", [
         (-2 * canonical_class(6), 1),  # nef, big, k-very ample
@@ -474,21 +483,18 @@ class TestPackageBuiltRecords:
         (PicardClass(7, (2,)), 3),  # rank 1
     ])
     def test_verdicts_move_with_the_minimum(self, L, k):
-        # each verdict is its rule read off the stored numbers
-        report = is_k_very_ample(L, k)
-        assert report.minimum == minimum_pairing(L)
+        # each verdict is its rule read off the measured numbers, on the
+        # classes L + t*H of minimum -1, 0, k - 1 and k: H meets every test
+        # curve once, so it moves every family value by t
+        H = unit_class(L.r)
         for m in sorted({-1, 0, k - 1, k}):
-            if m >= 1 and report.degree <= 0:
-                # an ample class has a positive degree
-                with pytest.raises(ValueError, match="very ample needs degree > 0"):
-                    dataclasses.replace(report, minimum=m)
-                continue
-            moved = dataclasses.replace(report, minimum=m)
-            assert moved.minimum == m and moved.k == k
-            assert moved.nef == moved.spanned == (m >= 0)
-            assert moved.big == (m >= 0 and report.degree > 0)
-            assert moved.k_very_ample == (m >= k and report.exception_flag == EXCEPTION_NONE)
-            assert moved.effective == (report.certificate is not None)
+            M = L + (m - minimum_pairing(L)) * H
+            report = is_k_very_ample(M, k)
+            assert report.minimum == minimum_pairing(M) == m and report.degree == degree(M)
+            assert report.nef == report.spanned == (m >= 0) == is_nef(M)
+            assert report.big == (m >= 0 and degree(M) > 0) == is_big(M)
+            assert report.k_very_ample == (m >= k and exception_flag(M, k) == EXCEPTION_NONE)
+            assert report.effective == (report.certificate is not None) == is_effective(M)[0]
 
     def test_report_keeps_its_numbers_and_no_verdict(self):
         assert [f.name for f in dataclasses.fields(PositivityReport)] == [
@@ -516,19 +522,23 @@ class TestPackageBuiltRecords:
     def test_report_checks_hold_under_optimize(self):
         # python -O strips assert statements, not the records' checks
         code = (
-            "import dataclasses\n"
-            "from delpezzo.enumeration import NullClassRecord, surface_context\n"
+            "from delpezzo import positivity\n"
+            "from delpezzo.enumeration import NullClassRecord\n"
             "from delpezzo.lattice import PicardClass, canonical_class\n"
-            "from delpezzo.positivity import EffectivityCertificate, is_effective, is_k_very_ample\n"
-            "from delpezzo.reider import ObstructionWitness, search_obstructions\n"
-            "report = is_k_very_ample(-2 * canonical_class(6), 1)\n"
+            "from delpezzo.positivity import EffectivityCertificate, PositivityReport, is_effective\n"
+            "from delpezzo.reider import ObstructionWitness, SearchOutcome\n"
             "D = PicardClass(2, (0, 0, 0))\n"
-            "outcome = search_obstructions(-canonical_class(8), 1)\n"
-            "witnesses = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses\n"
+            "def flat_report():\n"
+            "    # -2K at rank 6 has minimum 2; a degree of 0 makes it ample and flat\n"
+            "    degree, positivity.degree = positivity.degree, lambda L: 0\n"
+            "    try:\n"
+            "        PositivityReport(-2 * canonical_class(6), 1)\n"
+            "    finally:\n"
+            "        positivity.degree = degree\n"
             "for build in [\n"
-            "    lambda: dataclasses.replace(report, degree=0),\n"
+            "    flat_report,\n"
             "    lambda: ObstructionWitness(D, D, 0, is_effective(D)[1]),\n"
-            "    lambda: dataclasses.replace(outcome, witnesses=witnesses),\n"
+            "    lambda: SearchOutcome(-canonical_class(8), -1),\n"
             "    lambda: NullClassRecord(PicardClass(1, (0, 0, 0))),\n"
             "    lambda: EffectivityCertificate(((PicardClass(0, (-1, 0, 0)), 1),), PicardClass(0, (0, 0))),\n"
             "    lambda: EffectivityCertificate((), PicardClass(0, (1, 0))),\n"
@@ -546,7 +556,7 @@ class TestPackageBuiltRecords:
             "refused: report on 6;2,2,2,2,2,2: minimum=2 makes it ample, and ample or very ample needs "
             "degree > 0, got degree=0",
             "refused: witness 2;0,0,0: M.D = 4, D.D = 4 lies outside the window at k = 0",
-            "refused: search on 3;1,1,1,1,1,1,1,1: an inapplicable outcome has no witnesses and no candidates",
+            "refused: k must be >= 0, got -1",
             "refused: 1;0,0,0 is not a null class: D.D = 0 and K.D = -2 needed",
             "refused: rank mismatch: 3 vs 2",
             "refused: certificate ends at 0;1,0, which is not nef",

@@ -236,11 +236,6 @@ class TestSearch:
             ObstructionWitness(D, M, 5, other)
         with pytest.raises(LatticeMismatchError):
             ObstructionWitness(D, PicardClass(5, (0, 0)), 5, cert)
-        out = search_obstructions(-canonical_class(8), 1)
-        witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
-        for bad in [{"witnesses": (witness,)}, {"candidates": 1}]:
-            with pytest.raises(ValueError, match="an inapplicable outcome has no witnesses and no candidates"):
-                dataclasses.replace(out, **bad)
 
     def test_the_reason_is_read_off_the_subject(self):
         # -K at rank 8 has M.M = 4 < 9, -K at rank 6 has M.M = 16: an
@@ -249,21 +244,21 @@ class TestSearch:
         assert out.reason == "M.M = 4 < 9"
         moved = dataclasses.replace(out, subject=-canonical_class(6))
         assert moved.applicable and moved.reason is None
-        assert moved == dataclasses.replace(search_obstructions(-canonical_class(6), 1), candidates=0)
+        assert moved == search_obstructions(-canonical_class(6), 1) and moved.candidates > 0
         back = dataclasses.replace(moved, subject=-canonical_class(8))
         assert back == out and back.reason == out.reason
-        # a reason is no argument: the constructor takes the four fields
+        # a reason is no argument: the constructor takes the subject and k
         with pytest.raises(TypeError):
-            SearchOutcome(out.subject, 1, out.reason, (), 0)
+            SearchOutcome(out.subject, 1, out.reason)
         with pytest.raises(TypeError):
-            SearchOutcome(out.subject, 1, (), 0, reason=None)
+            SearchOutcome(out.subject, 1, reason=None)
         # and a read-only property, as the record is frozen
         with pytest.raises(dataclasses.FrozenInstanceError):
             out.reason = None
         assert out.reason == "M.M = 4 < 9"
-        # each outcome the search builds passes the public check
+        # each outcome the search builds is the one the constructor builds
         found = search_obstructions(PicardClass(3, (2, 2)), 1)
-        assert found.witnesses and dataclasses.replace(found) == found
+        assert found.witnesses and dataclasses.replace(found) == found == SearchOutcome(PicardClass(3, (2, 2)), 1)
 
     def test_a_witness_outside_the_window_is_refused(self):
         # handed M.D = 3 and D.D = 1, (1; 1, 1) would sit in the window at
@@ -277,17 +272,48 @@ class TestSearch:
     def test_an_inapplicable_outcome_has_no_witnesses(self):
         witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
         out = search_obstructions(-canonical_class(7), 1)
-        assert out.reason == "M.M = 8 < 9" and out.candidates == 0
-        with pytest.raises(ValueError, match="an inapplicable outcome has no witnesses and no candidates"):
+        assert out.reason == "M.M = 8 < 9" and out.witnesses == () and out.candidates == 0
+        # witnesses and candidates are measured, never handed in
+        with pytest.raises(TypeError):
             SearchOutcome(out.subject, 1, (witness,), 0)
+        for name, value in [("witnesses", (witness,)), ("candidates", 1)]:
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(out, **{name: value})
 
-    def test_a_witness_of_another_M_or_k_is_refused(self):
-        out = search_obstructions(PicardClass(3, (2, 2)), 1)
+    def test_every_witness_is_of_its_outcomes_M_and_k(self):
+        # an outcome moved to another k or subject searches again
+        L = PicardClass(3, (2, 2))
+        out = search_obstructions(L, 1)
         assert out.witnesses
-        for moved in [{"k": 2}, {"subject": PicardClass(4, (2, 2))}]:
-            with pytest.raises(ValueError, match="witness 1;1,1 is of another M or k"):
-                dataclasses.replace(out, **moved)
+        for subject, k in [(L, 2), (PicardClass(4, (2, 2)), 1)]:
+            again = dataclasses.replace(out, subject=subject, k=k)
+            assert again == search_obstructions(subject, k) and again.witnesses
+            assert all(w.M == again.M and w.k == k for w in again.witnesses)
         assert dataclasses.replace(out, subject=PicardClass(3, (2, 2))) == out
+
+    def test_an_outcome_checks_its_k(self):
+        L = PicardClass(3, (2, 2))
+        with pytest.raises(TypeError):
+            SearchOutcome(L, 1.5)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            SearchOutcome(L, -1)
+        out = SearchOutcome(L, np.int64(1))
+        assert type(out.k) is int and out == search_obstructions(L, 1)
+
+    def test_an_applicable_search_reads_the_premise_once(self, monkeypatch):
+        import delpezzo.reider as reider
+
+        calls = []
+
+        def counting_values(M):
+            calls.append(M)
+            return family_values(M)
+
+        family_values = reider._family_values
+        monkeypatch.setattr(reider, "_family_values", counting_values)
+        out = search_obstructions(PicardClass(3, (2, 2)), 1)
+        assert out.applicable and out.witnesses
+        assert calls == [out.M]
 
     def test_the_output_is_no_alias_of_the_record(self):
         out = search_obstructions(PicardClass(3, (2, 2)), 1)
@@ -301,7 +327,7 @@ class TestSearch:
 
     def test_an_outcome_hashes_like_its_pickled_twin(self):
         for L in (PicardClass(3, (2, 2)), -canonical_class(8)):
-            out = search_obstructions(L, 1)
+            out = SearchOutcome(L, 1)
             twins = [pickle.loads(pickle.dumps(out, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
             for twin in twins + [copy.deepcopy(out)]:
                 assert twin == out and hash(twin) == hash(out)
