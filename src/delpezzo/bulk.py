@@ -1,8 +1,8 @@
 """Array helpers: the one numpy module of the package, and the one
-exactness rule of every array path.  Only ``verify``,
-:func:`~delpezzo.reider.search_obstructions` and
-:func:`~delpezzo.reider.consistency_sweep` load it, so the scalar package
-and every other command start without numpy.
+exactness rule of every array path.  Only ``verify``, an applicable
+window search (:class:`~delpezzo.reider.SearchOutcome`) and
+:func:`~delpezzo.reider.consistency_sweep`, past its refusals, load it, so
+the scalar package and every other command start without numpy.
 
 Bulk inputs refuse non-integers, as PicardClass does.  Class rows are
 int64 only while every entry is within SAFE_COEFF_BOUND
@@ -25,11 +25,13 @@ them, and :func:`orbit_floor` takes the smallest pairing of many rows
 with each of many orbits.  :func:`curve_operand` holds the test curves
 of a rank as a product operand.
 
-The window engine of :mod:`delpezzo.reider` runs here and reports nothing.
-The candidate table depends only on (r, k), so it is built once per pair,
-whole, and cached as read-only arrays: the effective classes among the
-orbit representatives of :func:`~delpezzo.enumeration.window_candidates`
-as int64 rows and as a product operand, and per orbit its D.D, the top
+The window engine of :mod:`delpezzo.reider` runs here, behind
+:func:`window_rows` (one M) and :func:`sweep_blocks` (a sweep's box), and
+reports nothing.  The candidate table depends only on (r, k), so it is
+built once per pair, whole, after a check of the box premises, and cached
+as read-only arrays: the effective classes among the orbit
+representatives of :func:`~delpezzo.enumeration.window_candidates` as
+int64 rows and as a product operand, and per orbit its D.D, the top
 min(D.D + k + 1, 2k + 1) of its window and whether it is exceptional.
 The window kernel tests them against N rows of M at once: the smallest
 M.D over each orbit (:func:`orbit_floor`) marks the rows that can meet
@@ -52,16 +54,16 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial, prod
 
 import numpy as np
 
-from .lattice import EXCEPTIONAL_CLASS_COUNTS, PicardClass
+from .lattice import EXCEPTIONAL_CLASS_COUNTS, PicardClass, line, point_class
 from .enumeration import _surface_context, orderings, window_candidates
-from .positivity import EXCEPTION_NONE, _effectivity, _exception_flag
+from .positivity import EXCEPTION_NONE, _effectivity, _exception_flag, is_nef
 
 #: Coefficient magnitude up to which the array routines use int64; larger
 #: inputs are computed exactly on Python integers instead.  The scalar
@@ -225,6 +227,13 @@ def _table(reps: np.ndarray, k: int) -> _CandidateTable:
 
 @lru_cache(maxsize=None)
 def _candidate_table(r: int, k: int) -> _CandidateTable:
+    # The box derivation needs 6*(-K) - l and every l - e_i nef.
+    guard = 6 * _surface_context(r).anticanonical - line(r)
+    if not is_nef(guard):
+        raise RuntimeError(f"box premise broken at rank {r}: {guard} is not nef")
+    for i in range(1, r + 1):
+        if not is_nef(line(r) - point_class(r, i)):
+            raise RuntimeError(f"box premise broken at rank {r}: l - e_{i} is not nef")
     # Riemann-Roch: D.D + (-K).D >= 0 gives h^0(D) >= chi(D) >= 1, as
     # h^2(D) = h^0(K - D) = 0: (K - D).l = -3 - alpha < 0 and l is nef.  The
     # other candidates are tested once per orbit: effectivity is invariant
@@ -272,15 +281,17 @@ def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
     return hits
 
 
-def _witness_rows(table: _CandidateTable, M: np.ndarray) -> list[tuple[list[int], int]]:
-    """The window classes of the one exact row M (shape (1, r+1)) as
-    (class row, M.D) pairs in (a, b) order, M.D a Python int."""
+def window_rows(M: PicardClass, k: int) -> tuple[list[tuple[list[int], int]], int]:
+    """The window classes of M at level k in the (M.r, k) candidate table,
+    as (class row, M.D) pairs in (a, b) order, M.D a Python int, and the
+    table's class count."""
+    table = _candidate_table(M.r, k)
     found = [
         (row, int(md))
-        for _, C, ci, _, mds in _window_hits(table, M)
+        for _, C, ci, _, mds in _window_hits(table, exact_rows([[M.a, *M.b]]))
         for row, md in zip(C[ci].tolist(), mds.tolist())
     ]
-    return sorted(found)  # distinct rows, so this sorts by (a, b)
+    return sorted(found), table.size  # distinct rows, so this sorts by (a, b)
 
 
 #: Box rows decided together.  It bounds the pairing matrices and M.D
@@ -385,17 +396,23 @@ def _decide_block(
 
 
 def sweep_blocks(
-    blocks: Iterable[np.ndarray], r: int, k: int, sample: int | None,
+    r: int, k: int, a_max: int, sample: int | None, seed: int,
 ) -> tuple[int, int, list[int], list[tuple[PicardClass, bool]]]:
-    """The block loop of ``consistency_sweep`` at rank r and level k.  Each
-    block of candidate rows is converted to exact rows and paired once with
-    ``curve_operand(r)``.  The pairing matrix P is reduced once per
-    quantity, to each row's smallest pairing (the nef filter) and its count
-    of exceptional classes (the first test curves) below k.  With
-    ``sample`` the loop stops after that many nef rows.  Returns scanned,
-    covered, the five totals of :func:`_decide_block` and the flagged rows
-    in row order, as (class, pass flag)."""
+    """The block loop of ``consistency_sweep`` at rank r and level k over
+    the box leaves a <= a_max in blocks of _BLOCK_ROWS, or with ``sample``
+    over seeded draws until that many nef rows.  Each block is converted
+    to exact rows and paired once with ``curve_operand(r)``.  The pairing
+    matrix P is reduced once per quantity, to each row's smallest pairing
+    (the nef filter) and its count of exceptional classes (the first test
+    curves) below k.  Returns scanned, covered, the five totals of
+    :func:`_decide_block` and the flagged rows in row order, as (class,
+    pass flag)."""
     table = _candidate_table(r, k)
+    if sample is None:
+        leaves = _box_leaves(r, a_max)
+        blocks = (leaves[start:start + _BLOCK_ROWS] for start in range(0, len(leaves), _BLOCK_ROWS))
+    else:
+        blocks = _sample_blocks(r, a_max, seed)
     scanned = covered = 0
     totals = [0] * 5
     flagged = []

@@ -14,7 +14,7 @@ Box derivation, recorded in each outcome (valid for nef L):
 
   (i)   M.D = L.D + (-K).D >= (-K).D for effective D, and the window
         caps M.D at 2k + 1, so 1 <= (-K).D <= 2k + 1;
-  (ii)  6*(-K) - l is nef (asserted at startup for every rank), hence
+  (ii)  6*(-K) - l is nef (checked when a rank's table is built), hence
         alpha := D.l <= 6 * (-K).D <= 6 * (2k + 1);
   (iii) l - e_i is nef, hence beta_i <= alpha;
   (iv)  beta_i < 0 forces e_i as a component with multiplicity -beta_i,
@@ -22,15 +22,14 @@ Box derivation, recorded in each outcome (valid for nef L):
   (v)   the window itself pins 2*D.D < M.D < 2k + 2 and
         D.D >= M.D - k - 1 >= -k, i.e. -k <= D.D <= k.
 
-The box search is :func:`~delpezzo.enumeration.window_candidates`; the
-candidate table and the window kernel live in :mod:`delpezzo.bulk`, the
-package's one numpy module, which this module imports only where it
-scans, so that the package root imports no numpy.  Both scans check the
-premises of (ii) and (iii) first.  A ``SearchOutcome`` lists the
-witnesses of its one M in (a, b) order, each certified effective;
-``consistency_sweep`` has ``bulk.sweep_blocks`` count witnesses over
-blocks of box rows, and words each row the sweep flags from that row's
-own witness list.
+The box search is :func:`~delpezzo.enumeration.window_candidates`; every
+array decision, the premises of (ii) and (iii) included, lives in
+:mod:`delpezzo.bulk`, the package's one numpy module, imported only where
+this module scans, so that the package root imports no numpy.  A
+``SearchOutcome`` certifies the window classes ``bulk.window_rows`` gives
+for its one M and lists them in (a, b) order; ``consistency_sweep`` has
+``bulk.sweep_blocks`` count the witnesses of every row of its box, and
+words each row the sweep flags from that row's own witness list.
 For non-nef L the bounds in (i) and (v) that use L.D >= 0 are not
 theorems, so the scan is best-effort outside the nef cone (the outcome
 says which box was used).
@@ -42,32 +41,19 @@ import math as _math
 import operator
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .lattice import PicardClass, _check_context, _check_rank, degree, intersect, line, point_class
+from .lattice import PicardClass, _check_context, _check_rank, degree, intersect
 from .enumeration import SurfaceContext, _surface_context, window_box
-from .positivity import EffectivityCertificate, _effectivity, _family_values, ampleness_level, is_nef
+from .positivity import EffectivityCertificate, _effectivity, _family_values, ampleness_level
 
 #: The scan box grows like (6*(2k+1)) * (2k+2+6*(2k+1))**r before pruning;
 #: sweeps refuse above this k and single searches emit a warning.
 DESK_SCALE_K = 2
 
 #: Largest exhaustive sweep, measured in box leaves (the descending rows of
-#: ``bulk._box_leaves``, before the nef filter); bigger requests must sample instead.
+#: the box, before the nef filter); bigger requests must sample instead.
 MAX_EXHAUSTIVE_LEAVES = 250_000
-
-
-@lru_cache(maxsize=None)
-def _assert_box_premises(r: int) -> bool:
-    """The box derivation needs 6*(-K) - l and every l - e_i nef; refuse to
-    search if that ever failed."""
-    guard = 6 * _surface_context(r).anticanonical - line(r)
-    if not is_nef(guard):
-        raise RuntimeError(f"box premise broken at rank {r}: {guard} is not nef")
-    for i in range(1, r + 1):
-        if not is_nef(line(r) - point_class(r, i)):
-            raise RuntimeError(f"box premise broken at rank {r}: l - e_{i} is not nef")
-    return True
 
 
 def _window_premise(L: PicardClass, k: int) -> tuple[PicardClass, int, str | None]:
@@ -142,7 +128,7 @@ class SearchOutcome:
     and the count of candidate classes in the box; otherwise neither.
     ``reason`` (why the window does not apply, None when it does) and the
     rest are read off the subject at k.  A k that is not an integer raises
-    TypeError, a negative one ValueError."""
+    TypeError, a negative one ValueError, one past DESK_SCALE_K warns."""
 
     subject: PicardClass
     k: int
@@ -151,14 +137,20 @@ class SearchOutcome:
 
     def __post_init__(self):
         object.__setattr__(self, "k", ampleness_level(self.k))
+        if self.k > DESK_SCALE_K:
+            warnings.warn(
+                f"k = {self.k} is beyond the desk-scale envelope (k <= {DESK_SCALE_K}); "
+                f"the scan box has alpha <= {window_box(self.k)[0]} and may be slow",
+                RuntimeWarning,
+                stacklevel=3,
+            )
         witnesses, candidates = [], 0
         if self.applicable:
-            _assert_box_premises(self.subject.r)
             from . import bulk
 
             M, k = self.M, self.k
-            table = bulk._candidate_table(M.r, k)
-            for (a, *b), md in bulk._witness_rows(table, bulk.exact_rows([[M.a, *M.b]])):
+            rows, candidates = bulk.window_rows(M, k)
+            for (a, *b), md in rows:
                 D = PicardClass(a, tuple(b))
                 cert = _effectivity(D)
                 if cert is None:
@@ -166,7 +158,6 @@ class SearchOutcome:
                 if md != intersect(M, D):
                     raise RuntimeError(f"window engine gave M.D = {md} for {D}, not {intersect(M, D)}")
                 witnesses.append(ObstructionWitness(D, M, k, cert))
-            candidates = table.size
         object.__setattr__(self, "witnesses", tuple(witnesses))
         object.__setattr__(self, "candidates", candidates)
 
@@ -240,15 +231,7 @@ def search_obstructions(L: PicardClass, k: int, ctx: SurfaceContext | None = Non
     whose ``reason`` says why.  Identical inputs always produce identical
     witness lists in identical (a, b) order.
     """
-    k = ampleness_level(k)
     _check_context(L.r, ctx)
-    if k > DESK_SCALE_K:
-        warnings.warn(
-            f"k = {k} is beyond the desk-scale envelope (k <= {DESK_SCALE_K}); "
-            f"the scan box has alpha <= {window_box(k)[0]} and may be slow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return SearchOutcome(L, k)
 
 
@@ -326,8 +309,9 @@ def _row_violations(L: PicardClass, passing: bool, k: int) -> list[SweepViolatio
 
 
 def _box_leaf_count(r: int, a_max: int, cap: float = _math.inf) -> int:
-    """``len(_box_leaves(r, a_max))`` without building the leaves, or the
-    first partial sum over a that exceeds ``cap``.
+    """How many box leaves (the rows of an exhaustive sweep) the box
+    a <= a_max has at rank r, without building them, or the first partial
+    sum over a that exceeds ``cap``.
 
     For one a, the c = min(b_1, a - b_1) below a/2 each come from two b_1
     and add comb(c + r - 1, r - 1) leaves each, c = a/2 comes from one;
@@ -359,20 +343,21 @@ def consistency_sweep(
     exceptional class it fails against must be among them.  Any breach is
     returned as a violation (and means a genuine bug).
 
-    ``bulk.sweep_blocks`` decides the rows in blocks of array operations.
-    Witnesses are counted, not listed or certified; a flagged row's
-    violations are worded from its own window search.  The
+    ``bulk.sweep_blocks`` builds the box rows and decides them in blocks of
+    array operations.  Witnesses are counted, not listed or certified; a
+    flagged row's violations are worded from its own window search.  The
     exhaustive mode runs on one representative per coordinate-permutation
-    orbit, the nef rows among the box leaves of ``bulk._box_leaves``: all
-    checks are permutation-equivariant, so the representative decides its
-    whole orbit (counted in ``covered``).  Desk-scale only: k <= 2.  An
-    exhaustive box of more than ``MAX_EXHAUSTIVE_LEAVES`` leaves (counted in
-    closed form, before any leaf is built), a negative ``a_max``, a
-    ``sample`` below 1, a negative ``seed``, a nonzero ``seed`` without
-    ``sample`` and a sampled box past the int64 sampler (``a_max`` above
-    2**63 - 1) raise ValueError; a k, ``a_max``, ``sample`` or ``seed``
-    that is not an integer raises TypeError, a rank that is not an integer
-    in 1..8 raises RankError.  ``ctx`` is optional and is checked for its
+    orbit, the nef rows among the box leaves (b non-increasing and
+    non-negative, b_1 + b_2 <= a): all checks are permutation-equivariant,
+    so the representative decides its whole orbit (counted in ``covered``).
+    Desk-scale only: k <= 2.  An exhaustive box of more than
+    ``MAX_EXHAUSTIVE_LEAVES`` leaves (counted in closed form, before any
+    leaf is built), a negative ``a_max``, a ``sample`` below 1, a negative
+    ``seed``, a nonzero ``seed`` without ``sample`` and a sampled box past
+    the int64 sampler (``a_max`` above 2**63 - 1) raise ValueError, each
+    before numpy is imported; a k, ``a_max``, ``sample`` or ``seed`` that is
+    not an integer raises TypeError, a rank that is not an integer in 1..8
+    raises RankError.  ``ctx`` is optional and is checked for its
     rank only (another rank raises LatticeMismatchError), as a
     ``SurfaceContext`` is its rank, whose classes are the columns of
     ``bulk.curve_operand(r)``; it stays, as the ``ctx`` of ``is_effective``,
@@ -393,25 +378,21 @@ def consistency_sweep(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if seed and sample is None:
         raise ValueError(f"seed = {seed} needs sample=: the exhaustive sweep draws no sample")
-    from . import bulk
-
     if sample is None:
         if _box_leaf_count(r, a_max, MAX_EXHAUSTIVE_LEAVES) > MAX_EXHAUSTIVE_LEAVES:
             raise ValueError(
                 f"exhaustive box a <= {a_max} at rank {r} has more than "
                 f"{MAX_EXHAUSTIVE_LEAVES} descending leaves; pass sample= instead"
             )
-        leaves = bulk._box_leaves(r, a_max)
-        blocks = (leaves[start:start + bulk._BLOCK_ROWS] for start in range(0, len(leaves), bulk._BLOCK_ROWS))
     else:
         sample = operator.index(sample)
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
         if a_max > 2**63 - 1:
             raise ValueError(f"sampled box a_max = {a_max} is past the int64 sampler's 2**63 - 1")
-        blocks = bulk._sample_blocks(r, a_max, seed)
-    _assert_box_premises(r)
-    scanned, covered, totals, flagged = bulk.sweep_blocks(blocks, r, k, sample)
+    from . import bulk
+
+    scanned, covered, totals, flagged = bulk.sweep_blocks(r, k, a_max, sample, seed)
     applicable, passing, failing, exceptions, witness_total = totals
     violations = [v for row in flagged for v in _row_violations(*row, k)]
     return SweepSummary(

@@ -3,9 +3,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
+import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +23,12 @@ from delpezzo.bulk import (
     _decide_block,
     _sample_blocks,
     _window_hits,
-    _witness_rows,
     curve_operand,
     exact_rows,
     float_operand,
     orbit_sizes,
     sweep_blocks,
+    window_rows,
 )
 from delpezzo.lattice import (
     LatticeMismatchError,
@@ -49,7 +54,6 @@ from delpezzo.reider import (
     SearchOutcome,
     SweepSummary,
     SweepViolation,
-    _assert_box_premises,
     _box_leaf_count,
     _bounds_record,
     _row_violations,
@@ -125,7 +129,8 @@ class TestWindowApplicability:
 
 class TestBoxPremises:
     def test_hold_at_every_rank(self, every_rank):
-        assert _assert_box_premises(every_rank)
+        # building a table checks the premises, whatever the cache holds
+        assert _candidate_table.__wrapped__(every_rank, 1).size > 0
 
     def test_guard_class_is_nef(self, ctx):
         guard = 6 * ctx.anticanonical - line(ctx.r)
@@ -136,17 +141,14 @@ class TestBoxPremises:
         (lambda L: L.b != (1, 0, 0), "l - e_1 is not nef"),
     ], ids=["guard", "pencil"])
     def test_a_broken_premise_is_refused(self, monkeypatch, broken, message):
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
-        _assert_box_premises.cache_clear()  # a cached True would skip the check
-        monkeypatch.setattr(reider, "is_nef", broken)
-        try:
-            with pytest.raises(RuntimeError, match=f"box premise broken at rank 3: {message}"):
-                _assert_box_premises(3)
-        finally:
-            monkeypatch.undo()
-            _assert_box_premises.cache_clear()  # keep nothing decided under the patch
-        assert _assert_box_premises(3)
+        # built past the cache, whose table would skip the check
+        monkeypatch.setattr(bulk, "is_nef", broken)
+        with pytest.raises(RuntimeError, match=f"box premise broken at rank 3: {message}"):
+            _candidate_table.__wrapped__(3, 1)
+        monkeypatch.undo()
+        assert _candidate_table.__wrapped__(3, 1).size > 0
 
     def test_table_refuses_a_non_effective_witness(self, monkeypatch):
         import delpezzo.reider as reider
@@ -162,18 +164,23 @@ class TestBoxPremises:
 
         # a witness reads M.D off M and D; the window engine's own M.D for
         # each hit must agree with it, or the search raises
-        rows = bulk._witness_rows
-        monkeypatch.setattr(bulk, "_witness_rows", lambda *args: [(D, md + 1) for D, md in rows(*args)])
+        rows = bulk.window_rows
+
+        def shifted(M, k):
+            found, candidates = rows(M, k)
+            return [(D, md + 1) for D, md in found], candidates
+
+        monkeypatch.setattr(bulk, "window_rows", shifted)
         with pytest.raises(RuntimeError, match="window engine gave M.D = 1 for 1;1,1, not 0"):
             search_obstructions(PicardClass(3, (2, 2)), 1)
 
     def test_both_entry_points_check_the_premises(self, monkeypatch):
-        import delpezzo.reider as reider
+        import delpezzo.bulk as bulk
 
-        def broken(r):
-            raise RuntimeError(f"box premise broken at rank {r}")
-
-        monkeypatch.setattr(reider, "_assert_box_premises", broken)
+        # both build their table through the uncached constructor, which
+        # finds the guard 6(-K) - l not nef
+        monkeypatch.setattr(bulk, "_candidate_table", _candidate_table.__wrapped__)
+        monkeypatch.setattr(bulk, "is_nef", lambda L: False)
         with pytest.raises(RuntimeError, match="at rank 3"):
             search_obstructions(PicardClass(3, (2, 2, 1)), 1)
         with pytest.raises(RuntimeError, match="at rank 3"):
@@ -407,8 +414,23 @@ class TestSearch:
         assert names[SearchOutcome] == ["subject", "k", "witnesses", "candidates"]
 
     def test_desk_scale_warning(self):
-        with pytest.warns(RuntimeWarning):
-            search_obstructions(PicardClass(12, (4,)), 3)
+        # the search, the public constructor and a replaced k warn alike;
+        # k <= 2 warns on none of the three routes
+        L = PicardClass(12, (4,))
+        message = r"k = 3 is beyond the desk-scale envelope \(k <= 2\); the scan box has alpha <= 42"
+        with pytest.warns(RuntimeWarning, match=message) as record:
+            search_obstructions(L, 3)
+        assert len(record) == 1
+        with pytest.warns(RuntimeWarning, match=message):
+            SearchOutcome(L, 3)
+        outcome = search_obstructions(L, 2)
+        with pytest.warns(RuntimeWarning, match=message):
+            moved = dataclasses.replace(outcome, k=3)
+        assert moved.k == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0, 1, 2):
+                assert SearchOutcome(L, k) == search_obstructions(L, k) == dataclasses.replace(outcome, k=k)
 
     def test_witness_window_inequalities_hold(self):
         for L in (PicardClass(3, (2, 2, 0)), PicardClass(4, (2, 2, 2)), PicardClass(5, (2, 2, 1))):
@@ -589,7 +611,7 @@ class TestFoldedWindow:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_full_table(self, subject):
         r, k, M = subject
-        found = _witness_rows(_candidate_table(r, k), exact_rows([[M.a, *M.b]]))
+        found = window_rows(M, k)[0]
         assert found == _full_table_window(r, k, M)
         # the one M.D that leaves bulk is a Python int on either route
         assert all(type(md) is int for _, md in found)
@@ -629,11 +651,10 @@ class TestFoldedWindow:
 
     @pytest.mark.parametrize("r,k,a_max", [(2, 1, 8), (5, 2, 6), (7, 1, 5), (8, 1, 4)])
     def test_matches_the_full_table_on_a_nef_box(self, r, k, a_max):
-        table = _candidate_table(r, k)
         hits = 0
         for row in ref_box_rows(r, a_max)[0].tolist():
             M = PicardClass(row[0], tuple(row[1:])) - canonical_class(r)
-            found = _witness_rows(table, exact_rows([[M.a, *M.b]]))
+            found = window_rows(M, k)[0]
             assert found == _full_table_window(r, k, M), M
             assert all(type(md) is int for _, md in found)
             hits += len(found)
@@ -923,6 +944,7 @@ class TestBatchedSweepAgainstPerRow:
         for a in (B - 1, B):
             rows += [[a, a] + [0] * (r - 1), [a, a - 1, 1] + [0] * (r - 2)]
         block = np.array(rows, dtype=np.int64)
+        assert len(block) <= bulk._BLOCK_ROWS  # swept as one block
         rows_of, product = bulk.exact_rows, bulk.exact_product
         dtypes = set()
 
@@ -931,12 +953,13 @@ class TestBatchedSweepAgainstPerRow:
             dtypes.add(out.dtype)
             return out
 
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: block)
         monkeypatch.setattr(bulk, "exact_product", recorded)
-        floats = sweep_blocks([block], r, k, None)
+        floats = sweep_blocks(r, k, B, None, 0)
         assert dtypes == {np.dtype(np.float64)}
         dtypes.clear()
         monkeypatch.setattr(bulk, "exact_rows", lambda coeffs: rows_of(coeffs).astype(object))
-        objects = sweep_blocks([block], r, k, None)
+        objects = sweep_blocks(r, k, B, None, 0)
         assert dtypes == {np.dtype(object)}
         assert objects == floats
         scanned, covered, (applicable, *_, witnesses), flagged = floats
@@ -1012,6 +1035,19 @@ class TestSweepViolations:
         monkeypatch.setattr(bulk, "curve_operand", lambda r: operand)
         kinds = self._compare(8, 1, 4, blind)
         assert {"unexpected_witness", "nonpositive_square_witness"} <= set(kinds)
+
+
+# (a_max, sample, seed, message) of consistency_sweep(3, 1, ...) refusals
+BAD_SWEEP_ARGUMENTS = [
+    (-3, None, 0, "a_max must be >= 0, got -3"),
+    (-3, 5, 0, "a_max must be >= 0, got -3"),
+    (8, 0, 0, "sample must be >= 1, got 0"),
+    (8, -4, 0, "sample must be >= 1, got -4"),
+    (8, 5, -1, "seed must be >= 0, got -1"),
+    (6, None, -1, "seed must be >= 0, got -1"),
+    (6, None, 5, "seed = 5 needs sample=: the exhaustive sweep draws no sample"),
+    (10**19, 3, 0, "a_max = 10000000000000000000 is past the int64 sampler"),
+]
 
 
 class TestConsistencySweep:
@@ -1158,7 +1194,8 @@ class TestConsistencySweep:
             return decide(L, lowest, exc_below, *rest)
 
         monkeypatch.setattr(bulk, "_decide_block", capture)
-        sweep_blocks([np.zeros((1, 9), dtype=np.int64)], 8, 1, None)
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: np.zeros((1, r + 1), dtype=np.int64))
+        sweep_blocks(8, 1, 0, None, 0)
         assert len(seen) == 1
         assert seen[0].dtype == np.int16 and seen[0].tolist() == [240]
 
@@ -1181,22 +1218,30 @@ class TestConsistencySweep:
             with pytest.raises(ValueError, match=f"a <= {a_max} at rank 8 has more than 250000 .*sample"):
                 consistency_sweep(8, 1, a_max)
 
-    @pytest.mark.parametrize(
-        "a_max,sample,seed,message",
-        [
-            (-3, None, 0, "a_max must be >= 0, got -3"),
-            (-3, 5, 0, "a_max must be >= 0, got -3"),
-            (8, 0, 0, "sample must be >= 1, got 0"),
-            (8, -4, 0, "sample must be >= 1, got -4"),
-            (8, 5, -1, "seed must be >= 0, got -1"),
-            (6, None, -1, "seed must be >= 0, got -1"),
-            (6, None, 5, "seed = 5 needs sample=: the exhaustive sweep draws no sample"),
-            (10**19, 3, 0, "a_max = 10000000000000000000 is past the int64 sampler"),
-        ],
-    )
+    @pytest.mark.parametrize("a_max,sample,seed,message", BAD_SWEEP_ARGUMENTS)
     def test_bad_box_and_sampling_arguments_refused(self, a_max, sample, seed, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             consistency_sweep(3, 1, a_max, sample=sample, seed=seed)
+
+    def test_refusals_import_no_numpy(self):
+        # in a fresh process, every refusal above and the oversized box
+        # raise ValueError before the sweep imports numpy
+        calls = [(3, a_max, sample, seed) for a_max, sample, seed, _ in BAD_SWEEP_ARGUMENTS] + [(8, 200, None, 0)]
+        code = (
+            "import json, sys\n"
+            "from delpezzo.reider import consistency_sweep\n"
+            "for r, a_max, sample, seed in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        consistency_sweep(r, 1, a_max, sample=sample, seed=seed)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    sys.exit(f'not refused: {r, a_max, sample, seed}')\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], env={**os.environ, "PYTHONPATH": src},
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0 and child.stderr == "", child.stderr
 
     def test_box_and_sampling_arguments_are_plain_ints(self):
         want = consistency_sweep(3, 1, 6, sample=5, seed=2).as_dict()

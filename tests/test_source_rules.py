@@ -114,6 +114,22 @@ def test_only_the_hot_records_skip_their_checks():
     assert trusted == {"PicardClass", "EffectivityCertificate"}
 
 
+def test_reider_asks_bulk_two_questions():
+    # reider words verdicts and bulk makes every array decision: reider
+    # reads exactly two public names off bulk, so swapping the engine
+    # behind them changes no line of reider
+    path = SRC / "reider.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    read = {
+        node.attr for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bulk"
+    }
+    assert read == {"window_rows", "sweep_blocks"}
+    assert not [name for name in read if name.startswith("_")]
+    # and it takes no name out of bulk by ``from .bulk import``
+    assert not [node for node in nodes if isinstance(node, ast.ImportFrom) and node.module == "bulk"]
+
+
 def test_no_assert_in_src():
     found = [
         f"{path.name}:{node.lineno}"
