@@ -20,7 +20,8 @@ are in :mod:`delpezzo.bulk`; this module imports no numpy.
   ``D.D = 0`` and ``K.D = -2``, i.e. ``sum(b) = 3a - 2`` and
   ``sum(b^2) = a^2``, with b non-negative and sorted ascending.  Here
   Cauchy-Schwarz gives ``a <= 11``; the search runs through a = 12 and
-  checks emptiness there.
+  checks emptiness there.  Each record measures its splittings into two
+  exceptional classes when it is built.
 
 * window candidates for :mod:`delpezzo.reider`: ``(-K).D`` in
   ``[1, 2k+1]`` and ``|D.D| <= k``, i.e. ``sum(b)`` in
@@ -235,21 +236,16 @@ def exceptional_type_census(r: int) -> ExceptionalTable:
 
 @dataclass(frozen=True)
 class NullClassRecord:
-    """A class D with D.D = 0, K.D = -2 (b ascending); its splittings into
-    unordered pairs of exceptional classes, ``decompositions``, are read off
-    it by :func:`decompose_null_class`.  Any other D is refused with
-    ValueError."""
+    """A class D with D.D = 0, K.D = -2 (b ascending) and its splittings
+    into unordered pairs of exceptional classes, ``decompositions``,
+    measured by :func:`decompose_null_class` when the record is built.  Any
+    other D is refused with ValueError."""
 
     representative: PicardClass
+    decompositions: tuple[tuple[PicardClass, PicardClass], ...] = field(init=False)
 
     def __post_init__(self):
-        D = self.representative
-        if degree(D) != 0 or intersect(canonical_class(D.r), D) != -2:
-            raise ValueError(f"{D} is not a null class: D.D = 0 and K.D = -2 needed")
-
-    @cached_property
-    def decompositions(self) -> tuple[tuple[PicardClass, PicardClass], ...]:
-        return decompose_null_class(self.representative)
+        object.__setattr__(self, "decompositions", decompose_null_class(self.representative))
 
     def decomposition_shapes(self) -> tuple[tuple[CurveTypePattern, CurveTypePattern], ...]:
         """Distinct unordered type-pattern pairs among the decompositions,
@@ -270,7 +266,7 @@ def decompose_null_class(D: PicardClass) -> tuple[tuple[PicardClass, PicardClass
     """
     surface = _surface_context(D.r)
     if degree(D) != 0 or intersect(surface.canonical, D) != -2:
-        raise ValueError(f"{D} does not satisfy D.D = 0 and K.D = -2")
+        raise ValueError(f"{D} is not a null class: D.D = 0 and K.D = -2 needed")
     pairs = set()
     for xi in surface.exceptional_set:
         other = D - xi

@@ -26,10 +26,11 @@ The box search is :func:`~delpezzo.enumeration.window_candidates`; every
 array decision, the premises of (ii) and (iii) included, lives in
 :mod:`delpezzo.bulk`, the package's one numpy module, imported only where
 this module scans, so that the package root imports no numpy.  A
-``SearchOutcome`` certifies the window classes ``bulk.window_rows`` gives
-for its one M and lists them in (a, b) order; ``consistency_sweep`` has
-``bulk.sweep_blocks`` count the witnesses of every row of its box, and
-words each row the sweep flags from that row's own witness list.
+``SearchOutcome`` reads the premise of its one M once, when it is built,
+and certifies the window classes ``bulk.window_rows`` gives for that M,
+in (a, b) order; ``consistency_sweep`` has ``bulk.sweep_blocks`` count
+the witnesses of every row of its box, and words each row the sweep
+flags from that row's own witness list.
 For non-nef L the bounds in (i) and (v) that use L.D >= 0 are not
 theorems, so the scan is best-effort outside the nef cone (the outcome
 says which box was used).
@@ -41,7 +42,6 @@ import math as _math
 import operator
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 from .lattice import PicardClass, _check_context, _check_rank, degree, intersect
 from .enumeration import SurfaceContext, _surface_context, window_box
@@ -77,32 +77,28 @@ def window_applicable(L: PicardClass, k: int) -> tuple[bool, PicardClass, int]:
 @dataclass(frozen=True)
 class ObstructionWitness:
     """An effective class D inside the numeric window of M = L - K at level
-    k, with its certificate.  ``MD`` = M.D, ``D_squared`` = D.D and the
-    three ``window`` inequalities are read off D and M.  A witness outside
-    the window, or whose certificate replays to another class, is refused
-    with ValueError; an M of another rank than D raises
-    LatticeMismatchError."""
+    k, with its certificate.  ``MD`` = M.D and ``D_squared`` = D.D are
+    measured when the record is built, and the three ``window``
+    inequalities are read off them.  A witness outside the window, or whose
+    certificate replays to another class, is refused with ValueError; an M
+    of another rank than D raises LatticeMismatchError."""
 
     D: PicardClass
     M: PicardClass
     k: int
     effectivity_certificate: EffectivityCertificate
+    MD: int = field(init=False)
+    D_squared: int = field(init=False)
 
     def __post_init__(self):
+        md, d2, k = intersect(self.M, self.D), degree(self.D), self.k
+        object.__setattr__(self, "MD", md)
+        object.__setattr__(self, "D_squared", d2)
         # checks that raise, so that they hold under ``python -O`` too
-        md, d2, k = self.MD, self.D_squared, self.k
         if not (md - k - 1 <= d2 and 2 * d2 < md < 2 * k + 2):
             raise ValueError(f"witness {self.D}: M.D = {md}, D.D = {d2} lies outside the window at k = {k}")
         if self.effectivity_certificate.replay() != self.D:
             raise ValueError(f"witness {self.D}: its certificate replays to another class")
-
-    @property
-    def MD(self) -> int:
-        return intersect(self.M, self.D)
-
-    @property
-    def D_squared(self) -> int:
-        return degree(self.D)
 
     @property
     def window(self) -> tuple[tuple[int, str, int], ...]:
@@ -123,32 +119,39 @@ class ObstructionWitness:
 @dataclass(frozen=True)
 class SearchOutcome:
     """The window search for (L, k), run by ``SearchOutcome(subject, k)``.
-    When the window applies it stores the witnesses, every class of the
-    box inside the window of M = L - K in (a, b) order, each certified,
-    and the count of candidate classes in the box; otherwise neither.
-    ``reason`` (why the window does not apply, None when it does) and the
-    rest are read off the subject at k.  A k that is not an integer raises
-    TypeError, a negative one ValueError, one past DESK_SCALE_K warns."""
+    It measures ``M`` = L - K, ``M_squared`` = M.M and ``reason`` (why the
+    window does not apply, None when it does) when it is built and, when
+    the window applies, the witnesses, every class of the box inside the
+    window of M in (a, b) order, each certified, and the count of candidate
+    classes in the box.  A k that is not an integer raises TypeError, a
+    negative one ValueError, one past DESK_SCALE_K warns."""
 
     subject: PicardClass
     k: int
+    reason: str | None = field(init=False)
+    M: PicardClass = field(init=False)
+    M_squared: int = field(init=False)
     witnesses: tuple[ObstructionWitness, ...] = field(init=False)
     candidates: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "k", ampleness_level(self.k))
-        if self.k > DESK_SCALE_K:
+        k = ampleness_level(self.k)
+        object.__setattr__(self, "k", k)
+        if k > DESK_SCALE_K:
             warnings.warn(
-                f"k = {self.k} is beyond the desk-scale envelope (k <= {DESK_SCALE_K}); "
-                f"the scan box has alpha <= {window_box(self.k)[0]} and may be slow",
+                f"k = {k} is beyond the desk-scale envelope (k <= {DESK_SCALE_K}); "
+                f"the scan box has alpha <= {window_box(k)[0]} and may be slow",
                 RuntimeWarning,
                 stacklevel=3,
             )
+        M, m2, reason = _window_premise(self.subject, k)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "M_squared", m2)
         witnesses, candidates = [], 0
-        if self.applicable:
+        if reason is None:
             from . import bulk
 
-            M, k = self.M, self.k
             rows, candidates = bulk.window_rows(M, k)
             for (a, *b), md in rows:
                 D = PicardClass(a, tuple(b))
@@ -161,21 +164,9 @@ class SearchOutcome:
         object.__setattr__(self, "witnesses", tuple(witnesses))
         object.__setattr__(self, "candidates", candidates)
 
-    @cached_property
-    def reason(self) -> str | None:
-        return _window_premise(self.subject, self.k)[2]
-
     @property
     def applicable(self) -> bool:
         return self.reason is None
-
-    @property
-    def M(self) -> PicardClass:
-        return self.subject - _surface_context(self.subject.r).canonical
-
-    @property
-    def M_squared(self) -> int:
-        return degree(self.M)
 
     @property
     def search_bounds(self) -> dict:

@@ -34,6 +34,7 @@ from delpezzo.positivity import (
 from delpezzo.reider import consistency_sweep
 from bulk_reference import minimum_family_value_bulk, pairing_matrix
 from test_cli import GOLDEN, MANIFEST, run_cli
+from test_reider import ref_box_leaves
 
 CENSUS = {
     "(0;-1)": (1, 2, 3, 4, 5, 6, 7, 8),
@@ -176,12 +177,14 @@ def test_criterion_5_reider_consistency_sweeps():
         (8, 1, 12, 1000),
         (2, 2, 10, None),
         (5, 2, 12, 1000),
+        (8, 2, 12, None),  # -3K needs a = 9: the first rank-8 k = 2 box with passing rows
     ]
     for r, k, a_max, sample in plans:
         summary = consistency_sweep(r, k, a_max, sample=sample, seed=7 if sample else 0)
         assert summary.ok, summary.render()
         assert summary.applicable > 0
         assert summary.failing > 0  # the sweep actually exercised witnesses
+        assert summary.passing > 0  # and rows that must have none
     elapsed = time.monotonic() - start
     assert elapsed < 600, f"sweeps took {elapsed:.1f}s"
 
@@ -200,6 +203,21 @@ def test_criterion_6_degree_bound():
             # and the excluded class itself still meets the bound at these ranks
             if exclude.any():
                 assert (degrees[exclude] >= bound).all()
+    # r = 5..8 over the box leaves a <= 16 (b non-increasing, non-negative,
+    # b_1 + b_2 <= a: one per S_r orbit of every nef class), k = 2..5: a
+    # k-very-ample L other than -kK has L.L >= k^2 + 3k + 2.  At rank 8
+    # -kK and -(k+1)K pass the pairing test but are the exceptions of
+    # criterion 4, not k-very ample; below rank 8 no exception arises at k >= 2
+    for r in range(5, 9):
+        leaves = ref_box_leaves(r, 16)
+        mins = np.concatenate([pairing_matrix(leaves[i:i + 4096], r).min(axis=1) for i in range(0, len(leaves), 4096)])
+        degrees = leaves[:, 0] ** 2 - (leaves[:, 1:] ** 2).sum(axis=1)
+        for k in range(2, 6):
+            exempt = np.all(leaves == np.array([3 * k] + [k] * r), axis=1)
+            if r == 8:
+                exempt |= np.all(leaves == np.array([3 * k + 3] + [k + 1] * r), axis=1)
+            violating = (mins >= k) & ~exempt & (degrees < k * k + 3 * k + 2)
+            assert not violating.any(), (r, k, leaves[violating][:5])
 
 
 def test_criterion_7_effectivity_oracle():

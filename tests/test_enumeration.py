@@ -209,15 +209,16 @@ class TestNullClasses:
             NullClassRecord(rec.representative, rec.decompositions[:1])
         with pytest.raises(TypeError):
             NullClassRecord(PicardClass(1, (1, 0, 0)), ((line(3), -point_class(3, 1)),))
-        assert [f.name for f in dataclasses.fields(NullClassRecord)] == ["representative"]
+        assert [f.name for f in dataclasses.fields(NullClassRecord) if f.init] == ["representative"]
+        with pytest.raises(ValueError, match="field decompositions is declared with init=False"):
+            dataclasses.replace(rec, decompositions=rec.decompositions[:1])
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.decompositions = ()
 
     def test_decompositions_are_read_off_the_representative(self, every_rank):
         for rec in enumerate_null_classes(every_rank):
             assert rec.decompositions == decompose_null_class(rec.representative)
-            # copies of a record that has read its splittings, and of one
-            # that has not yet
+            # copies of the cached record and of one built afresh
             for source in (rec, NullClassRecord(rec.representative)):
                 twins = [pickle.loads(pickle.dumps(source, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
                 for twin in [source] + twins + [copy.deepcopy(source)]:

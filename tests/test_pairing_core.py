@@ -47,6 +47,7 @@ from delpezzo.lattice import (
 )
 from delpezzo.enumeration import (
     ExceptionalTable,
+    NullClassRecord,
     SurfaceContext,
     decompose_null_class,
     enumerate_exceptional,
@@ -73,7 +74,7 @@ from delpezzo.positivity import (
     is_spanned,
     minimum_pairing,
 )
-from delpezzo.reider import SearchOutcome, consistency_sweep, search_obstructions, window_applicable
+from delpezzo.reider import ObstructionWitness, SearchOutcome, consistency_sweep, search_obstructions, window_applicable
 from bulk_reference import minimum_family_value_bulk, pairing_matrix
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,9 @@ class TestPackageBuiltRecords:
     @pytest.mark.parametrize("record,names", [
         (PositivityReport, ["subject", "k"]),
         (SearchOutcome, ["subject", "k"]),
+        (ObstructionWitness, ["D", "M", "k", "effectivity_certificate"]),
         (ExceptionalTable, ["r"]),
+        (NullClassRecord, ["representative"]),
     ])
     def test_records_take_what_identifies_them(self, record, names):
         # the rest of each record is measured off these

@@ -237,7 +237,14 @@ class TestSearch:
             with pytest.raises(ValueError, match=f"M.D = {2 * a}, D.D = 4 lies outside the window at k = {k}"):
                 ObstructionWitness(D, PicardClass(a, (0, 0, 0)), k, cert)
         M = PicardClass(5, (0, 0, 0))
-        assert ObstructionWitness(D, M, 5, cert).window == ((4, "<=", 4), (8, "<", 10), (10, "<", 12))
+        witness = ObstructionWitness(D, M, 5, cert)
+        assert witness.window == ((4, "<=", 4), (8, "<", 10), (10, "<", 12))
+        # M.D and D.D are measured off M and D, never handed in
+        with pytest.raises(TypeError):
+            ObstructionWitness(D, M, 5, cert, 10, 4)
+        for name in ("MD", "D_squared"):
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(witness, **{name: 4})
         _, other = is_effective(PicardClass(1, (0, 0, 0)))
         with pytest.raises(ValueError, match="replays to another class"):
             ObstructionWitness(D, M, 5, other)
@@ -280,10 +287,11 @@ class TestSearch:
         witness = search_obstructions(PicardClass(3, (2, 2)), 1).witnesses[0]
         out = search_obstructions(-canonical_class(7), 1)
         assert out.reason == "M.M = 8 < 9" and out.witnesses == () and out.candidates == 0
-        # witnesses and candidates are measured, never handed in
+        # the premise, witnesses and candidates are measured, never handed in
         with pytest.raises(TypeError):
             SearchOutcome(out.subject, 1, (witness,), 0)
-        for name, value in [("witnesses", (witness,)), ("candidates", 1)]:
+        measured = [("reason", None), ("M", witness.M), ("M_squared", 36), ("witnesses", (witness,)), ("candidates", 1)]
+        for name, value in measured:
             with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
                 dataclasses.replace(out, **{name: value})
 
@@ -410,8 +418,8 @@ class TestSearch:
             assert w.as_dict()["window"] == [list(t) for t in w.window]
         assert out.nodes_visited == out.search_bounds["effective_candidates"]
         names = {record: [f.name for f in dataclasses.fields(record)] for record in (ObstructionWitness, SearchOutcome)}
-        assert names[ObstructionWitness] == ["D", "M", "k", "effectivity_certificate"]
-        assert names[SearchOutcome] == ["subject", "k", "witnesses", "candidates"]
+        assert names[ObstructionWitness] == ["D", "M", "k", "effectivity_certificate", "MD", "D_squared"]
+        assert names[SearchOutcome] == ["subject", "k", "reason", "M", "M_squared", "witnesses", "candidates"]
 
     def test_desk_scale_warning(self):
         # the search, the public constructor and a replaced k warn alike;
@@ -543,6 +551,41 @@ def test_candidate_table_is_pinned(r, k):
         assert coeffs.shape == shape
         assert hashlib.sha256(coeffs.astype("<i8").tobytes()).hexdigest() == coeffs_digest
         assert hashlib.sha256(squares.astype("<i8").tobytes()).hexdigest() == squares_digest
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_only_the_rank8_anticanonical_class_can_witness_a_passing_row(r):
+    """The passing side of criterion 5, for every class and not only the
+    swept boxes, read off each candidate table at k <= 4.
+
+    Three facts: -K is ample, so (-K).D >= 1 for every effective D != 0;
+    adjunction makes D.D + K.D even; the Hodge index gives
+    (K.D)^2 >= (9 - r)*D.D.  At r >= 2 the pairing test at k says that
+    L + kK is nef, so L.D >= k*(-K).D and M.D >= (k+1)*(-K).D for every
+    effective D.  The window holds 2*D.D < M.D <= top, with
+    top = min(D.D + k + 1, 2k + 1), so a witness of a passing row needs
+    max(2*D.D + 1, (k+1)*(-K).D) <= top.  That caps (-K).D at 1, parity
+    makes D.D odd and D.D >= M.D - k - 1 >= 0 makes it at least 1; the
+    Hodge index then forces r = 8 and D = -K, whose rows L are -kK and
+    -(k+1)K, the two rank-8 exceptions.  At r = 1 the effective cone is
+    spanned by e_1 and f = l - e_1, with (-K).f = 2, and the bound for
+    D = x*e_1 + y*f is M.D >= k(x + y) + x + 2y, which no row meets."""
+    for k in range(5):
+        table = _candidate_table(r, k)
+        alpha, beta = table.reps[:, 0], table.reps[:, 1:]
+        squares = alpha ** 2 - (beta ** 2).sum(axis=1)
+        anticanonical = 3 * alpha - beta.sum(axis=1)  # (-K).D
+        assert (squares == table.squares).all()
+        assert ((squares - anticanonical) % 2 == 0).all()  # adjunction: D.D + K.D is even
+        top = np.minimum(squares + k + 1, 2 * k + 1)
+        if r == 1:
+            x, y = alpha - beta[:, 0], alpha  # D = x*e_1 + y*f
+            assert (x >= 0).all() and (y >= 0).all()
+            floor = k * (x + y) + x + 2 * y
+        else:
+            floor = (k + 1) * anticanonical
+        feasible = table.reps[np.maximum(2 * squares + 1, floor) <= top].tolist()
+        assert feasible == ([[3] + [1] * 8] if r == 8 and k >= 1 else []), (r, k)
 
 
 def _full_table_window(r, k, M):
@@ -870,7 +913,7 @@ ORACLE_PLANS = [
     (2, 1, 10, None, 7), (3, 1, 10, None, 7), (7, 1, 12, 1000, 7),
     (8, 1, 12, 1000, 7), (2, 2, 10, None, 7), (5, 2, 12, 1000, 7),
     # exhaustive boxes
-    (7, 2, 12, None, 0), (8, 1, 4, None, 0), (8, 2, 6, None, 0), (2, 1, 6, None, 0),
+    (7, 2, 12, None, 0), (8, 1, 4, None, 0), (8, 2, 6, None, 0), (8, 2, 12, None, 0), (2, 1, 6, None, 0),
     (3, 1, 8, None, 0), (5, 2, 6, None, 0), (1, 1, 12, None, 0), (1, 2, 12, None, 0),
     # the sampled CLI runs
     (8, 1, 12, 60, 42), (8, 1, 12, 20, 3),

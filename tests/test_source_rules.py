@@ -163,3 +163,19 @@ def test_ctx_is_optional_and_public_only():
         "positivity.is_effective", "positivity.is_k_very_ample", "positivity.generate_inequality_families",
         "reider.search_obstructions", "reider.consistency_sweep",
     }
+
+
+def test_only_the_surface_context_caches_properties():
+    # a record measures its subject once, when it is built, into init=False
+    # fields; a cached_property would give a frozen record a second state,
+    # after its first read.  The per-rank context is the one cache.
+    owners = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                ast.unparse(dec).split(".")[-1] == "cached_property" for dec in node.decorator_list
+            ):
+                owners.add(f"{path.stem}.{getattr(parent[node], 'name', '<module>')}")
+    assert owners == {"enumeration.SurfaceContext"}
