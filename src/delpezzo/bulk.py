@@ -8,22 +8,25 @@ Bulk inputs refuse non-integers, as PicardClass does.  Class rows are
 int64 only while every entry is within SAFE_COEFF_BOUND
 (:func:`exact_rows`), object arrays of Python integers beyond it, so no
 result wraps; an int64 block is at most shifted by a class of small
-coefficients such as K.  A right operand B is float64
-(:func:`float_operand`) only when every partial sum of such a row against
-a column of B is an integer below FLOAT_EXACT_BOUND = 2**53, which
-float64 holds exactly however BLAS splits and orders the sums.  Every
-float64 operand is a read-only C-ordered array, also where it is built
-from a transpose; :func:`exact_product` runs any other pair on Python
-integers.  A float64 product stays float64: every entry is an exact
-integer, so it is compared and reduced where it lands, and only a value
-that leaves this module is cast to a Python int.
+coefficients such as K, and may be cast to float64 once for its products.
+A right operand B is float64 (:func:`float_operand`) only when every
+partial sum of such a row against a column of B is an integer below
+FLOAT_EXACT_BOUND = 2**53, which float64 holds exactly however BLAS
+splits and orders the sums.  Every float64 operand is a read-only
+C-ordered array, also where it is built from a transpose;
+:func:`exact_product` runs any other pair on Python integers.  A float64
+product stays float64: every entry is an exact integer, so it is
+compared and reduced where it lands, and only a value that leaves this
+module is cast to a Python int.
 
-This module is also the home of the S_r orbits of a representative
-(a; b), b non-increasing: :func:`expand_orbit` lists the orbit of a row,
-:func:`orbit_sizes` counts the orbits of many rows without expanding
-them, and :func:`orbit_floor` takes the smallest pairing of many rows
-with each of many orbits.  :func:`curve_operand` holds the test curves
-of a rank as a product operand.
+Every operand of classes is signed as the pairing is (column (x0; -x)
+for class (x0; x), :func:`_signed_operand`), so class rows enter as they
+are: :func:`curve_operand` holds the test curves of a rank,
+:func:`family_operand` its inequality families.  This module is also the
+home of the S_r orbits of a representative (a; b), b non-increasing:
+:func:`expand_orbit` lists the orbit of a row, :func:`orbit_sizes` counts
+the orbits of many rows without expanding them, and :func:`orbit_floor`
+takes the smallest pairing of many rows with each of many orbits.
 
 The window engine of :mod:`delpezzo.reider` runs here, behind
 :func:`window_rows` (one M) and :func:`sweep_blocks` (a sweep's box), and
@@ -37,17 +40,15 @@ The window kernel tests them against N rows of M at once: the smallest
 M.D over each orbit (:func:`orbit_floor`) marks the rows that can meet
 the orbit at most at its top, and only orbits that some row reaches are
 expanded and run the exact window; an expanded orbit keeps its int64 rows
-and their transpose, the operand of its M.D products.  Past the floor, a
-reached orbit costs one gather of its reaching rows, one exact product,
-one window mask and one ``nonzero`` (:func:`_window_hits`); the block
-pass gathers rows with ``take``, which skips the set-up of fancy
-indexing.  The leaves of an exhaustive sweep are built by one loop over
-(a, b_1), once per (r, a_max), and kept for the last four boxes
-(:func:`_box_leaves`).
-A sweep reduces each block's pairing matrix to two per-row vectors, the
-smallest pairing (nef filter and pairing verdict) and the count of
-exceptional classes paired below k, counts the witnesses of each row and
-certifies none; :mod:`delpezzo.reider` words the rows it flags.
+and their operand.  Past the floor, a reached orbit costs one gather of
+its reaching rows, one exact product and one window mask
+(:func:`_window_hits`).  The leaves of an exhaustive sweep are built by
+one loop over (a, b_1), once per (r, a_max), and kept for the last four
+boxes (:func:`_box_leaves`).  A sweep reads each row's smallest pairing
+(nef filter and pairing verdict) off the family floor, pairs only the
+applicable rows that fail at k with the test curves, counts the
+witnesses of each row and certifies none; :mod:`delpezzo.reider` words
+the rows it flags.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import numpy as np
 
 from .lattice import EXCEPTIONAL_CLASS_COUNTS, PicardClass, line, point_class
 from .enumeration import _surface_context, orderings, window_candidates
-from .positivity import EXCEPTION_NONE, _effectivity, _exception_flag, is_nef
+from .positivity import EXCEPTION_NONE, _effectivity, _exception_flag, _family_table, is_nef
 
 #: Coefficient magnitude up to which the array routines use int64; larger
 #: inputs are computed exactly on Python integers instead.  The scalar
@@ -119,12 +120,12 @@ _PRODUCT_CHUNK = 2**14
 
 def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``A @ B``, exact, for rows A from :func:`exact_rows` (at most shifted
-    by a class of small coefficients) and an operand B from
-    :func:`float_operand`.  An int64 A against a float64 B runs through
-    float64 BLAS in row chunks of about _PRODUCT_CHUNK result entries and
-    returns the float64 product itself: every entry is an exact integer,
-    to be compared or reduced where it lands.  Any other pair runs on
-    Python integers and returns an object array."""
+    by a class of small coefficients; int64 rows perhaps cast to float64)
+    and an operand B from :func:`float_operand`.  A numeric A against a
+    float64 B runs through float64 BLAS in row chunks of about
+    _PRODUCT_CHUNK result entries and returns the float64 product itself:
+    every entry is an exact integer, to be compared or reduced where it
+    lands.  Any other pair runs on Python integers, as an object array."""
     if B.dtype.kind == "f" and A.dtype != object:
         step = max(1, _PRODUCT_CHUNK // max(1, B.shape[1]))
         if A.shape[0] <= step:
@@ -133,6 +134,7 @@ def exact_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         for i in range(0, A.shape[0], step):
             np.matmul(A[i:i + step], B, out=out[i:i + step])
         return out
+    A = A.astype(np.int64) if A.dtype.kind == "f" else A  # a float64 A holds the integers of its int64 rows
     return A.astype(object, copy=False) @ B.astype(np.int64, copy=False)
 
 
@@ -141,15 +143,25 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _signed_operand(classes: np.ndarray) -> np.ndarray:
+    """The int64 class rows (x0; x) as a :func:`float_operand` whose column
+    j is ``(x0, -x_1, ..., -x_r)`` of row j: ``rows @ operand`` pairs."""
+    return float_operand(_read_only(np.concatenate([classes[:, :1], -classes[:, 1:]], axis=1).T))
+
+
 @lru_cache(maxsize=None)
 def curve_operand(r: int) -> np.ndarray:
-    """The test curves of ``surface_context(r)`` as the right operand of
-    :func:`exact_product`, read-only: column j is ``(x_a, -x_b1, ..., -x_br)``
-    for test curve x_j, so ``rows @ curve_operand(r)`` pairs class rows
-    against the test curves."""
-    curves = _surface_context(r).test_curves
-    signed = np.array([[x.a, *(-y for y in x.b)] for x in curves], dtype=np.int64)
-    return float_operand(_read_only(signed.T))
+    """The test curves of ``surface_context(r)`` as a signed operand, so
+    ``rows @ curve_operand(r)`` pairs class rows with the test curves."""
+    return _signed_operand(np.array([[x.a, *x.b] for x in _surface_context(r).test_curves], dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def family_operand(r: int) -> np.ndarray:
+    """The representatives (a0; c) of the rank-r inequality families as a
+    signed operand: a row's :func:`orbit_floor` against it holds each
+    family's value, the least of them its smallest test-curve pairing."""
+    return _signed_operand(np.array(_family_table(r).reps, dtype=np.int64))
 
 
 def expand_orbit(rep: np.ndarray) -> np.ndarray:
@@ -175,15 +187,22 @@ def orbit_sizes(b: np.ndarray) -> np.ndarray:
     return _multinomials(b.shape[1])[(b[:, 1:] == b[:, :-1]) @ (1 << np.arange(b.shape[1] - 1))]
 
 
+def _descending(rows: np.ndarray) -> np.ndarray:
+    """The rows (y0; y), each y sorted descending: ``rows`` itself when
+    every y already is, as every box leaf is, else a sorted copy."""
+    y = rows[:, 1:]
+    return rows if (y[:, 1:] <= y[:, :-1]).all() else np.concatenate([rows[:, :1], -np.sort(-y, axis=1)], axis=1)
+
+
 def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
     """The smallest pairing ``y0*x0 - <y, x'>`` of each class row (y0; y)
     with the orbit of each representative (x0; x), x non-increasing, over
     the orderings x' of x: by the rearrangement inequality the largest
     ``<y, x'>`` pairs y sorted descending with x, so the (rows x orbits)
-    floor is one exact product of ``(y0; sort(-y))`` with ``operand``,
-    the representatives as columns (see :func:`float_operand`), for rows
+    floor is one exact product of the :func:`_descending` rows with the
+    representatives' signed operand (:func:`_signed_operand`), for rows
     from :func:`exact_rows` (at most shifted by a small class)."""
-    return exact_product(np.concatenate([rows[:, :1], np.sort(-rows[:, 1:], axis=1)], axis=1), operand)
+    return exact_product(_descending(rows), operand)
 
 
 @dataclass(frozen=True)
@@ -195,7 +214,7 @@ class _CandidateTable:
     index, see :meth:`orbit`)."""
 
     reps: np.ndarray  # (n, r+1) int64 orbit representatives (alpha, beta), beta non-increasing
-    operand: np.ndarray  # reps.T as the right operand of exact products (see float_operand)
+    operand: np.ndarray  # reps as a signed operand (see _signed_operand)
     squares: np.ndarray  # (n,) self-intersection of each orbit's classes
     top: np.ndarray  # (n,) largest M.D in the window at level k: min(D.D + k + 1, 2k + 1)
     exceptional: np.ndarray  # (n,) orbits of exceptional classes: D.D = -1 = K.D
@@ -204,14 +223,12 @@ class _CandidateTable:
 
     def orbit(self, o: int) -> tuple[np.ndarray, np.ndarray]:
         """The classes of orbit o in (a, b) order, read-only: as int64 rows,
-        and as their C-ordered transpose in the dtype of ``operand``, the
-        right operand of an exact product against the orbit.  The float64
-        bound of ``operand`` holds for every orbit, whose classes share the
-        entries of their representative."""
+        and as their signed operand (:func:`_signed_operand`), whose M.D
+        products take M as it is."""
         entry = self.expanded.get(o)
         if entry is None:
             rows = _read_only(expand_orbit(self.reps[o]))
-            entry = self.expanded[o] = (rows, _read_only(np.ascontiguousarray(rows.T, dtype=self.operand.dtype)))
+            entry = self.expanded[o] = (rows, _signed_operand(rows))
         return entry
 
 
@@ -222,7 +239,7 @@ def _table(reps: np.ndarray, k: int) -> _CandidateTable:
     squares = _read_only(reps[:, 0] ** 2 - (reps[:, 1:] ** 2).sum(axis=1))
     top = _read_only(np.minimum(squares + k + 1, 2 * k + 1))
     exceptional = _read_only((squares == -1) & (3 * reps[:, 0] - reps[:, 1:].sum(axis=1) == 1))
-    return _CandidateTable(reps, float_operand(reps.T), squares, top, exceptional, int(orbit_sizes(reps[:, 1:]).sum()))
+    return _CandidateTable(reps, _signed_operand(reps), squares, top, exceptional, int(orbit_sizes(reps[:, 1:]).sum()))
 
 
 @lru_cache(maxsize=None)
@@ -246,39 +263,27 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
     return _table(np.array(reps, dtype=np.int64).reshape(len(reps), r + 1), k)
 
 
-def _window_hits(table: _CandidateTable, M: np.ndarray) -> list[tuple]:
-    """Every (class, row) pair inside the window at the table's level k for
-    the N exact rows M (see :func:`exact_rows`): one ``(o, C, ci, ri, md)``
-    per orbit o that has a hit, o ascending, where C holds the orbit's
-    class rows and hit j, by class then row, is class ``C[ci[j]]`` against
-    row ``M[ri[j]]``, with M.D = ``md[j]``.
+def _window_hits(table: _CandidateTable, M: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The window at the table's level k of the N exact rows M (see
+    :func:`exact_rows`, perhaps cast to float64): one ``(o, rows, window,
+    md)`` per orbit o that some row reaches, o ascending, where ``md`` is
+    the exact (rows x orbit classes) M.D product of the reaching rows
+    ``M[rows]`` with the classes of ``table.orbit(o)`` and ``window`` marks
+    its entries inside the window.
 
     D.D = d2 is constant on an orbit, so the window md - k - 1 <= d2,
     2*d2 < md, md < 2k+2 is the integer range 2*d2 < md <= top, with
     top = min(d2 + k + 1, 2k + 1) per orbit (``table.top``).  A row
     reaches an orbit when its :func:`orbit_floor`, the smallest M.D over
-    the orbit, is at most top.  Each orbit that some row reaches is
-    expanded and meets the window in one (orbit size x reaching rows) M.D
-    product.  C holds int64 rows; md is exact (see :func:`exact_product`).
-
-    The reach matrix is transposed once, so orbit o finds its reaching
-    rows in the contiguous row ``by_orbit[o]``.  A reached orbit then
-    costs one gather of those rows of (m0; -mu), one :func:`exact_product`,
-    one window mask against 2*d2 and top read as Python integers, and one
-    ``nonzero``; md is read through the same mask."""
+    the orbit, is at most top.  A reached orbit is expanded and costs one
+    gather of its reaching rows, one :func:`exact_product` with its signed
+    operand and one window mask against 2*d2 and top read as Python
+    integers."""
     reached = orbit_floor(M, table.operand) <= table.top
-    by_orbit = np.ascontiguousarray(reached.T)
-    dual = np.concatenate([M[:, :1], -M[:, 1:]], axis=1)  # (m0; -mu), so that dual @ C.T is M.D
-    hits = []
     for o in reached.any(axis=0).nonzero()[0].tolist():
-        rows = by_orbit[o].nonzero()[0]
-        C, columns = table.orbit(o)
-        md = exact_product(dual.take(rows, axis=0), columns).T
-        window = (2 * table.squares.item(o) < md) & (md <= table.top.item(o))
-        ci, pi = window.nonzero()
-        if len(ci):
-            hits.append((o, C, ci, rows[pi], md[window]))
-    return hits
+        rows = reached[:, o].nonzero()[0]
+        md = exact_product(M.take(rows, axis=0), table.orbit(o)[1])
+        yield o, rows, (2 * table.squares.item(o) < md) & (md <= table.top.item(o)), md
 
 
 def window_rows(M: PicardClass, k: int) -> tuple[list[tuple[list[int], int]], int]:
@@ -288,8 +293,8 @@ def window_rows(M: PicardClass, k: int) -> tuple[list[tuple[list[int], int]], in
     table = _candidate_table(M.r, k)
     found = [
         (row, int(md))
-        for _, C, ci, _, mds in _window_hits(table, exact_rows([[M.a, *M.b]]))
-        for row, md in zip(C[ci].tolist(), mds.tolist())
+        for o, _, window, mds in _window_hits(table, exact_rows([[M.a, *M.b]]))
+        for row, md in zip(table.orbit(o)[0][window[0]].tolist(), mds[window].tolist())
     ]
     return sorted(found), table.size  # distinct rows, so this sorts by (a, b)
 
@@ -338,60 +343,63 @@ def _sample_blocks(r: int, a_max: int, seed: int) -> Iterator[np.ndarray]:
         yield np.column_stack([a, b]).astype(np.int64)[(b <= a[:, None]).all(axis=1)]
 
 
-def _row_counts(parts: list[np.ndarray], n: int) -> np.ndarray:
-    """How often each of the row indices 0..n-1 occurs in `parts`."""
-    return np.bincount(np.concatenate([np.empty(0, dtype=np.intp), *parts]), minlength=n)
+def _exceptional_below(L: np.ndarray, k: int) -> np.ndarray:
+    """How many exceptional classes each row of L pairs below k, from the
+    rows' product with the test curves; int16 is exact, as a rank has at
+    most 240 exceptional classes."""
+    r = L.shape[1] - 1
+    return (exact_product(L, curve_operand(r))[:, :EXCEPTIONAL_CLASS_COUNTS[r]] < k).sum(axis=1, dtype=np.int16)
 
 
 def _decide_block(
-    L: np.ndarray, lowest: np.ndarray, exc_below: np.ndarray, k: int, table: _CandidateTable,
+    L: np.ndarray, lowest: np.ndarray, k: int, table: _CandidateTable,
 ) -> tuple[tuple[int, ...], list[tuple[int, bool]]]:
-    """The sweep over one block of nef exact rows L (see :func:`exact_rows`)
-    from two reductions of their pairing rows with the test curves: each
-    row's smallest pairing ``lowest`` and its count ``exc_below`` of
-    exceptional classes paired below k.  Returns the counts (applicable,
-    passing, failing, exceptions, witnesses) and the flagged rows in row
-    order, as (index in L, pass flag).  M = L + (-K) of a nef row is nef
-    (-K pairs >= 1 with every test curve), so its premise is M.M >= 4k + 5.
+    """The sweep over one block of nef exact rows L (see :func:`exact_rows`,
+    perhaps cast to float64), each b non-increasing, given each row's
+    smallest pairing ``lowest`` with the test curves.  Returns the counts
+    (applicable, passing, failing, exceptions, witnesses) and the flagged
+    rows in row order, as (index in L, pass flag).  M = L + (-K) of a nef
+    row is nef (-K pairs >= 1 with every test curve), so its premise is
+    M.M >= 4k + 5.
 
-    Every verdict is an array comparison.  Python runs once per orbit that
-    some row reaches and once per row that is a multiple of -K or is
-    flagged; a consistent block flags no row.
+    Every verdict is an array comparison.  Only the applicable rows that
+    fail at k are paired with the test curves (:func:`_exceptional_below`).
+    Python runs once per orbit that some row reaches and once per row that
+    is a multiple of -K or is flagged; a consistent block flags no row.
     """
     K = _surface_context(L.shape[1] - 1).canonical
     M = L - np.array([K.a, *K.b], dtype=np.int64)
     m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
     applicable = (m2 >= 4 * k + 5).nonzero()[0]
-    L, M = L.take(applicable, axis=0), M.take(applicable, axis=0)
+    L, M, passes = L.take(applicable, axis=0), M.take(applicable, axis=0), lowest[applicable] >= k
+    failing = (~passes).nonzero()[0]
+    exc_below = _exceptional_below(L.take(failing, axis=0), k)
+
     n = len(applicable)
-
-    hit_rows, exceptional_hits = [], []
-    for o, _, _, ri, md in _window_hits(table, M):
-        hit_rows.append(ri)
+    witnesses, exceptional_hits = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for o, rows, window, _ in _window_hits(table, M):
+        hits = window.sum(axis=1)
+        witnesses[rows] += hits
         if table.exceptional[o]:
-            exceptional_hits.append(ri[md - 1 < k])  # L.x = M.x - (-K).x = M.x - 1
-    witnesses = _row_counts(hit_rows, n)
-    # Each exceptional class x with L.x < k sits in the window (M.x <= k,
-    # x.x = -1), and those hits are the exceptional ones with L.x < k; so a
-    # row misses one of them exactly when it has fewer such hits than
-    # violating exceptional classes.
-    missing_exc = _row_counts(exceptional_hits, n) < exc_below[applicable]
+            # an exceptional orbit's window top is k, and L.x = M.x - 1:
+            # its hits are exactly the exceptional classes x with L.x < k
+            exceptional_hits[rows] += hits
 
-    passes = lowest[applicable] >= k
     # An exception class is a multiple (3m; m, ..., m) of -K.  It satisfies
     # the inequalities without being k-very ample, and the window may or may
     # not show an obstruction for it (it does for -(k+1)K at rank 8, it
     # cannot for -kK), so neither outcome is a violation.
     exception = np.zeros(n, dtype=bool)
-    multiple = passes & (L[:, 0] == 3 * L[:, 1]) & (L[:, 1:] == L[:, 1:2]).all(axis=1)
+    multiple = passes & (L[:, 0] == 3 * L[:, 1]) & (L[:, 1] == L[:, -1])
     for i in multiple.nonzero()[0].tolist():
         exception[i] = _exception_flag(-int(L[i, 1]) * K, k) != EXCEPTION_NONE
     passing = passes & ~exception
     # A k-very-ample class may have no witness at all, so none with D.D <= 0
     # either; a failing one needs a witness and each violating exceptional class.
-    flagged = (passing & (witnesses > 0)) | (~passes & ((witnesses == 0) | missing_exc))
+    flagged = passing & (witnesses > 0)
+    flagged[failing] = (witnesses[failing] == 0) | (exceptional_hits[failing] < exc_below)
     flagged_rows = [(int(applicable[i]), bool(passing[i])) for i in flagged.nonzero()[0].tolist()]
-    counts = (n, int(passing.sum()), int((~passes).sum()), int(exception.sum()), int(witnesses.sum()))
+    counts = (n, int(passing.sum()), len(failing), int(exception.sum()), int(witnesses.sum()))
     return counts, flagged_rows
 
 
@@ -401,12 +409,13 @@ def sweep_blocks(
     """The block loop of ``consistency_sweep`` at rank r and level k over
     the box leaves a <= a_max in blocks of _BLOCK_ROWS, or with ``sample``
     over seeded draws until that many nef rows.  Each block is converted
-    to exact rows and paired once with ``curve_operand(r)``.  The pairing
-    matrix P is reduced once per quantity, to each row's smallest pairing
-    (the nef filter) and its count of exceptional classes (the first test
-    curves) below k.  Returns scanned, covered, the five totals of
-    :func:`_decide_block` and the flagged rows in row order, as (class,
-    pass flag)."""
+    to exact rows and put in descending order once (:func:`_descending`, a
+    no-op for box leaves), an int64 block cast to float64 once for its
+    products, and each row's smallest pairing with the test curves (the
+    nef filter and the pairing verdict) is its smallest family value, one
+    product with ``family_operand(r)``.  Returns scanned, covered, the five
+    totals of :func:`_decide_block` and the flagged rows in row order, as
+    (class in its own coordinates, pass flag)."""
     table = _candidate_table(r, k)
     if sample is None:
         leaves = _box_leaves(r, a_max)
@@ -418,16 +427,16 @@ def sweep_blocks(
     flagged = []
     for block in blocks:
         L = exact_rows(block)
-        P = exact_product(L, curve_operand(r))
-        lowest = P.min(axis=1)
-        # int16 is exact: a rank has at most 240 exceptional classes
-        exc_below = (P[:, :EXCEPTIONAL_CLASS_COUNTS[r]] < k).sum(axis=1, dtype=np.int16)
+        S = _descending(L)
+        if S.dtype == np.int64:
+            S = S.astype(np.float64)
+        lowest = exact_product(S, family_operand(r)).min(axis=1)
         nef = (lowest >= 0).nonzero()[0]
         if sample is not None:
             nef = nef[:sample - scanned]
-        rows = L.take(nef, axis=0)
-        counts, found = _decide_block(rows, lowest[nef], exc_below[nef], k, table)
-        flagged += [(PicardClass(rows[i, 0], tuple(rows[i, 1:].tolist())), passing) for i, passing in found]
+        rows = S.take(nef, axis=0)
+        counts, found = _decide_block(rows, lowest[nef], k, table)
+        flagged += [(PicardClass(L[nef[i], 0], tuple(L[nef[i], 1:].tolist())), passing) for i, passing in found]
         scanned += len(rows)
         # a box leaf decides its whole permutation orbit
         covered += len(rows) if sample is not None else int(orbit_sizes(rows[:, 1:]).sum())

@@ -158,9 +158,9 @@ class SearchOutcome:
                 cert = _effectivity(D)
                 if cert is None:
                     raise RuntimeError(f"candidate table let a non-effective class through: {D}")
-                if md != intersect(M, D):
-                    raise RuntimeError(f"window engine gave M.D = {md} for {D}, not {intersect(M, D)}")
                 witnesses.append(ObstructionWitness(D, M, k, cert))
+                if md != witnesses[-1].MD:
+                    raise RuntimeError(f"window engine gave M.D = {md} for {D}, not {witnesses[-1].MD}")
         object.__setattr__(self, "witnesses", tuple(witnesses))
         object.__setattr__(self, "candidates", candidates)
 

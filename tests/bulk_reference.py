@@ -4,9 +4,8 @@ integers; the tests compare it against these array forms."""
 
 import numpy as np
 
-from delpezzo.bulk import curve_operand, exact_product, exact_rows, float_operand, orbit_floor
+from delpezzo.bulk import curve_operand, exact_product, exact_rows, family_operand, orbit_floor
 from delpezzo.lattice import LatticeMismatchError, _check_rank
-from delpezzo.positivity import _family_table
 
 # Rows are class vectors (a, b_1..b_r), int64 or Python integers as
 # ``bulk.exact_rows`` decides.
@@ -24,8 +23,8 @@ def pairing_matrix(coeffs: np.ndarray, r: int) -> np.ndarray:
 
 def minimum_family_value_bulk(coeffs: np.ndarray) -> np.ndarray:
     """Row-wise minimum over the inequality families, the rank read off the
-    row width: the smallest orbit floor against the families' representatives.
-    No ``src`` path calls it; it is the bulk reference the tests compare against."""
+    row width: the smallest orbit floor against the families' representatives
+    (``bulk.family_operand``), rows in any order, as the sweep's nef filter
+    reads it on descending rows."""
     rows = exact_rows(coeffs)
-    reps = _family_table(_check_rank(rows.shape[1] - 1)).reps
-    return orbit_floor(rows, float_operand(np.array(reps, dtype=np.int64).T)).min(axis=1)
+    return orbit_floor(rows, family_operand(_check_rank(rows.shape[1] - 1))).min(axis=1)

@@ -461,6 +461,8 @@ class TestOrbitFloor:
         # y0*x0 - <y, x'> for every ordering x' of x, on Python integers
         signed = np.array([[y0, *(-v for v in y)] for y0, *y in rows], dtype=object)
         expected = np.column_stack([(signed @ expand_orbit(rep).T).min(axis=1) for rep in reps]).tolist()
-        # the float64 operand and the int64 one (the exact path) agree
-        for operand in (float_operand(reps.T), reps.T):
+        # the float64 operand and the int64 one (the exact path) agree, each
+        # signed as the pairing is: column (x0; -x) for representative (x0; x)
+        signed = np.ascontiguousarray(np.concatenate([reps[:, :1], -reps[:, 1:]], axis=1).T)
+        for operand in (float_operand(signed), signed):
             assert orbit_floor(exact_rows(rows), operand).tolist() == expected

@@ -952,9 +952,10 @@ class TestFloatRoute:
         B = np.array([[2**53 + 1], [1]], dtype=np.int64)
         assert float_operand(B) is B
         A = np.array([[1, 0], [SAFE_COEFF_BOUND, -3]], dtype=np.int64)
-        got = exact_product(A, float_operand(B))
-        assert got.dtype == object
-        assert got.tolist() == [[2**53 + 1], [SAFE_COEFF_BOUND * (2**53 + 1) - 3]]
+        for rows in (A, A.astype(np.float64)):  # a sweep's float64 cast of int64 rows too
+            got = exact_product(rows, float_operand(B))
+            assert got.dtype == object
+            assert got.tolist() == [[2**53 + 1], [SAFE_COEFF_BOUND * (2**53 + 1) - 3]]
 
     def test_bound_is_checked_on_the_largest_partial_sum(self):
         # n rows of B against entries below 2 * SAFE_COEFF_BOUND

@@ -21,11 +21,15 @@ from delpezzo.bulk import (
     _box_leaves,
     _candidate_table,
     _decide_block,
+    _descending,
+    _exceptional_below,
     _sample_blocks,
     _window_hits,
     curve_operand,
     exact_rows,
+    family_operand,
     float_operand,
+    orbit_floor,
     orbit_sizes,
     sweep_blocks,
     window_rows,
@@ -42,6 +46,7 @@ from delpezzo.lattice import (
 from delpezzo.enumeration import SurfaceContext, enumerate_exceptional, surface_context
 from delpezzo.positivity import (
     EXCEPTION_NONE,
+    _family_table,
     exception_flag,
     is_effective,
     is_k_very_ample,
@@ -173,6 +178,17 @@ class TestBoxPremises:
         monkeypatch.setattr(bulk, "window_rows", shifted)
         with pytest.raises(RuntimeError, match="window engine gave M.D = 1 for 1;1,1, not 0"):
             search_obstructions(PicardClass(3, (2, 2)), 1)
+
+    def test_one_M_D_per_witness(self, monkeypatch):
+        # the engine's M.D of a hit is checked against the witness's own,
+        # measured once when the witness is built: one intersect per witness
+        import delpezzo.reider as reider
+
+        calls = []
+        intersect_ = reider.intersect
+        monkeypatch.setattr(reider, "intersect", lambda *args: calls.append(args) or intersect_(*args))
+        outcome = search_obstructions(PicardClass(7, (3, 3, 2, 2, 2, 1, 1)), 2)
+        assert len(outcome.witnesses) == 3 and len(calls) == 3
 
     def test_both_entry_points_check_the_premises(self, monkeypatch):
         import delpezzo.bulk as bulk
@@ -597,6 +613,18 @@ def _full_table_window(r, k, M):
     return list(zip(coeffs[hit].tolist(), md[hit].tolist()))
 
 
+def _hits(table, M):
+    """``_window_hits(table, M)`` as one (o, C, ci, ri, md) per orbit with
+    a hit: C holds the orbit's class rows, and hit j is class ``C[ci[j]]``
+    against row ``M[ri[j]]``, with M.D = ``md[j]``."""
+    found = []
+    for o, rows, window, md in _window_hits(table, M):
+        pi, ci = window.nonzero()
+        if len(ci):
+            found.append((o, table.orbit(o)[0], ci, rows[pi], md[window]))
+    return found
+
+
 # (r, k) tables the folded window is checked on; k = 0 has an empty table
 WINDOW_TABLES = [(2, 1), (5, 2), (7, 1), (8, 1), (3, 0), (8, 0)]
 
@@ -666,7 +694,7 @@ class TestFoldedWindow:
         r, k, Ms = block
         table = _candidate_table(r, k)
         found = [[] for _ in Ms]
-        for _, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
+        for _, C, ci, ri, md in _hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
             for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()):
                 found[j].append((C[c].astype(np.int64).tolist(), x))
         assert [sorted(f) for f in found] == [_full_table_window(r, k, M) for M in Ms]
@@ -681,7 +709,7 @@ class TestFoldedWindow:
         table = _candidate_table(r, k)
 
         def hits(M):
-            return sorted((o, c, j, x) for o, _, ci, ri, md in _window_hits(table, M)
+            return sorted((o, c, j, x) for o, _, ci, ri, md in _hits(table, M)
                           for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()))
 
         found = hits(np.array(rows, dtype=np.int64))
@@ -711,7 +739,7 @@ class TestFoldedWindow:
         K = canonical_class(r)
         Ls = [-3 * K, -4 * K, -3 * K + line(r)]
         Ms = [L - K for L in Ls]
-        assert _window_hits(_candidate_table(r, k), exact_rows([[M.a, *M.b] for M in Ms])) == []
+        assert list(_window_hits(_candidate_table(r, k), exact_rows([[M.a, *M.b] for M in Ms]))) == []
         assert all(_full_table_window(r, k, M) == [] for M in Ms)
         counts, violations = decide_per_row([[L.a, *L.b] for L in Ls], k, r)
         assert counts == (3, 3, 0, 0, 0) and violations == []
@@ -725,7 +753,7 @@ class TestFoldedWindow:
         table = _candidate_table(r, k)
         found = [[] for _ in Ms]
         shared = []
-        for o, C, ci, ri, md in _window_hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
+        for o, C, ci, ri, md in _hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
             if set(ri.tolist()) == {0, 2}:
                 shared.append(o)
             for c, j, x in zip(ci.tolist(), ri.tolist(), md.tolist()):
@@ -830,15 +858,14 @@ def ref_sample_rows(r, a_max, count, seed):
 
 
 def decide_per_row(rows, k, r):
-    """``_decide_block`` on the rank-r nef rows `rows` (lists) from pairing
-    rows built per row with ``intersect``, independent of the sweep's matrix:
-    its counts, and its flagged rows worded by ``_row_violations``."""
+    """``_decide_block`` on the rank-r nef rows `rows` (lists, each b
+    non-increasing) from smallest pairings built per row with ``intersect``,
+    independent of the sweep's family floor: its counts, and its flagged
+    rows worded by ``_row_violations``."""
     classes = [PicardClass(row[0], tuple(row[1:])) for row in rows]
     curves = surface_context(r).test_curves
-    P = np.array([[intersect(L, x) for x in curves] for L in classes], dtype=object)
-    P = P.reshape(len(rows), len(curves))
-    below = (P[:, :len(enumerate_exceptional(r))] < k).sum(axis=1)
-    counts, flagged = _decide_block(exact_rows(rows), P.min(axis=1), below, k, _candidate_table(r, k))
+    lowest = np.array([min(intersect(L, x) for x in curves) for L in classes], dtype=object)
+    counts, flagged = _decide_block(exact_rows(rows), lowest, k, _candidate_table(r, k))
     violations = [v for i, passing in flagged for v in _row_violations(classes[i], passing, k)]
     return counts, violations
 
@@ -1052,6 +1079,22 @@ class TestSweepViolations:
         kinds = self._compare(8, 1, 4)
         assert {"missing_witness", "missing_exceptional_witness"} <= set(kinds)
 
+    def test_dropped_orbit_beside_other_witnesses(self, monkeypatch):
+        import delpezzo.bulk as bulk
+
+        # without the orbit of the e_i, (8; 4,4,4,2,2,2,2,0) keeps 14
+        # witnesses but loses e_8 (L.e_8 = 0 < 1): only the hits in
+        # exceptional orbits count against its violating exceptional classes
+        table = _candidate_table(8, 1)
+        keep = np.array([rep != [0] * 8 + [-1] for rep in table.reps.tolist()])
+        faulty = bulk._table(table.reps[keep], 1)
+        monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: faulty)
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: np.array([[8, 4, 4, 4, 2, 2, 2, 2, 0]]))
+        got = consistency_sweep(8, 1, 8)
+        assert got.witness_total == 14
+        assert [(v.kind, v.detail) for v in got.violations] == [
+            ("missing_exceptional_witness", "violating class 0;0,0,0,0,0,0,0,-1 absent from the witness list")]
+
     def test_exception_flag_forced_to_none(self, monkeypatch):
         import sys
 
@@ -1075,7 +1118,13 @@ class TestSweepViolations:
         blind = tuple(-canonical_class(8) if x.a == 0 else x for x in surface_context(8).test_curves)
         operand = float_operand(np.array([[x.a, *(-y for y in x.b)] for x in blind]).T)
         assert operand[:, 0].tolist() == [3] + [-1] * 8
+        # the nef filter and the pairing verdict read the family floor, so
+        # the family of the e_i, (0; 0^7, -1), becomes the family of -K there
+        reps = [[3] + [1] * 8 if rep[0] == 0 else list(rep) for rep in _family_table(8).reps]
+        families = float_operand(np.array([[a, *(-y for y in b)] for a, *b in reps]).T)
+        assert families[:, 0].tolist() == [3] + [-1] * 8
         monkeypatch.setattr(bulk, "curve_operand", lambda r: operand)
+        monkeypatch.setattr(bulk, "family_operand", lambda r: families)
         kinds = self._compare(8, 1, 4, blind)
         assert {"unexpected_witness", "nonpositive_square_witness"} <= set(kinds)
 
@@ -1091,6 +1140,49 @@ BAD_SWEEP_ARGUMENTS = [
     (6, None, 5, "seed = 5 needs sample=: the exhaustive sweep draws no sample"),
     (10**19, 3, 0, "a_max = 10000000000000000000 is past the int64 sampler"),
 ]
+
+
+class TestFamilyFloorFilter:
+    """The sweep's nef filter and pairing verdict are the smallest family
+    value, and only its failing rows are paired with the test curves: both
+    against ``intersect`` with every test curve, on int64 rows (and their
+    float64 cast), unsorted draws and object rows past SAFE_COEFF_BOUND."""
+
+    @staticmethod
+    def _check(rows, r):
+        curves = surface_context(r).test_curves
+        exceptional = len(enumerate_exceptional(r))
+        pairings = [[intersect(PicardClass(a, tuple(b)), x) for x in curves] for a, *b in rows.tolist()]
+        exact = exact_rows(rows)
+        forms = [exact, exact.astype(np.float64)] if exact.dtype == np.int64 else [exact]
+        for form in forms:
+            assert orbit_floor(form, family_operand(r)).min(axis=1).tolist() == [min(p) for p in pairings]
+            for k in (1, 2):
+                failing = [i for i, p in enumerate(pairings) if min(p) < k]
+                below = _exceptional_below(form.take(failing, axis=0), k)
+                assert below.tolist() == [sum(v < k for v in pairings[i][:exceptional]) for i in failing]
+        return len(forms)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_every_box_leaf(self, r):
+        leaves = _box_leaves(r, 6)
+        assert _descending(leaves) is leaves  # a box leaf is already descending
+        assert self._check(leaves, r) == 2
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_seeded_unsorted_draws(self, r):
+        rows = np.random.default_rng(r).integers(-4, 13, size=(120, r + 1))
+        assert r == 1 or _descending(rows) is not rows  # the draws are sorted first
+        assert self._check(rows, r) == 2
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_object_rows_past_the_int64_bound(self, r):
+        rng = np.random.default_rng(100 + r)
+        rows = [[int(x) * 10**14 + int(y) for x, y in zip(rng.integers(-9, 30, r + 1), rng.integers(-5, 5, r + 1))]
+                for _ in range(40)]
+        rows = np.array(rows + [[3 * SAFE_COEFF_BOUND] + [SAFE_COEFF_BOUND + 1] * r], dtype=object)
+        assert exact_rows(rows).dtype == object
+        assert self._check(rows, r) == 1
 
 
 class TestConsistencySweep:
@@ -1132,19 +1224,39 @@ class TestConsistencySweep:
 
     def test_box_4_sweep_makes_one_product_per_reached_orbit(self, monkeypatch):
         # the sweep's work, not its time: from a freshly built table, the
-        # pairing of the 85 leaves, the orbit floor of the 50 applicable rows
-        # and one M.D product per reached orbit, 76 reaching rows in all
+        # family floor of the 85 leaves, the curve pairing of the 48 rows
+        # that fail at k, the orbit floor of the 50 applicable rows and one
+        # M.D product per reached orbit, 76 reaching rows in all
         import delpezzo.bulk as bulk
 
         fresh = bulk._candidate_table.__wrapped__(8, 1)
-        rows = []
+        rows, operands = [], []
         exact_product = bulk.exact_product
         monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: fresh)
-        monkeypatch.setattr(bulk, "exact_product", lambda A, B: rows.append(len(A)) or exact_product(A, B))
+        monkeypatch.setattr(bulk, "exact_product",
+                            lambda A, B: rows.append(len(A)) or operands.append(B) or exact_product(A, B))
         assert consistency_sweep(8, 1, 4).ok
         assert len(fresh.expanded) == 5
-        assert len(rows) == 7
-        assert rows[:2] == [85, 50] and sum(rows[2:]) == 76
+        assert len(rows) == 8
+        assert rows[:3] == [85, 48, 50] and sum(rows[3:]) == 76
+        assert operands[:3] == [bulk.family_operand(8), curve_operand(8), fresh.operand]
+
+    def test_box_12_sweep_pairs_only_failing_rows_with_the_curves(self, monkeypatch):
+        # of the 11,011 leaves of box 12, only the applicable rows that fail
+        # at k = 1 meet the 240 curves; every leaf meets the 7 families
+        import delpezzo.bulk as bulk
+
+        seen = {"curves": 0, "families": 0}
+        exact_product = bulk.exact_product
+
+        def counted(A, B):
+            for name, operand in (("curves", curve_operand(8)), ("families", bulk.family_operand(8))):
+                seen[name] += len(A) if B is operand else 0
+            return exact_product(A, B)
+
+        monkeypatch.setattr(bulk, "exact_product", counted)
+        assert consistency_sweep(8, 1, 12).ok
+        assert seen == {"curves": 6_820, "families": 11_011}
 
     def test_sweep_certifies_no_witness(self, monkeypatch):
         # a freshly built table, and an effectivity test that refuses to run:
@@ -1206,9 +1318,11 @@ class TestConsistencySweep:
     @pytest.mark.parametrize("r", range(1, 9))
     def test_product_operands_are_c_ordered_and_read_only(self, r):
         # every right operand of the sweep's float64 products: the test
-        # curves, each table's representatives and each expanded orbit;
-        # and every other array a table holds, each orbit's int64 rows too
-        operands, arrays, orbit_rows = [curve_operand(r)], [], []
+        # curves, the families, each table's representatives and each
+        # expanded orbit; and every other array a table holds, each orbit's
+        # int64 rows too
+        operands, arrays, orbit_rows = [curve_operand(r), family_operand(r)], [], []
+        signed = [(family_operand(r), np.array(_family_table(r).reps))]
         for k in range(3):
             if k:
                 consistency_sweep(r, k, 6)  # expands the orbits a box-6 row reaches
@@ -1216,31 +1330,28 @@ class TestConsistencySweep:
             operands += [table.operand, *(columns for _, columns in table.expanded.values())]
             arrays += [table.reps, table.squares, table.top, table.exceptional]
             orbit_rows += [rows for rows, _ in table.expanded.values()]
-        assert len(operands) > 5 and orbit_rows
+            signed += [(table.operand, table.reps), *((columns, rows) for rows, columns in table.expanded.values())]
+        assert len(operands) > 6 and orbit_rows
         for operand in operands:
             assert operand.dtype == np.float64  # the float route applies
             assert operand.flags.c_contiguous and not operand.flags.writeable
         for array in arrays + orbit_rows:
             assert not array.flags.writeable
         assert all(rows.dtype == np.int64 for rows in orbit_rows)
+        # each operand is signed as the pairing is: class (x0; x) is the
+        # column (x0; -x), so a row M enters its products as it is
+        for operand, classes in signed:
+            assert operand.T.tolist() == [[x0, *(-v for v in x)] for x0, *x in classes.tolist()]
 
-    def test_exceptional_count_of_the_zero_row(self, monkeypatch):
+    def test_exceptional_count_of_the_zero_row(self):
         # the zero class pairs 0 < 1 with each of the 240 exceptional
-        # classes of rank 8: the narrow count holds the whole set
-        import delpezzo.bulk as bulk
-
-        seen = []
-        decide = bulk._decide_block
-
-        def capture(L, lowest, exc_below, *rest):
-            seen.append(exc_below.copy())
-            return decide(L, lowest, exc_below, *rest)
-
-        monkeypatch.setattr(bulk, "_decide_block", capture)
-        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: np.zeros((1, r + 1), dtype=np.int64))
-        sweep_blocks(8, 1, 0, None, 0)
-        assert len(seen) == 1
-        assert seen[0].dtype == np.int16 and seen[0].tolist() == [240]
+        # classes of rank 8: the narrow count holds the whole set.  A sweep
+        # counts only its failing applicable rows, and the zero row does not
+        # apply (M = -K, M.M = 1), so the count is asked for directly
+        seen = [_exceptional_below(np.zeros((1, 9), dtype=dtype), 1) for dtype in (np.int64, np.float64, object)]
+        assert len(seen) == 3
+        for count in seen:
+            assert count.dtype == np.int16 and count.tolist() == [240]
 
     def test_exhaustive_cap_threshold(self, monkeypatch):
         import delpezzo.bulk as bulk

@@ -9,7 +9,8 @@ script) and writes BENCH_<label>.json at the root of the checkout holding
 this script, so a parent commit cloned elsewhere is recorded next to the
 change.  It runs the checkout's own ``benchmarks/run.py``, unchanged, once
 per workload as a subprocess (seed 1, ``--trace 0``, its own run length)
-and keeps each run's last line; then the Tier-1 command with
+and keeps each run's last line; then the layers that the workloads do
+not see (see ``layers``); then the Tier-1 command with
 ``--durations=10``, keeping its wall time, its counts and its ten slowest
 tests; it counts the lines of each ``src/delpezzo/*.py`` of the checkout,
 as ``wc -l`` does, and their total; and it notes the host:
@@ -35,6 +36,30 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("check-r8", "oracle-lowrank", "sweep-r8-k1")
+#: (r, k, a_max) of the warm consistency sweeps in the layer record: the
+#: rank-8 boxes of the sweep layer, and a box each at ranks 3 and 1.
+WARM_SWEEPS = ((8, 1, 4), (8, 1, 12), (8, 1, 20), (8, 2, 12), (3, 1, 40), (1, 1, 200))
+#: CLI argv of the cold commands in the layer record.
+COLD_COMMANDS = tuple(f"verify --r 8 --k {k} --box {box} --json".split() for k, box in ((1, 12), (1, 20), (2, 12)))
+#: A fresh process that times each warm sweep of sys.argv[2] (JSON) against
+#: the package in sys.argv[1]: one untimed call builds its table and leaves,
+#: then the best of 5 timeit repeats, each of the autorange count of calls.
+#: A sweep the checkout cannot run is null with its reason.
+WARM_CHILD = """
+import json, sys, timeit
+sys.path.insert(0, sys.argv[1])
+out = {}
+for r, k, a_max in json.loads(sys.argv[2]):
+    try:
+        from delpezzo.reider import consistency_sweep
+        consistency_sweep(r, k, a_max)
+        timer = timeit.Timer(lambda: consistency_sweep(r, k, a_max))
+        number = timer.autorange()[0]
+        out[f"{r},{k},{a_max}"] = min(timer.repeat(5, number)) / number
+    except Exception as exc:
+        out[f"{r},{k},{a_max}"] = repr(exc)
+print(json.dumps(out))
+"""
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
 
 
@@ -68,6 +93,50 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": round(wall, 2), "counts": counts, "summary": summary, "slowest": slowest}
 
 
+def cold_run(argv: list[str], checkout: Path, env: dict) -> tuple[float, float, int]:
+    """Wall seconds, peak RSS in MB (the child's own ``ru_maxrss`` from
+    ``os.wait4``) and exit code of one cold ``python -m delpezzo`` run."""
+    start = time.perf_counter()
+    child = subprocess.Popen([sys.executable, "-m", "delpezzo", *argv], cwd=checkout, env=env,
+                             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    return time.perf_counter() - start, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)
+
+
+def layers(checkout: Path) -> dict:
+    """The warm sweeps of WARM_SWEEPS, each the median of three fresh
+    processes' best-of-5 seconds per sweep, and the cold COLD_COMMANDS, the
+    median wall time and peak RSS of 7 rounds that run the commands in
+    turn.  A layer the checkout cannot run is null, with its reason."""
+    src = str(checkout / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    processes = []
+    for _ in range(3):
+        done = subprocess.run([sys.executable, "-c", WARM_CHILD, src, json.dumps(WARM_SWEEPS)],
+                              capture_output=True, text=True)
+        reason = (done.stderr.strip().splitlines() or [f"exit code {done.returncode}"])[-1]
+        processes.append(json.loads(done.stdout) if done.returncode == 0 else reason)
+    warm = {}
+    for r, k, a_max in WARM_SWEEPS:
+        key = f"{r},{k},{a_max}"
+        runs = [p[key] if isinstance(p, dict) else p for p in processes]
+        if all(isinstance(x, float) for x in runs):
+            warm[key] = {"median_s": statistics.median(runs), "best_of_5_s": runs}
+        else:
+            warm[key] = {"median_s": None, "reason": next(x for x in runs if not isinstance(x, float))}
+    rounds = [[cold_run(argv, checkout, env) for argv in COLD_COMMANDS] for _ in range(7)]
+    cold = {}
+    for i, argv in enumerate(COLD_COMMANDS):
+        runs = [round_[i] for round_ in rounds]
+        failed = [code for _, _, code in runs if code]
+        cold[" ".join(argv)] = {"wall_s": None, "peak_rss_mb": None, "reason": f"exit code {failed[0]}"} if failed else {
+            "wall_s": statistics.median(wall for wall, _, _ in runs),
+            "peak_rss_mb": statistics.median(rss for _, rss, _ in runs),
+            "runs": len(runs),
+        }
+    return {"warm_sweeps": warm, "cold_commands": cold}
+
+
 def src_lines(checkout: Path) -> dict:
     files = {path.name: path.read_bytes().count(b"\n") for path in sorted((checkout / "src" / "delpezzo").glob("*.py"))}
     return {"files": files, "total": sum(files.values())}
@@ -89,6 +158,7 @@ def main(argv=None) -> int:
         "git_commit": run(["git", "rev-parse", "HEAD"], checkout).strip(),
         "git_dirty": bool(run(["git", "status", "--porcelain", "--untracked-files=no"], checkout).strip()),
         "workloads": workloads,
+        "layers": layers(checkout),
         "tier1": tier1(checkout),
         "src_lines": src_lines(checkout),
         "host": {
