@@ -42,13 +42,13 @@ the orbit at most at its top, and only orbits that some row reaches are
 expanded and run the exact window; an expanded orbit keeps its int64 rows
 and their operand.  Past the floor, a reached orbit costs one gather of
 its reaching rows, one exact product and one window mask
-(:func:`_window_hits`).  The leaves of an exhaustive sweep are built by
-one loop over (a, b_1), once per (r, a_max), and kept for the last four
-boxes (:func:`_box_leaves`).  A sweep reads each row's smallest pairing
-(nef filter and pairing verdict) off the family floor, pairs only the
-applicable rows that fail at k with the test curves, counts the
-witnesses of each row and certifies none; :mod:`delpezzo.reider` words
-the rows it flags.
+(:func:`_window_hits`).  The leaves of an exhaustive sweep are streamed in
+blocks from one enumeration of their tails (:func:`_box_leaves`), and each
+block's k-free step (:func:`_nef_block`: the nef filter read off the family
+floor, M.M) runs once per (r, a_max): the nef blocks of the last four
+boxes are kept (:func:`_box_blocks`).  A sweep pairs only the applicable
+rows that fail at k with the test curves, counts the witnesses of each row
+and certifies none; :mod:`delpezzo.reider` words the rows it flags.
 """
 
 from __future__ import annotations
@@ -304,12 +304,11 @@ def window_rows(M: PicardClass, k: int) -> tuple[list[tuple[list[int], int]], in
 _BLOCK_ROWS = 1024
 
 
-@lru_cache(maxsize=4)
-def _box_leaves(r: int, a_max: int) -> np.ndarray:
+def _box_leaves(r: int, a_max: int) -> Iterator[np.ndarray]:
     """Every (a; b) with 0 <= a <= a_max, b non-increasing and non-negative
-    and b_1 + b_2 <= a, in (a ascending, b descending) order, read-only.
-    The leaves of the last four boxes are kept, so a repeated sweep builds
-    none; the bound caps what is kept (the rank-8 box-20 leaves take 17 MB).
+    and b_1 + b_2 <= a, in (a ascending, b descending) order, streamed as
+    int64 blocks of _BLOCK_ROWS rows (the last one perhaps shorter, none
+    empty), so the leaves of a box are never held at once.
 
     A nef class has 0 <= b_i <= a and (for r >= 2) b_i + b_j <= a, so these
     descending-coordinate rows hold every nef orbit of the box.  The tail
@@ -322,15 +321,44 @@ def _box_leaves(r: int, a_max: int) -> np.ndarray:
     n_tails = comb(a_max // 2 + r - 1, r - 1)
     tails = np.fromiter(itertools.chain.from_iterable(tails), dtype=np.int64, count=n_tails * (r - 1))
     tails = tails.reshape(n_tails, r - 1)  # r = 1: one empty tail
-    pairs = [(a, b1) for a in range(a_max + 1) for b1 in range(a, -1, -1)]
-    counts = [comb(min(b1, a - b1) + r - 1, r - 1) for a, b1 in pairs]
-    rows = np.empty((sum(counts), r + 1), dtype=np.int64)
-    end = 0
-    for (a, b1), n in zip(pairs, counts):
-        rows[end:end + n, :2] = a, b1
-        rows[end:end + n, 2:] = tails[n_tails - n:]
-        end += n
-    return _read_only(rows)
+    pairs = np.array([(a, b1) for a in range(a_max + 1) for b1 in range(a, -1, -1)], dtype=np.int64)
+    ends = np.cumsum([comb(min(b1, a - b1) + r - 1, r - 1) for a, b1 in pairs.tolist()])
+    for start in range(0, int(ends[-1]), _BLOCK_ROWS):
+        leaf = np.arange(start, min(start + _BLOCK_ROWS, int(ends[-1])))
+        pair = np.searchsorted(ends, leaf, side="right")
+        yield np.concatenate([pairs[pair], tails[n_tails - ends[pair] + leaf]], axis=1)
+
+
+def _nef_block(block: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The k-free step of a sweep on a block of candidate rows: the indices
+    of its nef rows; those rows as exact rows in descending order
+    (:func:`_descending`, a no-op for box leaves), int64 cast to float64;
+    each one's smallest family value, its smallest pairing with the test
+    curves (the nef filter: one product with ``family_operand(r)``); and
+    M.M for M = L + (-K)."""
+    L = _descending(exact_rows(block))
+    if L.dtype == np.int64:
+        L = L.astype(np.float64)
+    lowest = exact_product(L, family_operand(r)).min(axis=1)
+    nef = (lowest >= 0).nonzero()[0]
+    L, K = L.take(nef, axis=0), _surface_context(r).canonical
+    M = L - np.array([K.a, *K.b], dtype=np.int64)
+    return nef, L, lowest[nef], M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
+
+
+@lru_cache(maxsize=4)
+def _box_blocks(r: int, a_max: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], ...]:
+    """Per block of the streamed leaves of the box a <= a_max
+    (:func:`_box_leaves`): its nef rows, each one's smallest family value
+    and M.M (:func:`_nef_block`), read-only, and how many classes they
+    cover, as a leaf decides its orbit.  The last four boxes are kept, so a
+    repeated sweep does only the work that depends on k; the bound caps
+    what is kept (the rank-8 box-20 blocks take 17 MB, as its leaves did)."""
+    blocks = []
+    for leaves in _box_leaves(r, a_max):
+        _, rows, lowest, m2 = map(_read_only, _nef_block(leaves, r))
+        blocks.append((rows, lowest, m2, int(orbit_sizes(rows[:, 1:]).sum())))
+    return tuple(blocks)
 
 
 def _sample_blocks(r: int, a_max: int, seed: int) -> Iterator[np.ndarray]:
@@ -352,15 +380,15 @@ def _exceptional_below(L: np.ndarray, k: int) -> np.ndarray:
 
 
 def _decide_block(
-    L: np.ndarray, lowest: np.ndarray, k: int, table: _CandidateTable,
+    L: np.ndarray, lowest: np.ndarray, m2: np.ndarray, k: int, table: _CandidateTable,
 ) -> tuple[tuple[int, ...], list[tuple[int, bool]]]:
-    """The sweep over one block of nef exact rows L (see :func:`exact_rows`,
-    perhaps cast to float64), each b non-increasing, given each row's
-    smallest pairing ``lowest`` with the test curves.  Returns the counts
-    (applicable, passing, failing, exceptions, witnesses) and the flagged
-    rows in row order, as (index in L, pass flag).  M = L + (-K) of a nef
-    row is nef (-K pairs >= 1 with every test curve), so its premise is
-    M.M >= 4k + 5.
+    """The k-dependent sweep over a block of nef exact rows L, each b
+    non-increasing, given each row's smallest pairing ``lowest`` with the
+    test curves and ``m2``, M.M for M = L + (-K) (see :func:`_nef_block`).
+    Returns the counts (applicable, passing, failing, exceptions,
+    witnesses) and the flagged rows in row order, as (index in L, pass
+    flag).  M of a nef row is nef (-K pairs >= 1 with every test curve),
+    so its premise is M.M >= 4k + 5.
 
     Every verdict is an array comparison.  Only the applicable rows that
     fail at k are paired with the test curves (:func:`_exceptional_below`).
@@ -368,10 +396,9 @@ def _decide_block(
     is a multiple of -K or is flagged; a consistent block flags no row.
     """
     K = _surface_context(L.shape[1] - 1).canonical
-    M = L - np.array([K.a, *K.b], dtype=np.int64)
-    m2 = M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
     applicable = (m2 >= 4 * k + 5).nonzero()[0]
-    L, M, passes = L.take(applicable, axis=0), M.take(applicable, axis=0), lowest[applicable] >= k
+    L, passes = L.take(applicable, axis=0), lowest[applicable] >= k
+    M = L - np.array([K.a, *K.b], dtype=np.int64)
     failing = (~passes).nonzero()[0]
     exc_below = _exceptional_below(L.take(failing, axis=0), k)
 
@@ -406,40 +433,30 @@ def _decide_block(
 def sweep_blocks(
     r: int, k: int, a_max: int, sample: int | None, seed: int,
 ) -> tuple[int, int, list[int], list[tuple[PicardClass, bool]]]:
-    """The block loop of ``consistency_sweep`` at rank r and level k over
-    the box leaves a <= a_max in blocks of _BLOCK_ROWS, or with ``sample``
-    over seeded draws until that many nef rows.  Each block is converted
-    to exact rows and put in descending order once (:func:`_descending`, a
-    no-op for box leaves), an int64 block cast to float64 once for its
-    products, and each row's smallest pairing with the test curves (the
-    nef filter and the pairing verdict) is its smallest family value, one
-    product with ``family_operand(r)``.  Returns scanned, covered, the five
-    totals of :func:`_decide_block` and the flagged rows in row order, as
-    (class in its own coordinates, pass flag)."""
+    """The block loop of ``consistency_sweep`` at rank r and level k: over
+    the kept nef blocks of the box a <= a_max (:func:`_box_blocks`), or
+    with ``sample`` over seeded draws until that many nef rows, each drawn
+    block through the same k-free step (:func:`_nef_block`) and kept by
+    none.  Only :func:`_decide_block` depends on k.  Returns scanned,
+    covered, the five totals of :func:`_decide_block` and the flagged rows
+    in row order, as (class in its own coordinates, pass flag)."""
     table = _candidate_table(r, k)
-    if sample is None:
-        leaves = _box_leaves(r, a_max)
-        blocks = (leaves[start:start + _BLOCK_ROWS] for start in range(0, len(leaves), _BLOCK_ROWS))
-    else:
-        blocks = _sample_blocks(r, a_max, seed)
+    blocks = _box_blocks(r, a_max) if sample is None else _sample_blocks(r, a_max, seed)
     scanned = covered = 0
     totals = [0] * 5
     flagged = []
     for block in blocks:
-        L = exact_rows(block)
-        S = _descending(L)
-        if S.dtype == np.int64:
-            S = S.astype(np.float64)
-        lowest = exact_product(S, family_operand(r)).min(axis=1)
-        nef = (lowest >= 0).nonzero()[0]
-        if sample is not None:
-            nef = nef[:sample - scanned]
-        rows = S.take(nef, axis=0)
-        counts, found = _decide_block(rows, lowest[nef], k, table)
-        flagged += [(PicardClass(L[nef[i], 0], tuple(L[nef[i], 1:].tolist())), passing) for i, passing in found]
+        if sample is None:
+            rows, lowest, m2, count = block
+            own = rows  # a box leaf is descending, so in its own coordinates
+        else:  # a drawn row covers itself
+            nef, rows, lowest, m2 = (x[:sample - scanned] for x in _nef_block(block, r))
+            own, count = block.take(nef, axis=0), len(nef)
+        counts, found = _decide_block(rows, lowest, m2, k, table)
+        flagged += [(PicardClass(int(own[i, 0]), tuple(map(int, own[i, 1:].tolist()))), passing)
+                    for i, passing in found]
         scanned += len(rows)
-        # a box leaf decides its whole permutation orbit
-        covered += len(rows) if sample is not None else int(orbit_sizes(rows[:, 1:]).sum())
+        covered += count
         totals = [t + c for t, c in zip(totals, counts)]
         if scanned == sample:
             break

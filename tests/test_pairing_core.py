@@ -281,7 +281,7 @@ class TestEarlyReject:
 @lru_cache(maxsize=None)
 def nef_leaves(r):
     """The nef leaves of the box-6 sweep at rank r, as (a, *b) tuples."""
-    leaves = _box_leaves(r, 6)
+    leaves = np.concatenate(list(_box_leaves(r, 6)))
     return tuple(map(tuple, leaves[pairing_matrix(leaves, r).min(axis=1) >= 0].tolist()))
 
 

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delpezzo.bulk import (
+    _BLOCK_ROWS,
     SAFE_COEFF_BOUND,
+    _box_blocks,
     _box_leaves,
     _candidate_table,
     _decide_block,
@@ -857,15 +859,33 @@ def ref_sample_rows(r, a_max, count, seed):
     return np.concatenate(kept, axis=0)[:count]
 
 
+def box_leaves(r, a_max):
+    """The streamed leaves of a box (``_box_leaves``), concatenated."""
+    return np.concatenate(list(_box_leaves(r, a_max)))
+
+
+@pytest.fixture
+def fresh_box_blocks():
+    """A test that patches what the kept nef blocks of a box are built from
+    (the leaves, ``exact_rows``, the family operand) or counts their build
+    starts and ends with no box kept: a kept box would hide its patch, and
+    a box built under it would outlive it."""
+    _box_blocks.cache_clear()
+    yield
+    _box_blocks.cache_clear()
+
+
 def decide_per_row(rows, k, r):
     """``_decide_block`` on the rank-r nef rows `rows` (lists, each b
-    non-increasing) from smallest pairings built per row with ``intersect``,
-    independent of the sweep's family floor: its counts, and its flagged
-    rows worded by ``_row_violations``."""
+    non-increasing) from smallest pairings and M.M built per row with
+    ``intersect``, independent of the sweep's family floor: its counts, and
+    its flagged rows worded by ``_row_violations``."""
     classes = [PicardClass(row[0], tuple(row[1:])) for row in rows]
     curves = surface_context(r).test_curves
+    K = canonical_class(r)
     lowest = np.array([min(intersect(L, x) for x in curves) for L in classes], dtype=object)
-    counts, flagged = _decide_block(exact_rows(rows), lowest, k, _candidate_table(r, k))
+    squares = np.array([intersect(L - K, L - K) for L in classes], dtype=object)
+    counts, flagged = _decide_block(exact_rows(rows), lowest, squares, k, _candidate_table(r, k))
     violations = [v for i, passing in flagged for v in _row_violations(classes[i], passing, k)]
     return counts, violations
 
@@ -965,20 +985,43 @@ class TestBatchedSweepAgainstPerRow:
 
     @pytest.mark.parametrize("r,a_max", [(1, 30), (2, 12), (5, 6), (8, 4), (8, 12)])
     def test_box_rows_match_the_depth_first_scan(self, r, a_max):
-        leaves = _box_leaves(r, a_max)
+        leaves = box_leaves(r, a_max)
         nef = leaves[pairing_matrix(leaves, r).min(axis=1) >= 0]
         coeffs, weights = ref_box_rows(r, a_max)
         np.testing.assert_array_equal(nef, coeffs)
         np.testing.assert_array_equal(orbit_sizes(nef[:, 1:]), weights)
+        # the kept nef blocks hold the same rows, and cover the same classes
+        blocks = _box_blocks(r, a_max)
+        np.testing.assert_array_equal(np.concatenate([rows for rows, *_ in blocks]), coeffs)
+        assert sum(covered for *_, covered in blocks) == weights.sum()
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_box_leaves_match_the_column_by_column_build(self, r):
-        for a_max in (0, 1, 2, 3, 4, 7, 12, 16):
-            leaves = _box_leaves(r, a_max)
+        for a_max in (0, 1, 2, 3, 4, 5, 7, 12, 16):
+            blocks = list(_box_leaves(r, a_max))
+            # full blocks, but perhaps the last, and no empty one
+            assert all(len(block) == _BLOCK_ROWS for block in blocks[:-1]) and 0 < len(blocks[-1]) <= _BLOCK_ROWS
+            leaves = np.concatenate(blocks)
             expected = ref_box_leaves(r, a_max)
             assert leaves.dtype == expected.dtype == np.int64
             np.testing.assert_array_equal(leaves, expected)
             assert _box_leaf_count(r, a_max) == len(leaves)
+
+    def test_a_box_of_whole_blocks_streams_no_empty_block(self, fresh_box_blocks):
+        # the 158,720 leaves of box 59 at rank 3 fill exactly 155 blocks;
+        # each kept nef block is read-only, and they cover the nef classes
+        blocks = list(_box_leaves(3, 59))
+        assert len(blocks) == 155 and {len(block) for block in blocks} == {_BLOCK_ROWS}
+        leaves = np.concatenate(blocks)
+        assert len(leaves) == _box_leaf_count(3, 59) == 158_720
+        np.testing.assert_array_equal(leaves, ref_box_leaves(3, 59))
+        kept = _box_blocks(3, 59)
+        assert len(kept) == 155
+        for rows, lowest, m2, _ in kept:
+            assert rows.dtype == np.float64 and not any(array.flags.writeable for array in (rows, lowest, m2))
+        nef = leaves[pairing_matrix(leaves, 3).min(axis=1) >= 0]
+        np.testing.assert_array_equal(np.concatenate([rows for rows, *_ in kept]), nef)
+        assert sum(covered for *_, covered in kept) == orbit_sizes(nef[:, 1:]).sum()
 
     def test_blocks_straddling_the_int64_bounds(self):
         # nef rows whose M = L - K crosses SAFE_COEFF_BOUND, or leaves int64
@@ -998,7 +1041,7 @@ class TestBatchedSweepAgainstPerRow:
                 witnesses += counts[-1]
         assert witnesses > 0
 
-    def test_float_and_object_routes_sweep_a_block_alike(self, monkeypatch):
+    def test_float_and_object_routes_sweep_a_block_alike(self, monkeypatch, fresh_box_blocks):
         # The float route compares and reduces float64 products where they
         # land; the same block on Python integers must sweep the same.  The
         # corners at +-SAFE_COEFF_BOUND give the largest partial sums (none
@@ -1023,11 +1066,12 @@ class TestBatchedSweepAgainstPerRow:
             dtypes.add(out.dtype)
             return out
 
-        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: block)
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: iter([block]))
         monkeypatch.setattr(bulk, "exact_product", recorded)
         floats = sweep_blocks(r, k, B, None, 0)
         assert dtypes == {np.dtype(np.float64)}
         dtypes.clear()
+        _box_blocks.cache_clear()  # the object route builds the box again
         monkeypatch.setattr(bulk, "exact_rows", lambda coeffs: rows_of(coeffs).astype(object))
         objects = sweep_blocks(r, k, B, None, 0)
         assert dtypes == {np.dtype(object)}
@@ -1079,7 +1123,7 @@ class TestSweepViolations:
         kinds = self._compare(8, 1, 4)
         assert {"missing_witness", "missing_exceptional_witness"} <= set(kinds)
 
-    def test_dropped_orbit_beside_other_witnesses(self, monkeypatch):
+    def test_dropped_orbit_beside_other_witnesses(self, monkeypatch, fresh_box_blocks):
         import delpezzo.bulk as bulk
 
         # without the orbit of the e_i, (8; 4,4,4,2,2,2,2,0) keeps 14
@@ -1089,7 +1133,7 @@ class TestSweepViolations:
         keep = np.array([rep != [0] * 8 + [-1] for rep in table.reps.tolist()])
         faulty = bulk._table(table.reps[keep], 1)
         monkeypatch.setattr(bulk, "_candidate_table", lambda r, k: faulty)
-        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: np.array([[8, 4, 4, 4, 2, 2, 2, 2, 0]]))
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: iter([np.array([[8, 4, 4, 4, 2, 2, 2, 2, 0]])]))
         got = consistency_sweep(8, 1, 8)
         assert got.witness_total == 14
         assert [(v.kind, v.detail) for v in got.violations] == [
@@ -1109,7 +1153,7 @@ class TestSweepViolations:
         kinds = self._compare(8, 1, 6)
         assert kinds == ["unexpected_witness"]
 
-    def test_pairing_blind_to_an_orbit(self, monkeypatch):
+    def test_pairing_blind_to_an_orbit(self, monkeypatch, fresh_box_blocks):
         import delpezzo.bulk as bulk
 
         # test curves whose e_i are replaced by -K, in the reference and in
@@ -1165,7 +1209,7 @@ class TestFamilyFloorFilter:
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_every_box_leaf(self, r):
-        leaves = _box_leaves(r, 6)
+        leaves = box_leaves(r, 6)
         assert _descending(leaves) is leaves  # a box leaf is already descending
         assert self._check(leaves, r) == 2
 
@@ -1222,11 +1266,12 @@ class TestConsistencySweep:
         assert consistency_sweep(r, k, 12).ok
         assert len(calls) == 0
 
-    def test_box_4_sweep_makes_one_product_per_reached_orbit(self, monkeypatch):
-        # the sweep's work, not its time: from a freshly built table, the
-        # family floor of the 85 leaves, the curve pairing of the 48 rows
-        # that fail at k, the orbit floor of the 50 applicable rows and one
-        # M.D product per reached orbit, 76 reaching rows in all
+    def test_box_4_sweep_makes_one_product_per_reached_orbit(self, monkeypatch, fresh_box_blocks):
+        # the sweep's work, not its time: from a freshly built table and no
+        # kept box, the family floor of the 85 leaves, the curve pairing of
+        # the 48 rows that fail at k, the orbit floor of the 50 applicable
+        # rows and one M.D product per reached orbit, 76 reaching rows in
+        # all; a repeat keeps the box and makes no family-floor product
         import delpezzo.bulk as bulk
 
         fresh = bulk._candidate_table.__wrapped__(8, 1)
@@ -1240,10 +1285,16 @@ class TestConsistencySweep:
         assert len(rows) == 8
         assert rows[:3] == [85, 48, 50] and sum(rows[3:]) == 76
         assert operands[:3] == [bulk.family_operand(8), curve_operand(8), fresh.operand]
+        first = rows[1:]
+        rows.clear()
+        operands.clear()
+        assert consistency_sweep(8, 1, 4).ok
+        assert rows == first and all(B is not bulk.family_operand(8) for B in operands)
 
-    def test_box_12_sweep_pairs_only_failing_rows_with_the_curves(self, monkeypatch):
+    def test_box_12_sweep_pairs_only_failing_rows_with_the_curves(self, monkeypatch, fresh_box_blocks):
         # of the 11,011 leaves of box 12, only the applicable rows that fail
-        # at k = 1 meet the 240 curves; every leaf meets the 7 families
+        # at k = 1 meet the 240 curves, on every sweep; every leaf meets the
+        # 7 families once, when the box is built, and no leaf on a repeat
         import delpezzo.bulk as bulk
 
         seen = {"curves": 0, "families": 0}
@@ -1257,6 +1308,8 @@ class TestConsistencySweep:
         monkeypatch.setattr(bulk, "exact_product", counted)
         assert consistency_sweep(8, 1, 12).ok
         assert seen == {"curves": 6_820, "families": 11_011}
+        assert consistency_sweep(8, 1, 12).ok
+        assert seen == {"curves": 2 * 6_820, "families": 11_011}
 
     def test_sweep_certifies_no_witness(self, monkeypatch):
         # a freshly built table, and an effectivity test that refuses to run:
@@ -1304,16 +1357,39 @@ class TestConsistencySweep:
         assert summary.scanned == 47_132
         assert summary.ok, summary.render()
 
-    def test_box_leaves_are_built_once(self):
-        # the leaves of a box are kept, read-only, so a repeated sweep
-        # neither rebuilds them nor sees them changed
-        leaves = _box_leaves(8, 4)
-        assert _box_leaves(8, 4) is leaves
-        with pytest.raises(ValueError, match="read-only"):
-            leaves[0, 0] = 1
+    def test_box_leaves_are_built_once(self, monkeypatch, fresh_box_blocks):
+        # the nef blocks of a box are kept, read-only, so a repeated sweep
+        # neither streams its leaves again nor sees them changed
+        import delpezzo.bulk as bulk
+
+        leaves = _box_blocks(8, 4)
+        assert _box_blocks(8, 4) is leaves
+        for block in leaves:
+            for array in block[:3]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+        first = {a_max: json.dumps(consistency_sweep(8, 1, a_max).as_dict()) for a_max in (4, 12)}
+
+        def unbuilt(r, a_max):
+            raise AssertionError(f"streamed the leaves of box {a_max} again")
+
+        monkeypatch.setattr(bulk, "_box_leaves", unbuilt)
         for a_max in (4, 12):
-            first = json.dumps(consistency_sweep(8, 1, a_max).as_dict())
-            assert json.dumps(consistency_sweep(8, 1, a_max).as_dict()) == first
+            assert json.dumps(consistency_sweep(8, 1, a_max).as_dict()) == first[a_max]
+
+    def test_a_k_2_sweep_after_k_1_streams_no_leaf(self, monkeypatch, fresh_box_blocks):
+        # the kept blocks hold no k: a box swept at k = 1 is swept at k = 2
+        # from them, as a box built afresh at k = 2 is
+        import delpezzo.bulk as bulk
+
+        assert consistency_sweep(8, 1, 12).ok
+        streamed = []
+        leaves = bulk._box_leaves
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: streamed.append(a_max) or leaves(r, a_max))
+        kept = consistency_sweep(8, 2, 12).as_dict()
+        assert streamed == []
+        _box_blocks.cache_clear()
+        assert consistency_sweep(8, 2, 12).as_dict() == kept and streamed == [12]
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_product_operands_are_c_ordered_and_read_only(self, r):
@@ -1353,14 +1429,14 @@ class TestConsistencySweep:
         for count in seen:
             assert count.dtype == np.int16 and count.tolist() == [240]
 
-    def test_exhaustive_cap_threshold(self, monkeypatch):
+    def test_exhaustive_cap_threshold(self, monkeypatch, fresh_box_blocks):
         import delpezzo.bulk as bulk
 
         assert _box_leaf_count(8, 20) == 238_238 <= MAX_EXHAUSTIVE_LEAVES
         assert _box_leaf_count(8, 21) == 325_754 > MAX_EXHAUSTIVE_LEAVES
 
         # box 20 passes the cap: with no leaves built, its sweep scans nothing
-        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: np.empty((0, r + 1), dtype=np.int64))
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: iter(()))
         assert consistency_sweep(8, 1, 20).scanned == 0
 
         # bigger boxes are refused before any leaf is built, however large

@@ -17,6 +17,11 @@ as ``wc -l`` does, and their total; and it notes the host:
 the bare interpreter start with and without ``-S`` (median of 7), nproc,
 the Python and numpy versions, and the checkout's git commit.  The runs
 are sequential, benchmarks first, so that none shares the CPU with another.
+The recorder itself does not import numpy: a child's peak RSS from
+``os.wait4`` is at least the recorder's own RSS when it spawned the child
+(``subprocess`` spawns by vfork, and exec keeps the high-water mark of the
+address space it leaves), and numpy would raise that floor from about 15
+to about 28 MB, above a cold ``check``.
 """
 
 from __future__ import annotations
@@ -32,32 +37,47 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("check-r8", "oracle-lowrank", "sweep-r8-k1")
 #: (r, k, a_max) of the warm consistency sweeps in the layer record: the
 #: rank-8 boxes of the sweep layer, and a box each at ranks 3 and 1.
 WARM_SWEEPS = ((8, 1, 4), (8, 1, 12), (8, 1, 20), (8, 2, 12), (3, 1, 40), (1, 1, 200))
+#: Levels k of the fresh (uncached) rank-8 candidate-table builds in the
+#: layer record.
+TABLE_LEVELS = (1, 2, 4)
 #: CLI argv of the cold commands in the layer record.
-COLD_COMMANDS = tuple(f"verify --r 8 --k {k} --box {box} --json".split() for k, box in ((1, 12), (1, 20), (2, 12)))
-#: A fresh process that times each warm sweep of sys.argv[2] (JSON) against
-#: the package in sys.argv[1]: one untimed call builds its table and leaves,
-#: then the best of 5 timeit repeats, each of the autorange count of calls.
-#: A sweep the checkout cannot run is null with its reason.
+COLD_COMMANDS = tuple(f"verify --r 8 --k {k} --box {box} --json".split() for k, box in ((1, 12), (1, 20), (2, 12))) + (
+    ["check", "--r", "8", "--k", "1", "3;1,1,1,1,1,1,1,1", "--json"],)
+#: A fresh process that times, against the package in sys.argv[1], each
+#: warm sweep (r, k, a_max) of sys.argv[2] (JSON) and each fresh
+#: ``_candidate_table(8, k)`` build for k in sys.argv[3]: one untimed call
+#: (for a sweep, it builds its table and box), then the best of 5 timeit
+#: repeats, each of the autorange count of calls.  A layer the checkout
+#: cannot run is null with its reason.
 WARM_CHILD = """
 import json, sys, timeit
 sys.path.insert(0, sys.argv[1])
 out = {}
-for r, k, a_max in json.loads(sys.argv[2]):
+
+def best(key, call):
     try:
+        call()
+        timer = timeit.Timer(call)
+        number = timer.autorange()[0]
+        out[key] = min(timer.repeat(5, number)) / number
+    except Exception as exc:
+        out[key] = repr(exc)
+
+for r, k, a_max in json.loads(sys.argv[2]):
+    def sweep():
         from delpezzo.reider import consistency_sweep
         consistency_sweep(r, k, a_max)
-        timer = timeit.Timer(lambda: consistency_sweep(r, k, a_max))
-        number = timer.autorange()[0]
-        out[f"{r},{k},{a_max}"] = min(timer.repeat(5, number)) / number
-    except Exception as exc:
-        out[f"{r},{k},{a_max}"] = repr(exc)
+    best(f"{r},{k},{a_max}", sweep)
+for k in json.loads(sys.argv[3]):
+    def table():
+        from delpezzo.bulk import _candidate_table
+        _candidate_table.__wrapped__(8, k)
+    best(f"table 8,{k}", table)
 print(json.dumps(out))
 """
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
@@ -104,26 +124,28 @@ def cold_run(argv: list[str], checkout: Path, env: dict) -> tuple[float, float, 
 
 
 def layers(checkout: Path) -> dict:
-    """The warm sweeps of WARM_SWEEPS, each the median of three fresh
-    processes' best-of-5 seconds per sweep, and the cold COLD_COMMANDS, the
-    median wall time and peak RSS of 7 rounds that run the commands in
-    turn.  A layer the checkout cannot run is null, with its reason."""
+    """The warm sweeps of WARM_SWEEPS and the fresh rank-8 candidate tables
+    of TABLE_LEVELS, each the median of three fresh processes' best-of-5
+    seconds per call, and the cold COLD_COMMANDS, the median wall time and
+    peak RSS of 7 rounds that run the commands in turn.  A layer the
+    checkout cannot run is null, with its reason."""
     src = str(checkout / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     processes = []
     for _ in range(3):
-        done = subprocess.run([sys.executable, "-c", WARM_CHILD, src, json.dumps(WARM_SWEEPS)],
-                              capture_output=True, text=True)
+        argv = [sys.executable, "-c", WARM_CHILD, src, json.dumps(WARM_SWEEPS), json.dumps(TABLE_LEVELS)]
+        done = subprocess.run(argv, capture_output=True, text=True)
         reason = (done.stderr.strip().splitlines() or [f"exit code {done.returncode}"])[-1]
         processes.append(json.loads(done.stdout) if done.returncode == 0 else reason)
-    warm = {}
-    for r, k, a_max in WARM_SWEEPS:
-        key = f"{r},{k},{a_max}"
+
+    def median_of(key: str) -> dict:
         runs = [p[key] if isinstance(p, dict) else p for p in processes]
         if all(isinstance(x, float) for x in runs):
-            warm[key] = {"median_s": statistics.median(runs), "best_of_5_s": runs}
-        else:
-            warm[key] = {"median_s": None, "reason": next(x for x in runs if not isinstance(x, float))}
+            return {"median_s": statistics.median(runs), "best_of_5_s": runs}
+        return {"median_s": None, "reason": next(x for x in runs if not isinstance(x, float))}
+
+    warm = {key: median_of(key) for key in (f"{r},{k},{a_max}" for r, k, a_max in WARM_SWEEPS)}
+    tables = {f"8,{k}": median_of(f"table 8,{k}") for k in TABLE_LEVELS}
     rounds = [[cold_run(argv, checkout, env) for argv in COLD_COMMANDS] for _ in range(7)]
     cold = {}
     for i, argv in enumerate(COLD_COMMANDS):
@@ -134,7 +156,7 @@ def layers(checkout: Path) -> dict:
             "peak_rss_mb": statistics.median(rss for _, rss, _ in runs),
             "runs": len(runs),
         }
-    return {"warm_sweeps": warm, "cold_commands": cold}
+    return {"warm_sweeps": warm, "fresh_tables": tables, "cold_commands": cold}
 
 
 def src_lines(checkout: Path) -> dict:
@@ -166,7 +188,7 @@ def main(argv=None) -> int:
             "python_S_c_pass_s": round(interpreter_start_s("-S"), 4),
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
-            "numpy": np.__version__,
+            "numpy": run([sys.executable, "-c", "import numpy; print(numpy.__version__)"], ROOT).strip(),
         },
     }
     path = ROOT / f"BENCH_{args.label}.json"
