@@ -1362,9 +1362,9 @@ class TestConsistencySweep:
         # neither streams its leaves again nor sees them changed
         import delpezzo.bulk as bulk
 
-        leaves = _box_blocks(8, 4)
-        assert _box_blocks(8, 4) is leaves
-        for block in leaves:
+        blocks = _box_blocks(8, 4)
+        assert _box_blocks(8, 4) is blocks
+        for block in blocks:
             for array in block[:3]:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
