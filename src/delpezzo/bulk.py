@@ -25,8 +25,10 @@ are: :func:`curve_operand` holds the test curves of a rank,
 :func:`family_operand` its inequality families.  This module is also the
 home of the S_r orbits of a representative (a; b), b non-increasing:
 :func:`expand_orbit` lists the orbit of a row, :func:`orbit_sizes` counts
-the orbits of many rows without expanding them, and :func:`orbit_floor`
-takes the smallest pairing of many rows with each of many orbits.
+the orbits of many rows without expanding them.  A row that meets the
+representatives is descending where it is made (a box leaf, a draw of
+:func:`_sample_blocks`, the M of :func:`window_rows`), so its smallest
+pairing with each orbit is one product (:func:`_window_hits`).
 
 The window engine of :mod:`delpezzo.reider` runs here, behind
 :func:`window_rows` (one M) and :func:`sweep_blocks` (a sweep's box), and
@@ -36,9 +38,9 @@ as read-only arrays: the effective classes among the orbit
 representatives of :func:`~delpezzo.enumeration.window_candidates` as
 int64 rows and as a product operand, and per orbit its D.D, the top
 min(D.D + k + 1, 2k + 1) of its window and whether it is exceptional.
-The window kernel tests them against N rows of M at once: the smallest
-M.D over each orbit (:func:`orbit_floor`) marks the rows that can meet
-the orbit at most at its top, and only orbits that some row reaches are
+The window kernel tests them against N descending rows of M at once: the
+smallest M.D over each orbit marks the rows that can meet the orbit at
+most at its top, and only orbits that some row reaches are
 expanded and run the exact window; an expanded orbit keeps its int64 rows
 and their operand.  Past the floor, a reached orbit costs one gather of
 its reaching rows, one exact product and one window mask
@@ -159,8 +161,8 @@ def curve_operand(r: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def family_operand(r: int) -> np.ndarray:
     """The representatives (a0; c) of the rank-r inequality families as a
-    signed operand: a row's :func:`orbit_floor` against it holds each
-    family's value, the least of them its smallest test-curve pairing."""
+    signed operand: a descending row's product with it holds each family's
+    value, the least of them its smallest test-curve pairing."""
     return _signed_operand(np.array(_family_table(r).reps, dtype=np.int64))
 
 
@@ -185,24 +187,6 @@ def orbit_sizes(b: np.ndarray) -> np.ndarray:
     """The orbit size ``len(row)! / prod(m!)`` of each row of b, whose rows
     are sorted, over the multiplicities m, looked up by equal neighbours."""
     return _multinomials(b.shape[1])[(b[:, 1:] == b[:, :-1]) @ (1 << np.arange(b.shape[1] - 1))]
-
-
-def _descending(rows: np.ndarray) -> np.ndarray:
-    """The rows (y0; y), each y sorted descending: ``rows`` itself when
-    every y already is, as every box leaf is, else a sorted copy."""
-    y = rows[:, 1:]
-    return rows if (y[:, 1:] <= y[:, :-1]).all() else np.concatenate([rows[:, :1], -np.sort(-y, axis=1)], axis=1)
-
-
-def orbit_floor(rows: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """The smallest pairing ``y0*x0 - <y, x'>`` of each class row (y0; y)
-    with the orbit of each representative (x0; x), x non-increasing, over
-    the orderings x' of x: by the rearrangement inequality the largest
-    ``<y, x'>`` pairs y sorted descending with x, so the (rows x orbits)
-    floor is one exact product of the :func:`_descending` rows with the
-    representatives' signed operand (:func:`_signed_operand`), for rows
-    from :func:`exact_rows` (at most shifted by a small class)."""
-    return exact_product(_descending(rows), operand)
 
 
 @dataclass(frozen=True)
@@ -265,21 +249,23 @@ def _candidate_table(r: int, k: int) -> _CandidateTable:
 
 def _window_hits(table: _CandidateTable, M: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The window at the table's level k of the N exact rows M (see
-    :func:`exact_rows`, perhaps cast to float64): one ``(o, rows, window,
-    md)`` per orbit o that some row reaches, o ascending, where ``md`` is
-    the exact (rows x orbit classes) M.D product of the reaching rows
-    ``M[rows]`` with the classes of ``table.orbit(o)`` and ``window`` marks
-    its entries inside the window.
+    :func:`exact_rows`, perhaps cast to float64), each b non-increasing:
+    one ``(o, rows, window, md)`` per orbit o that some row reaches, o
+    ascending, where ``md`` is the exact (rows x orbit classes) M.D product
+    of the reaching rows ``M[rows]`` with the classes of ``table.orbit(o)``
+    and ``window`` marks its entries inside the window.
 
     D.D = d2 is constant on an orbit, so the window md - k - 1 <= d2,
     2*d2 < md, md < 2k+2 is the integer range 2*d2 < md <= top, with
     top = min(d2 + k + 1, 2k + 1) per orbit (``table.top``).  A row
-    reaches an orbit when its :func:`orbit_floor`, the smallest M.D over
-    the orbit, is at most top.  A reached orbit is expanded and costs one
-    gather of its reaching rows, one :func:`exact_product` with its signed
-    operand and one window mask against 2*d2 and top read as Python
-    integers."""
-    reached = orbit_floor(M, table.operand) <= table.top
+    (y0; y) reaches an orbit when its smallest M.D = y0*x0 - <y, x'> over
+    the orderings x' of the representative's x is at most top: by the
+    rearrangement inequality, the largest <y, x'> pairs the descending y
+    with x, so this floor is one product of M with ``table.operand``.  A
+    reached orbit is expanded and costs one gather of its reaching rows, one
+    :func:`exact_product` with its signed operand and one window mask
+    against 2*d2 and top read as Python integers."""
+    reached = exact_product(M, table.operand) <= table.top
     for o in reached.any(axis=0).nonzero()[0].tolist():
         rows = reached[:, o].nonzero()[0]
         md = exact_product(M.take(rows, axis=0), table.orbit(o)[1])
@@ -289,11 +275,16 @@ def _window_hits(table: _CandidateTable, M: np.ndarray) -> Iterator[tuple[int, n
 def window_rows(M: PicardClass, k: int) -> tuple[list[tuple[list[int], int]], int]:
     """The window classes of M at level k in the (M.r, k) candidate table,
     as (class row, M.D) pairs in (a, b) order, M.D a Python int, and the
-    table's class count."""
+    table's class count.  The window runs on M with b sorted descending;
+    each class found there is put back in M's order (entry ``back[j]`` of
+    the sorted class is entry j of M's), which keeps M.D and stays in the
+    table."""
     table = _candidate_table(M.r, k)
+    order = sorted(range(M.r), key=M.b.__getitem__, reverse=True)
+    back = [0, *(1 + order.index(i) for i in range(M.r))]
     found = [
-        (row, int(md))
-        for o, _, window, mds in _window_hits(table, exact_rows([[M.a, *M.b]]))
+        ([row[j] for j in back], int(md))
+        for o, _, window, mds in _window_hits(table, exact_rows([[M.a, *(M.b[i] for i in order)]]))
         for row, md in zip(table.orbit(o)[0][window[0]].tolist(), mds[window].tolist())
     ]
     return sorted(found), table.size  # distinct rows, so this sorts by (a, b)
@@ -329,21 +320,19 @@ def _box_leaves(r: int, a_max: int) -> Iterator[np.ndarray]:
         yield np.concatenate([pairs[pair], tails[n_tails - ends[pair] + leaf]], axis=1)
 
 
-def _nef_block(block: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The k-free step of a sweep on a block of candidate rows: the indices
-    of its nef rows; those rows as exact rows in descending order
-    (:func:`_descending`, a no-op for box leaves), int64 cast to float64;
-    each one's smallest family value, its smallest pairing with the test
-    curves (the nef filter: one product with ``family_operand(r)``); and
-    M.M for M = L + (-K)."""
-    L = _descending(exact_rows(block))
+def _nef_block(L: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k-free step of a sweep on a block L of exact rows (see
+    :func:`exact_rows`), each b non-increasing, as a box leaf or a draw
+    comes: its nef rows, int64 cast to float64; each one's smallest family
+    value, its smallest pairing with the test curves (the nef filter: one
+    product with ``family_operand(r)``); and M.M for M = L + (-K)."""
     if L.dtype == np.int64:
         L = L.astype(np.float64)
     lowest = exact_product(L, family_operand(r)).min(axis=1)
     nef = (lowest >= 0).nonzero()[0]
     L, K = L.take(nef, axis=0), _surface_context(r).canonical
     M = L - np.array([K.a, *K.b], dtype=np.int64)
-    return nef, L, lowest[nef], M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
+    return L, lowest[nef], M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
 
 
 @lru_cache(maxsize=4)
@@ -356,19 +345,21 @@ def _box_blocks(r: int, a_max: int) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
     what is kept (the rank-8 box-20 blocks take 17 MB, as its leaves did)."""
     blocks = []
     for leaves in _box_leaves(r, a_max):
-        _, rows, lowest, m2 = map(_read_only, _nef_block(leaves, r))
+        rows, lowest, m2 = map(_read_only, _nef_block(leaves, r))
         blocks.append((rows, lowest, m2, int(orbit_sizes(rows[:, 1:]).sum())))
     return tuple(blocks)
 
 
 def _sample_blocks(r: int, a_max: int, seed: int) -> Iterator[np.ndarray]:
     """Seeded candidate rows with 0 <= a <= a_max and every b_i <= a, one
-    block per draw of 4096 (a; b), without end."""
+    block of exact rows (:func:`exact_rows`) per draw of 4096 (a; b),
+    without end.  Each draw's b is sorted descending, so it is the
+    representative of its S_r orbit, and b_1 <= a keeps it."""
     rng = np.random.default_rng(seed)
     while True:
         a = rng.integers(0, a_max + 1, size=4096)
-        b = rng.integers(0, a_max + 1, size=(4096, r))
-        yield np.column_stack([a, b]).astype(np.int64)[(b <= a[:, None]).all(axis=1)]
+        b = np.sort(rng.integers(0, a_max + 1, size=(4096, r)), axis=1)[:, ::-1]
+        yield exact_rows(np.column_stack([a, b])[b[:, 0] <= a])
 
 
 def _exceptional_below(L: np.ndarray, k: int) -> np.ndarray:
@@ -439,7 +430,8 @@ def sweep_blocks(
     block through the same k-free step (:func:`_nef_block`) and kept by
     none.  Only :func:`_decide_block` depends on k.  Returns scanned,
     covered, the five totals of :func:`_decide_block` and the flagged rows
-    in row order, as (class in its own coordinates, pass flag)."""
+    in row order, as (class, pass flag): a box leaf, or the descending
+    representative of a draw's S_r orbit."""
     table = _candidate_table(r, k)
     blocks = _box_blocks(r, a_max) if sample is None else _sample_blocks(r, a_max, seed)
     scanned = covered = 0
@@ -448,12 +440,11 @@ def sweep_blocks(
     for block in blocks:
         if sample is None:
             rows, lowest, m2, count = block
-            own = rows  # a box leaf is descending, so in its own coordinates
         else:  # a drawn row covers itself
-            nef, rows, lowest, m2 = (x[:sample - scanned] for x in _nef_block(block, r))
-            own, count = block.take(nef, axis=0), len(nef)
+            rows, lowest, m2 = (x[:sample - scanned] for x in _nef_block(block, r))
+            count = len(rows)
         counts, found = _decide_block(rows, lowest, m2, k, table)
-        flagged += [(PicardClass(int(own[i, 0]), tuple(map(int, own[i, 1:].tolist()))), passing)
+        flagged += [(PicardClass(int(rows[i, 0]), tuple(map(int, rows[i, 1:].tolist()))), passing)
                     for i, passing in found]
         scanned += len(rows)
         covered += count

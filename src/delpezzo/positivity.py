@@ -37,7 +37,7 @@ same kernel finds them: each fold pass on the positive part built so far
 names the curve attaining its minimum, the minimizing family's
 representative (:func:`is_effective`).  This module imports no numpy:
 the array forms of the pairing (``bulk.curve_operand``) and of the family
-values (``bulk.orbit_floor`` against ``bulk.family_operand``, which holds
+values (descending rows against ``bulk.family_operand``, which holds
 these representatives; a sweep's nef filter) are in :mod:`delpezzo.bulk`.
 """
 

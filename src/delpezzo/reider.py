@@ -341,6 +341,7 @@ def consistency_sweep(
     orbit, the nef rows among the box leaves (b non-increasing and
     non-negative, b_1 + b_2 <= a): all checks are permutation-equivariant,
     so the representative decides its whole orbit (counted in ``covered``).
+    A sampled violation names the descending representative of its draw.
     Desk-scale only: k <= 2.  An exhaustive box of more than
     ``MAX_EXHAUSTIVE_LEAVES`` leaves (counted in closed form, before any
     leaf is built), a negative ``a_max``, a ``sample`` below 1, a negative

@@ -4,7 +4,7 @@ integers; the tests compare it against these array forms."""
 
 import numpy as np
 
-from delpezzo.bulk import curve_operand, exact_product, exact_rows, family_operand, orbit_floor
+from delpezzo.bulk import curve_operand, exact_product, exact_rows, family_operand
 from delpezzo.lattice import LatticeMismatchError, _check_rank
 
 # Rows are class vectors (a, b_1..b_r), int64 or Python integers as
@@ -23,8 +23,9 @@ def pairing_matrix(coeffs: np.ndarray, r: int) -> np.ndarray:
 
 def minimum_family_value_bulk(coeffs: np.ndarray) -> np.ndarray:
     """Row-wise minimum over the inequality families, the rank read off the
-    row width: the smallest orbit floor against the families' representatives
-    (``bulk.family_operand``), rows in any order, as the sweep's nef filter
-    reads it on descending rows."""
+    row width: rows in any order, each b sorted descending here, then one
+    product with the families' representatives (``bulk.family_operand``),
+    the orbit floor the sweep's nef filter reads on descending rows."""
     rows = exact_rows(coeffs)
-    return orbit_floor(rows, family_operand(_check_rank(rows.shape[1] - 1))).min(axis=1)
+    rows = np.concatenate([rows[:, :1], np.sort(rows[:, 1:], axis=1)[:, ::-1]], axis=1)
+    return exact_product(rows, family_operand(_check_rank(rows.shape[1] - 1))).min(axis=1)

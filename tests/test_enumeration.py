@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delpezzo.bulk import SAFE_COEFF_BOUND, exact_rows, expand_orbit, float_operand, orbit_floor, orbit_sizes
+from delpezzo.bulk import SAFE_COEFF_BOUND, exact_product, exact_rows, expand_orbit, float_operand, orbit_sizes
 from delpezzo.lattice import (
     EXCEPTIONAL_CLASS_COUNTS,
     PicardClass,
@@ -442,7 +442,8 @@ FLOOR_ENTRY = (
 
 
 class TestOrbitFloor:
-    """orbit_floor against the smallest pairing over the expanded orbit."""
+    """The orbit floor, one product of descending rows with the signed
+    representatives, against the smallest pairing over the expanded orbit."""
 
     @pytest.mark.parametrize("r", range(1, 9))
     @given(data=st.data())
@@ -464,5 +465,7 @@ class TestOrbitFloor:
         # the float64 operand and the int64 one (the exact path) agree, each
         # signed as the pairing is: column (x0; -x) for representative (x0; x)
         signed = np.ascontiguousarray(np.concatenate([reps[:, :1], -reps[:, 1:]], axis=1).T)
+        # each row sorted descending, as the package makes its rows
+        descending = exact_rows([[y0, *sorted(y, reverse=True)] for y0, *y in rows])
         for operand in (float_operand(signed), signed):
-            assert orbit_floor(exact_rows(rows), operand).tolist() == expected
+            assert exact_product(descending, operand).tolist() == expected

@@ -23,15 +23,14 @@ from delpezzo.bulk import (
     _box_leaves,
     _candidate_table,
     _decide_block,
-    _descending,
     _exceptional_below,
     _sample_blocks,
     _window_hits,
     curve_operand,
+    exact_product,
     exact_rows,
     family_operand,
     float_operand,
-    orbit_floor,
     orbit_sizes,
     sweep_blocks,
     window_rows,
@@ -692,8 +691,10 @@ class TestFoldedWindow:
     @given(window_blocks())
     @settings(max_examples=50, deadline=None)
     def test_many_rows_at_once_match_the_full_table(self, block):
-        # int64 and exact rows share one block once any row needs exactness
+        # int64 and exact rows share one block once any row needs exactness;
+        # each M is sorted, as window_rows sorts its M before the window
         r, k, Ms = block
+        Ms = [PicardClass(M.a, tuple(sorted(M.b, reverse=True))) for M in Ms]
         table = _candidate_table(r, k)
         found = [[] for _ in Ms]
         for _, C, ci, ri, md in _hits(table, exact_rows([[M.a, *M.b] for M in Ms])):
@@ -706,8 +707,10 @@ class TestFoldedWindow:
     @settings(max_examples=100, deadline=None)
     def test_int64_rows_at_the_edge_match_exact_rows(self, block):
         # M = L - K for L within SAFE_COEFF_BOUND reaches SAFE_COEFF_BOUND + 3;
-        # the float route must give the hits of the same rows on Python integers
+        # the float route must give the hits of the same rows on Python
+        # integers, each row sorted as the window reads it
         r, k, rows = block
+        rows = [[a, *sorted(b, reverse=True)] for a, *b in rows]
         table = _candidate_table(r, k)
 
         def hits(M):
@@ -741,6 +744,7 @@ class TestFoldedWindow:
         K = canonical_class(r)
         Ls = [-3 * K, -4 * K, -3 * K + line(r)]
         Ms = [L - K for L in Ls]
+        assert all(list(M.b) == sorted(M.b, reverse=True) for M in Ms)  # rows as the window reads them
         assert list(_window_hits(_candidate_table(r, k), exact_rows([[M.a, *M.b] for M in Ms]))) == []
         assert all(_full_table_window(r, k, M) == [] for M in Ms)
         counts, violations = decide_per_row([[L.a, *L.b] for L in Ls], k, r)
@@ -748,10 +752,12 @@ class TestFoldedWindow:
 
     def test_hits_of_non_adjacent_rows_map_back_to_their_rows(self):
         # rows 0 and 2 reach the orbit of the e_i and meet different classes
-        # of it (M.e_1 = 2 for row 0, M.e_2 = 2 for row 2); row 1 reaches none
+        # of it (M.e_1 = 2 for row 0, M.e_1 = M.e_2 = 2 for row 2); row 1
+        # reaches none.  Each row is descending, as the window reads it.
         r, k = 8, 1
         K = canonical_class(r)
-        Ms = [line(r) - point_class(r, 1) - K, -4 * K, line(r) - point_class(r, 2) - K]
+        Ms = [line(r) - point_class(r, 1) - K, -4 * K, line(r) - point_class(r, 1) - point_class(r, 2) - K]
+        assert all(list(M.b) == sorted(M.b, reverse=True) for M in Ms)
         table = _candidate_table(r, k)
         found = [[] for _ in Ms]
         shared = []
@@ -867,7 +873,7 @@ def box_leaves(r, a_max):
 @pytest.fixture
 def fresh_box_blocks():
     """A test that patches what the kept nef blocks of a box are built from
-    (the leaves, ``exact_rows``, the family operand) or counts their build
+    (the leaves, the family operand) or counts their build
     starts and ends with no box kept: a kept box would hide its patch, and
     a box built under it would outlive it."""
     _box_blocks.cache_clear()
@@ -1046,19 +1052,19 @@ class TestBatchedSweepAgainstPerRow:
         # land; the same block on Python integers must sweep the same.  The
         # corners at +-SAFE_COEFF_BOUND give the largest partial sums (none
         # is nef), the multiples of -K and the pencils near the bound are
-        # nef, and the pencils have witnesses.
+        # nef, and the pencils have witnesses.  Every row is descending, as
+        # a box leaf is.
         import delpezzo.bulk as bulk
 
         r, k, B = 8, 1, SAFE_COEFF_BOUND
-        drawn = next(_sample_blocks(r, B, 0))
-        rows = np.concatenate([drawn[:, :1], -np.sort(-drawn[:, 1:], axis=1)], axis=1).tolist()
-        rows += [list(signs) for signs in itertools.product((-B, B), repeat=r + 1)]
+        rows = next(_sample_blocks(r, B, 0)).tolist()  # each draw descending
+        rows += [[a, *sorted(b, reverse=True)] for a, *b in itertools.product((-B, B), repeat=r + 1)]
         rows += [[3 * (B // 3) + t] + [B // 3] * r for t in range(2)]
         for a in (B - 1, B):
             rows += [[a, a] + [0] * (r - 1), [a, a - 1, 1] + [0] * (r - 2)]
         block = np.array(rows, dtype=np.int64)
         assert len(block) <= bulk._BLOCK_ROWS  # swept as one block
-        rows_of, product = bulk.exact_rows, bulk.exact_product
+        product = bulk.exact_product
         dtypes = set()
 
         def recorded(A, operand):
@@ -1072,7 +1078,7 @@ class TestBatchedSweepAgainstPerRow:
         assert dtypes == {np.dtype(np.float64)}
         dtypes.clear()
         _box_blocks.cache_clear()  # the object route builds the box again
-        monkeypatch.setattr(bulk, "exact_rows", lambda coeffs: rows_of(coeffs).astype(object))
+        monkeypatch.setattr(bulk, "_box_leaves", lambda r, a_max: iter([block.astype(object)]))
         objects = sweep_blocks(r, k, B, None, 0)
         assert dtypes == {np.dtype(object)}
         assert objects == floats
@@ -1190,17 +1196,19 @@ class TestFamilyFloorFilter:
     """The sweep's nef filter and pairing verdict are the smallest family
     value, and only its failing rows are paired with the test curves: both
     against ``intersect`` with every test curve, on int64 rows (and their
-    float64 cast), unsorted draws and object rows past SAFE_COEFF_BOUND."""
+    float64 cast), unsorted draws and object rows past SAFE_COEFF_BOUND.
+    Each row is sorted descending first, as the sampler sorts its draws;
+    ``intersect`` pairs the row as drawn."""
 
     @staticmethod
     def _check(rows, r):
         curves = surface_context(r).test_curves
         exceptional = len(enumerate_exceptional(r))
         pairings = [[intersect(PicardClass(a, tuple(b)), x) for x in curves] for a, *b in rows.tolist()]
-        exact = exact_rows(rows)
+        exact = exact_rows([[a, *sorted(b, reverse=True)] for a, *b in rows.tolist()])
         forms = [exact, exact.astype(np.float64)] if exact.dtype == np.int64 else [exact]
         for form in forms:
-            assert orbit_floor(form, family_operand(r)).min(axis=1).tolist() == [min(p) for p in pairings]
+            assert exact_product(form, family_operand(r)).min(axis=1).tolist() == [min(p) for p in pairings]
             for k in (1, 2):
                 failing = [i for i, p in enumerate(pairings) if min(p) < k]
                 below = _exceptional_below(form.take(failing, axis=0), k)
@@ -1209,14 +1217,11 @@ class TestFamilyFloorFilter:
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_every_box_leaf(self, r):
-        leaves = box_leaves(r, 6)
-        assert _descending(leaves) is leaves  # a box leaf is already descending
-        assert self._check(leaves, r) == 2
+        assert self._check(box_leaves(r, 6), r) == 2
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_seeded_unsorted_draws(self, r):
         rows = np.random.default_rng(r).integers(-4, 13, size=(120, r + 1))
-        assert r == 1 or _descending(rows) is not rows  # the draws are sorted first
         assert self._check(rows, r) == 2
 
     @pytest.mark.parametrize("r", range(1, 9))
@@ -1227,6 +1232,80 @@ class TestFamilyFloorFilter:
         rows = np.array(rows + [[3 * SAFE_COEFF_BOUND] + [SAFE_COEFF_BOUND + 1] * r], dtype=object)
         assert exact_rows(rows).dtype == object
         assert self._check(rows, r) == 1
+
+
+class TestRowsArriveDescending:
+    """Every row that meets a representative operand, the families' or a
+    candidate table's, has b non-increasing, as the orbit floor reads it:
+    the order is made where the rows are made (the box leaves, the sampled
+    draws, the M of a search), and no kernel checks it."""
+
+    @staticmethod
+    def _watch(monkeypatch, r, k):
+        """The (dtype, descending) of the left operand of every product
+        with ``family_operand(r)`` or the (r, k) candidate table's operand."""
+        import delpezzo.bulk as bulk
+
+        watched = (bulk.family_operand(r), _candidate_table(r, k).operand)
+        product = bulk.exact_product
+        seen = []
+
+        def recorded(A, B):
+            if any(B is operand for operand in watched):
+                b = A[:, 1:]
+                seen.append((A.dtype, bool((b[:, 1:] <= b[:, :-1]).all())))
+            return product(A, B)
+
+        monkeypatch.setattr(bulk, "exact_product", recorded)
+        return seen
+
+    def test_an_exhaustive_box(self, monkeypatch, fresh_box_blocks):
+        seen = self._watch(monkeypatch, 8, 1)
+        assert consistency_sweep(8, 1, 8).ok
+        assert len(seen) > 1 and seen == [(np.dtype(np.float64), True)] * len(seen)
+
+    @pytest.mark.parametrize("a_max,dtype", [(12, np.float64), (10**7, object)])
+    def test_a_sampled_box(self, monkeypatch, a_max, dtype):
+        # past SAFE_COEFF_BOUND the draws are object rows
+        seen = self._watch(monkeypatch, 8, 1)
+        assert consistency_sweep(8, 1, a_max, sample=20, seed=1).ok
+        assert len(seen) > 1 and seen == [(np.dtype(dtype), True)] * len(seen)
+
+    def test_a_search_of_unsorted_tied_M(self, monkeypatch):
+        L = PicardClass(8, (2, 4, 0, 4, 2, 4, 2, 2))  # (8; 4,4,4,2,2,2,2,0) reordered
+        seen = self._watch(monkeypatch, 8, 1)
+        outcome = search_obstructions(L, 1)
+        assert outcome.applicable and outcome.witnesses
+        assert seen == [(np.dtype(np.int64), True)]
+
+    def test_a_flagged_draw_names_its_descending_representative(self, monkeypatch):
+        # the sweep's pairing blinded to the orbit of the e_i, as in
+        # TestSweepViolations.test_pairing_blind_to_an_orbit: drawn rows
+        # failing only against some e_i pass with e_i among their witnesses.
+        # Each flagged row is the descending representative of a draw, the
+        # S_r orbit an exhaustive sweep reports through its leaf.
+        import delpezzo.bulk as bulk
+
+        r, a_max, sample, seed = 8, 4, 40, 0
+        blind = tuple(-canonical_class(r) if x.a == 0 else x for x in surface_context(r).test_curves)
+        reps = [[3] + [1] * r if rep[0] == 0 else list(rep) for rep in _family_table(r).reps]
+        monkeypatch.setattr(bulk, "curve_operand", lambda r: float_operand(
+            np.array([[x.a, *(-y for y in x.b)] for x in blind]).T))
+        monkeypatch.setattr(bulk, "family_operand", lambda r: float_operand(
+            np.array([[a, *(-y for y in b)] for a, *b in reps]).T))
+        summary = consistency_sweep(r, 1, a_max, sample=sample, seed=seed)
+        assert summary.scanned == sample and summary.violations
+        # the draws of the sampler's first blocks, as drawn
+        rng = np.random.default_rng(seed)
+        drawn = set()
+        for _ in range(8):
+            a = rng.integers(0, a_max + 1, size=4096)
+            b = rng.integers(0, a_max + 1, size=(4096, r))
+            drawn |= {(x, *y) for x, *y in np.column_stack([a, b]).tolist()}
+        orbits = {(x, *sorted(y, reverse=True)) for x, *y in drawn}
+        subjects = {(v.subject.a, *v.subject.b) for v in summary.violations}
+        assert all(list(b) == sorted(b, reverse=True) and (a, *b) in orbits for a, *b in subjects)
+        assert subjects - drawn  # some flagged row was not drawn descending
 
 
 class TestConsistencySweep:

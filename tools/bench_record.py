@@ -45,15 +45,24 @@ WARM_SWEEPS = ((8, 1, 4), (8, 1, 12), (8, 1, 20), (8, 2, 12), (3, 1, 40), (1, 1,
 #: Levels k of the fresh (uncached) rank-8 candidate-table builds in the
 #: layer record.
 TABLE_LEVELS = (1, 2, 4)
+#: The warm in-process calls of the ROADMAP state table at r = 8, by row
+#: name: each an expression on the modules and classes that WARM_CHILD makes.
+WARM_CALLS = {
+    "is_k_very_ample(-2K, 2)": "positivity.is_k_very_ample(minus_2K, 2)",
+    "is_k_very_ample((3;2,2,0,0,0,0,0,-3), 1).as_dict()": "positivity.is_k_very_ample(L, 1).as_dict()",
+    "is_effective((1;-10,-10,-10,-10,-10,0,0,0))": "positivity.is_effective(E)",
+    "search_obstructions(-2K, 1)": "reider.search_obstructions(minus_2K, 1)",
+}
 #: CLI argv of the cold commands in the layer record.
 COLD_COMMANDS = tuple(f"verify --r 8 --k {k} --box {box} --json".split() for k, box in ((1, 12), (1, 20), (2, 12))) + (
     ["check", "--r", "8", "--k", "1", "3;1,1,1,1,1,1,1,1", "--json"],)
 #: A fresh process that times, against the package in sys.argv[1], each
-#: warm sweep (r, k, a_max) of sys.argv[2] (JSON) and each fresh
-#: ``_candidate_table(8, k)`` build for k in sys.argv[3]: one untimed call
-#: (for a sweep, it builds its table and box), then the best of 5 timeit
-#: repeats, each of the autorange count of calls.  A layer the checkout
-#: cannot run is null with its reason.
+#: warm sweep (r, k, a_max) of sys.argv[2] (JSON), each fresh
+#: ``_candidate_table(8, k)`` build for k in sys.argv[3] and each call of
+#: sys.argv[4] (WARM_CALLS): one untimed call (for a sweep, it builds its
+#: table and box), then the best of 5 timeit repeats, each of the
+#: autorange count of calls.  A layer the checkout cannot run, a name it
+#: lacks included, is null with its reason.
 WARM_CHILD = """
 import json, sys, timeit
 sys.path.insert(0, sys.argv[1])
@@ -78,6 +87,11 @@ for k in json.loads(sys.argv[3]):
         from delpezzo.bulk import _candidate_table
         _candidate_table.__wrapped__(8, k)
     best(f"table 8,{k}", table)
+from delpezzo import lattice, positivity, reider
+names = {"positivity": positivity, "reider": reider, "minus_2K": -2 * lattice.canonical_class(8),
+         "L": lattice.PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), "E": lattice.PicardClass(1, (-10,) * 5 + (0,) * 3)}
+for key, call in json.loads(sys.argv[4]).items():
+    best(key, eval("lambda: " + call, names))
 print(json.dumps(out))
 """
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
@@ -124,16 +138,17 @@ def cold_run(argv: list[str], checkout: Path, env: dict) -> tuple[float, float, 
 
 
 def layers(checkout: Path) -> dict:
-    """The warm sweeps of WARM_SWEEPS and the fresh rank-8 candidate tables
-    of TABLE_LEVELS, each the median of three fresh processes' best-of-5
-    seconds per call, and the cold COLD_COMMANDS, the median wall time and
-    peak RSS of 7 rounds that run the commands in turn.  A layer the
-    checkout cannot run is null, with its reason."""
+    """The warm sweeps of WARM_SWEEPS, the fresh rank-8 candidate tables of
+    TABLE_LEVELS and the warm calls of WARM_CALLS, each the median of three
+    fresh processes' best-of-5 seconds per call, and the cold COLD_COMMANDS,
+    the median wall time and peak RSS of 7 rounds that run the commands in
+    turn.  A layer the checkout cannot run is null, with its reason."""
     src = str(checkout / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     processes = []
     for _ in range(3):
-        argv = [sys.executable, "-c", WARM_CHILD, src, json.dumps(WARM_SWEEPS), json.dumps(TABLE_LEVELS)]
+        argv = [sys.executable, "-c", WARM_CHILD, src, json.dumps(WARM_SWEEPS), json.dumps(TABLE_LEVELS),
+                json.dumps(WARM_CALLS)]
         done = subprocess.run(argv, capture_output=True, text=True)
         reason = (done.stderr.strip().splitlines() or [f"exit code {done.returncode}"])[-1]
         processes.append(json.loads(done.stdout) if done.returncode == 0 else reason)
@@ -146,6 +161,7 @@ def layers(checkout: Path) -> dict:
 
     warm = {key: median_of(key) for key in (f"{r},{k},{a_max}" for r, k, a_max in WARM_SWEEPS)}
     tables = {f"8,{k}": median_of(f"table 8,{k}") for k in TABLE_LEVELS}
+    calls = {key: median_of(key) for key in WARM_CALLS}
     rounds = [[cold_run(argv, checkout, env) for argv in COLD_COMMANDS] for _ in range(7)]
     cold = {}
     for i, argv in enumerate(COLD_COMMANDS):
@@ -156,7 +172,7 @@ def layers(checkout: Path) -> dict:
             "peak_rss_mb": statistics.median(rss for _, rss, _ in runs),
             "runs": len(runs),
         }
-    return {"warm_sweeps": warm, "fresh_tables": tables, "cold_commands": cold}
+    return {"warm_sweeps": warm, "fresh_tables": tables, "warm_calls": calls, "cold_commands": cold}
 
 
 def src_lines(checkout: Path) -> dict:
