@@ -281,10 +281,12 @@ def window_rows(M: PicardClass, k: int) -> tuple[list[tuple[list[int], int]], in
     table."""
     table = _candidate_table(M.r, k)
     order = sorted(range(M.r), key=M.b.__getitem__, reverse=True)
-    back = [0, *(1 + order.index(i) for i in range(M.r))]
+    back = [0, *(1 + j for j in sorted(range(M.r), key=order.__getitem__))]  # the inverse of order
+    m = [M.a, *(M.b[i] for i in order)]  # PicardClass holds Python ints, so the int64 bound is read here
+    m = np.array([m], dtype=np.int64 if max(map(abs, m)) <= SAFE_COEFF_BOUND else object)
     found = [
         ([row[j] for j in back], int(md))
-        for o, _, window, mds in _window_hits(table, exact_rows([[M.a, *(M.b[i] for i in order)]]))
+        for o, _, window, mds in _window_hits(table, m)
         for row, md in zip(table.orbit(o)[0][window[0]].tolist(), mds[window].tolist())
     ]
     return sorted(found), table.size  # distinct rows, so this sorts by (a, b)

@@ -46,12 +46,15 @@ WARM_SWEEPS = ((8, 1, 4), (8, 1, 12), (8, 1, 20), (8, 2, 12), (3, 1, 40), (1, 1,
 #: layer record.
 TABLE_LEVELS = (1, 2, 4)
 #: The warm in-process calls of the ROADMAP state table at r = 8, by row
-#: name: each an expression on the modules and classes that WARM_CHILD makes.
+#: name: each a lambda expression on the modules ``lattice``, ``positivity``
+#: and ``reider``, whose default arguments build its classes untimed.
 WARM_CALLS = {
-    "is_k_very_ample(-2K, 2)": "positivity.is_k_very_ample(minus_2K, 2)",
-    "is_k_very_ample((3;2,2,0,0,0,0,0,-3), 1).as_dict()": "positivity.is_k_very_ample(L, 1).as_dict()",
-    "is_effective((1;-10,-10,-10,-10,-10,0,0,0))": "positivity.is_effective(E)",
-    "search_obstructions(-2K, 1)": "reider.search_obstructions(minus_2K, 1)",
+    "is_k_very_ample(-2K, 2)": "lambda L=-2 * lattice.canonical_class(8): positivity.is_k_very_ample(L, 2)",
+    "is_k_very_ample((3;2,2,0,0,0,0,0,-3), 1).as_dict()":
+        "lambda L=lattice.PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)): positivity.is_k_very_ample(L, 1).as_dict()",
+    "is_effective((1;-10,-10,-10,-10,-10,0,0,0))":
+        "lambda E=lattice.PicardClass(1, (-10,) * 5 + (0,) * 3): positivity.is_effective(E)",
+    "search_obstructions(-2K, 1)": "lambda L=-2 * lattice.canonical_class(8): reider.search_obstructions(L, 1)",
 }
 #: CLI argv of the cold commands in the layer record.
 COLD_COMMANDS = tuple(f"verify --r 8 --k {k} --box {box} --json".split() for k, box in ((1, 12), (1, 20), (2, 12))) + (
@@ -61,15 +64,17 @@ COLD_COMMANDS = tuple(f"verify --r 8 --k {k} --box {box} --json".split() for k, 
 #: ``_candidate_table(8, k)`` build for k in sys.argv[3] and each call of
 #: sys.argv[4] (WARM_CALLS): one untimed call (for a sweep, it builds its
 #: table and box), then the best of 5 timeit repeats, each of the
-#: autorange count of calls.  A layer the checkout cannot run, a name it
-#: lacks included, is null with its reason.
+#: autorange count of calls.  Each row's callable is made inside its own
+#: try, so a layer the checkout cannot run, a name it lacks included, is
+#: null with its reason and the other rows still run.
 WARM_CHILD = """
 import json, sys, timeit
 sys.path.insert(0, sys.argv[1])
 out = {}
 
-def best(key, call):
+def best(key, make):
     try:
+        call = make()
         call()
         timer = timeit.Timer(call)
         number = timer.autorange()[0]
@@ -77,21 +82,22 @@ def best(key, call):
     except Exception as exc:
         out[key] = repr(exc)
 
+def warm(call):
+    from delpezzo import lattice, positivity, reider
+    return eval(call, {"lattice": lattice, "positivity": positivity, "reider": reider})
+
 for r, k, a_max in json.loads(sys.argv[2]):
     def sweep():
         from delpezzo.reider import consistency_sweep
         consistency_sweep(r, k, a_max)
-    best(f"{r},{k},{a_max}", sweep)
+    best(f"{r},{k},{a_max}", lambda: sweep)
 for k in json.loads(sys.argv[3]):
     def table():
         from delpezzo.bulk import _candidate_table
         _candidate_table.__wrapped__(8, k)
-    best(f"table 8,{k}", table)
-from delpezzo import lattice, positivity, reider
-names = {"positivity": positivity, "reider": reider, "minus_2K": -2 * lattice.canonical_class(8),
-         "L": lattice.PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), "E": lattice.PicardClass(1, (-10,) * 5 + (0,) * 3)}
+    best(f"table 8,{k}", lambda: table)
 for key, call in json.loads(sys.argv[4]).items():
-    best(key, eval("lambda: " + call, names))
+    best(key, lambda: warm(call))
 print(json.dumps(out))
 """
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
