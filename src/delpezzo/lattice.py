@@ -124,14 +124,15 @@ class PicardClass:
         return (self.a, self.b)
 
     def render(self) -> str:
-        """Literal form ``a;b1,b2,...`` accepted back by the CLI parser."""
-        return f"{self.a};{','.join(map(str, self.b))}"
+        """Literal form ``a;b1,b2,...`` accepted back by the CLI parser, by the rank's ``%d`` format."""
+        return _RENDER[len(self.b)] % (self.a, *self.b)
 
     def __str__(self) -> str:
         return self.render()
 
 
 _set_a, _set_b = _slot_setters(PicardClass)
+_RENDER = {r: "%d;" + ",".join(["%d"] * r) for r in range(MIN_RANK, MAX_RANK + 1)}
 
 
 def _same_rank(L1: PicardClass, L2: PicardClass) -> None:

@@ -20,17 +20,17 @@ against the test curves: the exceptional set, plus the fiber class
   level (:func:`is_effective`).  A certificate is summed once, when it
   is built, and its ``replay()`` reads that sum.
 
-The verdicts (nef, big, spanned, k-very ample, and a report's
-violations) come from the paper's inequalities: one family per
-permutation orbit of test curves, that is per type pattern, the
-pairing test folded over that orbit, ``a0*a >= <multiplicities, b> + k``
-with both sides sorted.  Each family is held once, as its representative
-``(a0; c)``, c sorted descending (:func:`_family_table`), and each rank's
-representatives are compiled once into a straight-line kernel
-(:func:`_fold_kernel`): it reads every family's value off at most two
-prefix sums of b sorted descending, in plain Python integers, so a
-verdict is exact at any size and builds no array.  Every verdict and
-every effectivity pass runs it through :func:`_fold_values`.
+The verdicts (nef, big, spanned, k-very ample) come from the paper's
+inequalities: one family per permutation orbit of test curves, that is
+per type pattern, the pairing test folded over that orbit,
+``a0*a >= <multiplicities, b> + k`` with both sides sorted; a report
+keeps every family's value and reads its violations off them.  Each
+family is held once, as its representative ``(a0; c)`` with c descending
+(:func:`_family_table`), and each rank's are compiled once into a
+straight-line kernel (:func:`_fold_kernel`) that reads every family's
+value off at most two prefix sums of b sorted descending, in Python
+integers: a verdict is exact at any size and builds no array.  Every
+verdict and every effectivity pass runs it through :func:`_fold_values`.
 
 Effectivity needs the negatively pairing curves themselves, and the
 same kernel finds them: each fold pass on the positive part built so far
@@ -144,7 +144,12 @@ class EffectivityCertificate:
         """Internal constructor for runs that are already a tuple of
         ``(class, Python int)`` pairs and a nef terminal: skips both checks."""
         obj = object.__new__(cls)
-        _store_certificate(obj, subtracted, terminal)
+        if subtracted:
+            _store_certificate(obj, subtracted, terminal)
+        else:  # a nef class's own certificate: no runs, and its total is L
+            _set_subtracted(obj, ())
+            _set_terminal(obj, terminal)
+            _set_total(obj, terminal)
         return obj
 
     def replay(self) -> PicardClass:
@@ -362,22 +367,22 @@ _set_check, _set_family, _set_value, _set_bound = _slot_setters(Violation)
 @dataclass(frozen=True, init=False, slots=True)
 class PositivityReport:
     """All verdicts for one class at level k.  ``PositivityReport(subject, k)``
-    measures the subject: ``minimum``, the smallest family value (read off
-    its sorted coefficients), the degree, genus, violations, exception flag
+    measures the subject: its family ``values`` (read off its sorted
+    coefficients) and their ``minimum``, the degree, genus, exception flag
     and certificate (a nef class is its own; only a non-nef class that
-    passes the early reject is searched for its negative curves).  The five
-    verdicts are read off them: ``effective`` is having a certificate,
-    ``nef`` and ``spanned`` are ``minimum >= 0``, ``big`` is nef of
-    positive degree and ``k_very_ample`` is ``minimum >= k`` unflagged.  A
-    class with minimum >= 1 is ample, so one of degree <= 0 is refused
-    (ValueError)."""
+    passes the early reject is searched for its negative curves).  The
+    violations, and their ``as_dict`` form, are read off the values.  The
+    verdicts are read off these: ``effective`` is having a certificate,
+    ``nef`` and ``spanned`` are ``minimum >= 0``, ``big`` is nef of positive
+    degree and ``k_very_ample`` is ``minimum >= k`` unflagged.  A class with
+    minimum >= 1 is ample, so one of degree <= 0 is refused (ValueError)."""
 
     subject: PicardClass
     k: int
     minimum: int = field(init=False)
     degree: int = field(init=False)
     genus: int = field(init=False)
-    violations: tuple[Violation, ...] = field(init=False)
+    values: tuple[int, ...] = field(init=False)
     exception_flag: str = field(init=False)
     certificate: EffectivityCertificate | None = field(init=False)
 
@@ -385,13 +390,6 @@ class PositivityReport:
         k = ampleness_level(k)
         values = _family_values(subject)
         minimum = min(values)
-        violations = []
-        if minimum < k:
-            for (nef_label, kva_label), val in zip(_family_table(subject.r).labels, values, strict=True):
-                if val < 0:
-                    violations.append(Violation("nef", nef_label, val, 0))
-                if val < k:
-                    violations.append(Violation("k_very_ample", kva_label, val, k))
         square = degree(subject)
         # a check that raises, so that it holds under ``python -O`` too
         if minimum >= 1 and square <= 0:
@@ -402,7 +400,7 @@ class PositivityReport:
         _set_minimum(self, minimum)
         _set_degree(self, square)
         _set_genus(self, _genus(subject, square))
-        _set_violations(self, tuple(violations))
+        _set_values(self, tuple(values))
         _set_exception_flag(self, _exception_flag(subject, k))
         _set_certificate(self, _effectivity(subject, values))
 
@@ -431,6 +429,22 @@ class PositivityReport:
     def r(self) -> int:
         return self.subject.r
 
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        """The failed inequalities, read off ``values`` by :meth:`_violation_dicts`."""
+        return tuple(Violation(**v) for v in self._violation_dicts())
+
+    def _violation_dicts(self) -> list[dict]:
+        """Each failed inequality's ``as_dict``: per family, nef first, then k-very ample."""
+        k, out = self.k, []
+        if self.minimum < k:
+            for (nef_label, kva_label), val in zip(_family_table(self.r).labels, self.values, strict=True):
+                if val < 0:
+                    out.append({"check": "nef", "family": nef_label, "value": val, "bound": 0})
+                if val < k:
+                    out.append({"check": "k_very_ample", "family": kva_label, "value": val, "bound": k})
+        return out
+
     def as_dict(self) -> dict:
         """Machine-readable form; field names and order are stable."""
         subject = self.subject.render()
@@ -444,25 +458,25 @@ class PositivityReport:
             certificate = cert.as_dict()
         return {
             "subject": subject,
-            "r": self.r,
+            "r": len(self.subject.b),
             "k": self.k,
             "degree": self.degree,
             "genus": self.genus,
             "verdicts": {
-                "effective": self.effective,
-                "nef": self.nef,
+                "effective": cert is not None,
+                "nef": (nef := self.nef),
                 "big": self.big,
-                "spanned": self.spanned,
+                "spanned": nef,  # spanned is nef
                 "k_very_ample": self.k_very_ample,
             },
-            "violations": [v.as_dict() for v in self.violations],
+            "violations": self._violation_dicts(),
             "exception_flag": self.exception_flag,
             "certificate": certificate,
         }
 
 
 (
-    _set_subject, _set_k, _set_minimum, _set_degree, _set_genus, _set_violations, _set_exception_flag,
+    _set_subject, _set_k, _set_minimum, _set_degree, _set_genus, _set_values, _set_exception_flag,
     _set_certificate,
 ) = _slot_setters(PositivityReport)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from delpezzo.cli import parse_class_literal
 from delpezzo.lattice import (
     CurveTypePattern,
     LatticeMismatchError,
@@ -223,6 +224,16 @@ class TestPicardClassBasics:
     def test_render_form(self):
         assert PicardClass(3, (1, 1, 1)).render() == "3;1,1,1"
         assert str(point_class(1, 1)) == "0;-1"
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    @given(data=st.data())
+    def test_render_round_trips_through_the_cli_parser(self, r, data):
+        huge = st.integers(-(10**30), 10**30) | st.booleans()
+        L = PicardClass(data.draw(huge), tuple(data.draw(st.lists(huge, min_size=r, max_size=r))))
+        text = L.render()
+        # the join form, kept as the reference of the per-rank format
+        assert text == f"{L.a};{','.join(map(str, L.b))}"
+        assert parse_class_literal(text, r) == L
 
     @given(ranked_classes)
     def test_negation_and_scalar_multiples(self, L):

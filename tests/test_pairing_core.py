@@ -19,6 +19,7 @@ import json
 import operator
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -317,7 +318,7 @@ def slot_values(record):
 
 
 #: Every field a report measures off its subject and k.
-MEASURED = ("minimum", "degree", "genus", "violations", "exception_flag", "certificate")
+MEASURED = ("minimum", "degree", "genus", "values", "exception_flag", "certificate")
 
 
 def unit_class(r):
@@ -454,8 +455,9 @@ class TestPackageBuiltRecords:
             dataclasses.replace(report, k=1.5)
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):
             dataclasses.replace(report, k=-1)
-        # a verdict is no field: it cannot be replaced, only read off
-        for verdict in ("effective", "nef", "big", "spanned", "k_very_ample"):
+        # a verdict, and the violations read off the values, are no field:
+        # they cannot be replaced, only read off
+        for verdict in ("effective", "nef", "big", "spanned", "k_very_ample", "violations"):
             with pytest.raises(TypeError, match="unexpected keyword argument"):
                 dataclasses.replace(report, **{verdict: False})
 
@@ -501,7 +503,7 @@ class TestPackageBuiltRecords:
 
     def test_report_keeps_its_numbers_and_no_verdict(self):
         assert [f.name for f in dataclasses.fields(PositivityReport)] == [
-            "subject", "k", "minimum", "degree", "genus", "violations", "exception_flag", "certificate",
+            "subject", "k", "minimum", "degree", "genus", "values", "exception_flag", "certificate",
         ]
         report = is_k_very_ample(PicardClass(3, (2, 2, 0, 0, 0, 0, 0, -3)), 1)
         for verdict in ("effective", "nef", "big", "spanned", "k_very_ample"):
@@ -564,6 +566,51 @@ class TestPackageBuiltRecords:
             "refused: rank mismatch: 3 vs 2",
             "refused: certificate ends at 0;1,0, which is not nef",
         ]
+
+
+def reference_violations(L, k):
+    """The violations of (L, k), built from the public families: per family,
+    the nef inequality first, then the k-very-ample one."""
+    out = []
+    for fam in generate_inequality_families(L.r):
+        val = fam.evaluate(L)
+        if val < 0:
+            out.append(Violation("nef", fam.label(with_k=False), val, 0))
+        if val < k:
+            out.append(Violation("k_very_ample", fam.label(with_k=True), val, k))
+    return tuple(out)
+
+
+def seeded_classes(r, n=40):
+    """n classes of rank r from a seeded generator: small ones (nef, not nef
+    and not effective alike), and some moved by -K or K times 10**20."""
+    rng = random.Random(r)
+    out = []
+    for i in range(n):
+        L = PicardClass(rng.randint(-10, 40), tuple(rng.randint(-12, 12) for _ in range(r)))
+        out.append(L if i % 4 else L + (-1) ** (i // 4) * 10**20 * canonical_class(r))
+    return out
+
+
+class TestViolationsReadOffValues:
+    """A report keeps its family values, and reads its violations and their
+    ``as_dict`` form off them; neither is a field of its own."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_violations_follow_the_public_families(self, r):
+        families = generate_inequality_families(r)
+        for L in seeded_classes(r):
+            for k in range(4):
+                report = is_k_very_ample(L, k)
+                assert report.values == tuple(fam.evaluate(L) for fam in families)
+                assert report.violations == reference_violations(L, k)
+                assert report.as_dict()["violations"] == [v.as_dict() for v in report.violations]
+                twin = PositivityReport(PicardClass(L.a, L.b), k)
+                assert twin == report and hash(twin) == hash(report)
+                for p in range(pickle.HIGHEST_PROTOCOL + 1):
+                    back = pickle.loads(pickle.dumps(report, p))
+                    assert back == report and hash(back) == hash(report)
+                    assert back.violations == report.violations and back.as_dict() == report.as_dict()
 
 
 class TestVerdictsBuildNoPairingVector:

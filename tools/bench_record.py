@@ -55,6 +55,14 @@ WARM_CALLS = {
     "is_effective((1;-10,-10,-10,-10,-10,0,0,0))":
         "lambda E=lattice.PicardClass(1, (-10,) * 5 + (0,) * 3): positivity.is_effective(E)",
     "search_obstructions(-2K, 1)": "lambda L=-2 * lattice.canonical_class(8): reider.search_obstructions(L, 1)",
+    # the three shapes of a check-r8 op: nef, not effective, and not nef but effective
+    "is_k_very_ample((20;5,4,4,3,3,2,1,0), 1).as_dict()":
+        "lambda L=lattice.PicardClass(20, (5, 4, 4, 3, 3, 2, 1, 0)): positivity.is_k_very_ample(L, 1).as_dict()",
+    "is_k_very_ample(-(20;5,4,4,3,3,2,1,1), 1).as_dict()":
+        "lambda L=-lattice.PicardClass(20, (5, 4, 4, 3, 3, 2, 1, 1)): positivity.is_k_very_ample(L, 1).as_dict()",
+    "is_k_very_ample((93;21,24,45,42,23,25,24,41), 1).as_dict()":
+        "lambda L=lattice.PicardClass(93, (21, 24, 45, 42, 23, 25, 24, 41)): positivity.is_k_very_ample(L, 1).as_dict()",
+    "PicardClass.render at r = 8": "lambda L=lattice.PicardClass(20, (5, 4, 4, 3, 3, 2, 1, 0)): L.render()",
 }
 #: CLI argv of the cold commands in the layer record.
 COLD_COMMANDS = tuple(f"verify --r 8 --k {k} --box {box} --json".split() for k, box in ((1, 12), (1, 20), (2, 12))) + (
