@@ -216,9 +216,10 @@ def _cmd_check(parser, args) -> int:
         parts = [f"{m}x({c.render()})" for c, m in report.certificate.subtracted]
         parts.append(f"nef remainder {report.certificate.terminal.render()}")
         print(f"effectivity certificate: {' + '.join(parts)}")
-    if report.violations:
+    violations = report.violations  # built off the report's values on each read
+    if violations:
         print("violations:")
-        for v in report.violations:
+        for v in violations:
             print(f"  [{v.check}] {v.family}: value {v.value} < {v.bound}")
     return 0
 

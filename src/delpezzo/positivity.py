@@ -144,12 +144,7 @@ class EffectivityCertificate:
         """Internal constructor for runs that are already a tuple of
         ``(class, Python int)`` pairs and a nef terminal: skips both checks."""
         obj = object.__new__(cls)
-        if subtracted:
-            _store_certificate(obj, subtracted, terminal)
-        else:  # a nef class's own certificate: no runs, and its total is L
-            _set_subtracted(obj, ())
-            _set_terminal(obj, terminal)
-            _set_total(obj, terminal)
+        _store_certificate(obj, subtracted, terminal)
         return obj
 
     def replay(self) -> PicardClass:
@@ -358,10 +353,15 @@ class Violation:
         _set_bound(self, bound)
 
     def as_dict(self) -> dict:
-        return {"check": self.check, "family": self.family, "value": self.value, "bound": self.bound}
+        return _violation_dict(self.check, self.family, self.value, self.bound)
 
 
 _set_check, _set_family, _set_value, _set_bound = _slot_setters(Violation)
+
+
+def _violation_dict(check: str, family: str, value: int, bound: int) -> dict:
+    """The ``as_dict`` form of a Violation, also written from a report's rows."""
+    return {"check": check, "family": family, "value": value, "bound": bound}
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -431,19 +431,18 @@ class PositivityReport:
 
     @property
     def violations(self) -> tuple[Violation, ...]:
-        """The failed inequalities, read off ``values`` by :meth:`_violation_dicts`."""
-        return tuple(Violation(**v) for v in self._violation_dicts())
+        """The failed inequalities, read off ``values`` by :meth:`_violation_rows`."""
+        return tuple(Violation(*row) for row in self._violation_rows())
 
-    def _violation_dicts(self) -> list[dict]:
-        """Each failed inequality's ``as_dict``: per family, nef first, then k-very ample."""
-        k, out = self.k, []
+    def _violation_rows(self):
+        """Each failed inequality as ``(check, family, value, bound)``, nef then k-very ample per family."""
+        k = self.k
         if self.minimum < k:
             for (nef_label, kva_label), val in zip(_family_table(self.r).labels, self.values, strict=True):
                 if val < 0:
-                    out.append({"check": "nef", "family": nef_label, "value": val, "bound": 0})
+                    yield "nef", nef_label, val, 0
                 if val < k:
-                    out.append({"check": "k_very_ample", "family": kva_label, "value": val, "bound": k})
-        return out
+                    yield "k_very_ample", kva_label, val, k
 
     def as_dict(self) -> dict:
         """Machine-readable form; field names and order are stable."""
@@ -458,18 +457,18 @@ class PositivityReport:
             certificate = cert.as_dict()
         return {
             "subject": subject,
-            "r": len(self.subject.b),
+            "r": self.r,
             "k": self.k,
             "degree": self.degree,
             "genus": self.genus,
             "verdicts": {
-                "effective": cert is not None,
-                "nef": (nef := self.nef),
+                "effective": self.effective,
+                "nef": self.nef,
                 "big": self.big,
-                "spanned": nef,  # spanned is nef
+                "spanned": self.spanned,
                 "k_very_ample": self.k_very_ample,
             },
-            "violations": self._violation_dicts(),
+            "violations": [_violation_dict(*row) for row in self._violation_rows()],
             "exception_flag": self.exception_flag,
             "certificate": certificate,
         }
