@@ -47,10 +47,11 @@ its reaching rows, one exact product and one window mask
 (:func:`_window_hits`).  The leaves of an exhaustive sweep are streamed in
 blocks from one enumeration of their tails (:func:`_box_leaves`), and each
 block's k-free step (:func:`_nef_block`: the nef filter read off the family
-floor, M.M) runs once per (r, a_max): the nef blocks of the last four
-boxes are kept (:func:`_box_blocks`).  A sweep pairs only the applicable
-rows that fail at k with the test curves, counts the witnesses of each row
-and certifies none; :mod:`delpezzo.reider` words the rows it flags.
+floor, M, M.M and the multiples of -K) runs once per (r, a_max): the nef
+blocks of the last four boxes are kept (:func:`_box_blocks`).  A sweep
+pairs only the applicable rows that fail at k with the test curves, once
+per kept box and level, counts the witnesses of each row and certifies
+none; :mod:`delpezzo.reider` words the rows it flags.
 """
 
 from __future__ import annotations
@@ -322,33 +323,37 @@ def _box_leaves(r: int, a_max: int) -> Iterator[np.ndarray]:
         yield np.concatenate([pairs[pair], tails[n_tails - ends[pair] + leaf]], axis=1)
 
 
-def _nef_block(L: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nef_block(L: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The k-free step of a sweep on a block L of exact rows (see
     :func:`exact_rows`), each b non-increasing, as a box leaf or a draw
-    comes: its nef rows, int64 cast to float64; each one's smallest family
-    value, its smallest pairing with the test curves (the nef filter: one
-    product with ``family_operand(r)``); and M.M for M = L + (-K)."""
+    comes: for its nef rows, M = L + (-K), int64 cast to float64; each
+    one's smallest family value, its smallest pairing with the test curves
+    (the nef filter: one product with ``family_operand(r)``); M.M; and
+    which are multiples (3m; m, ..., m) of -K, read off M, a multiple too."""
     if L.dtype == np.int64:
         L = L.astype(np.float64)
     lowest = exact_product(L, family_operand(r)).min(axis=1)
     nef = (lowest >= 0).nonzero()[0]
-    L, K = L.take(nef, axis=0), _surface_context(r).canonical
-    M = L - np.array([K.a, *K.b], dtype=np.int64)
-    return L, lowest[nef], M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1)
+    K = _surface_context(r).canonical
+    M = L.take(nef, axis=0) - np.array([K.a, *K.b], dtype=np.int64)
+    multiple = (M[:, 0] == 3 * M[:, 1]) & (M[:, 1] == M[:, -1])
+    return M, lowest[nef], M[:, 0] ** 2 - (M[:, 1:] ** 2).sum(axis=1), multiple
 
 
 @lru_cache(maxsize=4)
-def _box_blocks(r: int, a_max: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int], ...]:
+def _box_blocks(r: int, a_max: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict, int], ...]:
     """Per block of the streamed leaves of the box a <= a_max
-    (:func:`_box_leaves`): its nef rows, each one's smallest family value
-    and M.M (:func:`_nef_block`), read-only, and how many classes they
-    cover, as a leaf decides its orbit.  The last four boxes are kept, so a
-    repeated sweep does only the work that depends on k; the bound caps
-    what is kept (the rank-8 box-20 blocks take 17 MB, as its leaves did)."""
+    (:func:`_box_leaves`): the M rows of its nef rows, each one's smallest
+    family value, M.M and the -K mask (:func:`_nef_block`), read-only; a
+    dict that :func:`_decide_block` fills once per level k with the failing
+    rows' counts of exceptional classes below k; and how many classes the
+    rows cover, as a leaf decides its orbit.  The last four boxes are kept,
+    so a repeated sweep runs only the window engine; the bound caps what is
+    kept (the rank-8 box-20 blocks take 17 MB, as its leaves did)."""
     blocks = []
     for leaves in _box_leaves(r, a_max):
-        rows, lowest, m2 = map(_read_only, _nef_block(leaves, r))
-        blocks.append((rows, lowest, m2, int(orbit_sizes(rows[:, 1:]).sum())))
+        M, lowest, m2, multiple = map(_read_only, _nef_block(leaves, r))
+        blocks.append((M, lowest, m2, multiple, {}, int(orbit_sizes(M[:, 1:]).sum())))
     return tuple(blocks)
 
 
@@ -373,27 +378,30 @@ def _exceptional_below(L: np.ndarray, k: int) -> np.ndarray:
 
 
 def _decide_block(
-    L: np.ndarray, lowest: np.ndarray, m2: np.ndarray, k: int, table: _CandidateTable,
+    M: np.ndarray, lowest: np.ndarray, m2: np.ndarray, multiple: np.ndarray, below: dict, k: int,
+    table: _CandidateTable,
 ) -> tuple[tuple[int, ...], list[tuple[int, bool]]]:
-    """The k-dependent sweep over a block of nef exact rows L, each b
-    non-increasing, given each row's smallest pairing ``lowest`` with the
-    test curves and ``m2``, M.M for M = L + (-K) (see :func:`_nef_block`).
-    Returns the counts (applicable, passing, failing, exceptions,
-    witnesses) and the flagged rows in row order, as (index in L, pass
-    flag).  M of a nef row is nef (-K pairs >= 1 with every test curve),
-    so its premise is M.M >= 4k + 5.
+    """The k-dependent sweep over the block of rows M = L + (-K) of nef
+    exact rows L, each b non-increasing, given each L's smallest pairing
+    ``lowest`` with the test curves, ``m2`` = M.M and the mask ``multiple``
+    of the multiples of -K (see :func:`_nef_block`).  Returns the counts
+    (applicable, passing, failing, exceptions, witnesses) and the flagged
+    rows in row order, as (index in M, pass flag).  M of a nef row is nef
+    (-K pairs >= 1 with every test curve), so its premise is M.M >= 4k + 5.
 
     Every verdict is an array comparison.  Only the applicable rows that
-    fail at k are paired with the test curves (:func:`_exceptional_below`).
-    Python runs once per orbit that some row reaches and once per row that
-    is a multiple of -K or is flagged; a consistent block flags no row.
+    fail at k are paired with the test curves (:func:`_exceptional_below`),
+    once per level: ``below[k]`` keeps their counts, so a kept box
+    (:func:`_box_blocks`) pairs no row on a repeat.  Python runs once per
+    orbit that some row reaches and once per row that is a multiple of -K
+    or is flagged; a consistent block flags no row.
     """
-    K = _surface_context(L.shape[1] - 1).canonical
+    K = _surface_context(M.shape[1] - 1).canonical
     applicable = (m2 >= 4 * k + 5).nonzero()[0]
-    L, passes = L.take(applicable, axis=0), lowest[applicable] >= k
-    M = L - np.array([K.a, *K.b], dtype=np.int64)
+    M, passes = M.take(applicable, axis=0), lowest[applicable] >= k
     failing = (~passes).nonzero()[0]
-    exc_below = _exceptional_below(L.take(failing, axis=0), k)
+    if k not in below:
+        below[k] = _read_only(_exceptional_below(M.take(failing, axis=0) + np.array([K.a, *K.b], dtype=np.int64), k))
 
     n = len(applicable)
     witnesses, exceptional_hits = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -410,14 +418,13 @@ def _decide_block(
     # not show an obstruction for it (it does for -(k+1)K at rank 8, it
     # cannot for -kK), so neither outcome is a violation.
     exception = np.zeros(n, dtype=bool)
-    multiple = passes & (L[:, 0] == 3 * L[:, 1]) & (L[:, 1] == L[:, -1])
-    for i in multiple.nonzero()[0].tolist():
-        exception[i] = _exception_flag(-int(L[i, 1]) * K, k) != EXCEPTION_NONE
+    for i in (passes & multiple[applicable]).nonzero()[0].tolist():
+        exception[i] = _exception_flag((1 - int(M[i, 1])) * K, k) != EXCEPTION_NONE  # L = M + K
     passing = passes & ~exception
     # A k-very-ample class may have no witness at all, so none with D.D <= 0
     # either; a failing one needs a witness and each violating exceptional class.
     flagged = passing & (witnesses > 0)
-    flagged[failing] = (witnesses[failing] == 0) | (exceptional_hits[failing] < exc_below)
+    flagged[failing] = (witnesses[failing] == 0) | (exceptional_hits[failing] < below[k])
     flagged_rows = [(int(applicable[i]), bool(passing[i])) for i in flagged.nonzero()[0].tolist()]
     counts = (n, int(passing.sum()), len(failing), int(exception.sum()), int(witnesses.sum()))
     return counts, flagged_rows
@@ -430,25 +437,27 @@ def sweep_blocks(
     the kept nef blocks of the box a <= a_max (:func:`_box_blocks`), or
     with ``sample`` over seeded draws until that many nef rows, each drawn
     block through the same k-free step (:func:`_nef_block`) and kept by
-    none.  Only :func:`_decide_block` depends on k.  Returns scanned,
-    covered, the five totals of :func:`_decide_block` and the flagged rows
-    in row order, as (class, pass flag): a box leaf, or the descending
-    representative of a draw's S_r orbit."""
-    table = _candidate_table(r, k)
+    none, so it pairs its failing rows afresh.  Only :func:`_decide_block`
+    depends on k.  Returns scanned, covered, the five totals of
+    :func:`_decide_block` and the flagged rows in row order, as (class,
+    pass flag): a box leaf, or the descending representative of a draw's
+    S_r orbit."""
+    table, K = _candidate_table(r, k), _surface_context(r).canonical
     blocks = _box_blocks(r, a_max) if sample is None else _sample_blocks(r, a_max, seed)
     scanned = covered = 0
     totals = [0] * 5
     flagged = []
     for block in blocks:
         if sample is None:
-            rows, lowest, m2, count = block
+            *arrays, count = block
         else:  # a drawn row covers itself
-            rows, lowest, m2 = (x[:sample - scanned] for x in _nef_block(block, r))
-            count = len(rows)
-        counts, found = _decide_block(rows, lowest, m2, k, table)
-        flagged += [(PicardClass(int(rows[i, 0]), tuple(map(int, rows[i, 1:].tolist()))), passing)
+            arrays = [*(x[:sample - scanned] for x in _nef_block(block, r)), {}]
+            count = len(arrays[0])
+        M = arrays[0]
+        counts, found = _decide_block(*arrays, k, table)
+        flagged += [(PicardClass(int(M[i, 0]), tuple(map(int, M[i, 1:].tolist()))) + K, passing)
                     for i, passing in found]
-        scanned += len(rows)
+        scanned += len(M)
         covered += count
         totals = [t + c for t, c in zip(totals, counts)]
         if scanned == sample:

@@ -883,15 +883,19 @@ def fresh_box_blocks():
 
 def decide_per_row(rows, k, r):
     """``_decide_block`` on the rank-r nef rows `rows` (lists, each b
-    non-increasing) from smallest pairings and M.M built per row with
-    ``intersect``, independent of the sweep's family floor: its counts, and
-    its flagged rows worded by ``_row_violations``."""
+    non-increasing) from M = L - K, smallest pairings, M.M and the multiples
+    of -K built per row with PicardClass arithmetic and ``intersect``,
+    independent of the sweep's family floor, and no kept counts: its
+    counts, and its flagged rows worded by ``_row_violations``."""
     classes = [PicardClass(row[0], tuple(row[1:])) for row in rows]
     curves = surface_context(r).test_curves
     K = canonical_class(r)
+    Ms = [L - K for L in classes]
     lowest = np.array([min(intersect(L, x) for x in curves) for L in classes], dtype=object)
-    squares = np.array([intersect(L - K, L - K) for L in classes], dtype=object)
-    counts, flagged = _decide_block(exact_rows(rows), lowest, squares, k, _candidate_table(r, k))
+    squares = np.array([intersect(M, M) for M in Ms], dtype=object)
+    multiple = np.array([L == -L.b[0] * K for L in classes], dtype=bool)
+    M = exact_rows([[M.a, *M.b] for M in Ms])
+    counts, flagged = _decide_block(M, lowest, squares, multiple, {}, k, _candidate_table(r, k))
     violations = [v for i, passing in flagged for v in _row_violations(classes[i], passing, k)]
     return counts, violations
 
@@ -996,9 +1000,11 @@ class TestBatchedSweepAgainstPerRow:
         coeffs, weights = ref_box_rows(r, a_max)
         np.testing.assert_array_equal(nef, coeffs)
         np.testing.assert_array_equal(orbit_sizes(nef[:, 1:]), weights)
-        # the kept nef blocks hold the same rows, and cover the same classes
+        # the kept nef blocks hold the same rows as M = L - K, and cover the
+        # same classes
         blocks = _box_blocks(r, a_max)
-        np.testing.assert_array_equal(np.concatenate([rows for rows, *_ in blocks]), coeffs)
+        K = canonical_class(r)
+        np.testing.assert_array_equal(np.concatenate([M for M, *_ in blocks]), coeffs - [K.a, *K.b])
         assert sum(covered for *_, covered in blocks) == weights.sum()
 
     @pytest.mark.parametrize("r", range(1, 9))
@@ -1015,7 +1021,8 @@ class TestBatchedSweepAgainstPerRow:
 
     def test_a_box_of_whole_blocks_streams_no_empty_block(self, fresh_box_blocks):
         # the 158,720 leaves of box 59 at rank 3 fill exactly 155 blocks;
-        # each kept nef block is read-only, and they cover the nef classes
+        # each kept nef block is read-only, holds M = L - K, and they cover
+        # the nef classes
         blocks = list(_box_leaves(3, 59))
         assert len(blocks) == 155 and {len(block) for block in blocks} == {_BLOCK_ROWS}
         leaves = np.concatenate(blocks)
@@ -1023,10 +1030,11 @@ class TestBatchedSweepAgainstPerRow:
         np.testing.assert_array_equal(leaves, ref_box_leaves(3, 59))
         kept = _box_blocks(3, 59)
         assert len(kept) == 155
-        for rows, lowest, m2, _ in kept:
-            assert rows.dtype == np.float64 and not any(array.flags.writeable for array in (rows, lowest, m2))
+        for M, lowest, m2, multiple, below, _ in kept:
+            assert M.dtype == np.float64 and not any(array.flags.writeable for array in (M, lowest, m2, multiple))
+            assert below == {}  # no sweep has run on the box
         nef = leaves[pairing_matrix(leaves, 3).min(axis=1) >= 0]
-        np.testing.assert_array_equal(np.concatenate([rows for rows, *_ in kept]), nef)
+        np.testing.assert_array_equal(np.concatenate([M for M, *_ in kept]), nef + [3, 1, 1, 1])
         assert sum(covered for *_, covered in kept) == orbit_sizes(nef[:, 1:]).sum()
 
     def test_blocks_straddling_the_int64_bounds(self):
@@ -1350,7 +1358,8 @@ class TestConsistencySweep:
         # kept box, the family floor of the 85 leaves, the curve pairing of
         # the 48 rows that fail at k, the orbit floor of the 50 applicable
         # rows and one M.D product per reached orbit, 76 reaching rows in
-        # all; a repeat keeps the box and makes no family-floor product
+        # all; a repeat keeps the box and its failing rows' counts, so it
+        # makes neither the family-floor nor the curve product
         import delpezzo.bulk as bulk
 
         fresh = bulk._candidate_table.__wrapped__(8, 1)
@@ -1364,16 +1373,17 @@ class TestConsistencySweep:
         assert len(rows) == 8
         assert rows[:3] == [85, 48, 50] and sum(rows[3:]) == 76
         assert operands[:3] == [bulk.family_operand(8), curve_operand(8), fresh.operand]
-        first = rows[1:]
+        first = rows[2:]
         rows.clear()
         operands.clear()
         assert consistency_sweep(8, 1, 4).ok
-        assert rows == first and all(B is not bulk.family_operand(8) for B in operands)
+        assert rows == first and all(B is not bulk.family_operand(8) and B is not curve_operand(8) for B in operands)
 
     def test_box_12_sweep_pairs_only_failing_rows_with_the_curves(self, monkeypatch, fresh_box_blocks):
         # of the 11,011 leaves of box 12, only the applicable rows that fail
-        # at k = 1 meet the 240 curves, on every sweep; every leaf meets the
-        # 7 families once, when the box is built, and no leaf on a repeat
+        # at k = 1 meet the 240 curves, on the first sweep at k = 1; every
+        # leaf meets the 7 families once, when the box is built; a repeat
+        # pairs no row with either
         import delpezzo.bulk as bulk
 
         seen = {"curves": 0, "families": 0}
@@ -1388,7 +1398,7 @@ class TestConsistencySweep:
         assert consistency_sweep(8, 1, 12).ok
         assert seen == {"curves": 6_820, "families": 11_011}
         assert consistency_sweep(8, 1, 12).ok
-        assert seen == {"curves": 2 * 6_820, "families": 11_011}
+        assert seen == {"curves": 6_820, "families": 11_011}
 
     def test_sweep_certifies_no_witness(self, monkeypatch):
         # a freshly built table, and an effectivity test that refuses to run:
@@ -1438,16 +1448,19 @@ class TestConsistencySweep:
 
     def test_box_leaves_are_built_once(self, monkeypatch, fresh_box_blocks):
         # the nef blocks of a box are kept, read-only, so a repeated sweep
-        # neither streams its leaves again nor sees them changed
+        # neither streams its leaves again nor sees them changed: M, the
+        # family floor, M.M, the -K mask and the counts of each level swept
         import delpezzo.bulk as bulk
 
         blocks = _box_blocks(8, 4)
         assert _box_blocks(8, 4) is blocks
-        for block in blocks:
-            for array in block[:3]:
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 1
         first = {a_max: json.dumps(consistency_sweep(8, 1, a_max).as_dict()) for a_max in (4, 12)}
+        for a_max in (4, 12):
+            for M, lowest, m2, multiple, below, _ in _box_blocks(8, a_max):
+                assert list(below) == [1]
+                for array in (M, lowest, m2, multiple, *below.values()):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 1
 
         def unbuilt(r, a_max):
             raise AssertionError(f"streamed the leaves of box {a_max} again")
@@ -1457,8 +1470,9 @@ class TestConsistencySweep:
             assert json.dumps(consistency_sweep(8, 1, a_max).as_dict()) == first[a_max]
 
     def test_a_k_2_sweep_after_k_1_streams_no_leaf(self, monkeypatch, fresh_box_blocks):
-        # the kept blocks hold no k: a box swept at k = 1 is swept at k = 2
-        # from them, as a box built afresh at k = 2 is
+        # the kept blocks hold counts only for the levels swept: a box swept
+        # at k = 1 is swept at k = 2 from them, its rows paired at k = 2
+        # then, as a box built afresh at k = 2 is
         import delpezzo.bulk as bulk
 
         assert consistency_sweep(8, 1, 12).ok
@@ -1469,6 +1483,49 @@ class TestConsistencySweep:
         assert streamed == []
         _box_blocks.cache_clear()
         assert consistency_sweep(8, 2, 12).as_dict() == kept and streamed == [12]
+
+    def test_counts_are_kept_per_level(self, monkeypatch, fresh_box_blocks):
+        # a kept box pairs its failing rows with the curves once per level:
+        # box 12 swept at k = 1, 2, 1, 2 pairs each of its 11 blocks once
+        # at each level, and each summary is that of a box built afresh; a
+        # sampled sweep keeps no draw, so it pairs its failing rows each time
+        import delpezzo.bulk as bulk
+
+        calls = []
+        below = bulk._exceptional_below
+        monkeypatch.setattr(bulk, "_exceptional_below", lambda L, k: calls.append((k, len(L))) or below(L, k))
+        levels = (1, 2, 1, 2)
+        summaries = [consistency_sweep(8, k, 12).as_dict() for k in levels]
+        assert [k for k, _ in calls] == [1] * 11 + [2] * 11
+        assert all(set(block[4]) == {1, 2} for block in _box_blocks(8, 12))
+        for k, summary in zip(levels, summaries):
+            _box_blocks.cache_clear()
+            assert consistency_sweep(8, k, 12).as_dict() == summary
+        calls.clear()
+        sampled = [consistency_sweep(8, 1, 12, sample=60, seed=42).as_dict() for _ in range(2)]
+        assert sampled[0] == sampled[1] and sampled[0]["failing"] > 0
+        half = len(calls) // 2
+        assert calls[:half] == calls[half:] and sum(n for _, n in calls[:half]) > 0
+
+    def test_a_repeat_reads_the_kept_counts(self, monkeypatch, fresh_box_blocks):
+        # a repeat pairs no row again: one failing row's kept count raised by
+        # one flags that row alone (its exceptional hits fall short), and
+        # its own witness list then words no violation
+        import delpezzo.reider as reider
+
+        assert consistency_sweep(8, 1, 12).ok
+        M, lowest, m2, _, below, _ = next(block for block in _box_blocks(8, 12) if len(block[4][1]))
+        applicable = (m2 >= 9).nonzero()[0]
+        row = applicable[(lowest[applicable] < 1).nonzero()[0][0]]
+        raised = below[1].copy()
+        raised[0] += 1
+        below[1] = raised
+        calls = []
+        row_violations = reider._row_violations
+        monkeypatch.setattr(reider, "_row_violations", lambda *args: calls.append(args) or row_violations(*args))
+        assert consistency_sweep(8, 1, 12).ok
+        L = PicardClass(int(M[row, 0]) - 3, tuple(int(x) - 1 for x in M[row, 1:].tolist()))
+        assert calls == [(L, False, 1)]
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_product_operands_are_c_ordered_and_read_only(self, r):

@@ -42,6 +42,10 @@ WORKLOADS = ("check-r8", "oracle-lowrank", "sweep-r8-k1")
 #: (r, k, a_max) of the warm consistency sweeps in the layer record: the
 #: rank-8 boxes of the sweep layer, and a box each at ranks 3 and 1.
 WARM_SWEEPS = ((8, 1, 4), (8, 1, 12), (8, 1, 20), (8, 2, 12), (3, 1, 40), (1, 1, 200))
+#: (r, k, a_max) of the first sweeps of a box in a warm process in the layer
+#: record: the kept boxes are cleared before each timed call, so each call
+#: builds its box and pairs its failing rows, as a process's first sweep does.
+FRESH_BOXES = ((8, 1, 12), (8, 1, 20))
 #: Levels k of the fresh (uncached) rank-8 candidate-table builds in the
 #: layer record.
 TABLE_LEVELS = (1, 2, 4)
@@ -69,9 +73,10 @@ COLD_COMMANDS = tuple(f"verify --r 8 --k {k} --box {box} --json".split() for k, 
     ["check", "--r", "8", "--k", "1", "3;1,1,1,1,1,1,1,1", "--json"],)
 #: A fresh process that times, against the package in sys.argv[1], each
 #: warm sweep (r, k, a_max) of sys.argv[2] (JSON), each fresh
-#: ``_candidate_table(8, k)`` build for k in sys.argv[3] and each call of
-#: sys.argv[4] (WARM_CALLS): one untimed call (for a sweep, it builds its
-#: table and box), then the best of 5 timeit repeats, each of the
+#: ``_candidate_table(8, k)`` build for k in sys.argv[3], each call of
+#: sys.argv[4] (WARM_CALLS) and each first sweep of a box of sys.argv[5]
+#: (FRESH_BOXES): one untimed call (for a sweep, it builds its table and
+#: box), then the best of 5 timeit repeats, each of the
 #: autorange count of calls.  Each row's callable is made inside its own
 #: try, so a layer the checkout cannot run, a name it lacks included, is
 #: null with its reason and the other rows still run.
@@ -106,6 +111,13 @@ for k in json.loads(sys.argv[3]):
     best(f"table 8,{k}", lambda: table)
 for key, call in json.loads(sys.argv[4]).items():
     best(key, lambda: warm(call))
+for r, k, a_max in json.loads(sys.argv[5]):
+    def fresh_box():
+        from delpezzo.bulk import _box_blocks
+        from delpezzo.reider import consistency_sweep
+        _box_blocks.cache_clear()
+        consistency_sweep(r, k, a_max)
+    best(f"fresh {r},{k},{a_max}", lambda: fresh_box)
 print(json.dumps(out))
 """
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
@@ -153,8 +165,9 @@ def cold_run(argv: list[str], checkout: Path, env: dict) -> tuple[float, float, 
 
 def layers(checkout: Path) -> dict:
     """The warm sweeps of WARM_SWEEPS, the fresh rank-8 candidate tables of
-    TABLE_LEVELS and the warm calls of WARM_CALLS, each the median of three
-    fresh processes' best-of-5 seconds per call, and the cold COLD_COMMANDS,
+    TABLE_LEVELS, the warm calls of WARM_CALLS and the first sweeps of
+    FRESH_BOXES, each the median of three fresh processes' best-of-5
+    seconds per call, and the cold COLD_COMMANDS,
     the median wall time and peak RSS of 7 rounds that run the commands in
     turn.  A layer the checkout cannot run is null, with its reason."""
     src = str(checkout / "src")
@@ -162,7 +175,7 @@ def layers(checkout: Path) -> dict:
     processes = []
     for _ in range(3):
         argv = [sys.executable, "-c", WARM_CHILD, src, json.dumps(WARM_SWEEPS), json.dumps(TABLE_LEVELS),
-                json.dumps(WARM_CALLS)]
+                json.dumps(WARM_CALLS), json.dumps(FRESH_BOXES)]
         done = subprocess.run(argv, capture_output=True, text=True)
         reason = (done.stderr.strip().splitlines() or [f"exit code {done.returncode}"])[-1]
         processes.append(json.loads(done.stdout) if done.returncode == 0 else reason)
@@ -176,6 +189,7 @@ def layers(checkout: Path) -> dict:
     warm = {key: median_of(key) for key in (f"{r},{k},{a_max}" for r, k, a_max in WARM_SWEEPS)}
     tables = {f"8,{k}": median_of(f"table 8,{k}") for k in TABLE_LEVELS}
     calls = {key: median_of(key) for key in WARM_CALLS}
+    boxes = {f"{r},{k},{a_max}": median_of(f"fresh {r},{k},{a_max}") for r, k, a_max in FRESH_BOXES}
     rounds = [[cold_run(argv, checkout, env) for argv in COLD_COMMANDS] for _ in range(7)]
     cold = {}
     for i, argv in enumerate(COLD_COMMANDS):
@@ -186,7 +200,8 @@ def layers(checkout: Path) -> dict:
             "peak_rss_mb": statistics.median(rss for _, rss, _ in runs),
             "runs": len(runs),
         }
-    return {"warm_sweeps": warm, "fresh_tables": tables, "warm_calls": calls, "cold_commands": cold}
+    return {"warm_sweeps": warm, "fresh_tables": tables, "warm_calls": calls, "fresh_boxes": boxes,
+            "cold_commands": cold}
 
 
 def src_lines(checkout: Path) -> dict:
